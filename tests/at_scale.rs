@@ -4,12 +4,14 @@
 
 use std::sync::{Arc, OnceLock};
 
-use dscs_serverless::cluster::at_scale::{at_scale_sweep, AtScaleOptions, AtScaleReport};
+use dscs_serverless::cluster::at_scale::{
+    at_scale_sweep, AtScaleOptions, AtScaleReport, SweepSpec,
+};
 use dscs_serverless::cluster::experiment::Experiment;
 use dscs_serverless::cluster::policy::{
     KeepalivePolicy, LoadBalancer, ScalingPolicy, SchedulerPolicy,
 };
-use dscs_serverless::cluster::workload::{AzureWorkload, Workload, WorkloadError};
+use dscs_serverless::cluster::workload::{AzureWorkload, Workload, WorkloadError, WorkloadSpec};
 use dscs_serverless::platforms::PlatformKind;
 use dscs_serverless::simcore::rng::DeterministicRng;
 
@@ -68,29 +70,60 @@ fn sweep_covers_both_platforms_all_policies_and_both_workloads() {
 /// immediately.
 #[test]
 fn smoke_sweep_matches_the_pr4_golden_report() {
-    let json = smoke_report().to_json();
+    assert_matches_golden(
+        &smoke_report().to_json(),
+        PR4_GOLDEN_SMOKE,
+        "at_scale_smoke_pr4.json",
+    );
+}
+
+/// The pinned smoke policy grid over the checked-in Azure-schema trace file
+/// (`--workload trace:data/azure_trace_sample.csv`). Unlike the synthetic
+/// workloads, whose function ids are already dense (`0..n`), trace-file ids
+/// are 32-bit hashes of the owner/app/function names, so this fixture pins
+/// every id-ordered computation: the hybrid keepalive's end-of-run warm
+/// ledger and the predictive autoscaler's summed arrival-rate estimate.
+const TRACE_GOLDEN_SMOKE: &str = include_str!("golden/at_scale_smoke_trace_sample.json");
+
+#[test]
+fn trace_file_smoke_sweep_matches_its_golden_report() {
+    let spec = SweepSpec {
+        workloads: vec![WorkloadSpec::TraceFile {
+            path: concat!(env!("CARGO_MANIFEST_DIR"), "/data/azure_trace_sample.csv").into(),
+            day: 1,
+        }],
+        ..SweepSpec::from(AtScaleOptions::smoke())
+    };
+    let json = spec.run().expect("the sample trace is valid").to_json();
+    assert_matches_golden(
+        &json,
+        TRACE_GOLDEN_SMOKE,
+        "at_scale_smoke_trace_sample.json",
+    );
+}
+
+/// Compares a report with its golden fixture byte for byte, pointing at the
+/// first divergence; with `UPDATE_GOLDEN` set it rewrites the fixture instead.
+fn assert_matches_golden(json: &str, golden: &str, fixture: &str) {
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        let path = concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/tests/golden/at_scale_smoke_pr4.json"
-        );
-        std::fs::write(path, &json).expect("write golden fixture");
+        let path = format!("{}/tests/golden/{fixture}", env!("CARGO_MANIFEST_DIR"));
+        std::fs::write(path, json).expect("write golden fixture");
         return;
     }
-    if json != PR4_GOLDEN_SMOKE {
+    if json != golden {
         let diverges_at = json
             .bytes()
-            .zip(PR4_GOLDEN_SMOKE.bytes())
+            .zip(golden.bytes())
             .position(|(a, b)| a != b)
-            .unwrap_or_else(|| json.len().min(PR4_GOLDEN_SMOKE.len()));
+            .unwrap_or_else(|| json.len().min(golden.len()));
         let start = diverges_at.saturating_sub(120);
         panic!(
-            "smoke report drifted from the golden fixture at byte {diverges_at}:\n\
+            "report drifted from the golden fixture {fixture} at byte {diverges_at}:\n\
              current:  ...{}\n\
              golden:   ...{}\n\
              (regenerate deliberately with UPDATE_GOLDEN=1 cargo test --test at_scale)",
             &json[start..(diverges_at + 120).min(json.len())],
-            &PR4_GOLDEN_SMOKE[start..(diverges_at + 120).min(PR4_GOLDEN_SMOKE.len())],
+            &golden[start..(diverges_at + 120).min(golden.len())],
         );
     }
 }
