@@ -3,11 +3,13 @@
 //!
 //! The paper's core claim is that pushing compute into the storage drives
 //! wins because the data does not move — so the cluster simulation has to
-//! know where each request's data *is*. [`DataLayer`] pre-populates a
-//! rack-aware object store with every object a trace touches (each rack owns
-//! a pod of storage nodes; replicas stay in their home rack, the data-gravity
-//! layout the in-storage execution model assumes), then answers the two
-//! questions the simulator asks on the hot path:
+//! know where each request's data *is*. [`DataLayer`] places every object a
+//! trace touches over a rack-aware object-store layout (each rack owns a pod
+//! of storage nodes; replicas stay in their home rack, the data-gravity
+//! layout the in-storage execution model assumes), drawing each placement
+//! with [`ObjectStore::draw_replicas`], the algorithm behind
+//! [`ObjectStore::put`]. It then answers the two questions the simulator
+//! asks on the hot path, by trace position rather than by key:
 //!
 //! * which racks hold a replica of this request's object (the locality-aware
 //!   balancer's dispatch input), and
@@ -26,7 +28,6 @@ use dscs_simcore::time::SimDuration;
 use dscs_storage::object_store::{ObjectStore, RemoteFetchModel};
 
 use crate::trace::TraceRequest;
-use crate::workload::ObjectCatalog;
 
 /// Storage pod each rack contributes to the store.
 const CONVENTIONAL_PER_RACK: u32 = 4;
@@ -36,6 +37,9 @@ const REPLICATION: usize = 3;
 /// Replicas stay within the object's home rack (data gravity): in-storage
 /// acceleration only pays off where the bytes already are.
 const RACK_SPREAD: u32 = 1;
+// Every replica of an object lives in its home rack, so one home rack per
+// object is its whole placement answer.
+const _: () = assert!(RACK_SPREAD == 1);
 
 /// What one cross-rack fetch of a given size costs: the wall-clock latency
 /// charged onto the invocation and the joules the fabric and remote drive
@@ -44,20 +48,6 @@ const RACK_SPREAD: u32 = 1;
 pub(crate) struct FetchCost {
     pub(crate) latency: SimDuration,
     pub(crate) energy_j: f64,
-}
-
-/// The placement of every object one trace touches, plus the fetch-cost
-/// model charged when a request runs on a rack without a replica.
-#[derive(Debug, Clone)]
-pub struct DataLayer {
-    store: ObjectStore,
-    racks: u32,
-    /// (function, object) -> sorted racks holding a replica.
-    placement: HashMap<(u32, u32), Vec<u32>>,
-    fetch: RemoteFetchModel,
-    /// Memoized per-size fetch costs (object sizes come from a small
-    /// deterministic set, so the hot path never re-prices a fetch).
-    fetch_costs: HashMap<Bytes, FetchCost>,
 }
 
 impl FetchCost {
@@ -69,16 +59,91 @@ impl FetchCost {
     }
 }
 
+/// Each request's dense function slot, by trace position. Slots are `0..n`
+/// for the trace's `n` distinct functions and follow ascending function id,
+/// so iterating slots visits functions in id order, which is the order
+/// every per-function floating-point sum in the engine depends on.
+/// Trace-file function ids are 32-bit hashes, so the engine indexes by slot,
+/// never by raw id.
+pub(crate) fn function_slots(trace: &[TraceRequest]) -> Vec<u32> {
+    let mut interner = FunctionInterner::default();
+    let per_request = trace
+        .iter()
+        .map(|request| interner.intern(request.function))
+        .collect();
+    interner.finish(per_request)
+}
+
+/// Builds [`function_slots`] in one pass over a trace: ids get provisional
+/// slots in first-seen order, renumbered into ascending id order at the end.
+#[derive(Default)]
+struct FunctionInterner {
+    first_seen: HashMap<u32, u32>,
+}
+
+impl FunctionInterner {
+    /// The provisional slot of `function`.
+    fn intern(&mut self, function: u32) -> u32 {
+        let next = self.first_seen.len() as u32;
+        *self.first_seen.entry(function).or_insert(next)
+    }
+
+    /// Renumbers each request's provisional slot into its final one.
+    fn finish(self, mut per_request: Vec<u32>) -> Vec<u32> {
+        let mut ids: Vec<(u32, u32)> = self.first_seen.into_iter().collect();
+        ids.sort_unstable();
+        let mut renumber = vec![0u32; ids.len()];
+        for (slot, &(_, provisional)) in ids.iter().enumerate() {
+            renumber[provisional as usize] = slot as u32;
+        }
+        for slot in &mut per_request {
+            *slot = renumber[*slot as usize];
+        }
+        per_request
+    }
+}
+
+/// The placement of every object one trace touches, plus the fetch-cost
+/// model charged when a request runs on a rack without a replica.
+///
+/// A layer is the placement of exactly one trace: besides the
+/// `(function, object)` answers of [`DataLayer::replica_racks`], it keeps
+/// per-request tables indexed by trace position (each request's home rack
+/// and dense function slot), so the simulator's hot path never hashes. Runs
+/// therefore reject a layer whose request count differs from their trace's
+/// ([`crate::experiment::ConfigError::DataLayerTraceMismatch`]); attach a
+/// layer only to the trace it was built from.
+#[derive(Debug, Clone)]
+pub struct DataLayer {
+    racks: u32,
+    /// Storage nodes in the layout the objects were placed over.
+    nodes: usize,
+    /// (function, object) -> object slot, in first-read order.
+    slots: HashMap<(u32, u32), u32>,
+    /// The home rack of each object slot, which holds all its replicas.
+    homes: Vec<u32>,
+    /// The home rack of each request's object, by trace position.
+    request_homes: Vec<u32>,
+    /// Each request's function slot ([`function_slots`]), by trace position.
+    request_functions: Vec<u32>,
+    fetch: RemoteFetchModel,
+    /// Fetch costs of every object size the trace reads, sorted by size
+    /// (sizes come from a small deterministic set, so the hot path never
+    /// re-prices a fetch).
+    fetch_costs: Vec<(Bytes, FetchCost)>,
+}
+
 impl DataLayer {
     /// Builds the layer for `trace` over `racks` racks: a rack-aware store
-    /// (every rack holds 4 conventional + 2 DSCS storage nodes), populated
-    /// with each distinct object the trace reads, in trace order, from a
-    /// placement RNG derived from `seed`.
+    /// layout (every rack holds 4 conventional + 2 DSCS storage nodes),
+    /// over which each distinct object the trace reads is placed, in trace
+    /// order, from a placement RNG derived from `seed`. The same pass
+    /// interns the trace's function ids into dense slots.
     ///
     /// # Panics
     /// Panics if `racks` is zero.
     pub fn for_trace(trace: &[TraceRequest], racks: u32, seed: u64) -> DataLayer {
-        let mut store = ObjectStore::with_rack_layout(
+        let layout = ObjectStore::with_rack_layout(
             racks,
             CONVENTIONAL_PER_RACK,
             DSCS_PER_RACK,
@@ -87,30 +152,44 @@ impl DataLayer {
         );
         let mut rng = DeterministicRng::seeded(seed);
         let fetch = RemoteFetchModel::datacenter_default();
-        let mut placement: HashMap<(u32, u32), Vec<u32>> = HashMap::new();
-        let mut fetch_costs: HashMap<Bytes, FetchCost> = HashMap::new();
+        let mut slots: HashMap<(u32, u32), u32> = HashMap::new();
+        let mut homes = Vec::new();
+        let mut interner = FunctionInterner::default();
+        // Each object's function, interned once per object.
+        let mut object_functions = Vec::new();
+        let mut request_homes = Vec::with_capacity(trace.len());
+        let mut request_functions = Vec::with_capacity(trace.len());
+        let mut fetch_costs: Vec<(Bytes, FetchCost)> = Vec::new();
+        let mut replicas = Vec::with_capacity(REPLICATION);
         for request in trace {
-            let ident = (request.function, request.object);
-            if placement.contains_key(&ident) {
-                continue;
+            let next = homes.len() as u32;
+            let slot = *slots
+                .entry((request.function, request.object))
+                .or_insert(next);
+            if slot == next {
+                object_functions.push(interner.intern(request.function));
+                // Every benchmark is an ML pipeline over its stored input,
+                // so every object is acceleratable: its primary replica
+                // lands on a DSCS drive of the home rack.
+                let home = layout
+                    .draw_replicas(true, &mut rng, &mut replicas)
+                    .expect("rack layout always has DSCS nodes");
+                homes.push(home);
+                if let Err(at) = fetch_costs.binary_search_by_key(&request.object_bytes, |c| c.0) {
+                    let cost = FetchCost::of(&fetch, request.object_bytes);
+                    fetch_costs.insert(at, (request.object_bytes, cost));
+                }
             }
-            let key = ObjectCatalog::key(request.function, request.object);
-            // Every benchmark is an ML pipeline over its stored input, so
-            // every object is acceleratable: its primary replica lands on a
-            // DSCS drive of the home rack.
-            store
-                .put(&key, request.object_bytes, true, &mut rng)
-                .expect("rack layout always has DSCS nodes");
-            let racks_holding = store.racks_holding(&key).expect("object just placed");
-            placement.insert(ident, racks_holding);
-            fetch_costs
-                .entry(request.object_bytes)
-                .or_insert_with(|| FetchCost::of(&fetch, request.object_bytes));
+            request_homes.push(homes[slot as usize]);
+            request_functions.push(object_functions[slot as usize]);
         }
         DataLayer {
-            store,
             racks,
-            placement,
+            nodes: layout.node_count(),
+            slots,
+            homes,
+            request_homes,
+            request_functions: interner.finish(request_functions),
             fetch,
             fetch_costs,
         }
@@ -121,22 +200,28 @@ impl DataLayer {
         self.racks
     }
 
-    /// The underlying object store.
-    pub fn store(&self) -> &ObjectStore {
-        &self.store
+    /// Number of storage nodes the objects were placed over (every rack
+    /// contributes the same pod).
+    pub fn node_count(&self) -> usize {
+        self.nodes
     }
 
     /// Number of distinct objects placed.
     pub fn object_count(&self) -> usize {
-        self.placement.len()
+        self.homes.len()
+    }
+
+    /// Number of requests in the trace the layer was built for.
+    pub fn request_count(&self) -> usize {
+        self.request_homes.len()
     }
 
     /// The sorted racks holding a replica of `(function, object)`; empty for
     /// objects the layer never placed.
     pub fn replica_racks(&self, function: u32, object: u32) -> &[u32] {
-        self.placement
-            .get(&(function, object))
-            .map_or(&[], Vec::as_slice)
+        self.slots.get(&(function, object)).map_or(&[], |&slot| {
+            std::slice::from_ref(&self.homes[slot as usize])
+        })
     }
 
     /// Whether `rack` holds a replica of `(function, object)`.
@@ -144,14 +229,26 @@ impl DataLayer {
         self.replica_racks(function, object).contains(&rack)
     }
 
+    /// The rack holding every replica of the object read by the request at
+    /// trace position `idx`.
+    pub(crate) fn home_rack(&self, idx: usize) -> u32 {
+        self.request_homes[idx]
+    }
+
+    /// Each request's function slot, by trace position: what
+    /// [`function_slots`] returns for the layer's trace.
+    pub(crate) fn function_slots(&self) -> &[u32] {
+        &self.request_functions
+    }
+
     /// The memoized (or, for sizes the trace never read, freshly priced)
     /// cost of fetching `size` bytes from a remote rack. The simulator's hot
     /// path uses this directly so one lookup yields both charges.
     pub(crate) fn fetch_cost(&self, size: Bytes) -> FetchCost {
-        self.fetch_costs
-            .get(&size)
-            .copied()
-            .unwrap_or_else(|| FetchCost::of(&self.fetch, size))
+        match self.fetch_costs.binary_search_by_key(&size, |c| c.0) {
+            Ok(at) => self.fetch_costs[at].1,
+            Err(_) => FetchCost::of(&self.fetch, size),
+        }
     }
 
     /// The deterministic latency a rack without a replica pays to fetch
@@ -191,7 +288,40 @@ mod tests {
             assert!(racks.iter().all(|&r| r < 3), "rack out of range: {racks:?}");
         }
         assert_eq!(data.rack_count(), 3);
-        assert_eq!(data.store().object_count(), data.object_count());
+        assert_eq!(data.node_count(), 3 * 6);
+        assert_eq!(data.request_count(), trace.len());
+    }
+
+    /// Slots follow ascending function id, whatever order (and however
+    /// large) the ids arrive in, and both interning paths agree.
+    #[test]
+    fn function_slots_follow_ascending_function_ids() {
+        use dscs_core::benchmarks::Benchmark;
+        use dscs_simcore::time::SimTime;
+
+        let ids = [0xDEAD_BEEF, 7, 0x8000_0000, 7, 42, 0xDEAD_BEEF];
+        let trace: Vec<TraceRequest> = ids
+            .iter()
+            .enumerate()
+            .map(|(i, &function)| TraceRequest {
+                id: i as u64,
+                arrival: SimTime::from_nanos(i as u64),
+                benchmark: Benchmark::ALL[0],
+                function,
+                object: i as u32 % 2,
+                object_bytes: Bytes::from_kib(64),
+            })
+            .collect();
+        let slots = function_slots(&trace);
+        assert_eq!(slots, [3, 0, 2, 0, 1, 3]);
+        let data = DataLayer::for_trace(&trace, 2, 1);
+        assert_eq!(data.function_slots(), slots);
+        for (idx, request) in trace.iter().enumerate() {
+            assert_eq!(
+                data.replica_racks(request.function, request.object),
+                &[data.home_rack(idx)]
+            );
+        }
     }
 
     #[test]

@@ -84,6 +84,15 @@ pub enum ConfigError {
         /// Racks the experiment shards over.
         racks: u32,
     },
+    /// The attached data layer was built for a trace with a different number
+    /// of requests: its per-request placement tables are positional, so a
+    /// layer only serves the trace it was built from.
+    DataLayerTraceMismatch {
+        /// Requests in the trace the data layer was built for.
+        layer_requests: usize,
+        /// Requests in the experiment's trace.
+        requests: usize,
+    },
     /// An elastic scaling policy with `min_instances == 0`: the rack could
     /// never start work.
     ZeroMinInstances,
@@ -151,6 +160,9 @@ impl ConfigError {
             ConfigError::DataLayerRackMismatch { .. } => {
                 "data layer must cover exactly the sharded racks".into()
             }
+            ConfigError::DataLayerTraceMismatch { .. } => {
+                "data layer must place exactly the run's trace".into()
+            }
             ConfigError::ZeroMinInstances => "elastic racks need at least one instance".into(),
             ConfigError::MinAboveMax { .. } => "min_instances must not exceed max_instances".into(),
             ConfigError::ZeroScalingInterval { policy } => {
@@ -188,6 +200,14 @@ impl fmt::Display for ConfigError {
             ConfigError::DataLayerRackMismatch { layer_racks, racks } => write!(
                 f,
                 "data layer covers {layer_racks} rack(s) but the experiment shards over {racks}"
+            ),
+            ConfigError::DataLayerTraceMismatch {
+                layer_requests,
+                requests,
+            } => write!(
+                f,
+                "data layer was built for a trace of {layer_requests} request(s) \
+                 but the experiment replays {requests}"
             ),
             ConfigError::ZeroMinInstances => {
                 write!(f, "elastic racks need min_instances of at least one")
@@ -268,6 +288,12 @@ pub(crate) fn validate_run(
             return Err(ConfigError::DataLayerRackMismatch {
                 layer_racks: data.rack_count(),
                 racks,
+            });
+        }
+        if data.request_count() != trace.len() {
+            return Err(ConfigError::DataLayerTraceMismatch {
+                layer_requests: data.request_count(),
+                requests: trace.len(),
             });
         }
     }
@@ -562,7 +588,9 @@ impl ExperimentBuilder {
 
     /// Attaches a prebuilt data-placement layer; dispatch becomes data-aware
     /// and non-local starts pay the modelled cross-rack fetch. Accepts a
-    /// `DataLayer` or an `Arc<DataLayer>` (shared across sweep cells).
+    /// `DataLayer` or an `Arc<DataLayer>` (shared across sweep cells). The
+    /// layer must have been built for this experiment's trace
+    /// ([`DataLayer::for_trace`]).
     pub fn data_layer(mut self, data: impl Into<Arc<DataLayer>>) -> Self {
         self.data = Some(data.into());
         self.place_data_seed = None;
@@ -609,8 +637,8 @@ impl ExperimentBuilder {
 
     /// Validates the whole specification and returns the run-ready
     /// [`Experiment`], or the first [`ConfigError`] found (in the historical
-    /// check order: trace, racks, data layer, scaling parameters, elastic
-    /// bounds).
+    /// check order: trace, racks, data layer racks, data layer trace,
+    /// scaling parameters, elastic bounds).
     pub fn build(self) -> Result<Experiment, ConfigError> {
         if let Some(err) = self.pending {
             return Err(err);
@@ -947,6 +975,10 @@ mod tests {
             ConfigError::DataLayerRackMismatch {
                 layer_racks: 4,
                 racks: 2,
+            },
+            ConfigError::DataLayerTraceMismatch {
+                layer_requests: 10,
+                requests: 12,
             },
             ConfigError::ZeroMinInstances,
             ConfigError::MinAboveMax { min: 9, max: 3 },

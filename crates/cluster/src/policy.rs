@@ -21,7 +21,7 @@
 //!   threshold).
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 use serde::{Deserialize, Serialize};
 
@@ -449,11 +449,16 @@ impl SchedQueue {
 
 /// Runtime warm/cold bookkeeping for one rack under a [`KeepalivePolicy`].
 ///
-/// Tracks, per function id, when its most recent invocation finishes and (for
+/// Tracks, per function, when its most recent invocation finishes and (for
 /// the hybrid policy, or whenever arrival tracking is requested) a histogram
-/// of observed idle gaps. The decision rule is conservative in the
-/// *Serverless in the Wild* sense: a container is never evicted before the
-/// policy's current window for its function has elapsed. With a prewarm head
+/// of observed idle gaps. Functions are identified by dense *slots*
+/// (`0..n`, one per distinct function of the trace, in ascending function-id
+/// order), and the state is indexed by slot: tables grow to the highest slot
+/// seen. Per-function sums run in slot order, so they are deterministic.
+///
+/// The decision rule is conservative in the *Serverless in the Wild* sense:
+/// a container is never evicted before the policy's current window for its
+/// function has elapsed. With a prewarm head
 /// percentile configured, the container is instead *released* at finish and
 /// proactively re-warmed at the head percentile of the learned idle gaps —
 /// trading a sliver of cold-start risk for the memory the container would
@@ -466,12 +471,14 @@ impl SchedQueue {
 #[derive(Debug)]
 pub struct KeepaliveState {
     policy: KeepalivePolicy,
-    last_finish: HashMap<u32, SimTime>,
-    histograms: HashMap<u32, IdleHistogram>,
-    /// Per-function arrival statistics backing the learned arrival-rate
+    /// By slot: the latest finish of the function's invocations, if any ran.
+    last_finish: Vec<Option<SimTime>>,
+    /// By slot: the observed idle gaps (empty until one is observed).
+    histograms: Vec<IdleHistogram>,
+    /// By slot: arrival statistics backing the learned arrival-rate
     /// estimate the predictive autoscaler consumes (fed by
     /// [`KeepaliveState::note_arrival`]).
-    arrivals: HashMap<u32, ArrivalTrack>,
+    arrivals: Vec<Option<ArrivalTrack>>,
     /// Whether idle gaps are observed into the histograms (the hybrid
     /// policy's learning signal).
     observe_gaps: bool,
@@ -607,9 +614,9 @@ impl KeepaliveState {
         };
         KeepaliveState {
             policy,
-            last_finish: HashMap::new(),
-            histograms: HashMap::new(),
-            arrivals: HashMap::new(),
+            last_finish: Vec::new(),
+            histograms: Vec::new(),
+            arrivals: Vec::new(),
             observe_gaps,
             gap_bin,
             gap_range,
@@ -630,7 +637,7 @@ impl KeepaliveState {
     /// Whether the hybrid histogram for `function` has learned a trustworthy
     /// pattern (enough samples, few out-of-range gaps).
     fn learned(&self, function: u32) -> bool {
-        self.histograms.get(&function).is_some_and(|hist| {
+        self.histograms.get(function as usize).is_some_and(|hist| {
             hist.total >= HYBRID_MIN_SAMPLES && hist.oob_rate() <= HYBRID_OOB_LIMIT
         })
     }
@@ -647,7 +654,7 @@ impl KeepaliveState {
                     // warm container is never evicted early.
                     return range;
                 }
-                let hist = &self.histograms[&function];
+                let hist = &self.histograms[function as usize];
                 let learned = bin * (hist.tail_bin(HYBRID_TAIL) as u64 + 1);
                 (learned * HYBRID_MARGIN).min(range)
             }
@@ -674,7 +681,7 @@ impl KeepaliveState {
         if head <= 0.0 || !self.learned(function) {
             return SimDuration::ZERO;
         }
-        let edge = self.histograms[&function].tail_bin(head);
+        let edge = self.histograms[function as usize].tail_bin(head);
         (bin * edge as u64).min(self.window(function))
     }
 
@@ -684,9 +691,9 @@ impl KeepaliveState {
     /// warm; with prewarming, an idle gap shorter than the prewarm window
     /// lands before the proactive re-warm and runs cold.
     pub fn is_warm(&self, function: u32, now: SimTime) -> bool {
-        match self.last_finish.get(&function) {
+        match self.last_finish.get(function as usize).copied().flatten() {
             None => false,
-            Some(&finish) => {
+            Some(finish) => {
                 let idle = now.saturating_since(finish);
                 idle <= self.window(function)
                     && (idle.is_zero() || idle >= self.prewarm_window(function))
@@ -698,7 +705,7 @@ impl KeepaliveState {
     /// at `finish`, feeding the observed idle gap to the learning policy and
     /// the warm-memory ledger.
     pub fn record_invocation(&mut self, function: u32, now: SimTime, finish: SimTime) {
-        if let Some(&prev) = self.last_finish.get(&function) {
+        if let Some(prev) = self.last_finish.get(function as usize).copied().flatten() {
             let idle = now.saturating_since(prev);
             let window = self.window(function);
             let prewarm = self.prewarm_window(function);
@@ -721,29 +728,24 @@ impl KeepaliveState {
             // memory was held at all.
             if self.observe_gaps {
                 let (bin, range) = (self.gap_bin, self.gap_range);
-                self.histograms
-                    .entry(function)
-                    .or_default()
-                    .observe(idle, bin, range);
+                grow_to(&mut self.histograms, function).observe(idle, bin, range);
             }
         }
         // Keep the furthest-out finish time: with many concurrent instances
         // the container pool stays warm until the last one drains.
-        let entry = self.last_finish.entry(function).or_insert(finish);
-        if finish > *entry {
-            *entry = finish;
-        }
+        let last = grow_to(&mut self.last_finish, function);
+        *last = Some(last.map_or(finish, |prev| prev.max(finish)));
     }
 
     /// Closes the warm-memory ledger at the end of a run: every container
     /// still warm at `end` held its (remaining) window without a further
-    /// reuse, which counts as wasted. Functions are flushed in id order so
+    /// reuse, which counts as wasted. Functions are flushed in slot order so
     /// the floating-point accumulation is deterministic.
     pub fn finish_accounting(&mut self, end: SimTime) {
-        let mut functions: Vec<u32> = self.last_finish.keys().copied().collect();
-        functions.sort_unstable();
-        for function in functions {
-            let finish = self.last_finish[&function];
+        for function in 0..self.last_finish.len() as u32 {
+            let Some(finish) = self.last_finish[function as usize] else {
+                continue;
+            };
             let elapsed = end.saturating_since(finish);
             let window = self.window(function);
             let prewarm = self.prewarm_window(function);
@@ -758,7 +760,7 @@ impl KeepaliveState {
     /// so its demand estimate tracks offered load rather than the throttled
     /// start rate a backlogged rack would otherwise observe.
     pub fn note_arrival(&mut self, function: u32, now: SimTime) {
-        let track = self.arrivals.entry(function).or_insert(ArrivalTrack {
+        let track = grow_to(&mut self.arrivals, function).get_or_insert(ArrivalTrack {
             count: 0,
             first: now,
             last: now,
@@ -785,16 +787,14 @@ impl KeepaliveState {
     /// what lets the predictive autoscaler track shifting demand (see the
     /// step-change unit test).
     ///
-    /// Functions are summed in id order so the floating-point accumulation is
-    /// deterministic. Zero until at least one function has two arrivals (via
-    /// [`KeepaliveState::note_arrival`]).
+    /// Functions are summed in slot order so the floating-point accumulation
+    /// is deterministic. Zero until at least one function has two arrivals
+    /// (via [`KeepaliveState::note_arrival`]).
     pub fn arrival_rate_estimate(&self, now: SimTime) -> f64 {
-        let mut functions: Vec<u32> = self.arrivals.keys().copied().collect();
-        functions.sort_unstable();
-        functions
+        self.arrivals
             .iter()
-            .map(|f| {
-                let track = &self.arrivals[f];
+            .flatten()
+            .map(|track| {
                 let age = now.saturating_since(track.first).as_secs_f64();
                 if track.count < 2 || age <= 0.0 {
                     return 0.0;
@@ -813,8 +813,17 @@ impl KeepaliveState {
 
     #[cfg(test)]
     fn last_finish_for_test(&self, function: u32) -> SimTime {
-        self.last_finish[&function]
+        self.last_finish[function as usize].expect("the function ran")
     }
+}
+
+/// The entry for `slot`, growing `table` with defaults to reach it.
+fn grow_to<T: Default>(table: &mut Vec<T>, slot: u32) -> &mut T {
+    let slot = slot as usize;
+    if slot >= table.len() {
+        table.resize_with(slot + 1, T::default);
+    }
+    &mut table[slot]
 }
 
 #[cfg(test)]

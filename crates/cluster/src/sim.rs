@@ -25,8 +25,6 @@
 //! (hits, wasted warm-seconds) and per-rack summaries for the at-scale policy
 //! sweeps.
 
-use std::collections::{HashMap, HashSet};
-
 use serde::{Deserialize, Serialize};
 
 use dscs_core::benchmarks::Benchmark;
@@ -41,7 +39,7 @@ use dscs_simcore::stats::{Measured, QuantileSketch};
 use dscs_simcore::time::{SimDuration, SimTime};
 
 use crate::coldpath::{ColdStartPath, IpcTransport};
-use crate::data::DataLayer;
+use crate::data::{function_slots, DataLayer};
 use crate::experiment::{validate_run, ConfigError, Experiment};
 use crate::policy::{
     KeepalivePolicy, KeepaliveState, LoadBalancer, ScalingPolicy, SchedQueue, SchedulerPolicy,
@@ -380,6 +378,18 @@ enum LaneEvent {
     },
 }
 
+/// Number of benchmarks: the length of the per-benchmark tables, which are
+/// indexed by `Benchmark as usize`.
+const BENCHMARKS: usize = Benchmark::ALL.len();
+// `Benchmark as usize` is each benchmark's position in `Benchmark::ALL`.
+const _: () = {
+    let mut i = 0;
+    while i < BENCHMARKS {
+        assert!(Benchmark::ALL[i] as usize == i);
+        i += 1;
+    }
+};
+
 /// Precomputed cold-start penalties for one benchmark.
 #[derive(Debug, Clone, Copy)]
 struct ColdCosts {
@@ -393,10 +403,34 @@ struct ColdCosts {
     snapshot: SimDuration,
 }
 
+/// A set of function slots, one bit each.
+#[derive(Debug, Default)]
+struct SlotSet {
+    words: Vec<u64>,
+}
+
+impl SlotSet {
+    fn contains(&self, slot: u32) -> bool {
+        self.words
+            .get(slot as usize / 64)
+            .is_some_and(|word| word & (1 << (slot % 64)) != 0)
+    }
+
+    fn insert(&mut self, slot: u32) {
+        let word = slot as usize / 64;
+        if word >= self.words.len() {
+            self.words.resize(word + 1, 0);
+        }
+        self.words[word] |= 1 << (slot % 64);
+    }
+}
+
 struct RackState {
     queue: SchedQueue,
     keepalive: KeepaliveState,
-    cached_on_flash: HashSet<u32>,
+    /// Function slots whose image (or snapshot) a cold start left on this
+    /// rack's local storage.
+    cached_on_flash: SlotSet,
     rng: DeterministicRng,
     busy: u32,
     /// Instances currently provisioned and able to run requests.
@@ -430,6 +464,34 @@ impl RackState {
     fn load(&self) -> usize {
         self.busy as usize + self.queue.len()
     }
+
+    /// A completion frees one busy instance.
+    fn release(&mut self) {
+        self.busy = self
+            .busy
+            .checked_sub(1)
+            .expect("busy <= capacity invariant broken: a completion found no busy instance");
+    }
+
+    /// `add` provisioned instances come online after `delay`.
+    fn commit_scale_up(&mut self, add: u32, delay: SimDuration) {
+        self.pending = self.pending.checked_sub(add).expect(
+            "pending <= max - capacity invariant broken: \
+             a scale-up committed more instances than were provisioning",
+        );
+        self.capacity += add;
+        self.peak_instances = self.peak_instances.max(self.capacity);
+        self.scaling_lag += delay;
+    }
+}
+
+/// What one run reads per request, by trace position: the trace itself,
+/// each request's dense function slot, and the data layer, if any.
+#[derive(Clone, Copy)]
+struct RunInputs<'a> {
+    trace: &'a [TraceRequest],
+    functions: &'a [u32],
+    data: Option<&'a DataLayer>,
 }
 
 /// One rack lane's output before the cluster-level merge: the rack state plus
@@ -494,11 +556,13 @@ fn merge_lanes(lanes: Vec<RackRun>) -> ClusterRun {
 pub struct ClusterSim {
     platform: PlatformKind,
     config: ClusterConfig,
-    service_times: HashMap<Benchmark, SimDuration>,
+    /// Per-benchmark service times, indexed by `Benchmark as usize`.
+    service_times: [SimDuration; BENCHMARKS],
     /// Unweighted mean service time over the benchmark suite, used by
     /// predictive autoscaling to convert arrival rates into instance demand.
     mean_service_s: f64,
-    cold_costs: HashMap<Benchmark, ColdCosts>,
+    /// Per-benchmark cold-start penalties, indexed by `Benchmark as usize`.
+    cold_costs: [ColdCosts; BENCHMARKS],
     /// Whether the platform's drive can cache evicted images on flash (the
     /// DSCS-Serverless P2P reload path).
     flash_cache: bool,
@@ -515,41 +579,31 @@ impl ClusterSim {
             quantile: 0.50,
             ..EvalOptions::default()
         };
-        let service_times: HashMap<Benchmark, SimDuration> = Benchmark::ALL
-            .iter()
-            .map(|&b| (b, system.evaluate(b, platform, options).total_latency()))
-            .collect();
+        let service_times =
+            Benchmark::ALL.map(|b| system.evaluate(b, platform, options).total_latency());
 
         let cold_model = ColdStartModel::default();
         let spec = platform.spec();
-        let cold_costs = Benchmark::ALL
-            .iter()
-            .map(|&b| {
-                let bench = b.spec();
-                let image: Bytes = bench
-                    .pipeline()
-                    .functions
-                    .iter()
-                    .map(|f| f.image_size)
-                    .sum();
-                let weights = bench.model(1).weight_bytes();
-                let weight_load = cold_model.weight_load_latency(weights, spec.memory_bandwidth);
-                let costs = ColdCosts {
-                    remote: cold_model.cold_start_latency(image, ImageSource::RemoteRegistry)
-                        + weight_load,
-                    local: cold_model.cold_start_latency(image, ImageSource::LocalFlash)
-                        + weight_load,
-                    snapshot: cold_model.cold_start_latency(image, ImageSource::SnapshotRestore)
-                        + weight_load,
-                };
-                (b, costs)
-            })
-            .collect();
+        let cold_costs = Benchmark::ALL.map(|b| {
+            let bench = b.spec();
+            let image: Bytes = bench
+                .pipeline()
+                .functions
+                .iter()
+                .map(|f| f.image_size)
+                .sum();
+            let weights = bench.model(1).weight_bytes();
+            let weight_load = cold_model.weight_load_latency(weights, spec.memory_bandwidth);
+            ColdCosts {
+                remote: cold_model.cold_start_latency(image, ImageSource::RemoteRegistry)
+                    + weight_load,
+                local: cold_model.cold_start_latency(image, ImageSource::LocalFlash) + weight_load,
+                snapshot: cold_model.cold_start_latency(image, ImageSource::SnapshotRestore)
+                    + weight_load,
+            }
+        });
 
-        let mean_service_s = Benchmark::ALL
-            .iter()
-            .map(|b| service_times[b].as_secs_f64())
-            .sum::<f64>()
+        let mean_service_s = service_times.iter().map(|t| t.as_secs_f64()).sum::<f64>()
             / Benchmark::ALL.len() as f64;
 
         ClusterSim {
@@ -570,9 +624,9 @@ impl ClusterSim {
         ClusterSim {
             platform: self.platform,
             config,
-            service_times: self.service_times.clone(),
+            service_times: self.service_times,
             mean_service_s: self.mean_service_s,
-            cold_costs: self.cold_costs.clone(),
+            cold_costs: self.cold_costs,
             flash_cache: self.flash_cache,
         }
     }
@@ -589,7 +643,7 @@ impl ClusterSim {
 
     /// The service time used for one benchmark.
     pub fn service_time(&self, benchmark: Benchmark) -> SimDuration {
-        self.service_times[&benchmark]
+        self.service_times[benchmark as usize]
     }
 
     /// The cold-start penalty a first (registry) cold start of `benchmark`
@@ -597,7 +651,7 @@ impl ClusterSim {
     /// first cold start of a function always pays the full registry spawn —
     /// there is no cached image or snapshot to reuse yet.
     pub fn cold_start_cost(&self, benchmark: Benchmark) -> SimDuration {
-        self.cold_costs[&benchmark].remote
+        self.cold_costs[benchmark as usize].remote
     }
 
     /// The cold-start penalty a *repeat* cold start of `benchmark` pays on
@@ -613,7 +667,7 @@ impl ClusterSim {
     /// [`crate::optimal`] consumes this, so the offline bound automatically
     /// prices gaps against the same modality the simulated policy pays.
     pub fn repeat_cold_start_cost(&self, benchmark: Benchmark) -> SimDuration {
-        let costs = self.cold_costs[&benchmark];
+        let costs = self.cold_costs[benchmark as usize];
         match self.config.cold_path {
             ColdStartPath::FreshSpawn => costs.remote,
             ColdStartPath::FlashReload => {
@@ -631,7 +685,7 @@ impl ClusterSim {
     /// (restore stream + page-fault warmup tail + model-weight load),
     /// regardless of the configured path.
     pub fn snapshot_restore_cost(&self, benchmark: Benchmark) -> SimDuration {
-        self.cold_costs[&benchmark].snapshot
+        self.cold_costs[benchmark as usize].snapshot
     }
 
     /// Whether this platform caches evicted images on the drive's flash
@@ -740,22 +794,37 @@ impl ClusterSim {
         let mut master = DeterministicRng::seeded(seed);
         let rack_rngs: Vec<DeterministicRng> =
             (0..racks).map(|r| master.fork(u64::from(r))).collect();
+        // A data layer carries the trace's function slots; a run without one
+        // interns them here, the same way.
+        let interned;
+        let functions = match data {
+            Some(data) => data.function_slots(),
+            None => {
+                interned = function_slots(trace);
+                &interned
+            }
+        };
+        let inputs = RunInputs {
+            trace,
+            functions,
+            data,
+        };
         let (run, engine) = match balancer {
             LoadBalancer::RoundRobin => {
-                let (lanes, workers) = self.run_lanes(trace, rack_rngs, horizon, data, rack_jobs);
+                let (lanes, workers) = self.run_lanes(inputs, rack_rngs, horizon, rack_jobs);
                 (
                     merge_lanes(lanes),
                     EngineSelection::RackParallel { workers },
                 )
             }
             LoadBalancer::LeastLoaded => (
-                self.run_coupled(trace, rack_rngs, balancer, horizon, data),
+                self.run_coupled(inputs, rack_rngs, balancer, horizon),
                 EngineSelection::Sequential {
                     reason: "least-loaded dispatch reads every rack's load",
                 },
             ),
             LoadBalancer::LocalityAware { .. } => (
-                self.run_coupled(trace, rack_rngs, balancer, horizon, data),
+                self.run_coupled(inputs, rack_rngs, balancer, horizon),
                 EngineSelection::Sequential {
                     reason: "locality spill decisions read every rack's load",
                 },
@@ -779,7 +848,7 @@ impl ClusterSim {
         RackState {
             queue: SchedQueue::new(self.config.scheduler),
             keepalive: KeepaliveState::new(self.config.keepalive),
-            cached_on_flash: HashSet::new(),
+            cached_on_flash: SlotSet::default(),
             rng,
             busy: 0,
             capacity: initial_capacity,
@@ -805,22 +874,20 @@ impl ClusterSim {
         }
     }
 
-    /// Admits one arrival to `rack`'s scheduler queue, rejecting it when the
-    /// queue is full. Shared by both engines.
-    fn admit(&self, rack: &mut RackState, idx: usize, request: &TraceRequest, now: SimTime) {
+    /// Admits the arrival at trace position `idx` to `rack`'s scheduler
+    /// queue, rejecting it when the queue is full. Shared by both engines.
+    fn admit(&self, rack: &mut RackState, inputs: RunInputs<'_>, idx: usize, now: SimTime) {
         if matches!(self.config.scaling, ScalingPolicy::Predictive { .. }) {
             // Predictive scaling estimates demand from offered load, not the
             // (capacity-throttled) start rate.
-            rack.keepalive.note_arrival(request.function, now);
+            rack.keepalive.note_arrival(inputs.functions[idx], now);
         }
         if rack.queue.len() >= self.config.queue_depth {
             rack.rejected += 1;
         } else {
-            rack.queue.push(
-                idx,
-                request.benchmark,
-                self.service_times[&request.benchmark],
-            );
+            let benchmark = inputs.trace[idx].benchmark;
+            rack.queue
+                .push(idx, benchmark, self.service_times[benchmark as usize]);
             rack.peak_queue = rack.peak_queue.max(rack.queue.len());
         }
     }
@@ -829,29 +896,28 @@ impl ClusterSim {
     /// order the scheduler policy dictates, charging cold starts and remote
     /// fetches onto each started invocation. `schedule_completion` receives
     /// the service time of every started request. Shared by both engines.
-    #[allow(clippy::too_many_arguments)]
     fn start_queued(
         &self,
         rack: &mut RackState,
         rack_idx: u32,
         now: SimTime,
-        trace: &[TraceRequest],
-        data: Option<&DataLayer>,
+        inputs: RunInputs<'_>,
         latency_series: &mut TimeSeries,
         mut schedule_completion: impl FnMut(SimDuration),
     ) {
         while rack.busy < rack.capacity {
             let Some(idx) = rack.queue.pop() else { break };
-            let request = &trace[idx];
-            let base = self.service_times[&request.benchmark];
+            let request = &inputs.trace[idx];
+            let function = inputs.functions[idx];
+            let base = self.service_times[request.benchmark as usize];
             let jitter = (self.config.service_jitter_sigma * rack.rng.standard_normal()).exp();
             let mut service = base * jitter;
-            if !rack.keepalive.is_warm(request.function, now) {
-                let costs = self.cold_costs[&request.benchmark];
+            if !rack.keepalive.is_warm(function, now) {
+                let costs = self.cold_costs[request.benchmark as usize];
                 // A repeat cold start can reuse whatever the first one left
                 // behind on this rack: the flash-cached image or the process
                 // snapshot, per the configured path.
-                let cached = rack.cached_on_flash.contains(&request.function);
+                let cached = rack.cached_on_flash.contains(function);
                 let penalty = match self.config.cold_path {
                     ColdStartPath::FreshSpawn => costs.remote,
                     ColdStartPath::FlashReload => {
@@ -877,11 +943,11 @@ impl ClusterSim {
                     ColdStartPath::FreshSpawn => {}
                     ColdStartPath::FlashReload => {
                         if self.flash_cache {
-                            rack.cached_on_flash.insert(request.function);
+                            rack.cached_on_flash.insert(function);
                         }
                     }
                     ColdStartPath::SnapshotRestore => {
-                        rack.cached_on_flash.insert(request.function);
+                        rack.cached_on_flash.insert(function);
                     }
                 }
             }
@@ -890,8 +956,8 @@ impl ClusterSim {
             let ipc_cost = self.config.ipc.per_request_cost();
             service += ipc_cost;
             rack.ipc_overhead += ipc_cost;
-            if let Some(data) = data {
-                if data.holds(request.function, request.object, rack_idx) {
+            if let Some(data) = inputs.data {
+                if data.home_rack(idx) == rack_idx {
                     rack.locality_hits += 1;
                 } else {
                     // The object lives elsewhere: the invocation carries
@@ -905,7 +971,7 @@ impl ClusterSim {
                 }
             }
             rack.keepalive
-                .record_invocation(request.function, now, now + service);
+                .record_invocation(function, now, now + service);
             let wait = now.saturating_since(request.arrival);
             let wall = wait + service;
             rack.latency.record(wall.as_secs_f64());
@@ -923,13 +989,13 @@ impl ClusterSim {
     /// against heap events, preserving the historical event order.
     fn run_rack(
         &self,
-        trace: &[TraceRequest],
+        inputs: RunInputs<'_>,
         rack_idx: usize,
         racks: usize,
         rng: DeterministicRng,
         horizon: SimDuration,
-        data: Option<&DataLayer>,
     ) -> RackRun {
+        let trace = inputs.trace;
         let mut offered = TimeSeries::new(self.config.bucket, horizon);
         let mut queued = TimeSeries::new(self.config.bucket, horizon);
         let mut latency_series = TimeSeries::new(self.config.bucket, horizon);
@@ -961,17 +1027,15 @@ impl ClusterSim {
                 let idx = next_arrival;
                 next_arrival += racks;
                 arrivals_remaining -= 1;
-                let request = &trace[idx];
-                let now = request.arrival;
+                let now = trace[idx].arrival;
                 last_activity = now;
                 offered.record_event(now);
-                self.admit(&mut state, idx, request, now);
+                self.admit(&mut state, inputs, idx, now);
                 self.start_queued(
                     &mut state,
                     rack_idx as u32,
                     now,
-                    trace,
-                    data,
+                    inputs,
                     &mut latency_series,
                     |service| heap.schedule(now + service, LaneEvent::Completion),
                 );
@@ -982,7 +1046,7 @@ impl ClusterSim {
             let now = event.at;
             let runnable = match event.payload {
                 LaneEvent::Completion => {
-                    state.busy -= 1;
+                    state.release();
                     last_activity = now;
                     true
                 }
@@ -1004,10 +1068,7 @@ impl ClusterSim {
                     false
                 }
                 LaneEvent::ScaleCommit { add } => {
-                    state.pending -= add;
-                    state.capacity += add;
-                    state.peak_instances = state.peak_instances.max(state.capacity);
-                    state.scaling_lag += self.config.provisioning_delay;
+                    state.commit_scale_up(add, self.config.provisioning_delay);
                     true
                 }
             };
@@ -1016,8 +1077,7 @@ impl ClusterSim {
                     &mut state,
                     rack_idx as u32,
                     now,
-                    trace,
-                    data,
+                    inputs,
                     &mut latency_series,
                     |service| heap.schedule(now + service, LaneEvent::Completion),
                 );
@@ -1040,10 +1100,9 @@ impl ClusterSim {
     /// order plus the worker count actually used.
     fn run_lanes(
         &self,
-        trace: &[TraceRequest],
+        inputs: RunInputs<'_>,
         rack_rngs: Vec<DeterministicRng>,
         horizon: SimDuration,
-        data: Option<&DataLayer>,
         rack_jobs: usize,
     ) -> (Vec<RackRun>, usize) {
         let racks = rack_rngs.len();
@@ -1057,7 +1116,7 @@ impl ClusterSim {
             let lanes = rack_rngs
                 .into_iter()
                 .enumerate()
-                .map(|(r, rng)| self.run_rack(trace, r, racks, rng, horizon, data))
+                .map(|(r, rng)| self.run_rack(inputs, r, racks, rng, horizon))
                 .collect();
             return (lanes, 1);
         }
@@ -1071,7 +1130,7 @@ impl ClusterSim {
                     if r >= racks {
                         break;
                     }
-                    let lane = self.run_rack(trace, r, racks, rack_rngs[r].clone(), horizon, data);
+                    let lane = self.run_rack(inputs, r, racks, rack_rngs[r].clone(), horizon);
                     let filled = slots[r].set(lane).is_ok();
                     debug_assert!(filled, "rack {r} claimed twice");
                 });
@@ -1094,12 +1153,12 @@ impl ClusterSim {
     /// the preloaded-arrival engine.
     fn run_coupled(
         &self,
-        trace: &[TraceRequest],
+        inputs: RunInputs<'_>,
         rack_rngs: Vec<DeterministicRng>,
         balancer: LoadBalancer,
         horizon: SimDuration,
-        data: Option<&DataLayer>,
     ) -> ClusterRun {
+        let trace = inputs.trace;
         let mut offered = TimeSeries::new(self.config.bucket, horizon);
         let mut queued_series = TimeSeries::new(self.config.bucket, horizon);
         let mut latency_series = TimeSeries::new(self.config.bucket, horizon);
@@ -1133,8 +1192,7 @@ impl ClusterSim {
             let (rack_idx, now) = if take_arrival {
                 let idx = next_arrival;
                 next_arrival += 1;
-                let request = &trace[idx];
-                let now = request.arrival;
+                let now = trace[idx].arrival;
                 last_activity = now;
                 offered.record_event(now);
                 let least_loaded = |racks: &[RackState]| {
@@ -1158,13 +1216,7 @@ impl ClusterSim {
                         // cheaper than the wait, so fall back to
                         // least-loaded. Without a data layer there is no
                         // placement to honour.
-                        let local = data.and_then(|d| {
-                            d.replica_racks(request.function, request.object)
-                                .iter()
-                                .map(|&r| r as usize)
-                                .filter(|&r| r < rack_states.len())
-                                .min_by_key(|&r| (rack_states[r].load(), r))
-                        });
+                        let local = inputs.data.map(|d| d.home_rack(idx) as usize);
                         let saturated =
                             spill_threshold.min(self.config.queue_depth.saturating_sub(1));
                         match local {
@@ -1173,14 +1225,14 @@ impl ClusterSim {
                         }
                     }
                 };
-                self.admit(&mut rack_states[r], idx, request, now);
+                self.admit(&mut rack_states[r], inputs, idx, now);
                 (Some(r), now)
             } else {
                 let event = heap.pop().expect("a peeked event pops");
                 let now = event.at;
                 match event.payload {
                     CoupledEvent::Completion { rack } => {
-                        rack_states[rack].busy -= 1;
+                        rack_states[rack].release();
                         last_activity = now;
                         (Some(rack), now)
                     }
@@ -1203,11 +1255,7 @@ impl ClusterSim {
                         (None, now)
                     }
                     CoupledEvent::ScaleCommit { rack, add } => {
-                        let r = &mut rack_states[rack];
-                        r.pending -= add;
-                        r.capacity += add;
-                        r.peak_instances = r.peak_instances.max(r.capacity);
-                        r.scaling_lag += self.config.provisioning_delay;
+                        rack_states[rack].commit_scale_up(add, self.config.provisioning_delay);
                         (Some(rack), now)
                     }
                 }
@@ -1217,8 +1265,7 @@ impl ClusterSim {
                 &mut rack_states[r],
                 r as u32,
                 now,
-                trace,
-                data,
+                inputs,
                 &mut latency_series,
                 |service| heap.schedule(now + service, CoupledEvent::Completion { rack: r }),
             );
@@ -1638,7 +1685,7 @@ mod tests {
     #[test]
     fn flash_caching_makes_dscs_repeat_cold_starts_cheaper() {
         let sim = ClusterSim::new(PlatformKind::DscsDsa, ClusterConfig::default());
-        let costs = sim.cold_costs[&Benchmark::CreditRiskAssessment];
+        let costs = sim.cold_costs[Benchmark::CreditRiskAssessment as usize];
         assert!(costs.local < costs.remote);
         // The baseline CPU never caches on drive flash.
         let cpu = ClusterSim::new(PlatformKind::BaselineCpu, ClusterConfig::default());
@@ -1874,6 +1921,37 @@ mod tests {
         let trace = short_trace(10.0, 5, 33);
         let sim = ClusterSim::new(PlatformKind::DscsDsa, config);
         let _ = sim.run(&trace, 34);
+    }
+
+    /// The engines' checked invariants are reachable only through a
+    /// corrupted rack state: consistent bookkeeping passes, and a completion
+    /// on a rack with nothing busy names the broken invariant.
+    #[test]
+    #[should_panic(expected = "busy <= capacity invariant broken")]
+    fn a_completion_with_nothing_busy_breaks_the_busy_invariant() {
+        let sim = ClusterSim::new(PlatformKind::DscsDsa, ClusterConfig::default());
+        let mut rack = sim.new_rack_state(DeterministicRng::seeded(1));
+        rack.busy = 1;
+        rack.release();
+        assert_eq!(rack.busy, 0);
+        rack.release();
+    }
+
+    /// A scale-up commit larger than the instances still provisioning names
+    /// the broken invariant; a consistent commit passes.
+    #[test]
+    #[should_panic(expected = "pending <= max - capacity invariant broken")]
+    fn committing_unrequested_instances_breaks_the_pending_invariant() {
+        let config = ClusterConfig {
+            scaling: ScalingPolicy::reactive_default(),
+            ..ClusterConfig::default()
+        };
+        let sim = ClusterSim::new(PlatformKind::DscsDsa, config);
+        let mut rack = sim.new_rack_state(DeterministicRng::seeded(1));
+        rack.pending = 4;
+        rack.commit_scale_up(4, config.provisioning_delay);
+        assert_eq!((rack.pending, rack.capacity), (0, config.min_instances + 4));
+        rack.commit_scale_up(1, config.provisioning_delay);
     }
 
     /// A replica rack whose queue is *full* counts as saturated even when

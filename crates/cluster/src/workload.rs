@@ -166,7 +166,7 @@ const SIZE_SALT: u64 = 0x0B1E_C7ED_5EED_0002;
 
 /// Deterministic object assignment derived from an [`ObjectPopulation`]:
 /// maps (function, request id) to the object the request reads and
-/// (function, object) to that object's size and store key.
+/// (function, object) to that object's size.
 #[derive(Debug, Clone)]
 pub struct ObjectCatalog {
     population: ObjectPopulation,
@@ -207,12 +207,6 @@ impl ObjectCatalog {
         let h = mix64(SIZE_SALT ^ (u64::from(function) << 32) ^ u64::from(object));
         let doublings = h % u64::from(self.population.size_doublings + 1);
         Bytes::new(self.population.base_size.as_u64() << doublings)
-    }
-
-    /// The store key of `(function, object)` — the name the object lives
-    /// under in the cluster's [`dscs_storage::object_store::ObjectStore`].
-    pub fn key(function: u32, object: u32) -> String {
-        format!("f{function}/o{object}")
     }
 }
 
@@ -847,7 +841,6 @@ mod tests {
             hot > 4000 / population.objects_per_function as usize * 4,
             "hot object drew {hot} of 4000"
         );
-        assert_eq!(ObjectCatalog::key(2, 9), "f2/o9");
     }
 
     #[test]

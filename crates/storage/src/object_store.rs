@@ -90,6 +90,14 @@ pub struct ObjectStore {
     replication: usize,
     /// Chunk size used to split very large objects across drives.
     chunk_size: Bytes,
+    /// The DSCS-Drive nodes, sorted: the candidates for an acceleratable
+    /// object's primary replica.
+    dscs_nodes: Vec<StorageNodeId>,
+    /// Per home rack, the sorted nodes within `rack_spread` racks of it: the
+    /// candidates for an object's remaining replicas. The layout never
+    /// changes after construction, so placement draws over these lists
+    /// without collecting or sorting anything.
+    spread_nodes: Vec<Vec<StorageNodeId>>,
 }
 
 impl ObjectStore {
@@ -106,15 +114,7 @@ impl ObjectStore {
         assert!(!nodes.is_empty(), "object store needs at least one node");
         assert!(replication >= 1, "replication factor must be at least 1");
         let node_racks = nodes.keys().map(|&id| (id, 0)).collect();
-        ObjectStore {
-            nodes,
-            node_racks,
-            racks: 1,
-            rack_spread: 1,
-            objects: HashMap::new(),
-            replication,
-            chunk_size: Bytes::from_mib(64),
-        }
+        ObjectStore::with_layout(nodes, node_racks, 1, 1, replication)
     }
 
     /// A single-rack store with `conventional` plain-SSD nodes and `dscs`
@@ -168,14 +168,38 @@ impl ObjectStore {
                 node_racks.insert(id, rack);
             }
         }
+        let replication = replication.min((per_rack * rack_spread) as usize);
+        ObjectStore::with_layout(nodes, node_racks, racks, rack_spread, replication)
+    }
+
+    /// An empty store over a fixed node layout, with the placement candidate
+    /// lists precomputed.
+    fn with_layout(
+        nodes: HashMap<StorageNodeId, DriveClass>,
+        node_racks: HashMap<StorageNodeId, u32>,
+        racks: u32,
+        rack_spread: u32,
+        replication: usize,
+    ) -> Self {
+        let sorted = |keep: &dyn Fn(StorageNodeId) -> bool| {
+            let mut v: Vec<StorageNodeId> = nodes.keys().copied().filter(|&n| keep(n)).collect();
+            v.sort_unstable();
+            v
+        };
+        let dscs_nodes = sorted(&|n| nodes[&n] == DriveClass::Dscs);
+        let spread_nodes = (0..racks)
+            .map(|home| sorted(&|n| (node_racks[&n] + racks - home) % racks < rack_spread))
+            .collect();
         ObjectStore {
             nodes,
             node_racks,
             racks,
             rack_spread,
             objects: HashMap::new(),
-            replication: replication.min((per_rack * rack_spread) as usize),
+            replication,
             chunk_size: Bytes::from_mib(64),
+            dscs_nodes,
+            spread_nodes,
         }
     }
 
@@ -233,37 +257,7 @@ impl ObjectStore {
     ) -> Result<ObjectMeta, StoreError> {
         let key = key.into();
         let mut replicas = Vec::with_capacity(self.replication);
-        let home = if acceleratable {
-            let dscs_nodes: Vec<StorageNodeId> = self.nodes_of_class(DriveClass::Dscs);
-            if dscs_nodes.is_empty() {
-                return Err(StoreError::NoNodesOfClass(DriveClass::Dscs));
-            }
-            let primary = *rng.choose(&dscs_nodes);
-            replicas.push(primary);
-            self.node_racks[&primary]
-        } else if self.racks == 1 {
-            0
-        } else {
-            rng.next_index(self.racks as usize) as u32
-        };
-        let allowed: Vec<StorageNodeId> = {
-            let mut v: Vec<_> = self
-                .nodes
-                .keys()
-                .copied()
-                .filter(|n| {
-                    (self.node_racks[n] + self.racks - home) % self.racks < self.rack_spread
-                })
-                .collect();
-            v.sort_unstable();
-            v
-        };
-        while replicas.len() < self.replication.min(allowed.len()) {
-            let candidate = *rng.choose(&allowed);
-            if !replicas.contains(&candidate) {
-                replicas.push(candidate);
-            }
-        }
+        self.draw_replicas(acceleratable, rng, &mut replicas)?;
         let meta = ObjectMeta {
             key: key.clone(),
             size,
@@ -272,6 +266,41 @@ impl ObjectStore {
         };
         self.objects.insert(key, meta.clone());
         Ok(meta)
+    }
+
+    /// Draws the replica set of a new object into `replicas` (cleared
+    /// first) and returns its home rack, storing nothing. This is the whole
+    /// placement algorithm behind [`ObjectStore::put`]: callers that only
+    /// need the placement (not a stored object) consume exactly the same
+    /// random draws, and reusing one `replicas` buffer makes the call
+    /// allocation-free.
+    pub fn draw_replicas(
+        &self,
+        acceleratable: bool,
+        rng: &mut DeterministicRng,
+        replicas: &mut Vec<StorageNodeId>,
+    ) -> Result<u32, StoreError> {
+        replicas.clear();
+        let home = if acceleratable {
+            if self.dscs_nodes.is_empty() {
+                return Err(StoreError::NoNodesOfClass(DriveClass::Dscs));
+            }
+            let primary = *rng.choose(&self.dscs_nodes);
+            replicas.push(primary);
+            self.node_racks[&primary]
+        } else if self.racks == 1 {
+            0
+        } else {
+            rng.next_index(self.racks as usize) as u32
+        };
+        let allowed = &self.spread_nodes[home as usize];
+        while replicas.len() < self.replication.min(allowed.len()) {
+            let candidate = *rng.choose(allowed);
+            if !replicas.contains(&candidate) {
+                replicas.push(candidate);
+            }
+        }
+        Ok(home)
     }
 
     /// Looks up an object.
@@ -305,17 +334,6 @@ impl ObjectStore {
     pub fn chunk_count(&self, key: &str) -> Result<u64, StoreError> {
         let meta = self.get(key)?;
         Ok(meta.size.as_u64().div_ceil(self.chunk_size.as_u64()).max(1))
-    }
-
-    fn nodes_of_class(&self, class: DriveClass) -> Vec<StorageNodeId> {
-        let mut v: Vec<StorageNodeId> = self
-            .nodes
-            .iter()
-            .filter(|(_, c)| **c == class)
-            .map(|(id, _)| *id)
-            .collect();
-        v.sort_unstable();
-        v
     }
 }
 
@@ -538,6 +556,31 @@ mod tests {
         let home = s.rack_of(meta.replicas[0]).expect("rack");
         for &replica in &meta.replicas {
             assert_eq!(s.rack_of(replica), Some(home));
+        }
+    }
+
+    #[test]
+    fn draw_replicas_is_the_placement_put_stores() {
+        let mut s = ObjectStore::with_rack_layout(3, 2, 1, 3, 2);
+        let mut draws = DeterministicRng::seeded(10);
+        let mut puts = DeterministicRng::seeded(10);
+        let mut drawn = Vec::new();
+        for i in 0..40 {
+            let key = format!("obj-{i}");
+            let acceleratable = i % 3 != 0;
+            let home = s
+                .draw_replicas(acceleratable, &mut draws, &mut drawn)
+                .expect("draw");
+            let meta = s
+                .put(&key, Bytes::from_kib(8), acceleratable, &mut puts)
+                .expect("put");
+            assert_eq!(drawn, meta.replicas, "same draws, same replicas");
+            for rack in s.racks_holding(&key).expect("placed") {
+                assert!(
+                    (rack + 3 - home) % 3 < 2,
+                    "rack {rack} outside home {home}'s spread"
+                );
+            }
         }
     }
 

@@ -184,7 +184,7 @@ fn main() {
         "  {} distinct objects placed over {} racks ({} storage nodes)",
         data.object_count(),
         data.rack_count(),
-        data.store().node_count()
+        data.node_count()
     );
     for balancer in LoadBalancer::ALL {
         let report = Experiment::builder(PlatformKind::DscsDsa)

@@ -72,7 +72,25 @@ fn every_formerly_panicking_input_yields_the_matching_typed_error() {
         }
     );
 
-    // 4. Elastic pool with zero min_instances.
+    // 4. Data layer built for a different trace: its per-request tables
+    // are positional, so a request-count mismatch is rejected.
+    let data = DataLayer::for_trace(&short_trace(2), 2, 9);
+    let other = short_trace(11);
+    assert_ne!(other.len(), data.request_count(), "the traces must differ");
+    assert_eq!(
+        Experiment::builder(PlatformKind::DscsDsa)
+            .trace(other.clone())
+            .racks(2)
+            .data_layer(data)
+            .build()
+            .expect_err("data layer for another trace"),
+        ConfigError::DataLayerTraceMismatch {
+            layer_requests: short_trace(2).len(),
+            requests: other.len(),
+        }
+    );
+
+    // 5. Elastic pool with zero min_instances.
     assert_eq!(
         Experiment::builder(PlatformKind::DscsDsa)
             .trace(short_trace(3))
@@ -83,7 +101,7 @@ fn every_formerly_panicking_input_yields_the_matching_typed_error() {
         ConfigError::ZeroMinInstances
     );
 
-    // 5. min_instances above max_instances.
+    // 6. min_instances above max_instances.
     assert_eq!(
         Experiment::builder(PlatformKind::DscsDsa)
             .trace(short_trace(4))
@@ -301,6 +319,17 @@ fn deprecated_run_sharded_with_data_still_panics_on_a_rack_mismatch() {
     let data = DataLayer::for_trace(&trace, 3, 1);
     let sim = ClusterSim::new(PlatformKind::DscsDsa, ClusterConfig::default());
     let _ = sim.run_sharded_with_data(&trace, 1, 2, LoadBalancer::RoundRobin, Some(&data));
+}
+
+#[test]
+#[should_panic(expected = "data layer must place exactly the run's trace")]
+#[allow(deprecated)]
+fn deprecated_run_sharded_with_data_still_panics_on_a_trace_mismatch() {
+    let data = DataLayer::for_trace(&short_trace(7), 2, 1);
+    let other = short_trace(12);
+    assert_ne!(other.len(), data.request_count(), "the traces must differ");
+    let sim = ClusterSim::new(PlatformKind::DscsDsa, ClusterConfig::default());
+    let _ = sim.run_sharded_with_data(&other, 1, 2, LoadBalancer::RoundRobin, Some(&data));
 }
 
 #[test]

@@ -659,6 +659,76 @@ fn locality_aware_balancing_never_fetches_when_replica_racks_are_unsaturated() {
     });
 }
 
+/// The data layer's placement is exactly `ObjectStore::put`'s. For random
+/// traces (hashed-style function ids over the whole `u32` range), rack
+/// counts 1–6 and seeds, every `(function, object)` gets the racks that a
+/// fresh store returns from `racks_holding` after being fed the same
+/// distinct objects, in trace order, from the same placement seed. The
+/// store has the layout `DataLayer` documents: 4 conventional and 2 DSCS
+/// nodes per rack, 3 replicas, all kept in the home rack.
+#[test]
+fn data_layer_placement_matches_an_object_store_oracle() {
+    use std::collections::HashSet;
+
+    use dscs_serverless::cluster::data::DataLayer;
+    use dscs_serverless::cluster::trace::TraceRequest;
+    use dscs_serverless::core::benchmarks::Benchmark;
+    use dscs_serverless::simcore::time::SimTime;
+
+    check(0xB3, |case, rng| {
+        let racks = int_in(rng, 1, 7) as u32;
+        let seed = rng.next_u64();
+        let functions: Vec<u32> = (0..int_in(rng, 1, 24))
+            .map(|_| rng.next_u64() as u32)
+            .collect();
+        let objects = int_in(rng, 1, 12) as usize;
+        let mut arrival = 0;
+        let trace: Vec<TraceRequest> = (0..int_in(rng, 1, 300))
+            .map(|id| {
+                arrival += int_in(rng, 0, 1_000_000);
+                TraceRequest {
+                    id,
+                    arrival: SimTime::from_nanos(arrival),
+                    benchmark: *rng.choose(&Benchmark::ALL),
+                    function: *rng.choose(&functions),
+                    object: rng.next_index(objects) as u32,
+                    object_bytes: Bytes::from_kib(64 << rng.next_index(4)),
+                }
+            })
+            .collect();
+        let data = DataLayer::for_trace(&trace, racks, seed);
+
+        let mut oracle = ObjectStore::with_rack_layout(racks, 4, 2, 3, 1);
+        let mut placement_rng = DeterministicRng::seeded(seed);
+        let mut placed = HashSet::new();
+        for request in &trace {
+            let ident = (request.function, request.object);
+            if !placed.insert(ident) {
+                continue;
+            }
+            let key = format!("{}/{}", request.function, request.object);
+            oracle
+                .put(&key, request.object_bytes, true, &mut placement_rng)
+                .expect("every rack has DSCS nodes");
+            let expected = oracle.racks_holding(&key).expect("just placed");
+            assert_eq!(
+                data.replica_racks(request.function, request.object),
+                expected.as_slice(),
+                "case {case}: ({}, {}) over {racks} racks",
+                request.function,
+                request.object
+            );
+        }
+        assert_eq!(data.object_count(), placed.len(), "case {case}");
+        assert_eq!(data.request_count(), trace.len(), "case {case}");
+        assert_eq!(data.node_count(), oracle.node_count(), "case {case}");
+        let unplaced = (0..=u32::MAX)
+            .find(|f| !functions.contains(f))
+            .expect("some id is unused");
+        assert!(data.replica_racks(unplaced, 0).is_empty(), "case {case}");
+    });
+}
+
 /// Draws one sample from the case's randomly chosen distribution family:
 /// uniform, two-point (adversarial for interpolating estimators), or
 /// heavy-tailed (inverse-power of a uniform, stressing the log buckets).
