@@ -134,6 +134,21 @@ pub enum ConfigError {
         /// The tail percentile the eviction window is sized from.
         tail: f64,
     },
+    /// A hybrid-histogram keepalive with a zero bin width.
+    ZeroHistogramBin,
+    /// A hybrid-histogram keepalive whose range is shorter than one bin.
+    HistogramRangeBelowBin {
+        /// The configured range.
+        range: SimDuration,
+        /// The configured bin width.
+        bin: SimDuration,
+    },
+    /// A hybrid-histogram prewarm head percentile that is negative or NaN
+    /// (one at or above the tail is [`ConfigError::PrewarmHeadAboveTail`]).
+    PrewarmHeadOutOfRange {
+        /// The configured prewarm head percentile.
+        head: f64,
+    },
     /// A sweep axis with no values to sweep.
     EmptySweepAxis {
         /// The axis name (`"platforms"`, `"schedulers"`, ...).
@@ -182,6 +197,13 @@ impl ConfigError {
             // panic with the typed message.
             ConfigError::PrewarmHeadAboveTail { head, tail } => {
                 format!("prewarm head percentile {head} must stay below the tail percentile {tail}")
+            }
+            ConfigError::ZeroHistogramBin => "hybrid-histogram bin width must be non-zero".into(),
+            ConfigError::HistogramRangeBelowBin { .. } => {
+                "hybrid-histogram range must cover one bin".into()
+            }
+            ConfigError::PrewarmHeadOutOfRange { .. } => {
+                "hybrid-histogram head percentile must be in [0, 1)".into()
             }
             ConfigError::EmptySweepAxis { axis } => {
                 format!("sweep axis {axis} must not be empty")
@@ -236,6 +258,16 @@ impl fmt::Display for ConfigError {
                 f,
                 "prewarm head percentile {head} must stay below the tail percentile {tail}"
             ),
+            ConfigError::ZeroHistogramBin => {
+                write!(f, "hybrid-histogram bin width must be non-zero")
+            }
+            ConfigError::HistogramRangeBelowBin { range, bin } => write!(
+                f,
+                "hybrid-histogram range {range} must cover at least one bin of {bin}"
+            ),
+            ConfigError::PrewarmHeadOutOfRange { head } => {
+                write!(f, "prewarm head percentile {head} must be in [0, 1)")
+            }
             ConfigError::EmptySweepAxis { axis } => {
                 write!(f, "sweep axis {axis} has no values to sweep")
             }

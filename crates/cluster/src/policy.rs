@@ -140,22 +140,32 @@ impl KeepalivePolicy {
     }
 
     /// Checks the policy parameters, returning the first violation found.
-    /// Today the one typed check is the hybrid histogram's prewarm head:
-    /// it must stay *strictly below* the tail percentile the eviction window
-    /// is sized from ([`HYBRID_TAIL`]) — a head at or above the tail would
-    /// schedule the proactive re-warm at or after the container's own
-    /// eviction, so the prewarm could never land. `head ∈ [0, 1)` alone
-    /// (the historical assertion) admits that misconfiguration.
+    /// Only the hybrid histogram has parameters to get wrong: a zero bin
+    /// width or a range shorter than one bin (a degenerate histogram), a
+    /// prewarm head at or above the tail percentile the eviction window is
+    /// sized from ([`HYBRID_TAIL`]) — the proactive re-warm would land at or
+    /// after the container's own eviction, so the prewarm could never land —
+    /// and a negative or NaN head.
     pub fn check(&self) -> Result<(), ConfigError> {
-        match self {
-            KeepalivePolicy::HybridHistogram { head, .. } if *head >= HYBRID_TAIL => {
-                Err(ConfigError::PrewarmHeadAboveTail {
-                    head: *head,
-                    tail: HYBRID_TAIL,
-                })
-            }
-            _ => Ok(()),
+        let KeepalivePolicy::HybridHistogram { range, bin, head } = *self else {
+            return Ok(());
+        };
+        if bin.is_zero() {
+            return Err(ConfigError::ZeroHistogramBin);
         }
+        if range < bin {
+            return Err(ConfigError::HistogramRangeBelowBin { range, bin });
+        }
+        if head >= HYBRID_TAIL {
+            return Err(ConfigError::PrewarmHeadAboveTail {
+                head,
+                tail: HYBRID_TAIL,
+            });
+        }
+        if !(0.0..1.0).contains(&head) {
+            return Err(ConfigError::PrewarmHeadOutOfRange { head });
+        }
+        Ok(())
     }
 }
 
@@ -416,11 +426,7 @@ impl SchedQueue {
                 self.seq += 1;
             }
             SchedulerPolicy::FairPerBenchmark => {
-                let b = Benchmark::ALL
-                    .iter()
-                    .position(|&x| x == benchmark)
-                    .expect("benchmark in suite");
-                self.per_bench[b].push_back(idx);
+                self.per_bench[benchmark as usize].push_back(idx);
             }
         }
     }
@@ -450,11 +456,21 @@ impl SchedQueue {
 /// Runtime warm/cold bookkeeping for one rack under a [`KeepalivePolicy`].
 ///
 /// Tracks, per function, when its most recent invocation finishes and (for
-/// the hybrid policy, or whenever arrival tracking is requested) a histogram
-/// of observed idle gaps. Functions are identified by dense *slots*
-/// (`0..n`, one per distinct function of the trace, in ascending function-id
-/// order), and the state is indexed by slot: tables grow to the highest slot
-/// seen. Per-function sums run in slot order, so they are deterministic.
+/// the hybrid policy) a histogram of observed idle gaps. Functions are
+/// identified by dense *slots* (`0..n`, one per distinct function of the
+/// trace, in ascending function-id order), and the state is indexed by slot:
+/// the slot table grows to the highest slot seen. Per-function sums run in
+/// slot order, so they are deterministic.
+///
+/// Memory follows what each function has observed. A slot costs 16 bytes:
+/// the function's last finish and the index of its gap record. The record
+/// is created at the function's first idle gap and keeps the gap counts and
+/// the bin indices of its first in-bounds gaps; the tenth in-bounds gap —
+/// the first observation at which the pattern can be learned — allocates
+/// the dense bins. Before that the bins could not change any decision (the
+/// conservative full-range window applies), so a function pays for dense
+/// bins only once it is learnable. A dense record also caches its learned
+/// eviction and prewarm windows, so warm/cold decisions never rescan bins.
 ///
 /// The decision rule is conservative in the *Serverless in the Wild* sense:
 /// a container is never evicted before the policy's current window for its
@@ -471,21 +487,181 @@ impl SchedQueue {
 #[derive(Debug)]
 pub struct KeepaliveState {
     policy: KeepalivePolicy,
-    /// By slot: the latest finish of the function's invocations, if any ran.
-    last_finish: Vec<Option<SimTime>>,
-    /// By slot: the observed idle gaps (empty until one is observed).
-    histograms: Vec<IdleHistogram>,
+    /// By slot: each function's last finish and gap record.
+    slots: Vec<Slot>,
+    /// Gap records, in the order functions first observed an idle gap (only
+    /// the hybrid policy observes gaps).
+    gaps: Vec<GapRecord>,
     /// By slot: arrival statistics backing the learned arrival-rate
     /// estimate the predictive autoscaler consumes (fed by
     /// [`KeepaliveState::note_arrival`]).
     arrivals: Vec<Option<ArrivalTrack>>,
-    /// Whether idle gaps are observed into the histograms (the hybrid
-    /// policy's learning signal).
-    observe_gaps: bool,
-    /// Histogram geometry used for gap observation.
-    gap_bin: SimDuration,
-    gap_range: SimDuration,
     stats: KeepaliveStats,
+}
+
+/// One function's entry in the slot table.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    /// The latest finish of the function's invocations, or [`NEVER_RAN`].
+    last_finish: SimTime,
+    /// Index into [`KeepaliveState::gaps`], or [`NO_GAPS`].
+    gaps: u32,
+}
+
+/// [`Slot::last_finish`] of a function that never ran.
+const NEVER_RAN: SimTime = SimTime::from_nanos(u64::MAX);
+/// [`Slot::gaps`] of a function that observed no idle gap.
+const NO_GAPS: u32 = u32::MAX;
+
+impl Default for Slot {
+    fn default() -> Self {
+        Slot {
+            last_finish: NEVER_RAN,
+            gaps: NO_GAPS,
+        }
+    }
+}
+
+const _: () = assert!(std::mem::size_of::<Slot>() == 16);
+
+/// The idle gaps one function observed under the hybrid policy.
+#[derive(Debug)]
+struct GapRecord {
+    /// In-bounds gaps (shorter than the histogram range).
+    total: u64,
+    /// Gaps beyond the histogram range.
+    out_of_bounds: u64,
+    bins: GapBins,
+}
+
+/// In-bounds gaps a [`GapRecord`] keeps as bin indices before it allocates
+/// dense bins: one short of [`HYBRID_MIN_SAMPLES`], so the bins appear with
+/// the first observation at which the pattern can be learned.
+const SPARSE_GAPS: usize = 9;
+const _: () = assert!(SPARSE_GAPS as u64 + 1 == HYBRID_MIN_SAMPLES);
+
+#[derive(Debug)]
+enum GapBins {
+    /// The bin index of each in-bounds gap so far (the first `total`).
+    Sparse([u32; SPARSE_GAPS]),
+    /// Per-bin counts and the learned windows they imply.
+    Dense {
+        bins: Box<[u64]>,
+        /// The right edge of the bin covering [`HYBRID_TAIL`] of the gaps,
+        /// with the safety margin, capped at the range.
+        window: SimDuration,
+        /// The left edge of the bin covering the head percentile, capped at
+        /// `window` (zero without prewarming).
+        prewarm: SimDuration,
+    },
+}
+
+impl GapRecord {
+    fn new() -> Self {
+        GapRecord {
+            total: 0,
+            out_of_bounds: 0,
+            bins: GapBins::Sparse([0; SPARSE_GAPS]),
+        }
+    }
+
+    /// Observes one idle gap under the hybrid geometry `(range, bin)` and,
+    /// once dense, refreshes the learned windows for prewarm head `head`.
+    fn observe(&mut self, idle: SimDuration, range: SimDuration, bin: SimDuration, head: f64) {
+        let n_bins = range.as_nanos().div_ceil(bin.as_nanos()) as usize;
+        let idx = (idle.as_nanos() / bin.as_nanos()) as usize;
+        if idx >= n_bins {
+            self.out_of_bounds += 1;
+            return;
+        }
+        match &mut self.bins {
+            GapBins::Sparse(early) if (self.total as usize) < SPARSE_GAPS => {
+                early[self.total as usize] =
+                    u32::try_from(idx).expect("histogram bin indices fit in a u32");
+                self.total += 1;
+                return;
+            }
+            GapBins::Sparse(early) => {
+                let mut bins = vec![0; n_bins].into_boxed_slice();
+                for &early_idx in early.iter() {
+                    bins[early_idx as usize] += 1;
+                }
+                bins[idx] += 1;
+                self.bins = GapBins::Dense {
+                    bins,
+                    window: SimDuration::ZERO,
+                    prewarm: SimDuration::ZERO,
+                };
+            }
+            GapBins::Dense { bins, .. } => bins[idx] += 1,
+        }
+        self.total += 1;
+        if let GapBins::Dense {
+            bins,
+            window,
+            prewarm,
+        } = &mut self.bins
+        {
+            (*window, *prewarm) = learned_windows(bins, self.total, range, bin, head);
+        }
+    }
+
+    /// The cached `(window, prewarm)` pair once the pattern is learned:
+    /// enough in-bounds gaps (the record is dense) and few out-of-range
+    /// ones.
+    fn learned(&self) -> Option<(SimDuration, SimDuration)> {
+        match self.bins {
+            GapBins::Dense {
+                window, prewarm, ..
+            } if self.oob_rate() <= HYBRID_OOB_LIMIT => Some((window, prewarm)),
+            _ => None,
+        }
+    }
+
+    fn oob_rate(&self) -> f64 {
+        let all = self.total + self.out_of_bounds;
+        if all == 0 {
+            0.0
+        } else {
+            self.out_of_bounds as f64 / all as f64
+        }
+    }
+}
+
+/// The learned eviction and prewarm windows of dense `bins` holding `total`
+/// in-bounds gaps, in one pass: the first bins whose cumulative count covers
+/// [`HYBRID_TAIL`] and `head` of the mass.
+fn learned_windows(
+    bins: &[u64],
+    total: u64,
+    range: SimDuration,
+    bin: SimDuration,
+    head: f64,
+) -> (SimDuration, SimDuration) {
+    let (tail_mass, head_mass) = (HYBRID_TAIL * total as f64, head * total as f64);
+    let (mut tail_bin, mut head_bin) = (None, None);
+    let mut seen = 0u64;
+    for (i, &count) in bins.iter().enumerate() {
+        seen += count;
+        if tail_bin.is_none() && seen as f64 >= tail_mass {
+            tail_bin = Some(i);
+        }
+        if head_bin.is_none() && seen as f64 >= head_mass {
+            head_bin = Some(i);
+        }
+        if tail_bin.is_some() && head_bin.is_some() {
+            break;
+        }
+    }
+    let last = bins.len().saturating_sub(1);
+    let learned = bin * (tail_bin.unwrap_or(last) as u64 + 1);
+    let window = (learned * HYBRID_MARGIN).min(range);
+    let prewarm = if head > 0.0 {
+        (bin * head_bin.unwrap_or(last) as u64).min(window)
+    } else {
+        SimDuration::ZERO
+    };
+    (window, prewarm)
 }
 
 /// Per-function arrival statistics behind the exponentially-decayed rate
@@ -535,55 +711,6 @@ const HYBRID_MARGIN: f64 = 1.10;
 /// Out-of-bounds rate above which the pattern is declared too spread to learn.
 const HYBRID_OOB_LIMIT: f64 = 0.10;
 
-#[derive(Debug, Default)]
-struct IdleHistogram {
-    bins: Vec<u64>,
-    total: u64,
-    out_of_bounds: u64,
-}
-
-impl IdleHistogram {
-    fn observe(&mut self, idle: SimDuration, bin: SimDuration, range: SimDuration) {
-        let n_bins = (range.as_nanos().div_ceil(bin.as_nanos())) as usize;
-        if self.bins.is_empty() {
-            self.bins = vec![0; n_bins.max(1)];
-        }
-        let idx = (idle.as_nanos() / bin.as_nanos()) as usize;
-        if idx < self.bins.len() {
-            self.bins[idx] += 1;
-            self.total += 1;
-        } else {
-            self.out_of_bounds += 1;
-        }
-    }
-
-    /// The bin index covering `tail` of the observed mass.
-    fn tail_bin(&self, tail: f64) -> usize {
-        let mut seen = 0u64;
-        for (i, &count) in self.bins.iter().enumerate() {
-            seen += count;
-            if seen as f64 >= tail * self.total as f64 {
-                return i;
-            }
-        }
-        self.bins.len().saturating_sub(1)
-    }
-
-    fn oob_rate(&self) -> f64 {
-        let all = self.total + self.out_of_bounds;
-        if all == 0 {
-            0.0
-        } else {
-            self.out_of_bounds as f64 / all as f64
-        }
-    }
-}
-
-/// Histogram geometry used for arrival-rate tracking when the keepalive
-/// policy itself is not histogram-based.
-const TRACKING_RANGE: SimDuration = SimDuration::from_secs(600);
-const TRACKING_BIN: SimDuration = SimDuration::from_secs(10);
-
 /// Time constant (seconds) of the exponentially-decayed arrival-rate
 /// estimator: arrivals older than a few minutes stop influencing the
 /// predictive autoscaler's demand estimate.
@@ -597,29 +724,22 @@ impl KeepaliveState {
     /// smaller than one bin (the histogram would be degenerate), or a head
     /// percentile outside `[0, 1)`.
     pub fn new(policy: KeepalivePolicy) -> Self {
-        let (observe_gaps, gap_bin, gap_range) = match policy {
-            KeepalivePolicy::HybridHistogram { range, bin, head } => {
-                assert!(
-                    !bin.is_zero(),
-                    "hybrid-histogram bin width must be non-zero"
-                );
-                assert!(range >= bin, "hybrid-histogram range must cover one bin");
-                assert!(
-                    (0.0..1.0).contains(&head),
-                    "hybrid-histogram head percentile must be in [0, 1)"
-                );
-                (true, bin, range)
-            }
-            _ => (false, TRACKING_BIN, TRACKING_RANGE),
-        };
+        if let KeepalivePolicy::HybridHistogram { range, bin, head } = policy {
+            assert!(
+                !bin.is_zero(),
+                "hybrid-histogram bin width must be non-zero"
+            );
+            assert!(range >= bin, "hybrid-histogram range must cover one bin");
+            assert!(
+                (0.0..1.0).contains(&head),
+                "hybrid-histogram head percentile must be in [0, 1)"
+            );
+        }
         KeepaliveState {
             policy,
-            last_finish: Vec::new(),
-            histograms: Vec::new(),
+            slots: Vec::new(),
+            gaps: Vec::new(),
             arrivals: Vec::new(),
-            observe_gaps,
-            gap_bin,
-            gap_range,
             stats: KeepaliveStats::default(),
         }
     }
@@ -634,31 +754,40 @@ impl KeepaliveState {
         self.stats
     }
 
-    /// Whether the hybrid histogram for `function` has learned a trustworthy
-    /// pattern (enough samples, few out-of-range gaps).
-    fn learned(&self, function: u32) -> bool {
-        self.histograms.get(function as usize).is_some_and(|hist| {
-            hist.total >= HYBRID_MIN_SAMPLES && hist.oob_rate() <= HYBRID_OOB_LIMIT
-        })
+    /// The slot of `function` (an empty one if it never ran).
+    fn slot(&self, function: u32) -> Slot {
+        self.slots
+            .get(function as usize)
+            .copied()
+            .unwrap_or_default()
+    }
+
+    /// The learned `(window, prewarm)` pair of the function in `slot`, if
+    /// its hybrid histogram has learned a trustworthy pattern.
+    fn learned(&self, slot: Slot) -> Option<(SimDuration, SimDuration)> {
+        self.gaps
+            .get(slot.gaps as usize)
+            .and_then(GapRecord::learned)
+    }
+
+    /// The eviction and prewarm windows of the function in `slot`: see
+    /// [`KeepaliveState::window`] and [`KeepaliveState::prewarm_window`].
+    fn windows(&self, slot: Slot) -> (SimDuration, SimDuration) {
+        match self.policy {
+            KeepalivePolicy::NoKeepalive => (SimDuration::ZERO, SimDuration::ZERO),
+            KeepalivePolicy::FixedWindow(w) => (w, SimDuration::ZERO),
+            // Pattern unknown or too spread: stay conservative so a warm
+            // container is never evicted early.
+            KeepalivePolicy::HybridHistogram { range, .. } => {
+                self.learned(slot).unwrap_or((range, SimDuration::ZERO))
+            }
+        }
     }
 
     /// The current keepalive window for `function`: how long past its last
     /// finish a warm container survives.
     pub fn window(&self, function: u32) -> SimDuration {
-        match self.policy {
-            KeepalivePolicy::NoKeepalive => SimDuration::ZERO,
-            KeepalivePolicy::FixedWindow(w) => w,
-            KeepalivePolicy::HybridHistogram { range, bin, .. } => {
-                if !self.learned(function) {
-                    // Pattern unknown or too spread: stay conservative so a
-                    // warm container is never evicted early.
-                    return range;
-                }
-                let hist = &self.histograms[function as usize];
-                let learned = bin * (hist.tail_bin(HYBRID_TAIL) as u64 + 1);
-                (learned * HYBRID_MARGIN).min(range)
-            }
-        }
+        self.windows(self.slot(function)).0
     }
 
     /// The current prewarm window for `function`: how long past its last
@@ -675,14 +804,7 @@ impl KeepaliveState {
     /// never released, and prewarming degenerates to the plain hybrid
     /// keepalive. Always `<=` the eviction window.
     pub fn prewarm_window(&self, function: u32) -> SimDuration {
-        let KeepalivePolicy::HybridHistogram { bin, head, .. } = self.policy else {
-            return SimDuration::ZERO;
-        };
-        if head <= 0.0 || !self.learned(function) {
-            return SimDuration::ZERO;
-        }
-        let edge = self.histograms[function as usize].tail_bin(head);
-        (bin * edge as u64).min(self.window(function))
+        self.windows(self.slot(function)).1
     }
 
     /// Whether an invocation of `function` arriving at `now` finds a warm
@@ -691,29 +813,28 @@ impl KeepaliveState {
     /// warm; with prewarming, an idle gap shorter than the prewarm window
     /// lands before the proactive re-warm and runs cold.
     pub fn is_warm(&self, function: u32, now: SimTime) -> bool {
-        match self.last_finish.get(function as usize).copied().flatten() {
-            None => false,
-            Some(finish) => {
-                let idle = now.saturating_since(finish);
-                idle <= self.window(function)
-                    && (idle.is_zero() || idle >= self.prewarm_window(function))
-            }
+        let slot = self.slot(function);
+        if slot.last_finish == NEVER_RAN {
+            return false;
         }
+        let idle = now.saturating_since(slot.last_finish);
+        let (window, prewarm) = self.windows(slot);
+        idle <= window && (idle.is_zero() || idle >= prewarm)
     }
 
     /// Records that an invocation of `function` starting at `now` will finish
     /// at `finish`, feeding the observed idle gap to the learning policy and
     /// the warm-memory ledger.
     pub fn record_invocation(&mut self, function: u32, now: SimTime, finish: SimTime) {
-        if let Some(prev) = self.last_finish.get(function as usize).copied().flatten() {
-            let idle = now.saturating_since(prev);
-            let window = self.window(function);
-            let prewarm = self.prewarm_window(function);
+        let slot = self.slot(function);
+        if slot.last_finish != NEVER_RAN {
+            let idle = now.saturating_since(slot.last_finish);
+            let (window, prewarm) = self.windows(slot);
             if idle <= window && (idle.is_zero() || idle >= prewarm) {
                 // Warm start: the pool held memory from the prewarm point (or
                 // the finish, without prewarming) until this arrival.
                 self.stats.warm_seconds += idle.saturating_sub(prewarm).as_secs_f64();
-                if !idle.is_zero() && self.prewarm_enabled() && self.learned(function) {
+                if !idle.is_zero() && self.prewarm_enabled() && self.learned(slot).is_some() {
                     self.stats.prewarm_hits += 1;
                 }
             } else if idle > window {
@@ -726,15 +847,30 @@ impl KeepaliveState {
             // Third case — cold because the arrival landed before the
             // prewarm point: the container was released at finish, so no
             // memory was held at all.
-            if self.observe_gaps {
-                let (bin, range) = (self.gap_bin, self.gap_range);
-                grow_to(&mut self.histograms, function).observe(idle, bin, range);
+            if let KeepalivePolicy::HybridHistogram { range, bin, head } = self.policy {
+                let record = match slot.gaps {
+                    NO_GAPS => {
+                        let index = u32::try_from(self.gaps.len())
+                            .ok()
+                            .filter(|&index| index != NO_GAPS)
+                            .expect("gap records fit in a u32 index");
+                        self.slots[function as usize].gaps = index;
+                        self.gaps.push(GapRecord::new());
+                        self.gaps.last_mut().expect("just pushed")
+                    }
+                    index => &mut self.gaps[index as usize],
+                };
+                record.observe(idle, range, bin, head);
             }
         }
         // Keep the furthest-out finish time: with many concurrent instances
         // the container pool stays warm until the last one drains.
-        let last = grow_to(&mut self.last_finish, function);
-        *last = Some(last.map_or(finish, |prev| prev.max(finish)));
+        let last = &mut grow_to(&mut self.slots, function).last_finish;
+        *last = if *last == NEVER_RAN {
+            finish
+        } else {
+            (*last).max(finish)
+        };
     }
 
     /// Closes the warm-memory ledger at the end of a run: every container
@@ -742,13 +878,13 @@ impl KeepaliveState {
     /// reuse, which counts as wasted. Functions are flushed in slot order so
     /// the floating-point accumulation is deterministic.
     pub fn finish_accounting(&mut self, end: SimTime) {
-        for function in 0..self.last_finish.len() as u32 {
-            let Some(finish) = self.last_finish[function as usize] else {
+        for index in 0..self.slots.len() {
+            let slot = self.slots[index];
+            if slot.last_finish == NEVER_RAN {
                 continue;
-            };
-            let elapsed = end.saturating_since(finish);
-            let window = self.window(function);
-            let prewarm = self.prewarm_window(function);
+            }
+            let elapsed = end.saturating_since(slot.last_finish);
+            let (window, prewarm) = self.windows(slot);
             let held = elapsed.min(window).saturating_sub(prewarm).as_secs_f64();
             self.stats.warm_seconds += held;
             self.stats.wasted_warm_seconds += held;
@@ -813,7 +949,19 @@ impl KeepaliveState {
 
     #[cfg(test)]
     fn last_finish_for_test(&self, function: u32) -> SimTime {
-        self.last_finish[function as usize].expect("the function ran")
+        let finish = self.slot(function).last_finish;
+        assert_ne!(finish, NEVER_RAN, "the function ran");
+        finish
+    }
+
+    /// The dense bins of `function`'s gap record, or `None` while it has
+    /// none (no record, or fewer than [`HYBRID_MIN_SAMPLES`] in-bounds gaps).
+    #[cfg(test)]
+    fn dense_bins_for_test(&self, function: u32) -> Option<&[u64]> {
+        match &self.gaps.get(self.slot(function).gaps as usize)?.bins {
+            GapBins::Dense { bins, .. } => Some(bins),
+            GapBins::Sparse(_) => None,
+        }
     }
 }
 
@@ -829,9 +977,307 @@ fn grow_to<T: Default>(table: &mut Vec<T>, slot: u32) -> &mut T {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dscs_simcore::rng::DeterministicRng;
 
     fn secs(s: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_secs(s)
+    }
+
+    /// The dense keepalive bookkeeping the slot table replaced, kept as an
+    /// independent reference: every function that ran owns an optional last
+    /// finish, every function that observed a gap owns a full histogram from
+    /// its first gap on, and every decision rescans the bins.
+    struct ReferenceKeepalive {
+        policy: KeepalivePolicy,
+        last_finish: Vec<Option<SimTime>>,
+        histograms: Vec<IdleHistogram>,
+        stats: KeepaliveStats,
+    }
+
+    #[derive(Debug, Default)]
+    struct IdleHistogram {
+        bins: Vec<u64>,
+        total: u64,
+        out_of_bounds: u64,
+    }
+
+    impl IdleHistogram {
+        fn observe(&mut self, idle: SimDuration, bin: SimDuration, range: SimDuration) {
+            let n_bins = (range.as_nanos().div_ceil(bin.as_nanos())) as usize;
+            if self.bins.is_empty() {
+                self.bins = vec![0; n_bins.max(1)];
+            }
+            let idx = (idle.as_nanos() / bin.as_nanos()) as usize;
+            if idx < self.bins.len() {
+                self.bins[idx] += 1;
+                self.total += 1;
+            } else {
+                self.out_of_bounds += 1;
+            }
+        }
+
+        /// The bin index covering `tail` of the observed mass.
+        fn tail_bin(&self, tail: f64) -> usize {
+            let mut seen = 0u64;
+            for (i, &count) in self.bins.iter().enumerate() {
+                seen += count;
+                if seen as f64 >= tail * self.total as f64 {
+                    return i;
+                }
+            }
+            self.bins.len().saturating_sub(1)
+        }
+
+        fn oob_rate(&self) -> f64 {
+            let all = self.total + self.out_of_bounds;
+            if all == 0 {
+                0.0
+            } else {
+                self.out_of_bounds as f64 / all as f64
+            }
+        }
+    }
+
+    impl ReferenceKeepalive {
+        fn new(policy: KeepalivePolicy) -> Self {
+            ReferenceKeepalive {
+                policy,
+                last_finish: Vec::new(),
+                histograms: Vec::new(),
+                stats: KeepaliveStats::default(),
+            }
+        }
+
+        fn learned(&self, function: u32) -> bool {
+            self.histograms.get(function as usize).is_some_and(|hist| {
+                hist.total >= HYBRID_MIN_SAMPLES && hist.oob_rate() <= HYBRID_OOB_LIMIT
+            })
+        }
+
+        fn window(&self, function: u32) -> SimDuration {
+            match self.policy {
+                KeepalivePolicy::NoKeepalive => SimDuration::ZERO,
+                KeepalivePolicy::FixedWindow(w) => w,
+                KeepalivePolicy::HybridHistogram { range, bin, .. } => {
+                    if !self.learned(function) {
+                        return range;
+                    }
+                    let hist = &self.histograms[function as usize];
+                    let learned = bin * (hist.tail_bin(HYBRID_TAIL) as u64 + 1);
+                    (learned * HYBRID_MARGIN).min(range)
+                }
+            }
+        }
+
+        fn prewarm_window(&self, function: u32) -> SimDuration {
+            let KeepalivePolicy::HybridHistogram { bin, head, .. } = self.policy else {
+                return SimDuration::ZERO;
+            };
+            if head <= 0.0 || !self.learned(function) {
+                return SimDuration::ZERO;
+            }
+            let edge = self.histograms[function as usize].tail_bin(head);
+            (bin * edge as u64).min(self.window(function))
+        }
+
+        fn is_warm(&self, function: u32, now: SimTime) -> bool {
+            match self.last_finish.get(function as usize).copied().flatten() {
+                None => false,
+                Some(finish) => {
+                    let idle = now.saturating_since(finish);
+                    idle <= self.window(function)
+                        && (idle.is_zero() || idle >= self.prewarm_window(function))
+                }
+            }
+        }
+
+        fn record_invocation(&mut self, function: u32, now: SimTime, finish: SimTime) {
+            if let Some(prev) = self.last_finish.get(function as usize).copied().flatten() {
+                let idle = now.saturating_since(prev);
+                let window = self.window(function);
+                let prewarm = self.prewarm_window(function);
+                let prewarm_enabled = matches!(
+                    self.policy,
+                    KeepalivePolicy::HybridHistogram { head, .. } if head > 0.0
+                );
+                if idle <= window && (idle.is_zero() || idle >= prewarm) {
+                    self.stats.warm_seconds += idle.saturating_sub(prewarm).as_secs_f64();
+                    if !idle.is_zero() && prewarm_enabled && self.learned(function) {
+                        self.stats.prewarm_hits += 1;
+                    }
+                } else if idle > window {
+                    let held = window.saturating_sub(prewarm).as_secs_f64();
+                    self.stats.warm_seconds += held;
+                    self.stats.wasted_warm_seconds += held;
+                }
+                if let KeepalivePolicy::HybridHistogram { range, bin, .. } = self.policy {
+                    grow_to(&mut self.histograms, function).observe(idle, bin, range);
+                }
+            }
+            let last = grow_to(&mut self.last_finish, function);
+            *last = Some(last.map_or(finish, |prev| prev.max(finish)));
+        }
+
+        fn finish_accounting(&mut self, end: SimTime) {
+            for function in 0..self.last_finish.len() as u32 {
+                let Some(finish) = self.last_finish[function as usize] else {
+                    continue;
+                };
+                let elapsed = end.saturating_since(finish);
+                let window = self.window(function);
+                let prewarm = self.prewarm_window(function);
+                let held = elapsed.min(window).saturating_sub(prewarm).as_secs_f64();
+                self.stats.warm_seconds += held;
+                self.stats.wasted_warm_seconds += held;
+            }
+        }
+    }
+
+    /// Seeded property test: on random invocation streams the slot table
+    /// agrees with the dense reference step by step, under every keepalive
+    /// policy. The streams mix overlapping invocations, gaps beyond the
+    /// histogram range, sparse slot ids and functions on both sides of the
+    /// learning threshold; the coverage counters at the end check that each
+    /// of those occurred.
+    #[test]
+    fn slot_table_matches_the_dense_reference() {
+        const CASES: u64 = 256;
+        let (mut learned, mut sparse, mut dense, mut prewarmed, mut oob) = (0, 0, 0, 0, 0);
+        for case in 0..CASES {
+            let mut rng =
+                DeterministicRng::seeded(0x4B41 ^ case.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            let bin = SimDuration::from_secs(1 + rng.next_index(20) as u64);
+            let range = bin * (1 + rng.next_index(60) as u64);
+            let policies = [
+                KeepalivePolicy::NoKeepalive,
+                KeepalivePolicy::FixedWindow(range),
+                KeepalivePolicy::HybridHistogram {
+                    range,
+                    bin,
+                    head: 0.0,
+                },
+                KeepalivePolicy::HybridHistogram {
+                    range,
+                    bin,
+                    head: 0.05,
+                },
+            ];
+            // A few functions on sparse slot ids, plus one that never runs.
+            let functions: Vec<u32> = (0..1 + rng.next_index(6))
+                .map(|_| rng.next_index(5000) as u32)
+                .collect();
+            let never_ran = 5000;
+            let p_oob = [0.0, 0.01, 0.05, 0.3][rng.next_index(4)];
+            let mean_gap = range.as_secs_f64() / (2.0 * functions.len() as f64);
+            let mut now = SimTime::ZERO;
+            let stream: Vec<(u32, SimTime, SimTime)> = (0..50 + rng.next_index(400))
+                .map(|_| {
+                    let gap = if rng.bernoulli(0.1) {
+                        0.0
+                    } else if rng.bernoulli(p_oob) {
+                        rng.uniform(1.0, 1.5) * range.as_secs_f64()
+                    } else {
+                        rng.uniform(0.0, 2.0 * mean_gap)
+                    };
+                    now += SimDuration::from_secs_f64(gap);
+                    // Mostly short services; some long enough that the
+                    // function's next invocations overlap this one.
+                    let service = if rng.bernoulli(0.05) {
+                        rng.uniform(0.0, range.as_secs_f64())
+                    } else {
+                        rng.uniform(0.01, 2.0)
+                    };
+                    let function = *rng.choose(&functions);
+                    (function, now, now + SimDuration::from_secs_f64(service))
+                })
+                .collect();
+            let end = now + SimDuration::from_secs(30);
+
+            for policy in policies {
+                let mut state = KeepaliveState::new(policy);
+                let mut reference = ReferenceKeepalive::new(policy);
+                for (step, &(function, now, finish)) in stream.iter().enumerate() {
+                    for f in functions.iter().copied().chain([never_ran]) {
+                        let at = (case, policy, step, f);
+                        assert_eq!(state.is_warm(f, now), reference.is_warm(f, now), "{at:?}");
+                        assert_eq!(state.window(f), reference.window(f), "{at:?}");
+                        assert_eq!(
+                            state.prewarm_window(f),
+                            reference.prewarm_window(f),
+                            "{at:?}"
+                        );
+                    }
+                    state.record_invocation(function, now, finish);
+                    reference.record_invocation(function, now, finish);
+                    assert_eq!(state.stats(), reference.stats, "case {case}, step {step}");
+                }
+                state.finish_accounting(end);
+                reference.finish_accounting(end);
+                assert_eq!(state.stats(), reference.stats, "case {case}, {policy:?}");
+
+                if matches!(policy, KeepalivePolicy::HybridHistogram { .. }) {
+                    for &f in &functions {
+                        let hist = reference.histograms.get(f as usize);
+                        oob += usize::from(hist.is_some_and(|h| h.out_of_bounds > 0));
+                        match state.dense_bins_for_test(f) {
+                            Some(bins) => {
+                                dense += 1;
+                                assert_eq!(Some(bins), hist.map(|h| &h.bins[..]), "case {case}");
+                            }
+                            None => sparse += 1,
+                        }
+                        learned += usize::from(reference.learned(f));
+                        prewarmed += usize::from(state.prewarm_window(f) > SimDuration::ZERO);
+                    }
+                }
+            }
+        }
+        for (what, count) in [
+            ("learned", learned),
+            ("sparse", sparse),
+            ("dense", dense),
+            ("prewarmed", prewarmed),
+            ("out-of-bounds", oob),
+        ] {
+            assert!(count > 0, "no {what} function in any case");
+        }
+    }
+
+    /// The footprint rule: a function owns no dense bins until its tenth
+    /// in-bounds gap, which makes it dense with exactly the counts the full
+    /// histogram held. Gaps beyond the range do not count towards the ten.
+    #[test]
+    fn dense_bins_appear_with_the_tenth_in_bounds_gap() {
+        let policy = KeepalivePolicy::prewarm_default();
+        let mut state = KeepaliveState::new(policy);
+        let mut reference = ReferenceKeepalive::new(policy);
+        let mut now = secs(0);
+        state.record_invocation(3, now, now + SimDuration::from_secs(1));
+        reference.record_invocation(3, now, now + SimDuration::from_secs(1));
+        let mut in_bounds = 0;
+        for gap in [15, 25, 700, 35, 5, 45, 15, 900, 15, 95, 25, 55, 45] {
+            now += SimDuration::from_secs(1 + gap);
+            state.record_invocation(3, now, now + SimDuration::from_secs(1));
+            reference.record_invocation(3, now, now + SimDuration::from_secs(1));
+            in_bounds += u64::from(gap < 600);
+            if in_bounds < HYBRID_MIN_SAMPLES {
+                assert_eq!(state.dense_bins_for_test(3), None, "{in_bounds} gaps");
+            } else {
+                assert_eq!(
+                    state.dense_bins_for_test(3),
+                    Some(&reference.histograms[3].bins[..]),
+                    "{in_bounds} gaps"
+                );
+            }
+        }
+        assert!(
+            in_bounds > HYBRID_MIN_SAMPLES,
+            "the walk crosses the threshold"
+        );
+        // A function that never observed a gap owns no record at all.
+        state.record_invocation(8, now, now + SimDuration::from_secs(1));
+        assert_eq!(state.dense_bins_for_test(8), None);
+        assert_eq!(state.gaps.len(), 1);
     }
 
     #[test]
@@ -1095,6 +1541,49 @@ mod tests {
         // The non-hybrid policies have nothing to misconfigure.
         assert_eq!(KeepalivePolicy::NoKeepalive.check(), Ok(()));
         assert_eq!(KeepalivePolicy::paper_default().check(), Ok(()));
+    }
+
+    /// Every hybrid geometry `KeepaliveState::new` asserts on is a typed
+    /// error from `check`, whose legacy message is the assertion's.
+    #[test]
+    fn keepalive_check_types_every_constructor_assertion() {
+        let hybrid = |range, bin, head| KeepalivePolicy::HybridHistogram { range, bin, head };
+        let s = SimDuration::from_secs;
+        let cases = [
+            (
+                hybrid(s(600), SimDuration::ZERO, 0.0),
+                ConfigError::ZeroHistogramBin,
+            ),
+            (
+                hybrid(s(5), s(10), 0.0),
+                ConfigError::HistogramRangeBelowBin {
+                    range: s(5),
+                    bin: s(10),
+                },
+            ),
+            (
+                hybrid(s(600), s(10), -0.1),
+                ConfigError::PrewarmHeadOutOfRange { head: -0.1 },
+            ),
+        ];
+        for (policy, expected) in cases {
+            assert_eq!(policy.check(), Err(expected.clone()));
+            let payload = std::panic::catch_unwind(|| KeepaliveState::new(policy))
+                .expect_err("the constructor asserts on the same geometry");
+            let message = payload
+                .downcast_ref::<&str>()
+                .map(|m| m.to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .expect("a string panic payload");
+            assert_eq!(message, expected.legacy_message());
+        }
+        // A NaN head is out of range too: it compares false with the tail.
+        assert!(matches!(
+            hybrid(s(600), s(10), f64::NAN).check(),
+            Err(ConfigError::PrewarmHeadOutOfRange { head }) if head.is_nan()
+        ));
+        // One bin exactly covering the range is a valid geometry.
+        assert_eq!(hybrid(s(10), s(10), 0.0).check(), Ok(()));
     }
 
     #[test]

@@ -379,16 +379,9 @@ enum LaneEvent {
 }
 
 /// Number of benchmarks: the length of the per-benchmark tables, which are
-/// indexed by `Benchmark as usize`.
+/// indexed by `Benchmark as usize` (discriminant order is `Benchmark::ALL`
+/// order, asserted where the enum is defined).
 const BENCHMARKS: usize = Benchmark::ALL.len();
-// `Benchmark as usize` is each benchmark's position in `Benchmark::ALL`.
-const _: () = {
-    let mut i = 0;
-    while i < BENCHMARKS {
-        assert!(Benchmark::ALL[i] as usize == i);
-        i += 1;
-    }
-};
 
 /// Precomputed cold-start penalties for one benchmark.
 #[derive(Debug, Clone, Copy)]

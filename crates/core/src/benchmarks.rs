@@ -36,8 +36,19 @@ pub enum Benchmark {
     RemoteSensing,
 }
 
+// `Benchmark as usize` is each benchmark's position in `Benchmark::ALL`.
+const _: () = {
+    let mut i = 0;
+    while i < Benchmark::ALL.len() {
+        assert!(Benchmark::ALL[i] as usize == i);
+        i += 1;
+    }
+};
+
 impl Benchmark {
-    /// All benchmarks in the paper's order.
+    /// All benchmarks in the paper's order, which is also discriminant
+    /// order: `Benchmark::ALL[b as usize] == b`, so per-benchmark tables
+    /// index by `b as usize`.
     pub const ALL: [Benchmark; 8] = [
         Benchmark::CreditRiskAssessment,
         Benchmark::AssetDamageDetection,

@@ -12,7 +12,7 @@
 
 use dscs_serverless::cluster::data::DataLayer;
 use dscs_serverless::cluster::experiment::{ConfigError, Experiment};
-use dscs_serverless::cluster::policy::{LoadBalancer, ScalingPolicy};
+use dscs_serverless::cluster::policy::{KeepalivePolicy, LoadBalancer, ScalingPolicy};
 use dscs_serverless::cluster::sim::{ClusterConfig, ClusterSim};
 use dscs_serverless::cluster::trace::{RateProfile, TraceRequest};
 use dscs_serverless::platforms::PlatformKind;
@@ -111,6 +111,37 @@ fn every_formerly_panicking_input_yields_the_matching_typed_error() {
             .expect_err("min above max"),
         ConfigError::MinAboveMax { min: 128, max: 16 }
     );
+
+    // 7. Hybrid-histogram keepalive with a degenerate geometry or head:
+    // formerly accepted by the builder and then a panic in
+    // `KeepaliveState::new` at run time.
+    let hybrid = |range, bin, head| KeepalivePolicy::HybridHistogram { range, bin, head };
+    let s = SimDuration::from_secs;
+    for (policy, expected) in [
+        (
+            hybrid(s(600), SimDuration::ZERO, 0.0),
+            ConfigError::ZeroHistogramBin,
+        ),
+        (
+            hybrid(s(5), s(10), 0.05),
+            ConfigError::HistogramRangeBelowBin {
+                range: s(5),
+                bin: s(10),
+            },
+        ),
+        (
+            hybrid(s(600), s(10), -0.05),
+            ConfigError::PrewarmHeadOutOfRange { head: -0.05 },
+        ),
+    ] {
+        let err = Experiment::builder(PlatformKind::DscsDsa)
+            .trace(short_trace(13))
+            .keepalive(policy)
+            .build()
+            .expect_err("bad hybrid keepalive");
+        assert_eq!(err, expected, "{policy:?}");
+        assert!(!err.to_string().is_empty());
+    }
 }
 
 /// The scaling-parameter violations the old `ScalingPolicy::validate`
@@ -357,6 +388,22 @@ fn deprecated_run_sharded_still_panics_when_min_exceeds_max() {
     };
     let sim = ClusterSim::new(PlatformKind::DscsDsa, config);
     let _ = sim.run_sharded(&short_trace(9), 1, 1, LoadBalancer::RoundRobin);
+}
+
+#[test]
+#[should_panic(expected = "hybrid-histogram range must cover one bin")]
+#[allow(deprecated)]
+fn deprecated_run_sharded_still_panics_on_a_range_below_one_bin() {
+    let config = ClusterConfig {
+        keepalive: KeepalivePolicy::HybridHistogram {
+            range: SimDuration::from_secs(5),
+            bin: SimDuration::from_secs(10),
+            head: 0.0,
+        },
+        ..ClusterConfig::default()
+    };
+    let sim = ClusterSim::new(PlatformKind::DscsDsa, config);
+    let _ = sim.run_sharded(&short_trace(14), 1, 1, LoadBalancer::RoundRobin);
 }
 
 #[test]
