@@ -340,10 +340,12 @@ impl SweepSpec {
         // share it across every cell, mirroring how base_sims memoizes
         // model evaluation. Each path's bound comes from a sim reconfigured
         // to that path, so regret is always measured against the cell's own
-        // modality pricing.
+        // modality pricing. The walk reads the data layer's dense function
+        // slots, so it hashes no function id.
         let optimal_bounds: Vec<Vec<Vec<f64>>> = workloads
             .iter()
-            .map(|w| {
+            .zip(&data_layers)
+            .map(|(w, data)| {
                 base_sims
                     .iter()
                     .map(|sim| {
@@ -354,7 +356,12 @@ impl SweepSpec {
                                     cold_path,
                                     ..ClusterConfig::default()
                                 });
-                                crate::optimal::optimal_coldstart_seconds(&w.trace, &priced)
+                                crate::optimal::optimal_coldstart_seconds_over_slots(
+                                    &w.trace,
+                                    data.function_slots().iter().copied(),
+                                    &priced,
+                                    0.0,
+                                )
                             })
                             .collect()
                     })
@@ -1358,6 +1365,81 @@ mod tests {
                 && c.balancer.name() == "locality"
                 && c.scheduler.name() == "fcfs"));
         assert_eq!(report.spec, spec);
+    }
+
+    /// Every cell's bound, which the sweep walks over its data layer's
+    /// dense function slots, equals the public wrapper's on the cell's
+    /// trace, priced under the cell's platform and cold-start path — for
+    /// dense synthetic ids and for hashed trace-file ids alike.
+    #[test]
+    fn every_cells_bound_equals_the_public_wrapper() {
+        use crate::workload::{azure_generation_rng, AzureWorkload, Workload};
+        let hashed = crate::ingest::TraceFileWorkload::from_workload(
+            &AzureWorkload {
+                horizon: dscs_simcore::time::SimDuration::from_secs(120),
+                ..crate::ingest::sample_workload()
+            },
+            &mut azure_generation_rng(3),
+            "hashed",
+        )
+        .and_then(|file| file.generate(&mut azure_generation_rng(3)))
+        .expect("valid workload");
+        let spec = SweepSpec {
+            workloads: vec![
+                WorkloadSpec::Azure {
+                    scale: SweepScale::Smoke,
+                    seed: 42,
+                },
+                WorkloadSpec::Inline {
+                    name: "hashed".into(),
+                    source: "trace-file:hashed".into(),
+                    horizon_s: 120.0,
+                    trace: Arc::new(hashed),
+                },
+            ],
+            platforms: vec![PlatformKind::BaselineCpu, PlatformKind::DscsDsa],
+            schedulers: vec![SchedulerPolicy::Fcfs],
+            keepalives: vec![KeepalivePolicy::NoKeepalive],
+            scalings: vec![ScalingPolicy::Fixed],
+            balancers: vec![LoadBalancer::RoundRobin],
+            cold_paths: ColdStartPath::ALL.to_vec(),
+            ..SweepSpec::default_grid(SweepScale::Smoke)
+        };
+        let workloads: Vec<RealizedWorkload> = spec
+            .workloads
+            .iter()
+            .map(|w| w.realize().expect("valid workload"))
+            .collect();
+        let bases: Vec<ClusterSim> = spec
+            .platforms
+            .iter()
+            .map(|&p| ClusterSim::new(p, ClusterConfig::default()))
+            .collect();
+        let report = spec.run().expect("valid spec");
+        assert_eq!(report.cells.len(), 2 * 2 * ColdStartPath::ALL.len());
+        for cell in &report.cells {
+            let workload = workloads
+                .iter()
+                .find(|w| w.name == cell.workload)
+                .expect("every cell replays a workload of the spec");
+            let base = bases
+                .iter()
+                .find(|b| b.platform() == cell.platform)
+                .expect("every cell runs a platform of the spec");
+            let priced = base.reconfigured(ClusterConfig {
+                cold_path: cell.cold_path,
+                ..ClusterConfig::default()
+            });
+            let bound = crate::optimal::optimal_coldstart_seconds(&workload.trace, &priced);
+            assert_eq!(
+                cell.optimal_coldstart_s.to_bits(),
+                bound.to_bits(),
+                "{} / {:?} / {}",
+                cell.workload,
+                cell.platform,
+                cell.cold_path.name()
+            );
+        }
     }
 
     /// The modality axes sweep like any other: a 3-path × 3-transport grid

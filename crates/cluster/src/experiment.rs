@@ -454,10 +454,17 @@ impl Experiment {
         // The bound is a pure function of (trace, platform): a sweep attaches
         // one precomputed value to every cell sharing the Arc'd trace (the
         // fetch_energy_joules memoization pattern); standalone runs compute
-        // it here, a single O(trace) pass.
-        let optimal_coldstart_s = self
-            .optimal_bound
-            .unwrap_or_else(|| crate::optimal::optimal_coldstart_seconds(&self.trace, sim));
+        // it here, a single O(trace) pass over the data layer's function
+        // slots when one is attached.
+        let optimal_coldstart_s = self.optimal_bound.unwrap_or_else(|| match self.data() {
+            Some(data) => crate::optimal::optimal_coldstart_seconds_over_slots(
+                &self.trace,
+                data.function_slots().iter().copied(),
+                sim,
+                0.0,
+            ),
+            None => crate::optimal::optimal_coldstart_seconds(&self.trace, sim),
+        });
         Outcome {
             report,
             racks,

@@ -36,7 +36,7 @@ use dscs_simcore::rng::DeterministicRng;
 use dscs_simcore::time::{SimDuration, SimTime};
 
 use crate::trace::TraceRequest;
-use crate::workload::{AzureWorkload, ObjectCatalog, Workload, WorkloadError};
+use crate::workload::{mix64, AzureWorkload, ObjectCatalog, Workload, WorkloadError};
 
 /// Minute columns one dataset day spans.
 pub const MINUTES_PER_DAY: u32 = 1440;
@@ -233,13 +233,6 @@ const FUNCTION_ID_SALT: u64 = 0x7F1D_0CA7_A10F_5EED;
 const OWNER_HASH_SALT: u64 = 0x0AF1_CE00_D00D_0001;
 const APP_HASH_SALT: u64 = 0x0AF1_CE00_D00D_0002;
 const FUNCTION_HASH_SALT: u64 = 0x0AF1_CE00_D00D_0003;
-
-/// SplitMix64 finalizer (the same stateless mixer object assignment uses).
-fn mix64(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// Hash-stable function id for a dataset function-hash string.
 pub fn function_id(function_hash: &str) -> u32 {

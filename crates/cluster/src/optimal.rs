@@ -46,11 +46,14 @@
 //! `warm_cost_per_sec`.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher};
+use std::time::{SystemTime, UNIX_EPOCH};
 
 use dscs_simcore::time::SimTime;
 
 use crate::sim::ClusterSim;
 use crate::trace::TraceRequest;
+use crate::workload::mix64;
 
 /// Offline-optimal lower bound on the aggregate cold-start seconds any
 /// policy pays replaying `trace` on `sim`'s platform: the sum, over distinct
@@ -79,36 +82,111 @@ pub fn optimal_coldstart_seconds(trace: &[TraceRequest], sim: &ClusterSim) -> f6
 /// lower-bound direction when `warm_cost_per_sec` is zero.
 ///
 /// # Panics
-/// Debug-asserts that `warm_cost_per_sec` is finite and non-negative.
+/// Panics if `warm_cost_per_sec` is negative, infinite or NaN: the bound is
+/// defined for a finite non-negative warm-memory price only.
 pub fn optimal_coldstart_seconds_with(
     trace: &[TraceRequest],
     sim: &ClusterSim,
     warm_cost_per_sec: f64,
 ) -> f64 {
-    debug_assert!(
+    // Dense slots in first-seen order: the bound needs only each function's
+    // identity, so each request's id is hashed exactly once.
+    let mut first_seen: HashMap<u32, u32, IdHashing> = HashMap::with_hasher(IdHashing::new());
+    let slots = trace.iter().map(|request| {
+        let next = first_seen.len() as u32;
+        *first_seen.entry(request.function).or_insert(next)
+    });
+    optimal_coldstart_seconds_over_slots(trace, slots, sim, warm_cost_per_sec)
+}
+
+/// The one implementation behind every bound: walks `trace` in order with
+/// each request's dense function slot, keeping each slot's last arrival in
+/// a table. Summing in trace order makes the bound independent of how the
+/// slots are numbered, so the data layer's slots
+/// ([`crate::data::DataLayer::function_slots`], which sweeps and runs pass
+/// without hashing anything) give the public wrappers' bits.
+///
+/// # Panics
+/// As [`optimal_coldstart_seconds_with`].
+pub(crate) fn optimal_coldstart_seconds_over_slots(
+    trace: &[TraceRequest],
+    slots: impl ExactSizeIterator<Item = u32>,
+    sim: &ClusterSim,
+    warm_cost_per_sec: f64,
+) -> f64 {
+    debug_assert_eq!(trace.len(), slots.len(), "one slot per request");
+    assert!(
         warm_cost_per_sec.is_finite() && warm_cost_per_sec >= 0.0,
         "warm cost must be a finite non-negative rate, got {warm_cost_per_sec}"
     );
-    let mut last_arrival: HashMap<u32, SimTime> = HashMap::new();
+    let mut last_arrival: Vec<Option<SimTime>> = Vec::new();
     let mut bound = 0.0;
-    for request in trace {
-        match last_arrival.get_mut(&request.function) {
-            None => {
-                // First invocation anywhere: a full registry cold start is
-                // unavoidable for every policy.
-                bound += sim.cold_start_cost(request.benchmark).as_secs_f64();
-                last_arrival.insert(request.function, request.arrival);
-            }
+    for (request, slot) in trace.iter().zip(slots) {
+        let slot = slot as usize;
+        if slot >= last_arrival.len() {
+            last_arrival.resize(slot + 1, None);
+        }
+        match last_arrival[slot].replace(request.arrival) {
+            // First invocation anywhere: a full registry cold start is
+            // unavoidable for every policy.
+            None => bound += sim.cold_start_cost(request.benchmark).as_secs_f64(),
             Some(previous) => {
-                let gap = request.arrival.saturating_since(*previous).as_secs_f64();
+                let gap = request.arrival.saturating_since(previous).as_secs_f64();
                 let keep = gap * warm_cost_per_sec;
                 let die = sim.repeat_cold_start_cost(request.benchmark).as_secs_f64();
                 bound += keep.min(die);
-                *previous = request.arrival;
             }
         }
     }
     bound
+}
+
+/// Builds the hasher of the public bounds' id map: [`mix64`] of the id
+/// under a key drawn once per map, one multiply-xorshift pass where the
+/// default hasher runs SipHash. Trace-file ids come from outside the
+/// program, and the key keeps them from being chosen to collide. The bound
+/// reads the map by lookup only, never in iteration order, so neither the
+/// hash nor the key can change it.
+struct IdHashing(u64);
+
+impl IdHashing {
+    /// A key no trace file can anticipate: the wall clock's nanoseconds and
+    /// a stack address, which address-space randomisation moves per process.
+    /// (Drawing it from `RandomState` instead slowed the untouched
+    /// `DataLayer::for_trace` by a quarter in most processes.)
+    fn new() -> Self {
+        let clock = SystemTime::now()
+            .duration_since(UNIX_EPOCH)
+            .map_or(0, |since| since.as_nanos() as u64);
+        IdHashing(mix64(clock ^ std::ptr::addr_of!(clock) as u64))
+    }
+}
+
+impl BuildHasher for IdHashing {
+    type Hasher = IdHasher;
+
+    fn build_hasher(&self) -> IdHasher {
+        IdHasher(self.0)
+    }
+}
+
+/// See [`IdHashing`].
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.0 = mix64(self.0 ^ u64::from(byte));
+        }
+    }
+
+    fn write_u32(&mut self, id: u32) {
+        self.0 = mix64(self.0 ^ u64::from(id));
+    }
 }
 
 /// Policy regret against the offline-optimal bound, as a fraction: how far
@@ -277,6 +355,86 @@ mod tests {
             snapshot < flash && flash < fresh,
             "snapshot {snapshot} / flash {flash} / fresh {fresh}"
         );
+    }
+
+    /// The sample trace file's workload shortened to two minutes: its
+    /// function ids are 32-bit hashes, so they arrive in no particular id
+    /// order.
+    fn hashed_id_trace(seed: u64) -> Vec<TraceRequest> {
+        let workload = AzureWorkload {
+            horizon: SimDuration::from_secs(120),
+            ..crate::ingest::sample_workload()
+        };
+        crate::ingest::TraceFileWorkload::from_workload(
+            &workload,
+            &mut DeterministicRng::seeded(seed),
+            "hashed",
+        )
+        .and_then(|file| file.generate(&mut DeterministicRng::seeded(seed)))
+        .expect("valid workload")
+    }
+
+    /// The walk over a data layer's slots (ascending function id, as the
+    /// sweep and runs with a data layer use it) equals the public wrappers'
+    /// walk over first-seen slots bit for bit, at zero and positive warm
+    /// costs.
+    #[test]
+    fn data_layer_slots_give_the_public_wrappers_bound() {
+        for (seed, trace) in [(1, azure_trace(1)), (2, hashed_id_trace(2))] {
+            let data = crate::data::DataLayer::for_trace(&trace, 3, seed);
+            let mut first_seen = HashMap::new();
+            let first_seen_slots: Vec<u32> = trace
+                .iter()
+                .map(|r| {
+                    let next = first_seen.len() as u32;
+                    *first_seen.entry(r.function).or_insert(next)
+                })
+                .collect();
+            if seed == 2 {
+                assert_ne!(
+                    data.function_slots(),
+                    first_seen_slots,
+                    "hashed ids renumber"
+                );
+            }
+            for platform in [PlatformKind::DscsDsa, PlatformKind::BaselineCpu] {
+                let sim = sim(platform);
+                for warm in [0.0, 1e-3, 0.05, 1e3] {
+                    let wrapper = optimal_coldstart_seconds_with(&trace, &sim, warm);
+                    let slots = optimal_coldstart_seconds_over_slots(
+                        &trace,
+                        data.function_slots().iter().copied(),
+                        &sim,
+                        warm,
+                    );
+                    assert_eq!(
+                        slots.to_bits(),
+                        wrapper.to_bits(),
+                        "seed {seed}, warm {warm}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The 999-request trace behind the warm-cost contract: 20 s at 50 rps.
+    fn contract_trace() -> Vec<TraceRequest> {
+        RateProfile {
+            segments: vec![(SimDuration::from_secs(20), 50.0)],
+        }
+        .generate(&mut DeterministicRng::seeded(1))
+    }
+
+    #[test]
+    #[should_panic(expected = "warm cost must be a finite non-negative rate, got -1")]
+    fn negative_warm_cost_is_rejected() {
+        optimal_coldstart_seconds_with(&contract_trace(), &sim(PlatformKind::DscsDsa), -1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "warm cost must be a finite non-negative rate, got NaN")]
+    fn nan_warm_cost_is_rejected() {
+        optimal_coldstart_seconds_with(&contract_trace(), &sim(PlatformKind::DscsDsa), f64::NAN);
     }
 
     #[test]

@@ -470,7 +470,9 @@ impl SchedQueue {
 /// the dense bins. Before that the bins could not change any decision (the
 /// conservative full-range window applies), so a function pays for dense
 /// bins only once it is learnable. A dense record also caches its learned
-/// eviction and prewarm windows, so warm/cold decisions never rescan bins.
+/// eviction and prewarm windows, and two cursors find the bins behind them:
+/// each new gap moves a cursor by as many bins as its answer moved, so
+/// neither warm/cold decisions nor new gaps rescan the bins.
 ///
 /// The decision rule is conservative in the *Serverless in the Wild* sense:
 /// a container is never evicted before the policy's current window for its
@@ -534,6 +536,10 @@ struct GapRecord {
     bins: GapBins,
 }
 
+// The gap-record table is the keepalive state's bulk: the cursors that keep
+// a dense record's windows current ride in its bins allocation instead.
+const _: () = assert!(std::mem::size_of::<GapRecord>() == 56);
+
 /// In-bounds gaps a [`GapRecord`] keeps as bin indices before it allocates
 /// dense bins: one short of [`HYBRID_MIN_SAMPLES`], so the bins appear with
 /// the first observation at which the pattern can be learned.
@@ -544,9 +550,14 @@ const _: () = assert!(SPARSE_GAPS as u64 + 1 == HYBRID_MIN_SAMPLES);
 enum GapBins {
     /// The bin index of each in-bounds gap so far (the first `total`).
     Sparse([u32; SPARSE_GAPS]),
-    /// Per-bin counts and the learned windows they imply.
+    /// Per-bin counts, the cursors over them and the learned windows they
+    /// imply.
     Dense {
-        bins: Box<[u64]>,
+        /// [`CURSOR_WORDS`] words of [`Cursors`], then one count per bin:
+        /// a dense record is one heap allocation. No count exceeds the
+        /// record's `total`, which [`GapRecord::observe`] keeps within a
+        /// `u32`, and bin indices fit one too.
+        words: Box<[u32]>,
         /// The right edge of the bin covering [`HYBRID_TAIL`] of the gaps,
         /// with the safety margin, capped at the range.
         window: SimDuration,
@@ -555,6 +566,10 @@ enum GapBins {
         prewarm: SimDuration,
     },
 }
+
+/// Words ahead of the bin counts in a dense record's allocation: the tail
+/// cursor's bin and cumulative count, then the head cursor's.
+const CURSOR_WORDS: usize = 4;
 
 impl GapRecord {
     fn new() -> Self {
@@ -566,7 +581,13 @@ impl GapRecord {
     }
 
     /// Observes one idle gap under the hybrid geometry `(range, bin)` and,
-    /// once dense, refreshes the learned windows for prewarm head `head`.
+    /// once dense, keeps the learned windows for prewarm head `head`
+    /// current: the cursors step to their new bins, and the windows are
+    /// recomputed only when a cursor's bin changes.
+    ///
+    /// # Panics
+    /// Panics past `u32::MAX` in-bounds gaps, a trace of over four billion
+    /// invocations of one function on one rack.
     fn observe(&mut self, idle: SimDuration, range: SimDuration, bin: SimDuration, head: f64) {
         let n_bins = range.as_nanos().div_ceil(bin.as_nanos()) as usize;
         let idx = (idle.as_nanos() / bin.as_nanos()) as usize;
@@ -574,35 +595,47 @@ impl GapRecord {
             self.out_of_bounds += 1;
             return;
         }
+        let index = u32::try_from(idx).expect("histogram bin indices fit in a u32");
+        let at = self.total as usize;
+        self.total += 1;
+        let total = u32::try_from(self.total).expect("in-bounds gap counts fit in a u32");
         match &mut self.bins {
-            GapBins::Sparse(early) if (self.total as usize) < SPARSE_GAPS => {
-                early[self.total as usize] =
-                    u32::try_from(idx).expect("histogram bin indices fit in a u32");
-                self.total += 1;
-                return;
-            }
+            GapBins::Sparse(early) if at < SPARSE_GAPS => early[at] = index,
             GapBins::Sparse(early) => {
-                let mut bins = vec![0; n_bins].into_boxed_slice();
+                let mut words = vec![0; CURSOR_WORDS + n_bins].into_boxed_slice();
+                let (header, bins) = words.split_at_mut(CURSOR_WORDS);
                 for &early_idx in early.iter() {
                     bins[early_idx as usize] += 1;
                 }
                 bins[idx] += 1;
+                let mut cursors = Cursors::at_start(bins);
+                cursors.seek(bins, total, head);
+                cursors.store(header);
+                let (window, prewarm) = cursors.windows(range, bin, head);
                 self.bins = GapBins::Dense {
-                    bins,
-                    window: SimDuration::ZERO,
-                    prewarm: SimDuration::ZERO,
+                    words,
+                    window,
+                    prewarm,
                 };
             }
-            GapBins::Dense { bins, .. } => bins[idx] += 1,
-        }
-        self.total += 1;
-        if let GapBins::Dense {
-            bins,
-            window,
-            prewarm,
-        } = &mut self.bins
-        {
-            (*window, *prewarm) = learned_windows(bins, self.total, range, bin, head);
+            GapBins::Dense {
+                words,
+                window,
+                prewarm,
+            } => {
+                let (header, bins) = words.split_at_mut(CURSOR_WORDS);
+                bins[idx] += 1;
+                let before = Cursors::load(header);
+                let mut cursors = before;
+                cursors.count(index, head);
+                cursors.seek(bins, total, head);
+                if cursors.bins() != before.bins() {
+                    (*window, *prewarm) = cursors.windows(range, bin, head);
+                }
+                cursors.store(header);
+                #[cfg(test)]
+                tests::note_cursor_moves(before, cursors);
+            }
         }
     }
 
@@ -628,40 +661,107 @@ impl GapRecord {
     }
 }
 
-/// The learned eviction and prewarm windows of dense `bins` holding `total`
-/// in-bounds gaps, in one pass: the first bins whose cumulative count covers
-/// [`HYBRID_TAIL`] and `head` of the mass.
-fn learned_windows(
-    bins: &[u64],
-    total: u64,
-    range: SimDuration,
-    bin: SimDuration,
-    head: f64,
-) -> (SimDuration, SimDuration) {
-    let (tail_mass, head_mass) = (HYBRID_TAIL * total as f64, head * total as f64);
-    let (mut tail_bin, mut head_bin) = (None, None);
-    let mut seen = 0u64;
-    for (i, &count) in bins.iter().enumerate() {
-        seen += count;
-        if tail_bin.is_none() && seen as f64 >= tail_mass {
-            tail_bin = Some(i);
+/// A position in dense bins: the first bin whose cumulative count reaches
+/// some share of the in-bounds gaps, and the cumulative count through it.
+#[derive(Debug, Clone, Copy)]
+struct Cursor {
+    bin: u32,
+    seen: u32,
+}
+
+impl Cursor {
+    /// Moves to the first bin whose cumulative count reaches `mass`, or to
+    /// the last bin if none does. The cursor steps right while it is short
+    /// of the mass and left while the previous bin already reaches it; both
+    /// test a full scan's own predicate (`seen as f64 >= mass`), so the bin
+    /// is the one a rescan from bin 0 would pick.
+    fn seek(&mut self, bins: &[u32], mass: f64) {
+        while f64::from(self.seen) < mass && self.bin as usize + 1 < bins.len() {
+            self.bin += 1;
+            self.seen += bins[self.bin as usize];
         }
-        if head_bin.is_none() && seen as f64 >= head_mass {
-            head_bin = Some(i);
-        }
-        if tail_bin.is_some() && head_bin.is_some() {
-            break;
+        while self.bin > 0 && f64::from(self.seen - bins[self.bin as usize]) >= mass {
+            self.seen -= bins[self.bin as usize];
+            self.bin -= 1;
         }
     }
-    let last = bins.len().saturating_sub(1);
-    let learned = bin * (tail_bin.unwrap_or(last) as u64 + 1);
-    let window = (learned * HYBRID_MARGIN).min(range);
-    let prewarm = if head > 0.0 {
-        (bin * head_bin.unwrap_or(last) as u64).min(window)
-    } else {
-        SimDuration::ZERO
-    };
-    (window, prewarm)
+}
+
+/// A dense record's two cursors: the tail cursor at [`HYBRID_TAIL`] of the
+/// mass (the eviction window) and the head cursor at the prewarm head,
+/// unused without prewarming.
+#[derive(Debug, Clone, Copy)]
+struct Cursors {
+    tail: Cursor,
+    head: Cursor,
+}
+
+impl Cursors {
+    /// Both cursors at bin 0 of `bins`.
+    fn at_start(bins: &[u32]) -> Self {
+        let start = Cursor {
+            bin: 0,
+            seen: bins[0],
+        };
+        Cursors {
+            tail: start,
+            head: start,
+        }
+    }
+
+    fn load(header: &[u32]) -> Self {
+        let cursor = |at: usize| Cursor {
+            bin: header[at],
+            seen: header[at + 1],
+        };
+        Cursors {
+            tail: cursor(0),
+            head: cursor(2),
+        }
+    }
+
+    fn store(self, header: &mut [u32]) {
+        header.copy_from_slice(&[self.tail.bin, self.tail.seen, self.head.bin, self.head.seen]);
+    }
+
+    /// The `(tail, head)` bins.
+    fn bins(self) -> (u32, u32) {
+        (self.tail.bin, self.head.bin)
+    }
+
+    /// Counts one more gap in bin `idx` into every cumulative count it
+    /// falls under.
+    fn count(&mut self, idx: u32, head: f64) {
+        self.tail.seen += u32::from(idx <= self.tail.bin);
+        if head > 0.0 {
+            self.head.seen += u32::from(idx <= self.head.bin);
+        }
+    }
+
+    /// Moves each cursor to its bin for `total` in-bounds gaps.
+    fn seek(&mut self, bins: &[u32], total: u32, head: f64) {
+        self.tail.seek(bins, HYBRID_TAIL * f64::from(total));
+        if head > 0.0 {
+            self.head.seek(bins, head * f64::from(total));
+        }
+    }
+
+    /// The learned eviction and prewarm windows at the cursors' bins.
+    fn windows(
+        self,
+        range: SimDuration,
+        bin: SimDuration,
+        head: f64,
+    ) -> (SimDuration, SimDuration) {
+        let learned = bin * (u64::from(self.tail.bin) + 1);
+        let window = (learned * HYBRID_MARGIN).min(range);
+        let prewarm = if head > 0.0 {
+            (bin * u64::from(self.head.bin)).min(window)
+        } else {
+            SimDuration::ZERO
+        };
+        (window, prewarm)
+    }
 }
 
 /// Per-function arrival statistics behind the exponentially-decayed rate
@@ -957,9 +1057,14 @@ impl KeepaliveState {
     /// The dense bins of `function`'s gap record, or `None` while it has
     /// none (no record, or fewer than [`HYBRID_MIN_SAMPLES`] in-bounds gaps).
     #[cfg(test)]
-    fn dense_bins_for_test(&self, function: u32) -> Option<&[u64]> {
+    fn dense_bins_for_test(&self, function: u32) -> Option<Vec<u64>> {
         match &self.gaps.get(self.slot(function).gaps as usize)?.bins {
-            GapBins::Dense { bins, .. } => Some(bins),
+            GapBins::Dense { words, .. } => Some(
+                words[CURSOR_WORDS..]
+                    .iter()
+                    .map(|&c| u64::from(c))
+                    .collect(),
+            ),
             GapBins::Sparse(_) => None,
         }
     }
@@ -981,6 +1086,24 @@ mod tests {
 
     fn secs(s: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_secs(s)
+    }
+
+    thread_local! {
+        /// Cursor moves on dense records' updates (densification not
+        /// included), for the oracle's coverage counters: tail cursor left,
+        /// tail cursor right, head cursor either way.
+        static CURSOR_MOVES: std::cell::Cell<[usize; 3]> = const { std::cell::Cell::new([0; 3]) };
+    }
+
+    /// Counts the moves of one dense update into [`CURSOR_MOVES`].
+    pub(super) fn note_cursor_moves(before: Cursors, after: Cursors) {
+        CURSOR_MOVES.with(|moves| {
+            let [mut left, mut right, mut head] = moves.get();
+            left += usize::from(after.tail.bin < before.tail.bin);
+            right += usize::from(after.tail.bin > before.tail.bin);
+            head += usize::from(after.head.bin != before.head.bin);
+            moves.set([left, right, head]);
+        });
     }
 
     /// The dense keepalive bookkeeping the slot table replaced, kept as an
@@ -1138,11 +1261,13 @@ mod tests {
     /// policy. The streams mix overlapping invocations, gaps beyond the
     /// histogram range, sparse slot ids and functions on both sides of the
     /// learning threshold; the coverage counters at the end check that each
-    /// of those occurred.
+    /// of those occurred, and that the incremental cursors behind the
+    /// learned windows moved both ways.
     #[test]
     fn slot_table_matches_the_dense_reference() {
         const CASES: u64 = 256;
         let (mut learned, mut sparse, mut dense, mut prewarmed, mut oob) = (0, 0, 0, 0, 0);
+        CURSOR_MOVES.with(|moves| moves.set([0; 3]));
         for case in 0..CASES {
             let mut rng =
                 DeterministicRng::seeded(0x4B41 ^ case.wrapping_mul(0x9E37_79B9_7F4A_7C15));
@@ -1222,7 +1347,7 @@ mod tests {
                         match state.dense_bins_for_test(f) {
                             Some(bins) => {
                                 dense += 1;
-                                assert_eq!(Some(bins), hist.map(|h| &h.bins[..]), "case {case}");
+                                assert_eq!(Some(&bins), hist.map(|h| &h.bins), "case {case}");
                             }
                             None => sparse += 1,
                         }
@@ -1232,12 +1357,16 @@ mod tests {
                 }
             }
         }
+        let [tail_left, tail_right, head_moves] = CURSOR_MOVES.with(|moves| moves.get());
         for (what, count) in [
             ("learned", learned),
             ("sparse", sparse),
             ("dense", dense),
             ("prewarmed", prewarmed),
             ("out-of-bounds", oob),
+            ("tail-cursor-left", tail_left),
+            ("tail-cursor-right", tail_right),
+            ("head-cursor", head_moves),
         ] {
             assert!(count > 0, "no {what} function in any case");
         }
@@ -1264,8 +1393,8 @@ mod tests {
                 assert_eq!(state.dense_bins_for_test(3), None, "{in_bounds} gaps");
             } else {
                 assert_eq!(
-                    state.dense_bins_for_test(3),
-                    Some(&reference.histograms[3].bins[..]),
+                    state.dense_bins_for_test(3).as_ref(),
+                    Some(&reference.histograms[3].bins),
                     "{in_bounds} gaps"
                 );
             }

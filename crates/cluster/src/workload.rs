@@ -154,7 +154,7 @@ impl ObjectPopulation {
 
 /// SplitMix64 finalizer, used as a stateless hash so object assignment never
 /// consumes from the trace generator's RNG stream.
-fn mix64(mut z: u64) -> u64 {
+pub(crate) fn mix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)

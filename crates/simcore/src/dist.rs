@@ -340,11 +340,38 @@ impl PoissonArrivals {
 /// functions receive most invocations while a long tail is called rarely — and
 /// this sampler provides that popularity skew for the synthetic workload
 /// generator. `s = 0` degenerates to the uniform distribution.
+///
+/// # The guide table
+///
+/// A draw is an inverse-CDF lookup: the first rank whose cumulative
+/// probability reaches `u`. Over a large CDF a plain binary search touches
+/// a cache line per step, so samplers over more than 4096 ranks (32 KiB of
+/// CDF) also keep a guide table with `G + 1` entries, `G` a power of two:
+/// `guide[j]` is the first rank whose CDF reaches `j / G`. A draw
+/// `u ∈ [0, 1)` then searches only between `guide[⌊u·G⌋]` and
+/// `guide[⌊u·G⌋ + 1]`, which the skew keeps to a handful of ranks.
+///
+/// The guided draw is exact, not approximate. Scaling by a power of two is
+/// exact in floating point, so `j = ⌊u·G⌋` satisfies `j / G ≤ u < (j + 1) / G`
+/// with both bounds computed without rounding. The answer, the first rank
+/// whose CDF reaches `u`, therefore reaches `j / G` (so it is at least
+/// `guide[j]`), and the rank `guide[j + 1]` reaches `(j + 1) / G > u` (so the
+/// answer is at most `guide[j + 1]`). Searching that window with the same
+/// predicate returns the same rank as the full search. NaN and values
+/// outside `[0, 1)` take the full search. Small CDFs, which fit in the
+/// nearest caches, skip the guide: there it only adds work.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ZipfIndex {
     /// Cumulative probabilities, one per rank; the last entry is 1.0.
     cdf: Vec<f64>,
+    /// `guide[j]` is the first rank whose CDF reaches `j / G`, for `j` in
+    /// `0..=G`; empty when the sampler has too few ranks to need it.
+    guide: Vec<u32>,
 }
+
+/// Rank count above which a [`ZipfIndex`] keeps a guide table: 32 KiB of
+/// CDF, the size of a typical L1 data cache.
+const GUIDED_RANKS: usize = 4096;
 
 impl ZipfIndex {
     /// Creates a sampler over `n` ranks with skew exponent `s`.
@@ -371,7 +398,8 @@ impl ZipfIndex {
         if let Some(last) = cdf.last_mut() {
             *last = 1.0;
         }
-        ZipfIndex { cdf }
+        let guide = guide_table(&cdf);
+        ZipfIndex { cdf, guide }
     }
 
     /// Number of ranks.
@@ -404,9 +432,44 @@ impl ZipfIndex {
     ///
     /// Values outside `[0, 1)` clamp to the first/last rank.
     pub fn rank_of(&self, u: f64) -> usize {
-        // Binary search for the first cumulative probability >= u.
+        if self.guide.len() > 1 && (0.0..1.0).contains(&u) {
+            // See the type docs: the answer lies in [guide[j], guide[j + 1]].
+            let buckets = self.guide.len() - 1;
+            let j = (u * buckets as f64) as usize;
+            let (lo, hi) = (self.guide[j] as usize, self.guide[j + 1] as usize);
+            return lo + self.cdf[lo..hi].partition_point(|&c| c < u);
+        }
+        self.full_search(u)
+    }
+
+    /// Binary search for the first cumulative probability `>= u` over the
+    /// whole CDF, clamped to the last rank.
+    fn full_search(&self, u: f64) -> usize {
         self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1)
     }
+}
+
+/// The guide table of `cdf` (see [`ZipfIndex`]): `G + 1` entries with `G`
+/// the power of two at or above a quarter of the rank count, or none for
+/// CDFs of at most [`GUIDED_RANKS`] ranks.
+fn guide_table(cdf: &[f64]) -> Vec<u32> {
+    if cdf.len() <= GUIDED_RANKS || u32::try_from(cdf.len()).is_err() {
+        return Vec::new();
+    }
+    let buckets = cdf.len().div_ceil(4).next_power_of_two();
+    // One merge pass: the targets j / G ascend, and so does the CDF below
+    // its last entry (1.0, which every target reaches), so the first rank
+    // reaching each target only moves right.
+    let mut rank = 0;
+    (0..=buckets)
+        .map(|j| {
+            let target = j as f64 / buckets as f64;
+            while cdf[rank] < target {
+                rank += 1;
+            }
+            rank as u32
+        })
+        .collect()
 }
 
 /// Inverse CDF of the standard normal distribution (Acklam's rational
@@ -599,5 +662,46 @@ mod tests {
     #[should_panic(expected = "at least one rank")]
     fn empty_zipf_rejected() {
         let _ = ZipfIndex::new(0, 1.0);
+    }
+
+    /// The guided draw returns exactly the full search's rank: on random
+    /// draws, on every CDF entry and the floats either side of it (where
+    /// an off-by-one bucket or window would show), and on the values
+    /// outside `[0, 1)` that must take the full search.
+    #[test]
+    fn guided_rank_of_equals_the_full_search() {
+        let specials = [
+            0.0,
+            -0.0,
+            -1e-300,
+            -0.5,
+            1.0,
+            1.0 - f64::EPSILON / 2.0,
+            1.0 + f64::EPSILON,
+            7.5,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        // 8192 uniform ranks put CDF entries exactly on guide targets j / G.
+        for n in [1, 2, 32, 4097, 8192, 100_000] {
+            for s in [0.0, 0.7, 1.0, 1.1] {
+                let zipf = ZipfIndex::new(n, s);
+                assert_eq!(zipf.guide.is_empty(), n <= GUIDED_RANKS, "n {n}");
+                let agree = |u: f64| {
+                    assert_eq!(
+                        zipf.rank_of(u),
+                        zipf.full_search(u),
+                        "n {n}, s {s}, u {u:e}"
+                    );
+                };
+                specials.into_iter().for_each(agree);
+                for &c in &zipf.cdf {
+                    [c.next_down(), c, c.next_up()].into_iter().for_each(agree);
+                }
+                let mut rng = DeterministicRng::seeded(n as u64 ^ s.to_bits());
+                (0..20_000).for_each(|_| agree(rng.next_f64()));
+            }
+        }
     }
 }

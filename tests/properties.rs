@@ -1096,3 +1096,95 @@ fn offline_optimal_bound_floors_every_policys_cold_start_seconds() {
         );
     });
 }
+
+/// A run with a data layer prices its offline bound by walking the layer's
+/// dense function slots, hashing no function id, while the public wrappers
+/// intern the ids themselves. The two agree bit for bit on random traces,
+/// half of them windows of `data/azure_trace_sample.csv`, whose function ids
+/// are 32-bit hashes. The wrappers depend on function identity only:
+/// renumbering the ids in ascending order, the data layer's slot order,
+/// leaves the bound's bits unchanged at zero and positive warm costs.
+#[test]
+fn slot_based_offline_bound_equals_the_public_wrappers() {
+    use dscs_serverless::cluster::coldpath::ColdStartPath;
+    use dscs_serverless::cluster::experiment::Experiment;
+    use dscs_serverless::cluster::optimal::{
+        optimal_coldstart_seconds, optimal_coldstart_seconds_with,
+    };
+    use dscs_serverless::cluster::sim::{ClusterConfig, ClusterSim};
+    use dscs_serverless::cluster::trace::{RateProfile, TraceRequest};
+    use dscs_serverless::cluster::workload::WorkloadSpec;
+    use dscs_serverless::platforms::PlatformKind;
+
+    let sample = WorkloadSpec::TraceFile {
+        path: concat!(env!("CARGO_MANIFEST_DIR"), "/data/azure_trace_sample.csv").into(),
+        day: 1,
+    }
+    .realize()
+    .expect("the sample trace is checked in")
+    .trace;
+    let bases: Vec<ClusterSim> = [PlatformKind::BaselineCpu, PlatformKind::DscsDsa]
+        .into_iter()
+        .map(|p| ClusterSim::new(p, ClusterConfig::default()))
+        .collect();
+    check(0xB1, |case, rng| {
+        let trace: Vec<TraceRequest> = if case % 2 == 0 {
+            // A random window of the sample file, thinned at random.
+            let len = int_in(rng, 50, 600) as usize;
+            let start = int_in(rng, 0, (sample.len() - len) as u64) as usize;
+            let keep = rng.uniform(0.2, 1.0);
+            sample[start..start + len]
+                .iter()
+                .filter(|_| rng.bernoulli(keep))
+                .copied()
+                .collect()
+        } else {
+            RateProfile {
+                segments: vec![(
+                    SimDuration::from_secs(int_in(rng, 1, 8)),
+                    rng.uniform(5.0, 300.0),
+                )],
+            }
+            .generate(&mut DeterministicRng::seeded(int_in(rng, 0, 1000)))
+        };
+        if trace.is_empty() {
+            return;
+        }
+        let base = &bases[int_in(rng, 0, 2) as usize];
+        let cold_path = ColdStartPath::ALL[int_in(rng, 0, 3) as usize];
+        let priced = base.reconfigured(ClusterConfig {
+            cold_path,
+            ..ClusterConfig::default()
+        });
+        let outcome = Experiment::builder(base.platform())
+            .trace(trace.clone())
+            .racks(1 + int_in(rng, 0, 3) as u32)
+            .cold_path(cold_path)
+            .place_data(int_in(rng, 0, 1000))
+            .build()
+            .unwrap_or_else(|err| panic!("case {case}: valid config rejected: {err}"))
+            .run_on(base);
+        assert_eq!(
+            outcome.optimal_coldstart_s.map(f64::to_bits),
+            Some(optimal_coldstart_seconds(&trace, &priced).to_bits()),
+            "case {case}: the slot walk and the wrapper disagree"
+        );
+        let mut ids: Vec<u32> = trace.iter().map(|r| r.function).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        let renumbered: Vec<TraceRequest> = trace
+            .iter()
+            .map(|r| TraceRequest {
+                function: ids.binary_search(&r.function).expect("listed") as u32,
+                ..*r
+            })
+            .collect();
+        for warm in [0.0, rng.uniform(1e-4, 1.0), 1e3] {
+            assert_eq!(
+                optimal_coldstart_seconds_with(&renumbered, &priced, warm).to_bits(),
+                optimal_coldstart_seconds_with(&trace, &priced, warm).to_bits(),
+                "case {case}, warm cost {warm}"
+            );
+        }
+    });
+}
