@@ -135,7 +135,7 @@ fn bench_fig13(c: &mut Criterion) {
     let trace = std::sync::Arc::new(profile.generate(&mut DeterministicRng::seeded(5)));
     let replay = |platform| {
         // One iteration covers the whole run: model evaluation, event loop,
-        // report aggregation — the cost `simulate_platform` used to bundle.
+        // report aggregation.
         Experiment::builder(platform)
             .trace(trace.clone())
             .seed(7)

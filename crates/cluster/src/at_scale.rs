@@ -45,13 +45,13 @@
 //! gated performance trajectory. Fixed-seed runs are byte-for-byte
 //! reproducible.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
 use dscs_platforms::PlatformKind;
 use dscs_simcore::json::JsonValue;
+use dscs_simcore::par;
 use dscs_simcore::stats::Measured;
 
 use crate::coldpath::{ColdStartPath, IpcTransport};
@@ -196,9 +196,9 @@ pub struct SweepSpec {
     /// historical value ([`IpcTransport::SharedMem`]).
     pub ipcs: Vec<IpcTransport>,
     /// Worker threads cells fan out over: `0` means one per available core
-    /// ([`std::thread::available_parallelism`]), `1` runs the historical
-    /// sequential path. Results are collected in grid order, so the rendered
-    /// report is byte-identical for every worker count.
+    /// ([`par::resolve_workers`]), `1` runs every cell on the caller's
+    /// thread. Results are collected in grid order, so the rendered report
+    /// is byte-identical for every worker count.
     pub jobs: usize,
     /// Rack worker threads *inside* each cell, the second level of
     /// parallelism: round-robin cells shard their racks over this many
@@ -245,13 +245,7 @@ impl SweepSpec {
     /// The worker count [`SweepSpec::run`] will actually use: `jobs`, with
     /// `0` resolved to the number of available cores.
     pub fn effective_jobs(&self) -> usize {
-        if self.jobs == 0 {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        } else {
-            self.jobs
-        }
+        par::resolve_workers(self.jobs)
     }
 
     /// The per-cell rack worker count [`SweepSpec::run`] passes to every
@@ -262,10 +256,7 @@ impl SweepSpec {
     /// 4-cell grid gives 4 sweep workers × 2 rack workers, not 8 × 8.
     pub fn effective_rack_jobs(&self, cell_jobs: usize) -> usize {
         if self.rack_jobs == 0 {
-            let cores = std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1);
-            (cores / cell_jobs.max(1)).max(1)
+            (par::resolve_workers(0) / cell_jobs.max(1)).max(1)
         } else {
             self.rack_jobs
         }
@@ -461,37 +452,11 @@ impl SweepSpec {
                 rack_completed: outcome.racks.iter().map(|r| r.completed).collect(),
             })
         };
-        let cells = if jobs == 1 {
-            // Sequential fallback: the historical path, stopping at the
-            // first invalid cell.
-            points.iter().map(run_cell).collect::<Result<Vec<_>, _>>()?
-        } else {
-            // Worker pool: threads pull the next unclaimed cell index and
-            // drop the result into that cell's slot, so assembly below reads
-            // the grid back in order no matter which worker ran what.
-            let next = AtomicUsize::new(0);
-            let slots: Vec<OnceLock<Result<SweepCell, ConfigError>>> =
-                (0..points.len()).map(|_| OnceLock::new()).collect();
-            std::thread::scope(|scope| {
-                for _ in 0..jobs {
-                    scope.spawn(|| loop {
-                        let index = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(point) = points.get(index) else {
-                            break;
-                        };
-                        let filled = slots[index].set(run_cell(point));
-                        debug_assert!(filled.is_ok(), "cell {index} claimed twice");
-                    });
-                }
-            });
-            let mut cells = Vec::with_capacity(points.len());
-            for slot in slots {
-                // Propagate the first error in grid order — matching what
-                // the sequential path would have reported.
-                cells.push(slot.into_inner().expect("worker filled every slot")?);
-            }
-            cells
-        };
+        // Cells come back in grid order whichever worker ran them, so the
+        // first error is the one a sequential sweep would report.
+        let cells = par::map_ordered(points.len(), jobs, |i| run_cell(&points[i]))
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()?;
         Ok(AtScaleReport {
             spec: self.clone(),
             workloads: workloads
@@ -1180,9 +1145,7 @@ mod tests {
             rack_jobs: 0,
             ..SweepSpec::default_grid(SweepScale::Smoke)
         };
-        let cores = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
+        let cores = par::resolve_workers(0);
         assert_eq!(spec.effective_rack_jobs(1), cores);
         assert_eq!(spec.effective_rack_jobs(cores), 1);
         assert_eq!(spec.effective_rack_jobs(cores * 4), 1, "never below one");

@@ -1,27 +1,17 @@
 //! The typed entry point to cluster runs: [`Experiment`], built by
 //! [`ExperimentBuilder`], executed into an [`Outcome`].
 //!
-//! Four PRs of organic growth left the cluster with a positional-argument API
-//! trio (`run` / `run_sharded` / `run_sharded_with_data`), panic-based
-//! validation and tuple returns. This module replaces that surface with two
-//! types:
-//!
 //! * [`Experiment`] — a validated, self-describing run specification: the
-//!   platform under test, the request trace (or the [`Workload`] that
-//!   generates it), the rack count, the front-end balancer, the full
+//!   platform under test, the request trace (or the [`WorkloadSpec`] that
+//!   realizes it), the rack count, the front-end balancer, the full
 //!   scheduler/keepalive/scaling configuration, an optional data-placement
 //!   layer and the seed. An `Experiment` can only be obtained through
 //!   [`ExperimentBuilder::build`], which returns `Result<Experiment,
-//!   ConfigError>` — every formerly-panicking precondition is a typed,
-//!   testable [`ConfigError`] variant instead.
+//!   ConfigError>`: every precondition of a run is a typed, testable
+//!   [`ConfigError`] variant.
 //! * [`Outcome`] — the named-field result of one run: the aggregate
 //!   [`ClusterReport`], the per-rack [`RackSummary`] list and the run's
-//!   identifying metadata, replacing the old `(ClusterReport,
-//!   Vec<RackSummary>)` tuple.
-//!
-//! The deprecated `ClusterSim` methods remain as thin shims that route
-//! through the same consolidated validator and panic with their historical
-//! messages, so legacy callers (and golden fixtures) behave bit-identically.
+//!   identifying metadata.
 //!
 //! # Example
 //!
@@ -52,7 +42,6 @@ use std::fmt;
 use std::sync::Arc;
 
 use dscs_platforms::PlatformKind;
-use dscs_simcore::rng::DeterministicRng;
 use dscs_simcore::time::SimDuration;
 
 use crate::coldpath::{ColdStartPath, IpcTransport};
@@ -60,15 +49,13 @@ use crate::data::DataLayer;
 use crate::policy::{KeepalivePolicy, LoadBalancer, ScalingPolicy, SchedulerPolicy};
 use crate::sim::{ClusterConfig, ClusterReport, ClusterSim, EngineSelection, RackSummary};
 use crate::trace::TraceRequest;
-use crate::workload::{Workload, WorkloadError, WorkloadSpec, WorkloadSpecError};
+use crate::workload::{WorkloadError, WorkloadSpec, WorkloadSpecError};
 
-/// A violated precondition of a cluster run, reported instead of the panic
-/// the pre-builder API raised.
+/// A violated precondition of a cluster run or sweep.
 ///
-/// Every variant corresponds to one `assert!` the deprecated
-/// `run_sharded_with_data` / `ScalingPolicy::validate` path used to fire; the
-/// deprecated shims still panic, but they do so by formatting these variants
-/// through their historical messages, so there is exactly one validator.
+/// [`ExperimentBuilder::build`] and [`crate::at_scale::SweepSpec::check`]
+/// return the first one they find, so a spec that could not be simulated
+/// never reaches the engine.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ConfigError {
     /// The experiment has no trace (none supplied, or the supplied trace is
@@ -93,6 +80,10 @@ pub enum ConfigError {
         /// Requests in the experiment's trace.
         requests: usize,
     },
+    /// A pool with `max_instances == 0`, under any scaling policy: no
+    /// instance could ever start work, so admitted requests would wait in the
+    /// queue forever.
+    ZeroMaxInstances,
     /// An elastic scaling policy with `min_instances == 0`: the rack could
     /// never start work.
     ZeroMinInstances,
@@ -154,64 +145,16 @@ pub enum ConfigError {
         /// The axis name (`"platforms"`, `"schedulers"`, ...).
         axis: &'static str,
     },
-    /// The workload handed to [`ExperimentBuilder::workload`] failed its own
-    /// validation.
+    /// A workload failed its own validation: a [`WorkloadError`] converted
+    /// with `?` where a trace is generated by hand. (Specs realized through
+    /// [`ExperimentBuilder::workload_spec`] report theirs as
+    /// [`ConfigError::WorkloadSpec`].)
     Workload(WorkloadError),
     /// The declarative spec handed to [`ExperimentBuilder::workload_spec`]
     /// (or listed on a sweep's workload axis) failed to realize — an unknown
     /// kind, an unreadable or malformed trace file, or an invalid underlying
     /// workload.
     WorkloadSpec(WorkloadSpecError),
-}
-
-impl ConfigError {
-    /// The message the pre-builder API's `assert!` raised for this violation.
-    /// The deprecated shims panic with exactly these strings so legacy
-    /// `#[should_panic]` expectations keep matching.
-    pub(crate) fn legacy_message(&self) -> String {
-        match self {
-            ConfigError::EmptyTrace => "trace must not be empty".into(),
-            ConfigError::ZeroRacks => "need at least one rack".into(),
-            ConfigError::DataLayerRackMismatch { .. } => {
-                "data layer must cover exactly the sharded racks".into()
-            }
-            ConfigError::DataLayerTraceMismatch { .. } => {
-                "data layer must place exactly the run's trace".into()
-            }
-            ConfigError::ZeroMinInstances => "elastic racks need at least one instance".into(),
-            ConfigError::MinAboveMax { .. } => "min_instances must not exceed max_instances".into(),
-            ConfigError::ZeroScalingInterval { policy } => {
-                format!("{policy} interval must be non-zero")
-            }
-            ConfigError::ZeroReactiveStep => "reactive step must be at least one instance".into(),
-            ConfigError::OverlappingReactiveThresholds { .. } => {
-                "reactive thresholds must not overlap: a queue depth \
-                 satisfying both would make scale-down unreachable"
-                    .into()
-            }
-            ConfigError::InvalidPredictiveHeadroom { .. } => {
-                "predictive headroom must be finite and >= 1".into()
-            }
-            // No legacy assert existed for this one (the old path accepted
-            // the window and silently re-warmed after eviction); the shims
-            // panic with the typed message.
-            ConfigError::PrewarmHeadAboveTail { head, tail } => {
-                format!("prewarm head percentile {head} must stay below the tail percentile {tail}")
-            }
-            ConfigError::ZeroHistogramBin => "hybrid-histogram bin width must be non-zero".into(),
-            ConfigError::HistogramRangeBelowBin { .. } => {
-                "hybrid-histogram range must cover one bin".into()
-            }
-            ConfigError::PrewarmHeadOutOfRange { .. } => {
-                "hybrid-histogram head percentile must be in [0, 1)".into()
-            }
-            ConfigError::EmptySweepAxis { axis } => {
-                format!("sweep axis {axis} must not be empty")
-            }
-            ConfigError::Workload(err) => err.to_string(),
-            ConfigError::WorkloadSpec(err) => err.to_string(),
-        }
-    }
 }
 
 impl fmt::Display for ConfigError {
@@ -231,6 +174,9 @@ impl fmt::Display for ConfigError {
                 "data layer was built for a trace of {layer_requests} request(s) \
                  but the experiment replays {requests}"
             ),
+            ConfigError::ZeroMaxInstances => {
+                write!(f, "racks need max_instances of at least one")
+            }
             ConfigError::ZeroMinInstances => {
                 write!(f, "elastic racks need min_instances of at least one")
             }
@@ -299,11 +245,10 @@ impl From<WorkloadSpecError> for ConfigError {
     }
 }
 
-/// The consolidated run validator: every precondition the deprecated
-/// `run_sharded_with_data` asserted, as typed errors, in the historical
-/// check order. Used by [`ExperimentBuilder::build`] and by the deprecated
-/// shims (which turn the error back into the legacy panic).
-pub(crate) fn validate_run(
+/// The run validator behind [`ExperimentBuilder::build`]: every
+/// precondition of a run as a typed error, checked in a fixed order — the
+/// trace, the rack count, the data layer, then [`ClusterConfig::check`].
+fn validate_run(
     trace: &[TraceRequest],
     racks: u32,
     config: &ClusterConfig,
@@ -477,7 +422,7 @@ impl Experiment {
 }
 
 /// Fluent builder for [`Experiment`]; see [`Experiment::builder`] for the
-/// defaults. Every formerly-panicking precondition surfaces from
+/// defaults. Every precondition of a run surfaces from
 /// [`ExperimentBuilder::build`] as a [`ConfigError`].
 #[derive(Debug, Clone)]
 pub struct ExperimentBuilder {
@@ -498,41 +443,10 @@ impl ExperimentBuilder {
     /// The request trace to replay. Accepts a `Vec<TraceRequest>` or an
     /// `Arc<Vec<TraceRequest>>` (shared, e.g. across sweep cells). Replaces
     /// any earlier trace — including one a failed
-    /// [`ExperimentBuilder::workload`] call left pending.
+    /// [`ExperimentBuilder::workload_spec`] call left pending.
     pub fn trace(mut self, trace: impl Into<Arc<Vec<TraceRequest>>>) -> Self {
         self.trace = Some(trace.into());
         self.pending = None;
-        self
-    }
-
-    /// Generates the trace from `workload` (validating its parameters) with
-    /// `rng`. A [`WorkloadError`] is carried until [`ExperimentBuilder::build`]
-    /// and surfaces there as [`ConfigError::Workload`] — unless a later
-    /// [`ExperimentBuilder::trace`] / workload call supplies a valid trace,
-    /// which replaces the failed one.
-    ///
-    /// Deprecated: workload selection is declarative now. Express the same
-    /// run as a [`WorkloadSpec`] — `WorkloadSpec::Azure { scale, seed }`
-    /// instead of hand-generating an [`AzureWorkload`](crate::workload::AzureWorkload)
-    /// trace, `WorkloadSpec::Inline { .. }` for a bespoke generator — and
-    /// hand it to [`ExperimentBuilder::workload_spec`], which routes through
-    /// the same pending-error validator.
-    #[deprecated(
-        since = "0.7.0",
-        note = "use workload_spec(WorkloadSpec) — workload selection is declarative now"
-    )]
-    pub fn workload<W: Workload + ?Sized>(
-        mut self,
-        workload: &W,
-        rng: &mut DeterministicRng,
-    ) -> Self {
-        match workload.generate(rng) {
-            Ok(trace) => {
-                self.trace = Some(Arc::new(trace));
-                self.pending = None;
-            }
-            Err(err) => self.pending = Some(err.into()),
-        }
         self
     }
 
@@ -540,8 +454,7 @@ impl ExperimentBuilder {
     /// A [`WorkloadSpecError`] is carried until [`ExperimentBuilder::build`]
     /// and surfaces there as [`ConfigError::WorkloadSpec`] — unless a later
     /// [`ExperimentBuilder::trace`] / `workload_spec` call supplies a valid
-    /// trace, which replaces the failed one (the same carry discipline the
-    /// deprecated [`ExperimentBuilder::workload`] shim uses).
+    /// trace, which replaces the failed one.
     pub fn workload_spec(mut self, spec: &WorkloadSpec) -> Self {
         match spec.realize() {
             Ok(realized) => {
@@ -675,9 +588,9 @@ impl ExperimentBuilder {
     }
 
     /// Validates the whole specification and returns the run-ready
-    /// [`Experiment`], or the first [`ConfigError`] found (in the historical
-    /// check order: trace, racks, data layer racks, data layer trace,
-    /// scaling parameters, elastic bounds).
+    /// [`Experiment`], or the first [`ConfigError`] found (in check order:
+    /// trace, racks, data layer racks, data layer trace, scaling and
+    /// keepalive parameters, instance bounds).
     pub fn build(self) -> Result<Experiment, ConfigError> {
         if let Some(err) = self.pending {
             return Err(err);
@@ -739,6 +652,7 @@ pub struct Outcome {
 mod tests {
     use super::*;
     use crate::trace::RateProfile;
+    use dscs_simcore::rng::DeterministicRng;
 
     fn short_trace(seed: u64) -> Vec<TraceRequest> {
         let profile = RateProfile {
@@ -821,53 +735,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn workload_errors_surface_at_build_time() {
-        use crate::workload::AzureWorkload;
-        let bad = AzureWorkload {
-            base_rps: -5.0,
-            ..AzureWorkload::default()
-        };
-        let err = Experiment::builder(PlatformKind::DscsDsa)
-            .workload(&bad, &mut DeterministicRng::seeded(1))
-            .build()
-            .expect_err("invalid workload");
-        assert!(matches!(err, ConfigError::Workload(_)));
-        assert!(err.to_string().contains("workload validation failed"));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn a_later_valid_trace_replaces_a_failed_workload() {
-        use crate::workload::AzureWorkload;
-        let bad = AzureWorkload {
-            base_rps: -5.0,
-            ..AzureWorkload::default()
-        };
-        // A failed workload() must not poison the builder once a valid trace
-        // (or a valid workload) is supplied afterwards.
-        let outcome = Experiment::builder(PlatformKind::DscsDsa)
-            .workload(&bad, &mut DeterministicRng::seeded(1))
-            .trace(short_trace(8))
-            .build()
-            .expect("the later trace supersedes the failed workload")
-            .run();
-        assert!(outcome.report.completed > 0);
-        let good = AzureWorkload {
-            functions: 4,
-            base_rps: 40.0,
-            horizon: SimDuration::from_secs(5),
-            step: SimDuration::from_secs(1),
-            ..AzureWorkload::default()
-        };
-        assert!(Experiment::builder(PlatformKind::DscsDsa)
-            .workload(&bad, &mut DeterministicRng::seeded(1))
-            .workload(&good, &mut DeterministicRng::seeded(2))
-            .build()
-            .is_ok());
-    }
-
-    #[test]
     fn workload_spec_realizes_into_the_experiment_trace() {
         use crate::at_scale::SweepScale;
         let spec = WorkloadSpec::Azure {
@@ -899,8 +766,7 @@ mod tests {
             ConfigError::WorkloadSpec(WorkloadSpecError::Ingest(_))
         ));
         assert!(err.to_string().contains("workload spec rejected"));
-        // The same carry discipline as the deprecated shim: a later valid
-        // trace supersedes the failed spec.
+        // A later valid trace supersedes the failed spec.
         assert!(Experiment::builder(PlatformKind::DscsDsa)
             .workload_spec(&missing)
             .trace(short_trace(9))
@@ -1019,6 +885,7 @@ mod tests {
                 layer_requests: 10,
                 requests: 12,
             },
+            ConfigError::ZeroMaxInstances,
             ConfigError::ZeroMinInstances,
             ConfigError::MinAboveMax { min: 9, max: 3 },
             ConfigError::ZeroScalingInterval { policy: "reactive" },
@@ -1039,7 +906,6 @@ mod tests {
         ];
         for err in errors {
             assert!(!err.to_string().is_empty());
-            assert!(!err.legacy_message().is_empty());
         }
     }
 }

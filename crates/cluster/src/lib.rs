@@ -9,8 +9,7 @@
 //! a fluent, validating builder that produces an [`experiment::Experiment`]
 //! (or a typed [`experiment::ConfigError`]) and runs it into an
 //! [`experiment::Outcome`]. Sweeps over whole policy grids are declared with
-//! [`at_scale::SweepSpec`]. The older positional `ClusterSim::run*` methods
-//! remain as deprecated shims that delegate to the same validated core.
+//! [`at_scale::SweepSpec`].
 //!
 //! * [`trace`] — the bursty Figure-13a request trace ([`RateProfile`]).
 //! * [`workload`] — the [`Workload`] trait, the Azure-functions-style

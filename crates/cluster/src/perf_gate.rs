@@ -4,19 +4,14 @@
 //! This module diffs the current report against the previous run's artifact,
 //! cell by cell, and flags mean/p99 latency regressions beyond a threshold —
 //! the repo's tracked performance trajectory becomes a gate instead of a
-//! graph. The comparison is schema-tolerant in two ways. Within one schema
-//! version, cells are matched by their full policy identity (workload,
-//! platform, scheduler, keepalive, scaling, balancer, cold-start path, IPC
-//! transport — the scaling/balancer/cold-path/IPC axes default to
-//! `"fixed"`/`"round-robin"`/`"flash"`/`"shm"` when a cell omits them,
-//! which can only happen for untagged or hand-trimmed reports, since
-//! tagged reports always carry every axis their schema defines), and cells
-//! present on only one side are reported as skipped rather than failing.
-//! Across schema versions (e.g. a v4 baseline against a v5 current report,
-//! which added the engine-throughput fields), the gate passes vacuously with
-//! an explanatory note instead of comparing incomparable numbers or erroring
-//! on missing fields — so the first CI run after a schema bump stays green
-//! and the next run re-arms the gate.
+//! graph. One schema rule decides what is comparable. Reports of different
+//! schema versions (e.g. a v4 baseline against a v5 current report, which
+//! added the engine-throughput fields) pass vacuously with an explanatory
+//! note instead of comparing incomparable numbers or erroring on missing
+//! fields — so the first CI run after a schema bump stays green and the next
+//! run re-arms the gate. Within one schema, cells are matched by their full
+//! identity, the nine `IDENTITY_KEYS`; a cell missing one of them, or
+//! present on only one side, is reported as skipped rather than failing.
 //!
 //! Besides the modelled latencies, the gate watches the *engine's* measured
 //! `events_per_sec` (per cell and in aggregate, present since schema v5 in
@@ -187,34 +182,29 @@ impl fmt::Display for GateError {
 
 impl std::error::Error for GateError {}
 
-/// The full policy identity of one sweep cell. Pre-v2 reports have no
-/// `scaling` key (those cells ran the fixed cap); pre-v3 reports have no
-/// per-cell `balancer` key (those sweeps ran round-robin); pre-v6 reports
-/// have no `workload_source` key (every cell replayed a synthetic
-/// generator). Workload source is part of the identity so a trace-file cell
-/// is never diffed against a synthetic cell that happens to share its
-/// workload name.
+/// The keys that identify a sweep cell: its workload (name and source, so a
+/// trace-file cell is never diffed against a synthetic cell that happens to
+/// share its workload name), platform and policy point.
+const IDENTITY_KEYS: [&str; 9] = [
+    "workload",
+    "workload_source",
+    "platform",
+    "scheduler",
+    "keepalive",
+    "scaling",
+    "balancer",
+    "cold_path",
+    "ipc",
+];
+
+/// The full identity of one sweep cell, or `None` if the cell lacks one of
+/// the `IDENTITY_KEYS` (such a cell is skipped, never compared).
 fn cell_key(cell: &JsonValue) -> Option<String> {
-    let field = |key: &str, default: Option<&str>| {
-        cell.get(key)
-            .and_then(JsonValue::as_str)
-            .or(default)
-            .map(str::to_string)
-    };
-    Some(
-        [
-            field("workload", None)?,
-            field("workload_source", Some("synthetic"))?,
-            field("platform", None)?,
-            field("scheduler", None)?,
-            field("keepalive", None)?,
-            field("scaling", Some("fixed"))?,
-            field("balancer", Some("round-robin"))?,
-            field("cold_path", Some("flash"))?,
-            field("ipc", Some("shm"))?,
-        ]
-        .join("/"),
-    )
+    let parts = IDENTITY_KEYS
+        .iter()
+        .map(|key| cell.get(key).and_then(JsonValue::as_str))
+        .collect::<Option<Vec<_>>>()?;
+    Some(parts.join("/"))
 }
 
 /// The report's schema tag; reports predating the tag count as `"(untagged)"`.
@@ -361,7 +351,7 @@ pub fn compare_reports(
             }
         }
     }
-    skipped += baseline_by_key.len().saturating_sub(matched_keys);
+    skipped += baseline_cells.len().saturating_sub(matched_keys);
     regressions.sort_by(|a, b| {
         b.change_pct
             .partial_cmp(&a.change_pct)
@@ -394,29 +384,62 @@ pub fn compare_reports(
 mod tests {
     use super::*;
 
-    fn report(cells: &[(&str, f64, f64)]) -> String {
+    const SCHEMA: &str = "dscs-at-scale-v8";
+
+    /// One sweep cell at the azure / DSCS-DSA / fcfs / fixed-window / fixed
+    /// / round-robin / flash / shm point, every identity key present, with
+    /// `identity` overriding some of them, its `(mean, p99)` latency, then
+    /// the numeric `extra` fields.
+    fn cell(
+        identity: &[(&str, &str)],
+        (mean, p99): (f64, f64),
+        extra: &[(&str, f64)],
+    ) -> JsonValue {
+        let defaults = [
+            "azure",
+            "synthetic",
+            "DSCS-DSA",
+            "fcfs",
+            "fixed-window",
+            "fixed",
+            "round-robin",
+            "flash",
+            "shm",
+        ];
+        let mut c = JsonValue::object();
+        for (key, default) in IDENTITY_KEYS.into_iter().zip(defaults) {
+            let value = identity
+                .iter()
+                .find(|(k, _)| *k == key)
+                .map_or(default, |&(_, v)| v);
+            c.push(key, value);
+        }
+        c.push("mean_latency_ms", mean);
+        c.push("p99_latency_ms", p99);
+        for &(key, value) in extra {
+            c.push(key, value);
+        }
+        c
+    }
+
+    /// A rendered report of `schema` with top-level `fields` and `cells`.
+    fn render(schema: &str, fields: &[(&str, f64)], cells: Vec<JsonValue>) -> String {
         let mut root = JsonValue::object();
-        root.push("schema", "dscs-at-scale-v2");
-        root.push(
-            "cells",
-            JsonValue::Array(
-                cells
-                    .iter()
-                    .map(|&(keepalive, mean, p99)| {
-                        let mut c = JsonValue::object();
-                        c.push("workload", "azure");
-                        c.push("platform", "DSCS-DSA");
-                        c.push("scheduler", "fcfs");
-                        c.push("keepalive", keepalive);
-                        c.push("scaling", "fixed");
-                        c.push("mean_latency_ms", mean);
-                        c.push("p99_latency_ms", p99);
-                        c
-                    })
-                    .collect(),
-            ),
-        );
+        root.push("schema", schema);
+        for &(key, value) in fields {
+            root.push(key, value);
+        }
+        root.push("cells", JsonValue::Array(cells));
         root.render()
+    }
+
+    /// A report of one cell per `(keepalive, mean, p99)` entry.
+    fn report(cells: &[(&str, f64, f64)]) -> String {
+        let cells = cells
+            .iter()
+            .map(|&(keepalive, mean, p99)| cell(&[("keepalive", keepalive)], (mean, p99), &[]))
+            .collect();
+        render(SCHEMA, &[], cells)
     }
 
     #[test]
@@ -459,27 +482,16 @@ mod tests {
     /// fields or flagging spurious regressions against changed physics.
     #[test]
     fn older_schema_baselines_pass_vacuously_with_a_note() {
-        let mut v2_cell = JsonValue::object();
-        v2_cell.push("workload", "azure");
-        v2_cell.push("platform", "DSCS-DSA");
-        v2_cell.push("scheduler", "fcfs");
-        v2_cell.push("keepalive", "fixed-window");
-        v2_cell.push("scaling", "fixed");
-        v2_cell.push("mean_latency_ms", 10.0);
-        v2_cell.push("p99_latency_ms", 20.0);
-        let mut v2 = JsonValue::object();
-        v2.push("schema", "dscs-at-scale-v2");
-        v2.push("cells", JsonValue::Array(vec![v2_cell]));
-
-        let mut v3 = JsonValue::parse(&report(&[("fixed-window", 1000.0, 2000.0)])).expect("json");
-        let JsonValue::Object(pairs) = &mut v3 else {
-            panic!("report is an object")
-        };
-        pairs[0].1 = JsonValue::from("dscs-at-scale-v3");
+        let v2 = render("dscs-at-scale-v2", &[], vec![cell(&[], (10.0, 20.0), &[])]);
+        let v3 = render(
+            "dscs-at-scale-v3",
+            &[],
+            vec![cell(&[], (1000.0, 2000.0), &[])],
+        );
 
         // A 100x "regression" against the old schema still passes: the
         // numbers are not comparable across the bump.
-        let outcome = compare_reports(&v2.render(), &v3.render(), 10.0).expect("valid");
+        let outcome = compare_reports(&v2, &v3, 10.0).expect("valid");
         assert!(outcome.passed());
         assert_eq!(outcome.compared, 0);
         assert_eq!(outcome.skipped, 2);
@@ -499,28 +511,19 @@ mod tests {
 
     #[test]
     fn cells_differing_only_by_balancer_are_distinct() {
-        let cell = |balancer: &str, mean: f64| {
-            let mut c = JsonValue::object();
-            c.push("workload", "azure");
-            c.push("platform", "DSCS-DSA");
-            c.push("scheduler", "fcfs");
-            c.push("keepalive", "fixed-window");
-            c.push("scaling", "fixed");
-            c.push("balancer", balancer);
-            c.push("mean_latency_ms", mean);
-            c.push("p99_latency_ms", mean * 2.0);
-            c
-        };
-        let make = |cells: Vec<JsonValue>| {
-            let mut root = JsonValue::object();
-            root.push("schema", "dscs-at-scale-v3");
-            root.push("cells", JsonValue::Array(cells));
-            root.render()
-        };
-        let base = make(vec![cell("round-robin", 10.0), cell("locality", 5.0)]);
+        let cell_at = |balancer, mean| cell(&[("balancer", balancer)], (mean, mean * 2.0), &[]);
+        let base = render(
+            SCHEMA,
+            &[],
+            vec![cell_at("round-robin", 10.0), cell_at("locality", 5.0)],
+        );
         // The locality cell regresses, the round-robin cell improves: the
         // gate must not cross-match them.
-        let cur = make(vec![cell("round-robin", 9.0), cell("locality", 8.0)]);
+        let cur = render(
+            SCHEMA,
+            &[],
+            vec![cell_at("round-robin", 9.0), cell_at("locality", 8.0)],
+        );
         let outcome = compare_reports(&base, &cur, 10.0).expect("valid");
         assert_eq!(outcome.compared, 2);
         assert_eq!(outcome.regressions.len(), 2, "locality mean and p99");
@@ -530,131 +533,101 @@ mod tests {
     /// Satellite regression test: the v8 modality axes are part of cell
     /// identity, so a snapshot-restore cell is never diffed against the
     /// flash-reload cell sharing its policy point, and an http-transport
-    /// cell is never diffed against its shm twin. Cells omitting the keys
-    /// (hand-trimmed reports) default to the historical `"flash"`/`"shm"`.
+    /// cell is never diffed against its shm twin.
     #[test]
     fn cells_differing_only_by_cold_path_or_ipc_are_distinct() {
-        let cell = |path: Option<&str>, ipc: Option<&str>, mean: f64| {
-            let mut c = JsonValue::object();
-            c.push("workload", "azure");
-            c.push("platform", "DSCS-DSA");
-            c.push("scheduler", "fcfs");
-            c.push("keepalive", "fixed-window");
-            c.push("scaling", "fixed");
-            c.push("balancer", "round-robin");
-            if let Some(path) = path {
-                c.push("cold_path", path);
-            }
-            if let Some(ipc) = ipc {
-                c.push("ipc", ipc);
-            }
-            c.push("mean_latency_ms", mean);
-            c.push("p99_latency_ms", mean * 2.0);
-            c
+        let cell_at = |path, ipc, mean| {
+            cell(
+                &[("cold_path", path), ("ipc", ipc)],
+                (mean, mean * 2.0),
+                &[],
+            )
         };
-        let make = |cells: Vec<JsonValue>| {
-            let mut root = JsonValue::object();
-            root.push("schema", "dscs-at-scale-v8");
-            root.push("cells", JsonValue::Array(cells));
-            root.render()
-        };
-        let base = make(vec![
-            cell(Some("flash"), Some("shm"), 10.0),
-            cell(Some("snapshot"), Some("shm"), 5.0),
-            cell(Some("flash"), Some("http"), 12.0),
-        ]);
+        let base = render(
+            SCHEMA,
+            &[],
+            vec![
+                cell_at("flash", "shm", 10.0),
+                cell_at("snapshot", "shm", 5.0),
+                cell_at("flash", "http", 12.0),
+            ],
+        );
         // Only the snapshot cell regresses; its flash/http neighbours
         // improve. Cross-matching any of them would hide the regression or
         // flag a spurious one.
-        let cur = make(vec![
-            cell(Some("flash"), Some("shm"), 9.0),
-            cell(Some("snapshot"), Some("shm"), 8.0),
-            cell(Some("flash"), Some("http"), 11.0),
-        ]);
+        let cur = render(
+            SCHEMA,
+            &[],
+            vec![
+                cell_at("flash", "shm", 9.0),
+                cell_at("snapshot", "shm", 8.0),
+                cell_at("flash", "http", 11.0),
+            ],
+        );
         let outcome = compare_reports(&base, &cur, 10.0).expect("valid");
         assert_eq!(outcome.compared, 3);
         assert_eq!(outcome.regressions.len(), 2, "snapshot mean and p99");
         assert!(outcome.regressions[0].cell.contains("snapshot"));
-        // A cell lacking the keys defaults to "flash"/"shm", so same-version
-        // reports that omit them still match their historical twins.
-        let untagged = make(vec![cell(None, None, 10.0)]);
-        let tagged = make(vec![cell(Some("flash"), Some("shm"), 10.0)]);
-        let defaulted = compare_reports(&untagged, &tagged, 10.0).expect("valid");
-        assert_eq!(defaulted.compared, 1);
-        assert_eq!(defaulted.skipped, 0);
     }
 
-    /// Engine-throughput drops warn without failing: a >10% `events_per_sec`
-    /// regression (per cell and aggregate) is reported, worst first, but the
-    /// gate still passes; reports without the measured fields warn nothing.
     /// Satellite regression test: the workload's source is part of cell
     /// identity, so a trace-file replay of "azure" traffic is never diffed
     /// against the synthetic "azure" cell (within one schema version; a
     /// cross-version comparison already passes vacuously).
     #[test]
     fn cells_differing_only_by_workload_source_are_distinct() {
-        let cell = |source: Option<&str>, mean: f64| {
-            let mut c = JsonValue::object();
-            c.push("workload", "azure");
-            if let Some(source) = source {
-                c.push("workload_source", source);
-            }
-            c.push("platform", "DSCS-DSA");
-            c.push("scheduler", "fcfs");
-            c.push("keepalive", "fixed-window");
-            c.push("scaling", "fixed");
-            c.push("balancer", "round-robin");
-            c.push("mean_latency_ms", mean);
-            c.push("p99_latency_ms", mean * 2.0);
-            c
-        };
-        let make = |cells: Vec<JsonValue>| {
-            let mut root = JsonValue::object();
-            root.push("schema", "dscs-at-scale-v6");
-            root.push("cells", JsonValue::Array(cells));
-            root.render()
-        };
-        let base = make(vec![
-            cell(Some("synthetic"), 10.0),
-            cell(Some("trace-file:day1.csv"), 5.0),
-        ]);
+        let cell_at = |source, mean| cell(&[("workload_source", source)], (mean, mean * 2.0), &[]);
+        let base = render(
+            SCHEMA,
+            &[],
+            vec![
+                cell_at("synthetic", 10.0),
+                cell_at("trace-file:day1.csv", 5.0),
+            ],
+        );
         // The trace-file cell regresses, the synthetic cell improves: the
         // gate must not cross-match them on the shared workload name.
-        let cur = make(vec![
-            cell(Some("synthetic"), 9.0),
-            cell(Some("trace-file:day1.csv"), 8.0),
-        ]);
+        let cur = render(
+            SCHEMA,
+            &[],
+            vec![
+                cell_at("synthetic", 9.0),
+                cell_at("trace-file:day1.csv", 8.0),
+            ],
+        );
         let outcome = compare_reports(&base, &cur, 10.0).expect("valid");
         assert_eq!(outcome.compared, 2);
         assert_eq!(outcome.regressions.len(), 2, "trace-file mean and p99");
         assert!(outcome.regressions[0].cell.contains("trace-file:day1.csv"));
-        // A cell lacking the key defaults to "synthetic", so same-version
-        // reports that omit it still match their synthetic twins.
-        let untagged = make(vec![cell(None, 10.0)]);
-        let tagged = make(vec![cell(Some("synthetic"), 10.0)]);
-        let matched = compare_reports(&untagged, &tagged, 10.0).expect("valid");
-        assert_eq!(matched.compared, 1);
-        assert_eq!(matched.skipped, 0);
     }
 
+    /// A cell missing any one identity key has no identity: it is skipped
+    /// on either side, never matched against a cell that carries the key.
+    #[test]
+    fn cells_missing_an_identity_key_are_skipped() {
+        let whole = render(SCHEMA, &[], vec![cell(&[], (10.0, 20.0), &[])]);
+        for key in IDENTITY_KEYS {
+            let JsonValue::Object(pairs) = cell(&[], (10.0, 20.0), &[]) else {
+                panic!("a cell is an object")
+            };
+            let trimmed = JsonValue::Object(pairs.into_iter().filter(|(k, _)| k != key).collect());
+            let partial = render(SCHEMA, &[], vec![trimmed]);
+            for (base, cur) in [(&whole, &partial), (&partial, &whole), (&partial, &partial)] {
+                let outcome = compare_reports(base, cur, 10.0).expect("valid");
+                assert_eq!(outcome.compared, 0, "without {key}");
+                assert_eq!(outcome.skipped, 2, "without {key}");
+            }
+        }
+    }
+
+    /// Engine-throughput drops warn without failing: a >10% `events_per_sec`
+    /// regression (per cell and aggregate) is reported, worst first, but the
+    /// gate still passes; reports without the measured fields warn nothing.
     #[test]
     fn throughput_drops_warn_but_never_fail() {
         let make = |aggregate_eps: f64, cell_eps: f64| {
-            let mut c = JsonValue::object();
-            c.push("workload", "azure");
-            c.push("platform", "DSCS-DSA");
-            c.push("scheduler", "fcfs");
-            c.push("keepalive", "fixed-window");
-            c.push("scaling", "fixed");
-            c.push("balancer", "round-robin");
-            c.push("mean_latency_ms", 10.0);
-            c.push("p99_latency_ms", 20.0);
-            c.push("events_per_sec", cell_eps);
-            let mut root = JsonValue::object();
-            root.push("schema", "dscs-at-scale-v5");
-            root.push("events_per_sec", aggregate_eps);
-            root.push("cells", JsonValue::Array(vec![c]));
-            root.render()
+            let cell = cell(&[], (10.0, 20.0), &[("events_per_sec", cell_eps)]);
+            render(SCHEMA, &[("events_per_sec", aggregate_eps)], vec![cell])
         };
         // Aggregate halves (-50%), the cell drops 20%: both warned, worst
         // first, and the gate still passes.
@@ -685,21 +658,8 @@ mod tests {
     #[test]
     fn zero_throughput_baselines_warn_nothing() {
         let make = |eps: f64| {
-            let mut c = JsonValue::object();
-            c.push("workload", "azure");
-            c.push("platform", "DSCS-DSA");
-            c.push("scheduler", "fcfs");
-            c.push("keepalive", "fixed-window");
-            c.push("scaling", "fixed");
-            c.push("balancer", "round-robin");
-            c.push("mean_latency_ms", 10.0);
-            c.push("p99_latency_ms", 20.0);
-            c.push("events_per_sec", eps);
-            let mut root = JsonValue::object();
-            root.push("schema", "dscs-at-scale-v5");
-            root.push("events_per_sec", eps);
-            root.push("cells", JsonValue::Array(vec![c]));
-            root.render()
+            let cell = cell(&[], (10.0, 20.0), &[("events_per_sec", eps)]);
+            render(SCHEMA, &[("events_per_sec", eps)], vec![cell])
         };
         let outcome = compare_reports(&make(0.0), &make(1e5), 10.0).expect("valid");
         assert!(outcome.passed());
@@ -720,30 +680,17 @@ mod tests {
     #[test]
     fn regret_increases_warn_but_never_fail() {
         let make = |regrets: &[(&str, f64)]| {
-            let mut root = JsonValue::object();
-            root.push("schema", "dscs-at-scale-v7");
-            root.push(
-                "cells",
-                JsonValue::Array(
-                    regrets
-                        .iter()
-                        .map(|&(keepalive, regret)| {
-                            let mut c = JsonValue::object();
-                            c.push("workload", "azure");
-                            c.push("platform", "DSCS-DSA");
-                            c.push("scheduler", "fcfs");
-                            c.push("keepalive", keepalive);
-                            c.push("scaling", "fixed");
-                            c.push("balancer", "round-robin");
-                            c.push("mean_latency_ms", 10.0);
-                            c.push("p99_latency_ms", 20.0);
-                            c.push("regret_pct", regret);
-                            c
-                        })
-                        .collect(),
-                ),
-            );
-            root.render()
+            let cells = regrets
+                .iter()
+                .map(|&(keepalive, regret)| {
+                    cell(
+                        &[("keepalive", keepalive)],
+                        (10.0, 20.0),
+                        &[("regret_pct", regret)],
+                    )
+                })
+                .collect();
+            render(SCHEMA, &[], cells)
         };
         // no-keepalive jumps 0.50 -> 1.00 (+50 points), fixed-window drifts
         // +0.05 points: only the jump warns, and the gate still passes.

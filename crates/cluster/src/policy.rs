@@ -349,21 +349,6 @@ impl ScalingPolicy {
             }
         }
     }
-
-    /// Checks the policy parameters, panicking on the first violation.
-    ///
-    /// # Panics
-    /// Panics with the historical assertion messages on any violation
-    /// [`ScalingPolicy::check`] reports.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use ScalingPolicy::check, which returns a typed ConfigError"
-    )]
-    pub fn validate(&self) {
-        if let Err(err) = self.check() {
-            panic!("{}", err.legacy_message());
-        }
-    }
 }
 
 /// A policy-driven scheduler queue over request indices into a trace.
@@ -1634,19 +1619,6 @@ mod tests {
         );
     }
 
-    /// The deprecated panicking validator still raises the historical
-    /// message, since legacy callers assert on it.
-    #[test]
-    #[should_panic(expected = "predictive headroom must be finite and >= 1")]
-    #[allow(deprecated)]
-    fn deprecated_validate_panics_with_the_legacy_message() {
-        ScalingPolicy::Predictive {
-            interval: SimDuration::from_secs(5),
-            headroom: f64::NAN,
-        }
-        .validate();
-    }
-
     #[test]
     fn keepalive_check_rejects_a_head_at_or_above_the_tail() {
         let policy = |head| KeepalivePolicy::HybridHistogram {
@@ -1673,7 +1645,7 @@ mod tests {
     }
 
     /// Every hybrid geometry `KeepaliveState::new` asserts on is a typed
-    /// error from `check`, whose legacy message is the assertion's.
+    /// error from `check`, and the constructor's assertion fires on it.
     #[test]
     fn keepalive_check_types_every_constructor_assertion() {
         let hybrid = |range, bin, head| KeepalivePolicy::HybridHistogram { range, bin, head };
@@ -1682,6 +1654,7 @@ mod tests {
             (
                 hybrid(s(600), SimDuration::ZERO, 0.0),
                 ConfigError::ZeroHistogramBin,
+                "hybrid-histogram bin width must be non-zero",
             ),
             (
                 hybrid(s(5), s(10), 0.0),
@@ -1689,13 +1662,15 @@ mod tests {
                     range: s(5),
                     bin: s(10),
                 },
+                "hybrid-histogram range must cover one bin",
             ),
             (
                 hybrid(s(600), s(10), -0.1),
                 ConfigError::PrewarmHeadOutOfRange { head: -0.1 },
+                "hybrid-histogram head percentile must be in [0, 1)",
             ),
         ];
-        for (policy, expected) in cases {
+        for (policy, expected, assertion) in cases {
             assert_eq!(policy.check(), Err(expected.clone()));
             let payload = std::panic::catch_unwind(|| KeepaliveState::new(policy))
                 .expect_err("the constructor asserts on the same geometry");
@@ -1704,7 +1679,7 @@ mod tests {
                 .map(|m| m.to_string())
                 .or_else(|| payload.downcast_ref::<String>().cloned())
                 .expect("a string panic payload");
-            assert_eq!(message, expected.legacy_message());
+            assert_eq!(message, assertion);
         }
         // A NaN head is out of range too: it compares false with the tail.
         assert!(matches!(

@@ -32,6 +32,7 @@ use dscs_core::endtoend::{EvalOptions, SystemModel};
 use dscs_faas::coldstart::{ColdStartModel, ImageSource};
 use dscs_platforms::{PlatformKind, PlatformLocation};
 use dscs_simcore::events::EventQueue;
+use dscs_simcore::par;
 use dscs_simcore::quantity::Bytes;
 use dscs_simcore::rng::DeterministicRng;
 use dscs_simcore::series::TimeSeries;
@@ -40,7 +41,7 @@ use dscs_simcore::time::{SimDuration, SimTime};
 
 use crate::coldpath::{ColdStartPath, IpcTransport};
 use crate::data::{function_slots, DataLayer};
-use crate::experiment::{validate_run, ConfigError, Experiment};
+use crate::experiment::ConfigError;
 use crate::policy::{
     KeepalivePolicy, KeepaliveState, LoadBalancer, ScalingPolicy, SchedQueue, SchedulerPolicy,
 };
@@ -101,14 +102,18 @@ impl Default for ClusterConfig {
 
 impl ClusterConfig {
     /// Checks the configuration, returning the first violation found: an
-    /// invalid scaling policy ([`ScalingPolicy::check`]), or — for elastic
-    /// policies — `min_instances` of zero (the rack could never start work)
-    /// or above `max_instances`. This is the one validator behind both
-    /// [`crate::experiment::ExperimentBuilder::build`] and the deprecated
-    /// panicking shims.
+    /// invalid scaling policy ([`ScalingPolicy::check`]) or keepalive policy
+    /// ([`KeepalivePolicy::check`]), `max_instances` of zero under any
+    /// scaling policy, or — for elastic policies — `min_instances` of zero
+    /// or above `max_instances` (in each case the rack could never start
+    /// work). [`crate::experiment::ExperimentBuilder::build`] runs it on
+    /// every experiment.
     pub fn check(&self) -> Result<(), ConfigError> {
         self.scaling.check()?;
         self.keepalive.check()?;
+        if self.max_instances == 0 {
+            return Err(ConfigError::ZeroMaxInstances);
+        }
         if !matches!(self.scaling, ScalingPolicy::Fixed) {
             if self.min_instances == 0 {
                 return Err(ConfigError::ZeroMinInstances);
@@ -347,11 +352,12 @@ impl EngineSelection {
     }
 }
 
-/// Heap events of the whole-cluster sequential engine. Arrivals are not heap
-/// events: the trace is sorted by construction, so arrivals stream into the
-/// loop from a cursor and the heap only holds the O(pending) future events.
+/// Heap events of the event loop, each naming its rack by position in the
+/// loop's own rack slice. Arrivals are not heap events: the trace is sorted
+/// by construction, so arrivals stream into the loop from a cursor and the
+/// heap only holds the O(pending) future events.
 #[derive(Debug, Clone, Copy)]
-enum CoupledEvent {
+enum HeapEvent {
     Completion {
         rack: usize,
     },
@@ -362,18 +368,6 @@ enum CoupledEvent {
     /// `add` provisioned instances come online on one rack.
     ScaleCommit {
         rack: usize,
-        add: u32,
-    },
-}
-
-/// Heap events of one partitioned rack lane (the rack is implicit).
-#[derive(Debug, Clone, Copy)]
-enum LaneEvent {
-    Completion,
-    /// Periodic autoscaling evaluation.
-    ScaleTick,
-    /// `add` provisioned instances come online.
-    ScaleCommit {
         add: u32,
     },
 }
@@ -419,6 +413,8 @@ impl SlotSet {
 }
 
 struct RackState {
+    /// The rack's index in the cluster (what a data layer's home rack names).
+    id: u32,
     queue: SchedQueue,
     keepalive: KeepaliveState,
     /// Function slots whose image (or snapshot) a cold start left on this
@@ -476,6 +472,27 @@ impl RackState {
         self.peak_instances = self.peak_instances.max(self.capacity);
         self.scaling_lag += delay;
     }
+
+    /// What a drained event loop leaves on every rack: every started request
+    /// completed, every scale-up committed, nothing left waiting.
+    fn assert_drained(&self) {
+        assert_eq!(
+            self.busy, 0,
+            "busy == 0 at drain invariant broken: rack {} ended with busy instances",
+            self.id
+        );
+        assert_eq!(
+            self.pending, 0,
+            "pending == 0 at drain invariant broken: rack {} ended with instances provisioning",
+            self.id
+        );
+        assert!(
+            self.queue.is_empty(),
+            "empty queue at drain invariant broken: rack {} ended with {} queued request(s)",
+            self.id,
+            self.queue.len()
+        );
+    }
 }
 
 /// What one run reads per request, by trace position: the trace itself,
@@ -487,18 +504,8 @@ struct RunInputs<'a> {
     data: Option<&'a DataLayer>,
 }
 
-/// One rack lane's output before the cluster-level merge: the rack state plus
-/// the lane's share of the Figure-13 series, its own clock and event counter.
-struct RackRun {
-    state: RackState,
-    offered: TimeSeries,
-    queued: TimeSeries,
-    latency_series: TimeSeries,
-    last_activity: SimTime,
-    events: u64,
-}
-
-/// A finished run of either engine, before summaries and the final report.
+/// A finished event loop — one round-robin lane or the whole cluster —
+/// before summaries and the final report.
 struct ClusterRun {
     rack_states: Vec<RackState>,
     offered: TimeSeries,
@@ -508,40 +515,28 @@ struct ClusterRun {
     events: u64,
 }
 
-/// Deterministically merges per-rack lanes in rack order: series bucket-wise
-/// via [`TimeSeries::merge`], the cluster clock as the maximum lane clock,
-/// the event counter as the lane sum. Lane order — not execution order —
-/// fixes every floating-point accumulation, so the merge is byte-stable
-/// across worker counts.
-fn merge_lanes(lanes: Vec<RackRun>) -> ClusterRun {
-    let merge = |acc: &mut Option<TimeSeries>, series: TimeSeries| match acc {
-        None => *acc = Some(series),
-        Some(acc) => acc
-            .merge(&series)
-            .expect("rack lanes share bucket width and horizon"),
-    };
-    let mut rack_states = Vec::with_capacity(lanes.len());
-    let mut offered: Option<TimeSeries> = None;
-    let mut queued: Option<TimeSeries> = None;
-    let mut latency_series: Option<TimeSeries> = None;
-    let mut last_activity = SimTime::ZERO;
-    let mut events: u64 = 0;
+/// Deterministically merges round-robin lanes in rack order: series
+/// bucket-wise via [`TimeSeries::merge`], the cluster clock as the maximum
+/// lane clock, the event counter as the lane sum. Lane order — not execution
+/// order — fixes every floating-point accumulation, so the merge is
+/// byte-stable across worker counts.
+fn merge_lanes(lanes: Vec<ClusterRun>) -> ClusterRun {
+    let mut lanes = lanes.into_iter();
+    let mut run = lanes.next().expect("at least one rack");
     for lane in lanes {
-        merge(&mut offered, lane.offered);
-        merge(&mut queued, lane.queued);
-        merge(&mut latency_series, lane.latency_series);
-        last_activity = last_activity.max(lane.last_activity);
-        events += lane.events;
-        rack_states.push(lane.state);
+        for (acc, series) in [
+            (&mut run.offered, &lane.offered),
+            (&mut run.queued, &lane.queued),
+            (&mut run.latency_series, &lane.latency_series),
+        ] {
+            acc.merge(series)
+                .expect("rack lanes share bucket width and horizon");
+        }
+        run.last_activity = run.last_activity.max(lane.last_activity);
+        run.events += lane.events;
+        run.rack_states.extend(lane.rack_states);
     }
-    ClusterRun {
-        rack_states,
-        offered: offered.expect("at least one rack"),
-        queued: queued.expect("at least one rack"),
-        latency_series: latency_series.expect("at least one rack"),
-        last_activity,
-        events,
-    }
+    run
 }
 
 /// The cluster simulator.
@@ -687,69 +682,8 @@ impl ClusterSim {
         self.flash_cache
     }
 
-    /// Runs the trace over a single rack and reports the Figure 13 series.
-    #[deprecated(
-        since = "0.2.0",
-        note = "build an Experiment via dscs_cluster::experiment::ExperimentBuilder and call run()"
-    )]
-    pub fn run(&self, trace: &[TraceRequest], seed: u64) -> ClusterReport {
-        #[allow(deprecated)]
-        self.run_sharded(trace, seed, 1, LoadBalancer::RoundRobin).0
-    }
-
-    /// Runs the trace sharded over `racks` racks behind `balancer`, with no
-    /// data placement tracked: every rack is assumed to read its inputs
-    /// locally, the paper's original Figure-13 setup.
-    #[deprecated(
-        since = "0.2.0",
-        note = "build an Experiment via dscs_cluster::experiment::ExperimentBuilder and call run()"
-    )]
-    pub fn run_sharded(
-        &self,
-        trace: &[TraceRequest],
-        seed: u64,
-        racks: u32,
-        balancer: LoadBalancer,
-    ) -> (ClusterReport, Vec<RackSummary>) {
-        #[allow(deprecated)]
-        self.run_sharded_with_data(trace, seed, racks, balancer, None)
-    }
-
-    /// Runs the trace sharded over `racks` racks behind `balancer`, returning
-    /// the aggregate report plus per-rack summaries.
-    ///
-    /// Deprecated shim: [`crate::experiment::ExperimentBuilder`] is the
-    /// typed entry point; it reports these preconditions as
-    /// [`ConfigError`]s instead of panicking.
-    ///
-    /// # Panics
-    /// Panics — with the historical assertion messages — if the trace is
-    /// empty, `racks` is zero, the data layer (when present) was built for a
-    /// different rack count, the scaling policy fails
-    /// [`ScalingPolicy::check`], or an elastic configuration has
-    /// `min_instances` of zero (the rack could never start work) or above
-    /// `max_instances`.
-    #[deprecated(
-        since = "0.2.0",
-        note = "build an Experiment via dscs_cluster::experiment::ExperimentBuilder and call run()"
-    )]
-    pub fn run_sharded_with_data(
-        &self,
-        trace: &[TraceRequest],
-        seed: u64,
-        racks: u32,
-        balancer: LoadBalancer,
-        data: Option<&DataLayer>,
-    ) -> (ClusterReport, Vec<RackSummary>) {
-        if let Err(err) = validate_run(trace, racks, &self.config, data) {
-            panic!("{}", err.legacy_message());
-        }
-        let (report, summaries, _) = self.run_validated(trace, seed, racks, balancer, data, 1);
-        (report, summaries)
-    }
-
     /// The discrete-event core behind every run. Callers must have validated
-    /// the inputs (see [`validate_run`]); [`Experiment`] instances have by
+    /// the inputs; [`crate::experiment::Experiment`] instances have by
     /// construction.
     ///
     /// With a [`DataLayer`] attached, dispatch knows where each request's
@@ -763,12 +697,12 @@ impl ClusterSim {
     /// re-evaluated on their policy's interval; scale-ups come online
     /// `provisioning_delay` later.
     ///
-    /// The engine is chosen by the balancer (see [`EngineSelection`]):
-    /// round-robin runs pre-partition the trace into per-rack lanes —
-    /// `rack_jobs` worker threads (0 = all cores, 1 = inline) simulate them —
-    /// while coupled balancers run the whole-cluster sequential loop.
-    /// Lane results are merged in rack order, so the report is byte-identical
-    /// across every `rack_jobs` value.
+    /// The balancer decides how the event loop runs (see
+    /// [`EngineSelection`]): under round-robin each rack is a lane of its own
+    /// — `rack_jobs` worker threads (0 = all cores, 1 = inline) run the lanes
+    /// — while coupled balancers run one loop over every rack. Lane results
+    /// are merged in rack order, so the report is byte-identical across
+    /// every `rack_jobs` value.
     pub(crate) fn run_validated(
         &self,
         trace: &[TraceRequest],
@@ -804,24 +738,35 @@ impl ClusterSim {
         };
         let (run, engine) = match balancer {
             LoadBalancer::RoundRobin => {
-                let (lanes, workers) = self.run_lanes(inputs, rack_rngs, horizon, rack_jobs);
+                // Each rack is a lane of its own: one rack over the stride
+                // `r, r + racks, …` of the trace.
+                let racks = rack_rngs.len();
+                let workers = par::resolve_workers(rack_jobs).min(racks);
+                let lanes = par::map_ordered(racks, workers, |r| {
+                    let rack = self.new_rack_state(r as u32, rack_rngs[r].clone());
+                    self.run_loop(inputs, vec![rack], r, racks, balancer, horizon)
+                });
                 (
                     merge_lanes(lanes),
                     EngineSelection::RackParallel { workers },
                 )
             }
-            LoadBalancer::LeastLoaded => (
-                self.run_coupled(inputs, rack_rngs, balancer, horizon),
-                EngineSelection::Sequential {
-                    reason: "least-loaded dispatch reads every rack's load",
-                },
-            ),
-            LoadBalancer::LocalityAware { .. } => (
-                self.run_coupled(inputs, rack_rngs, balancer, horizon),
-                EngineSelection::Sequential {
-                    reason: "locality spill decisions read every rack's load",
-                },
-            ),
+            LoadBalancer::LeastLoaded | LoadBalancer::LocalityAware { .. } => {
+                let reason = if balancer == LoadBalancer::LeastLoaded {
+                    "least-loaded dispatch reads every rack's load"
+                } else {
+                    "locality spill decisions read every rack's load"
+                };
+                let racks = rack_rngs
+                    .into_iter()
+                    .zip(0..)
+                    .map(|(rng, r)| self.new_rack_state(r, rng))
+                    .collect();
+                (
+                    self.run_loop(inputs, racks, 0, 1, balancer, horizon),
+                    EngineSelection::Sequential { reason },
+                )
+            }
         };
         let (report, summaries) = self.finalize(run, wall_clock);
         (report, summaries, engine)
@@ -836,9 +781,10 @@ impl ClusterSim {
         }
     }
 
-    fn new_rack_state(&self, rng: DeterministicRng) -> RackState {
+    fn new_rack_state(&self, id: u32, rng: DeterministicRng) -> RackState {
         let initial_capacity = self.initial_capacity();
         RackState {
+            id,
             queue: SchedQueue::new(self.config.scheduler),
             keepalive: KeepaliveState::new(self.config.keepalive),
             cached_on_flash: SlotSet::default(),
@@ -867,8 +813,48 @@ impl ClusterSim {
         }
     }
 
+    /// The slot in `racks` the arrival at trace position `idx` goes to.
+    /// Round-robin runs one lane per rack, whose stride cursor only takes
+    /// that rack's arrivals, so they all land in the lane's one slot. The
+    /// coupled balancers read every rack's load, so they run over the whole
+    /// cluster, where a slot is a rack id.
+    fn dispatch(
+        &self,
+        racks: &[RackState],
+        balancer: LoadBalancer,
+        inputs: RunInputs<'_>,
+        idx: usize,
+    ) -> usize {
+        let least_loaded = || {
+            racks
+                .iter()
+                .enumerate()
+                .min_by_key(|(i, rack)| (rack.load(), *i))
+                .map(|(i, _)| i)
+                .expect("at least one rack")
+        };
+        match balancer {
+            LoadBalancer::RoundRobin => 0,
+            LoadBalancer::LeastLoaded => least_loaded(),
+            LoadBalancer::LocalityAware { spill_threshold } => {
+                // Prefer the least-loaded rack holding a replica of the
+                // request's object; once its queue exceeds the spill
+                // threshold — or is full, which would reject the request
+                // outright — the fetch is cheaper than the wait, so fall
+                // back to least-loaded. Without a data layer there is no
+                // placement to honour.
+                let local = inputs.data.map(|d| d.home_rack(idx) as usize);
+                let saturated = spill_threshold.min(self.config.queue_depth.saturating_sub(1));
+                match local {
+                    Some(r) if racks[r].queue.len() <= saturated => r,
+                    _ => least_loaded(),
+                }
+            }
+        }
+    }
+
     /// Admits the arrival at trace position `idx` to `rack`'s scheduler
-    /// queue, rejecting it when the queue is full. Shared by both engines.
+    /// queue, rejecting it when the queue is full.
     fn admit(&self, rack: &mut RackState, inputs: RunInputs<'_>, idx: usize, now: SimTime) {
         if matches!(self.config.scaling, ScalingPolicy::Predictive { .. }) {
             // Predictive scaling estimates demand from offered load, not the
@@ -888,11 +874,10 @@ impl ClusterSim {
     /// Greedily starts queued requests on `rack`'s free instances, in the
     /// order the scheduler policy dictates, charging cold starts and remote
     /// fetches onto each started invocation. `schedule_completion` receives
-    /// the service time of every started request. Shared by both engines.
+    /// the service time of every started request.
     fn start_queued(
         &self,
         rack: &mut RackState,
-        rack_idx: u32,
         now: SimTime,
         inputs: RunInputs<'_>,
         latency_series: &mut TimeSeries,
@@ -950,7 +935,7 @@ impl ClusterSim {
             service += ipc_cost;
             rack.ipc_overhead += ipc_cost;
             if let Some(data) = inputs.data {
-                if data.home_rack(idx) == rack_idx {
+                if data.home_rack(idx) == rack.id {
                     rack.locality_hits += 1;
                 } else {
                     // The object lives elsewhere: the invocation carries
@@ -975,197 +960,40 @@ impl ClusterSim {
         }
     }
 
-    /// Simulates one rack's lane of a round-robin run: the stride
-    /// `rack_idx, rack_idx + racks, …` of the trace, streamed from a cursor
-    /// (the trace is sorted by construction) against a heap holding only the
-    /// O(pending) future completions and scaling events. Arrivals win ties
-    /// against heap events, preserving the historical event order.
-    fn run_rack(
+    /// The discrete-event loop over `racks`, fed the arrivals at trace
+    /// positions `first, first + stride, …`: a round-robin lane passes its
+    /// one rack with `first = r, stride = racks`, coupled balancers pass
+    /// every rack with `first = 0, stride = 1`. Arrivals stream from that
+    /// cursor (the trace is sorted by construction) against a heap holding
+    /// only the O(pending) future completions and scaling events, and win
+    /// ties against heap events, preserving the historical event order.
+    ///
+    /// # Panics
+    /// Panics, naming the broken invariant, if the drained loop leaves a
+    /// rack with busy or provisioning instances or queued requests, or if
+    /// the racks did not complete or reject exactly the arrivals the cursor
+    /// took.
+    fn run_loop(
         &self,
         inputs: RunInputs<'_>,
-        rack_idx: usize,
-        racks: usize,
-        rng: DeterministicRng,
-        horizon: SimDuration,
-    ) -> RackRun {
-        let trace = inputs.trace;
-        let mut offered = TimeSeries::new(self.config.bucket, horizon);
-        let mut queued = TimeSeries::new(self.config.bucket, horizon);
-        let mut latency_series = TimeSeries::new(self.config.bucket, horizon);
-        let mut state = self.new_rack_state(rng);
-        let mut heap: EventQueue<LaneEvent> = EventQueue::new();
-        if let Some(interval) = self.config.scaling.interval() {
-            heap.schedule(SimTime::ZERO + interval, LaneEvent::ScaleTick);
-        }
-        let mut next_arrival = rack_idx;
-        let mut arrivals_remaining = if rack_idx < trace.len() {
-            (trace.len() - rack_idx).div_ceil(racks)
-        } else {
-            0
-        };
-        let mut last_activity = SimTime::ZERO;
-        let mut events: u64 = 0;
-        loop {
-            let take_arrival = match (
-                trace.get(next_arrival).map(|request| request.arrival),
-                heap.peek_time(),
-            ) {
-                (Some(arrival), Some(heap_at)) => arrival <= heap_at,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => break,
-            };
-            events += 1;
-            if take_arrival {
-                let idx = next_arrival;
-                next_arrival += racks;
-                arrivals_remaining -= 1;
-                let now = trace[idx].arrival;
-                last_activity = now;
-                offered.record_event(now);
-                self.admit(&mut state, inputs, idx, now);
-                self.start_queued(
-                    &mut state,
-                    rack_idx as u32,
-                    now,
-                    inputs,
-                    &mut latency_series,
-                    |service| heap.schedule(now + service, LaneEvent::Completion),
-                );
-                queued.record(now, state.queue.len() as f64);
-                continue;
-            }
-            let event = heap.pop().expect("a peeked event pops");
-            let now = event.at;
-            let runnable = match event.payload {
-                LaneEvent::Completion => {
-                    state.release();
-                    last_activity = now;
-                    true
-                }
-                LaneEvent::ScaleTick => {
-                    let interval = self
-                        .config
-                        .scaling
-                        .interval()
-                        .expect("ticks only run for elastic policies");
-                    self.scale_decision(&mut state, now, |add| {
-                        heap.schedule(
-                            now + self.config.provisioning_delay,
-                            LaneEvent::ScaleCommit { add },
-                        );
-                    });
-                    if arrivals_remaining > 0 || state.busy > 0 || !state.queue.is_empty() {
-                        heap.schedule(now + interval, LaneEvent::ScaleTick);
-                    }
-                    false
-                }
-                LaneEvent::ScaleCommit { add } => {
-                    state.commit_scale_up(add, self.config.provisioning_delay);
-                    true
-                }
-            };
-            if runnable {
-                self.start_queued(
-                    &mut state,
-                    rack_idx as u32,
-                    now,
-                    inputs,
-                    &mut latency_series,
-                    |service| heap.schedule(now + service, LaneEvent::Completion),
-                );
-                queued.record(now, state.queue.len() as f64);
-            }
-        }
-        RackRun {
-            state,
-            offered,
-            queued,
-            latency_series,
-            last_activity,
-            events,
-        }
-    }
-
-    /// Runs every rack lane of a round-robin run, on `rack_jobs` worker
-    /// threads (0 = one per available core, 1 = inline on the caller's
-    /// thread; always capped at the rack count). Returns the lanes in rack
-    /// order plus the worker count actually used.
-    fn run_lanes(
-        &self,
-        inputs: RunInputs<'_>,
-        rack_rngs: Vec<DeterministicRng>,
-        horizon: SimDuration,
-        rack_jobs: usize,
-    ) -> (Vec<RackRun>, usize) {
-        let racks = rack_rngs.len();
-        let workers = match rack_jobs {
-            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
-            n => n,
-        }
-        .min(racks)
-        .max(1);
-        if workers == 1 {
-            let lanes = rack_rngs
-                .into_iter()
-                .enumerate()
-                .map(|(r, rng)| self.run_rack(inputs, r, racks, rng, horizon))
-                .collect();
-            return (lanes, 1);
-        }
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let slots: Vec<std::sync::OnceLock<RackRun>> =
-            (0..racks).map(|_| std::sync::OnceLock::new()).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let r = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if r >= racks {
-                        break;
-                    }
-                    let lane = self.run_rack(inputs, r, racks, rack_rngs[r].clone(), horizon);
-                    let filled = slots[r].set(lane).is_ok();
-                    debug_assert!(filled, "rack {r} claimed twice");
-                });
-            }
-        });
-        let lanes = slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("the worker pool simulated every rack")
-            })
-            .collect();
-        (lanes, workers)
-    }
-
-    /// The whole-cluster sequential event loop, used when the balancer reads
-    /// cross-rack state at dispatch time. Arrivals stream from a cursor over
-    /// the (sorted) trace — the heap only holds the O(pending) future events —
-    /// and win ties against heap events, preserving the historical order of
-    /// the preloaded-arrival engine.
-    fn run_coupled(
-        &self,
-        inputs: RunInputs<'_>,
-        rack_rngs: Vec<DeterministicRng>,
+        mut racks: Vec<RackState>,
+        first: usize,
+        stride: usize,
         balancer: LoadBalancer,
         horizon: SimDuration,
     ) -> ClusterRun {
         let trace = inputs.trace;
         let mut offered = TimeSeries::new(self.config.bucket, horizon);
-        let mut queued_series = TimeSeries::new(self.config.bucket, horizon);
+        let mut queued = TimeSeries::new(self.config.bucket, horizon);
         let mut latency_series = TimeSeries::new(self.config.bucket, horizon);
-        let mut rack_states: Vec<RackState> = rack_rngs
-            .into_iter()
-            .map(|rng| self.new_rack_state(rng))
-            .collect();
-        let mut heap: EventQueue<CoupledEvent> = EventQueue::new();
+        let mut heap: EventQueue<HeapEvent> = EventQueue::new();
         if let Some(interval) = self.config.scaling.interval() {
-            for rack in 0..rack_states.len() {
-                heap.schedule(SimTime::ZERO + interval, CoupledEvent::ScaleTick { rack });
+            for rack in 0..racks.len() {
+                heap.schedule(SimTime::ZERO + interval, HeapEvent::ScaleTick { rack });
             }
         }
-        let mut next_arrival: usize = 0;
+        let mut next_arrival = first;
+        let mut arrivals: u64 = 0;
         let mut last_activity = SimTime::ZERO;
         let mut events: u64 = 0;
         loop {
@@ -1182,99 +1010,74 @@ impl ClusterSim {
             // Events that can free or add capacity (or enqueue work) run the
             // start loop on their rack afterwards; scale ticks only take
             // decisions.
-            let (rack_idx, now) = if take_arrival {
+            let (r, now) = if take_arrival {
                 let idx = next_arrival;
-                next_arrival += 1;
+                next_arrival += stride;
+                arrivals += 1;
                 let now = trace[idx].arrival;
                 last_activity = now;
                 offered.record_event(now);
-                let least_loaded = |racks: &[RackState]| {
-                    racks
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(i, rack)| (rack.load(), *i))
-                        .map(|(i, _)| i)
-                        .expect("at least one rack")
-                };
-                let r = match balancer {
-                    LoadBalancer::RoundRobin => {
-                        unreachable!("round-robin runs on the partitioned engine")
-                    }
-                    LoadBalancer::LeastLoaded => least_loaded(&rack_states),
-                    LoadBalancer::LocalityAware { spill_threshold } => {
-                        // Prefer the least-loaded rack holding a replica
-                        // of the request's object; once its queue exceeds
-                        // the spill threshold — or is full, which would
-                        // reject the request outright — the fetch is
-                        // cheaper than the wait, so fall back to
-                        // least-loaded. Without a data layer there is no
-                        // placement to honour.
-                        let local = inputs.data.map(|d| d.home_rack(idx) as usize);
-                        let saturated =
-                            spill_threshold.min(self.config.queue_depth.saturating_sub(1));
-                        match local {
-                            Some(r) if rack_states[r].queue.len() <= saturated => r,
-                            _ => least_loaded(&rack_states),
-                        }
-                    }
-                };
-                self.admit(&mut rack_states[r], inputs, idx, now);
-                (Some(r), now)
+                let r = self.dispatch(&racks, balancer, inputs, idx);
+                self.admit(&mut racks[r], inputs, idx, now);
+                (r, now)
             } else {
                 let event = heap.pop().expect("a peeked event pops");
                 let now = event.at;
                 match event.payload {
-                    CoupledEvent::Completion { rack } => {
-                        rack_states[rack].release();
+                    HeapEvent::Completion { rack } => {
+                        racks[rack].release();
                         last_activity = now;
-                        (Some(rack), now)
+                        (rack, now)
                     }
-                    CoupledEvent::ScaleTick { rack } => {
-                        self.scale_decision(&mut rack_states[rack], now, |add| {
+                    HeapEvent::ScaleTick { rack } => {
+                        self.scale_decision(&mut racks[rack], now, |add| {
                             heap.schedule(
                                 now + self.config.provisioning_delay,
-                                CoupledEvent::ScaleCommit { rack, add },
+                                HeapEvent::ScaleCommit { rack, add },
                             );
                         });
-                        let r = &rack_states[rack];
+                        let r = &racks[rack];
                         if next_arrival < trace.len() || r.busy > 0 || !r.queue.is_empty() {
                             let interval = self
                                 .config
                                 .scaling
                                 .interval()
                                 .expect("ticks only run for elastic policies");
-                            heap.schedule(now + interval, CoupledEvent::ScaleTick { rack });
+                            heap.schedule(now + interval, HeapEvent::ScaleTick { rack });
                         }
-                        (None, now)
+                        continue;
                     }
-                    CoupledEvent::ScaleCommit { rack, add } => {
-                        rack_states[rack].commit_scale_up(add, self.config.provisioning_delay);
-                        (Some(rack), now)
+                    HeapEvent::ScaleCommit { rack, add } => {
+                        racks[rack].commit_scale_up(add, self.config.provisioning_delay);
+                        (rack, now)
                     }
                 }
             };
-            let Some(r) = rack_idx else { continue };
-            self.start_queued(
-                &mut rack_states[r],
-                r as u32,
-                now,
-                inputs,
-                &mut latency_series,
-                |service| heap.schedule(now + service, CoupledEvent::Completion { rack: r }),
-            );
-            queued_series.record(now, rack_states[r].queue.len() as f64);
+            self.start_queued(&mut racks[r], now, inputs, &mut latency_series, |service| {
+                heap.schedule(now + service, HeapEvent::Completion { rack: r })
+            });
+            queued.record(now, racks[r].queue.len() as f64);
         }
+        for rack in &racks {
+            rack.assert_drained();
+        }
+        let settled: u64 = racks.iter().map(|r| r.completed + r.rejected).sum();
+        assert_eq!(
+            settled, arrivals,
+            "arrivals = completed + rejected invariant broken: \
+             the racks settled {settled} of the {arrivals} arrivals the cursor took"
+        );
         ClusterRun {
-            rack_states,
+            rack_states: racks,
             offered,
-            queued: queued_series,
+            queued,
             latency_series,
             last_activity,
             events,
         }
     }
 
-    /// Merges a finished run — either engine — into the aggregate report and
+    /// Merges a finished run into the aggregate report and
     /// per-rack summaries, closing the warm-memory ledgers against the
     /// cluster-wide last activity first.
     fn finalize(
@@ -1299,9 +1102,8 @@ impl ClusterSim {
 
         let summaries: Vec<RackSummary> = rack_states
             .iter()
-            .enumerate()
-            .map(|(i, rack)| RackSummary {
-                rack: i as u32,
+            .map(|rack| RackSummary {
+                rack: rack.id,
                 completed: rack.completed,
                 rejected: rack.rejected,
                 cold_starts: rack.cold_starts,
@@ -1394,8 +1196,8 @@ impl ClusterSim {
     /// One autoscaling evaluation on `rack`: reactive policies watch the
     /// queue depth, predictive policies size the pool to the learned
     /// arrival-rate estimate. Scale-ups enter the provisioning pipeline —
-    /// `schedule_commit(add)` schedules the commit `provisioning_delay` out,
-    /// in whichever engine's heap the caller owns; scale-downs release
+    /// `schedule_commit(add)` schedules the commit `provisioning_delay` out
+    /// on the event loop's heap; scale-downs release
     /// immediately (running requests finish, the freed instances just stop
     /// accepting new work).
     fn scale_decision(
@@ -1464,29 +1266,10 @@ impl ClusterSim {
     }
 }
 
-/// Convenience runner: simulates one platform over a trace with default
-/// cluster configuration (single rack, FCFS, fixed 10-minute keepalive).
-#[deprecated(
-    since = "0.2.0",
-    note = "build an Experiment via dscs_cluster::experiment::ExperimentBuilder and call run()"
-)]
-pub fn simulate_platform(
-    platform: PlatformKind,
-    trace: &[TraceRequest],
-    seed: u64,
-) -> ClusterReport {
-    Experiment::builder(platform)
-        .trace(trace.to_vec())
-        .seed(seed)
-        .build()
-        .unwrap_or_else(|err| panic!("{}", err.legacy_message()))
-        .run()
-        .report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::Experiment;
     use crate::trace::RateProfile;
     use dscs_simcore::time::SimDuration;
 
@@ -1900,22 +1683,6 @@ mod tests {
         assert!(fixed.wasted_warm_seconds <= fixed.warm_seconds);
     }
 
-    /// The deprecated shim keeps the historical panic (the builder reports
-    /// the same violation as [`ConfigError::ZeroMinInstances`]).
-    #[test]
-    #[should_panic(expected = "at least one instance")]
-    #[allow(deprecated)]
-    fn zero_min_instance_elastic_rack_is_rejected() {
-        let config = ClusterConfig {
-            scaling: ScalingPolicy::reactive_default(),
-            min_instances: 0,
-            ..ClusterConfig::default()
-        };
-        let trace = short_trace(10.0, 5, 33);
-        let sim = ClusterSim::new(PlatformKind::DscsDsa, config);
-        let _ = sim.run(&trace, 34);
-    }
-
     /// The engines' checked invariants are reachable only through a
     /// corrupted rack state: consistent bookkeeping passes, and a completion
     /// on a rack with nothing busy names the broken invariant.
@@ -1923,7 +1690,7 @@ mod tests {
     #[should_panic(expected = "busy <= capacity invariant broken")]
     fn a_completion_with_nothing_busy_breaks_the_busy_invariant() {
         let sim = ClusterSim::new(PlatformKind::DscsDsa, ClusterConfig::default());
-        let mut rack = sim.new_rack_state(DeterministicRng::seeded(1));
+        let mut rack = sim.new_rack_state(0, DeterministicRng::seeded(1));
         rack.busy = 1;
         rack.release();
         assert_eq!(rack.busy, 0);
@@ -1940,11 +1707,42 @@ mod tests {
             ..ClusterConfig::default()
         };
         let sim = ClusterSim::new(PlatformKind::DscsDsa, config);
-        let mut rack = sim.new_rack_state(DeterministicRng::seeded(1));
+        let mut rack = sim.new_rack_state(0, DeterministicRng::seeded(1));
         rack.pending = 4;
         rack.commit_scale_up(4, config.provisioning_delay);
         assert_eq!((rack.pending, rack.capacity), (0, config.min_instances + 4));
         rack.commit_scale_up(1, config.provisioning_delay);
+    }
+
+    /// A rack that can never start work — the zero-instance pool the builder
+    /// rejects as [`ConfigError::ZeroMaxInstances`] — still holds queued
+    /// requests when the loop drains: the drain check names the broken
+    /// invariant instead of letting those requests vanish from the report.
+    #[test]
+    #[should_panic(expected = "empty queue at drain invariant broken")]
+    fn requests_left_queued_at_drain_break_the_drain_invariant() {
+        let config = ClusterConfig {
+            max_instances: 0,
+            queue_depth: 10,
+            ..ClusterConfig::default()
+        };
+        let sim = ClusterSim::new(PlatformKind::DscsDsa, config);
+        let trace = short_trace(50.0, 2, 33);
+        let functions = function_slots(&trace);
+        let inputs = RunInputs {
+            trace: &trace,
+            functions: &functions,
+            data: None,
+        };
+        let rack = sim.new_rack_state(0, DeterministicRng::seeded(34));
+        let _ = sim.run_loop(
+            inputs,
+            vec![rack],
+            0,
+            1,
+            LoadBalancer::RoundRobin,
+            SimDuration::from_secs(120),
+        );
     }
 
     /// A replica rack whose queue is *full* counts as saturated even when

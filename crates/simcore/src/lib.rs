@@ -25,6 +25,7 @@
 //!   reports (the vendored `serde` stub has no `serde_json`).
 //! * [`csv`] — a minimal CSV record tokenizer/renderer for ingesting the
 //!   Azure Functions invocation-trace files (and emitting compatible ones).
+//! * [`par`] — the one worker pool: ordered fan-out over scoped threads.
 //!
 //! # Example
 //!
@@ -47,6 +48,7 @@ pub mod dist;
 pub mod events;
 pub mod fit;
 pub mod json;
+pub mod par;
 pub mod pareto;
 pub mod quantity;
 pub mod rng;

@@ -1,19 +1,13 @@
-//! Satellite suite for the experiment-builder API redesign: every input
-//! that used to panic inside `run_sharded_with_data` /
-//! `ScalingPolicy::validate` now yields the matching typed [`ConfigError`]
-//! from `ExperimentBuilder::build`, and the deprecated shims still panic
-//! with their historical messages (so legacy callers see no behaviour
-//! change). The workload-spec redesign extends the matrix: rejected
-//! [`WorkloadSpec`]s fold into `ConfigError::WorkloadSpec` with their typed
-//! source preserved, and the deprecated `workload(&W, rng)` shim stays
-//! bit-identical to `workload_spec`.
+//! The typed-error matrix of the experiment builder: every input a run
+//! cannot simulate yields the matching [`ConfigError`] from
+//! `ExperimentBuilder::build`, and rejected [`WorkloadSpec`]s fold into
+//! `ConfigError::WorkloadSpec` with their typed source preserved.
 //!
 //! [`WorkloadSpec`]: dscs_serverless::cluster::workload::WorkloadSpec
 
 use dscs_serverless::cluster::data::DataLayer;
 use dscs_serverless::cluster::experiment::{ConfigError, Experiment};
-use dscs_serverless::cluster::policy::{KeepalivePolicy, LoadBalancer, ScalingPolicy};
-use dscs_serverless::cluster::sim::{ClusterConfig, ClusterSim};
+use dscs_serverless::cluster::policy::{KeepalivePolicy, ScalingPolicy};
 use dscs_serverless::cluster::trace::{RateProfile, TraceRequest};
 use dscs_serverless::platforms::PlatformKind;
 use dscs_serverless::simcore::rng::DeterministicRng;
@@ -26,9 +20,8 @@ fn short_trace(seed: u64) -> Vec<TraceRequest> {
     profile.generate(&mut DeterministicRng::seeded(seed))
 }
 
-/// Every formerly-panicking input class maps to its own `ConfigError`
-/// variant, and the builder reports the *first* violation in the historical
-/// check order.
+/// Every input class a run cannot simulate maps to its own `ConfigError`
+/// variant, and the builder reports the *first* violation in check order.
 #[test]
 fn every_formerly_panicking_input_yields_the_matching_typed_error() {
     // 1. Empty trace (and the no-trace-at-all case).
@@ -101,7 +94,27 @@ fn every_formerly_panicking_input_yields_the_matching_typed_error() {
         ConfigError::ZeroMinInstances
     );
 
-    // 6. min_instances above max_instances.
+    // 6. A pool of zero instances, under every scaling policy: the queue
+    // would fill and never drain, so its requests would vanish from the
+    // report (neither completed nor rejected).
+    let requests = short_trace(15);
+    for scaling in ScalingPolicy::all_default() {
+        for min in [0, 4] {
+            assert_eq!(
+                Experiment::builder(PlatformKind::DscsDsa)
+                    .trace(requests.clone())
+                    .scaling(scaling)
+                    .instances(min, 0)
+                    .queue_depth(10)
+                    .build()
+                    .expect_err("zero max"),
+                ConfigError::ZeroMaxInstances,
+                "{scaling:?}, min {min}"
+            );
+        }
+    }
+
+    // 7. min_instances above max_instances.
     assert_eq!(
         Experiment::builder(PlatformKind::DscsDsa)
             .trace(short_trace(4))
@@ -112,7 +125,7 @@ fn every_formerly_panicking_input_yields_the_matching_typed_error() {
         ConfigError::MinAboveMax { min: 128, max: 16 }
     );
 
-    // 7. Hybrid-histogram keepalive with a degenerate geometry or head:
+    // 8. Hybrid-histogram keepalive with a degenerate geometry or head:
     // formerly accepted by the builder and then a panic in
     // `KeepaliveState::new` at run time.
     let hybrid = |range, bin, head| KeepalivePolicy::HybridHistogram { range, bin, head };
@@ -144,9 +157,8 @@ fn every_formerly_panicking_input_yields_the_matching_typed_error() {
     }
 }
 
-/// The scaling-parameter violations the old `ScalingPolicy::validate`
-/// asserted also surface as typed errors, both from `check()` and through
-/// the builder.
+/// Scaling-parameter violations surface as typed errors, both from
+/// `check()` and through the builder.
 #[test]
 fn scaling_parameter_violations_are_typed_errors() {
     let zero_reactive = ScalingPolicy::Reactive {
@@ -213,25 +225,24 @@ fn scaling_parameter_violations_are_typed_errors() {
 }
 
 /// `ConfigError` is a real `std::error::Error`: displayable, and the
-/// workload variant exposes its source. (The `workload` shim is deprecated
-/// in favour of `workload_spec`, but its error path stays covered.)
+/// workload variant — what `?` makes of a hand-generated trace's
+/// `WorkloadError` — exposes its source.
 #[test]
-#[allow(deprecated)]
 fn config_errors_display_and_expose_sources() {
-    use dscs_serverless::cluster::workload::AzureWorkload;
+    use dscs_serverless::cluster::workload::{AzureWorkload, Workload};
     use std::error::Error;
 
     let bad = AzureWorkload {
         base_rps: f64::NAN,
         ..AzureWorkload::default()
     };
-    let err = Experiment::builder(PlatformKind::DscsDsa)
-        .workload(&bad, &mut DeterministicRng::seeded(1))
-        .build()
-        .expect_err("invalid workload");
+    let err = ConfigError::from(
+        bad.generate(&mut DeterministicRng::seeded(1))
+            .expect_err("invalid workload"),
+    );
     assert!(matches!(err, ConfigError::Workload(_)));
     assert!(err.source().is_some(), "workload errors carry their source");
-    assert!(!err.to_string().is_empty());
+    assert!(err.to_string().contains("workload validation failed"));
     assert!(
         ConfigError::ZeroRacks.source().is_none(),
         "leaf errors have no source"
@@ -296,23 +307,17 @@ fn rejected_workload_specs_fold_into_config_errors() {
     );
 }
 
-/// Pinned shim equivalence (the PR-5 pattern): the deprecated
-/// `workload(&W, rng)` entry point fed the sweep's azure generation stream
-/// builds a bit-identical experiment to the declarative
-/// `workload_spec(WorkloadSpec::Azure { .. })`.
+/// A declarative `WorkloadSpec::Azure { scale, seed }` replays exactly the
+/// trace its generator draws from the sweep's azure generation stream for
+/// that seed.
 #[test]
-#[allow(deprecated)]
-fn deprecated_workload_shim_and_workload_spec_agree() {
+fn azure_workload_spec_replays_its_generation_stream() {
     use dscs_serverless::cluster::at_scale::SweepScale;
-    use dscs_serverless::cluster::workload::{azure_generation_rng, WorkloadSpec};
+    use dscs_serverless::cluster::workload::{azure_generation_rng, Workload, WorkloadSpec};
 
     let seed = 29;
-    let via_shim = Experiment::builder(PlatformKind::DscsDsa)
-        .workload(
-            &WorkloadSpec::azure_at(SweepScale::Smoke),
-            &mut azure_generation_rng(seed),
-        )
-        .build()
+    let generated = WorkloadSpec::azure_at(SweepScale::Smoke)
+        .generate(&mut azure_generation_rng(seed))
         .expect("the smoke azure workload is valid");
     let via_spec = Experiment::builder(PlatformKind::DscsDsa)
         .workload_spec(&WorkloadSpec::Azure {
@@ -321,120 +326,5 @@ fn deprecated_workload_shim_and_workload_spec_agree() {
         })
         .build()
         .expect("the declarative spec realizes");
-    assert_eq!(via_shim.trace(), via_spec.trace(), "bit-identical traces");
-}
-
-// --- Deprecated-shim behaviour: the old messages, verbatim. -----------------
-
-#[test]
-#[should_panic(expected = "trace must not be empty")]
-#[allow(deprecated)]
-fn deprecated_run_sharded_still_panics_on_an_empty_trace() {
-    let sim = ClusterSim::new(PlatformKind::DscsDsa, ClusterConfig::default());
-    let _ = sim.run_sharded(&[], 1, 1, LoadBalancer::RoundRobin);
-}
-
-#[test]
-#[should_panic(expected = "need at least one rack")]
-#[allow(deprecated)]
-fn deprecated_run_sharded_still_panics_on_zero_racks() {
-    let sim = ClusterSim::new(PlatformKind::DscsDsa, ClusterConfig::default());
-    let _ = sim.run_sharded(&short_trace(6), 1, 0, LoadBalancer::RoundRobin);
-}
-
-#[test]
-#[should_panic(expected = "data layer must cover exactly the sharded racks")]
-#[allow(deprecated)]
-fn deprecated_run_sharded_with_data_still_panics_on_a_rack_mismatch() {
-    let trace = short_trace(7);
-    let data = DataLayer::for_trace(&trace, 3, 1);
-    let sim = ClusterSim::new(PlatformKind::DscsDsa, ClusterConfig::default());
-    let _ = sim.run_sharded_with_data(&trace, 1, 2, LoadBalancer::RoundRobin, Some(&data));
-}
-
-#[test]
-#[should_panic(expected = "data layer must place exactly the run's trace")]
-#[allow(deprecated)]
-fn deprecated_run_sharded_with_data_still_panics_on_a_trace_mismatch() {
-    let data = DataLayer::for_trace(&short_trace(7), 2, 1);
-    let other = short_trace(12);
-    assert_ne!(other.len(), data.request_count(), "the traces must differ");
-    let sim = ClusterSim::new(PlatformKind::DscsDsa, ClusterConfig::default());
-    let _ = sim.run_sharded_with_data(&other, 1, 2, LoadBalancer::RoundRobin, Some(&data));
-}
-
-#[test]
-#[should_panic(expected = "elastic racks need at least one instance")]
-#[allow(deprecated)]
-fn deprecated_run_sharded_still_panics_on_a_zero_min_elastic_pool() {
-    let config = ClusterConfig {
-        scaling: ScalingPolicy::reactive_default(),
-        min_instances: 0,
-        ..ClusterConfig::default()
-    };
-    let sim = ClusterSim::new(PlatformKind::DscsDsa, config);
-    let _ = sim.run_sharded(&short_trace(8), 1, 1, LoadBalancer::RoundRobin);
-}
-
-#[test]
-#[should_panic(expected = "min_instances must not exceed max_instances")]
-#[allow(deprecated)]
-fn deprecated_run_sharded_still_panics_when_min_exceeds_max() {
-    let config = ClusterConfig {
-        scaling: ScalingPolicy::predictive_default(),
-        min_instances: 300,
-        max_instances: 200,
-        ..ClusterConfig::default()
-    };
-    let sim = ClusterSim::new(PlatformKind::DscsDsa, config);
-    let _ = sim.run_sharded(&short_trace(9), 1, 1, LoadBalancer::RoundRobin);
-}
-
-#[test]
-#[should_panic(expected = "hybrid-histogram range must cover one bin")]
-#[allow(deprecated)]
-fn deprecated_run_sharded_still_panics_on_a_range_below_one_bin() {
-    let config = ClusterConfig {
-        keepalive: KeepalivePolicy::HybridHistogram {
-            range: SimDuration::from_secs(5),
-            bin: SimDuration::from_secs(10),
-            head: 0.0,
-        },
-        ..ClusterConfig::default()
-    };
-    let sim = ClusterSim::new(PlatformKind::DscsDsa, config);
-    let _ = sim.run_sharded(&short_trace(14), 1, 1, LoadBalancer::RoundRobin);
-}
-
-#[test]
-#[should_panic(expected = "reactive interval must be non-zero")]
-#[allow(deprecated)]
-fn deprecated_scaling_validate_still_panics_with_the_old_message() {
-    ScalingPolicy::Reactive {
-        scale_up_queue: 8,
-        scale_down_queue: 2,
-        step: 4,
-        interval: SimDuration::ZERO,
-    }
-    .validate();
-}
-
-/// A valid configuration behaves identically through the deprecated shim and
-/// the builder — the shim really is a thin delegation.
-#[test]
-#[allow(deprecated)]
-fn deprecated_shim_and_builder_agree_on_valid_runs() {
-    let trace = short_trace(10);
-    let sim = ClusterSim::new(PlatformKind::DscsDsa, ClusterConfig::default());
-    let (report, racks) = sim.run_sharded(&trace, 5, 2, LoadBalancer::LeastLoaded);
-    let outcome = Experiment::builder(PlatformKind::DscsDsa)
-        .trace(trace)
-        .racks(2)
-        .balancer(LoadBalancer::LeastLoaded)
-        .seed(5)
-        .build()
-        .expect("valid experiment")
-        .run();
-    assert_eq!(report, outcome.report, "bit-identical aggregate reports");
-    assert_eq!(racks, outcome.racks, "bit-identical per-rack summaries");
+    assert_eq!(generated, via_spec.trace(), "bit-identical traces");
 }

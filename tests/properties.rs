@@ -962,6 +962,75 @@ fn fixed_scaling_is_bit_identical_to_a_pinned_pool() {
     });
 }
 
+/// On one rack every balancer sends every arrival to that rack, so the
+/// round-robin lane path and the coupled path (least-loaded, locality) are
+/// two routes into one event loop that must agree bit for bit — under every
+/// scaling and keepalive policy, with and without a data layer. The case
+/// index walks that 3 x 4 x 2 grid, so every combination runs at least twice
+/// (with random traces, pool bounds, queue depths and seeds).
+#[test]
+fn one_rack_runs_agree_across_lane_and_coupled_balancers() {
+    use std::sync::Arc;
+
+    use dscs_serverless::cluster::experiment::Experiment;
+    use dscs_serverless::cluster::policy::{KeepalivePolicy, LoadBalancer, ScalingPolicy};
+    use dscs_serverless::cluster::sim::{ClusterConfig, ClusterSim};
+    use dscs_serverless::cluster::trace::RateProfile;
+    use dscs_serverless::platforms::PlatformKind;
+
+    let base = ClusterSim::new(PlatformKind::DscsDsa, ClusterConfig::default());
+    check(0xB5, |case, rng| {
+        let combo = case as usize % 24;
+        let scaling = ScalingPolicy::all_default()[combo % 3];
+        let keepalive = KeepalivePolicy::all_default()[combo / 3 % 4];
+        let place_data = combo >= 12;
+        let profile = RateProfile {
+            segments: vec![(
+                SimDuration::from_secs(int_in(rng, 2, 8)),
+                rng.uniform(20.0, 600.0),
+            )],
+        };
+        let trace = Arc::new(profile.generate(&mut DeterministicRng::seeded(int_in(rng, 0, 1000))));
+        if trace.is_empty() {
+            return;
+        }
+        let min = int_in(rng, 1, 8) as u32;
+        let max = min + int_in(rng, 0, 64) as u32;
+        let queue_depth = int_in(rng, 1, 256) as usize;
+        let seed = int_in(rng, 0, 1000);
+        let run = |balancer| {
+            let builder = Experiment::builder(PlatformKind::DscsDsa)
+                .trace(trace.clone())
+                .scaling(scaling)
+                .keepalive(keepalive)
+                .instances(min, max)
+                .queue_depth(queue_depth)
+                .balancer(balancer)
+                .seed(seed);
+            let builder = if place_data {
+                builder.place_data(seed)
+            } else {
+                builder
+            };
+            builder
+                .build()
+                .unwrap_or_else(|err| panic!("case {case}: valid config rejected: {err}"))
+                .run_on(&base)
+        };
+        let lane = run(LoadBalancer::RoundRobin);
+        assert!(lane.engine.is_rack_parallel(), "case {case}");
+        for balancer in [LoadBalancer::LeastLoaded, LoadBalancer::locality_default()] {
+            let coupled = run(balancer);
+            assert!(!coupled.engine.is_rack_parallel(), "case {case}");
+            assert_eq!(
+                lane.report, coupled.report,
+                "case {case}: {scaling:?} / {keepalive:?} / data {place_data} / {balancer:?}"
+            );
+            assert_eq!(lane.racks, coupled.racks, "case {case}: {balancer:?}");
+        }
+    });
+}
+
 /// Snapshot-restore latency is monotone in snapshot size for any valid
 /// configuration: more pages always cost more to stream back and fault in,
 /// the warmup tail never exceeds the restore it is part of, and a zero-size
