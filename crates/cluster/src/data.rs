@@ -11,8 +11,8 @@
 //! [`ObjectStore::put`]. It then answers the two questions the simulator
 //! asks on the hot path, by trace position rather than by key:
 //!
-//! * which racks hold a replica of this request's object (the locality-aware
-//!   balancer's dispatch input), and
+//! * which rack holds the replicas of this request's object (the
+//!   locality-aware balancer's dispatch input), and
 //! * what a non-local rack pays to fetch the object — the
 //!   [`RemoteFetchModel`] price over the network/RPC stack and the drive's
 //!   PCIe hop, replacing the old assumption that every rack reads locally.
@@ -106,22 +106,19 @@ impl FunctionInterner {
 /// The placement of every object one trace touches, plus the fetch-cost
 /// model charged when a request runs on a rack without a replica.
 ///
-/// A layer is the placement of exactly one trace: besides the
-/// `(function, object)` answers of [`DataLayer::replica_racks`], it keeps
-/// per-request tables indexed by trace position (each request's home rack
-/// and dense function slot), so the simulator's hot path never hashes. Runs
-/// therefore reject a layer whose request count differs from their trace's
-/// ([`crate::experiment::ConfigError::DataLayerTraceMismatch`]); attach a
-/// layer only to the trace it was built from.
+/// A layer is the placement of exactly one trace, and it answers only by
+/// trace position: it keeps each request's home rack and dense function
+/// slot, so the simulator's hot path never hashes, and nothing per object.
+/// Runs therefore reject a layer whose request count differs from their
+/// trace's ([`crate::experiment::ConfigError::DataLayerTraceMismatch`]);
+/// attach a layer only to the trace it was built from.
 #[derive(Debug, Clone)]
 pub struct DataLayer {
     racks: u32,
     /// Storage nodes in the layout the objects were placed over.
     nodes: usize,
-    /// (function, object) -> object slot, in first-read order.
-    slots: HashMap<(u32, u32), u32>,
-    /// The home rack of each object slot, which holds all its replicas.
-    homes: Vec<u32>,
+    /// Distinct objects placed.
+    objects: usize,
     /// The home rack of each request's object, by trace position.
     request_homes: Vec<u32>,
     /// Each request's function slot ([`function_slots`]), by trace position.
@@ -138,7 +135,8 @@ impl DataLayer {
     /// layout (every rack holds 4 conventional + 2 DSCS storage nodes),
     /// over which each distinct object the trace reads is placed, in trace
     /// order, from a placement RNG derived from `seed`. The same pass
-    /// interns the trace's function ids into dense slots.
+    /// interns the trace's function ids into dense slots. The per-object
+    /// tables the pass builds are freed before it returns.
     ///
     /// # Panics
     /// Panics if `racks` is zero.
@@ -152,7 +150,9 @@ impl DataLayer {
         );
         let mut rng = DeterministicRng::seeded(seed);
         let fetch = RemoteFetchModel::datacenter_default();
+        // (function, object) -> object slot, in first-read order.
         let mut slots: HashMap<(u32, u32), u32> = HashMap::new();
+        // The home rack of each object slot, which holds all its replicas.
         let mut homes = Vec::new();
         let mut interner = FunctionInterner::default();
         // Each object's function, interned once per object.
@@ -175,9 +175,9 @@ impl DataLayer {
                     .draw_replicas(true, &mut rng, &mut replicas)
                     .expect("rack layout always has DSCS nodes");
                 homes.push(home);
-                if let Err(at) = fetch_costs.binary_search_by_key(&request.object_bytes, |c| c.0) {
-                    let cost = FetchCost::of(&fetch, request.object_bytes);
-                    fetch_costs.insert(at, (request.object_bytes, cost));
+                let size = Bytes::new(u64::from(request.object_bytes));
+                if let Err(at) = fetch_costs.binary_search_by_key(&size, |c| c.0) {
+                    fetch_costs.insert(at, (size, FetchCost::of(&fetch, size)));
                 }
             }
             request_homes.push(homes[slot as usize]);
@@ -186,8 +186,7 @@ impl DataLayer {
         DataLayer {
             racks,
             nodes: layout.node_count(),
-            slots,
-            homes,
+            objects: homes.len(),
             request_homes,
             request_functions: interner.finish(request_functions),
             fetch,
@@ -208,7 +207,7 @@ impl DataLayer {
 
     /// Number of distinct objects placed.
     pub fn object_count(&self) -> usize {
-        self.homes.len()
+        self.objects
     }
 
     /// Number of requests in the trace the layer was built for.
@@ -216,22 +215,12 @@ impl DataLayer {
         self.request_homes.len()
     }
 
-    /// The sorted racks holding a replica of `(function, object)`; empty for
-    /// objects the layer never placed.
-    pub fn replica_racks(&self, function: u32, object: u32) -> &[u32] {
-        self.slots.get(&(function, object)).map_or(&[], |&slot| {
-            std::slice::from_ref(&self.homes[slot as usize])
-        })
-    }
-
-    /// Whether `rack` holds a replica of `(function, object)`.
-    pub fn holds(&self, function: u32, object: u32, rack: u32) -> bool {
-        self.replica_racks(function, object).contains(&rack)
-    }
-
     /// The rack holding every replica of the object read by the request at
     /// trace position `idx`.
-    pub(crate) fn home_rack(&self, idx: usize) -> u32 {
+    ///
+    /// # Panics
+    /// Panics if `idx` is not below [`DataLayer::request_count`].
+    pub fn home_rack(&self, idx: usize) -> u32 {
         self.request_homes[idx]
     }
 
@@ -281,12 +270,17 @@ mod tests {
     fn covers_every_object_the_trace_reads() {
         let trace = short_trace(1);
         let data = DataLayer::for_trace(&trace, 3, 7);
-        assert!(data.object_count() > 0);
-        for request in &trace {
-            let racks = data.replica_racks(request.function, request.object);
-            assert!(!racks.is_empty(), "request {} unplaced", request.id);
-            assert!(racks.iter().all(|&r| r < 3), "rack out of range: {racks:?}");
+        // Every read of one object finds it in the same home rack.
+        let mut homes = HashMap::new();
+        for (idx, request) in trace.iter().enumerate() {
+            let home = data.home_rack(idx);
+            assert!(home < 3, "request {idx}: rack {home} out of range");
+            let first = *homes
+                .entry((request.function, request.object))
+                .or_insert(home);
+            assert_eq!(home, first, "request {idx} reads a moved object");
         }
+        assert_eq!(data.object_count(), homes.len());
         assert_eq!(data.rack_count(), 3);
         assert_eq!(data.node_count(), 3 * 6);
         assert_eq!(data.request_count(), trace.len());
@@ -304,24 +298,20 @@ mod tests {
             .iter()
             .enumerate()
             .map(|(i, &function)| TraceRequest {
-                id: i as u64,
                 arrival: SimTime::from_nanos(i as u64),
                 benchmark: Benchmark::ALL[0],
                 function,
                 object: i as u32 % 2,
-                object_bytes: Bytes::from_kib(64),
+                object_bytes: 64 << 10,
             })
             .collect();
         let slots = function_slots(&trace);
         assert_eq!(slots, [3, 0, 2, 0, 1, 3]);
         let data = DataLayer::for_trace(&trace, 2, 1);
         assert_eq!(data.function_slots(), slots);
-        for (idx, request) in trace.iter().enumerate() {
-            assert_eq!(
-                data.replica_racks(request.function, request.object),
-                &[data.home_rack(idx)]
-            );
-        }
+        // Positions 1 and 3 read the same object.
+        assert_eq!(data.object_count(), 5);
+        assert_eq!(data.home_rack(1), data.home_rack(3));
     }
 
     #[test]
@@ -329,20 +319,9 @@ mod tests {
         let trace = short_trace(2);
         let a = DataLayer::for_trace(&trace, 4, 9);
         let b = DataLayer::for_trace(&trace, 4, 9);
-        for request in &trace {
-            assert_eq!(
-                a.replica_racks(request.function, request.object),
-                b.replica_racks(request.function, request.object)
-            );
+        for idx in 0..trace.len() {
+            assert_eq!(a.home_rack(idx), b.home_rack(idx), "request {idx}");
         }
-    }
-
-    #[test]
-    fn unplaced_objects_report_no_replicas() {
-        let trace = short_trace(3);
-        let data = DataLayer::for_trace(&trace, 2, 11);
-        assert!(data.replica_racks(9999, 0).is_empty());
-        assert!(!data.holds(9999, 0, 0));
     }
 
     #[test]
@@ -365,9 +344,10 @@ mod tests {
         assert!(large > small);
         // Memoized and uncached sizes price identically.
         for request in &trace {
+            let size = Bytes::new(u64::from(request.object_bytes));
             assert_eq!(
-                data.fetch_energy_joules(request.object_bytes),
-                DataLayer::for_trace(&trace, 2, 17).fetch_energy_joules(request.object_bytes)
+                data.fetch_energy_joules(size),
+                DataLayer::for_trace(&trace, 2, 17).fetch_energy_joules(size)
             );
         }
     }

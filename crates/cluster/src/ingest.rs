@@ -696,10 +696,10 @@ impl Workload for TraceFileWorkload {
     /// trace. Each invocation arrives at its minute plus a within-minute
     /// jitter drawn `uniform[0, 60)` from `rng` in a fixed order (minute,
     /// then file row, then repetition), so the expansion is a pure function
-    /// of the file, the day and the seed. Requests are sorted by arrival and
-    /// numbered in that order; each carries the row's hash-stable function
-    /// id, the benchmark that id binds to, and the object the shared
-    /// [`ObjectCatalog`] assigns — identical rules to the synthetic
+    /// of the file, the day and the seed. Requests are sorted by arrival;
+    /// each carries the row's hash-stable function id, the benchmark that id
+    /// binds to, and the object the shared [`ObjectCatalog`] assigns its
+    /// position in the sorted trace — identical rules to the synthetic
     /// workloads, so trace-file cells are directly comparable.
     fn generate(&self, rng: &mut DeterministicRng) -> Result<Vec<TraceRequest>, WorkloadError> {
         self.validate()?;
@@ -726,17 +726,9 @@ impl Workload for TraceFileWorkload {
         Ok(arrivals
             .into_iter()
             .enumerate()
-            .map(|(id, (arrival, function, _))| {
-                let id = id as u64;
-                let object = catalog.object_for(function, id);
-                TraceRequest {
-                    id,
-                    arrival,
-                    benchmark: AzureWorkload::benchmark_of(function),
-                    function,
-                    object,
-                    object_bytes: catalog.size_of(function, object),
-                }
+            .map(|(position, (arrival, function, _))| {
+                let benchmark = AzureWorkload::benchmark_of(function);
+                catalog.request(position as u64, arrival, benchmark, function)
             })
             .collect())
     }
@@ -1017,8 +1009,7 @@ o1,a1,f1,http,1,128,7
         assert!(a
             .iter()
             .all(|r| r.arrival < SimTime::ZERO + parsed.horizon()));
-        // Ids are sequential in arrival order; identities are hash-stable.
-        assert!(a.iter().enumerate().all(|(i, r)| r.id == i as u64));
+        // Identities are hash-stable.
         let f1 = function_id("f1");
         assert!(a
             .iter()

@@ -212,7 +212,6 @@ mod tests {
 
     use dscs_core::benchmarks::Benchmark;
     use dscs_platforms::PlatformKind;
-    use dscs_simcore::quantity::Bytes;
     use dscs_simcore::rng::DeterministicRng;
     use dscs_simcore::time::SimDuration;
 
@@ -265,12 +264,11 @@ mod tests {
     fn three_invocation_fixture() -> Vec<TraceRequest> {
         (0..3)
             .map(|i| TraceRequest {
-                id: i,
                 arrival: SimTime::from_nanos(i * 1_000_000_000),
                 benchmark: Benchmark::ALL[0],
                 function: 0,
                 object: 0,
-                object_bytes: Bytes::from_kib(64),
+                object_bytes: 64 << 10,
             })
             .collect()
     }

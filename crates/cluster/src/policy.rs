@@ -784,6 +784,29 @@ pub struct KeepaliveStats {
     pub wasted_warm_seconds: f64,
 }
 
+impl KeepaliveStats {
+    /// Checks the warm-memory ledger [`KeepaliveState::finish_accounting`]
+    /// closed: both sums are finite and `0 <= wasted_warm_seconds <=
+    /// warm_seconds`. The inequality holds exactly, not just to rounding:
+    /// both sums add the same held terms in the same order, `warm_seconds`
+    /// adds only further non-negative terms, and rounding is monotone.
+    ///
+    /// # Panics
+    /// Panics, naming the broken invariant, if the ledger breaks it.
+    pub(crate) fn assert_closed(&self) {
+        let (warm, wasted) = (self.warm_seconds, self.wasted_warm_seconds);
+        assert!(
+            warm.is_finite() && wasted.is_finite(),
+            "finite warm seconds at drain invariant broken: warm {warm} s, wasted {wasted} s"
+        );
+        assert!(
+            0.0 <= wasted && wasted <= warm,
+            "0 <= wasted <= warm seconds at drain invariant broken: \
+             warm {warm} s, wasted {wasted} s"
+        );
+    }
+}
+
 /// Minimum idle-gap observations before the hybrid histogram trusts its
 /// learned tail over the conservative full range.
 const HYBRID_MIN_SAMPLES: u64 = 10;
@@ -1762,6 +1785,35 @@ mod tests {
         none.record_invocation(0, secs(0), secs(10));
         none.finish_accounting(secs(1000));
         assert_eq!(none.stats().warm_seconds, 0.0, "no-keepalive holds nothing");
+        stats.assert_closed();
+        none.stats().assert_closed();
+    }
+
+    fn ledger(warm_seconds: f64, wasted_warm_seconds: f64) -> KeepaliveStats {
+        KeepaliveStats {
+            warm_seconds,
+            wasted_warm_seconds,
+            ..KeepaliveStats::default()
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "0 <= wasted <= warm seconds at drain invariant broken")]
+    fn a_negative_ledger_breaks_the_drain_invariant() {
+        ledger(2.0, 2.0).assert_closed();
+        ledger(-1.0, -1.0).assert_closed();
+    }
+
+    #[test]
+    #[should_panic(expected = "finite warm seconds at drain invariant broken")]
+    fn a_nan_ledger_breaks_the_drain_invariant() {
+        ledger(f64::NAN, 0.0).assert_closed();
+    }
+
+    #[test]
+    #[should_panic(expected = "0 <= wasted <= warm seconds at drain invariant broken")]
+    fn wasting_more_than_was_held_breaks_the_drain_invariant() {
+        ledger(1.0, 2.0).assert_closed();
     }
 
     #[test]

@@ -940,10 +940,11 @@ impl ClusterSim {
                 } else {
                     // The object lives elsewhere: the invocation carries
                     // the cross-rack fetch before it can execute.
-                    let fetch = data.fetch_cost(request.object_bytes);
+                    let size = Bytes::new(u64::from(request.object_bytes));
+                    let fetch = data.fetch_cost(size);
                     service += fetch.latency;
                     rack.remote_fetches += 1;
-                    rack.cross_rack_bytes += request.object_bytes.as_u64();
+                    rack.cross_rack_bytes += size.as_u64();
                     rack.fetch_latency += fetch.latency;
                     rack.fetch_energy_j += fetch.energy_j;
                 }
@@ -1080,6 +1081,10 @@ impl ClusterSim {
     /// Merges a finished run into the aggregate report and
     /// per-rack summaries, closing the warm-memory ledgers against the
     /// cluster-wide last activity first.
+    ///
+    /// # Panics
+    /// Panics, naming the broken invariant, if a closed ledger is not finite
+    /// or does not satisfy `0 <= wasted <= warm` seconds.
     fn finalize(
         &self,
         run: ClusterRun,
@@ -1098,6 +1103,7 @@ impl ClusterSim {
         let makespan = last_activity - SimTime::ZERO;
         for rack in &mut rack_states {
             rack.keepalive.finish_accounting(last_activity);
+            rack.keepalive.stats().assert_closed();
         }
 
         let summaries: Vec<RackSummary> = rack_states
@@ -1751,7 +1757,6 @@ mod tests {
     #[test]
     fn locality_balancer_spills_before_rejecting_at_a_full_replica_rack() {
         use crate::data::DataLayer;
-        use dscs_simcore::quantity::Bytes;
 
         // Every request reads the same object, whose single replica set
         // lives in one rack; the queue (10) is far below the spill
@@ -1760,12 +1765,11 @@ mod tests {
         // spills off the full replica rack.
         let trace: Vec<TraceRequest> = (0..400)
             .map(|i| TraceRequest {
-                id: i,
                 arrival: SimTime::from_nanos(i * 1_000),
                 benchmark: Benchmark::ALL[0],
                 function: 0,
                 object: 0,
-                object_bytes: Bytes::from_kib(256),
+                object_bytes: 256 << 10,
             })
             .collect();
         let racks = 2;

@@ -12,17 +12,19 @@ use serde::{Deserialize, Serialize};
 
 use dscs_core::benchmarks::Benchmark;
 use dscs_simcore::dist::PoissonArrivals;
-use dscs_simcore::quantity::Bytes;
 use dscs_simcore::rng::DeterministicRng;
 use dscs_simcore::time::{SimDuration, SimTime};
 
 use crate::workload::{ObjectCatalog, Workload, WorkloadError};
 
-/// One request in the trace.
+/// One request in the trace. A request is identified by its position in the
+/// trace, which is what [`ObjectCatalog::object_for`] hashes and what every
+/// per-request table of the simulator is indexed by.
+///
+/// Traces of 10⁷ requests are held in memory whole, so the layout is kept
+/// to 24 bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TraceRequest {
-    /// Request identifier (position in the trace).
-    pub id: u64,
     /// Arrival time.
     pub arrival: SimTime,
     /// The application invoked.
@@ -36,10 +38,15 @@ pub struct TraceRequest {
     /// this invocation reads. Locality-aware placement dispatches on where
     /// this object's replicas live.
     pub object: u32,
-    /// Size of that object — the payload a non-local rack must fetch across
-    /// the datacenter fabric.
-    pub object_bytes: Bytes,
+    /// Size of that object in bytes — the payload a non-local rack must
+    /// fetch across the datacenter fabric. [`ObjectPopulation::validate`]
+    /// caps every object at `u32::MAX` bytes.
+    ///
+    /// [`ObjectPopulation::validate`]: crate::workload::ObjectPopulation::validate
+    pub object_bytes: u32,
 }
+
+const _: () = assert!(std::mem::size_of::<TraceRequest>() == 24);
 
 /// A piecewise-constant arrival-rate profile.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -137,7 +144,6 @@ impl Workload for RateProfile {
         let catalog = ObjectCatalog::new(self.objects());
         let mut requests = Vec::new();
         let mut offset = SimDuration::ZERO;
-        let mut id = 0u64;
         for &(duration, rate) in &self.segments {
             // A zero-rate segment contributes silence, not arrivals.
             let arrivals = if rate > 0.0 {
@@ -147,16 +153,12 @@ impl Workload for RateProfile {
             };
             for t in arrivals {
                 let function = rng.next_index(Benchmark::ALL.len()) as u32;
-                let object = catalog.object_for(function, id);
-                requests.push(TraceRequest {
-                    id,
-                    arrival: SimTime::ZERO + offset + t,
-                    benchmark: Benchmark::ALL[function as usize],
+                requests.push(catalog.request(
+                    requests.len() as u64,
+                    SimTime::ZERO + offset + t,
+                    Benchmark::ALL[function as usize],
                     function,
-                    object,
-                    object_bytes: catalog.size_of(function, object),
-                });
-                id += 1;
+                ));
             }
             offset += duration;
         }

@@ -134,15 +134,12 @@ impl ObjectPopulation {
                 value: 0.0,
             });
         }
-        // The largest object is base_size << size_doublings; it must fit a
-        // u64 or size_of would overflow the shift.
-        if self.size_doublings >= 64
-            || self
-                .base_size
-                .as_u64()
-                .checked_mul(1u64 << self.size_doublings)
-                .is_none()
-        {
+        // The largest object is base_size << size_doublings, and requests
+        // store sizes as u32 byte counts, so it must fit a u32.
+        let largest_base = u64::from(u32::MAX)
+            .checked_shr(self.size_doublings)
+            .unwrap_or(0);
+        if self.base_size.as_u64() > largest_base {
             return Err(WorkloadError::InvalidParameter {
                 name: "size_doublings",
                 value: f64::from(self.size_doublings),
@@ -165,7 +162,7 @@ const OBJECT_SALT: u64 = 0x0B1E_C7ED_5EED_0001;
 const SIZE_SALT: u64 = 0x0B1E_C7ED_5EED_0002;
 
 /// Deterministic object assignment derived from an [`ObjectPopulation`]:
-/// maps (function, request id) to the object the request reads and
+/// maps (function, trace position) to the object the request reads and
 /// (function, object) to that object's size.
 #[derive(Debug, Clone)]
 pub struct ObjectCatalog {
@@ -193,11 +190,11 @@ impl ObjectCatalog {
         self.population
     }
 
-    /// The object a request of `function` with trace id `request_id` reads:
-    /// a Zipf draw over the function's objects, derived by hashing rather
-    /// than sampling so the caller's RNG stream is untouched.
-    pub fn object_for(&self, function: u32, request_id: u64) -> u32 {
-        let h = mix64(mix64(OBJECT_SALT ^ u64::from(function)).wrapping_add(request_id));
+    /// The object a request of `function` at trace position `position`
+    /// reads: a Zipf draw over the function's objects, derived by hashing
+    /// rather than sampling so the caller's RNG stream is untouched.
+    pub fn object_for(&self, function: u32, position: u64) -> u32 {
+        let h = mix64(mix64(OBJECT_SALT ^ u64::from(function)).wrapping_add(position));
         let u = (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
         self.zipf.rank_of(u) as u32
     }
@@ -207,6 +204,28 @@ impl ObjectCatalog {
         let h = mix64(SIZE_SALT ^ (u64::from(function) << 32) ^ u64::from(object));
         let doublings = h % u64::from(self.population.size_doublings + 1);
         Bytes::new(self.population.base_size.as_u64() << doublings)
+    }
+
+    /// The request at trace position `position`: `function` invoked at
+    /// `arrival`, reading the object [`ObjectCatalog::object_for`] assigns
+    /// that position, with the object's [`ObjectCatalog::size_of`].
+    pub(crate) fn request(
+        &self,
+        position: u64,
+        arrival: SimTime,
+        benchmark: Benchmark,
+        function: u32,
+    ) -> TraceRequest {
+        let object = self.object_for(function, position);
+        let object_bytes = u32::try_from(self.size_of(function, object).as_u64())
+            .expect("ObjectPopulation::validate caps object sizes at u32::MAX bytes");
+        TraceRequest {
+            arrival,
+            benchmark,
+            function,
+            object,
+            object_bytes,
+        }
     }
 }
 
@@ -375,7 +394,6 @@ impl Workload for AzureWorkload {
         let catalog = ObjectCatalog::new(self.objects());
         let mut requests = Vec::new();
         let mut offset = SimDuration::ZERO;
-        let mut id = 0u64;
         while offset < self.horizon {
             let step = self.step.min(self.horizon - offset);
             let burst = if rng.bernoulli(self.burst_fraction) {
@@ -387,16 +405,12 @@ impl Workload for AzureWorkload {
             let arrivals = PoissonArrivals::new(rate).arrivals_until(step, rng);
             for t in arrivals {
                 let function = zipf.sample(rng) as u32;
-                let object = catalog.object_for(function, id);
-                requests.push(TraceRequest {
-                    id,
-                    arrival: SimTime::ZERO + offset + t,
-                    benchmark: AzureWorkload::benchmark_of(function),
+                requests.push(catalog.request(
+                    requests.len() as u64,
+                    SimTime::ZERO + offset + t,
+                    AzureWorkload::benchmark_of(function),
                     function,
-                    object,
-                    object_bytes: catalog.size_of(function, object),
-                });
-                id += 1;
+                ));
             }
             offset += step;
         }
@@ -801,19 +815,33 @@ mod tests {
                 ..
             })
         ));
-        // Shift in range but the product overflows u64.
-        let huge_base = ObjectPopulation {
-            base_size: Bytes::from_gib(1 << 30),
-            size_doublings: 4,
+        // Requests store sizes as u32 byte counts: the largest object,
+        // base_size << size_doublings, must fit one.
+        let population = |base_size, size_doublings| ObjectPopulation {
+            base_size,
+            size_doublings,
             ..ObjectPopulation::default()
         };
-        assert!(matches!(
-            huge_base.validate(),
-            Err(WorkloadError::InvalidParameter {
-                name: "size_doublings",
-                ..
-            })
-        ));
+        for (base, doublings) in [
+            // Shift in range but the product overflows u64.
+            (Bytes::from_gib(1 << 30), 4),
+            // 256 KiB << 14 is 4 GiB, one byte more than u32::MAX.
+            (Bytes::from_kib(256), 14),
+            (Bytes::from_gib(4), 0),
+        ] {
+            assert!(
+                matches!(
+                    population(base, doublings).validate(),
+                    Err(WorkloadError::InvalidParameter {
+                        name: "size_doublings",
+                        ..
+                    })
+                ),
+                "{base} << {doublings}"
+            );
+        }
+        // 256 KiB << 13 is 2 GiB.
+        assert_eq!(population(Bytes::from_kib(256), 13).validate(), Ok(()));
         let zero_objects = ObjectPopulation {
             objects_per_function: 0,
             ..ObjectPopulation::default()
@@ -841,6 +869,37 @@ mod tests {
             hot > 4000 / population.objects_per_function as usize * 4,
             "hot object drew {hot} of 4000"
         );
+    }
+
+    /// Every generator stamps each request with the object
+    /// [`ObjectCatalog::object_for`] assigns its final trace position, and
+    /// that object's size. For a trace file that is the position after the
+    /// expansion sorts by arrival.
+    #[test]
+    fn objects_follow_the_final_trace_position() {
+        let bursty = RateProfile {
+            segments: vec![(SimDuration::from_secs(5), 200.0)],
+        };
+        let azure = AzureWorkload::quick();
+        let file = TraceFileWorkload::from_workload(&azure, &mut DeterministicRng::seeded(1), "q")
+            .expect("valid");
+        let traces = [
+            Workload::generate(&bursty, &mut DeterministicRng::seeded(2)),
+            azure.generate(&mut DeterministicRng::seeded(3)),
+            file.generate(&mut DeterministicRng::seeded(4)),
+        ];
+        let catalog = ObjectCatalog::new(ObjectPopulation::default());
+        for trace in traces {
+            let trace = trace.expect("valid");
+            assert!(!trace.is_empty());
+            for (position, r) in trace.iter().enumerate() {
+                assert_eq!(r.object, catalog.object_for(r.function, position as u64));
+                assert_eq!(
+                    u64::from(r.object_bytes),
+                    catalog.size_of(r.function, r.object).as_u64()
+                );
+            }
+        }
     }
 
     #[test]
