@@ -47,8 +47,6 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use dscs_platforms::PlatformKind;
 use dscs_simcore::json::JsonValue;
 use dscs_simcore::par;
@@ -62,7 +60,7 @@ use crate::sim::{ClusterConfig, ClusterSim};
 use crate::workload::{RealizedWorkload, WorkloadSpec};
 
 /// How much of the full-size experiment to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SweepScale {
     /// Tiny traces for unit tests (seconds of simulated time).
     Smoke,
@@ -91,7 +89,7 @@ impl SweepScale {
 
 /// Options for one at-scale sweep: the CLI-facing shorthand that expands
 /// into a full-grid [`SweepSpec`] (restricting at most the balancer axis).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AtScaleOptions {
     /// Experiment size.
     pub scale: SweepScale,
@@ -163,7 +161,7 @@ impl AtScaleOptions {
 /// Adding a policy axis to the sweep is one enum (the policy itself) and one
 /// list here — the iteration, cell identity and JSON rendering follow from
 /// the spec instead of being hard-coded per axis.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepSpec {
     /// Experiment size (governs the workload traces generated).
     pub scale: SweepScale,
@@ -512,7 +510,7 @@ impl From<AtScaleOptions> for SweepSpec {
 
 /// One cell of the sweep: a (workload, platform, scheduler, keepalive,
 /// scaling, balancer, cold-start path, IPC transport) point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepCell {
     /// Workload name (`"bursty"`, `"azure"`, `"trace"`).
     pub workload: String,
@@ -615,7 +613,7 @@ impl SweepCell {
 }
 
 /// Description of one workload used by the sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadSummary {
     /// Workload name.
     pub name: String,
@@ -632,7 +630,7 @@ pub struct WorkloadSummary {
 /// every policy cell the two share. This is the cross-validation signal the
 /// ingestion subsystem exists for — a simulator earns trust by reproducing
 /// measured traces, not just parametric ones.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CrossValidation {
     /// The synthetic workload's name.
     pub synthetic: String,
@@ -657,7 +655,7 @@ pub struct CrossValidation {
 }
 
 /// The full sweep result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AtScaleReport {
     /// The declarative grid the sweep ran.
     pub spec: SweepSpec,

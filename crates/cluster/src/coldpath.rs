@@ -20,12 +20,10 @@
 //!   default) is modelled as free, so default-configured runs reproduce the
 //!   historical numbers exactly.
 
-use serde::{Deserialize, Serialize};
-
 use dscs_simcore::time::SimDuration;
 
 /// Which modality a cold start pays (see [`dscs_faas::coldstart`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ColdStartPath {
     /// Every cold start pays the full registry pull + unpack + boot, even
     /// when the image sits on the drive's flash — the no-reuse baseline.
@@ -79,7 +77,7 @@ impl Default for ColdStartPath {
 /// free at this simulator's resolution), a Unix domain socket round trip
 /// with copy-in/copy-out lands in the tens of microseconds, and a loopback
 /// HTTP hop with header parse in the hundreds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IpcTransport {
     /// Shared-memory ring buffer: zero modelled latency (sub-microsecond in
     /// practice, below the simulator's resolution of interest).

@@ -23,15 +23,13 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-use serde::{Deserialize, Serialize};
-
 use dscs_core::benchmarks::Benchmark;
 use dscs_simcore::time::{SimDuration, SimTime};
 
 use crate::experiment::ConfigError;
 
 /// Which queued request is started next when capacity frees up.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SchedulerPolicy {
     /// First-come-first-served (the paper's policy).
     Fcfs,
@@ -63,7 +61,7 @@ impl SchedulerPolicy {
 }
 
 /// How long an idle function's container stays warm before eviction.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum KeepalivePolicy {
     /// Evict immediately: every non-concurrent invocation is a cold start.
     NoKeepalive,
@@ -174,7 +172,7 @@ impl KeepalivePolicy {
 pub const DEFAULT_SPILL_THRESHOLD: usize = 64;
 
 /// How a multi-rack front end shards arriving requests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LoadBalancer {
     /// Rotate through racks in arrival order.
     RoundRobin,
@@ -229,7 +227,7 @@ impl LoadBalancer {
 /// elastic policies respect the rack's `[min_instances, max_instances]`
 /// bounds and pay a modelled provisioning delay on every scale-up, so the
 /// simulation exposes the scaling-lag vs. cold-start tradeoff.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ScalingPolicy {
     /// The paper's policy: the rack always runs `max_instances`.
     Fixed,
@@ -766,7 +764,7 @@ struct ArrivalTrack {
 }
 
 /// Warm-memory and prewarming counters accumulated by a [`KeepaliveState`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct KeepaliveStats {
     /// Warm starts the prewarm policy *predicted*: invocations of a
     /// learned-pattern function (under a non-zero head percentile) whose

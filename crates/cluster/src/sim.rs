@@ -25,8 +25,6 @@
 //! (hits, wasted warm-seconds) and per-rack summaries for the at-scale policy
 //! sweeps.
 
-use serde::{Deserialize, Serialize};
-
 use dscs_core::benchmarks::Benchmark;
 use dscs_core::endtoend::{EvalOptions, SystemModel};
 use dscs_faas::coldstart::{ColdStartModel, ImageSource};
@@ -48,7 +46,7 @@ use crate::policy::{
 use crate::trace::TraceRequest;
 
 /// Per-rack cluster configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClusterConfig {
     /// Maximum concurrent function instances per rack (the paper caps both
     /// systems at 200). A [`ScalingPolicy::Fixed`] rack always runs this
@@ -130,7 +128,7 @@ impl ClusterConfig {
 }
 
 /// Result of one cluster simulation (aggregated over all racks).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterReport {
     /// The platform simulated.
     pub platform: PlatformKind,
@@ -264,7 +262,7 @@ impl ClusterReport {
 }
 
 /// Per-rack outcome of a sharded run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RackSummary {
     /// Rack index.
     pub rack: u32,

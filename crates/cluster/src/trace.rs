@@ -8,8 +8,6 @@
 //! [`Workload`] trait, so the same simulation also runs Azure-style traces
 //! (see [`crate::workload`]).
 
-use serde::{Deserialize, Serialize};
-
 use dscs_core::benchmarks::Benchmark;
 use dscs_simcore::dist::PoissonArrivals;
 use dscs_simcore::rng::DeterministicRng;
@@ -23,7 +21,7 @@ use crate::workload::{ObjectCatalog, Workload, WorkloadError};
 ///
 /// Traces of 10⁷ requests are held in memory whole, so the layout is kept
 /// to 24 bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceRequest {
     /// Arrival time.
     pub arrival: SimTime,
@@ -49,7 +47,7 @@ pub struct TraceRequest {
 const _: () = assert!(std::mem::size_of::<TraceRequest>() == 24);
 
 /// A piecewise-constant arrival-rate profile.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RateProfile {
     /// `(segment duration, requests per second)` pairs.
     pub segments: Vec<(SimDuration, f64)>,

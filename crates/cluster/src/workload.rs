@@ -24,8 +24,6 @@
 use std::fmt;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use dscs_core::benchmarks::Benchmark;
 use dscs_simcore::dist::{PoissonArrivals, ZipfIndex};
 use dscs_simcore::quantity::Bytes;
@@ -88,7 +86,7 @@ impl std::error::Error for WorkloadError {}
 /// its traffic the same way hot functions dominate the cluster's. Object
 /// sizes are deterministic per (function, object): `base_size` scaled by a
 /// hashed number of doublings, spanning the serverless payload range.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ObjectPopulation {
     /// Distinct objects per function (>= 1).
     pub objects_per_function: u32,
@@ -262,7 +260,7 @@ pub trait Workload {
 /// its service time and container image). The aggregate arrival rate is
 /// `base_rps` modulated by a sinusoidal diurnal cycle and by random burst
 /// episodes; arrivals inside each modulation step are Poisson.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AzureWorkload {
     /// Number of distinct functions (>= 1).
     pub functions: u32,
@@ -521,7 +519,7 @@ pub struct RealizedWorkload {
 /// CLI can parse one from `--workload azure|bursty|trace:<path>[@<day>]`,
 /// and [`crate::experiment::ExperimentBuilder::workload_spec`] can realize
 /// one directly into an experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum WorkloadSpec {
     /// The paper's bursty [`RateProfile`] at a sweep scale.
     Bursty {

@@ -7,8 +7,6 @@
 //! read their producer's output from the shared on-chip buffer so only the
 //! group's external inputs and final output travel over DMA.
 
-use serde::{Deserialize, Serialize};
-
 use dscs_dsa::config::DsaConfig;
 use dscs_dsa::isa::{Instruction, Program};
 use dscs_nn::graph::Graph;
@@ -18,7 +16,7 @@ use crate::fusion::{fuse, FusionGroup, FusionPolicy};
 use crate::tiling::select_tiling;
 
 /// The implicit-GEMM view of a GEMM-class operator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GemmDims {
     /// Output rows.
     pub m: u64,
@@ -74,7 +72,7 @@ pub fn gemm_dims(op: &Operator) -> Option<GemmDims> {
 }
 
 /// Compiler options.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompileOptions {
     /// Whether to fuse vector consumers into their GEMM producers.
     pub fusion: FusionPolicy,
@@ -200,7 +198,7 @@ fn emit_gemm(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dscs_dsa::executor::Executor;
+    use dscs_dsa::executor::{Executor, OverlapPolicy};
     use dscs_nn::tensor::DType;
     use dscs_nn::zoo::{Model, ModelKind};
 
@@ -270,8 +268,26 @@ mod tests {
             let model = Model::build(kind);
             let program = compile(model.graph(), &cfg, CompileOptions::default());
             assert!(!program.is_empty(), "{kind} compiled to empty program");
-            let report = Executor::new(cfg).run(&program);
-            assert!(report.total_cycles > 0, "{kind} has zero cycles");
+            let cycles = |policy| {
+                Executor::with_policy(cfg, policy)
+                    .run(&program)
+                    .total_cycles
+            };
+            let overlapped = cycles(OverlapPolicy::DoubleBuffered);
+            let sequential = cycles(OverlapPolicy::Sequential);
+            assert!(overlapped > 0, "{kind} has zero cycles");
+            // Double buffering hides DMA behind compute, so it never loses to
+            // running them back to back, and on ResNet-50 it wins outright.
+            assert!(
+                overlapped <= sequential,
+                "{kind}: double-buffered {overlapped} > sequential {sequential} cycles"
+            );
+            if kind == ModelKind::ResNet50 {
+                assert!(
+                    overlapped < sequential,
+                    "{kind}: {overlapped} cycles, no gain"
+                );
+            }
         }
     }
 

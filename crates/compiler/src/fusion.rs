@@ -10,13 +10,11 @@
 //! A fusion group therefore loads its external inputs once, computes the whole
 //! chain, and stores only the final output.
 
-use serde::{Deserialize, Serialize};
-
 use dscs_nn::graph::{Graph, NodeId};
 use dscs_nn::op::OperatorClass;
 
 /// A group of operators executed back-to-back without spilling intermediates.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FusionGroup {
     /// Nodes in the group, in topological order.
     pub nodes: Vec<NodeId>,
@@ -45,7 +43,7 @@ impl FusionGroup {
 }
 
 /// Fusion policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FusionPolicy {
     /// Fuse vector-class consumers into their GEMM-class producer (default).
     Enabled,

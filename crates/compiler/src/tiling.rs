@@ -14,12 +14,10 @@
 //! Tiles are padded up to multiples of the array dimensions, which is where the
 //! utilisation loss of oversized arrays at batch 1 comes from.
 
-use serde::{Deserialize, Serialize};
-
 use dscs_dsa::config::DsaConfig;
 
 /// A tiling decision for one GEMM.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Tiling {
     /// Tile size along the output-row (m) dimension.
     pub tile_m: u64,

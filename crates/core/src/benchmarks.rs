@@ -7,7 +7,6 @@
 //! non-public AWS models, we use the structurally equivalent networks from
 //! `dscs-nn`'s zoo.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use dscs_faas::function::AppPipeline;
@@ -16,7 +15,7 @@ use dscs_nn::zoo::{Model, ModelKind};
 use dscs_simcore::quantity::Bytes;
 
 /// The eight benchmark applications, in the paper's presentation order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Benchmark {
     /// Binary logistic regression over loan-applicant features (IBM credit risk).
     CreditRiskAssessment,
@@ -177,7 +176,7 @@ impl fmt::Display for Benchmark {
 }
 
 /// Static description of one benchmark application.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BenchmarkSpec {
     /// Which benchmark this is.
     pub benchmark: Benchmark,

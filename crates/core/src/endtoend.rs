@@ -10,8 +10,6 @@
 //! routing and launch), the notification function that always runs on a host
 //! CPU, and (optionally) cold-start costs — and the corresponding energies.
 
-use serde::{Deserialize, Serialize};
-
 use dscs_faas::coldstart::{ColdStartModel, ImageSource};
 use dscs_nn::graph::Graph;
 use dscs_platforms::{device_copy_latency, ComputeEngine, PlatformKind, PlatformLocation};
@@ -23,7 +21,7 @@ use dscs_storage::network::{NetworkConfig, NetworkModel};
 use crate::benchmarks::Benchmark;
 
 /// Options controlling one end-to-end evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EvalOptions {
     /// Batch size (number of requests served by one invocation).
     pub batch: u64,
@@ -51,7 +49,7 @@ impl Default for EvalOptions {
 }
 
 /// Latency broken down by system component (the categories of Figures 4 and 10).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct LatencyBreakdown {
     /// Reads from remote disaggregated storage (network RPC + storage node I/O).
     pub remote_read: SimDuration,
@@ -102,7 +100,7 @@ impl LatencyBreakdown {
 }
 
 /// Energy broken down by source.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EnergyBreakdown {
     /// Compute-device energy (functions 1 and 2, plus duplicates).
     pub compute: Joules,
@@ -120,7 +118,7 @@ impl EnergyBreakdown {
 }
 
 /// Result of one end-to-end evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EndToEndReport {
     /// The benchmark evaluated.
     pub benchmark: Benchmark,

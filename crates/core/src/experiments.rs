@@ -9,8 +9,6 @@
 //! `reproduce at-scale` subcommand) is `dscs_cluster::at_scale`, kept there
 //! because `dscs-cluster` sits above this crate in the dependency graph.
 
-use serde::{Deserialize, Serialize};
-
 use dscs_platforms::PlatformKind;
 use dscs_simcore::rng::DeterministicRng;
 use dscs_simcore::stats::{geometric_mean, Summary};
@@ -19,7 +17,7 @@ use crate::benchmarks::Benchmark;
 use crate::endtoend::{EndToEndReport, EvalOptions, LatencyBreakdown, SystemModel};
 
 /// One CDF series for Figure 3: per-benchmark S3-style read latency.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CdfSeries {
     /// The benchmark whose input object is read.
     pub benchmark: Benchmark,
@@ -61,7 +59,7 @@ pub fn fig3_s3_read_cdf(samples: usize, seed: u64) -> Vec<CdfSeries> {
 }
 
 /// One row of a runtime-breakdown figure (Figures 4 and 10).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BreakdownRow {
     /// Benchmark.
     pub benchmark: Benchmark,
@@ -114,7 +112,7 @@ pub fn fig4_runtime_breakdown_baseline() -> Vec<BreakdownRow> {
 }
 
 /// One speedup cell of Figure 9 / 11 style figures.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RatioCell {
     /// Benchmark.
     pub benchmark: Benchmark,
@@ -125,7 +123,7 @@ pub struct RatioCell {
 }
 
 /// A full platform-vs-benchmark ratio matrix plus per-platform geometric means.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RatioMatrix {
     /// Every (benchmark, platform) cell.
     pub cells: Vec<RatioCell>,
@@ -222,7 +220,7 @@ pub fn fig11_energy_reduction() -> RatioMatrix {
 }
 
 /// One point of a sensitivity sweep: a parameter value and the DSCS-over-baseline speedup.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SensitivityPoint {
     /// Benchmark.
     pub benchmark: Benchmark,
@@ -337,7 +335,7 @@ pub fn fig17_cold_start_sensitivity() -> Vec<SensitivityPoint> {
 }
 
 /// One row of Table 1.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table1Row {
     /// Benchmark.
     pub benchmark: Benchmark,
@@ -372,7 +370,7 @@ pub fn table1_benchmarks() -> Vec<Table1Row> {
 }
 
 /// One row of Table 2.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table2Row {
     /// Platform.
     pub platform: PlatformKind,

@@ -5,7 +5,6 @@
 //! technologies (DDR4, DDR5, HBM2). A configuration also fixes the clock (the
 //! synthesized design closes timing at 1 GHz) and the technology node.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use dscs_simcore::quantity::{Bandwidth, Bytes, Frequency};
@@ -13,7 +12,7 @@ use dscs_simcore::quantity::{Bandwidth, Bytes, Frequency};
 use crate::scaling::ScalingFactors;
 
 /// Off-chip memory technology available to the DSA inside the drive.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemoryKind {
     /// DDR4: 19.2 GB/s.
     Ddr4,
@@ -67,7 +66,7 @@ impl fmt::Display for MemoryKind {
 }
 
 /// Silicon technology node of the DSA implementation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TechnologyNode {
     /// FreePDK 45 nm — the node used for synthesis and the DSE figures.
     Nm45,
@@ -96,7 +95,7 @@ impl fmt::Display for TechnologyNode {
 }
 
 /// One DSA design point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DsaConfig {
     /// Systolic-array rows (number of PE rows in the MPU).
     pub array_rows: u64,

@@ -11,8 +11,6 @@
 //! * [`DmaModel`] — the DMA engine between drive DRAM and the scratchpad:
 //!   bandwidth-limited transfer plus a fixed setup cost.
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::DsaConfig;
 
 /// Fixed DMA setup cost per transfer (descriptor fetch, address translation).
@@ -21,7 +19,7 @@ const DMA_SETUP_CYCLES: u64 = 60;
 const VPU_ISSUE_CYCLES: u64 = 8;
 
 /// Systolic-array cycle model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MpuModel {
     rows: u64,
     cols: u64,
@@ -69,7 +67,7 @@ impl MpuModel {
 }
 
 /// SIMD vector-unit cycle model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VpuModel {
     lanes: u64,
 }
@@ -94,7 +92,7 @@ impl VpuModel {
 }
 
 /// DMA engine cycle model (drive DRAM <-> scratchpad).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DmaModel {
     bytes_per_cycle: f64,
 }

@@ -11,8 +11,6 @@
 //! behaviour — per-tile `max(compute, memory)` with fill/drain overheads — and
 //! is the basis of every DSA performance number downstream.
 
-use serde::{Deserialize, Serialize};
-
 use dscs_simcore::quantity::Joules;
 use dscs_simcore::time::SimDuration;
 
@@ -22,7 +20,7 @@ use crate::isa::{Instruction, Program};
 use crate::power::{EnergyBreakdown, PowerModel};
 
 /// Result of executing one program on one DSA configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExecutionReport {
     /// Total cycles from first instruction issue to last completion.
     pub total_cycles: u64,
@@ -81,7 +79,7 @@ impl ExecutionReport {
 }
 
 /// Execution policy for the memory/compute overlap.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OverlapPolicy {
     /// Double-buffered: DMA for the next tile overlaps the current compute
     /// (the DSA's normal mode and the compiler's assumption).

@@ -5,13 +5,12 @@
 //! MPU GEMM tiles, VPU vector tiles, and DMA stores of results. The executor
 //! models double-buffered overlap between consecutive loads and computes.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use dscs_simcore::quantity::Bytes;
 
 /// One tile-level instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Instruction {
     /// DMA transfer of `bytes` from drive DRAM into the scratchpad.
     LoadTile {
@@ -106,7 +105,7 @@ impl fmt::Display for Instruction {
 }
 
 /// A compiled program: an ordered instruction stream plus bookkeeping totals.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Program {
     name: String,
     instructions: Vec<Instruction>,

@@ -7,8 +7,6 @@
 //! (128x128, 4 MiB, DDR5) at roughly 4 W of accelerator power at 14 nm and a
 //! few tens of watts at 45 nm, matching the DSE figures' range.
 
-use serde::{Deserialize, Serialize};
-
 use dscs_simcore::quantity::{AreaMm2, Joules, Watts};
 
 use crate::config::DsaConfig;
@@ -33,7 +31,7 @@ const UNCORE_AREA_MM2_45NM: f64 = 4.0;
 const UNCORE_LEAKAGE_W_45NM: f64 = 0.25;
 
 /// Energy consumed by one program execution, broken down by component.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EnergyBreakdown {
     /// MAC-array switching energy.
     pub mpu: Joules,
@@ -55,7 +53,7 @@ impl EnergyBreakdown {
 }
 
 /// Power/energy model for one DSA configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerModel {
     config: DsaConfig,
 }
@@ -112,7 +110,7 @@ impl PowerModel {
 }
 
 /// Area model for one DSA configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AreaModel {
     config: DsaConfig,
 }

@@ -7,10 +7,8 @@
 //! ratios for 45 nm → 14 nm are roughly 7.5x area density and 5-6x switching
 //! energy improvement, with leakage improving a little less.
 
-use serde::{Deserialize, Serialize};
-
 /// Multiplicative factors relative to the 45 nm baseline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScalingFactors {
     /// Dynamic (switching) energy multiplier.
     pub dynamic_energy: f64,

@@ -12,12 +12,10 @@
 //! period, 30 % utilisation and the 2023 average U.S. industrial electricity
 //! rate of $0.0975/kWh.
 
-use serde::{Deserialize, Serialize};
-
 use dscs_simcore::quantity::{AreaMm2, Dollars, Watts};
 
 /// Ownership-period parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostParameters {
     /// Ownership period in years.
     pub years: f64,
@@ -70,7 +68,7 @@ impl CostParameters {
 
 /// ASIC fabrication cost estimate in the style of ASIC Clouds: wafer cost
 /// amortised over dies (with yield) plus packaging/test, plus an NRE share.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AsicCostModel {
     /// Cost of one processed 300 mm wafer in dollars.
     pub wafer_cost: Dollars,

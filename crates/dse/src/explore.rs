@@ -6,8 +6,6 @@
 //! model's average power and the area model's die area — exactly the axes of
 //! the paper's power–performance and area–performance frontiers at 45 nm.
 
-use serde::{Deserialize, Serialize};
-
 use dscs_compiler::{compile, CompileOptions};
 use dscs_dsa::config::DsaConfig;
 use dscs_dsa::executor::Executor;
@@ -22,7 +20,7 @@ use dscs_simcore::stats::arithmetic_mean;
 pub const DRIVE_POWER_BUDGET_WATTS: f64 = 25.0;
 
 /// One evaluated design point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DesignPoint {
     /// The configuration.
     pub config: DsaConfig,

@@ -14,14 +14,12 @@
 //! restore stream and its page-fault warmup tail (priced by
 //! [`dscs_storage::snapshot`]).
 
-use serde::{Deserialize, Serialize};
-
 use dscs_simcore::quantity::{Bandwidth, Bytes};
 use dscs_simcore::time::SimDuration;
 use dscs_storage::snapshot::{SnapshotConfig, SnapshotStore};
 
 /// Where a container image is fetched from on a cold start.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ImageSource {
     /// Remote container registry over the datacenter network.
     RemoteRegistry,
@@ -35,7 +33,7 @@ pub enum ImageSource {
 }
 
 /// Cold-start model parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ColdStartModel {
     /// Bandwidth to the remote registry.
     pub registry_bandwidth: Bandwidth,
@@ -111,7 +109,7 @@ impl ColdStartModel {
 }
 
 /// Tracks the warm/cold state of one function's container on one node.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ContainerState {
     last_invocation: Option<SimDuration>,
     /// Whether the image has been cached to the drive's flash (so the next

@@ -6,14 +6,13 @@
 //! exchanges data through persistent storage. Deployment metadata marks which
 //! functions are amenable to in-storage acceleration.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use dscs_simcore::quantity::Bytes;
 use dscs_simcore::time::SimDuration;
 
 /// What a function does, which determines where it may execute.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FunctionRole {
     /// Data pre-processing (decode, resize, tokenise, featurise).
     Preprocess,
@@ -35,7 +34,7 @@ impl fmt::Display for FunctionRole {
 }
 
 /// One serverless function's deployment specification.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FunctionSpec {
     /// Function name (unique within an application).
     pub name: String,
@@ -74,7 +73,7 @@ impl FunctionSpec {
 
 /// A serverless application: an ordered chain of functions (the paper's DAGs
 /// are linear chains for all eight benchmarks) plus its storage inputs/outputs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AppPipeline {
     /// Application name.
     pub name: String,

@@ -8,16 +8,14 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use serde::{Deserialize, Serialize};
-
 use crate::telemetry::Telemetry;
 
 /// Identifier of a schedulable node (compute node or DSCS-capable storage node).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u32);
 
 /// What kind of execution a node offers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NodeCapability {
     /// A conventional compute node (CPU, or CPU + discrete accelerator).
     Compute,
@@ -26,7 +24,7 @@ pub enum NodeCapability {
 }
 
 /// A request waiting to be placed.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PendingRequest {
     /// Request identifier (assigned by the caller).
     pub id: u64,
@@ -40,7 +38,7 @@ pub struct PendingRequest {
 }
 
 /// Placement decision for one request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Placement {
     /// Run on the in-storage DSA of the given storage node.
     InStorage(NodeId),

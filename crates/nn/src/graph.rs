@@ -5,7 +5,6 @@
 //! graph also records producer/consumer edges so the compiler can perform
 //! operator fusion.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::fmt;
 
@@ -14,7 +13,7 @@ use dscs_simcore::quantity::Bytes;
 use crate::op::{Operator, OperatorClass};
 
 /// Identifier of a node within one graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub usize);
 
 impl fmt::Display for NodeId {
@@ -24,7 +23,7 @@ impl fmt::Display for NodeId {
 }
 
 /// A node: an operator plus its producers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Node {
     /// Node identifier (index into the graph's node list).
     pub id: NodeId,
@@ -37,7 +36,7 @@ pub struct Node {
 }
 
 /// An operator graph in topological order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Graph {
     name: String,
     nodes: Vec<Node>,

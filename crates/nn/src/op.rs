@@ -7,7 +7,6 @@
 //! operators map to the Matrix Processing Unit; everything else maps to the
 //! Vector Processing Unit.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use dscs_simcore::quantity::Bytes;
@@ -15,7 +14,7 @@ use dscs_simcore::quantity::Bytes;
 use crate::tensor::DType;
 
 /// Element-wise activation functions executed on the VPU.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ActivationKind {
     /// Rectified linear unit.
     Relu,
@@ -42,7 +41,7 @@ impl ActivationKind {
 }
 
 /// Element-wise binary/unary arithmetic executed on the VPU.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ElementwiseKind {
     /// Element-wise addition (residual connections, bias add).
     Add,
@@ -55,7 +54,7 @@ pub enum ElementwiseKind {
 }
 
 /// Which execution unit an operator maps to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OperatorClass {
     /// Executed on the systolic-array Matrix Processing Unit.
     Gemm,
@@ -69,7 +68,7 @@ pub enum OperatorClass {
 ///
 /// Every variant knows its FLOP count and the bytes it reads and writes, which
 /// is all the cycle, roofline and energy models consume.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Operator {
     /// Dense matrix multiplication: `[m, k] x [k, n] -> [m, n]`.
     MatMul {

@@ -8,8 +8,6 @@
 //! pre/post-processing functions, which is how DSCS-Serverless widens the set
 //! of offloadable functions (Section 4.1).
 
-use serde::{Deserialize, Serialize};
-
 use dscs_simcore::quantity::Bytes;
 
 use crate::graph::{Graph, GraphBuilder};
@@ -17,7 +15,7 @@ use crate::op::{ElementwiseKind, Operator};
 use crate::tensor::DType;
 
 /// The kind of pre-processing the application's first function performs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PreprocessKind {
     /// JPEG-class image decode, resize to the model input and normalise.
     ImageDecodeResize {
@@ -42,7 +40,7 @@ pub enum PreprocessKind {
 
 /// Specification of the pre-processing function: its kind plus the size of the
 /// raw input object it reads from storage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PreprocessSpec {
     /// What the function does.
     pub kind: PreprocessKind,
@@ -158,7 +156,7 @@ impl PreprocessSpec {
 
 /// Specification of the post-inference output handed to the notification
 /// function (Function 3), which always runs on a host CPU.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PostprocessSpec {
     /// Size of the result object written back to persistent storage.
     pub result_size: Bytes,

@@ -1,6 +1,5 @@
 //! Tensor shapes and element types.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use dscs_simcore::quantity::Bytes;
@@ -8,7 +7,7 @@ use dscs_simcore::quantity::Bytes;
 /// Element data type. The DSA executes GEMMs in 8-bit integer arithmetic with
 /// 32-bit accumulation (as in the paper's PE microarchitecture) and supports
 /// fp16/fp32 for vector operations and type-casting layers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DType {
     /// 8-bit integer (quantized weights/activations).
     Int8,
@@ -44,7 +43,7 @@ impl fmt::Display for DType {
 }
 
 /// A tensor shape: a list of dimension sizes, outermost first.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Shape(Vec<u64>);
 
 impl Shape {
@@ -112,7 +111,7 @@ impl fmt::Display for Shape {
 }
 
 /// A tensor specification: shape plus element type.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct TensorSpec {
     /// Tensor shape.
     pub shape: Shape,

@@ -18,7 +18,6 @@
 //! within a few percent of the published architectures; the simulator only
 //! consumes those aggregates.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use dscs_simcore::quantity::Bytes;
@@ -32,7 +31,7 @@ use crate::op::{ActivationKind, Operator};
 use crate::tensor::DType;
 
 /// The networks used by the benchmark suite.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ModelKind {
     /// Logistic regression over tabular features (Credit Risk Assessment).
     LogisticRegression,
@@ -87,7 +86,7 @@ impl fmt::Display for ModelKind {
 }
 
 /// A built model: its operator graph plus descriptive metadata.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Model {
     kind: ModelKind,
     batch: u64,

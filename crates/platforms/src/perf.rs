@@ -12,8 +12,6 @@
 //! Both paths produce an [`InferenceResult`] with latency and energy so the
 //! end-to-end model can treat every platform uniformly.
 
-use serde::{Deserialize, Serialize};
-
 use dscs_compiler::{compile, CompileOptions};
 use dscs_dsa::config::DsaConfig;
 use dscs_dsa::executor::Executor;
@@ -24,7 +22,7 @@ use dscs_simcore::time::SimDuration;
 use crate::spec::{PlatformKind, PlatformSpec};
 
 /// Latency and energy of executing one graph on one platform.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InferenceResult {
     /// Wall-clock compute latency (including launch/driver overhead but not
     /// any data movement outside the device).

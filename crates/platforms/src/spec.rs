@@ -15,14 +15,13 @@
 //! efficiency derates are what a roofline model needs to land the measured
 //! single-request inference latencies of these devices.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use dscs_simcore::quantity::{Bandwidth, Dollars, Watts};
 use dscs_simcore::time::SimDuration;
 
 /// Where a platform sits relative to the data.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PlatformLocation {
     /// On a compute node; inputs/outputs cross the network to remote storage.
     RemoteCompute,
@@ -34,7 +33,7 @@ pub enum PlatformLocation {
 }
 
 /// The compute platforms evaluated in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PlatformKind {
     /// Baseline: Intel Xeon Platinum 8275CL (EC2 c5.4xlarge), remote storage.
     BaselineCpu,
@@ -184,7 +183,7 @@ impl fmt::Display for PlatformKind {
 }
 
 /// The specification of one compute platform.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlatformSpec {
     /// Which platform this is.
     pub kind: PlatformKind,

@@ -6,8 +6,6 @@
 //! the distributions used to model both, behind a common [`Distribution`] trait
 //! so components can be configured with any of them.
 
-use serde::{Deserialize, Serialize};
-
 use crate::rng::DeterministicRng;
 use crate::time::SimDuration;
 
@@ -32,7 +30,7 @@ pub trait Distribution {
 
 /// A distribution that always returns the same value. Useful to disable
 /// variability in sensitivity studies ("no tail" configurations).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConstantDist {
     value: f64,
 }
@@ -62,7 +60,7 @@ impl Distribution for ConstantDist {
 }
 
 /// Uniform distribution over `[lo, hi)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UniformDist {
     lo: f64,
     hi: f64,
@@ -94,7 +92,7 @@ impl Distribution for UniformDist {
 
 /// Exponential distribution with a given mean. Used for inter-arrival times in
 /// Poisson processes and for memoryless service-time components.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExponentialDist {
     mean: f64,
 }
@@ -145,7 +143,7 @@ impl Distribution for ExponentialDist {
 /// let d = LogNormalDist::from_median_p99(0.028, 0.059);
 /// assert!((d.median() - 0.028).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LogNormalDist {
     /// Mean of the underlying normal (log-space).
     mu: f64,
@@ -228,7 +226,7 @@ impl Distribution for LogNormalDist {
 /// Wraps another distribution and multiplies every sample by a constant.
 /// Useful to reuse one calibrated latency shape across payloads of different
 /// sizes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScaledDist<D> {
     inner: D,
     factor: f64,
@@ -261,7 +259,7 @@ impl<D: Distribution> Distribution for ScaledDist<D> {
 /// A Poisson arrival process with a (piecewise-constant) rate, producing
 /// arrival timestamps. The at-scale evaluation (Figure 13a) uses a bursty trace
 /// built from segments of different rates.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PoissonArrivals {
     /// Arrival rate in events per second.
     rate_per_sec: f64,
@@ -360,7 +358,7 @@ impl PoissonArrivals {
 /// predicate returns the same rank as the full search. NaN and values
 /// outside `[0, 1)` take the full search. Small CDFs, which fit in the
 /// nearest caches, skip the guide: there it only adds work.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ZipfIndex {
     /// Cumulative probabilities, one per rank; the last entry is 1.0.
     cdf: Vec<f64>,

@@ -1,15 +1,15 @@
-//! A small discrete-event simulation engine.
+//! A time-ordered event queue for discrete-event simulation.
 //!
-//! The at-scale evaluation (Figure 13) replays a 20-minute request trace
-//! against a 200-node cluster. That simulation is driven by this engine: events
-//! are ordered by timestamp (FIFO among equal timestamps), handlers may
-//! schedule further events, and the simulation runs until the queue drains or a
-//! horizon is reached.
+//! Events pop in timestamp order, FIFO among equal timestamps. The at-scale
+//! evaluation (Figure 13) replays a request trace against a multi-rack
+//! cluster; its event loop (`ClusterSim` in `dscs-cluster`) streams the sorted
+//! arrivals itself and keeps only the pending completions and scaling events
+//! in an [`EventQueue`].
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 
 /// A scheduled event carrying a payload of type `E`.
 #[derive(Debug, Clone)]
@@ -99,110 +99,6 @@ impl<E> EventQueue<E> {
     }
 }
 
-/// A discrete-event simulator: an [`EventQueue`] plus a clock.
-///
-/// ```
-/// use dscs_simcore::events::Simulator;
-/// use dscs_simcore::time::{SimDuration, SimTime};
-///
-/// let mut sim: Simulator<&str> = Simulator::new();
-/// sim.schedule_in(SimDuration::from_millis(5), "late");
-/// sim.schedule_in(SimDuration::from_millis(1), "early");
-/// let mut order = Vec::new();
-/// sim.run(|_, now, ev| order.push((now, ev)));
-/// assert_eq!(order[0].1, "early");
-/// assert_eq!(order[1].1, "late");
-/// ```
-#[derive(Debug)]
-pub struct Simulator<E> {
-    queue: EventQueue<E>,
-    now: SimTime,
-    processed: u64,
-}
-
-impl<E> Default for Simulator<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> Simulator<E> {
-    /// Creates a simulator with the clock at zero.
-    pub fn new() -> Self {
-        Simulator {
-            queue: EventQueue::new(),
-            now: SimTime::ZERO,
-            processed: 0,
-        }
-    }
-
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Total number of processed events.
-    pub fn processed(&self) -> u64 {
-        self.processed
-    }
-
-    /// Number of still-pending events.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Schedules an event at an absolute time.
-    ///
-    /// # Panics
-    /// Panics if `at` is in the simulated past.
-    pub fn schedule_at(&mut self, at: SimTime, payload: E) {
-        assert!(at >= self.now, "cannot schedule an event in the past");
-        self.queue.schedule(at, payload);
-    }
-
-    /// Schedules an event `delay` after the current time.
-    pub fn schedule_in(&mut self, delay: SimDuration, payload: E) {
-        self.queue.schedule(self.now + delay, payload);
-    }
-
-    /// Runs until the queue drains. The handler receives the simulator (to
-    /// schedule follow-up events), the event time and the payload.
-    pub fn run<F>(&mut self, mut handler: F)
-    where
-        F: FnMut(&mut Simulator<E>, SimTime, E),
-    {
-        self.run_until(None, &mut handler);
-    }
-
-    /// Runs until the queue drains or the clock passes `horizon`.
-    /// Events scheduled after the horizon remain in the queue.
-    pub fn run_for<F>(&mut self, horizon: SimDuration, mut handler: F)
-    where
-        F: FnMut(&mut Simulator<E>, SimTime, E),
-    {
-        let end = SimTime::ZERO + horizon;
-        self.run_until(Some(end), &mut handler);
-    }
-
-    fn run_until<F>(&mut self, end: Option<SimTime>, handler: &mut F)
-    where
-        F: FnMut(&mut Simulator<E>, SimTime, E),
-    {
-        while let Some(at) = self.queue.peek_time() {
-            if let Some(end) = end {
-                if at > end {
-                    self.now = end;
-                    return;
-                }
-            }
-            let event = self.queue.pop().expect("peeked event must exist");
-            self.now = event.at;
-            self.processed += 1;
-            handler(self, event.at, event.payload);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,54 +122,5 @@ mod tests {
         }
         let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect();
         assert_eq!(order, (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn simulator_clock_advances() {
-        let mut sim: Simulator<u32> = Simulator::new();
-        sim.schedule_in(SimDuration::from_micros(10), 1);
-        sim.schedule_in(SimDuration::from_micros(20), 2);
-        let mut times = Vec::new();
-        sim.run(|_, now, _| times.push(now.as_nanos()));
-        assert_eq!(times, vec![10_000, 20_000]);
-        assert_eq!(sim.processed(), 2);
-        assert_eq!(sim.pending(), 0);
-    }
-
-    #[test]
-    fn handlers_can_schedule_follow_ups() {
-        let mut sim: Simulator<u32> = Simulator::new();
-        sim.schedule_in(SimDuration::from_micros(1), 0);
-        let mut count = 0;
-        sim.run(|sim, _, generation| {
-            count += 1;
-            if generation < 5 {
-                sim.schedule_in(SimDuration::from_micros(1), generation + 1);
-            }
-        });
-        assert_eq!(count, 6);
-        assert_eq!(sim.now().as_nanos(), 6_000);
-    }
-
-    #[test]
-    fn run_for_stops_at_horizon() {
-        let mut sim: Simulator<&str> = Simulator::new();
-        sim.schedule_in(SimDuration::from_secs(1), "in");
-        sim.schedule_in(SimDuration::from_secs(10), "out");
-        let mut seen = Vec::new();
-        sim.run_for(SimDuration::from_secs(5), |_, _, e| seen.push(e));
-        assert_eq!(seen, vec!["in"]);
-        assert_eq!(sim.pending(), 1);
-        assert_eq!(sim.now().as_secs_f64(), 5.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "past")]
-    fn scheduling_in_the_past_panics() {
-        let mut sim: Simulator<u32> = Simulator::new();
-        sim.schedule_in(SimDuration::from_secs(1), 1);
-        sim.run(|sim, _, _| {
-            sim.schedule_at(SimTime::ZERO, 2);
-        });
     }
 }

@@ -5,12 +5,11 @@
 //! degree polynomial to a set of `(x, y)` points by solving the normal
 //! equations with Gaussian elimination.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A polynomial with coefficients in ascending order of degree:
 /// `coeffs[0] + coeffs[1]*x + coeffs[2]*x^2 + ...`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Polynomial {
     coeffs: Vec<f64>,
 }

@@ -1,8 +1,8 @@
 //! Minimal deterministic JSON emission.
 //!
-//! The workspace vendors an API-surface stub of `serde` (no `serde_json`), so
+//! The workspace depends on no crate outside the repository, so
 //! machine-readable reports — the at-scale sweep artifact CI uploads, for one —
-//! are emitted through this small value tree instead. Rendering is fully
+//! are emitted through this small value tree. Rendering is fully
 //! deterministic: object keys keep insertion order and floats use Rust's
 //! shortest-roundtrip formatting, so a fixed-seed report is byte-for-byte
 //! reproducible across runs.
@@ -75,11 +75,13 @@ impl JsonValue {
     /// but not always variant-identical: a whole-valued `Float` renders
     /// without a decimal point and parses back as an integer, and non-finite
     /// floats render as `null`. See the module docs for the comparison
-    /// guidance.
+    /// guidance. A document nesting arrays and objects more than 128 deep is
+    /// rejected with an error.
     pub fn parse(input: &str) -> Result<JsonValue, JsonParseError> {
         let mut parser = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         parser.skip_whitespace();
         let value = parser.value()?;
@@ -194,9 +196,17 @@ impl fmt::Display for JsonParseError {
 
 impl std::error::Error for JsonParseError {}
 
+/// How many arrays and objects [`JsonValue::parse`] lets nest inside one
+/// another. The parser recurses once per level, so an unbounded input could
+/// exhaust the stack; the deepest document the repository writes or reads
+/// nests 4 levels.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -241,11 +251,26 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
             Some(b'"') => self.string().map(JsonValue::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.error("expected a JSON value")),
         }
+    }
+
+    /// Parses an array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<JsonValue, JsonParseError>,
+    ) -> Result<JsonValue, JsonParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<JsonValue, JsonParseError> {
@@ -547,6 +572,20 @@ mod tests {
         }
         let err = JsonValue::parse("[1,]").expect_err("dangling comma");
         assert!(!err.to_string().is_empty());
+    }
+
+    #[test]
+    fn nesting_is_capped_at_128_levels() {
+        let arrays = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let objects = |depth: usize| format!("{}1{}", "{\"a\":".repeat(depth), "}".repeat(depth));
+        assert!(JsonValue::parse(&arrays(128)).is_ok());
+        assert!(JsonValue::parse(&objects(128)).is_ok());
+        let err = JsonValue::parse(&arrays(129)).expect_err("129 levels");
+        assert_eq!(err.offset, 128);
+        assert!(JsonValue::parse(&objects(129)).is_err());
+        // Far past what the recursion could survive: a typed error, not a
+        // stack overflow.
+        assert!(JsonValue::parse(&"[".repeat(100_000)).is_err());
     }
 
     #[test]

@@ -18,11 +18,11 @@
 //! * [`pareto`] — Pareto-frontier extraction for the design-space exploration.
 //! * [`fit`] — least-squares polynomial fitting (the paper reports cubic fits of
 //!   its power/area frontiers).
-//! * [`events`] — a small discrete-event simulation engine used by the at-scale
-//!   datacenter simulation.
+//! * [`events`] — a time-ordered event queue (FIFO among equal timestamps);
+//!   the at-scale datacenter simulation runs its event loop over it.
 //! * [`series`] — time-bucketed series for "metric over wall-clock time" figures.
 //! * [`json`] — a minimal deterministic JSON emitter for machine-readable
-//!   reports (the vendored `serde` stub has no `serde_json`).
+//!   reports and a depth-capped parser to read them back.
 //! * [`csv`] — a minimal CSV record tokenizer/renderer for ingesting the
 //!   Azure Functions invocation-trace files (and emitting compatible ones).
 //! * [`par`] — the one worker pool: ordered fan-out over scoped threads.
@@ -60,7 +60,7 @@ pub use dist::{
     ConstantDist, Distribution, ExponentialDist, LogNormalDist, PoissonArrivals, ScaledDist,
     UniformDist, ZipfIndex,
 };
-pub use events::{Event, EventQueue, Simulator};
+pub use events::{Event, EventQueue};
 pub use fit::{polyfit, Polynomial};
 pub use json::JsonValue;
 pub use pareto::{pareto_frontier, ParetoPoint};
@@ -75,7 +75,7 @@ pub mod prelude {
     pub use crate::dist::{
         ConstantDist, Distribution, ExponentialDist, LogNormalDist, PoissonArrivals, UniformDist,
     };
-    pub use crate::events::{Event, EventQueue, Simulator};
+    pub use crate::events::{Event, EventQueue};
     pub use crate::fit::{polyfit, Polynomial};
     pub use crate::pareto::{pareto_frontier, ParetoPoint};
     pub use crate::quantity::{AreaMm2, Bandwidth, Bytes, Dollars, Frequency, Joules, Watts};

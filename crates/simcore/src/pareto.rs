@@ -5,11 +5,9 @@
 //! frontiers: points for which no other point has both lower cost (power or
 //! area) and higher throughput.
 
-use serde::{Deserialize, Serialize};
-
 /// A candidate design point: a cost to minimise, a benefit to maximise, and a
 /// caller-supplied tag identifying the configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ParetoPoint<T> {
     /// The quantity to minimise (e.g. watts or mm²).
     pub cost: f64,

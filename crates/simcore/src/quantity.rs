@@ -4,7 +4,6 @@
 //! confused with bandwidth — the kind of unit mix-up that silently skews an
 //! energy-efficiency figure.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
@@ -18,9 +17,7 @@ use crate::time::SimDuration;
 /// let payload = Bytes::from_mib(4);
 /// assert_eq!(payload.as_u64(), 4 * 1024 * 1024);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Bytes(u64);
 
 impl Bytes {
@@ -126,7 +123,7 @@ impl fmt::Display for Bytes {
 }
 
 /// A data-transfer rate in bytes per second.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Bandwidth(f64);
 
 impl Bandwidth {
@@ -193,7 +190,7 @@ impl fmt::Display for Bandwidth {
 }
 
 /// Power in watts.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Watts(f64);
 
 impl Watts {
@@ -253,7 +250,7 @@ impl fmt::Display for Watts {
 }
 
 /// Energy in joules.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Joules(f64);
 
 impl Joules {
@@ -325,7 +322,7 @@ impl fmt::Display for Joules {
 }
 
 /// Clock frequency in hertz.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Frequency(f64);
 
 impl Frequency {
@@ -376,7 +373,7 @@ impl fmt::Display for Frequency {
 }
 
 /// Silicon area in square millimetres.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct AreaMm2(f64);
 
 impl AreaMm2 {
@@ -431,7 +428,7 @@ impl fmt::Display for AreaMm2 {
 }
 
 /// US dollars, used by the CAPEX/OPEX cost-efficiency model.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Dollars(f64);
 
 impl Dollars {

@@ -7,8 +7,6 @@
 use std::error::Error;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::{SimDuration, SimTime};
 
 /// Why two [`TimeSeries`] could not be merged.
@@ -54,7 +52,7 @@ impl fmt::Display for SeriesMergeError {
 impl Error for SeriesMergeError {}
 
 /// A metric accumulated into fixed-width time buckets.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TimeSeries {
     bucket: SimDuration,
     sums: Vec<f64>,

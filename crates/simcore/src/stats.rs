@@ -4,7 +4,6 @@
 //! tail-latency study, and full CDFs of S3 read latency (Figure 3). This module
 //! provides the corresponding reductions over sample sets.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Summary statistics over a set of samples.
@@ -16,7 +15,7 @@ use std::fmt;
 /// assert_eq!(s.min(), 1.0);
 /// assert_eq!(s.max(), 4.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Summary {
     sorted: Vec<f64>,
     mean: f64,
@@ -128,7 +127,7 @@ impl fmt::Display for Summary {
 }
 
 /// An empirical cumulative distribution function.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cdf {
     sorted: Vec<f64>,
 }
@@ -183,7 +182,7 @@ impl Cdf {
 }
 
 /// A fixed-width histogram over non-negative samples.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     bucket_width: f64,
     counts: Vec<u64>,
@@ -297,7 +296,7 @@ const SKETCH_BUCKETS: usize = (SKETCH_MAX_INDEX - SKETCH_MIN_INDEX + 1) as usize
 /// let p99 = s.p99();
 /// assert!((p99 - 990.0).abs() <= 990.0 * 0.01 + 1e-9);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuantileSketch {
     /// Bucket `slot` counts samples with `ceil(log_γ v) == slot + MIN_INDEX`.
     counts: Vec<u64>,
@@ -511,7 +510,7 @@ impl fmt::Display for QuantileSketch {
 /// `Measured` compares equal to any other `Measured`, so reports that derive
 /// `PartialEq` stay bit-comparable on every modelled field while still
 /// carrying their measurements.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct Measured(pub f64);
 
 impl Measured {

@@ -6,8 +6,6 @@
 //! controller and the accelerator so data never crosses the host CPU's memory
 //! or software stack.
 
-use serde::{Deserialize, Serialize};
-
 use dscs_simcore::quantity::Bytes;
 use dscs_simcore::time::SimDuration;
 
@@ -16,7 +14,7 @@ use crate::pcie::PcieLink;
 
 /// Host-software costs on the storage node for a conventional (non-P2P) access:
 /// the request crosses the kernel block stack and the object-service process.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HostSoftwareCosts {
     /// System-call plus block-layer overhead per I/O.
     pub syscall: SimDuration,
@@ -36,7 +34,7 @@ impl Default for HostSoftwareCosts {
 /// P2P driver costs inside the DSCS-Drive: a single `ioctl`-style call sets up
 /// the transfer and the OpenCL runtime performs access-control checks, but no
 /// per-byte host work happens.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct P2pDriverCosts {
     /// One-time driver/system-call cost to initiate a P2P transfer.
     pub setup: SimDuration,
@@ -54,7 +52,7 @@ impl Default for P2pDriverCosts {
 }
 
 /// A conventional NVMe drive: flash behind a host PCIe link.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SsdDrive {
     flash: FlashArray,
     host_link: PcieLink,
@@ -111,7 +109,7 @@ impl SsdDrive {
 }
 
 /// The DSCS-Drive: a conventional drive plus an internal P2P path to the DSA.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DscsDrive {
     base: SsdDrive,
     p2p_link: PcieLink,

@@ -6,13 +6,11 @@
 //! latency. The model matches datacenter NVMe-class drives (~3-7 GB/s
 //! sequential, ~60-90 us random-read latency).
 
-use serde::{Deserialize, Serialize};
-
 use dscs_simcore::quantity::{Bandwidth, Bytes};
 use dscs_simcore::time::SimDuration;
 
 /// Configuration of the flash array inside one drive.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlashConfig {
     /// Number of independent flash channels.
     pub channels: u32,
@@ -54,7 +52,7 @@ impl FlashConfig {
 }
 
 /// The flash array: answers read/write latency and energy queries.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlashArray {
     config: FlashConfig,
 }

@@ -10,15 +10,13 @@
 //! a p99 roughly 2.1x the median) and the >55 % communication share of
 //! Figure 4.
 
-use serde::{Deserialize, Serialize};
-
 use dscs_simcore::dist::{Distribution, LogNormalDist};
 use dscs_simcore::quantity::{Bandwidth, Bytes};
 use dscs_simcore::rng::DeterministicRng;
 use dscs_simcore::time::SimDuration;
 
 /// Configuration of the network + RPC stack between compute and storage nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkConfig {
     /// Sustained per-flow network bandwidth.
     pub bandwidth: Bandwidth,
@@ -57,7 +55,7 @@ impl NetworkConfig {
 }
 
 /// The network/RPC model used by remote reads and writes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkModel {
     config: NetworkConfig,
     /// Multiplier applied to the base-latency spread (1.0 = calibrated tail,

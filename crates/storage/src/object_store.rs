@@ -18,8 +18,6 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use dscs_simcore::quantity::Bytes;
 use dscs_simcore::rng::DeterministicRng;
 use dscs_simcore::time::SimDuration;
@@ -28,11 +26,11 @@ use crate::network::{NetworkConfig, NetworkModel};
 use crate::pcie::PcieLink;
 
 /// Identifier of a storage node in the cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct StorageNodeId(pub u32);
 
 /// The kind of drive a storage node exposes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DriveClass {
     /// Conventional SSD.
     Conventional,
@@ -41,7 +39,7 @@ pub enum DriveClass {
 }
 
 /// Metadata for one stored object.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ObjectMeta {
     /// Object key.
     pub key: String,
@@ -74,7 +72,7 @@ impl std::fmt::Display for StoreError {
 impl std::error::Error for StoreError {}
 
 /// The disaggregated object store.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ObjectStore {
     nodes: HashMap<StorageNodeId, DriveClass>,
     /// Rack index of each node. Single-rack constructors map everything onto
@@ -343,7 +341,7 @@ impl ObjectStore {
 /// moves the payload off the remote drive ([`crate::pcie`]). Local placement
 /// pays neither — which is exactly the asymmetry a locality-aware scheduler
 /// exploits.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RemoteFetchModel {
     network: NetworkModel,
     drive_link: PcieLink,

@@ -7,13 +7,11 @@
 //! per-transaction latency; energy uses the per-bit cost reported for modern
 //! SerDes links (the paper cites Zeppelin's numbers).
 
-use serde::{Deserialize, Serialize};
-
 use dscs_simcore::quantity::{Bandwidth, Bytes};
 use dscs_simcore::time::SimDuration;
 
 /// PCIe generation (per-lane bandwidth).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PcieGeneration {
     /// PCIe 3.0: ~0.985 GB/s per lane.
     Gen3,
@@ -32,7 +30,7 @@ impl PcieGeneration {
 }
 
 /// A PCIe link with a fixed lane count.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PcieLink {
     generation: PcieGeneration,
     lanes: u32,

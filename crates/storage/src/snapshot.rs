@@ -19,13 +19,11 @@
 //! process images restore in the low hundreds of milliseconds, an order of
 //! magnitude under a registry container spawn but never free.
 
-use serde::{Deserialize, Serialize};
-
 use dscs_simcore::quantity::{Bandwidth, Bytes};
 use dscs_simcore::time::SimDuration;
 
 /// Configuration of the snapshot-restore path.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SnapshotConfig {
     /// Sequential bandwidth for streaming snapshot pages from local storage.
     pub restore_bandwidth: Bandwidth,
@@ -54,7 +52,7 @@ impl SnapshotConfig {
 }
 
 /// The snapshot-restore cost model: answers restore-latency queries.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SnapshotStore {
     config: SnapshotConfig,
 }
