@@ -19,7 +19,7 @@
 //!                    [--cold-path fresh|flash|snapshot]...
 //!                    [--ipc shm|socket|http]...
 //!                    [--workload azure|bursty|trace:<path>[@<day>]]...
-//!                    [--regret | --no-regret] [--out PATH]
+//!                    [--out PATH]
 //!
 //! Sweeps scheduler x keepalive x scaling x balancer x platform over the
 //! bursty Figure-13 trace and an Azure-style synthetic workload, sharded
@@ -55,9 +55,8 @@
 //! the preset cheaply and measure single-cell rack-parallel speedup.
 //! The table's `regret %` column shows each cell's cold-start
 //! regret against the offline-optimal bound, priced under the cell's own
-//! cold-start path (on by default; --no-regret hides it — the JSON always
-//! carries the regret fields either way, plus the v8 per-cell `cold_path`,
-//! `ipc`, `restore_s` and `ipc_overhead_s` columns).
+//! cold-start path; the JSON carries the regret fields too, plus the v8
+//! per-cell `cold_path`, `ipc`, `restore_s` and `ipc_overhead_s` columns.
 //!
 //! reproduce generate-trace [--sample | --scale smoke|quick|full|large]
 //!                          [--seed N] [--out PATH]
@@ -85,13 +84,14 @@
 //! version (the numbers are not comparable across a schema bump).
 //! ```
 
+mod perf_gate;
+
 use std::env;
 
 use dscs_cluster::at_scale::{AtScaleOptions, SweepScale, SweepSpec};
 use dscs_cluster::coldpath::{ColdStartPath, IpcTransport};
 use dscs_cluster::experiment::Experiment;
 use dscs_cluster::ingest::{sample_workload, TraceFileWorkload};
-use dscs_cluster::perf_gate::compare_reports;
 use dscs_cluster::policy::{KeepalivePolicy, LoadBalancer, ScalingPolicy, SchedulerPolicy};
 use dscs_cluster::trace::RateProfile;
 use dscs_cluster::workload::{azure_generation_rng, WorkloadSpec};
@@ -108,6 +108,7 @@ use dscs_dse::space::{enumerate, enumerate_small};
 use dscs_platforms::PlatformKind;
 use dscs_simcore::rng::DeterministicRng;
 use dscs_simcore::stats::geometric_mean;
+use perf_gate::compare_reports;
 
 /// One CLI experiment entry: the names that select it, and its runner (the
 /// bool carries the `--full` flag).
@@ -505,13 +506,13 @@ fn at_scale(args: &[String]) {
     let mut workload_args: Vec<String> = Vec::new();
     let mut cold_path_args: Vec<ColdStartPath> = Vec::new();
     let mut ipc_args: Vec<IpcTransport> = Vec::new();
-    let mut show_regret = true;
+    let mut balancer: Option<LoadBalancer> = None;
+    let mut jobs: Option<usize> = None;
+    let mut rack_jobs: Option<usize> = None;
     // The large preset restricts the policy grid to one point (the sweep
     // below is sized for a full cartesian product, not 10⁷-invocation
     // traces) and moves the worker budget inside the cell.
     let mut large_preset = false;
-    let mut jobs_set = false;
-    let mut rack_jobs_set = false;
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         let mut value_of = |name: &str| {
@@ -559,21 +560,19 @@ fn at_scale(args: &[String]) {
                 }
             }
             "--jobs" => {
-                options.jobs = value_of("--jobs").parse().unwrap_or_else(|_| {
+                jobs = Some(value_of("--jobs").parse().unwrap_or_else(|_| {
                     eprintln!("--jobs must be a non-negative integer (0 = all cores)");
                     std::process::exit(2);
-                });
-                jobs_set = true;
+                }));
             }
             "--rack-jobs" => {
-                options.rack_jobs = value_of("--rack-jobs").parse().unwrap_or_else(|_| {
+                rack_jobs = Some(value_of("--rack-jobs").parse().unwrap_or_else(|_| {
                     eprintln!(
                         "--rack-jobs must be a non-negative integer \
                          (0 = split the core budget, 1 = inline)"
                     );
                     std::process::exit(2);
-                });
-                rack_jobs_set = true;
+                }));
             }
             "--seed" => {
                 options.seed = value_of("--seed").parse().unwrap_or_else(|_| {
@@ -613,11 +612,9 @@ fn at_scale(args: &[String]) {
                     std::process::exit(2);
                 }));
             }
-            "--regret" => show_regret = true,
-            "--no-regret" => show_regret = false,
             "--balancer" => {
                 let name = value_of("--balancer");
-                options.balancer = Some(
+                balancer = Some(
                     LoadBalancer::ALL
                         .into_iter()
                         .find(|b| b.name() == name)
@@ -638,8 +635,7 @@ fn at_scale(args: &[String]) {
                      [--scale smoke|quick|full|large|large-smoke|large-quick] \
                      [--balancer round-robin|least-loaded|locality] \
                      [--cold-path fresh|flash|snapshot]... [--ipc shm|socket|http]... \
-                     [--workload azure|bursty|trace:<path>[@<day>]]... \
-                     [--regret | --no-regret] [--out PATH]"
+                     [--workload azure|bursty|trace:<path>[@<day>]]... [--out PATH]"
                 );
                 std::process::exit(2);
             }
@@ -658,17 +654,21 @@ fn at_scale(args: &[String]) {
         spec.schedulers = vec![SchedulerPolicy::Fcfs];
         spec.keepalives = vec![KeepalivePolicy::hybrid_default()];
         spec.scalings = vec![ScalingPolicy::reactive_default()];
-        if options.balancer.is_none() {
-            spec.balancers = vec![LoadBalancer::RoundRobin];
-        }
+        spec.balancers = vec![LoadBalancer::RoundRobin];
         // With so few cells the parallelism belongs inside each cell: one
         // sweep worker, rack workers across the whole core budget.
-        if !jobs_set {
-            spec.jobs = 1;
-        }
-        if !rack_jobs_set {
-            spec.rack_jobs = 0;
-        }
+        spec.jobs = 1;
+        spec.rack_jobs = 0;
+    }
+    // Flags given on the command line override the defaults and the preset.
+    if let Some(balancer) = balancer {
+        spec.balancers = vec![balancer];
+    }
+    if let Some(jobs) = jobs {
+        spec.jobs = jobs;
+    }
+    if let Some(rack_jobs) = rack_jobs {
+        spec.rack_jobs = rack_jobs;
     }
     // The repeatable modality flags replace the default single-valued axes
     // (first occurrence wins on duplicates, so the grid never double-counts
@@ -708,7 +708,7 @@ fn at_scale(args: &[String]) {
         options.scale.name(),
         if large_preset { ", large preset" } else { "" },
         options.racks,
-        options.balancer.map_or("all", |b| b.name()),
+        balancer.map_or("all", |b| b.name()),
         options.seed,
         jobs,
         if jobs == 1 { "" } else { "s" },
@@ -731,8 +731,9 @@ fn at_scale(args: &[String]) {
             w.name, w.requests, w.horizon_s, w.source
         );
     }
-    print!(
-        "\n{:<8} {:<18} {:<6} {:<16} {:<10} {:<12} {:<8} {:<6} {:>9} {:>8}",
+    println!(
+        "\n{:<8} {:<18} {:<6} {:<16} {:<10} {:<12} {:<8} {:<6} {:>9} {:>8} {:>9} {:>10} \
+         {:>9} {:>10} {:>9} {:>7} {:>10} {:>10}",
         "workload",
         "platform",
         "sched",
@@ -743,17 +744,19 @@ fn at_scale(args: &[String]) {
         "ipc",
         "completed",
         "cold",
-    );
-    if show_regret {
-        print!(" {:>9}", "regret %");
-    }
-    println!(
-        " {:>10} {:>9} {:>10} {:>9} {:>7} {:>10} {:>10}",
-        "prewarm %", "local %", "xrack MiB", "fetch J", "peak", "mean ms", "p99 ms"
+        "regret %",
+        "prewarm %",
+        "local %",
+        "xrack MiB",
+        "fetch J",
+        "peak",
+        "mean ms",
+        "p99 ms"
     );
     for c in &report.cells {
-        print!(
-            "{:<8} {:<18} {:<6} {:<16} {:<10} {:<12} {:<8} {:<6} {:>9} {:>8}",
+        println!(
+            "{:<8} {:<18} {:<6} {:<16} {:<10} {:<12} {:<8} {:<6} {:>9} {:>8} {:>9.1} {:>10.2} \
+             {:>9.2} {:>10.1} {:>9.1} {:>7} {:>10.1} {:>10.1}",
             c.workload,
             c.platform.name(),
             c.scheduler.name(),
@@ -764,12 +767,7 @@ fn at_scale(args: &[String]) {
             c.ipc.name(),
             c.completed,
             c.cold_starts,
-        );
-        if show_regret {
-            print!(" {:>9.1}", c.regret_pct * 100.0);
-        }
-        println!(
-            " {:>10.2} {:>9.2} {:>10.1} {:>9.1} {:>7} {:>10.1} {:>10.1}",
+            c.regret_pct * 100.0,
             c.prewarm_hit_rate * 100.0,
             c.locality_hit_rate * 100.0,
             c.cross_rack_bytes as f64 / (1024.0 * 1024.0),

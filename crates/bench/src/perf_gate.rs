@@ -1,10 +1,10 @@
 //! Perf-trajectory regression gate over at-scale sweep reports.
 //!
-//! CI uploads every build's `BENCH_cluster.json` (see [`crate::at_scale`]).
-//! This module diffs the current report against the previous run's artifact,
-//! cell by cell, and flags mean/p99 latency regressions beyond a threshold —
-//! the repo's tracked performance trajectory becomes a gate instead of a
-//! graph. One schema rule decides what is comparable. Reports of different
+//! CI uploads every build's `BENCH_cluster.json` (see
+//! [`dscs_cluster::at_scale`]). This module diffs the current report against
+//! the previous run's artifact, cell by cell, and flags mean/p99 latency
+//! regressions beyond a threshold — the repo's tracked performance
+//! trajectory becomes a gate instead of a graph. One schema rule decides what is comparable. Reports of different
 //! schema versions (e.g. a v4 baseline against a v5 current report, which
 //! added the engine-throughput fields) pass vacuously with an explanatory
 //! note instead of comparing incomparable numbers or erroring on missing
@@ -23,7 +23,7 @@
 //!
 //! Since schema v7 the gate also watches per-cell policy regret
 //! (`regret_pct`, the distance above the offline-optimal cold-start bound of
-//! [`crate::optimal`]): increases beyond the threshold, in percentage
+//! [`dscs_cluster::optimal`]): increases beyond the threshold, in percentage
 //! points, are again warnings only. Pre-v7 baselines carry no regret fields
 //! and pass vacuously — either through the schema-bump path or, for
 //! hand-trimmed same-schema reports, because missing fields warn nothing.

@@ -7,7 +7,7 @@
 //! grid over multiple workloads and multi-rack configurations, and emits a
 //! machine-readable JSON report (schema `dscs-at-scale-v8`). The grid is
 //! *declarative*: a [`SweepSpec`] lists the values to sweep per axis, and
-//! [`at_scale_sweep`] iterates the cartesian product generically, building
+//! [`SweepSpec::run`] iterates the cartesian product generically, building
 //! one [`crate::experiment::Experiment`] per cell — adding an axis means
 //! adding its policy enum and one list here, not rewriting the sweep. Since
 //! v6 the workload axis is declarative too: a list of [`WorkloadSpec`]s, so
@@ -41,9 +41,12 @@
 //! bound is priced under the cell's own path so regret stays path-matched.
 //! CI runs the quick version of the sweep every build, uploads the report as
 //! an artifact (`BENCH_cluster.json`), and diffs it against the previous
-//! run's artifact (see [`crate::perf_gate`]), giving the repo a tracked,
-//! gated performance trajectory. Fixed-seed runs are byte-for-byte
+//! run's artifact (the `reproduce perf-gate` command), giving the repo a
+//! tracked, gated performance trajectory. Fixed-seed runs are byte-for-byte
 //! reproducible.
+//!
+//! [`AtScaleOptions`] names only the scale, seed and rack count of the
+//! default grid; axes and worker counts are set on the [`SweepSpec`].
 
 use std::sync::Arc;
 
@@ -87,8 +90,10 @@ impl SweepScale {
     }
 }
 
-/// Options for one at-scale sweep: the CLI-facing shorthand that expands
-/// into a full-grid [`SweepSpec`] (restricting at most the balancer axis).
+/// The size, seed and rack count of one at-scale sweep: the shorthand that
+/// expands into the whole default grid ([`SweepSpec::default_grid`]) at that
+/// scale. Restrict an axis or set the worker counts on the expanded
+/// [`SweepSpec`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AtScaleOptions {
     /// Experiment size.
@@ -97,44 +102,19 @@ pub struct AtScaleOptions {
     pub seed: u64,
     /// Number of racks the front end shards over.
     pub racks: u32,
-    /// Restricts the sweep to one front-end load balancer; `None` sweeps the
-    /// whole balancer axis ([`LoadBalancer::ALL`]).
-    pub balancer: Option<LoadBalancer>,
-    /// Restricts the sweep to one cold-start path; `None` keeps the
-    /// historical single-valued default ([`ColdStartPath::FlashReload`]).
-    pub cold_path: Option<ColdStartPath>,
-    /// Restricts the sweep to one IPC transport; `None` keeps the
-    /// historical single-valued default ([`IpcTransport::SharedMem`]).
-    pub ipc: Option<IpcTransport>,
-    /// Worker threads for the sweep: `0` means one per available core, `1`
-    /// is the sequential path. The report is byte-identical either way.
-    pub jobs: usize,
-    /// Rack worker threads *inside* each round-robin cell: `1` (the
-    /// default) runs each cell's racks inline, `0` splits the core budget
-    /// left over by `jobs`, `N` pins the count. Coupled balancers ignore it
-    /// (they fall back to the sequential engine). The report is
-    /// byte-identical for every value.
-    pub rack_jobs: usize,
 }
 
 impl AtScaleOptions {
-    /// The CI quick configuration: two racks, the full balancer axis, seed
-    /// 42, one sweep worker per available core.
+    /// The CI quick configuration: two racks, seed 42.
     pub fn quick() -> Self {
         AtScaleOptions {
             scale: SweepScale::Quick,
             seed: 42,
             racks: 2,
-            balancer: None,
-            cold_path: None,
-            ipc: None,
-            jobs: 0,
-            rack_jobs: 1,
         }
     }
 
-    /// The full-size configuration: four racks (800 instances), full
-    /// balancer axis.
+    /// The full-size configuration: four racks (800 instances).
     pub fn full() -> Self {
         AtScaleOptions {
             racks: 4,
@@ -491,18 +471,9 @@ struct CellPoint {
 impl From<AtScaleOptions> for SweepSpec {
     fn from(options: AtScaleOptions) -> Self {
         SweepSpec {
-            scale: options.scale,
             seed: options.seed,
             racks: options.racks,
             workloads: SweepSpec::default_workloads(options.scale, options.seed),
-            balancers: match options.balancer {
-                Some(balancer) => vec![balancer],
-                None => LoadBalancer::ALL.to_vec(),
-            },
-            cold_paths: vec![options.cold_path.unwrap_or_default()],
-            ipcs: vec![options.ipc.unwrap_or_default()],
-            jobs: options.jobs,
-            rack_jobs: options.rack_jobs,
             ..SweepSpec::default_grid(options.scale)
         }
     }
@@ -949,33 +920,21 @@ impl AtScaleReport {
 /// The platforms the sweep compares (the Figure 13 pair).
 pub const SWEEP_PLATFORMS: [PlatformKind; 2] = [PlatformKind::BaselineCpu, PlatformKind::DscsDsa];
 
-/// Runs the policy sweep the options describe: every scheduler × keepalive ×
-/// scaling × balancer × platform combination over every workload, sharded
-/// over `options.racks` racks, against a per-workload [`DataLayer`] so every
-/// cell pays real data-movement costs. Shorthand for
-/// `SweepSpec::from(options).run()`.
-///
-/// # Panics
-/// Panics (naming the violation) on invalid options — in practice only
-/// `racks == 0`, since the expanded spec's axes are never empty. Call
-/// [`SweepSpec::run`] directly to handle the error instead.
-pub fn at_scale_sweep(options: AtScaleOptions) -> AtScaleReport {
-    SweepSpec::from(options)
-        .run()
-        .unwrap_or_else(|err| panic!("invalid at-scale options: {err}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::OnceLock;
+
+    fn smoke_sweep() -> SweepSpec {
+        SweepSpec::from(AtScaleOptions::smoke())
+    }
 
     /// One shared smoke sweep: the grid is 432 cells, so tests that only
     /// *read* the report reuse a single run (the reproducibility test still
     /// performs its own two independent runs).
     fn smoke_report() -> &'static AtScaleReport {
         static REPORT: OnceLock<AtScaleReport> = OnceLock::new();
-        REPORT.get_or_init(|| at_scale_sweep(AtScaleOptions::smoke()))
+        REPORT.get_or_init(|| smoke_sweep().run().expect("valid spec"))
     }
 
     #[test]
@@ -1022,8 +981,8 @@ mod tests {
 
     #[test]
     fn sweep_json_is_reproducible_and_parsable_in_shape() {
-        let a = at_scale_sweep(AtScaleOptions::smoke()).to_json();
-        let b = at_scale_sweep(AtScaleOptions::smoke()).to_json();
+        let a = smoke_sweep().run().expect("valid spec").to_json();
+        let b = smoke_sweep().run().expect("valid spec").to_json();
         assert_eq!(a, b, "fixed seed must reproduce byte-for-byte");
         assert!(a.starts_with('{') && a.ends_with('}'));
         assert!(a.contains("\"schema\":\"dscs-at-scale-v8\""));
@@ -1182,20 +1141,9 @@ mod tests {
         let spec = SweepSpec::from(AtScaleOptions::quick());
         assert_eq!(spec.balancers.len(), LoadBalancer::ALL.len());
         assert_eq!(spec.check(), Ok(()));
-        let restricted = SweepSpec::from(AtScaleOptions {
-            balancer: Some(LoadBalancer::LeastLoaded),
-            ..AtScaleOptions::quick()
-        });
-        assert_eq!(restricted.balancers, vec![LoadBalancer::LeastLoaded]);
         assert_eq!(spec.cold_paths, vec![ColdStartPath::FlashReload]);
         assert_eq!(spec.ipcs, vec![IpcTransport::SharedMem]);
-        let pathed = SweepSpec::from(AtScaleOptions {
-            cold_path: Some(ColdStartPath::SnapshotRestore),
-            ipc: Some(IpcTransport::Http),
-            ..AtScaleOptions::quick()
-        });
-        assert_eq!(pathed.cold_paths, vec![ColdStartPath::SnapshotRestore]);
-        assert_eq!(pathed.ipcs, vec![IpcTransport::Http]);
+        assert_eq!((spec.jobs, spec.rack_jobs), (0, 1));
 
         let empty_axis = SweepSpec {
             schedulers: Vec::new(),

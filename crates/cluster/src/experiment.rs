@@ -1,17 +1,23 @@
 //! The typed entry point to cluster runs: [`Experiment`], built by
 //! [`ExperimentBuilder`], executed into an [`Outcome`].
 //!
-//! * [`Experiment`] — a validated, self-describing run specification: the
-//!   platform under test, the request trace (or the [`WorkloadSpec`] that
-//!   realizes it), the rack count, the front-end balancer, the full
-//!   scheduler/keepalive/scaling configuration, an optional data-placement
-//!   layer and the seed. An `Experiment` can only be obtained through
-//!   [`ExperimentBuilder::build`], which returns `Result<Experiment,
-//!   ConfigError>`: every precondition of a run is a typed, testable
+//! * [`Experiment`] — a validated run specification: the platform under
+//!   test, the request trace, the rack count, the front-end balancer, the
+//!   full scheduler/keepalive/scaling configuration, an optional
+//!   data-placement layer and the seed. An `Experiment` can only be obtained
+//!   through [`ExperimentBuilder::build`], which returns `Result<Experiment,
+//!   ConfigError>`: every precondition of a run but one is a typed, testable
 //!   [`ConfigError`] variant.
 //! * [`Outcome`] — the named-field result of one run: the aggregate
-//!   [`ClusterReport`], the per-rack [`RackSummary`] list and the run's
-//!   identifying metadata.
+//!   [`ClusterReport`], the per-rack [`RackSummary`] list, the engine that
+//!   ran it and the offline cold-start bound.
+//!
+//! Each input has one setter: a spec's trace is
+//! [`crate::workload::WorkloadSpec::realize`]'s, and a data layer comes from
+//! [`DataLayer::for_trace`]. Arrival order is the one precondition `build`
+//! does not return, since a sweep would pay a pass over the trace per cell:
+//! the engine asserts it as it takes each arrival ("arrivals in trace order
+//! invariant broken"), and `realize` rejects an unsorted inline trace.
 //!
 //! # Example
 //!
@@ -49,7 +55,7 @@ use crate::data::DataLayer;
 use crate::policy::{KeepalivePolicy, LoadBalancer, ScalingPolicy, SchedulerPolicy};
 use crate::sim::{ClusterConfig, ClusterReport, ClusterSim, EngineSelection, RackSummary};
 use crate::trace::TraceRequest;
-use crate::workload::{WorkloadError, WorkloadSpec, WorkloadSpecError};
+use crate::workload::{WorkloadError, WorkloadSpecError};
 
 /// A violated precondition of a cluster run or sweep.
 ///
@@ -146,14 +152,12 @@ pub enum ConfigError {
         axis: &'static str,
     },
     /// A workload failed its own validation: a [`WorkloadError`] converted
-    /// with `?` where a trace is generated by hand. (Specs realized through
-    /// [`ExperimentBuilder::workload_spec`] report theirs as
-    /// [`ConfigError::WorkloadSpec`].)
+    /// with `?` where a trace is generated by hand. (Specs on a sweep's
+    /// workload axis report theirs as [`ConfigError::WorkloadSpec`].)
     Workload(WorkloadError),
-    /// The declarative spec handed to [`ExperimentBuilder::workload_spec`]
-    /// (or listed on a sweep's workload axis) failed to realize — an unknown
-    /// kind, an unreadable or malformed trace file, or an invalid underlying
-    /// workload.
+    /// A declarative spec on a sweep's workload axis failed to realize — an
+    /// unknown kind, an unreadable or malformed trace file, an invalid
+    /// underlying workload, or a malformed inline trace.
     WorkloadSpec(WorkloadSpecError),
 }
 
@@ -277,8 +281,8 @@ fn validate_run(
     config.check()
 }
 
-/// A validated, self-describing cluster run: platform, trace, racks,
-/// balancer, policies, optional data layer, seed. Obtained through
+/// A validated cluster run: platform, trace, racks, balancer, policies,
+/// optional data layer, seed. Obtained through
 /// [`Experiment::builder`]; the constructor is private so every `Experiment`
 /// in existence has passed the consolidated validator.
 ///
@@ -310,56 +314,10 @@ impl Experiment {
             balancer: LoadBalancer::RoundRobin,
             config: ClusterConfig::default(),
             data: None,
-            place_data_seed: None,
             seed: 0,
             rack_jobs: 1,
             optimal_bound: None,
-            pending: None,
         }
-    }
-
-    /// The platform under test.
-    pub fn platform(&self) -> PlatformKind {
-        self.platform
-    }
-
-    /// The request trace the run replays.
-    pub fn trace(&self) -> &[TraceRequest] {
-        &self.trace
-    }
-
-    /// Number of racks the front end shards over.
-    pub fn racks(&self) -> u32 {
-        self.racks
-    }
-
-    /// The front-end load balancer.
-    pub fn balancer(&self) -> LoadBalancer {
-        self.balancer
-    }
-
-    /// The full per-rack cluster configuration.
-    pub fn config(&self) -> ClusterConfig {
-        self.config
-    }
-
-    /// The data-placement layer dispatch runs against, if any.
-    pub fn data(&self) -> Option<&DataLayer> {
-        self.data.as_deref()
-    }
-
-    /// The master seed (service jitter and per-rack RNG streams derive from
-    /// it).
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// Worker threads used to simulate rack lanes when the balancer permits
-    /// the partitioned engine (0 = one per core, 1 = inline). Results are
-    /// byte-identical across every value — see
-    /// [`EngineSelection::RackParallel`].
-    pub fn rack_jobs(&self) -> usize {
-        self.rack_jobs
     }
 
     /// Runs the experiment, evaluating the end-to-end model for the platform
@@ -401,7 +359,7 @@ impl Experiment {
         // fetch_energy_joules memoization pattern); standalone runs compute
         // it here, a single O(trace) pass over the data layer's function
         // slots when one is attached.
-        let optimal_coldstart_s = self.optimal_bound.unwrap_or_else(|| match self.data() {
+        let optimal_coldstart_s = self.optimal_bound.unwrap_or_else(|| match &self.data {
             Some(data) => crate::optimal::optimal_coldstart_seconds_over_slots(
                 &self.trace,
                 data.function_slots().iter().copied(),
@@ -413,10 +371,8 @@ impl Experiment {
         Outcome {
             report,
             racks,
-            balancer: self.balancer,
-            seed: self.seed,
             engine,
-            optimal_coldstart_s: Some(optimal_coldstart_s),
+            optimal_coldstart_s,
         }
     }
 }
@@ -432,37 +388,18 @@ pub struct ExperimentBuilder {
     balancer: LoadBalancer,
     config: ClusterConfig,
     data: Option<Arc<DataLayer>>,
-    place_data_seed: Option<u64>,
     seed: u64,
     rack_jobs: usize,
     optimal_bound: Option<f64>,
-    pending: Option<ConfigError>,
 }
 
 impl ExperimentBuilder {
-    /// The request trace to replay. Accepts a `Vec<TraceRequest>` or an
-    /// `Arc<Vec<TraceRequest>>` (shared, e.g. across sweep cells). Replaces
-    /// any earlier trace — including one a failed
-    /// [`ExperimentBuilder::workload_spec`] call left pending.
+    /// The request trace to replay, sorted by arrival time. Accepts a
+    /// `Vec<TraceRequest>` or an `Arc<Vec<TraceRequest>>` (shared, e.g.
+    /// across sweep cells); a declarative spec's is
+    /// `spec.realize()?.trace`.
     pub fn trace(mut self, trace: impl Into<Arc<Vec<TraceRequest>>>) -> Self {
         self.trace = Some(trace.into());
-        self.pending = None;
-        self
-    }
-
-    /// Realizes a declarative [`WorkloadSpec`] into the experiment's trace.
-    /// A [`WorkloadSpecError`] is carried until [`ExperimentBuilder::build`]
-    /// and surfaces there as [`ConfigError::WorkloadSpec`] — unless a later
-    /// [`ExperimentBuilder::trace`] / `workload_spec` call supplies a valid
-    /// trace, which replaces the failed one.
-    pub fn workload_spec(mut self, spec: &WorkloadSpec) -> Self {
-        match spec.realize() {
-            Ok(realized) => {
-                self.trace = Some(realized.trace);
-                self.pending = None;
-            }
-            Err(err) => self.pending = Some(err.into()),
-        }
         self
     }
 
@@ -475,13 +412,6 @@ impl ExperimentBuilder {
     /// The front-end load balancer.
     pub fn balancer(mut self, balancer: LoadBalancer) -> Self {
         self.balancer = balancer;
-        self
-    }
-
-    /// Replaces the whole per-rack [`ClusterConfig`] at once (the per-field
-    /// setters below adjust the current one).
-    pub fn config(mut self, config: ClusterConfig) -> Self {
-        self.config = config;
         self
     }
 
@@ -531,30 +461,13 @@ impl ExperimentBuilder {
         self
     }
 
-    /// Modelled delay between a scale-up decision and the new instances
-    /// coming online.
-    pub fn provisioning_delay(mut self, delay: SimDuration) -> Self {
-        self.config.provisioning_delay = delay;
-        self
-    }
-
-    /// Attaches a prebuilt data-placement layer; dispatch becomes data-aware
-    /// and non-local starts pay the modelled cross-rack fetch. Accepts a
+    /// Attaches a data-placement layer; dispatch becomes data-aware and
+    /// non-local starts pay the modelled cross-rack fetch. Accepts a
     /// `DataLayer` or an `Arc<DataLayer>` (shared across sweep cells). The
-    /// layer must have been built for this experiment's trace
-    /// ([`DataLayer::for_trace`]).
+    /// layer must have been built for this experiment's trace and rack count
+    /// (`DataLayer::for_trace(&trace, racks, seed)`).
     pub fn data_layer(mut self, data: impl Into<Arc<DataLayer>>) -> Self {
         self.data = Some(data.into());
-        self.place_data_seed = None;
-        self
-    }
-
-    /// Builds a data layer for the experiment's trace and rack count at
-    /// [`ExperimentBuilder::build`] time, placing objects from a placement
-    /// RNG derived from `seed`. Overridden by [`ExperimentBuilder::data_layer`].
-    pub fn place_data(mut self, seed: u64) -> Self {
-        self.place_data_seed = Some(seed);
-        self.data = None;
         self
     }
 
@@ -590,29 +503,18 @@ impl ExperimentBuilder {
     /// Validates the whole specification and returns the run-ready
     /// [`Experiment`], or the first [`ConfigError`] found (in check order:
     /// trace, racks, data layer racks, data layer trace, scaling and
-    /// keepalive parameters, instance bounds).
+    /// keepalive parameters, instance bounds). Arrival order is not checked
+    /// here; see the [module docs](crate::experiment).
     pub fn build(self) -> Result<Experiment, ConfigError> {
-        if let Some(err) = self.pending {
-            return Err(err);
-        }
         let trace = self.trace.unwrap_or_default();
-        let data = match (self.data, self.place_data_seed) {
-            (Some(data), _) => Some(data),
-            (None, Some(seed)) if !trace.is_empty() && self.racks > 0 => {
-                Some(Arc::new(DataLayer::for_trace(&trace, self.racks, seed)))
-            }
-            // An empty trace or zero racks fails validation below before the
-            // placement layer could be built.
-            (None, _) => None,
-        };
-        validate_run(&trace, self.racks, &self.config, data.as_deref())?;
+        validate_run(&trace, self.racks, &self.config, self.data.as_deref())?;
         Ok(Experiment {
             platform: self.platform,
             trace,
             racks: self.racks,
             balancer: self.balancer,
             config: self.config,
-            data,
+            data: self.data,
             seed: self.seed,
             rack_jobs: self.rack_jobs,
             optimal_bound: self.optimal_bound,
@@ -620,10 +522,8 @@ impl ExperimentBuilder {
     }
 }
 
-/// The named-field result of one [`Experiment::run`]: what the old
-/// `(ClusterReport, Vec<RackSummary>)` tuple carried, plus the run's
-/// identifying metadata so downstream consumers (sweep cells, CLI tables)
-/// can label results without re-threading the spec by hand.
+/// The named-field result of one [`Experiment::run`]: the aggregate report,
+/// the per-rack summaries, the engine that ran them and the offline bound.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub struct Outcome {
@@ -631,10 +531,6 @@ pub struct Outcome {
     pub report: ClusterReport,
     /// Per-rack summaries, indexed by rack.
     pub racks: Vec<RackSummary>,
-    /// The balancer the run dispatched under.
-    pub balancer: LoadBalancer,
-    /// The seed the run replayed with.
-    pub seed: u64,
     /// Which engine executed the run: the partitioned per-rack engine (with
     /// its worker count) or the whole-cluster sequential loop (with the
     /// reason the run could not be partitioned). Deterministic — a function
@@ -642,10 +538,9 @@ pub struct Outcome {
     pub engine: EngineSelection,
     /// The offline-optimal lower bound on aggregate cold-start seconds for
     /// this run's trace and platform ([`crate::optimal`]); the policy's
-    /// regret is `report.coldstart_s - bound`. Always populated by the run
-    /// paths (precomputed via [`ExperimentBuilder::optimal_coldstart`] or
-    /// computed on the fly).
-    pub optimal_coldstart_s: Option<f64>,
+    /// regret is `report.coldstart_s - bound`. Precomputed via
+    /// [`ExperimentBuilder::optimal_coldstart`] or computed by the run.
+    pub optimal_coldstart_s: f64,
 }
 
 #[cfg(test)]
@@ -675,8 +570,6 @@ mod tests {
             .run();
         assert_eq!(outcome.report.completed + outcome.report.rejected, requests);
         assert_eq!(outcome.racks.len(), 2);
-        assert_eq!(outcome.balancer, LoadBalancer::LeastLoaded);
-        assert_eq!(outcome.seed, 3);
     }
 
     #[test]
@@ -719,59 +612,6 @@ mod tests {
                 racks: 2
             }
         );
-    }
-
-    #[test]
-    fn place_data_builds_a_matching_layer() {
-        let experiment = Experiment::builder(PlatformKind::DscsDsa)
-            .trace(short_trace(4))
-            .racks(3)
-            .place_data(11)
-            .build()
-            .expect("valid experiment");
-        let data = experiment.data().expect("layer placed");
-        assert_eq!(data.rack_count(), 3);
-        assert!(data.object_count() > 0);
-    }
-
-    #[test]
-    fn workload_spec_realizes_into_the_experiment_trace() {
-        use crate::at_scale::SweepScale;
-        let spec = WorkloadSpec::Azure {
-            scale: SweepScale::Smoke,
-            seed: 7,
-        };
-        let experiment = Experiment::builder(PlatformKind::DscsDsa)
-            .workload_spec(&spec)
-            .racks(2)
-            .build()
-            .expect("valid spec");
-        let realized = spec.realize().expect("valid spec");
-        assert_eq!(experiment.trace(), realized.trace.as_slice());
-        assert!(!experiment.trace().is_empty());
-    }
-
-    #[test]
-    fn workload_spec_errors_surface_at_build_time_and_can_be_superseded() {
-        let missing = WorkloadSpec::TraceFile {
-            path: "/nonexistent/trace.csv".into(),
-            day: 1,
-        };
-        let err = Experiment::builder(PlatformKind::DscsDsa)
-            .workload_spec(&missing)
-            .build()
-            .expect_err("unreadable trace file");
-        assert!(matches!(
-            err,
-            ConfigError::WorkloadSpec(WorkloadSpecError::Ingest(_))
-        ));
-        assert!(err.to_string().contains("workload spec rejected"));
-        // A later valid trace supersedes the failed spec.
-        assert!(Experiment::builder(PlatformKind::DscsDsa)
-            .workload_spec(&missing)
-            .trace(short_trace(9))
-            .build()
-            .is_ok());
     }
 
     #[test]
@@ -831,7 +671,7 @@ mod tests {
             .build()
             .expect("valid")
             .run_on(&base);
-        assert_eq!(outcome.optimal_coldstart_s, Some(computed));
+        assert_eq!(outcome.optimal_coldstart_s, computed);
         assert!(
             computed > 0.0 && computed <= outcome.report.coldstart_s,
             "bound {computed} must floor the measured {}",
@@ -844,7 +684,7 @@ mod tests {
             .build()
             .expect("valid")
             .run_on(&base);
-        assert_eq!(attached.optimal_coldstart_s, Some(computed));
+        assert_eq!(attached.optimal_coldstart_s, computed);
     }
 
     #[test]

@@ -722,7 +722,7 @@ impl Workload for TraceFileWorkload {
             }
         }
         arrivals.sort_by_key(|&(arrival, function, draw)| (arrival, function, draw));
-        let catalog = ObjectCatalog::new(self.objects());
+        let catalog = ObjectCatalog::default();
         Ok(arrivals
             .into_iter()
             .enumerate()

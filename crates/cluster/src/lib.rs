@@ -14,9 +14,10 @@
 //! * [`trace`] — the bursty Figure-13a request trace ([`RateProfile`]).
 //! * [`workload`] — the [`Workload`] trait, the Azure-functions-style
 //!   synthetic generator ([`AzureWorkload`]: Zipf popularity skew, diurnal
-//!   cycles, burst episodes), and the declarative [`WorkloadSpec`] selection
-//!   surface (`Azure`/`Bursty`/`TraceFile`/`Inline`) every entry point —
-//!   builder, sweep, CLI — realizes workloads through.
+//!   cycles, burst episodes), the [`ObjectCatalog`] that stamps each request
+//!   with the object it reads, and the declarative [`WorkloadSpec`]
+//!   selection surface (`Azure`/`Bursty`/`TraceFile`/`Inline`) the sweep and
+//!   the CLI realize workloads through.
 //! * [`ingest`] — trace-file ingestion: a streaming parser for the Azure
 //!   Functions 2019 invocations-per-function CSV schema behind
 //!   [`TraceFileWorkload`], plus the bucketing emitter the `generate-trace`
@@ -46,13 +47,13 @@
 //!   with modelled provisioning delay, multi-rack sharding, and the reported
 //!   series (queued functions over time, wall-clock latency over time).
 //! * [`at_scale`] — the declarative policy sweep ([`SweepSpec`]) behind
-//!   `reproduce at-scale` and the CI perf artifact (`BENCH_cluster.json`).
-//! * [`perf_gate`] — the CI perf-regression gate: diffs two at-scale reports
-//!   and fails on latency regressions beyond a threshold.
+//!   `reproduce at-scale` and the CI perf artifact (`BENCH_cluster.json`),
+//!   which the `reproduce perf-gate` command diffs across builds.
 //!
 //! # Example
 //!
 //! ```
+//! use dscs_cluster::data::DataLayer;
 //! use dscs_cluster::experiment::Experiment;
 //! use dscs_cluster::policy::{KeepalivePolicy, LoadBalancer};
 //! use dscs_cluster::trace::RateProfile;
@@ -63,12 +64,14 @@
 //! // A short, light trace keeps the doc test fast.
 //! let profile = RateProfile { segments: vec![(SimDuration::from_secs(10), 40.0)] };
 //! let trace = profile.generate(&mut DeterministicRng::seeded(1));
+//! // A rack-aware object placement for this trace over two racks.
+//! let data = DataLayer::for_trace(&trace, 2, 9);
 //! let outcome = Experiment::builder(PlatformKind::DscsDsa)
 //!     .trace(trace.clone())
 //!     .racks(2)
 //!     .balancer(LoadBalancer::LeastLoaded)
 //!     .keepalive(KeepalivePolicy::prewarm_default())
-//!     .place_data(9)           // build a rack-aware object placement
+//!     .data_layer(data)
 //!     .seed(2)
 //!     .build()
 //!     .expect("a well-formed experiment")
@@ -86,22 +89,19 @@ pub mod data;
 pub mod experiment;
 pub mod ingest;
 pub mod optimal;
-pub mod perf_gate;
 pub mod policy;
 pub mod sim;
 pub mod trace;
 pub mod workload;
 
 pub use at_scale::{
-    at_scale_sweep, AtScaleOptions, AtScaleReport, CrossValidation, SweepCell, SweepScale,
-    SweepSpec,
+    AtScaleOptions, AtScaleReport, CrossValidation, SweepCell, SweepScale, SweepSpec,
 };
 pub use coldpath::{ColdStartPath, IpcTransport};
 pub use data::DataLayer;
 pub use experiment::{ConfigError, Experiment, ExperimentBuilder, Outcome};
 pub use ingest::{DaySummary, IngestError, MemoryPercentile, TraceFileWorkload};
 pub use optimal::{optimal_coldstart_seconds, optimal_coldstart_seconds_with, regret_pct};
-pub use perf_gate::{compare_reports, GateOutcome};
 pub use policy::{
     KeepalivePolicy, KeepaliveState, KeepaliveStats, LoadBalancer, ScalingPolicy, SchedQueue,
     SchedulerPolicy, HYBRID_TAIL,
@@ -109,6 +109,6 @@ pub use policy::{
 pub use sim::{ClusterConfig, ClusterReport, ClusterSim, EngineSelection, RackSummary};
 pub use trace::{RateProfile, TraceRequest};
 pub use workload::{
-    AzureWorkload, ObjectCatalog, ObjectPopulation, RealizedWorkload, Workload, WorkloadError,
-    WorkloadSpec, WorkloadSpecError,
+    AzureWorkload, ObjectCatalog, RealizedWorkload, Workload, WorkloadError, WorkloadSpec,
+    WorkloadSpecError,
 };

@@ -45,24 +45,21 @@
 //! combined keep-warm-vs-cold cost analysis at a caller-chosen
 //! `warm_cost_per_sec`.
 
-use std::collections::HashMap;
-use std::hash::{BuildHasher, Hasher};
-use std::time::{SystemTime, UNIX_EPOCH};
-
 use dscs_simcore::time::SimTime;
 
+use crate::data::function_slots;
 use crate::sim::ClusterSim;
 use crate::trace::TraceRequest;
-use crate::workload::mix64;
 
 /// Offline-optimal lower bound on the aggregate cold-start seconds any
 /// policy pays replaying `trace` on `sim`'s platform: the sum, over distinct
 /// functions, of one full registry cold start (see the module docs for why
 /// nothing else is unavoidable in hindsight).
 ///
-/// Deterministic: a pure single pass over the trace in arrival order, so the
-/// same trace and platform produce a bit-identical bound on every call.
-/// `O(n)` time, `O(functions)` memory.
+/// Deterministic: after interning the trace's function slots, a pure single
+/// pass over the trace in arrival order, so the same trace and platform
+/// produce a bit-identical bound on every call. `O(n + f log f)` time for
+/// `f` distinct functions, `O(n)` memory.
 pub fn optimal_coldstart_seconds(trace: &[TraceRequest], sim: &ClusterSim) -> f64 {
     optimal_coldstart_seconds_with(trace, sim, 0.0)
 }
@@ -89,22 +86,21 @@ pub fn optimal_coldstart_seconds_with(
     sim: &ClusterSim,
     warm_cost_per_sec: f64,
 ) -> f64 {
-    // Dense slots in first-seen order: the bound needs only each function's
-    // identity, so each request's id is hashed exactly once.
-    let mut first_seen: HashMap<u32, u32, IdHashing> = HashMap::with_hasher(IdHashing::new());
-    let slots = trace.iter().map(|request| {
-        let next = first_seen.len() as u32;
-        *first_seen.entry(request.function).or_insert(next)
-    });
-    optimal_coldstart_seconds_over_slots(trace, slots, sim, warm_cost_per_sec)
+    optimal_coldstart_seconds_over_slots(
+        trace,
+        function_slots(trace).into_iter(),
+        sim,
+        warm_cost_per_sec,
+    )
 }
 
 /// The one implementation behind every bound: walks `trace` in order with
 /// each request's dense function slot, keeping each slot's last arrival in
 /// a table. Summing in trace order makes the bound independent of how the
-/// slots are numbered, so the data layer's slots
-/// ([`crate::data::DataLayer::function_slots`], which sweeps and runs pass
-/// without hashing anything) give the public wrappers' bits.
+/// slots are numbered. The public wrappers intern the trace's slots
+/// themselves ([`function_slots`]); sweeps and runs with a data layer pass
+/// the layer's ([`crate::data::DataLayer::function_slots`]), so they hash
+/// no function id.
 ///
 /// # Panics
 /// As [`optimal_coldstart_seconds_with`].
@@ -139,54 +135,6 @@ pub(crate) fn optimal_coldstart_seconds_over_slots(
         }
     }
     bound
-}
-
-/// Builds the hasher of the public bounds' id map: [`mix64`] of the id
-/// under a key drawn once per map, one multiply-xorshift pass where the
-/// default hasher runs SipHash. Trace-file ids come from outside the
-/// program, and the key keeps them from being chosen to collide. The bound
-/// reads the map by lookup only, never in iteration order, so neither the
-/// hash nor the key can change it.
-struct IdHashing(u64);
-
-impl IdHashing {
-    /// A key no trace file can anticipate: the wall clock's nanoseconds and
-    /// a stack address, which address-space randomisation moves per process.
-    /// (Drawing it from `RandomState` instead slowed the untouched
-    /// `DataLayer::for_trace` by a quarter in most processes.)
-    fn new() -> Self {
-        let clock = SystemTime::now()
-            .duration_since(UNIX_EPOCH)
-            .map_or(0, |since| since.as_nanos() as u64);
-        IdHashing(mix64(clock ^ std::ptr::addr_of!(clock) as u64))
-    }
-}
-
-impl BuildHasher for IdHashing {
-    type Hasher = IdHasher;
-
-    fn build_hasher(&self) -> IdHasher {
-        IdHasher(self.0)
-    }
-}
-
-/// See [`IdHashing`].
-struct IdHasher(u64);
-
-impl Hasher for IdHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &byte in bytes {
-            self.0 = mix64(self.0 ^ u64::from(byte));
-        }
-    }
-
-    fn write_u32(&mut self, id: u32) {
-        self.0 = mix64(self.0 ^ u64::from(id));
-    }
 }
 
 /// Policy regret against the offline-optimal bound, as a fraction: how far
@@ -372,15 +320,16 @@ mod tests {
         .expect("valid workload")
     }
 
-    /// The walk over a data layer's slots (ascending function id, as the
-    /// sweep and runs with a data layer use it) equals the public wrappers'
-    /// walk over first-seen slots bit for bit, at zero and positive warm
-    /// costs.
+    /// The public wrappers' bound equals the walk over a data layer's slots
+    /// (ascending function id, as the sweep and runs with a data layer use
+    /// it) and the walk over first-seen slots bit for bit, at zero and
+    /// positive warm costs: the bound does not depend on how slots are
+    /// numbered.
     #[test]
     fn data_layer_slots_give_the_public_wrappers_bound() {
         for (seed, trace) in [(1, azure_trace(1)), (2, hashed_id_trace(2))] {
             let data = crate::data::DataLayer::for_trace(&trace, 3, seed);
-            let mut first_seen = HashMap::new();
+            let mut first_seen = std::collections::HashMap::new();
             let first_seen_slots: Vec<u32> = trace
                 .iter()
                 .map(|r| {
@@ -399,17 +348,19 @@ mod tests {
                 let sim = sim(platform);
                 for warm in [0.0, 1e-3, 0.05, 1e3] {
                     let wrapper = optimal_coldstart_seconds_with(&trace, &sim, warm);
-                    let slots = optimal_coldstart_seconds_over_slots(
-                        &trace,
-                        data.function_slots().iter().copied(),
-                        &sim,
-                        warm,
-                    );
-                    assert_eq!(
-                        slots.to_bits(),
-                        wrapper.to_bits(),
-                        "seed {seed}, warm {warm}"
-                    );
+                    for slots in [data.function_slots(), &first_seen_slots] {
+                        let walked = optimal_coldstart_seconds_over_slots(
+                            &trace,
+                            slots.iter().copied(),
+                            &sim,
+                            warm,
+                        );
+                        assert_eq!(
+                            walked.to_bits(),
+                            wrapper.to_bits(),
+                            "seed {seed}, warm {warm}"
+                        );
+                    }
                 }
             }
         }

@@ -45,6 +45,17 @@ use crate::policy::{
 };
 use crate::trace::TraceRequest;
 
+/// Per-request service-time jitter: the sigma of a multiplicative
+/// lognormal.
+const SERVICE_JITTER_SIGMA: f64 = 0.15;
+
+/// Bucket width of the reported time series.
+const BUCKET: SimDuration = SimDuration::from_secs(60);
+
+/// Modelled delay between a scale-up decision and the new instances coming
+/// online (scale-downs release immediately).
+const PROVISIONING_DELAY: SimDuration = SimDuration::from_secs(2);
+
 /// Per-rack cluster configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClusterConfig {
@@ -57,19 +68,13 @@ pub struct ClusterConfig {
     pub min_instances: u32,
     /// Scheduler queue depth per rack (requests beyond this are rejected).
     pub queue_depth: usize,
-    /// Per-request service-time jitter: multiplicative lognormal sigma.
-    pub service_jitter_sigma: f64,
-    /// Bucket width for the reported time series.
-    pub bucket: SimDuration,
     /// Queue discipline used when an instance frees up.
     pub scheduler: SchedulerPolicy,
     /// Container keepalive policy deciding when invocations run cold.
     pub keepalive: KeepalivePolicy,
-    /// How the rack's instance pool grows and shrinks.
+    /// How the rack's instance pool grows and shrinks. Scale-ups come online
+    /// after a fixed 2 s provisioning delay.
     pub scaling: ScalingPolicy,
-    /// Modelled delay between a scale-up decision and the new instances
-    /// coming online (scale-downs release immediately).
-    pub provisioning_delay: SimDuration,
     /// Which modality cold starts pay (see [`ColdStartPath`]). The default,
     /// [`ColdStartPath::FlashReload`], reproduces the historical DSCS
     /// behaviour byte for byte.
@@ -86,12 +91,9 @@ impl Default for ClusterConfig {
             max_instances: 200,
             min_instances: 8,
             queue_depth: 10_000,
-            service_jitter_sigma: 0.15,
-            bucket: SimDuration::from_secs(60),
             scheduler: SchedulerPolicy::Fcfs,
             keepalive: KeepalivePolicy::paper_default(),
             scaling: ScalingPolicy::Fixed,
-            provisioning_delay: SimDuration::from_secs(2),
             cold_path: ColdStartPath::default(),
             ipc: IpcTransport::default(),
         }
@@ -352,8 +354,8 @@ impl EngineSelection {
 
 /// Heap events of the event loop, each naming its rack by position in the
 /// loop's own rack slice. Arrivals are not heap events: the trace is sorted
-/// by construction, so arrivals stream into the loop from a cursor and the
-/// heap only holds the O(pending) future events.
+/// by arrival, so arrivals stream into the loop from a cursor and the heap
+/// only holds the O(pending) future events.
 #[derive(Debug, Clone, Copy)]
 enum HeapEvent {
     Completion {
@@ -415,9 +417,9 @@ struct RackState {
     id: u32,
     queue: SchedQueue,
     keepalive: KeepaliveState,
-    /// Function slots whose image (or snapshot) a cold start left on this
-    /// rack's local storage.
-    cached_on_flash: SlotSet,
+    /// Function slots that have paid a cold start on this rack, so their
+    /// next cold start is a repeat ([`ClusterSim::repeat_cold_start_cost`]).
+    cold_started: SlotSet,
     rng: DeterministicRng,
     busy: u32,
     /// Instances currently provisioned and able to run requests.
@@ -460,15 +462,15 @@ impl RackState {
             .expect("busy <= capacity invariant broken: a completion found no busy instance");
     }
 
-    /// `add` provisioned instances come online after `delay`.
-    fn commit_scale_up(&mut self, add: u32, delay: SimDuration) {
+    /// `add` provisioned instances come online after [`PROVISIONING_DELAY`].
+    fn commit_scale_up(&mut self, add: u32) {
         self.pending = self.pending.checked_sub(add).expect(
             "pending <= max - capacity invariant broken: \
              a scale-up committed more instances than were provisioning",
         );
         self.capacity += add;
         self.peak_instances = self.peak_instances.max(self.capacity);
-        self.scaling_lag += delay;
+        self.scaling_lag += PROVISIONING_DELAY;
     }
 
     /// What a drained event loop leaves on every rack: every started request
@@ -622,11 +624,6 @@ impl ClusterSim {
         self.platform
     }
 
-    /// The configuration the simulator runs under.
-    pub fn config(&self) -> ClusterConfig {
-        self.config
-    }
-
     /// The service time used for one benchmark.
     pub fn service_time(&self, benchmark: Benchmark) -> SimDuration {
         self.service_times[benchmark as usize]
@@ -667,13 +664,6 @@ impl ClusterSim {
         }
     }
 
-    /// The snapshot-restore penalty for `benchmark` on this platform
-    /// (restore stream + page-fault warmup tail + model-weight load),
-    /// regardless of the configured path.
-    pub fn snapshot_restore_cost(&self, benchmark: Benchmark) -> SimDuration {
-        self.cold_costs[benchmark as usize].snapshot
-    }
-
     /// Whether this platform caches evicted images on the drive's flash
     /// (making repeat cold starts cheaper than the first one).
     pub fn caches_images_on_flash(&self) -> bool {
@@ -693,7 +683,7 @@ impl ClusterSim {
     /// Under [`ScalingPolicy::Fixed`] every rack runs `max_instances` for the
     /// whole trace. Elastic racks start at `min_instances` and are
     /// re-evaluated on their policy's interval; scale-ups come online
-    /// `provisioning_delay` later.
+    /// [`PROVISIONING_DELAY`] later.
     ///
     /// The balancer decides how the event loop runs (see
     /// [`EngineSelection`]): under round-robin each rack is a lane of its own
@@ -785,7 +775,7 @@ impl ClusterSim {
             id,
             queue: SchedQueue::new(self.config.scheduler),
             keepalive: KeepaliveState::new(self.config.keepalive),
-            cached_on_flash: SlotSet::default(),
+            cold_started: SlotSet::default(),
             rng,
             busy: 0,
             capacity: initial_capacity,
@@ -886,46 +876,24 @@ impl ClusterSim {
             let request = &inputs.trace[idx];
             let function = inputs.functions[idx];
             let base = self.service_times[request.benchmark as usize];
-            let jitter = (self.config.service_jitter_sigma * rack.rng.standard_normal()).exp();
+            let jitter = (SERVICE_JITTER_SIGMA * rack.rng.standard_normal()).exp();
             let mut service = base * jitter;
             if !rack.keepalive.is_warm(function, now) {
-                let costs = self.cold_costs[request.benchmark as usize];
-                // A repeat cold start can reuse whatever the first one left
-                // behind on this rack: the flash-cached image or the process
-                // snapshot, per the configured path.
-                let cached = rack.cached_on_flash.contains(function);
-                let penalty = match self.config.cold_path {
-                    ColdStartPath::FreshSpawn => costs.remote,
-                    ColdStartPath::FlashReload => {
-                        if self.flash_cache && cached {
-                            costs.local
-                        } else {
-                            costs.remote
-                        }
-                    }
-                    ColdStartPath::SnapshotRestore => {
-                        if cached {
-                            rack.restore += costs.snapshot;
-                            costs.snapshot
-                        } else {
-                            costs.remote
-                        }
-                    }
+                // A repeat cold start reuses whatever the first one left
+                // behind on this rack, priced as the offline bound prices it.
+                let repeat = rack.cold_started.contains(function);
+                let penalty = if repeat {
+                    self.repeat_cold_start_cost(request.benchmark)
+                } else {
+                    self.cold_start_cost(request.benchmark)
                 };
+                if repeat && self.config.cold_path == ColdStartPath::SnapshotRestore {
+                    rack.restore += penalty;
+                }
                 service += penalty;
                 rack.cold_starts += 1;
                 rack.coldstart += penalty;
-                match self.config.cold_path {
-                    ColdStartPath::FreshSpawn => {}
-                    ColdStartPath::FlashReload => {
-                        if self.flash_cache {
-                            rack.cached_on_flash.insert(function);
-                        }
-                    }
-                    ColdStartPath::SnapshotRestore => {
-                        rack.cached_on_flash.insert(function);
-                    }
-                }
+                rack.cold_started.insert(function);
             }
             // Every started invocation — warm and cold — pays the gateway's
             // IPC transport (zero for the default shared-memory path).
@@ -963,15 +931,16 @@ impl ClusterSim {
     /// positions `first, first + stride, …`: a round-robin lane passes its
     /// one rack with `first = r, stride = racks`, coupled balancers pass
     /// every rack with `first = 0, stride = 1`. Arrivals stream from that
-    /// cursor (the trace is sorted by construction) against a heap holding
-    /// only the O(pending) future completions and scaling events, and win
-    /// ties against heap events, preserving the historical event order.
+    /// cursor against a heap holding only the O(pending) future completions
+    /// and scaling events, and win ties against heap events, preserving the
+    /// historical event order.
     ///
     /// # Panics
-    /// Panics, naming the broken invariant, if the drained loop leaves a
-    /// rack with busy or provisioning instances or queued requests, or if
-    /// the racks did not complete or reject exactly the arrivals the cursor
-    /// took.
+    /// Panics, naming the broken invariant, if the cursor takes an arrival
+    /// earlier than the one it took before (the trace must be sorted by
+    /// arrival), if the drained loop leaves a rack with busy or provisioning
+    /// instances or queued requests, or if the racks did not complete or
+    /// reject exactly the arrivals the cursor took.
     fn run_loop(
         &self,
         inputs: RunInputs<'_>,
@@ -982,9 +951,9 @@ impl ClusterSim {
         horizon: SimDuration,
     ) -> ClusterRun {
         let trace = inputs.trace;
-        let mut offered = TimeSeries::new(self.config.bucket, horizon);
-        let mut queued = TimeSeries::new(self.config.bucket, horizon);
-        let mut latency_series = TimeSeries::new(self.config.bucket, horizon);
+        let mut offered = TimeSeries::new(BUCKET, horizon);
+        let mut queued = TimeSeries::new(BUCKET, horizon);
+        let mut latency_series = TimeSeries::new(BUCKET, horizon);
         let mut heap: EventQueue<HeapEvent> = EventQueue::new();
         if let Some(interval) = self.config.scaling.interval() {
             for rack in 0..racks.len() {
@@ -993,6 +962,7 @@ impl ClusterSim {
         }
         let mut next_arrival = first;
         let mut arrivals: u64 = 0;
+        let mut last_arrival = SimTime::ZERO;
         let mut last_activity = SimTime::ZERO;
         let mut events: u64 = 0;
         loop {
@@ -1014,6 +984,12 @@ impl ClusterSim {
                 next_arrival += stride;
                 arrivals += 1;
                 let now = trace[idx].arrival;
+                assert!(
+                    now >= last_arrival,
+                    "arrivals in trace order invariant broken: \
+                     trace position {idx} arrives before the arrival taken before it"
+                );
+                last_arrival = now;
                 last_activity = now;
                 offered.record_event(now);
                 let r = self.dispatch(&racks, balancer, inputs, idx);
@@ -1031,7 +1007,7 @@ impl ClusterSim {
                     HeapEvent::ScaleTick { rack } => {
                         self.scale_decision(&mut racks[rack], now, |add| {
                             heap.schedule(
-                                now + self.config.provisioning_delay,
+                                now + PROVISIONING_DELAY,
                                 HeapEvent::ScaleCommit { rack, add },
                             );
                         });
@@ -1047,7 +1023,7 @@ impl ClusterSim {
                         continue;
                     }
                     HeapEvent::ScaleCommit { rack, add } => {
-                        racks[rack].commit_scale_up(add, self.config.provisioning_delay);
+                        racks[rack].commit_scale_up(add);
                         (rack, now)
                     }
                 }
@@ -1200,7 +1176,7 @@ impl ClusterSim {
     /// One autoscaling evaluation on `rack`: reactive policies watch the
     /// queue depth, predictive policies size the pool to the learned
     /// arrival-rate estimate. Scale-ups enter the provisioning pipeline —
-    /// `schedule_commit(add)` schedules the commit `provisioning_delay` out
+    /// `schedule_commit(add)` schedules the commit [`PROVISIONING_DELAY`] out
     /// on the event loop's heap; scale-downs release
     /// immediately (running requests finish, the freed instances just stop
     /// accepting new work).
@@ -1713,9 +1689,9 @@ mod tests {
         let sim = ClusterSim::new(PlatformKind::DscsDsa, config);
         let mut rack = sim.new_rack_state(0, DeterministicRng::seeded(1));
         rack.pending = 4;
-        rack.commit_scale_up(4, config.provisioning_delay);
+        rack.commit_scale_up(4);
         assert_eq!((rack.pending, rack.capacity), (0, config.min_instances + 4));
-        rack.commit_scale_up(1, config.provisioning_delay);
+        rack.commit_scale_up(1);
     }
 
     /// A rack that can never start work — the zero-instance pool the builder
@@ -1747,6 +1723,66 @@ mod tests {
             LoadBalancer::RoundRobin,
             SimDuration::from_secs(120),
         );
+    }
+
+    /// The engine and the offline bound price a repeat cold start through
+    /// the same [`ClusterSim::repeat_cold_start_cost`], on every platform
+    /// and cold-start path: one function invoked twice with no keepalive
+    /// pays a first and a repeat cold start, which is exactly the bound
+    /// once warm memory is too dear to keep.
+    #[test]
+    fn the_engine_charges_repeat_cold_starts_at_the_bounds_price() {
+        let benchmark = Benchmark::ALL[0];
+        let trace: Vec<TraceRequest> = [0, 100]
+            .map(|s| TraceRequest {
+                arrival: SimTime::ZERO + SimDuration::from_secs(s),
+                benchmark,
+                function: 0,
+                object: 0,
+                object_bytes: 64 << 10,
+            })
+            .to_vec();
+        for platform in [PlatformKind::BaselineCpu, PlatformKind::DscsDsa] {
+            let base = ClusterSim::new(platform, ClusterConfig::default());
+            for cold_path in ColdStartPath::ALL {
+                let report = Experiment::builder(platform)
+                    .trace(trace.clone())
+                    .keepalive(KeepalivePolicy::NoKeepalive)
+                    .cold_path(cold_path)
+                    .build()
+                    .expect("valid experiment")
+                    .run_on(&base)
+                    .report;
+                let sim = base.reconfigured(ClusterConfig {
+                    cold_path,
+                    ..ClusterConfig::default()
+                });
+                let repeat = sim.repeat_cold_start_cost(benchmark);
+                let first = sim.cold_start_cost(benchmark);
+                let case = format!("{platform:?} / {}", cold_path.name());
+                assert_eq!(report.cold_starts, 2, "{case}");
+                assert_eq!(report.coldstart_s, (first + repeat).as_secs_f64(), "{case}");
+                let snapshot = cold_path == ColdStartPath::SnapshotRestore;
+                let restored = if snapshot { repeat.as_secs_f64() } else { 0.0 };
+                assert_eq!(report.restore_s, restored, "{case}");
+                let bound = crate::optimal::optimal_coldstart_seconds_with(&trace, &sim, 1e9);
+                assert!((bound - report.coldstart_s).abs() < 1e-12, "{case}");
+            }
+        }
+    }
+
+    /// The builder does not scan the trace for order; the event loop
+    /// asserts it as its cursor takes each arrival.
+    #[test]
+    #[should_panic(expected = "arrivals in trace order invariant broken")]
+    fn an_unsorted_trace_breaks_the_arrival_order_invariant() {
+        let mut trace = short_trace(50.0, 2, 35);
+        trace.swap(3, 4);
+        let _ = Experiment::builder(PlatformKind::DscsDsa)
+            .trace(trace)
+            .build()
+            .expect("the builder does not check arrival order")
+            .run();
     }
 
     /// A replica rack whose queue is *full* counts as saturated even when

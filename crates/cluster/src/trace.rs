@@ -32,15 +32,14 @@ pub struct TraceRequest {
     /// the benchmark's index, while Azure-style workloads spread many
     /// functions over the same eight applications.
     pub function: u32,
-    /// The object (within the function's [`crate::workload::ObjectPopulation`])
+    /// The object, one of the function's 32 ([`ObjectCatalog::object_for`]),
     /// this invocation reads. Locality-aware placement dispatches on where
     /// this object's replicas live.
     pub object: u32,
-    /// Size of that object in bytes — the payload a non-local rack must
-    /// fetch across the datacenter fabric. [`ObjectPopulation::validate`]
-    /// caps every object at `u32::MAX` bytes.
-    ///
-    /// [`ObjectPopulation::validate`]: crate::workload::ObjectPopulation::validate
+    /// Size of that object in bytes ([`ObjectCatalog::size_of`], 256 KiB to
+    /// 8 MiB) — the payload a non-local rack must fetch across the
+    /// datacenter fabric. A compile-time assertion in [`crate::workload`]
+    /// keeps the largest object within `u32::MAX` bytes.
     pub object_bytes: u32,
 }
 
@@ -139,7 +138,7 @@ impl Workload for RateProfile {
 
     fn generate(&self, rng: &mut DeterministicRng) -> Result<Vec<TraceRequest>, WorkloadError> {
         self.validate()?;
-        let catalog = ObjectCatalog::new(self.objects());
+        let catalog = ObjectCatalog::default();
         let mut requests = Vec::new();
         let mut offset = SimDuration::ZERO;
         for &(duration, rate) in &self.segments {

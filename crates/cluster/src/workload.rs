@@ -13,10 +13,10 @@
 //!
 //! Every request additionally names the *object* it reads — serverless
 //! functions are storage-triggered in the paper's model, so the trace carries
-//! data identities, not just function identities. [`ObjectPopulation`]
-//! describes each function's object working set (Zipf-skewed popularity over
-//! a bounded set of objects, mirroring the skew of function popularity
-//! itself) and [`ObjectCatalog`] stamps deterministic object ids and sizes
+//! data identities, not just function identities. Every function owns the
+//! same fixed object working set: 32 objects under a Zipf(1.1) popularity,
+//! mirroring the skew of function popularity itself, each 256 KiB to 8 MiB
+//! in size. The [`ObjectCatalog`] stamps deterministic object ids and sizes
 //! onto requests. Object assignment is hash-based, not RNG-stream-based, so
 //! adding data identities leaves arrival sequences bit-compatible with
 //! earlier trace versions.
@@ -79,73 +79,25 @@ impl fmt::Display for WorkloadError {
 
 impl std::error::Error for WorkloadError {}
 
-/// The per-function object working set a workload's requests read from.
-///
-/// Each function owns `objects_per_function` distinct objects; a request
-/// reads one of them, drawn Zipf(`skew`) so a function's hot objects dominate
-/// its traffic the same way hot functions dominate the cluster's. Object
-/// sizes are deterministic per (function, object): `base_size` scaled by a
-/// hashed number of doublings, spanning the serverless payload range.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ObjectPopulation {
-    /// Distinct objects per function (>= 1).
-    pub objects_per_function: u32,
-    /// Zipf skew over a function's objects (0 = uniform).
-    pub skew: f64,
-    /// Smallest object size.
-    pub base_size: Bytes,
-    /// Object sizes span `base_size` to `base_size << size_doublings`.
-    pub size_doublings: u32,
-}
+/// Distinct objects each function owns; a request reads one of them.
+const OBJECTS_PER_FUNCTION: u32 = 32;
 
-impl Default for ObjectPopulation {
-    fn default() -> Self {
-        ObjectPopulation {
-            objects_per_function: 32,
-            skew: 1.1,
-            // 256 KiB .. 8 MiB: the image/audio/text payload range of the
-            // benchmark suite (AWS caps serverless payloads at ~20 MB).
-            base_size: Bytes::from_kib(256),
-            size_doublings: 5,
-        }
-    }
-}
+/// Zipf skew over a function's objects, so a function's hot objects dominate
+/// its traffic the same way hot functions dominate the cluster's.
+const OBJECT_SKEW: f64 = 1.1;
 
-impl ObjectPopulation {
-    /// Checks the population parameters, returning the first violation found.
-    pub fn validate(&self) -> Result<(), WorkloadError> {
-        if self.objects_per_function == 0 {
-            return Err(WorkloadError::InvalidParameter {
-                name: "objects_per_function",
-                value: 0.0,
-            });
-        }
-        if !self.skew.is_finite() || self.skew < 0.0 {
-            return Err(WorkloadError::InvalidParameter {
-                name: "object_skew",
-                value: self.skew,
-            });
-        }
-        if self.base_size == Bytes::ZERO {
-            return Err(WorkloadError::InvalidParameter {
-                name: "base_size",
-                value: 0.0,
-            });
-        }
-        // The largest object is base_size << size_doublings, and requests
-        // store sizes as u32 byte counts, so it must fit a u32.
-        let largest_base = u64::from(u32::MAX)
-            .checked_shr(self.size_doublings)
-            .unwrap_or(0);
-        if self.base_size.as_u64() > largest_base {
-            return Err(WorkloadError::InvalidParameter {
-                name: "size_doublings",
-                value: f64::from(self.size_doublings),
-            });
-        }
-        Ok(())
-    }
-}
+/// The smallest object size, in bytes. Sizes are deterministic per
+/// (function, object): this base scaled by a hashed number of doublings.
+const OBJECT_BASE_SIZE: u64 = 256 << 10;
+
+/// Object sizes span `OBJECT_BASE_SIZE` to `OBJECT_BASE_SIZE <<
+/// OBJECT_SIZE_DOUBLINGS` bytes: 256 KiB to 8 MiB, the image/audio/text
+/// payload range of the benchmark suite (AWS caps serverless payloads at
+/// ~20 MB).
+const OBJECT_SIZE_DOUBLINGS: u32 = 5;
+
+// Requests store object sizes as u32 byte counts, so the largest must fit.
+const _: () = assert!(OBJECT_BASE_SIZE << OBJECT_SIZE_DOUBLINGS <= u32::MAX as u64);
 
 /// SplitMix64 finalizer, used as a stateless hash so object assignment never
 /// consumes from the trace generator's RNG stream.
@@ -159,35 +111,23 @@ pub(crate) fn mix64(mut z: u64) -> u64 {
 const OBJECT_SALT: u64 = 0x0B1E_C7ED_5EED_0001;
 const SIZE_SALT: u64 = 0x0B1E_C7ED_5EED_0002;
 
-/// Deterministic object assignment derived from an [`ObjectPopulation`]:
+/// Deterministic object assignment over the fixed per-function working set:
 /// maps (function, trace position) to the object the request reads and
 /// (function, object) to that object's size.
 #[derive(Debug, Clone)]
 pub struct ObjectCatalog {
-    population: ObjectPopulation,
     zipf: ZipfIndex,
 }
 
-impl ObjectCatalog {
-    /// Builds the catalog.
-    ///
-    /// # Panics
-    /// Panics if the population fails [`ObjectPopulation::validate`].
-    pub fn new(population: ObjectPopulation) -> Self {
-        population
-            .validate()
-            .unwrap_or_else(|err| panic!("invalid object population: {err}"));
+impl Default for ObjectCatalog {
+    fn default() -> Self {
         ObjectCatalog {
-            population,
-            zipf: ZipfIndex::new(population.objects_per_function as usize, population.skew),
+            zipf: ZipfIndex::new(OBJECTS_PER_FUNCTION as usize, OBJECT_SKEW),
         }
     }
+}
 
-    /// The population this catalog realises.
-    pub fn population(&self) -> ObjectPopulation {
-        self.population
-    }
-
+impl ObjectCatalog {
     /// The object a request of `function` at trace position `position`
     /// reads: a Zipf draw over the function's objects, derived by hashing
     /// rather than sampling so the caller's RNG stream is untouched.
@@ -200,8 +140,8 @@ impl ObjectCatalog {
     /// The deterministic size of `(function, object)`.
     pub fn size_of(&self, function: u32, object: u32) -> Bytes {
         let h = mix64(SIZE_SALT ^ (u64::from(function) << 32) ^ u64::from(object));
-        let doublings = h % u64::from(self.population.size_doublings + 1);
-        Bytes::new(self.population.base_size.as_u64() << doublings)
+        let doublings = h % u64::from(OBJECT_SIZE_DOUBLINGS + 1);
+        Bytes::new(OBJECT_BASE_SIZE << doublings)
     }
 
     /// The request at trace position `position`: `function` invoked at
@@ -216,7 +156,7 @@ impl ObjectCatalog {
     ) -> TraceRequest {
         let object = self.object_for(function, position);
         let object_bytes = u32::try_from(self.size_of(function, object).as_u64())
-            .expect("ObjectPopulation::validate caps object sizes at u32::MAX bytes");
+            .expect("the largest object size fits a u32, asserted at compile time");
         TraceRequest {
             arrival,
             benchmark,
@@ -238,12 +178,6 @@ pub trait Workload {
 
     /// Total duration the generated trace covers.
     fn horizon(&self) -> SimDuration;
-
-    /// The object working set the workload's requests read from. The default
-    /// is the suite-wide [`ObjectPopulation::default`].
-    fn objects(&self) -> ObjectPopulation {
-        ObjectPopulation::default()
-    }
 
     /// Checks the workload parameters, returning the first violation found.
     fn validate(&self) -> Result<(), WorkloadError>;
@@ -389,7 +323,7 @@ impl Workload for AzureWorkload {
     fn generate(&self, rng: &mut DeterministicRng) -> Result<Vec<TraceRequest>, WorkloadError> {
         self.validate()?;
         let zipf = ZipfIndex::new(self.functions as usize, self.popularity_skew);
-        let catalog = ObjectCatalog::new(self.objects());
+        let catalog = ObjectCatalog::default();
         let mut requests = Vec::new();
         let mut offset = SimDuration::ZERO;
         while offset < self.horizon {
@@ -456,6 +390,17 @@ pub enum WorkloadSpecError {
     Workload(WorkloadError),
     /// An inline spec carried an empty trace.
     EmptyInline,
+    /// An inline spec's trace is not sorted by arrival time.
+    UnsortedInline {
+        /// Trace position of the first request that arrives before the one
+        /// ahead of it.
+        position: usize,
+    },
+    /// An inline spec's horizon is negative, infinite or NaN.
+    InvalidHorizon {
+        /// The offending horizon, in seconds.
+        horizon_s: f64,
+    },
 }
 
 impl fmt::Display for WorkloadSpecError {
@@ -471,6 +416,15 @@ impl fmt::Display for WorkloadSpecError {
             WorkloadSpecError::Ingest(err) => write!(f, "{err}"),
             WorkloadSpecError::Workload(err) => write!(f, "{err}"),
             WorkloadSpecError::EmptyInline => write!(f, "inline workload carries no requests"),
+            WorkloadSpecError::UnsortedInline { position } => write!(
+                f,
+                "inline workload is not sorted by arrival: request {position} arrives before \
+                 the one ahead of it"
+            ),
+            WorkloadSpecError::InvalidHorizon { horizon_s } => write!(
+                f,
+                "inline workload horizon {horizon_s} s must be finite and non-negative"
+            ),
         }
     }
 }
@@ -515,10 +469,10 @@ pub struct RealizedWorkload {
 
 /// A declarative workload selection: *what* to replay, not a pre-generated
 /// trace. Specs are data — they name their own scale and seed — so a
-/// [`crate::at_scale::SweepSpec`] can put workload source on an axis, the
-/// CLI can parse one from `--workload azure|bursty|trace:<path>[@<day>]`,
-/// and [`crate::experiment::ExperimentBuilder::workload_spec`] can realize
-/// one directly into an experiment.
+/// [`crate::at_scale::SweepSpec`] can put workload source on an axis and
+/// the CLI can parse one from `--workload azure|bursty|trace:<path>[@<day>]`.
+/// A single experiment takes the realized trace:
+/// `builder.trace(spec.realize()?.trace)`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WorkloadSpec {
     /// The paper's bursty [`RateProfile`] at a sweep scale.
@@ -545,6 +499,8 @@ pub enum WorkloadSpec {
         day: u32,
     },
     /// A pre-generated trace supplied in memory, with caller-chosen labels.
+    /// [`WorkloadSpec::realize`] checks that the trace is non-empty and
+    /// sorted by arrival and that the horizon is finite and non-negative.
     Inline {
         /// Workload name for reports.
         name: String,
@@ -646,7 +602,9 @@ impl WorkloadSpec {
     /// pure function of the spec: synthetic kinds draw their dedicated
     /// streams ([`bursty_generation_rng`], [`azure_generation_rng`]) from
     /// their own seed; trace files expand with a day-forked jitter stream,
-    /// so the same file and day always reproduce the same arrivals.
+    /// so the same file and day always reproduce the same arrivals. Every
+    /// kind but `Inline` yields a sorted trace by construction; an inline
+    /// one is checked, in one pass over its trace.
     pub fn realize(&self) -> Result<RealizedWorkload, WorkloadSpecError> {
         match self {
             WorkloadSpec::Bursty { scale, seed } => {
@@ -688,6 +646,16 @@ impl WorkloadSpec {
             } => {
                 if trace.is_empty() {
                     return Err(WorkloadSpecError::EmptyInline);
+                }
+                if !(horizon_s.is_finite() && *horizon_s >= 0.0) {
+                    return Err(WorkloadSpecError::InvalidHorizon {
+                        horizon_s: *horizon_s,
+                    });
+                }
+                if let Some(ahead) = trace.windows(2).position(|w| w[1].arrival < w[0].arrival) {
+                    return Err(WorkloadSpecError::UnsortedInline {
+                        position: ahead + 1,
+                    });
                 }
                 Ok(RealizedWorkload {
                     name: name.clone(),
@@ -800,71 +768,23 @@ mod tests {
     }
 
     #[test]
-    fn object_population_rejects_overflowing_sizes() {
-        assert_eq!(ObjectPopulation::default().validate(), Ok(()));
-        let oversized = ObjectPopulation {
-            size_doublings: 64,
-            ..ObjectPopulation::default()
-        };
-        assert!(matches!(
-            oversized.validate(),
-            Err(WorkloadError::InvalidParameter {
-                name: "size_doublings",
-                ..
-            })
-        ));
-        // Requests store sizes as u32 byte counts: the largest object,
-        // base_size << size_doublings, must fit one.
-        let population = |base_size, size_doublings| ObjectPopulation {
-            base_size,
-            size_doublings,
-            ..ObjectPopulation::default()
-        };
-        for (base, doublings) in [
-            // Shift in range but the product overflows u64.
-            (Bytes::from_gib(1 << 30), 4),
-            // 256 KiB << 14 is 4 GiB, one byte more than u32::MAX.
-            (Bytes::from_kib(256), 14),
-            (Bytes::from_gib(4), 0),
-        ] {
-            assert!(
-                matches!(
-                    population(base, doublings).validate(),
-                    Err(WorkloadError::InvalidParameter {
-                        name: "size_doublings",
-                        ..
-                    })
-                ),
-                "{base} << {doublings}"
-            );
-        }
-        // 256 KiB << 13 is 2 GiB.
-        assert_eq!(population(Bytes::from_kib(256), 13).validate(), Ok(()));
-        let zero_objects = ObjectPopulation {
-            objects_per_function: 0,
-            ..ObjectPopulation::default()
-        };
-        assert!(zero_objects.validate().is_err());
-    }
-
-    #[test]
     fn object_catalog_is_deterministic_and_in_range() {
-        let population = ObjectPopulation::default();
-        let catalog = ObjectCatalog::new(population);
-        let largest = Bytes::new(population.base_size.as_u64() << population.size_doublings);
+        let catalog = ObjectCatalog::default();
+        let smallest = Bytes::new(OBJECT_BASE_SIZE);
+        let largest = Bytes::new(OBJECT_BASE_SIZE << OBJECT_SIZE_DOUBLINGS);
         for id in 0..2000u64 {
             let object = catalog.object_for(3, id);
-            assert!(object < population.objects_per_function);
+            assert!(object < OBJECTS_PER_FUNCTION);
             assert_eq!(object, catalog.object_for(3, id), "pure function of id");
             let size = catalog.size_of(3, object);
-            assert!(size >= population.base_size && size <= largest, "{size}");
+            assert!(size >= smallest && size <= largest, "{size}");
         }
         // Zipf skew: the hottest object dominates a uniform share.
         let hot = (0..4000u64)
             .filter(|&id| catalog.object_for(7, id) == 0)
             .count();
         assert!(
-            hot > 4000 / population.objects_per_function as usize * 4,
+            hot > 4000 / OBJECTS_PER_FUNCTION as usize * 4,
             "hot object drew {hot} of 4000"
         );
     }
@@ -886,7 +806,7 @@ mod tests {
             azure.generate(&mut DeterministicRng::seeded(3)),
             file.generate(&mut DeterministicRng::seeded(4)),
         ];
-        let catalog = ObjectCatalog::new(ObjectPopulation::default());
+        let catalog = ObjectCatalog::default();
         for trace in traces {
             let trace = trace.expect("valid");
             assert!(!trace.is_empty());

@@ -4,9 +4,7 @@
 
 use std::sync::{Arc, OnceLock};
 
-use dscs_serverless::cluster::at_scale::{
-    at_scale_sweep, AtScaleOptions, AtScaleReport, SweepSpec,
-};
+use dscs_serverless::cluster::at_scale::{AtScaleOptions, AtScaleReport, SweepSpec};
 use dscs_serverless::cluster::experiment::Experiment;
 use dscs_serverless::cluster::policy::{
     KeepalivePolicy, LoadBalancer, ScalingPolicy, SchedulerPolicy,
@@ -27,17 +25,22 @@ const PR4_GOLDEN_SMOKE: &str = include_str!("golden/at_scale_smoke_pr4.json");
 /// One shared smoke sweep (432 cells) for the tests that only read it.
 fn smoke_report() -> &'static AtScaleReport {
     static REPORT: OnceLock<AtScaleReport> = OnceLock::new();
-    REPORT.get_or_init(|| at_scale_sweep(AtScaleOptions::smoke()))
+    REPORT.get_or_init(|| sweep(AtScaleOptions::smoke()))
+}
+
+/// The whole default grid the options expand into.
+fn sweep(options: AtScaleOptions) -> AtScaleReport {
+    SweepSpec::from(options).run().expect("valid options")
 }
 
 #[test]
 fn fixed_seed_sweep_report_is_byte_for_byte_reproducible() {
     let options = AtScaleOptions::smoke();
-    let a = at_scale_sweep(options).to_json();
+    let a = sweep(options).to_json();
     let b = smoke_report().to_json();
     assert_eq!(a, b);
     // A different seed changes the report.
-    let c = at_scale_sweep(AtScaleOptions {
+    let c = sweep(AtScaleOptions {
         seed: options.seed + 1,
         ..options
     })

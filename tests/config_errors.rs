@@ -1,7 +1,7 @@
 //! The typed-error matrix of the experiment builder: every input a run
 //! cannot simulate yields the matching [`ConfigError`] from
-//! `ExperimentBuilder::build`, and rejected [`WorkloadSpec`]s fold into
-//! `ConfigError::WorkloadSpec` with their typed source preserved.
+//! `ExperimentBuilder::build`, and [`WorkloadSpec`]s a sweep rejects fold
+//! into `ConfigError::WorkloadSpec` with their typed source preserved.
 //!
 //! [`WorkloadSpec`]: dscs_serverless::cluster::workload::WorkloadSpec
 
@@ -250,11 +250,12 @@ fn config_errors_display_and_expose_sources() {
 }
 
 /// Every way a declarative `WorkloadSpec` can be rejected maps to its own
-/// typed `WorkloadSpecError`, and the build-time ones fold into
-/// `ConfigError::WorkloadSpec` with the source chain intact.
+/// typed `WorkloadSpecError`, and the ones a sweep meets when it realizes
+/// its workload axis fold into `ConfigError::WorkloadSpec` with the source
+/// chain intact.
 #[test]
-fn rejected_workload_specs_fold_into_config_errors() {
-    use dscs_serverless::cluster::at_scale::SweepScale;
+fn rejected_declarative_workloads_fold_into_config_errors() {
+    use dscs_serverless::cluster::at_scale::{SweepScale, SweepSpec};
     use dscs_serverless::cluster::ingest::IngestError;
     use dscs_serverless::cluster::workload::{WorkloadSpec, WorkloadSpecError};
     use std::error::Error;
@@ -274,16 +275,21 @@ fn rejected_workload_specs_fold_into_config_errors() {
         }
     );
 
-    // Build-time rejection: a missing trace file surfaces as a typed ingest
-    // error wrapped in `ConfigError::WorkloadSpec`, source chain intact.
-    let missing = WorkloadSpec::TraceFile {
+    // Run-time rejection: a sweep over a missing trace file surfaces a
+    // typed ingest error wrapped in `ConfigError::WorkloadSpec`, source
+    // chain intact.
+    let rejected = |workload: WorkloadSpec| {
+        SweepSpec {
+            workloads: vec![workload],
+            ..SweepSpec::default_grid(SweepScale::Smoke)
+        }
+        .run()
+        .expect_err("rejected workload")
+    };
+    let err = rejected(WorkloadSpec::TraceFile {
         path: "/nonexistent/trace.csv".into(),
         day: 1,
-    };
-    let err = Experiment::builder(PlatformKind::DscsDsa)
-        .workload_spec(&missing)
-        .build()
-        .expect_err("missing trace file");
+    });
     assert!(matches!(
         err,
         ConfigError::WorkloadSpec(WorkloadSpecError::Ingest(IngestError::Io { .. }))
@@ -291,27 +297,43 @@ fn rejected_workload_specs_fold_into_config_errors() {
     assert!(err.source().is_some(), "spec errors chain their source");
     assert!(err.to_string().contains("workload spec rejected"));
 
-    // An inline spec with no requests is its own variant.
-    let empty = WorkloadSpec::Inline {
-        name: "empty".into(),
+    // Inline specs: no requests, a horizon that is not a finite
+    // non-negative number of seconds, and a trace out of arrival order are
+    // each their own variant.
+    let inline = |horizon_s: f64, trace: Vec<TraceRequest>| WorkloadSpec::Inline {
+        name: "inline".into(),
         source: "synthetic".into(),
-        horizon_s: 1.0,
-        trace: Arc::new(Vec::new()),
+        horizon_s,
+        trace: Arc::new(trace),
     };
     assert_eq!(
-        Experiment::builder(PlatformKind::DscsDsa)
-            .workload_spec(&empty)
-            .build()
-            .expect_err("empty inline trace"),
+        rejected(inline(1.0, Vec::new())),
         ConfigError::WorkloadSpec(WorkloadSpecError::EmptyInline)
+    );
+    for horizon_s in [f64::NAN, f64::INFINITY, -1.0] {
+        let err = inline(horizon_s, short_trace(1))
+            .realize()
+            .expect_err("invalid horizon");
+        assert!(
+            matches!(err, WorkloadSpecError::InvalidHorizon { horizon_s: h }
+                if h.to_bits() == horizon_s.to_bits()),
+            "{horizon_s}: {err:?}"
+        );
+    }
+    let mut swapped = short_trace(1);
+    assert!(swapped[6].arrival < swapped[7].arrival);
+    swapped.swap(6, 7);
+    assert_eq!(
+        rejected(inline(4.0, swapped)),
+        ConfigError::WorkloadSpec(WorkloadSpecError::UnsortedInline { position: 7 })
     );
 }
 
-/// A declarative `WorkloadSpec::Azure { scale, seed }` replays exactly the
+/// A declarative `WorkloadSpec::Azure { scale, seed }` realizes exactly the
 /// trace its generator draws from the sweep's azure generation stream for
 /// that seed.
 #[test]
-fn azure_workload_spec_replays_its_generation_stream() {
+fn azure_spec_realizes_its_generation_stream() {
     use dscs_serverless::cluster::at_scale::SweepScale;
     use dscs_serverless::cluster::workload::{azure_generation_rng, Workload, WorkloadSpec};
 
@@ -319,12 +341,11 @@ fn azure_workload_spec_replays_its_generation_stream() {
     let generated = WorkloadSpec::azure_at(SweepScale::Smoke)
         .generate(&mut azure_generation_rng(seed))
         .expect("the smoke azure workload is valid");
-    let via_spec = Experiment::builder(PlatformKind::DscsDsa)
-        .workload_spec(&WorkloadSpec::Azure {
-            scale: SweepScale::Smoke,
-            seed,
-        })
-        .build()
-        .expect("the declarative spec realizes");
-    assert_eq!(generated, via_spec.trace(), "bit-identical traces");
+    let via_spec = WorkloadSpec::Azure {
+        scale: SweepScale::Smoke,
+        seed,
+    }
+    .realize()
+    .expect("the declarative spec realizes");
+    assert_eq!(generated, *via_spec.trace, "bit-identical traces");
 }

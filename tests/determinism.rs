@@ -206,10 +206,16 @@ fn same_seed_produces_bit_identical_locality_aware_runs() {
 /// energy — renders byte-identical JSON across two runs with the same seed.
 #[test]
 fn at_scale_report_json_is_byte_identical_across_runs() {
-    use dscs_serverless::cluster::at_scale::{at_scale_sweep, AtScaleOptions};
+    use dscs_serverless::cluster::at_scale::{AtScaleOptions, SweepSpec};
 
-    let a = at_scale_sweep(AtScaleOptions::smoke()).to_json();
-    let b = at_scale_sweep(AtScaleOptions::smoke()).to_json();
+    let sweep = || {
+        SweepSpec::from(AtScaleOptions::smoke())
+            .run()
+            .expect("valid spec")
+            .to_json()
+    };
+    let a = sweep();
+    let b = sweep();
     assert_eq!(a, b);
     assert!(a.contains("\"scaling\":\"reactive\""));
     assert!(a.contains("\"scaling\":\"predictive\""));

@@ -81,16 +81,16 @@ fn parallel_sweeps_render_sequential_bytes_across_seeds() {
 fn parallel_sweeps_match_sequential_on_the_full_smoke_grid() {
     // The whole default smoke grid (432 cells), as CI's equivalence diff
     // runs it: auto worker count vs the sequential path.
-    let sequential = SweepSpec::from(AtScaleOptions {
+    let sequential = SweepSpec {
         jobs: 1,
-        ..AtScaleOptions::smoke()
-    })
+        ..SweepSpec::from(AtScaleOptions::smoke())
+    }
     .run()
     .expect("valid options");
-    let parallel = SweepSpec::from(AtScaleOptions {
+    let parallel = SweepSpec {
         jobs: 0, // auto: one worker per available core
-        ..AtScaleOptions::smoke()
-    })
+        ..SweepSpec::from(AtScaleOptions::smoke())
+    }
     .run()
     .expect("valid options");
     assert_eq!(sequential.to_json(), parallel.to_json());

@@ -967,6 +967,7 @@ fn fixed_scaling_is_bit_identical_to_a_pinned_pool() {
 fn one_rack_runs_agree_across_lane_and_coupled_balancers() {
     use std::sync::Arc;
 
+    use dscs_serverless::cluster::data::DataLayer;
     use dscs_serverless::cluster::experiment::Experiment;
     use dscs_serverless::cluster::policy::{KeepalivePolicy, LoadBalancer, ScalingPolicy};
     use dscs_serverless::cluster::sim::{ClusterConfig, ClusterSim};
@@ -978,7 +979,7 @@ fn one_rack_runs_agree_across_lane_and_coupled_balancers() {
         let combo = case as usize % 24;
         let scaling = ScalingPolicy::all_default()[combo % 3];
         let keepalive = KeepalivePolicy::all_default()[combo / 3 % 4];
-        let place_data = combo >= 12;
+        let with_data = combo >= 12;
         let profile = RateProfile {
             segments: vec![(
                 SimDuration::from_secs(int_in(rng, 2, 8)),
@@ -993,6 +994,7 @@ fn one_rack_runs_agree_across_lane_and_coupled_balancers() {
         let max = min + int_in(rng, 0, 64) as u32;
         let queue_depth = int_in(rng, 1, 256) as usize;
         let seed = int_in(rng, 0, 1000);
+        let data = with_data.then(|| Arc::new(DataLayer::for_trace(&trace, 1, seed)));
         let run = |balancer| {
             let builder = Experiment::builder(PlatformKind::DscsDsa)
                 .trace(trace.clone())
@@ -1002,10 +1004,9 @@ fn one_rack_runs_agree_across_lane_and_coupled_balancers() {
                 .queue_depth(queue_depth)
                 .balancer(balancer)
                 .seed(seed);
-            let builder = if place_data {
-                builder.place_data(seed)
-            } else {
-                builder
+            let builder = match &data {
+                Some(data) => builder.data_layer(data.clone()),
+                None => builder,
             };
             builder
                 .build()
@@ -1019,7 +1020,7 @@ fn one_rack_runs_agree_across_lane_and_coupled_balancers() {
             assert!(!coupled.engine.is_rack_parallel(), "case {case}");
             assert_eq!(
                 lane.report, coupled.report,
-                "case {case}: {scaling:?} / {keepalive:?} / data {place_data} / {balancer:?}"
+                "case {case}: {scaling:?} / {keepalive:?} / data {with_data} / {balancer:?}"
             );
             assert_eq!(lane.racks, coupled.racks, "case {case}: {balancer:?}");
         }
@@ -1136,8 +1137,7 @@ fn offline_optimal_bound_floors_every_policys_cold_start_seconds() {
         });
         let bound = optimal_coldstart_seconds(&trace, &priced);
         assert_eq!(
-            outcome.optimal_coldstart_s,
-            Some(bound),
+            outcome.optimal_coldstart_s, bound,
             "case {case}: the outcome carries exactly the recomputed bound"
         );
         // The floor is exact in real arithmetic; allow one part in 1e9 for
@@ -1171,6 +1171,7 @@ fn offline_optimal_bound_floors_every_policys_cold_start_seconds() {
 #[test]
 fn slot_based_offline_bound_equals_the_public_wrappers() {
     use dscs_serverless::cluster::coldpath::ColdStartPath;
+    use dscs_serverless::cluster::data::DataLayer;
     use dscs_serverless::cluster::experiment::Experiment;
     use dscs_serverless::cluster::optimal::{
         optimal_coldstart_seconds, optimal_coldstart_seconds_with,
@@ -1220,17 +1221,19 @@ fn slot_based_offline_bound_equals_the_public_wrappers() {
             cold_path,
             ..ClusterConfig::default()
         });
+        let racks = 1 + int_in(rng, 0, 3) as u32;
+        let data = DataLayer::for_trace(&trace, racks, int_in(rng, 0, 1000));
         let outcome = Experiment::builder(base.platform())
             .trace(trace.clone())
-            .racks(1 + int_in(rng, 0, 3) as u32)
+            .racks(racks)
             .cold_path(cold_path)
-            .place_data(int_in(rng, 0, 1000))
+            .data_layer(data)
             .build()
             .unwrap_or_else(|err| panic!("case {case}: valid config rejected: {err}"))
             .run_on(base);
         assert_eq!(
-            outcome.optimal_coldstart_s.map(f64::to_bits),
-            Some(optimal_coldstart_seconds(&trace, &priced).to_bits()),
+            outcome.optimal_coldstart_s.to_bits(),
+            optimal_coldstart_seconds(&trace, &priced).to_bits(),
             "case {case}: the slot walk and the wrapper disagree"
         );
         let mut ids: Vec<u32> = trace.iter().map(|r| r.function).collect();
