@@ -240,11 +240,15 @@ impl SweepSpec {
         }
     }
 
-    /// Checks the spec: a sweep needs at least one rack and at least one
-    /// value on every axis.
+    /// Checks the spec: a sweep needs at least one rack, at most the
+    /// [`DataLayer::MAX_RACKS`] its data layers span, and at least one value
+    /// on every axis.
     pub fn check(&self) -> Result<(), ConfigError> {
         if self.racks == 0 {
             return Err(ConfigError::ZeroRacks);
+        }
+        if self.racks > DataLayer::MAX_RACKS {
+            return Err(ConfigError::TooManyRacks { racks: self.racks });
         }
         let axes: [(&'static str, bool); 8] = [
             ("workloads", self.workloads.is_empty()),
@@ -309,8 +313,9 @@ impl SweepSpec {
         // share it across every cell, mirroring how base_sims memoizes
         // model evaluation. Each path's bound comes from a sim reconfigured
         // to that path, so regret is always measured against the cell's own
-        // modality pricing. The walk reads the data layer's dense function
-        // slots, so it hashes no function id.
+        // modality pricing. The bound is summed over the first request of
+        // each function, which the data layer recorded while placing, so
+        // no bound walks the trace.
         let optimal_bounds: Vec<Vec<Vec<f64>>> = workloads
             .iter()
             .zip(&data_layers)
@@ -325,11 +330,10 @@ impl SweepSpec {
                                     cold_path,
                                     ..ClusterConfig::default()
                                 });
-                                crate::optimal::optimal_coldstart_seconds_over_slots(
+                                crate::optimal::optimal_coldstart_seconds_from_first_requests(
                                     &w.trace,
-                                    data.function_slots().iter().copied(),
+                                    data.first_requests(),
                                     &priced,
-                                    0.0,
                                 )
                             })
                             .collect()
@@ -1167,6 +1171,17 @@ mod tests {
             ..SweepSpec::default_grid(SweepScale::Smoke)
         };
         assert_eq!(zero_racks.check(), Err(ConfigError::ZeroRacks));
+        // A data layer stores each home rack in a byte: 255 racks is the
+        // most a sweep places over.
+        let racks = |racks| SweepSpec {
+            racks,
+            ..SweepSpec::default_grid(SweepScale::Smoke)
+        };
+        assert_eq!(racks(255).check(), Ok(()));
+        assert_eq!(
+            racks(256).check(),
+            Err(ConfigError::TooManyRacks { racks: 256 })
+        );
     }
 
     #[test]
@@ -1276,8 +1291,8 @@ mod tests {
         assert_eq!(report.spec, spec);
     }
 
-    /// Every cell's bound, which the sweep walks over its data layer's
-    /// dense function slots, equals the public wrapper's on the cell's
+    /// Every cell's bound, which the sweep sums over its data layer's first
+    /// request per function, equals the public wrapper's on the cell's
     /// trace, priced under the cell's platform and cold-start path — for
     /// dense synthetic ids and for hashed trace-file ids alike.
     #[test]

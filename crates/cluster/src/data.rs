@@ -20,7 +20,9 @@
 //! Placement is deterministic: the same trace, rack count and seed reproduce
 //! the same layout, so sharded runs stay byte-for-byte reproducible.
 
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher};
 
 use dscs_simcore::quantity::Bytes;
 use dscs_simcore::rng::DeterministicRng;
@@ -28,6 +30,7 @@ use dscs_simcore::time::SimDuration;
 use dscs_storage::object_store::{ObjectStore, RemoteFetchModel};
 
 use crate::trace::TraceRequest;
+use crate::workload::{mix64, OBJECTS_PER_FUNCTION};
 
 /// Storage pod each rack contributes to the store.
 const CONVENTIONAL_PER_RACK: u32 = 4;
@@ -40,6 +43,12 @@ const RACK_SPREAD: u32 = 1;
 // Every replica of an object lives in its home rack, so one home rack per
 // object is its whole placement answer.
 const _: () = assert!(RACK_SPREAD == 1);
+/// The home-table entry of an object no request has read yet. Home racks
+/// are `0..racks`, so with at most [`DataLayer::MAX_RACKS`] racks every one
+/// sits below it.
+const UNPLACED: u8 = u8::MAX;
+/// Home-table entries per function: one per object it can read.
+const HOME_ROW: usize = OBJECTS_PER_FUNCTION as usize;
 
 /// What one cross-rack fetch of a given size costs: the wall-clock latency
 /// charged onto the invocation and the joules the fabric and remote drive
@@ -74,11 +83,55 @@ pub(crate) fn function_slots(trace: &[TraceRequest]) -> Vec<u32> {
     interner.finish(per_request)
 }
 
+/// Hashes function ids with one [`mix64`] round under a key drawn per map,
+/// in place of SipHash. Trace-file ids are outside input, so the key comes
+/// from std's per-process random state: a crafted file cannot aim its ids
+/// at one bucket. Slots never depend on the hash, so neither does any
+/// result.
+struct KeyedIds {
+    key: u64,
+}
+
+impl Default for KeyedIds {
+    fn default() -> Self {
+        KeyedIds {
+            key: RandomState::new().hash_one(0u64),
+        }
+    }
+}
+
+impl BuildHasher for KeyedIds {
+    type Hasher = IdHasher;
+
+    fn build_hasher(&self) -> IdHasher {
+        IdHasher(self.key)
+    }
+}
+
+/// The [`KeyedIds`] hasher: `u32` ids take one [`mix64`] round.
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.0 = mix64(self.0 ^ u64::from(byte));
+        }
+    }
+
+    fn write_u32(&mut self, id: u32) {
+        self.0 = mix64(self.0 ^ u64::from(id));
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// Builds [`function_slots`] in one pass over a trace: ids get provisional
 /// slots in first-seen order, renumbered into ascending id order at the end.
 #[derive(Default)]
 struct FunctionInterner {
-    first_seen: HashMap<u32, u32>,
+    first_seen: HashMap<u32, u32, KeyedIds>,
 }
 
 impl FunctionInterner {
@@ -120,9 +173,11 @@ pub struct DataLayer {
     /// Distinct objects placed.
     objects: usize,
     /// The home rack of each request's object, by trace position.
-    request_homes: Vec<u32>,
+    request_homes: Vec<u8>,
     /// Each request's function slot ([`function_slots`]), by trace position.
     request_functions: Vec<u32>,
+    /// The trace position of each function's first request, ascending.
+    first_requests: Vec<usize>,
     fetch: RemoteFetchModel,
     /// Fetch costs of every object size the trace reads, sorted by size
     /// (sizes come from a small deterministic set, so the hot path never
@@ -131,16 +186,33 @@ pub struct DataLayer {
 }
 
 impl DataLayer {
+    /// The most racks a layer spans: each request's home rack is one byte,
+    /// and placement reserves the byte's largest value for objects not yet
+    /// read.
+    pub const MAX_RACKS: u32 = UNPLACED as u32;
+
     /// Builds the layer for `trace` over `racks` racks: a rack-aware store
     /// layout (every rack holds 4 conventional + 2 DSCS storage nodes),
     /// over which each distinct object the trace reads is placed, in trace
     /// order, from a placement RNG derived from `seed`. The same pass
-    /// interns the trace's function ids into dense slots. The per-object
-    /// tables the pass builds are freed before it returns.
+    /// interns the trace's function ids into dense slots and records each
+    /// function's first request.
+    ///
+    /// Set-up state is per function, not per object: each function owns a
+    /// row of 32 home racks (one per object it can read), filled at each
+    /// object's first read, and freed before the layer is returned.
     ///
     /// # Panics
-    /// Panics if `racks` is zero.
+    /// Panics if `racks` is zero or above [`DataLayer::MAX_RACKS`], or if a
+    /// request reads an object outside its function's 32
+    /// ([`TraceRequest::object`]; [`crate::workload::WorkloadSpec::realize`]
+    /// rejects such an inline trace with a typed error).
     pub fn for_trace(trace: &[TraceRequest], racks: u32, seed: u64) -> DataLayer {
+        assert!(
+            racks <= Self::MAX_RACKS,
+            "a data layer spans at most {} racks, got {racks}",
+            Self::MAX_RACKS
+        );
         let layout = ObjectStore::with_rack_layout(
             racks,
             CONVENTIONAL_PER_RACK,
@@ -150,45 +222,56 @@ impl DataLayer {
         );
         let mut rng = DeterministicRng::seeded(seed);
         let fetch = RemoteFetchModel::datacenter_default();
-        // (function, object) -> object slot, in first-read order.
-        let mut slots: HashMap<(u32, u32), u32> = HashMap::new();
-        // The home rack of each object slot, which holds all its replicas.
-        let mut homes = Vec::new();
+        // Per provisional function slot, the home rack of each of its
+        // objects, UNPLACED until the object's first read.
+        let mut homes: Vec<u8> = Vec::new();
         let mut interner = FunctionInterner::default();
-        // Each object's function, interned once per object.
-        let mut object_functions = Vec::new();
+        let mut objects = 0;
+        let mut first_requests = Vec::new();
         let mut request_homes = Vec::with_capacity(trace.len());
         let mut request_functions = Vec::with_capacity(trace.len());
         let mut fetch_costs: Vec<(Bytes, FetchCost)> = Vec::new();
         let mut replicas = Vec::with_capacity(REPLICATION);
-        for request in trace {
-            let next = homes.len() as u32;
-            let slot = *slots
-                .entry((request.function, request.object))
-                .or_insert(next);
-            if slot == next {
-                object_functions.push(interner.intern(request.function));
+        for (position, request) in trace.iter().enumerate() {
+            assert!(
+                request.object < OBJECTS_PER_FUNCTION,
+                "object < {OBJECTS_PER_FUNCTION} invariant broken: trace position {position} \
+                 reads object {}",
+                request.object
+            );
+            let function = interner.intern(request.function);
+            // Provisional slots count up from 0 in first-seen order, so a
+            // function without a row is one never seen before.
+            let row = function as usize * HOME_ROW;
+            if row == homes.len() {
+                first_requests.push(position);
+                homes.resize(row + HOME_ROW, UNPLACED);
+            }
+            let home = &mut homes[row + request.object as usize];
+            if *home == UNPLACED {
                 // Every benchmark is an ML pipeline over its stored input,
                 // so every object is acceleratable: its primary replica
                 // lands on a DSCS drive of the home rack.
-                let home = layout
+                let rack = layout
                     .draw_replicas(true, &mut rng, &mut replicas)
                     .expect("rack layout always has DSCS nodes");
-                homes.push(home);
+                *home = rack as u8;
+                objects += 1;
                 let size = Bytes::new(u64::from(request.object_bytes));
                 if let Err(at) = fetch_costs.binary_search_by_key(&size, |c| c.0) {
                     fetch_costs.insert(at, (size, FetchCost::of(&fetch, size)));
                 }
             }
-            request_homes.push(homes[slot as usize]);
-            request_functions.push(object_functions[slot as usize]);
+            request_homes.push(*home);
+            request_functions.push(function);
         }
         DataLayer {
             racks,
             nodes: layout.node_count(),
-            objects: homes.len(),
+            objects,
             request_homes,
             request_functions: interner.finish(request_functions),
+            first_requests,
             fetch,
             fetch_costs,
         }
@@ -221,13 +304,20 @@ impl DataLayer {
     /// # Panics
     /// Panics if `idx` is not below [`DataLayer::request_count`].
     pub fn home_rack(&self, idx: usize) -> u32 {
-        self.request_homes[idx]
+        u32::from(self.request_homes[idx])
     }
 
     /// Each request's function slot, by trace position: what
     /// [`function_slots`] returns for the layer's trace.
     pub(crate) fn function_slots(&self) -> &[u32] {
         &self.request_functions
+    }
+
+    /// The trace position of each function's first request, strictly
+    /// ascending: the only requests the zero-warm-cost offline bound prices
+    /// ([`crate::optimal`]).
+    pub(crate) fn first_requests(&self) -> &[usize] {
+        &self.first_requests
     }
 
     /// The memoized (or, for sizes the trace never read, freshly priced)
@@ -312,6 +402,20 @@ mod tests {
         // Positions 1 and 3 read the same object.
         assert_eq!(data.object_count(), 5);
         assert_eq!(data.home_rack(1), data.home_rack(3));
+    }
+
+    #[test]
+    #[should_panic(expected = "a data layer spans at most 255 racks, got 256")]
+    fn more_racks_than_a_byte_holds_are_rejected() {
+        let _ = DataLayer::for_trace(&short_trace(6), 256, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "object < 32 invariant broken: trace position 3 reads object 32")]
+    fn objects_outside_their_functions_32_are_rejected() {
+        let mut trace = short_trace(7);
+        trace[3].object = 32;
+        let _ = DataLayer::for_trace(&trace, 2, 1);
     }
 
     #[test]

@@ -69,6 +69,13 @@ pub enum ConfigError {
     EmptyTrace,
     /// The experiment shards over zero racks.
     ZeroRacks,
+    /// A sweep shards over more racks than a [`DataLayer`] spans
+    /// ([`DataLayer::MAX_RACKS`]). Every sweep places its workloads' data,
+    /// so it is bounded; runs without a data layer take any rack count.
+    TooManyRacks {
+        /// The requested rack count.
+        racks: u32,
+    },
     /// The attached data layer was built for a different rack count than the
     /// experiment shards over.
     DataLayerRackMismatch {
@@ -166,6 +173,11 @@ impl fmt::Display for ConfigError {
         match self {
             ConfigError::EmptyTrace => write!(f, "experiment trace must not be empty"),
             ConfigError::ZeroRacks => write!(f, "experiment needs at least one rack"),
+            ConfigError::TooManyRacks { racks } => write!(
+                f,
+                "{racks} racks exceed the {} a data layer spans",
+                DataLayer::MAX_RACKS
+            ),
             ConfigError::DataLayerRackMismatch { layer_racks, racks } => write!(
                 f,
                 "data layer covers {layer_racks} rack(s) but the experiment shards over {racks}"
@@ -357,14 +369,13 @@ impl Experiment {
         // The bound is a pure function of (trace, platform): a sweep attaches
         // one precomputed value to every cell sharing the Arc'd trace (the
         // fetch_energy_joules memoization pattern); standalone runs compute
-        // it here, a single O(trace) pass over the data layer's function
-        // slots when one is attached.
+        // it here, from the data layer's first request per function when
+        // one is attached, else in one pass over the trace.
         let optimal_coldstart_s = self.optimal_bound.unwrap_or_else(|| match &self.data {
-            Some(data) => crate::optimal::optimal_coldstart_seconds_over_slots(
+            Some(data) => crate::optimal::optimal_coldstart_seconds_from_first_requests(
                 &self.trace,
-                data.function_slots().iter().copied(),
+                data.first_requests(),
                 sim,
-                0.0,
             ),
             None => crate::optimal::optimal_coldstart_seconds(&self.trace, sim),
         });
@@ -593,6 +604,12 @@ mod tests {
             .build()
             .expect_err("zero racks");
         assert_eq!(err, ConfigError::ZeroRacks);
+        // Only a data layer bounds the rack count (`DataLayer::MAX_RACKS`).
+        assert!(Experiment::builder(PlatformKind::DscsDsa)
+            .trace(short_trace(2))
+            .racks(DataLayer::MAX_RACKS + 1)
+            .build()
+            .is_ok());
     }
 
     #[test]
@@ -717,6 +734,7 @@ mod tests {
         let errors: Vec<ConfigError> = vec![
             ConfigError::EmptyTrace,
             ConfigError::ZeroRacks,
+            ConfigError::TooManyRacks { racks: 256 },
             ConfigError::DataLayerRackMismatch {
                 layer_racks: 4,
                 racks: 2,

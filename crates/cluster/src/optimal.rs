@@ -86,38 +86,15 @@ pub fn optimal_coldstart_seconds_with(
     sim: &ClusterSim,
     warm_cost_per_sec: f64,
 ) -> f64 {
-    optimal_coldstart_seconds_over_slots(
-        trace,
-        function_slots(trace).into_iter(),
-        sim,
-        warm_cost_per_sec,
-    )
-}
-
-/// The one implementation behind every bound: walks `trace` in order with
-/// each request's dense function slot, keeping each slot's last arrival in
-/// a table. Summing in trace order makes the bound independent of how the
-/// slots are numbered. The public wrappers intern the trace's slots
-/// themselves ([`function_slots`]); sweeps and runs with a data layer pass
-/// the layer's ([`crate::data::DataLayer::function_slots`]), so they hash
-/// no function id.
-///
-/// # Panics
-/// As [`optimal_coldstart_seconds_with`].
-pub(crate) fn optimal_coldstart_seconds_over_slots(
-    trace: &[TraceRequest],
-    slots: impl ExactSizeIterator<Item = u32>,
-    sim: &ClusterSim,
-    warm_cost_per_sec: f64,
-) -> f64 {
-    debug_assert_eq!(trace.len(), slots.len(), "one slot per request");
     assert!(
         warm_cost_per_sec.is_finite() && warm_cost_per_sec >= 0.0,
         "warm cost must be a finite non-negative rate, got {warm_cost_per_sec}"
     );
+    // Each function's last arrival, by dense slot. Summing in trace order
+    // makes the bound independent of how the slots are numbered.
     let mut last_arrival: Vec<Option<SimTime>> = Vec::new();
     let mut bound = 0.0;
-    for (request, slot) in trace.iter().zip(slots) {
+    for (request, slot) in trace.iter().zip(function_slots(trace)) {
         let slot = slot as usize;
         if slot >= last_arrival.len() {
             last_arrival.resize(slot + 1, None);
@@ -135,6 +112,29 @@ pub(crate) fn optimal_coldstart_seconds_over_slots(
         }
     }
     bound
+}
+
+/// [`optimal_coldstart_seconds`] from the trace position of each function's
+/// first request, in O(functions): sweeps and runs with a data layer pass
+/// the layer's ([`crate::data::DataLayer::first_requests`]).
+///
+/// At zero warm cost every repeat in the walk above adds `min(0.0, repeat
+/// cold)`, exactly `+0.0`, which leaves the running sum's bits unchanged.
+/// So summing each function's first cold start in trace order, from `0.0`,
+/// reproduces the walk's bound bit for bit, provided `first_requests`
+/// ascends and holds the first request of every function in `trace`.
+pub(crate) fn optimal_coldstart_seconds_from_first_requests(
+    trace: &[TraceRequest],
+    first_requests: &[usize],
+    sim: &ClusterSim,
+) -> f64 {
+    debug_assert!(
+        first_requests.windows(2).all(|w| w[0] < w[1]),
+        "first requests in trace order"
+    );
+    first_requests.iter().fold(0.0, |bound, &position| {
+        bound + sim.cold_start_cost(trace[position].benchmark).as_secs_f64()
+    })
 }
 
 /// Policy regret against the offline-optimal bound, as a fraction: how far
@@ -320,47 +320,53 @@ mod tests {
         .expect("valid workload")
     }
 
-    /// The public wrappers' bound equals the walk over a data layer's slots
-    /// (ascending function id, as the sweep and runs with a data layer use
-    /// it) and the walk over first-seen slots bit for bit, at zero and
-    /// positive warm costs: the bound does not depend on how slots are
-    /// numbered.
+    /// The bound summed over a data layer's first request per function (as
+    /// sweeps and runs with a data layer price it) is the public wrapper's
+    /// walk bit for bit, on both sweep platforms under every cold-start
+    /// path, and over hashed ids that arrive in no particular id order.
     #[test]
-    fn data_layer_slots_give_the_public_wrappers_bound() {
+    fn first_requests_give_the_public_wrappers_bound() {
+        use crate::coldpath::ColdStartPath;
+        use crate::experiment::Experiment;
+
         for (seed, trace) in [(1, azure_trace(1)), (2, hashed_id_trace(2))] {
-            let data = crate::data::DataLayer::for_trace(&trace, 3, seed);
-            let mut first_seen = std::collections::HashMap::new();
-            let first_seen_slots: Vec<u32> = trace
-                .iter()
-                .map(|r| {
-                    let next = first_seen.len() as u32;
-                    *first_seen.entry(r.function).or_insert(next)
-                })
+            let data = Arc::new(crate::data::DataLayer::for_trace(&trace, 3, seed));
+            let first = data.first_requests();
+            assert!(first.windows(2).all(|w| w[0] < w[1]), "strictly ascending");
+            let mut seen = std::collections::HashSet::new();
+            let firsts: Vec<usize> = (0..trace.len())
+                .filter(|&i| seen.insert(trace[i].function))
                 .collect();
-            if seed == 2 {
-                assert_ne!(
-                    data.function_slots(),
-                    first_seen_slots,
-                    "hashed ids renumber"
-                );
-            }
-            for platform in [PlatformKind::DscsDsa, PlatformKind::BaselineCpu] {
-                let sim = sim(platform);
-                for warm in [0.0, 1e-3, 0.05, 1e3] {
-                    let wrapper = optimal_coldstart_seconds_with(&trace, &sim, warm);
-                    for slots in [data.function_slots(), &first_seen_slots] {
-                        let walked = optimal_coldstart_seconds_over_slots(
-                            &trace,
-                            slots.iter().copied(),
-                            &sim,
-                            warm,
-                        );
-                        assert_eq!(
-                            walked.to_bits(),
-                            wrapper.to_bits(),
-                            "seed {seed}, warm {warm}"
-                        );
-                    }
+            assert_eq!(first, firsts, "each function's first appearance");
+            let trace = Arc::new(trace);
+            for platform in crate::at_scale::SWEEP_PLATFORMS {
+                for cold_path in ColdStartPath::ALL {
+                    let config = ClusterConfig {
+                        cold_path,
+                        ..ClusterConfig::default()
+                    };
+                    let sim = ClusterSim::new(platform, config);
+                    let wrapper = optimal_coldstart_seconds(&trace, &sim);
+                    let summed = optimal_coldstart_seconds_from_first_requests(&trace, first, &sim);
+                    assert_eq!(
+                        summed.to_bits(),
+                        wrapper.to_bits(),
+                        "seed {seed}, {platform:?}, {cold_path:?}"
+                    );
+                    // A run with the layer attached and no bound given.
+                    let outcome = Experiment::builder(platform)
+                        .trace(trace.clone())
+                        .racks(3)
+                        .cold_path(cold_path)
+                        .data_layer(data.clone())
+                        .build()
+                        .expect("valid experiment")
+                        .run_on(&sim);
+                    assert_eq!(
+                        outcome.optimal_coldstart_s.to_bits(),
+                        wrapper.to_bits(),
+                        "run: seed {seed}, {platform:?}, {cold_path:?}"
+                    );
                 }
             }
         }

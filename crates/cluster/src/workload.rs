@@ -80,7 +80,7 @@ impl fmt::Display for WorkloadError {
 impl std::error::Error for WorkloadError {}
 
 /// Distinct objects each function owns; a request reads one of them.
-const OBJECTS_PER_FUNCTION: u32 = 32;
+pub(crate) const OBJECTS_PER_FUNCTION: u32 = 32;
 
 /// Zipf skew over a function's objects, so a function's hot objects dominate
 /// its traffic the same way hot functions dominate the cluster's.
@@ -401,6 +401,14 @@ pub enum WorkloadSpecError {
         /// The offending horizon, in seconds.
         horizon_s: f64,
     },
+    /// An inline spec's request reads an object outside its function's 32
+    /// ([`TraceRequest::object`]).
+    ObjectOutOfRange {
+        /// Trace position of the first such request.
+        position: usize,
+        /// The object it reads.
+        object: u32,
+    },
 }
 
 impl fmt::Display for WorkloadSpecError {
@@ -424,6 +432,11 @@ impl fmt::Display for WorkloadSpecError {
             WorkloadSpecError::InvalidHorizon { horizon_s } => write!(
                 f,
                 "inline workload horizon {horizon_s} s must be finite and non-negative"
+            ),
+            WorkloadSpecError::ObjectOutOfRange { position, object } => write!(
+                f,
+                "inline workload request {position} reads object {object}, outside its \
+                 function's {OBJECTS_PER_FUNCTION}"
             ),
         }
     }
@@ -603,8 +616,9 @@ impl WorkloadSpec {
     /// streams ([`bursty_generation_rng`], [`azure_generation_rng`]) from
     /// their own seed; trace files expand with a day-forked jitter stream,
     /// so the same file and day always reproduce the same arrivals. Every
-    /// kind but `Inline` yields a sorted trace by construction; an inline
-    /// one is checked, in one pass over its trace.
+    /// kind but `Inline` yields a sorted trace of in-range objects by
+    /// construction; an inline one is checked for both, in one pass over its
+    /// trace.
     pub fn realize(&self) -> Result<RealizedWorkload, WorkloadSpecError> {
         match self {
             WorkloadSpec::Bursty { scale, seed } => {
@@ -652,10 +666,18 @@ impl WorkloadSpec {
                         horizon_s: *horizon_s,
                     });
                 }
-                if let Some(ahead) = trace.windows(2).position(|w| w[1].arrival < w[0].arrival) {
-                    return Err(WorkloadSpecError::UnsortedInline {
-                        position: ahead + 1,
-                    });
+                let mut ahead = SimTime::ZERO;
+                for (position, request) in trace.iter().enumerate() {
+                    if request.arrival < ahead {
+                        return Err(WorkloadSpecError::UnsortedInline { position });
+                    }
+                    if request.object >= OBJECTS_PER_FUNCTION {
+                        return Err(WorkloadSpecError::ObjectOutOfRange {
+                            position,
+                            object: request.object,
+                        });
+                    }
+                    ahead = request.arrival;
                 }
                 Ok(RealizedWorkload {
                     name: name.clone(),

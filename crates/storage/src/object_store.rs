@@ -91,6 +91,8 @@ pub struct ObjectStore {
     /// The DSCS-Drive nodes, sorted: the candidates for an acceleratable
     /// object's primary replica.
     dscs_nodes: Vec<StorageNodeId>,
+    /// The rack of each node in `dscs_nodes`, at the same index.
+    dscs_racks: Vec<u32>,
     /// Per home rack, the sorted nodes within `rack_spread` racks of it: the
     /// candidates for an object's remaining replicas. The layout never
     /// changes after construction, so placement draws over these lists
@@ -185,6 +187,7 @@ impl ObjectStore {
             v
         };
         let dscs_nodes = sorted(&|n| nodes[&n] == DriveClass::Dscs);
+        let dscs_racks = dscs_nodes.iter().map(|n| node_racks[n]).collect();
         let spread_nodes = (0..racks)
             .map(|home| sorted(&|n| (node_racks[&n] + racks - home) % racks < rack_spread))
             .collect();
@@ -197,6 +200,7 @@ impl ObjectStore {
             replication,
             chunk_size: Bytes::from_mib(64),
             dscs_nodes,
+            dscs_racks,
             spread_nodes,
         }
     }
@@ -283,9 +287,11 @@ impl ObjectStore {
             if self.dscs_nodes.is_empty() {
                 return Err(StoreError::NoNodesOfClass(DriveClass::Dscs));
             }
-            let primary = *rng.choose(&self.dscs_nodes);
-            replicas.push(primary);
-            self.node_racks[&primary]
+            // The draw `rng.choose` would make, taken as an index so the
+            // primary's rack is read from the parallel list.
+            let at = rng.next_index(self.dscs_nodes.len());
+            replicas.push(self.dscs_nodes[at]);
+            self.dscs_racks[at]
         } else if self.racks == 1 {
             0
         } else {

@@ -329,6 +329,39 @@ fn rejected_declarative_workloads_fold_into_config_errors() {
     );
 }
 
+/// An inline trace whose request reads an object outside its function's
+/// 32 is rejected when the spec is realized, before any data layer is
+/// built over it, and a sweep reports it as a typed spec error.
+#[test]
+fn inline_objects_outside_their_functions_32_are_typed_errors() {
+    use dscs_serverless::cluster::at_scale::{SweepScale, SweepSpec};
+    use dscs_serverless::cluster::workload::{WorkloadSpec, WorkloadSpecError};
+    use std::sync::Arc;
+
+    let mut trace = short_trace(1);
+    trace[3].object = 32;
+    let spec = WorkloadSpec::Inline {
+        name: "inline".into(),
+        source: "synthetic".into(),
+        horizon_s: 4.0,
+        trace: Arc::new(trace),
+    };
+    let expected = WorkloadSpecError::ObjectOutOfRange {
+        position: 3,
+        object: 32,
+    };
+    assert_eq!(spec.realize().expect_err("object 32"), expected);
+    assert!(expected.to_string().contains("object 32"), "{expected}");
+    let sweep = SweepSpec {
+        workloads: vec![spec],
+        ..SweepSpec::default_grid(SweepScale::Smoke)
+    };
+    assert_eq!(
+        sweep.run().expect_err("rejected workload"),
+        ConfigError::WorkloadSpec(expected)
+    );
+}
+
 /// A declarative `WorkloadSpec::Azure { scale, seed }` realizes exactly the
 /// trace its generator draws from the sweep's azure generation stream for
 /// that seed.

@@ -660,8 +660,9 @@ fn locality_aware_balancing_never_fetches_when_replica_racks_are_unsaturated() {
 }
 
 /// The data layer's placement is exactly `ObjectStore::put`'s. For random
-/// traces (hashed-style function ids over the whole `u32` range), rack
-/// counts 1–6 and seeds, the home rack of every trace position is the one
+/// traces (hashed-style function ids over the whole `u32` range, objects
+/// anywhere in each function's 32), rack counts 1–6 and the 255 a layer
+/// spans at most, and seeds, the home rack of every trace position is the one
 /// rack a fresh store returns from `racks_holding` for that request's
 /// object, after being fed the same distinct objects, in trace order, from
 /// the same placement seed. The store has the layout `DataLayer`
@@ -677,12 +678,12 @@ fn data_layer_placement_matches_an_object_store_oracle() {
     use dscs_serverless::simcore::time::SimTime;
 
     check(0xB3, |case, rng| {
-        let racks = int_in(rng, 1, 7) as u32;
+        let racks = *rng.choose(&[1, 2, 3, 4, 5, 6, DataLayer::MAX_RACKS]);
         let seed = rng.next_u64();
         let functions: Vec<u32> = (0..int_in(rng, 1, 24))
             .map(|_| rng.next_u64() as u32)
             .collect();
-        let objects = int_in(rng, 1, 12) as usize;
+        let objects = int_in(rng, 1, 33) as usize;
         let mut arrival = 0;
         let trace: Vec<TraceRequest> = (0..int_in(rng, 1, 300))
             .map(|_| {
@@ -1161,11 +1162,12 @@ fn offline_optimal_bound_floors_every_policys_cold_start_seconds() {
     });
 }
 
-/// A run with a data layer prices its offline bound by walking the layer's
-/// dense function slots, hashing no function id, while the public wrappers
-/// intern the ids themselves. The two agree bit for bit on random traces,
-/// half of them windows of `data/azure_trace_sample.csv`, whose function ids
-/// are 32-bit hashes. The wrappers depend on function identity only:
+/// A run with a data layer prices its offline bound from the layer's first
+/// request per function, without walking the trace, while the public
+/// wrappers walk it and intern the ids themselves. The two agree bit for
+/// bit on random traces, half of them windows of
+/// `data/azure_trace_sample.csv`, whose function ids are 32-bit hashes.
+/// The wrappers depend on function identity only:
 /// renumbering the ids in ascending order, the data layer's slot order,
 /// leaves the bound's bits unchanged at zero and positive warm costs.
 #[test]
@@ -1234,7 +1236,7 @@ fn slot_based_offline_bound_equals_the_public_wrappers() {
         assert_eq!(
             outcome.optimal_coldstart_s.to_bits(),
             optimal_coldstart_seconds(&trace, &priced).to_bits(),
-            "case {case}: the slot walk and the wrapper disagree"
+            "case {case}: the layer's bound and the wrapper disagree"
         );
         let mut ids: Vec<u32> = trace.iter().map(|r| r.function).collect();
         ids.sort_unstable();
