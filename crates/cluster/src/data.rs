@@ -30,7 +30,7 @@ use dscs_simcore::time::SimDuration;
 use dscs_storage::object_store::{ObjectStore, RemoteFetchModel};
 
 use crate::trace::TraceRequest;
-use crate::workload::{mix64, OBJECTS_PER_FUNCTION};
+use crate::workload::{mix64, OBJECTS_PER_FUNCTION, OBJECT_SIZE_EXPONENTS};
 
 /// Storage pod each rack contributes to the store.
 const CONVENTIONAL_PER_RACK: u32 = 4;
@@ -60,11 +60,16 @@ pub(crate) struct FetchCost {
 }
 
 impl FetchCost {
-    fn of(fetch: &RemoteFetchModel, size: Bytes) -> FetchCost {
-        FetchCost {
-            latency: fetch.fetch_latency(size),
-            energy_j: fetch.fetch_energy_joules(size),
-        }
+    /// The cost of every object size a request can carry, by size exponent
+    /// ([`TraceRequest::object_size_log2`]).
+    fn by_size_log2(fetch: &RemoteFetchModel) -> [FetchCost; OBJECT_SIZE_EXPONENTS as usize] {
+        std::array::from_fn(|log2| {
+            let size = Bytes::new(1 << log2);
+            FetchCost {
+                latency: fetch.fetch_latency(size),
+                energy_j: fetch.fetch_energy_joules(size),
+            }
+        })
     }
 }
 
@@ -179,10 +184,9 @@ pub struct DataLayer {
     /// The trace position of each function's first request, ascending.
     first_requests: Vec<usize>,
     fetch: RemoteFetchModel,
-    /// Fetch costs of every object size the trace reads, sorted by size
-    /// (sizes come from a small deterministic set, so the hot path never
-    /// re-prices a fetch).
-    fetch_costs: Vec<(Bytes, FetchCost)>,
+    /// The fetch cost of each object size exponent, priced once, so the
+    /// hot path never re-prices a fetch.
+    fetch_costs: [FetchCost; OBJECT_SIZE_EXPONENTS as usize],
 }
 
 impl DataLayer {
@@ -205,8 +209,10 @@ impl DataLayer {
     /// # Panics
     /// Panics if `racks` is zero or above [`DataLayer::MAX_RACKS`], or if a
     /// request reads an object outside its function's 32
-    /// ([`TraceRequest::object`]; [`crate::workload::WorkloadSpec::realize`]
-    /// rejects such an inline trace with a typed error).
+    /// ([`TraceRequest::object`]) or one whose size exponent is 32 or more
+    /// ([`TraceRequest::object_size_log2`]).
+    /// [`crate::workload::WorkloadSpec::realize`] rejects such an inline
+    /// trace with a typed error.
     pub fn for_trace(trace: &[TraceRequest], racks: u32, seed: u64) -> DataLayer {
         assert!(
             racks <= Self::MAX_RACKS,
@@ -230,7 +236,6 @@ impl DataLayer {
         let mut first_requests = Vec::new();
         let mut request_homes = Vec::with_capacity(trace.len());
         let mut request_functions = Vec::with_capacity(trace.len());
-        let mut fetch_costs: Vec<(Bytes, FetchCost)> = Vec::new();
         let mut replicas = Vec::with_capacity(REPLICATION);
         for (position, request) in trace.iter().enumerate() {
             assert!(
@@ -238,6 +243,12 @@ impl DataLayer {
                 "object < {OBJECTS_PER_FUNCTION} invariant broken: trace position {position} \
                  reads object {}",
                 request.object
+            );
+            assert!(
+                request.object_size_log2 < OBJECT_SIZE_EXPONENTS,
+                "object size exponent < {OBJECT_SIZE_EXPONENTS} invariant broken: trace \
+                 position {position} reads an object of 2^{} bytes",
+                request.object_size_log2
             );
             let function = interner.intern(request.function);
             // Provisional slots count up from 0 in first-seen order, so a
@@ -257,10 +268,6 @@ impl DataLayer {
                     .expect("rack layout always has DSCS nodes");
                 *home = rack as u8;
                 objects += 1;
-                let size = Bytes::new(u64::from(request.object_bytes));
-                if let Err(at) = fetch_costs.binary_search_by_key(&size, |c| c.0) {
-                    fetch_costs.insert(at, (size, FetchCost::of(&fetch, size)));
-                }
             }
             request_homes.push(*home);
             request_functions.push(function);
@@ -272,8 +279,8 @@ impl DataLayer {
             request_homes,
             request_functions: interner.finish(request_functions),
             first_requests,
+            fetch_costs: FetchCost::by_size_log2(&fetch),
             fetch,
-            fetch_costs,
         }
     }
 
@@ -320,26 +327,26 @@ impl DataLayer {
         &self.first_requests
     }
 
-    /// The memoized (or, for sizes the trace never read, freshly priced)
-    /// cost of fetching `size` bytes from a remote rack. The simulator's hot
+    /// The priced cost of fetching an object of `2^size_log2` bytes from a
+    /// remote rack ([`TraceRequest::object_size_log2`]). The simulator's hot
     /// path uses this directly so one lookup yields both charges.
-    pub(crate) fn fetch_cost(&self, size: Bytes) -> FetchCost {
-        match self.fetch_costs.binary_search_by_key(&size, |c| c.0) {
-            Ok(at) => self.fetch_costs[at].1,
-            Err(_) => FetchCost::of(&self.fetch, size),
-        }
+    ///
+    /// # Panics
+    /// Panics if `size_log2` is 32 or more.
+    pub(crate) fn fetch_cost(&self, size_log2: u8) -> FetchCost {
+        self.fetch_costs[usize::from(size_log2)]
     }
 
     /// The deterministic latency a rack without a replica pays to fetch
     /// `size` bytes from a remote rack.
     pub fn fetch_latency(&self, size: Bytes) -> SimDuration {
-        self.fetch_cost(size).latency
+        self.fetch.fetch_latency(size)
     }
 
     /// The joules the fabric and the remote drive's PCIe hop spend moving
     /// `size` bytes across racks (the energy side of [`DataLayer::fetch_latency`]).
     pub fn fetch_energy_joules(&self, size: Bytes) -> f64 {
-        self.fetch_cost(size).energy_j
+        self.fetch.fetch_energy_joules(size)
     }
 }
 
@@ -391,8 +398,8 @@ mod tests {
                 arrival: SimTime::from_nanos(i as u64),
                 benchmark: Benchmark::ALL[0],
                 function,
-                object: i as u32 % 2,
-                object_bytes: 64 << 10,
+                object: i as u8 % 2,
+                object_size_log2: 16,
             })
             .collect();
         let slots = function_slots(&trace);
@@ -446,13 +453,33 @@ mod tests {
         let large = data.fetch_energy_joules(Bytes::from_mib(8));
         assert!(small > 0.0);
         assert!(large > small);
-        // Memoized and uncached sizes price identically.
-        for request in &trace {
-            let size = Bytes::new(u64::from(request.object_bytes));
+    }
+
+    /// The hot path's table prices every size exponent to the bit as the
+    /// public model-backed prices do.
+    #[test]
+    fn the_fetch_table_prices_every_exponent_as_the_model_does() {
+        let data = DataLayer::for_trace(&short_trace(8), 2, 19);
+        for log2 in 0..OBJECT_SIZE_EXPONENTS {
+            let size = Bytes::new(1 << log2);
+            let cost = data.fetch_cost(log2);
+            assert_eq!(cost.latency, data.fetch_latency(size), "2^{log2} B");
             assert_eq!(
-                data.fetch_energy_joules(size),
-                DataLayer::for_trace(&trace, 2, 17).fetch_energy_joules(size)
+                cost.energy_j.to_bits(),
+                data.fetch_energy_joules(size).to_bits(),
+                "2^{log2} B"
             );
         }
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "object size exponent < 32 invariant broken: trace position 3 reads an \
+                    object of 2^32 bytes"
+    )]
+    fn size_exponents_of_32_or_more_are_rejected() {
+        let mut trace = short_trace(7);
+        trace[3].object_size_log2 = 32;
+        let _ = DataLayer::for_trace(&trace, 2, 1);
     }
 }

@@ -367,10 +367,10 @@ impl Experiment {
             self.rack_jobs,
         );
         // The bound is a pure function of (trace, platform): a sweep attaches
-        // one precomputed value to every cell sharing the Arc'd trace (the
-        // fetch_energy_joules memoization pattern); standalone runs compute
-        // it here, from the data layer's first request per function when
-        // one is attached, else in one pass over the trace.
+        // one precomputed value to every cell sharing the Arc'd trace;
+        // standalone runs compute it here, from the data layer's first
+        // request per function when one is attached, else in one pass over
+        // the trace.
         let optimal_coldstart_s = self.optimal_bound.unwrap_or_else(|| match &self.data {
             Some(data) => crate::optimal::optimal_coldstart_seconds_from_first_requests(
                 &self.trace,

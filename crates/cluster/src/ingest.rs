@@ -696,41 +696,51 @@ impl Workload for TraceFileWorkload {
     /// trace. Each invocation arrives at its minute plus a within-minute
     /// jitter drawn `uniform[0, 60)` from `rng` in a fixed order (minute,
     /// then file row, then repetition), so the expansion is a pure function
-    /// of the file, the day and the seed. Requests are sorted by arrival;
-    /// each carries the row's hash-stable function id, the benchmark that id
-    /// binds to, and the object the shared [`ObjectCatalog`] assigns its
-    /// position in the sorted trace — identical rules to the synthetic
-    /// workloads, so trace-file cells are directly comparable.
+    /// of the file, the day and the seed. Requests are sorted by arrival,
+    /// then function id; each carries the row's hash-stable function id, the
+    /// benchmark that id binds to, and the object the shared
+    /// [`ObjectCatalog`] assigns its position in the sorted trace — identical
+    /// rules to the synthetic workloads, so trace-file cells are directly
+    /// comparable.
+    ///
+    /// The trace is built in place in one allocation of exactly the window's
+    /// [`TraceFileWorkload::invocations`]; a window the host will not
+    /// allocate that for is a [`WorkloadError::TraceTooLarge`].
     fn generate(&self, rng: &mut DeterministicRng) -> Result<Vec<TraceRequest>, WorkloadError> {
         self.validate()?;
         let (start, end) = self.window();
+        let requests = self.invocations();
+        let mut trace = Vec::new();
+        usize::try_from(requests)
+            .ok()
+            .and_then(|len| trace.try_reserve_exact(len).ok())
+            .ok_or(WorkloadError::TraceTooLarge { requests })?;
         let ids: Vec<u32> = self.functions.iter().map(TraceFunction::id).collect();
-        let mut arrivals: Vec<(SimTime, u32, u64)> = Vec::new();
-        let mut draw = 0u64;
         for minute in start..end {
             let minute_start = 60.0 * (minute - start) as f64;
             for (row, function) in self.functions.iter().enumerate() {
+                let benchmark = AzureWorkload::benchmark_of(ids[row]);
                 for _ in 0..function.counts[minute] {
                     let jitter = rng.uniform(0.0, 60.0);
-                    arrivals.push((
-                        SimTime::ZERO + SimDuration::from_secs_f64(minute_start + jitter),
-                        ids[row],
-                        draw,
-                    ));
-                    draw += 1;
+                    trace.push(TraceRequest {
+                        arrival: SimTime::ZERO + SimDuration::from_secs_f64(minute_start + jitter),
+                        benchmark,
+                        function: ids[row],
+                        object: 0,
+                        object_size_log2: 0,
+                    });
                 }
             }
         }
-        arrivals.sort_by_key(|&(arrival, function, draw)| (arrival, function, draw));
+        // Requests that tie on arrival and function are identical until
+        // their objects are stamped below, so no sort order among them can
+        // show: the unstable sort yields the stable one's trace.
+        trace.sort_unstable_by_key(|r| (r.arrival, r.function));
         let catalog = ObjectCatalog::default();
-        Ok(arrivals
-            .into_iter()
-            .enumerate()
-            .map(|(position, (arrival, function, _))| {
-                let benchmark = AzureWorkload::benchmark_of(function);
-                catalog.request(position as u64, arrival, benchmark, function)
-            })
-            .collect())
+        for (position, r) in trace.iter_mut().enumerate() {
+            *r = catalog.request(position as u64, r.arrival, r.benchmark, r.function);
+        }
+        Ok(trace)
     }
 }
 
@@ -1021,6 +1031,96 @@ o1,a1,f1,http,1,128,7
             .expect("valid");
         assert_eq!(c.len(), a.len());
         assert_ne!(a, c);
+    }
+
+    /// The expansion before it was built in place, kept as a reference:
+    /// `(arrival, id, draw)` tuples stable-sorted, then stamped by position.
+    fn staged_expansion(w: &TraceFileWorkload, rng: &mut DeterministicRng) -> Vec<TraceRequest> {
+        let (start, end) = w.window();
+        let ids: Vec<u32> = w.functions.iter().map(TraceFunction::id).collect();
+        let mut arrivals: Vec<(SimTime, u32, u64)> = Vec::new();
+        let mut draw = 0u64;
+        for minute in start..end {
+            let minute_start = 60.0 * (minute - start) as f64;
+            for (row, function) in w.functions.iter().enumerate() {
+                for _ in 0..function.counts[minute] {
+                    let jitter = rng.uniform(0.0, 60.0);
+                    arrivals.push((
+                        SimTime::ZERO + SimDuration::from_secs_f64(minute_start + jitter),
+                        ids[row],
+                        draw,
+                    ));
+                    draw += 1;
+                }
+            }
+        }
+        arrivals.sort_by_key(|&(arrival, function, draw)| (arrival, function, draw));
+        let catalog = ObjectCatalog::default();
+        arrivals
+            .into_iter()
+            .enumerate()
+            .map(|(position, (arrival, function, _))| {
+                let benchmark = AzureWorkload::benchmark_of(function);
+                catalog.request(position as u64, arrival, benchmark, function)
+            })
+            .collect()
+    }
+
+    /// Over random small files (rows sharing function hashes, sparse and
+    /// ragged counts, any day of up to three), the in-place expansion is the
+    /// staged one, request for request.
+    #[test]
+    fn in_place_expansion_matches_the_staged_sort() {
+        for case in 0..64u64 {
+            let mut rng = DeterministicRng::seeded(0x1E55_0000 ^ case);
+            let width = 1 + rng.next_index(3 * MINUTES_PER_DAY as usize);
+            let mut text = String::new();
+            for _ in 0..1 + rng.next_index(6) {
+                let function = rng.next_index(4);
+                text.push_str(&format!("o,a,f{function},http"));
+                for _ in 0..1 + rng.next_index(width) {
+                    let count = if rng.bernoulli(0.1) {
+                        1 + rng.next_index(5)
+                    } else {
+                        0
+                    };
+                    text.push_str(&format!(",{count}"));
+                }
+                text.push('\n');
+            }
+            let minutes = text.lines().map(|l| l.split(',').count() - 4).max();
+            let days = minutes.expect("rows").div_ceil(MINUTES_PER_DAY as usize);
+            let day = 1 + rng.next_index(days) as u32;
+            let w = TraceFileWorkload::from_csv_str(&text, "random", day).expect("valid");
+            let seed = rng.next_u64();
+            let in_place = w
+                .generate(&mut DeterministicRng::seeded(seed))
+                .expect("valid");
+            assert_eq!(in_place.len() as u64, w.invocations(), "case {case}");
+            assert_eq!(
+                in_place,
+                staged_expansion(&w, &mut DeterministicRng::seeded(seed)),
+                "case {case}"
+            );
+        }
+    }
+
+    /// A day whose requests the host will not allocate is a typed error,
+    /// not an abort: two rows of `u32::MAX` invocations in each of 1440
+    /// minutes are 1.24 × 10¹³ requests, about 180 TiB, more than a 47-bit
+    /// address space holds.
+    #[test]
+    fn a_day_too_large_to_hold_is_a_typed_error() {
+        let row = |function: &str| format!("o,a,{function},http{}\n", ",4294967295".repeat(1440));
+        let text = row("f1") + &row("f2");
+        let w = TraceFileWorkload::from_csv_str(&text, "huge", 1).expect("valid");
+        let requests = 2 * 1440 * u64::from(u32::MAX);
+        assert_eq!(w.invocations(), requests);
+        let err = w
+            .generate(&mut DeterministicRng::seeded(1))
+            .expect_err("too large to hold");
+        assert_eq!(err, WorkloadError::TraceTooLarge { requests });
+        assert!(err.to_string().contains("12369505809600 requests"), "{err}");
     }
 
     #[test]

@@ -216,7 +216,7 @@ mod tests {
                 benchmark: Benchmark::ALL[0],
                 function: 0,
                 object: 0,
-                object_bytes: 64 << 10,
+                object_size_log2: 16,
             })
             .collect()
     }

@@ -479,8 +479,9 @@ pub struct KeepaliveState {
     gaps: Vec<GapRecord>,
     /// By slot: arrival statistics backing the learned arrival-rate
     /// estimate the predictive autoscaler consumes (fed by
-    /// [`KeepaliveState::note_arrival`]).
-    arrivals: Vec<Option<ArrivalTrack>>,
+    /// [`KeepaliveState::note_arrival`]). A function that never arrived has
+    /// a track with a zero count.
+    arrivals: Vec<ArrivalTrack>,
     stats: KeepaliveStats,
 }
 
@@ -754,14 +755,18 @@ impl Cursors {
 /// against the whole observed history. (A binned idle-gap mean cannot
 /// resolve sub-bin inter-arrivals, which is exactly where demand is highest —
 /// the decayed counter resolves them exactly.)
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct ArrivalTrack {
+    /// Arrivals seen; 0 for a function that never arrived, whose other
+    /// fields mean nothing.
     count: u64,
     first: SimTime,
     last: SimTime,
     /// Exponentially-decayed arrival mass as of `last`.
     decayed: f64,
 }
+
+const _: () = assert!(std::mem::size_of::<ArrivalTrack>() == 32);
 
 /// Warm-memory and prewarming counters accumulated by a [`KeepaliveState`].
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -1002,12 +1007,16 @@ impl KeepaliveState {
     /// so its demand estimate tracks offered load rather than the throttled
     /// start rate a backlogged rack would otherwise observe.
     pub fn note_arrival(&mut self, function: u32, now: SimTime) {
-        let track = grow_to(&mut self.arrivals, function).get_or_insert(ArrivalTrack {
-            count: 0,
-            first: now,
-            last: now,
-            decayed: 0.0,
-        });
+        let track = grow_to(&mut self.arrivals, function);
+        if track.count == 0 {
+            *track = ArrivalTrack {
+                count: 1,
+                first: now,
+                last: now,
+                decayed: 1.0,
+            };
+            return;
+        }
         let dt = now.saturating_since(track.last).as_secs_f64();
         track.decayed = track.decayed * (-dt / ARRIVAL_RATE_TAU_S).exp() + 1.0;
         track.count += 1;
@@ -1030,12 +1039,13 @@ impl KeepaliveState {
     /// step-change unit test).
     ///
     /// Functions are summed in slot order so the floating-point accumulation
-    /// is deterministic. Zero until at least one function has two arrivals
-    /// (via [`KeepaliveState::note_arrival`]).
+    /// is deterministic; functions that never arrived add no term, not even
+    /// a zero. Zero until at least one function has two arrivals (via
+    /// [`KeepaliveState::note_arrival`]).
     pub fn arrival_rate_estimate(&self, now: SimTime) -> f64 {
         self.arrivals
             .iter()
-            .flatten()
+            .filter(|track| track.count > 0)
             .map(|track| {
                 let age = now.saturating_since(track.first).as_secs_f64();
                 if track.count < 2 || age <= 0.0 {

@@ -906,11 +906,10 @@ impl ClusterSim {
                 } else {
                     // The object lives elsewhere: the invocation carries
                     // the cross-rack fetch before it can execute.
-                    let size = Bytes::new(u64::from(request.object_bytes));
-                    let fetch = data.fetch_cost(size);
+                    let fetch = data.fetch_cost(request.object_size_log2);
                     service += fetch.latency;
                     rack.remote_fetches += 1;
-                    rack.cross_rack_bytes += size.as_u64();
+                    rack.cross_rack_bytes += request.object_bytes().as_u64();
                     rack.fetch_latency += fetch.latency;
                     rack.fetch_energy_j += fetch.energy_j;
                 }
@@ -1739,7 +1738,7 @@ mod tests {
                 benchmark,
                 function: 0,
                 object: 0,
-                object_bytes: 64 << 10,
+                object_size_log2: 16,
             })
             .to_vec();
         for platform in [PlatformKind::BaselineCpu, PlatformKind::DscsDsa] {
@@ -1803,7 +1802,7 @@ mod tests {
                 benchmark: Benchmark::ALL[0],
                 function: 0,
                 object: 0,
-                object_bytes: 256 << 10,
+                object_size_log2: 18,
             })
             .collect();
         let racks = 2;

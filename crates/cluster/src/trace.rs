@@ -10,6 +10,7 @@
 
 use dscs_core::benchmarks::Benchmark;
 use dscs_simcore::dist::PoissonArrivals;
+use dscs_simcore::quantity::Bytes;
 use dscs_simcore::rng::DeterministicRng;
 use dscs_simcore::time::{SimDuration, SimTime};
 
@@ -20,7 +21,7 @@ use crate::workload::{ObjectCatalog, Workload, WorkloadError};
 /// per-request table of the simulator is indexed by.
 ///
 /// Traces of 10⁷ requests are held in memory whole, so the layout is kept
-/// to 24 bytes.
+/// to 16 bytes: the object is a byte and its size a base-2 exponent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceRequest {
     /// Arrival time.
@@ -35,15 +36,23 @@ pub struct TraceRequest {
     /// The object, one of the function's 32 ([`ObjectCatalog::object_for`]),
     /// this invocation reads. Locality-aware placement dispatches on where
     /// this object's replicas live.
-    pub object: u32,
-    /// Size of that object in bytes ([`ObjectCatalog::size_of`], 256 KiB to
-    /// 8 MiB) — the payload a non-local rack must fetch across the
-    /// datacenter fabric. A compile-time assertion in [`crate::workload`]
-    /// keeps the largest object within `u32::MAX` bytes.
-    pub object_bytes: u32,
+    pub object: u8,
+    /// Base-2 exponent of that object's size ([`ObjectCatalog::size_of`],
+    /// 256 KiB to 8 MiB, exponents 18–23): the payload a non-local rack must
+    /// fetch across the datacenter fabric. Exponents stay below 32, so every
+    /// object is under 4 GiB; [`crate::workload::WorkloadSpec::realize`]
+    /// rejects an inline trace that breaks this.
+    pub object_size_log2: u8,
 }
 
-const _: () = assert!(std::mem::size_of::<TraceRequest>() == 24);
+const _: () = assert!(std::mem::size_of::<TraceRequest>() == 16);
+
+impl TraceRequest {
+    /// Size of the object this request reads: `2^object_size_log2` bytes.
+    pub fn object_bytes(&self) -> Bytes {
+        Bytes::new(1 << self.object_size_log2)
+    }
+}
 
 /// A piecewise-constant arrival-rate profile.
 #[derive(Debug, Clone, PartialEq)]

@@ -58,6 +58,12 @@ pub enum WorkloadError {
         /// The offending value.
         value: f64,
     },
+    /// The trace holds more requests than the host would allocate memory
+    /// for.
+    TraceTooLarge {
+        /// The requests the trace holds.
+        requests: u64,
+    },
 }
 
 impl fmt::Display for WorkloadError {
@@ -73,6 +79,11 @@ impl fmt::Display for WorkloadError {
             WorkloadError::InvalidParameter { name, value } => {
                 write!(f, "parameter {name} = {value} is out of range")
             }
+            WorkloadError::TraceTooLarge { requests } => write!(
+                f,
+                "a trace of {requests} requests does not fit in memory ({} bytes each)",
+                std::mem::size_of::<TraceRequest>()
+            ),
         }
     }
 }
@@ -80,24 +91,30 @@ impl fmt::Display for WorkloadError {
 impl std::error::Error for WorkloadError {}
 
 /// Distinct objects each function owns; a request reads one of them.
-pub(crate) const OBJECTS_PER_FUNCTION: u32 = 32;
+pub(crate) const OBJECTS_PER_FUNCTION: u8 = 32;
+
+/// Object-size exponents a request can carry
+/// ([`TraceRequest::object_size_log2`]): `0..32`, so every object is under
+/// 4 GiB.
+pub(crate) const OBJECT_SIZE_EXPONENTS: u8 = 32;
 
 /// Zipf skew over a function's objects, so a function's hot objects dominate
 /// its traffic the same way hot functions dominate the cluster's.
 const OBJECT_SKEW: f64 = 1.1;
 
-/// The smallest object size, in bytes. Sizes are deterministic per
-/// (function, object): this base scaled by a hashed number of doublings.
-const OBJECT_BASE_SIZE: u64 = 256 << 10;
+/// Base-2 exponent of the smallest object size (256 KiB). Sizes are
+/// deterministic per (function, object): this base scaled by a hashed
+/// number of doublings.
+const OBJECT_BASE_SIZE_LOG2: u8 = 18;
 
-/// Object sizes span `OBJECT_BASE_SIZE` to `OBJECT_BASE_SIZE <<
-/// OBJECT_SIZE_DOUBLINGS` bytes: 256 KiB to 8 MiB, the image/audio/text
-/// payload range of the benchmark suite (AWS caps serverless payloads at
-/// ~20 MB).
-const OBJECT_SIZE_DOUBLINGS: u32 = 5;
+/// Object sizes span `OBJECT_SIZE_DOUBLINGS` doublings above the base: 256
+/// KiB to 8 MiB, the image/audio/text payload range of the benchmark suite
+/// (AWS caps serverless payloads at ~20 MB).
+const OBJECT_SIZE_DOUBLINGS: u8 = 5;
 
-// Requests store object sizes as u32 byte counts, so the largest must fit.
-const _: () = assert!(OBJECT_BASE_SIZE << OBJECT_SIZE_DOUBLINGS <= u32::MAX as u64);
+// Requests store object sizes as exponents below OBJECT_SIZE_EXPONENTS, so
+// the largest must be one.
+const _: () = assert!(OBJECT_BASE_SIZE_LOG2 + OBJECT_SIZE_DOUBLINGS < OBJECT_SIZE_EXPONENTS);
 
 /// SplitMix64 finalizer, used as a stateless hash so object assignment never
 /// consumes from the trace generator's RNG stream.
@@ -122,7 +139,7 @@ pub struct ObjectCatalog {
 impl Default for ObjectCatalog {
     fn default() -> Self {
         ObjectCatalog {
-            zipf: ZipfIndex::new(OBJECTS_PER_FUNCTION as usize, OBJECT_SKEW),
+            zipf: ZipfIndex::new(usize::from(OBJECTS_PER_FUNCTION), OBJECT_SKEW),
         }
     }
 }
@@ -131,17 +148,21 @@ impl ObjectCatalog {
     /// The object a request of `function` at trace position `position`
     /// reads: a Zipf draw over the function's objects, derived by hashing
     /// rather than sampling so the caller's RNG stream is untouched.
-    pub fn object_for(&self, function: u32, position: u64) -> u32 {
+    pub fn object_for(&self, function: u32, position: u64) -> u8 {
         let h = mix64(mix64(OBJECT_SALT ^ u64::from(function)).wrapping_add(position));
         let u = (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-        self.zipf.rank_of(u) as u32
+        self.zipf.rank_of(u) as u8
     }
 
     /// The deterministic size of `(function, object)`.
-    pub fn size_of(&self, function: u32, object: u32) -> Bytes {
+    pub fn size_of(&self, function: u32, object: u8) -> Bytes {
+        Bytes::new(1 << self.size_log2_of(function, object))
+    }
+
+    /// The base-2 exponent of [`ObjectCatalog::size_of`].
+    fn size_log2_of(&self, function: u32, object: u8) -> u8 {
         let h = mix64(SIZE_SALT ^ (u64::from(function) << 32) ^ u64::from(object));
-        let doublings = h % u64::from(OBJECT_SIZE_DOUBLINGS + 1);
-        Bytes::new(OBJECT_BASE_SIZE << doublings)
+        OBJECT_BASE_SIZE_LOG2 + (h % u64::from(OBJECT_SIZE_DOUBLINGS + 1)) as u8
     }
 
     /// The request at trace position `position`: `function` invoked at
@@ -155,14 +176,12 @@ impl ObjectCatalog {
         function: u32,
     ) -> TraceRequest {
         let object = self.object_for(function, position);
-        let object_bytes = u32::try_from(self.size_of(function, object).as_u64())
-            .expect("the largest object size fits a u32, asserted at compile time");
         TraceRequest {
             arrival,
             benchmark,
             function,
             object,
-            object_bytes,
+            object_size_log2: self.size_log2_of(function, object),
         }
     }
 }
@@ -407,7 +426,15 @@ pub enum WorkloadSpecError {
         /// Trace position of the first such request.
         position: usize,
         /// The object it reads.
-        object: u32,
+        object: u8,
+    },
+    /// An inline spec's request reads an object whose size exponent is 32
+    /// or more, 4 GiB or larger ([`TraceRequest::object_size_log2`]).
+    ObjectSizeOutOfRange {
+        /// Trace position of the first such request.
+        position: usize,
+        /// The size exponent it carries.
+        log2: u8,
     },
 }
 
@@ -437,6 +464,11 @@ impl fmt::Display for WorkloadSpecError {
                 f,
                 "inline workload request {position} reads object {object}, outside its \
                  function's {OBJECTS_PER_FUNCTION}"
+            ),
+            WorkloadSpecError::ObjectSizeOutOfRange { position, log2 } => write!(
+                f,
+                "inline workload request {position} reads an object of 2^{log2} bytes; size \
+                 exponents must be below {OBJECT_SIZE_EXPONENTS}"
             ),
         }
     }
@@ -512,8 +544,9 @@ pub enum WorkloadSpec {
         day: u32,
     },
     /// A pre-generated trace supplied in memory, with caller-chosen labels.
-    /// [`WorkloadSpec::realize`] checks that the trace is non-empty and
-    /// sorted by arrival and that the horizon is finite and non-negative.
+    /// [`WorkloadSpec::realize`] checks that the trace is non-empty, sorted
+    /// by arrival and within the object and size ranges, and that the
+    /// horizon is finite and non-negative.
     Inline {
         /// Workload name for reports.
         name: String,
@@ -616,9 +649,9 @@ impl WorkloadSpec {
     /// streams ([`bursty_generation_rng`], [`azure_generation_rng`]) from
     /// their own seed; trace files expand with a day-forked jitter stream,
     /// so the same file and day always reproduce the same arrivals. Every
-    /// kind but `Inline` yields a sorted trace of in-range objects by
-    /// construction; an inline one is checked for both, in one pass over its
-    /// trace.
+    /// kind but `Inline` yields a sorted trace of in-range objects and sizes
+    /// by construction; an inline one is checked for all three, in one pass
+    /// over its trace.
     pub fn realize(&self) -> Result<RealizedWorkload, WorkloadSpecError> {
         match self {
             WorkloadSpec::Bursty { scale, seed } => {
@@ -675,6 +708,12 @@ impl WorkloadSpec {
                         return Err(WorkloadSpecError::ObjectOutOfRange {
                             position,
                             object: request.object,
+                        });
+                    }
+                    if request.object_size_log2 >= OBJECT_SIZE_EXPONENTS {
+                        return Err(WorkloadSpecError::ObjectSizeOutOfRange {
+                            position,
+                            log2: request.object_size_log2,
                         });
                     }
                     ahead = request.arrival;
@@ -792,8 +831,8 @@ mod tests {
     #[test]
     fn object_catalog_is_deterministic_and_in_range() {
         let catalog = ObjectCatalog::default();
-        let smallest = Bytes::new(OBJECT_BASE_SIZE);
-        let largest = Bytes::new(OBJECT_BASE_SIZE << OBJECT_SIZE_DOUBLINGS);
+        let smallest = Bytes::new(1 << OBJECT_BASE_SIZE_LOG2);
+        let largest = Bytes::new(1 << (OBJECT_BASE_SIZE_LOG2 + OBJECT_SIZE_DOUBLINGS));
         for id in 0..2000u64 {
             let object = catalog.object_for(3, id);
             assert!(object < OBJECTS_PER_FUNCTION);
@@ -813,8 +852,9 @@ mod tests {
 
     /// Every generator stamps each request with the object
     /// [`ObjectCatalog::object_for`] assigns its final trace position, and
-    /// that object's size. For a trace file that is the position after the
-    /// expansion sorts by arrival.
+    /// that object's size. For a trace file (an in-memory one and the
+    /// checked-in sample) that is the position after the expansion sorts by
+    /// arrival.
     #[test]
     fn objects_follow_the_final_trace_position() {
         let bursty = RateProfile {
@@ -823,10 +863,21 @@ mod tests {
         let azure = AzureWorkload::quick();
         let file = TraceFileWorkload::from_workload(&azure, &mut DeterministicRng::seeded(1), "q")
             .expect("valid");
+        let sample = WorkloadSpec::TraceFile {
+            path: concat!(
+                env!("CARGO_MANIFEST_DIR"),
+                "/../../data/azure_trace_sample.csv"
+            )
+            .into(),
+            day: 1,
+        }
+        .realize()
+        .expect("the sample trace is checked in");
         let traces = [
             Workload::generate(&bursty, &mut DeterministicRng::seeded(2)),
             azure.generate(&mut DeterministicRng::seeded(3)),
             file.generate(&mut DeterministicRng::seeded(4)),
+            Ok(sample.trace.to_vec()),
         ];
         let catalog = ObjectCatalog::default();
         for trace in traces {
@@ -834,10 +885,7 @@ mod tests {
             assert!(!trace.is_empty());
             for (position, r) in trace.iter().enumerate() {
                 assert_eq!(r.object, catalog.object_for(r.function, position as u64));
-                assert_eq!(
-                    u64::from(r.object_bytes),
-                    catalog.size_of(r.function, r.object).as_u64()
-                );
+                assert_eq!(r.object_bytes(), catalog.size_of(r.function, r.object));
             }
         }
     }

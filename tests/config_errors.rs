@@ -362,6 +362,41 @@ fn inline_objects_outside_their_functions_32_are_typed_errors() {
     );
 }
 
+/// An inline trace whose request carries an object size exponent of 32 or
+/// more, a size the data layer's fetch table does not price, is rejected
+/// when the spec is realized, and a sweep reports it as a typed spec error.
+#[test]
+fn inline_object_sizes_of_4_gib_or_more_are_typed_errors() {
+    use dscs_serverless::cluster::at_scale::{SweepScale, SweepSpec};
+    use dscs_serverless::cluster::workload::{WorkloadSpec, WorkloadSpecError};
+    use std::sync::Arc;
+
+    let mut trace = short_trace(1);
+    trace[3].object_size_log2 = 32;
+    // A later request that wraps the shift does not mask the first.
+    trace[5].object_size_log2 = 64;
+    let spec = WorkloadSpec::Inline {
+        name: "inline".into(),
+        source: "synthetic".into(),
+        horizon_s: 4.0,
+        trace: Arc::new(trace),
+    };
+    let expected = WorkloadSpecError::ObjectSizeOutOfRange {
+        position: 3,
+        log2: 32,
+    };
+    assert_eq!(spec.realize().expect_err("exponent 32"), expected);
+    assert!(expected.to_string().contains("2^32 bytes"), "{expected}");
+    let sweep = SweepSpec {
+        workloads: vec![spec],
+        ..SweepSpec::default_grid(SweepScale::Smoke)
+    };
+    assert_eq!(
+        sweep.run().expect_err("rejected workload"),
+        ConfigError::WorkloadSpec(expected)
+    );
+}
+
 /// A declarative `WorkloadSpec::Azure { scale, seed }` realizes exactly the
 /// trace its generator draws from the sweep's azure generation stream for
 /// that seed.

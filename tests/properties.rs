@@ -364,6 +364,12 @@ fn workload_traces_are_deterministic_sorted_and_bounded() {
                 && r.benchmark == AzureWorkload::benchmark_of(r.function)),
             "case {case}: function binding"
         );
+        // Each function owns 32 objects of 256 KiB to 8 MiB.
+        assert!(
+            a.iter()
+                .all(|r| r.object < 32 && (18..=23).contains(&r.object_size_log2)),
+            "case {case}: object and size ranges"
+        );
     });
 }
 
@@ -692,8 +698,8 @@ fn data_layer_placement_matches_an_object_store_oracle() {
                     arrival: SimTime::from_nanos(arrival),
                     benchmark: *rng.choose(&Benchmark::ALL),
                     function: *rng.choose(&functions),
-                    object: rng.next_index(objects) as u32,
-                    object_bytes: (64 << 10) << rng.next_index(4),
+                    object: rng.next_index(objects) as u8,
+                    object_size_log2: 16 + rng.next_index(4) as u8,
                 }
             })
             .collect();
@@ -705,9 +711,8 @@ fn data_layer_placement_matches_an_object_store_oracle() {
         for (idx, request) in trace.iter().enumerate() {
             let key = format!("{}/{}", request.function, request.object);
             if placed.insert((request.function, request.object)) {
-                let size = Bytes::new(u64::from(request.object_bytes));
                 oracle
-                    .put(&key, size, true, &mut placement_rng)
+                    .put(&key, request.object_bytes(), true, &mut placement_rng)
                     .expect("every rack has DSCS nodes");
             }
             let expected = oracle.racks_holding(&key).expect("placed");
