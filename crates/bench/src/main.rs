@@ -79,9 +79,10 @@
 //! threshold are printed as warnings without failing (wall-clock throughput
 //! is noisy on shared runners, and regret drift flags the cold-start path
 //! for a look rather than blocking). A
-//! missing baseline file passes vacuously, so the first CI run after
-//! enabling the gate succeeds; so does a baseline with a different schema
-//! version (the numbers are not comparable across a schema bump).
+//! missing baseline file passes vacuously once the current report has been
+//! read and parsed, so the first CI run after enabling the gate succeeds;
+//! so does a baseline with a different schema version (the numbers are not
+//! comparable across a schema bump).
 //! ```
 
 mod perf_gate;
@@ -972,9 +973,11 @@ fn generate_trace(args: &[String]) {
 }
 
 /// `reproduce perf-gate BASELINE.json CURRENT.json [--threshold PCT]`: the CI
-/// perf-regression gate. Exits 1 when any sweep cell's mean or p99 latency
-/// regressed beyond the threshold relative to the baseline report; a missing
-/// baseline file passes vacuously (the first gated run has no history).
+/// perf-regression gate. Exits 1 when the current report cannot be read or
+/// parsed, or when any sweep cell's mean or p99 latency regressed beyond the
+/// threshold relative to the baseline report; a missing baseline file
+/// passes vacuously once the current report has parsed (the first gated run
+/// has no history).
 fn perf_gate(args: &[String]) {
     let mut threshold = 10.0f64;
     let mut paths: Vec<&String> = Vec::new();
@@ -1007,18 +1010,24 @@ fn perf_gate(args: &[String]) {
     };
 
     header(&format!("Perf gate ({threshold}% threshold)"));
-    let baseline = match std::fs::read_to_string(baseline_path) {
-        Ok(text) => text,
-        Err(err) => {
-            println!("no baseline at {baseline_path} ({err}); passing vacuously");
-            return;
-        }
-    };
     let current = match std::fs::read_to_string(current_path) {
         Ok(text) => text,
         Err(err) => {
             eprintln!("failed to read current report {current_path}: {err}");
             std::process::exit(1);
+        }
+    };
+    let baseline = match std::fs::read_to_string(baseline_path) {
+        Ok(text) => text,
+        Err(err) => {
+            // Comparing the current report with itself checks that it
+            // parses and carries its cells before the gate passes.
+            if let Err(err) = compare_reports(&current, &current, threshold) {
+                eprintln!("perf gate could not read the current report: {err}");
+                std::process::exit(1);
+            }
+            println!("no baseline at {baseline_path} ({err}); passing vacuously");
+            return;
         }
     };
     let outcome = match compare_reports(&baseline, &current, threshold) {

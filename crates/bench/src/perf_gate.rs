@@ -225,6 +225,8 @@ fn cells(report: &JsonValue, which: &'static str) -> Result<Vec<JsonValue>, Gate
 
 /// Diffs `current` against `baseline` (both rendered at-scale reports) and
 /// returns every mean/p99 latency regression beyond `threshold_pct` percent.
+/// The current report is checked first, so when both are malformed the
+/// error names it.
 pub fn compare_reports(
     baseline: &str,
     current: &str,
@@ -236,10 +238,10 @@ pub fn compare_reports(
             message: err.to_string(),
         })
     };
-    let baseline = parse(baseline, "baseline")?;
     let current = parse(current, "current")?;
-    let baseline_cells = cells(&baseline, "baseline")?;
     let current_cells = cells(&current, "current")?;
+    let baseline = parse(baseline, "baseline")?;
+    let baseline_cells = cells(&baseline, "baseline")?;
 
     // A schema bump means the cells are not comparable (the report layout —
     // or the modelled physics behind the numbers — changed). Pass vacuously
@@ -727,5 +729,25 @@ mod tests {
             compare_reports(&good, "{}", 10.0),
             Err(GateError::MissingCells { which: "current" })
         ));
+    }
+
+    /// A missing baseline passes vacuously only after the gate compares the
+    /// current report with itself: a malformed one fails, naming it, and a
+    /// well-formed one passes.
+    #[test]
+    fn comparing_the_current_report_with_itself_checks_it() {
+        assert!(matches!(
+            compare_reports("garbage", "garbage", 10.0),
+            Err(GateError::Malformed {
+                which: "current",
+                ..
+            })
+        ));
+        assert_eq!(
+            compare_reports("{}", "{}", 10.0),
+            Err(GateError::MissingCells { which: "current" })
+        );
+        let good = report(&[("fixed-window", 10.0, 20.0), ("no-keepalive", 11.0, 21.0)]);
+        assert!(compare_reports(&good, &good, 10.0).expect("valid").passed());
     }
 }

@@ -17,20 +17,22 @@
 //!   [`RemoteFetchModel`] price over the network/RPC stack and the drive's
 //!   PCIe hop, replacing the old assumption that every rack reads locally.
 //!
+//! Placement hashes nothing. A request names its function by slot
+//! ([`TraceRequest::function`], below the trace's request count), so the
+//! set-up table of home racks is indexed by slot and object directly, and
+//! the layer keeps one byte per request, the home rack of its object, which
+//! the engine reads in arrival order.
+//!
 //! Placement is deterministic: the same trace, rack count and seed reproduce
 //! the same layout, so sharded runs stay byte-for-byte reproducible.
-
-use std::collections::hash_map::RandomState;
-use std::collections::HashMap;
-use std::hash::{BuildHasher, Hasher};
 
 use dscs_simcore::quantity::Bytes;
 use dscs_simcore::rng::DeterministicRng;
 use dscs_simcore::time::SimDuration;
 use dscs_storage::object_store::{ObjectStore, RemoteFetchModel};
 
-use crate::trace::TraceRequest;
-use crate::workload::{mix64, OBJECTS_PER_FUNCTION, OBJECT_SIZE_EXPONENTS};
+use crate::trace::{assert_function_in_range, TraceRequest};
+use crate::workload::{OBJECTS_PER_FUNCTION, OBJECT_SIZE_EXPONENTS};
 
 /// Storage pod each rack contributes to the store.
 const CONVENTIONAL_PER_RACK: u32 = 4;
@@ -73,103 +75,15 @@ impl FetchCost {
     }
 }
 
-/// Each request's dense function slot, by trace position. Slots are `0..n`
-/// for the trace's `n` distinct functions and follow ascending function id,
-/// so iterating slots visits functions in id order, which is the order
-/// every per-function floating-point sum in the engine depends on.
-/// Trace-file function ids are 32-bit hashes, so the engine indexes by slot,
-/// never by raw id.
-pub(crate) fn function_slots(trace: &[TraceRequest]) -> Vec<u32> {
-    let mut interner = FunctionInterner::default();
-    let per_request = trace
-        .iter()
-        .map(|request| interner.intern(request.function))
-        .collect();
-    interner.finish(per_request)
-}
-
-/// Hashes function ids with one [`mix64`] round under a key drawn per map,
-/// in place of SipHash. Trace-file ids are outside input, so the key comes
-/// from std's per-process random state: a crafted file cannot aim its ids
-/// at one bucket. Slots never depend on the hash, so neither does any
-/// result.
-struct KeyedIds {
-    key: u64,
-}
-
-impl Default for KeyedIds {
-    fn default() -> Self {
-        KeyedIds {
-            key: RandomState::new().hash_one(0u64),
-        }
-    }
-}
-
-impl BuildHasher for KeyedIds {
-    type Hasher = IdHasher;
-
-    fn build_hasher(&self) -> IdHasher {
-        IdHasher(self.key)
-    }
-}
-
-/// The [`KeyedIds`] hasher: `u32` ids take one [`mix64`] round.
-struct IdHasher(u64);
-
-impl Hasher for IdHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &byte in bytes {
-            self.0 = mix64(self.0 ^ u64::from(byte));
-        }
-    }
-
-    fn write_u32(&mut self, id: u32) {
-        self.0 = mix64(self.0 ^ u64::from(id));
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// Builds [`function_slots`] in one pass over a trace: ids get provisional
-/// slots in first-seen order, renumbered into ascending id order at the end.
-#[derive(Default)]
-struct FunctionInterner {
-    first_seen: HashMap<u32, u32, KeyedIds>,
-}
-
-impl FunctionInterner {
-    /// The provisional slot of `function`.
-    fn intern(&mut self, function: u32) -> u32 {
-        let next = self.first_seen.len() as u32;
-        *self.first_seen.entry(function).or_insert(next)
-    }
-
-    /// Renumbers each request's provisional slot into its final one.
-    fn finish(self, mut per_request: Vec<u32>) -> Vec<u32> {
-        let mut ids: Vec<(u32, u32)> = self.first_seen.into_iter().collect();
-        ids.sort_unstable();
-        let mut renumber = vec![0u32; ids.len()];
-        for (slot, &(_, provisional)) in ids.iter().enumerate() {
-            renumber[provisional as usize] = slot as u32;
-        }
-        for slot in &mut per_request {
-            *slot = renumber[*slot as usize];
-        }
-        per_request
-    }
-}
-
 /// The placement of every object one trace touches, plus the fetch-cost
 /// model charged when a request runs on a rack without a replica.
 ///
 /// A layer is the placement of exactly one trace, and it answers only by
-/// trace position: it keeps each request's home rack and dense function
-/// slot, so the simulator's hot path never hashes, and nothing per object.
-/// Runs therefore reject a layer whose request count differs from their
-/// trace's ([`crate::experiment::ConfigError::DataLayerTraceMismatch`]);
-/// attach a layer only to the trace it was built from.
+/// trace position: it keeps one byte per request, the home rack of the
+/// object it reads, and nothing per object. Runs therefore reject a layer
+/// whose request count differs from their trace's
+/// ([`crate::experiment::ConfigError::DataLayerTraceMismatch`]); attach a
+/// layer only to the trace it was built from.
 #[derive(Debug, Clone)]
 pub struct DataLayer {
     racks: u32,
@@ -179,8 +93,6 @@ pub struct DataLayer {
     objects: usize,
     /// The home rack of each request's object, by trace position.
     request_homes: Vec<u8>,
-    /// Each request's function slot ([`function_slots`]), by trace position.
-    request_functions: Vec<u32>,
     /// The trace position of each function's first request, ascending.
     first_requests: Vec<usize>,
     fetch: RemoteFetchModel,
@@ -199,18 +111,19 @@ impl DataLayer {
     /// layout (every rack holds 4 conventional + 2 DSCS storage nodes),
     /// over which each distinct object the trace reads is placed, in trace
     /// order, from a placement RNG derived from `seed`. The same pass
-    /// interns the trace's function ids into dense slots and records each
-    /// function's first request.
+    /// records each function's first request.
     ///
-    /// Set-up state is per function, not per object: each function owns a
+    /// Set-up state is per function slot, not per object: each slot owns a
     /// row of 32 home racks (one per object it can read), filled at each
-    /// object's first read, and freed before the layer is returned.
+    /// object's first read, and freed before the layer is returned. Rows
+    /// grow to the highest slot seen, so slots may have gaps.
     ///
     /// # Panics
-    /// Panics if `racks` is zero or above [`DataLayer::MAX_RACKS`], or if a
-    /// request reads an object outside its function's 32
-    /// ([`TraceRequest::object`]) or one whose size exponent is 32 or more
-    /// ([`TraceRequest::object_size_log2`]).
+    /// Panics if `racks` is zero or above [`DataLayer::MAX_RACKS`], if a
+    /// request names a function slot at or above the trace's request count
+    /// ([`TraceRequest::function`]), or if it reads an object outside its
+    /// function's 32 ([`TraceRequest::object`]) or one whose size exponent
+    /// is 32 or more ([`TraceRequest::object_size_log2`]).
     /// [`crate::workload::WorkloadSpec::realize`] rejects such an inline
     /// trace with a typed error.
     pub fn for_trace(trace: &[TraceRequest], racks: u32, seed: u64) -> DataLayer {
@@ -228,16 +141,15 @@ impl DataLayer {
         );
         let mut rng = DeterministicRng::seeded(seed);
         let fetch = RemoteFetchModel::datacenter_default();
-        // Per provisional function slot, the home rack of each of its
-        // objects, UNPLACED until the object's first read.
+        // Per function slot, the home rack of each of its objects, UNPLACED
+        // until the object's first read.
         let mut homes: Vec<u8> = Vec::new();
-        let mut interner = FunctionInterner::default();
         let mut objects = 0;
         let mut first_requests = Vec::new();
         let mut request_homes = Vec::with_capacity(trace.len());
-        let mut request_functions = Vec::with_capacity(trace.len());
         let mut replicas = Vec::with_capacity(REPLICATION);
         for (position, request) in trace.iter().enumerate() {
+            assert_function_in_range(trace, position);
             assert!(
                 request.object < OBJECTS_PER_FUNCTION,
                 "object < {OBJECTS_PER_FUNCTION} invariant broken: trace position {position} \
@@ -250,34 +162,33 @@ impl DataLayer {
                  position {position} reads an object of 2^{} bytes",
                 request.object_size_log2
             );
-            let function = interner.intern(request.function);
-            // Provisional slots count up from 0 in first-seen order, so a
-            // function without a row is one never seen before.
-            let row = function as usize * HOME_ROW;
-            if row == homes.len() {
-                first_requests.push(position);
+            let row = request.function as usize * HOME_ROW;
+            if row >= homes.len() {
                 homes.resize(row + HOME_ROW, UNPLACED);
             }
-            let home = &mut homes[row + request.object as usize];
-            if *home == UNPLACED {
+            let home = row + usize::from(request.object);
+            if homes[home] == UNPLACED {
+                // A row with nothing placed is a slot no request has named
+                // before this one.
+                if homes[row..row + HOME_ROW].iter().all(|&h| h == UNPLACED) {
+                    first_requests.push(position);
+                }
                 // Every benchmark is an ML pipeline over its stored input,
                 // so every object is acceleratable: its primary replica
                 // lands on a DSCS drive of the home rack.
                 let rack = layout
                     .draw_replicas(true, &mut rng, &mut replicas)
                     .expect("rack layout always has DSCS nodes");
-                *home = rack as u8;
+                homes[home] = rack as u8;
                 objects += 1;
             }
-            request_homes.push(*home);
-            request_functions.push(function);
+            request_homes.push(homes[home]);
         }
         DataLayer {
             racks,
             nodes: layout.node_count(),
             objects,
             request_homes,
-            request_functions: interner.finish(request_functions),
             first_requests,
             fetch_costs: FetchCost::by_size_log2(&fetch),
             fetch,
@@ -312,12 +223,6 @@ impl DataLayer {
     /// Panics if `idx` is not below [`DataLayer::request_count`].
     pub fn home_rack(&self, idx: usize) -> u32 {
         u32::from(self.request_homes[idx])
-    }
-
-    /// Each request's function slot, by trace position: what
-    /// [`function_slots`] returns for the layer's trace.
-    pub(crate) fn function_slots(&self) -> &[u32] {
-        &self.request_functions
     }
 
     /// The trace position of each function's first request, strictly
@@ -368,7 +273,7 @@ mod tests {
         let trace = short_trace(1);
         let data = DataLayer::for_trace(&trace, 3, 7);
         // Every read of one object finds it in the same home rack.
-        let mut homes = HashMap::new();
+        let mut homes = std::collections::BTreeMap::new();
         for (idx, request) in trace.iter().enumerate() {
             let home = data.home_rack(idx);
             assert!(home < 3, "request {idx}: rack {home} out of range");
@@ -383,32 +288,45 @@ mod tests {
         assert_eq!(data.request_count(), trace.len());
     }
 
-    /// Slots follow ascending function id, whatever order (and however
-    /// large) the ids arrive in, and both interning paths agree.
+    /// Slots may have gaps and arrive in any order: each slot gets a home
+    /// row of its own, its first request is recorded in trace order, and
+    /// repeated reads of one object share a home.
     #[test]
-    fn function_slots_follow_ascending_function_ids() {
+    fn slots_with_gaps_each_get_their_own_home_row() {
         use dscs_core::benchmarks::Benchmark;
         use dscs_simcore::time::SimTime;
 
-        let ids = [0xDEAD_BEEF, 7, 0x8000_0000, 7, 42, 0xDEAD_BEEF];
-        let trace: Vec<TraceRequest> = ids
+        let reads = [(5, 0), (1, 0), (5, 1), (1, 0), (3, 0), (5, 0)];
+        let trace: Vec<TraceRequest> = reads
             .iter()
             .enumerate()
-            .map(|(i, &function)| TraceRequest {
+            .map(|(i, &(function, object))| TraceRequest {
                 arrival: SimTime::from_nanos(i as u64),
                 benchmark: Benchmark::ALL[0],
                 function,
-                object: i as u8 % 2,
+                object,
                 object_size_log2: 16,
             })
             .collect();
-        let slots = function_slots(&trace);
-        assert_eq!(slots, [3, 0, 2, 0, 1, 3]);
         let data = DataLayer::for_trace(&trace, 2, 1);
-        assert_eq!(data.function_slots(), slots);
-        // Positions 1 and 3 read the same object.
-        assert_eq!(data.object_count(), 5);
+        // (5, 0), (1, 0), (5, 1) and (3, 0): object 0 of slots 1, 3 and 5
+        // are three objects, not one.
+        assert_eq!(data.object_count(), 4);
+        assert_eq!(data.first_requests(), [0, 1, 4]);
         assert_eq!(data.home_rack(1), data.home_rack(3));
+        assert_eq!(data.home_rack(0), data.home_rack(5));
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "function < requests invariant broken: trace position 4 names function \
+                    12 of a 12-request trace"
+    )]
+    fn slots_at_or_above_the_request_count_are_rejected() {
+        let mut trace = short_trace(7);
+        trace.truncate(12);
+        trace[4].function = 12;
+        let _ = DataLayer::for_trace(&trace, 2, 1);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //!   full scheduler/keepalive/scaling configuration, an optional
 //!   data-placement layer and the seed. An `Experiment` can only be obtained
 //!   through [`ExperimentBuilder::build`], which returns `Result<Experiment,
-//!   ConfigError>`: every precondition of a run but one is a typed, testable
+//!   ConfigError>`: every precondition of a run but two is a typed, testable
 //!   [`ConfigError`] variant.
 //! * [`Outcome`] — the named-field result of one run: the aggregate
 //!   [`ClusterReport`], the per-rack [`RackSummary`] list, the engine that
@@ -14,10 +14,18 @@
 //!
 //! Each input has one setter: a spec's trace is
 //! [`crate::workload::WorkloadSpec::realize`]'s, and a data layer comes from
-//! [`DataLayer::for_trace`]. Arrival order is the one precondition `build`
-//! does not return, since a sweep would pay a pass over the trace per cell:
-//! the engine asserts it as it takes each arrival ("arrivals in trace order
-//! invariant broken"), and `realize` rejects an unsorted inline trace.
+//! [`DataLayer::for_trace`]. Two preconditions are per request, and `build`
+//! does not return them, since a sweep would pay a pass over the trace per
+//! cell:
+//!
+//! * arrival order: the engine asserts it as it takes each arrival
+//!   ("arrivals in trace order invariant broken");
+//! * function slots below the trace's request count
+//!   ([`TraceRequest::function`]): the engine asserts it as it takes each
+//!   arrival, and so do [`DataLayer::for_trace`] and the offline bound's
+//!   walk ("function < requests invariant broken").
+//!
+//! `realize` rejects an inline trace that breaks either with a typed error.
 //!
 //! # Example
 //!
@@ -514,8 +522,8 @@ impl ExperimentBuilder {
     /// Validates the whole specification and returns the run-ready
     /// [`Experiment`], or the first [`ConfigError`] found (in check order:
     /// trace, racks, data layer racks, data layer trace, scaling and
-    /// keepalive parameters, instance bounds). Arrival order is not checked
-    /// here; see the [module docs](crate::experiment).
+    /// keepalive parameters, instance bounds). Arrival order and function
+    /// slots are not checked here; see the [module docs](crate::experiment).
     pub fn build(self) -> Result<Experiment, ConfigError> {
         let trace = self.trace.unwrap_or_default();
         validate_run(&trace, self.racks, &self.config, self.data.as_deref())?;

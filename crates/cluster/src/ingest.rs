@@ -15,9 +15,10 @@
 //! line, tolerant of ragged rows — and expands the selected day's counts
 //! into timestamped [`TraceRequest`]s: every invocation lands in its minute
 //! at a deterministic within-minute jitter drawn from the caller's seeded
-//! xoshiro RNG, and function / object identities are assigned hash-stably
-//! from the row's function hash, so the same file and seed always reproduce
-//! the same arrival stream.
+//! xoshiro RNG, and object identities are assigned hash-stably from the
+//! row's function hash, so the same file and seed always reproduce the same
+//! arrival stream. Each request names its function by slot: the rank of that
+//! hash among the functions the day window invokes.
 //!
 //! The real dataset cannot ship in this repository, so the module also
 //! closes the loop in the other direction: [`TraceFileWorkload::from_workload`]
@@ -217,10 +218,11 @@ pub struct TraceFunction {
 }
 
 impl TraceFunction {
-    /// The stable `u32` function id the expansion stamps onto requests:
-    /// a hash of the row's function-hash string, so the id survives row
-    /// reordering and file slicing. (Benchmark binding and object identities
-    /// derive from this id exactly as they do for synthetic workloads.)
+    /// The stable `u32` function id behind the slot the expansion stamps onto
+    /// requests: a hash of the row's function-hash string, so the id
+    /// survives row reordering and file slicing. (Benchmark binding and
+    /// object identities derive from this id exactly as they do for
+    /// synthetic workloads.)
     pub fn id(&self) -> u32 {
         function_id(&self.function)
     }
@@ -481,7 +483,7 @@ impl TraceFileWorkload {
         rng: &mut DeterministicRng,
         source: impl Into<String>,
     ) -> Result<Self, WorkloadError> {
-        let trace = workload.generate(rng)?;
+        let trace = workload.generate_ranked(rng)?;
         let minutes = (workload.horizon.as_secs_f64() / 60.0).ceil().max(1.0) as u32;
         let mut functions: Vec<TraceFunction> = (0..workload.functions)
             .map(|f| TraceFunction {
@@ -562,6 +564,24 @@ impl TraceFileWorkload {
         let start = ((self.day - 1) * MINUTES_PER_DAY) as usize;
         let end = (self.day * MINUTES_PER_DAY).min(self.minutes) as usize;
         (start, end)
+    }
+
+    /// The 32-bit id ([`TraceFunction::id`]) behind each function slot the
+    /// expansion stamps ([`TraceRequest::function`]): the distinct ids of
+    /// the rows invoked in the day window, ascending, so a slot is its id's
+    /// rank. Each slot has a request, so every slot is below the trace's
+    /// length.
+    pub(crate) fn slot_ids(&self) -> Vec<u32> {
+        let (start, end) = self.window();
+        let mut ids: Vec<u32> = self
+            .functions
+            .iter()
+            .filter(|f| f.counts[start..end].iter().any(|&count| count > 0))
+            .map(TraceFunction::id)
+            .collect();
+        ids.sort_unstable();
+        ids.dedup();
+        ids
     }
 
     /// Coverage accounting for the selected day window. A file's last day is
@@ -697,11 +717,12 @@ impl Workload for TraceFileWorkload {
     /// jitter drawn `uniform[0, 60)` from `rng` in a fixed order (minute,
     /// then file row, then repetition), so the expansion is a pure function
     /// of the file, the day and the seed. Requests are sorted by arrival,
-    /// then function id; each carries the row's hash-stable function id, the
-    /// benchmark that id binds to, and the object the shared
-    /// [`ObjectCatalog`] assigns its position in the sorted trace — identical
-    /// rules to the synthetic workloads, so trace-file cells are directly
-    /// comparable.
+    /// then function id; each carries the slot of the row's hash-stable
+    /// function id (its rank among the window's ids, see
+    /// [`TraceFunction::id`]), the benchmark that id binds to, and the object
+    /// the shared [`ObjectCatalog`] assigns the id at the request's position
+    /// in the sorted trace — identical rules to the synthetic workloads, so
+    /// trace-file cells are directly comparable.
     ///
     /// The trace is built in place in one allocation of exactly the window's
     /// [`TraceFileWorkload::invocations`]; a window the host will not
@@ -715,30 +736,45 @@ impl Workload for TraceFileWorkload {
             .ok()
             .and_then(|len| trace.try_reserve_exact(len).ok())
             .ok_or(WorkloadError::TraceTooLarge { requests })?;
-        let ids: Vec<u32> = self.functions.iter().map(TraceFunction::id).collect();
+        let slot_ids = self.slot_ids();
+        // Each row's id and slot. A row the window never invokes pushes
+        // nothing, so its slot is never read.
+        let rows: Vec<(u32, u32)> = self
+            .functions
+            .iter()
+            .map(|f| {
+                let id = f.id();
+                (id, slot_ids.binary_search(&id).unwrap_or(0) as u32)
+            })
+            .collect();
         for minute in start..end {
             let minute_start = 60.0 * (minute - start) as f64;
-            for (row, function) in self.functions.iter().enumerate() {
-                let benchmark = AzureWorkload::benchmark_of(ids[row]);
+            for (function, &(id, slot)) in self.functions.iter().zip(&rows) {
+                let benchmark = AzureWorkload::benchmark_of(id);
                 for _ in 0..function.counts[minute] {
                     let jitter = rng.uniform(0.0, 60.0);
                     trace.push(TraceRequest {
                         arrival: SimTime::ZERO + SimDuration::from_secs_f64(minute_start + jitter),
                         benchmark,
-                        function: ids[row],
+                        function: slot,
                         object: 0,
                         object_size_log2: 0,
                     });
                 }
             }
         }
-        // Requests that tie on arrival and function are identical until
-        // their objects are stamped below, so no sort order among them can
-        // show: the unstable sort yields the stable one's trace.
+        // Slots rank ids, so sorting by slot sorts by id. Requests that tie
+        // on arrival and function are identical until their objects are
+        // stamped below, so no sort order among them can show: the unstable
+        // sort yields the stable one's trace.
         trace.sort_unstable_by_key(|r| (r.arrival, r.function));
         let catalog = ObjectCatalog::default();
         for (position, r) in trace.iter_mut().enumerate() {
-            *r = catalog.request(position as u64, r.arrival, r.benchmark, r.function);
+            let id = slot_ids[r.function as usize];
+            *r = TraceRequest {
+                function: r.function,
+                ..catalog.request(position as u64, r.arrival, r.benchmark, id)
+            };
         }
         Ok(trace)
     }
@@ -753,13 +789,9 @@ impl Workload for TraceFileWorkload {
 pub fn sample_workload() -> AzureWorkload {
     AzureWorkload {
         functions: 200,
-        popularity_skew: 1.0,
         base_rps: 20.0,
         horizon: SimDuration::from_secs(3600),
-        diurnal_amplitude: 0.4,
         diurnal_period: SimDuration::from_secs(1200),
-        burst_factor: 2.0,
-        burst_fraction: 0.1,
         step: SimDuration::from_secs(10),
     }
 }
@@ -1019,12 +1051,20 @@ o1,a1,f1,http,1,128,7
         assert!(a
             .iter()
             .all(|r| r.arrival < SimTime::ZERO + parsed.horizon()));
-        // Identities are hash-stable.
-        let f1 = function_id("f1");
+        // Identities are hash-stable: slots rank the invoked rows' ids, and
+        // the benchmark binds to the id behind the slot.
+        let ids = parsed.slot_ids();
+        let mut invoked = [function_id("f1"), function_id("f3")];
+        invoked.sort_unstable();
+        assert_eq!(ids, invoked, "f2 is never invoked, so it has no slot");
         assert!(a
             .iter()
-            .all(|r| r.benchmark == AzureWorkload::benchmark_of(r.function)));
-        assert_eq!(a.iter().filter(|r| r.function == f1).count(), 3);
+            .all(|r| r.benchmark == AzureWorkload::benchmark_of(ids[r.function as usize])));
+        let f1 = function_id("f1");
+        assert_eq!(
+            a.iter().filter(|r| ids[r.function as usize] == f1).count(),
+            3
+        );
         // A different seed moves the jitter but not the per-minute counts.
         let c = parsed
             .generate(&mut DeterministicRng::seeded(10))
@@ -1034,7 +1074,8 @@ o1,a1,f1,http,1,128,7
     }
 
     /// The expansion before it was built in place, kept as a reference:
-    /// `(arrival, id, draw)` tuples stable-sorted, then stamped by position.
+    /// `(arrival, id, draw)` tuples stable-sorted, then stamped by position,
+    /// each with the rank of its id among the ids the trace holds.
     fn staged_expansion(w: &TraceFileWorkload, rng: &mut DeterministicRng) -> Vec<TraceRequest> {
         let (start, end) = w.window();
         let ids: Vec<u32> = w.functions.iter().map(TraceFunction::id).collect();
@@ -1055,13 +1096,19 @@ o1,a1,f1,http,1,128,7
             }
         }
         arrivals.sort_by_key(|&(arrival, function, draw)| (arrival, function, draw));
+        let mut slot_ids: Vec<u32> = arrivals.iter().map(|&(_, id, _)| id).collect();
+        slot_ids.sort_unstable();
+        slot_ids.dedup();
         let catalog = ObjectCatalog::default();
         arrivals
             .into_iter()
             .enumerate()
-            .map(|(position, (arrival, function, _))| {
-                let benchmark = AzureWorkload::benchmark_of(function);
-                catalog.request(position as u64, arrival, benchmark, function)
+            .map(|(position, (arrival, id, _))| {
+                let benchmark = AzureWorkload::benchmark_of(id);
+                TraceRequest {
+                    function: slot_ids.binary_search(&id).expect("listed") as u32,
+                    ..catalog.request(position as u64, arrival, benchmark, id)
+                }
             })
             .collect()
     }
@@ -1139,18 +1186,22 @@ o1,a1,f2,timer,0,0,0
             ids
         };
         assert_eq!(ids(&a), ids(&b));
-        // The reordered file expands to the same multiset of arrivals per
+        // Slots rank ids, so row order does not move them.
+        assert_eq!(a.slot_ids(), b.slot_ids());
+        // The reordered file expands to the same number of arrivals per
         // function (jitter draws differ because the draw order changed).
-        let count = |trace: &[TraceRequest], f: &str| {
+        let count = |w: &TraceFileWorkload, trace: &[TraceRequest], f: &str| {
+            let ids = w.slot_ids();
             trace
                 .iter()
-                .filter(|r| r.function == function_id(f))
+                .filter(|r| ids[r.function as usize] == function_id(f))
                 .count()
         };
         let ta = a.generate(&mut DeterministicRng::seeded(3)).expect("valid");
         let tb = b.generate(&mut DeterministicRng::seeded(3)).expect("valid");
-        for f in ["f1", "f2", "f3"] {
-            assert_eq!(count(&ta, f), count(&tb, f), "{f}");
+        for (f, expected) in [("f1", 3), ("f2", 0), ("f3", 4)] {
+            assert_eq!(count(&a, &ta, f), expected, "{f}");
+            assert_eq!(count(&b, &tb, f), expected, "{f}");
         }
     }
 

@@ -47,19 +47,22 @@
 
 use dscs_simcore::time::SimTime;
 
-use crate::data::function_slots;
 use crate::sim::ClusterSim;
-use crate::trace::TraceRequest;
+use crate::trace::{assert_function_in_range, TraceRequest};
 
 /// Offline-optimal lower bound on the aggregate cold-start seconds any
 /// policy pays replaying `trace` on `sim`'s platform: the sum, over distinct
 /// functions, of one full registry cold start (see the module docs for why
 /// nothing else is unavoidable in hindsight).
 ///
-/// Deterministic: after interning the trace's function slots, a pure single
-/// pass over the trace in arrival order, so the same trace and platform
-/// produce a bit-identical bound on every call. `O(n + f log f)` time for
-/// `f` distinct functions, `O(n)` memory.
+/// Deterministic: a pure single pass over the trace in arrival order,
+/// indexed by each request's function slot, so the same trace and platform
+/// produce a bit-identical bound on every call. `O(n)` time, and memory up
+/// to the highest slot.
+///
+/// # Panics
+/// Panics if a request names a function slot at or above the trace's
+/// request count ([`TraceRequest::function`]).
 pub fn optimal_coldstart_seconds(trace: &[TraceRequest], sim: &ClusterSim) -> f64 {
     optimal_coldstart_seconds_with(trace, sim, 0.0)
 }
@@ -80,7 +83,9 @@ pub fn optimal_coldstart_seconds(trace: &[TraceRequest], sim: &ClusterSim) -> f6
 ///
 /// # Panics
 /// Panics if `warm_cost_per_sec` is negative, infinite or NaN: the bound is
-/// defined for a finite non-negative warm-memory price only.
+/// defined for a finite non-negative warm-memory price only. Panics, too, if
+/// a request names a function slot at or above the trace's request count
+/// ([`TraceRequest::function`]).
 pub fn optimal_coldstart_seconds_with(
     trace: &[TraceRequest],
     sim: &ClusterSim,
@@ -90,12 +95,13 @@ pub fn optimal_coldstart_seconds_with(
         warm_cost_per_sec.is_finite() && warm_cost_per_sec >= 0.0,
         "warm cost must be a finite non-negative rate, got {warm_cost_per_sec}"
     );
-    // Each function's last arrival, by dense slot. Summing in trace order
-    // makes the bound independent of how the slots are numbered.
+    // Each function's last arrival, by slot. Summing in trace order makes
+    // the bound independent of how the slots are numbered.
     let mut last_arrival: Vec<Option<SimTime>> = Vec::new();
     let mut bound = 0.0;
-    for (request, slot) in trace.iter().zip(function_slots(trace)) {
-        let slot = slot as usize;
+    for (position, request) in trace.iter().enumerate() {
+        assert_function_in_range(trace, position);
+        let slot = request.function as usize;
         if slot >= last_arrival.len() {
             last_arrival.resize(slot + 1, None);
         }
@@ -304,7 +310,7 @@ mod tests {
     }
 
     /// The sample trace file's workload shortened to two minutes: its
-    /// function ids are 32-bit hashes, so they arrive in no particular id
+    /// function slots rank 32-bit hashes, so they arrive in no particular
     /// order.
     fn hashed_id_trace(seed: u64) -> Vec<TraceRequest> {
         let workload = AzureWorkload {
@@ -323,7 +329,7 @@ mod tests {
     /// The bound summed over a data layer's first request per function (as
     /// sweeps and runs with a data layer price it) is the public wrapper's
     /// walk bit for bit, on both sweep platforms under every cold-start
-    /// path, and over hashed ids that arrive in no particular id order.
+    /// path, and over slots that arrive in no particular order.
     #[test]
     fn first_requests_give_the_public_wrappers_bound() {
         use crate::coldpath::ColdStartPath;
@@ -390,6 +396,17 @@ mod tests {
     #[should_panic(expected = "warm cost must be a finite non-negative rate, got NaN")]
     fn nan_warm_cost_is_rejected() {
         optimal_coldstart_seconds_with(&contract_trace(), &sim(PlatformKind::DscsDsa), f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "function < requests invariant broken: trace position 2 names \
+                    function 3 of a 3-request trace"
+    )]
+    fn the_walk_rejects_a_slot_at_the_trace_length() {
+        let mut fixture = three_invocation_fixture();
+        fixture[2].function = 3;
+        optimal_coldstart_seconds(&fixture, &sim(PlatformKind::DscsDsa));
     }
 
     #[test]

@@ -440,10 +440,11 @@ impl SchedQueue {
 ///
 /// Tracks, per function, when its most recent invocation finishes and (for
 /// the hybrid policy) a histogram of observed idle gaps. Functions are
-/// identified by dense *slots* (`0..n`, one per distinct function of the
-/// trace, in ascending function-id order), and the state is indexed by slot:
-/// the slot table grows to the highest slot seen. Per-function sums run in
-/// slot order, so they are deterministic.
+/// identified by *slots* ([`crate::trace::TraceRequest::function`]: any
+/// index below the trace's request count, gaps allowed), and the state is
+/// indexed by slot: the slot table grows to the highest slot seen, and slots
+/// that never ran add nothing. Per-function sums run in slot order, so they
+/// are deterministic.
 ///
 /// Memory follows what each function has observed. A slot costs 16 bytes:
 /// the function's last finish and the index of its gap record. The record

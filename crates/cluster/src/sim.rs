@@ -38,12 +38,12 @@ use dscs_simcore::stats::{Measured, QuantileSketch};
 use dscs_simcore::time::{SimDuration, SimTime};
 
 use crate::coldpath::{ColdStartPath, IpcTransport};
-use crate::data::{function_slots, DataLayer};
+use crate::data::DataLayer;
 use crate::experiment::ConfigError;
 use crate::policy::{
     KeepalivePolicy, KeepaliveState, LoadBalancer, ScalingPolicy, SchedQueue, SchedulerPolicy,
 };
-use crate::trace::TraceRequest;
+use crate::trace::{assert_function_in_range, TraceRequest};
 
 /// Per-request service-time jitter: the sigma of a multiplicative
 /// lognormal.
@@ -495,12 +495,11 @@ impl RackState {
     }
 }
 
-/// What one run reads per request, by trace position: the trace itself,
-/// each request's dense function slot, and the data layer, if any.
+/// What one run reads per request, by trace position: the trace itself
+/// and the data layer, if any.
 #[derive(Clone, Copy)]
 struct RunInputs<'a> {
     trace: &'a [TraceRequest],
-    functions: &'a [u32],
     data: Option<&'a DataLayer>,
 }
 
@@ -709,21 +708,7 @@ impl ClusterSim {
         let mut master = DeterministicRng::seeded(seed);
         let rack_rngs: Vec<DeterministicRng> =
             (0..racks).map(|r| master.fork(u64::from(r))).collect();
-        // A data layer carries the trace's function slots; a run without one
-        // interns them here, the same way.
-        let interned;
-        let functions = match data {
-            Some(data) => data.function_slots(),
-            None => {
-                interned = function_slots(trace);
-                &interned
-            }
-        };
-        let inputs = RunInputs {
-            trace,
-            functions,
-            data,
-        };
+        let inputs = RunInputs { trace, data };
         let (run, engine) = match balancer {
             LoadBalancer::RoundRobin => {
                 // Each rack is a lane of its own: one rack over the stride
@@ -847,7 +832,7 @@ impl ClusterSim {
         if matches!(self.config.scaling, ScalingPolicy::Predictive { .. }) {
             // Predictive scaling estimates demand from offered load, not the
             // (capacity-throttled) start rate.
-            rack.keepalive.note_arrival(inputs.functions[idx], now);
+            rack.keepalive.note_arrival(inputs.trace[idx].function, now);
         }
         if rack.queue.len() >= self.config.queue_depth {
             rack.rejected += 1;
@@ -874,7 +859,7 @@ impl ClusterSim {
         while rack.busy < rack.capacity {
             let Some(idx) = rack.queue.pop() else { break };
             let request = &inputs.trace[idx];
-            let function = inputs.functions[idx];
+            let function = request.function;
             let base = self.service_times[request.benchmark as usize];
             let jitter = (SERVICE_JITTER_SIGMA * rack.rng.standard_normal()).exp();
             let mut service = base * jitter;
@@ -937,9 +922,10 @@ impl ClusterSim {
     /// # Panics
     /// Panics, naming the broken invariant, if the cursor takes an arrival
     /// earlier than the one it took before (the trace must be sorted by
-    /// arrival), if the drained loop leaves a rack with busy or provisioning
-    /// instances or queued requests, or if the racks did not complete or
-    /// reject exactly the arrivals the cursor took.
+    /// arrival) or one whose function slot is not below the trace's length
+    /// ([`TraceRequest::function`]), if the drained loop leaves a rack with
+    /// busy or provisioning instances or queued requests, or if the racks did
+    /// not complete or reject exactly the arrivals the cursor took.
     fn run_loop(
         &self,
         inputs: RunInputs<'_>,
@@ -988,6 +974,7 @@ impl ClusterSim {
                     "arrivals in trace order invariant broken: \
                      trace position {idx} arrives before the arrival taken before it"
                 );
+                assert_function_in_range(trace, idx);
                 last_arrival = now;
                 last_activity = now;
                 offered.record_event(now);
@@ -1707,10 +1694,8 @@ mod tests {
         };
         let sim = ClusterSim::new(PlatformKind::DscsDsa, config);
         let trace = short_trace(50.0, 2, 33);
-        let functions = function_slots(&trace);
         let inputs = RunInputs {
             trace: &trace,
-            functions: &functions,
             data: None,
         };
         let rack = sim.new_rack_state(0, DeterministicRng::seeded(34));
@@ -1781,6 +1766,21 @@ mod tests {
             .trace(trace)
             .build()
             .expect("the builder does not check arrival order")
+            .run();
+    }
+
+    /// The builder does not range-check function slots either: without a
+    /// data layer, the event loop's assert is the only guard between a slot
+    /// at the trace's length and the per-function tables.
+    #[test]
+    #[should_panic(expected = "function < requests invariant broken")]
+    fn a_slot_at_the_trace_length_breaks_the_function_range_invariant() {
+        let mut trace = short_trace(50.0, 2, 35);
+        trace[3].function = trace.len() as u32;
+        let _ = Experiment::builder(PlatformKind::DscsDsa)
+            .trace(trace)
+            .build()
+            .expect("the builder does not check function slots")
             .run();
     }
 

@@ -14,7 +14,7 @@ use dscs_simcore::quantity::Bytes;
 use dscs_simcore::rng::DeterministicRng;
 use dscs_simcore::time::{SimDuration, SimTime};
 
-use crate::workload::{ObjectCatalog, Workload, WorkloadError};
+use crate::workload::{fit_slots, ObjectCatalog, Workload, WorkloadError};
 
 /// One request in the trace. A request is identified by its position in the
 /// trace, which is what [`ObjectCatalog::object_for`] hashes and what every
@@ -28,10 +28,16 @@ pub struct TraceRequest {
     pub arrival: SimTime,
     /// The application invoked.
     pub benchmark: Benchmark,
-    /// Identifier of the serverless function invoked. Keepalive policies track
-    /// warm containers per function; for the bursty Figure-13 trace this is
-    /// the benchmark's index, while Azure-style workloads spread many
-    /// functions over the same eight applications.
+    /// The slot of the serverless function invoked: an index below the
+    /// trace's request count, by which every per-function table indexes
+    /// directly. Slots may have gaps and come in any order. The bursty
+    /// Figure-13 trace uses the benchmark's index and Azure-style workloads
+    /// a popularity rank, each renumbered to dense ascending ranks in a
+    /// trace too short to hold its highest id; a trace file uses the rank of
+    /// the function's 32-bit id among those its day window invokes.
+    /// [`crate::workload::WorkloadSpec::realize`] rejects an inline trace
+    /// that breaks the bound; the engine, the data layer and the offline
+    /// bound assert it.
     pub function: u32,
     /// The object, one of the function's 32 ([`ObjectCatalog::object_for`]),
     /// this invocation reads. Locality-aware placement dispatches on where
@@ -52,6 +58,21 @@ impl TraceRequest {
     pub fn object_bytes(&self) -> Bytes {
         Bytes::new(1 << self.object_size_log2)
     }
+}
+
+/// Asserts the slot contract of [`TraceRequest::function`] for the request
+/// at trace position `position`: its slot is below the trace's length.
+///
+/// # Panics
+/// Panics, naming the broken invariant, if it is not.
+pub(crate) fn assert_function_in_range(trace: &[TraceRequest], position: usize) {
+    let function = trace[position].function;
+    assert!(
+        (function as usize) < trace.len(),
+        "function < requests invariant broken: trace position {position} names function \
+         {function} of a {}-request trace",
+        trace.len()
+    );
 }
 
 /// A piecewise-constant arrival-rate profile.
@@ -168,6 +189,7 @@ impl Workload for RateProfile {
             }
             offset += duration;
         }
+        fit_slots(&mut requests);
         Ok(requests)
     }
 }

@@ -186,6 +186,25 @@ impl ObjectCatalog {
     }
 }
 
+/// Makes a synthetic trace meet the slot contract of
+/// [`TraceRequest::function`]. Generators name a function by id, a
+/// benchmark index or a popularity rank, which is a valid slot whenever the
+/// trace has more requests than its highest id. A shorter trace has its ids
+/// renumbered to dense ascending ranks. Benchmarks, objects and sizes were
+/// stamped from the id and stay, and the renumbering keeps id order, which
+/// is the order every per-function sum follows, so no outcome moves.
+pub(crate) fn fit_slots(trace: &mut [TraceRequest]) {
+    if trace.iter().all(|r| (r.function as usize) < trace.len()) {
+        return;
+    }
+    let mut ids: Vec<u32> = trace.iter().map(|r| r.function).collect();
+    ids.sort_unstable();
+    ids.dedup();
+    for request in trace {
+        request.function = ids.binary_search(&request.function).expect("listed") as u32;
+    }
+}
+
 /// A request-trace generator.
 ///
 /// Implementations must be deterministic: the same seed (via the caller's
@@ -205,32 +224,35 @@ pub trait Workload {
     fn generate(&self, rng: &mut DeterministicRng) -> Result<Vec<TraceRequest>, WorkloadError>;
 }
 
+/// Zipf exponent of [`AzureWorkload`]'s function popularity (~1 matches the
+/// Azure traces).
+const POPULARITY_SKEW: f64 = 1.0;
+/// Peak-to-mean amplitude of [`AzureWorkload`]'s diurnal cycle.
+const DIURNAL_AMPLITUDE: f64 = 0.4;
+/// Rate multiplier during one of [`AzureWorkload`]'s burst episodes.
+const BURST_FACTOR: f64 = 2.0;
+/// Fraction of [`AzureWorkload`]'s modulation steps that are burst episodes.
+const BURST_FRACTION: f64 = 0.1;
+
 /// Azure-functions-style synthetic workload.
 ///
 /// `functions` distinct serverless functions share the cluster. Popularity
-/// follows a Zipf law with exponent `popularity_skew`; each function is bound
-/// round-robin to one of the eight benchmark applications (which determines
-/// its service time and container image). The aggregate arrival rate is
-/// `base_rps` modulated by a sinusoidal diurnal cycle and by random burst
-/// episodes; arrivals inside each modulation step are Poisson.
+/// follows a Zipf law with exponent 1; each function is bound round-robin to
+/// one of the eight benchmark applications (which determines its service
+/// time and container image). The aggregate arrival rate is `base_rps`
+/// modulated by a sinusoidal diurnal cycle of amplitude 0.4 and by random
+/// burst episodes (a tenth of the modulation steps, at twice the rate);
+/// arrivals inside each modulation step are Poisson.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AzureWorkload {
     /// Number of distinct functions (>= 1).
     pub functions: u32,
-    /// Zipf popularity exponent (0 = uniform; ~1 matches the Azure traces).
-    pub popularity_skew: f64,
     /// Mean aggregate request rate in requests/second.
     pub base_rps: f64,
     /// Trace duration.
     pub horizon: SimDuration,
-    /// Peak-to-mean amplitude of the diurnal cycle, in `[0, 1)`.
-    pub diurnal_amplitude: f64,
     /// Period of the diurnal cycle.
     pub diurnal_period: SimDuration,
-    /// Rate multiplier during a burst episode (>= 1).
-    pub burst_factor: f64,
-    /// Fraction of modulation steps that are burst episodes, in `[0, 1]`.
-    pub burst_fraction: f64,
     /// Width of one rate-modulation step (arrivals are Poisson within a step).
     pub step: SimDuration,
 }
@@ -239,13 +261,9 @@ impl Default for AzureWorkload {
     fn default() -> Self {
         AzureWorkload {
             functions: 64,
-            popularity_skew: 1.0,
             base_rps: 1200.0,
             horizon: SimDuration::from_secs(20 * 60),
-            diurnal_amplitude: 0.4,
             diurnal_period: SimDuration::from_secs(10 * 60),
-            burst_factor: 2.0,
-            burst_fraction: 0.1,
             step: SimDuration::from_secs(10),
         }
     }
@@ -268,10 +286,46 @@ impl AzureWorkload {
         Benchmark::ALL[function as usize % Benchmark::ALL.len()]
     }
 
+    /// The trace [`Workload::generate`] returns before [`fit_slots`]: each
+    /// request names its function by popularity rank, below `functions`,
+    /// which is what [`crate::ingest::TraceFileWorkload::from_workload`]
+    /// buckets by.
+    pub(crate) fn generate_ranked(
+        &self,
+        rng: &mut DeterministicRng,
+    ) -> Result<Vec<TraceRequest>, WorkloadError> {
+        self.validate()?;
+        let zipf = ZipfIndex::new(self.functions as usize, POPULARITY_SKEW);
+        let catalog = ObjectCatalog::default();
+        let mut requests = Vec::new();
+        let mut offset = SimDuration::ZERO;
+        while offset < self.horizon {
+            let step = self.step.min(self.horizon - offset);
+            let burst = if rng.bernoulli(BURST_FRACTION) {
+                BURST_FACTOR
+            } else {
+                1.0
+            };
+            let rate = self.base_rps * self.diurnal(offset) * burst;
+            let arrivals = PoissonArrivals::new(rate).arrivals_until(step, rng);
+            for t in arrivals {
+                let function = zipf.sample(rng) as u32;
+                requests.push(catalog.request(
+                    requests.len() as u64,
+                    SimTime::ZERO + offset + t,
+                    AzureWorkload::benchmark_of(function),
+                    function,
+                ));
+            }
+            offset += step;
+        }
+        Ok(requests)
+    }
+
     /// The instantaneous rate multiplier at `t` (diurnal component only).
     fn diurnal(&self, t: SimDuration) -> f64 {
         let phase = t.as_secs_f64() / self.diurnal_period.as_secs_f64();
-        1.0 + self.diurnal_amplitude * (std::f64::consts::TAU * phase).sin()
+        1.0 + DIURNAL_AMPLITUDE * (std::f64::consts::TAU * phase).sin()
     }
 }
 
@@ -291,12 +345,6 @@ impl Workload for AzureWorkload {
                 value: 0.0,
             });
         }
-        if !self.popularity_skew.is_finite() || self.popularity_skew < 0.0 {
-            return Err(WorkloadError::InvalidParameter {
-                name: "popularity_skew",
-                value: self.popularity_skew,
-            });
-        }
         if !self.base_rps.is_finite() || self.base_rps <= 0.0 {
             return Err(WorkloadError::InvalidRate {
                 segment: 0,
@@ -306,28 +354,10 @@ impl Workload for AzureWorkload {
         if self.horizon.is_zero() {
             return Err(WorkloadError::ZeroDuration { segment: 0 });
         }
-        if !(0.0..1.0).contains(&self.diurnal_amplitude) {
-            return Err(WorkloadError::InvalidParameter {
-                name: "diurnal_amplitude",
-                value: self.diurnal_amplitude,
-            });
-        }
         if self.diurnal_period.is_zero() {
             return Err(WorkloadError::InvalidParameter {
                 name: "diurnal_period",
                 value: 0.0,
-            });
-        }
-        if !self.burst_factor.is_finite() || self.burst_factor < 1.0 {
-            return Err(WorkloadError::InvalidParameter {
-                name: "burst_factor",
-                value: self.burst_factor,
-            });
-        }
-        if !(0.0..=1.0).contains(&self.burst_fraction) {
-            return Err(WorkloadError::InvalidParameter {
-                name: "burst_fraction",
-                value: self.burst_fraction,
             });
         }
         if self.step.is_zero() || self.step > self.horizon {
@@ -340,32 +370,9 @@ impl Workload for AzureWorkload {
     }
 
     fn generate(&self, rng: &mut DeterministicRng) -> Result<Vec<TraceRequest>, WorkloadError> {
-        self.validate()?;
-        let zipf = ZipfIndex::new(self.functions as usize, self.popularity_skew);
-        let catalog = ObjectCatalog::default();
-        let mut requests = Vec::new();
-        let mut offset = SimDuration::ZERO;
-        while offset < self.horizon {
-            let step = self.step.min(self.horizon - offset);
-            let burst = if rng.bernoulli(self.burst_fraction) {
-                self.burst_factor
-            } else {
-                1.0
-            };
-            let rate = self.base_rps * self.diurnal(offset) * burst;
-            let arrivals = PoissonArrivals::new(rate).arrivals_until(step, rng);
-            for t in arrivals {
-                let function = zipf.sample(rng) as u32;
-                requests.push(catalog.request(
-                    requests.len() as u64,
-                    SimTime::ZERO + offset + t,
-                    AzureWorkload::benchmark_of(function),
-                    function,
-                ));
-            }
-            offset += step;
-        }
-        Ok(requests)
+        let mut trace = self.generate_ranked(rng)?;
+        fit_slots(&mut trace);
+        Ok(trace)
     }
 }
 
@@ -420,6 +427,14 @@ pub enum WorkloadSpecError {
         /// The offending horizon, in seconds.
         horizon_s: f64,
     },
+    /// An inline spec's request names a function slot at or above the
+    /// trace's request count ([`TraceRequest::function`]).
+    FunctionOutOfRange {
+        /// Trace position of the first such request.
+        position: usize,
+        /// The slot it names.
+        function: u32,
+    },
     /// An inline spec's request reads an object outside its function's 32
     /// ([`TraceRequest::object`]).
     ObjectOutOfRange {
@@ -459,6 +474,11 @@ impl fmt::Display for WorkloadSpecError {
             WorkloadSpecError::InvalidHorizon { horizon_s } => write!(
                 f,
                 "inline workload horizon {horizon_s} s must be finite and non-negative"
+            ),
+            WorkloadSpecError::FunctionOutOfRange { position, function } => write!(
+                f,
+                "inline workload request {position} names function {function}; function \
+                 slots must be below the trace's request count"
             ),
             WorkloadSpecError::ObjectOutOfRange { position, object } => write!(
                 f,
@@ -545,8 +565,8 @@ pub enum WorkloadSpec {
     },
     /// A pre-generated trace supplied in memory, with caller-chosen labels.
     /// [`WorkloadSpec::realize`] checks that the trace is non-empty, sorted
-    /// by arrival and within the object and size ranges, and that the
-    /// horizon is finite and non-negative.
+    /// by arrival and within the function-slot, object and size ranges, and
+    /// that the horizon is finite and non-negative.
     Inline {
         /// Workload name for reports.
         name: String,
@@ -593,7 +613,6 @@ impl WorkloadSpec {
                 horizon: SimDuration::from_secs(20),
                 diurnal_period: SimDuration::from_secs(10),
                 step: SimDuration::from_secs(2),
-                ..AzureWorkload::default()
             },
             SweepScale::Quick => AzureWorkload::quick(),
             SweepScale::Full => AzureWorkload::default(),
@@ -606,7 +625,6 @@ impl WorkloadSpec {
                 horizon: SimDuration::from_secs(48 * 3600),
                 diurnal_period: SimDuration::from_secs(24 * 3600),
                 step: SimDuration::from_secs(60),
-                ..AzureWorkload::default()
             },
         }
     }
@@ -650,8 +668,9 @@ impl WorkloadSpec {
     /// their own seed; trace files expand with a day-forked jitter stream,
     /// so the same file and day always reproduce the same arrivals. Every
     /// kind but `Inline` yields a sorted trace of in-range objects and sizes
-    /// by construction; an inline one is checked for all three, in one pass
-    /// over its trace.
+    /// by construction, and at every sweep scale its function slots are
+    /// below its length ([`TraceRequest::function`]); an inline one is
+    /// checked for all four, in one pass over its trace.
     pub fn realize(&self) -> Result<RealizedWorkload, WorkloadSpecError> {
         match self {
             WorkloadSpec::Bursty { scale, seed } => {
@@ -703,6 +722,12 @@ impl WorkloadSpec {
                 for (position, request) in trace.iter().enumerate() {
                     if request.arrival < ahead {
                         return Err(WorkloadSpecError::UnsortedInline { position });
+                    }
+                    if request.function as usize >= trace.len() {
+                        return Err(WorkloadSpecError::FunctionOutOfRange {
+                            position,
+                            function: request.function,
+                        });
                     }
                     if request.object >= OBJECTS_PER_FUNCTION {
                         return Err(WorkloadSpecError::ObjectOutOfRange {
@@ -771,20 +796,6 @@ mod tests {
             w.validate(),
             Err(WorkloadError::ZeroDuration { segment: 0 })
         );
-
-        let mut w = AzureWorkload::quick();
-        w.burst_factor = 0.5;
-        assert!(matches!(
-            w.validate(),
-            Err(WorkloadError::InvalidParameter {
-                name: "burst_factor",
-                ..
-            })
-        ));
-
-        let mut w = AzureWorkload::quick();
-        w.diurnal_amplitude = 1.0;
-        assert!(w.validate().is_err(), "amplitude 1.0 allows zero rates");
     }
 
     #[test]
@@ -854,7 +865,7 @@ mod tests {
     /// [`ObjectCatalog::object_for`] assigns its final trace position, and
     /// that object's size. For a trace file (an in-memory one and the
     /// checked-in sample) that is the position after the expansion sorts by
-    /// arrival.
+    /// arrival, and the function is the 32-bit id behind the request's slot.
     #[test]
     fn objects_follow_the_final_trace_position() {
         let bursty = RateProfile {
@@ -863,31 +874,123 @@ mod tests {
         let azure = AzureWorkload::quick();
         let file = TraceFileWorkload::from_workload(&azure, &mut DeterministicRng::seeded(1), "q")
             .expect("valid");
+        let sample_path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../data/azure_trace_sample.csv"
+        );
+        let sample_file = TraceFileWorkload::from_csv_path(sample_path, 1)
+            .expect("the sample trace is checked in");
         let sample = WorkloadSpec::TraceFile {
-            path: concat!(
-                env!("CARGO_MANIFEST_DIR"),
-                "/../../data/azure_trace_sample.csv"
-            )
-            .into(),
+            path: sample_path.into(),
             day: 1,
         }
         .realize()
         .expect("the sample trace is checked in");
+        // A synthetic request's slot is its function id; a trace file's maps
+        // to its id through the file's slot table.
         let traces = [
-            Workload::generate(&bursty, &mut DeterministicRng::seeded(2)),
-            azure.generate(&mut DeterministicRng::seeded(3)),
-            file.generate(&mut DeterministicRng::seeded(4)),
-            Ok(sample.trace.to_vec()),
+            (
+                Workload::generate(&bursty, &mut DeterministicRng::seeded(2)),
+                None,
+            ),
+            (azure.generate(&mut DeterministicRng::seeded(3)), None),
+            (
+                file.generate(&mut DeterministicRng::seeded(4)),
+                Some(file.slot_ids()),
+            ),
+            (Ok(sample.trace.to_vec()), Some(sample_file.slot_ids())),
         ];
         let catalog = ObjectCatalog::default();
-        for trace in traces {
+        for (trace, slot_ids) in traces {
             let trace = trace.expect("valid");
             assert!(!trace.is_empty());
             for (position, r) in trace.iter().enumerate() {
-                assert_eq!(r.object, catalog.object_for(r.function, position as u64));
-                assert_eq!(r.object_bytes(), catalog.size_of(r.function, r.object));
+                let id = slot_ids
+                    .as_ref()
+                    .map_or(r.function, |ids| ids[r.function as usize]);
+                assert_eq!(r.object, catalog.object_for(id, position as u64));
+                assert_eq!(r.object_bytes(), catalog.size_of(id, r.object));
             }
         }
+    }
+
+    /// A synthetic trace shorter than its highest function id is renumbered
+    /// to dense ascending ranks and keeps everything its ids stamped, so a
+    /// run with and without a data layer and the offline bound take it.
+    #[test]
+    fn short_synthetic_traces_are_renumbered_into_range() {
+        use dscs_platforms::PlatformKind;
+
+        use crate::data::DataLayer;
+        use crate::experiment::Experiment;
+        use crate::optimal::optimal_coldstart_seconds;
+        use crate::policy::LoadBalancer;
+        use crate::sim::{ClusterConfig, ClusterSim};
+
+        let bursty = RateProfile {
+            segments: vec![(SimDuration::from_secs(1), 2.0)],
+        };
+        let azure = AzureWorkload {
+            functions: 64,
+            base_rps: 1.0,
+            horizon: SimDuration::from_secs(10),
+            ..AzureWorkload::quick()
+        };
+        let sim = ClusterSim::new(PlatformKind::DscsDsa, ClusterConfig::default());
+        let mut renumbered = 0;
+        for seed in 0..8 {
+            let rng = || DeterministicRng::seeded(seed);
+            let bursty_trace = Workload::generate(&bursty, &mut rng()).expect("valid");
+            // Each trace with the ids it was generated with: a bursty
+            // request's id is its benchmark's index.
+            let bursty_ids: Vec<TraceRequest> = bursty_trace
+                .iter()
+                .map(|r| TraceRequest {
+                    function: r.benchmark as u32,
+                    ..*r
+                })
+                .collect();
+            let azure_trace = azure.generate(&mut rng()).expect("valid");
+            let azure_ids = azure.generate_ranked(&mut rng()).expect("valid");
+            for (trace, ids) in [(bursty_trace, bursty_ids), (azure_trace, azure_ids)] {
+                if trace.is_empty() {
+                    continue;
+                }
+                if ids.iter().any(|r| r.function as usize >= ids.len()) {
+                    renumbered += 1;
+                }
+                assert!(trace.iter().all(|r| (r.function as usize) < trace.len()));
+                // Only the slots moved, and they kept the ids' order.
+                for (a, b) in trace.iter().zip(&ids) {
+                    let unslotted = |r: &TraceRequest| TraceRequest { function: 0, ..*r };
+                    assert_eq!(unslotted(a), unslotted(b));
+                    for (c, d) in trace.iter().zip(&ids) {
+                        assert_eq!(a.function.cmp(&c.function), b.function.cmp(&d.function));
+                    }
+                }
+                let data = DataLayer::for_trace(&trace, 2, seed);
+                assert!(optimal_coldstart_seconds(&trace, &sim) > 0.0);
+                let bare = Experiment::builder(PlatformKind::DscsDsa)
+                    .trace(trace.clone())
+                    .racks(2)
+                    .build()
+                    .expect("valid")
+                    .run();
+                let placed = Experiment::builder(PlatformKind::DscsDsa)
+                    .trace(trace.clone())
+                    .racks(2)
+                    .balancer(LoadBalancer::locality_default())
+                    .data_layer(data)
+                    .build()
+                    .expect("valid")
+                    .run();
+                for outcome in [bare, placed] {
+                    let report = outcome.report;
+                    assert_eq!(report.completed + report.rejected, trace.len() as u64);
+                }
+            }
+        }
+        assert!(renumbered > 0, "no trace needed renumbering");
     }
 
     #[test]

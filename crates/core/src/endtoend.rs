@@ -182,13 +182,6 @@ impl SystemModel {
         }
     }
 
-    /// Replaces the compute engine (used by the DSE to evaluate other DSA
-    /// configurations end to end).
-    pub fn with_engine(mut self, engine: ComputeEngine) -> Self {
-        self.engine = engine;
-        self
-    }
-
     /// The network model in use.
     pub fn network(&self) -> &NetworkModel {
         &self.network

@@ -86,15 +86,6 @@ impl Graph {
         self.nodes.iter().map(|n| n.op.parameter_count()).sum()
     }
 
-    /// Total activation traffic (inputs + outputs) across operators, an upper
-    /// bound on off-chip activation movement with no fusion.
-    pub fn total_activation_bytes(&self) -> Bytes {
-        self.nodes
-            .iter()
-            .map(|n| n.op.input_bytes() + n.op.output_bytes())
-            .sum()
-    }
-
     /// FLOPs broken down by operator class.
     pub fn flops_by_class(&self) -> [(OperatorClass, u64); 3] {
         let mut gemm = 0;

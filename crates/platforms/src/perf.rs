@@ -65,11 +65,6 @@ impl ComputeEngine {
         }
     }
 
-    /// Creates an engine with a custom DSA configuration (used by the DSE).
-    pub fn with_dsa_config(dsa_config: DsaConfig) -> Self {
-        ComputeEngine { dsa_config }
-    }
-
     /// The DSA configuration used for the `DscsDsa` platform.
     pub fn dsa_config(&self) -> &DsaConfig {
         &self.dsa_config

@@ -54,11 +54,6 @@ impl Bytes {
         self.0 as f64
     }
 
-    /// Size in mebibytes.
-    pub fn as_mib_f64(self) -> f64 {
-        self.0 as f64 / (1024.0 * 1024.0)
-    }
-
     /// Saturating subtraction.
     pub fn saturating_sub(self, rhs: Bytes) -> Bytes {
         Bytes(self.0.saturating_sub(rhs.0))
@@ -269,11 +264,6 @@ impl Joules {
     /// The value in joules.
     pub fn as_f64(self) -> f64 {
         self.0
-    }
-
-    /// The value in millijoules.
-    pub fn as_millijoules(self) -> f64 {
-        self.0 * 1e3
     }
 
     /// Energy in kilowatt-hours (used by the OPEX model).

@@ -135,11 +135,6 @@ impl DscsDrive {
         &self.base
     }
 
-    /// The P2P driver costs.
-    pub fn driver_costs(&self) -> &P2pDriverCosts {
-        &self.driver
-    }
-
     /// Latency to move `size` bytes from the flash array into the DSA's DRAM
     /// staging buffer over the internal P2P path, bypassing the host stack.
     /// One driver call initiates the transfer; flash read and P2P transfer are

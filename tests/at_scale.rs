@@ -82,10 +82,11 @@ fn smoke_sweep_matches_the_pr4_golden_report() {
 
 /// The pinned smoke policy grid over the checked-in Azure-schema trace file
 /// (`--workload trace:data/azure_trace_sample.csv`). Unlike the synthetic
-/// workloads, whose function ids are already dense (`0..n`), trace-file ids
-/// are 32-bit hashes of the owner/app/function names, so this fixture pins
-/// every id-ordered computation: the hybrid keepalive's end-of-run warm
-/// ledger and the predictive autoscaler's summed arrival-rate estimate.
+/// workloads, whose function slots are their generators' own ids, a trace
+/// file's slots rank 32-bit hashes of the owner/app/function names, so this
+/// fixture pins every slot-ordered computation: the hybrid keepalive's
+/// end-of-run warm ledger and the predictive autoscaler's summed
+/// arrival-rate estimate.
 const TRACE_GOLDEN_SMOKE: &str = include_str!("golden/at_scale_smoke_trace_sample.json");
 
 #[test]

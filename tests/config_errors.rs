@@ -362,6 +362,48 @@ fn inline_objects_outside_their_functions_32_are_typed_errors() {
     );
 }
 
+/// An inline trace whose request names a function slot at the trace's
+/// length is rejected when the spec is realized, before the engine, a data
+/// layer or the offline bound indexes a per-function table by it; the
+/// earliest offending request wins, and a sweep reports it as a typed spec
+/// error.
+#[test]
+fn inline_function_slots_at_the_trace_length_are_typed_errors() {
+    use dscs_serverless::cluster::at_scale::{SweepScale, SweepSpec};
+    use dscs_serverless::cluster::workload::{WorkloadSpec, WorkloadSpecError};
+    use std::sync::Arc;
+
+    let mut trace = short_trace(1);
+    let len = trace.len() as u32;
+    trace[3].function = len;
+    // A later, larger slot does not mask the first.
+    trace[5].function = u32::MAX;
+    let spec = WorkloadSpec::Inline {
+        name: "inline".into(),
+        source: "synthetic".into(),
+        horizon_s: 4.0,
+        trace: Arc::new(trace),
+    };
+    let expected = WorkloadSpecError::FunctionOutOfRange {
+        position: 3,
+        function: len,
+    };
+    assert_eq!(spec.realize().expect_err("slot == len"), expected);
+    let message = expected.to_string();
+    assert!(
+        message.contains("request 3") && message.contains(&format!("function {len}")),
+        "{message}"
+    );
+    let sweep = SweepSpec {
+        workloads: vec![spec],
+        ..SweepSpec::default_grid(SweepScale::Smoke)
+    };
+    assert_eq!(
+        sweep.run().expect_err("rejected workload"),
+        ConfigError::WorkloadSpec(expected)
+    );
+}
+
 /// An inline trace whose request carries an object size exponent of 32 or
 /// more, a size the data layer's fetch table does not price, is rejected
 /// when the spec is realized, and a sweep reports it as a typed spec error.

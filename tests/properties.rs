@@ -335,13 +335,9 @@ fn workload_traces_are_deterministic_sorted_and_bounded() {
     check(0xAB, |case, rng| {
         let workload = AzureWorkload {
             functions: int_in(rng, 1, 48) as u32,
-            popularity_skew: rng.uniform(0.0, 2.0),
             base_rps: rng.uniform(5.0, 400.0),
             horizon: SimDuration::from_secs(int_in(rng, 5, 40)),
-            diurnal_amplitude: rng.uniform(0.0, 0.9),
             diurnal_period: SimDuration::from_secs(int_in(rng, 5, 60)),
-            burst_factor: rng.uniform(1.0, 4.0),
-            burst_fraction: rng.uniform(0.0, 1.0),
             step: SimDuration::from_secs(int_in(rng, 1, 5)),
         };
         assert_eq!(workload.validate(), Ok(()), "case {case}");
@@ -359,11 +355,22 @@ fn workload_traces_are_deterministic_sorted_and_bounded() {
         );
         let end = SimTime::ZERO + workload.horizon;
         assert!(a.iter().all(|r| r.arrival < end), "case {case}: bounded");
-        assert!(
-            a.iter().all(|r| r.function < workload.functions
-                && r.benchmark == AzureWorkload::benchmark_of(r.function)),
-            "case {case}: function binding"
-        );
+        // A slot binds one benchmark: its rank's, unless the trace is too
+        // short to hold every rank and its slots were renumbered.
+        let holds_every_rank = a.len() >= workload.functions as usize;
+        let mut bound = vec![None; workload.functions as usize];
+        for r in &a {
+            assert!(r.function < workload.functions, "case {case}: slot range");
+            let benchmark = *bound[r.function as usize].get_or_insert(r.benchmark);
+            assert_eq!(benchmark, r.benchmark, "case {case}: function binding");
+            if holds_every_rank {
+                assert_eq!(
+                    r.benchmark,
+                    AzureWorkload::benchmark_of(r.function),
+                    "case {case}: rank binding"
+                );
+            }
+        }
         // Each function owns 32 objects of 256 KiB to 8 MiB.
         assert!(
             a.iter()
@@ -666,8 +673,9 @@ fn locality_aware_balancing_never_fetches_when_replica_racks_are_unsaturated() {
 }
 
 /// The data layer's placement is exactly `ObjectStore::put`'s. For random
-/// traces (hashed-style function ids over the whole `u32` range, objects
-/// anywhere in each function's 32), rack counts 1–6 and the 255 a layer
+/// traces (function slots anywhere below the trace's length, in no
+/// particular order, objects anywhere in each function's 32), rack counts
+/// 1–6 and the 255 a layer
 /// spans at most, and seeds, the home rack of every trace position is the one
 /// rack a fresh store returns from `racks_holding` for that request's
 /// object, after being fed the same distinct objects, in trace order, from
@@ -686,12 +694,13 @@ fn data_layer_placement_matches_an_object_store_oracle() {
     check(0xB3, |case, rng| {
         let racks = *rng.choose(&[1, 2, 3, 4, 5, 6, DataLayer::MAX_RACKS]);
         let seed = rng.next_u64();
+        let requests = int_in(rng, 1, 300);
         let functions: Vec<u32> = (0..int_in(rng, 1, 24))
-            .map(|_| rng.next_u64() as u32)
+            .map(|_| int_in(rng, 0, requests) as u32)
             .collect();
         let objects = int_in(rng, 1, 33) as usize;
         let mut arrival = 0;
-        let trace: Vec<TraceRequest> = (0..int_in(rng, 1, 300))
+        let trace: Vec<TraceRequest> = (0..requests)
             .map(|_| {
                 arrival += int_in(rng, 0, 1_000_000);
                 TraceRequest {
@@ -1167,14 +1176,59 @@ fn offline_optimal_bound_floors_every_policys_cold_start_seconds() {
     });
 }
 
+/// `trace` with its function slots renumbered densely: `0..k` for its `k`
+/// distinct slots, in ascending order.
+fn dense_slots(
+    trace: &[dscs_serverless::cluster::trace::TraceRequest],
+) -> Vec<dscs_serverless::cluster::trace::TraceRequest> {
+    let mut slots: Vec<u32> = trace.iter().map(|r| r.function).collect();
+    slots.sort_unstable();
+    slots.dedup();
+    trace
+        .iter()
+        .map(|r| dscs_serverless::cluster::trace::TraceRequest {
+            function: slots.binary_search(&r.function).expect("listed") as u32,
+            ..*r
+        })
+        .collect()
+}
+
+/// `trace` with its function slots spread apart by an order-preserving map:
+/// its `k` distinct slots go, in ascending order, to a uniformly random
+/// `k`-subset of `0..trace.len()`, so the new slots keep their order, leave
+/// gaps and stay below the request count.
+fn spread_slots(
+    trace: &[dscs_serverless::cluster::trace::TraceRequest],
+    rng: &mut DeterministicRng,
+) -> Vec<dscs_serverless::cluster::trace::TraceRequest> {
+    let mut slots: Vec<u32> = trace.iter().map(|r| r.function).collect();
+    slots.sort_unstable();
+    slots.dedup();
+    // Selection sampling: take each candidate with probability
+    // still-needed / candidates-left, which ends with exactly `k` taken.
+    let mut spread = Vec::with_capacity(slots.len());
+    for candidate in 0..trace.len() {
+        let needed = slots.len() - spread.len();
+        if rng.next_index(trace.len() - candidate) < needed {
+            spread.push(candidate as u32);
+        }
+    }
+    trace
+        .iter()
+        .map(|r| dscs_serverless::cluster::trace::TraceRequest {
+            function: spread[slots.binary_search(&r.function).expect("listed")],
+            ..*r
+        })
+        .collect()
+}
+
 /// A run with a data layer prices its offline bound from the layer's first
 /// request per function, without walking the trace, while the public
-/// wrappers walk it and intern the ids themselves. The two agree bit for
-/// bit on random traces, half of them windows of
-/// `data/azure_trace_sample.csv`, whose function ids are 32-bit hashes.
-/// The wrappers depend on function identity only:
-/// renumbering the ids in ascending order, the data layer's slot order,
-/// leaves the bound's bits unchanged at zero and positive warm costs.
+/// wrappers walk it by slot. The two agree bit for bit on random traces,
+/// half of them windows of `data/azure_trace_sample.csv` renumbered
+/// densely. The wrappers depend on function identity and order only:
+/// spreading the slots apart, below the request count, leaves the bound's
+/// bits unchanged at zero and positive warm costs.
 #[test]
 fn slot_based_offline_bound_equals_the_public_wrappers() {
     use dscs_serverless::cluster::coldpath::ColdStartPath;
@@ -1201,15 +1255,18 @@ fn slot_based_offline_bound_equals_the_public_wrappers() {
         .collect();
     check(0xB1, |case, rng| {
         let trace: Vec<TraceRequest> = if case % 2 == 0 {
-            // A random window of the sample file, thinned at random.
+            // A random window of the sample file, thinned at random. Its
+            // slots count every function of the file's day, which may reach
+            // past the window's length, so they are renumbered densely.
             let len = int_in(rng, 50, 600) as usize;
             let start = int_in(rng, 0, (sample.len() - len) as u64) as usize;
             let keep = rng.uniform(0.2, 1.0);
-            sample[start..start + len]
+            let window: Vec<TraceRequest> = sample[start..start + len]
                 .iter()
                 .filter(|_| rng.bernoulli(keep))
                 .copied()
-                .collect()
+                .collect();
+            dense_slots(&window)
         } else {
             RateProfile {
                 segments: vec![(
@@ -1243,22 +1300,87 @@ fn slot_based_offline_bound_equals_the_public_wrappers() {
             optimal_coldstart_seconds(&trace, &priced).to_bits(),
             "case {case}: the layer's bound and the wrapper disagree"
         );
-        let mut ids: Vec<u32> = trace.iter().map(|r| r.function).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        let renumbered: Vec<TraceRequest> = trace
-            .iter()
-            .map(|r| TraceRequest {
-                function: ids.binary_search(&r.function).expect("listed") as u32,
-                ..*r
-            })
-            .collect();
+        let spread = spread_slots(&trace, rng);
         for warm in [0.0, rng.uniform(1e-4, 1.0), 1e3] {
             assert_eq!(
-                optimal_coldstart_seconds_with(&renumbered, &priced, warm).to_bits(),
+                optimal_coldstart_seconds_with(&spread, &priced, warm).to_bits(),
                 optimal_coldstart_seconds_with(&trace, &priced, warm).to_bits(),
                 "case {case}, warm cost {warm}"
             );
+        }
+    });
+}
+
+/// Function slots may have gaps: every per-function table grows to the
+/// highest slot and skips slots that never ran, and sums run in ascending
+/// slot order. So on random small traces, spreading the slots apart with an
+/// order-preserving map that stays below the request count leaves the
+/// whole `Outcome` bit-identical under every balancer, with and without a
+/// data layer. The case index walks the 4 keepalive x 3 scaling policies.
+#[test]
+fn spreading_function_slots_leaves_every_outcome_bit_identical() {
+    use std::sync::Arc;
+
+    use dscs_serverless::cluster::data::DataLayer;
+    use dscs_serverless::cluster::experiment::Experiment;
+    use dscs_serverless::cluster::policy::{KeepalivePolicy, LoadBalancer, ScalingPolicy};
+    use dscs_serverless::cluster::sim::{ClusterConfig, ClusterSim};
+    use dscs_serverless::cluster::trace::TraceRequest;
+    use dscs_serverless::core::benchmarks::Benchmark;
+    use dscs_serverless::platforms::PlatformKind;
+    use dscs_serverless::simcore::time::SimTime;
+
+    let base = ClusterSim::new(PlatformKind::DscsDsa, ClusterConfig::default());
+    check(0xB8, |case, rng| {
+        let combo = case as usize % 12;
+        let keepalive = KeepalivePolicy::all_default()[combo % 4];
+        let scaling = ScalingPolicy::all_default()[combo / 4];
+        let requests = int_in(rng, 1, 200);
+        let functions = int_in(rng, 1, requests.min(24) + 1);
+        let mut arrival = 0;
+        let trace: Vec<TraceRequest> = (0..requests)
+            .map(|_| {
+                arrival += int_in(rng, 0, 100_000_000);
+                let function = int_in(rng, 0, functions) as u32;
+                TraceRequest {
+                    arrival: SimTime::from_nanos(arrival),
+                    benchmark: Benchmark::ALL[function as usize % Benchmark::ALL.len()],
+                    function,
+                    object: rng.next_index(32) as u8,
+                    object_size_log2: 18 + rng.next_index(6) as u8,
+                }
+            })
+            .collect();
+        let spread = spread_slots(&trace, rng);
+        let racks = 1 + int_in(rng, 0, 4) as u32;
+        let seed = int_in(rng, 0, 1000);
+        let run = |trace: &[TraceRequest], balancer, with_data: bool| {
+            let trace = Arc::new(trace.to_vec());
+            let builder = Experiment::builder(PlatformKind::DscsDsa)
+                .trace(trace.clone())
+                .racks(racks)
+                .keepalive(keepalive)
+                .scaling(scaling)
+                .balancer(balancer)
+                .seed(seed);
+            let builder = if with_data {
+                builder.data_layer(DataLayer::for_trace(&trace, racks, seed))
+            } else {
+                builder
+            };
+            builder
+                .build()
+                .unwrap_or_else(|err| panic!("case {case}: valid config rejected: {err}"))
+                .run_on(&base)
+        };
+        for balancer in LoadBalancer::ALL {
+            for with_data in [false, true] {
+                assert_eq!(
+                    run(&trace, balancer, with_data),
+                    run(&spread, balancer, with_data),
+                    "case {case}: {keepalive:?} / {scaling:?} / {balancer:?} / data {with_data}"
+                );
+            }
         }
     });
 }
