@@ -70,22 +70,7 @@
 //! synthetic run). The second form ingests an existing trace file and
 //! re-emits it — CI uses both forms to pin generate → parse → re-emit
 //! byte-equality.
-//!
-//! reproduce perf-gate BASELINE.json CURRENT.json [--threshold PCT]
-//!
-//! Diffs two at-scale reports cell by cell and exits non-zero on mean/p99
-//! latency regressions beyond the threshold (default 10%); measured
-//! `events_per_sec` drops and cold-start-regret increases beyond the
-//! threshold are printed as warnings without failing (wall-clock throughput
-//! is noisy on shared runners, and regret drift flags the cold-start path
-//! for a look rather than blocking). A
-//! missing baseline file passes vacuously once the current report has been
-//! read and parsed, so the first CI run after enabling the gate succeeds;
-//! so does a baseline with a different schema version (the numbers are not
-//! comparable across a schema bump).
 //! ```
-
-mod perf_gate;
 
 use std::env;
 
@@ -109,7 +94,6 @@ use dscs_dse::space::{enumerate, enumerate_small};
 use dscs_platforms::PlatformKind;
 use dscs_simcore::rng::DeterministicRng;
 use dscs_simcore::stats::geometric_mean;
-use perf_gate::compare_reports;
 
 /// One CLI experiment entry: the names that select it, and its runner (the
 /// bool carries the `--full` flag).
@@ -117,21 +101,18 @@ type ExperimentEntry = (&'static [&'static str], fn(bool));
 
 fn main() {
     let args: Vec<String> = env::args().skip(1).collect();
-    if let Some(at) = args.iter().position(|a| a == "at-scale") {
-        let rest: Vec<String> = args[..at].iter().chain(&args[at + 1..]).cloned().collect();
-        at_scale(&rest);
-        return;
+    // Only the first argument names a subcommand, so an option's value (an
+    // `--out` path, say) can never be mistaken for one.
+    match args.first().map(String::as_str) {
+        Some("at-scale") => at_scale(&args[1..]),
+        Some("generate-trace") => generate_trace(&args[1..]),
+        _ => run_experiments(&args),
     }
-    if let Some(at) = args.iter().position(|a| a == "perf-gate") {
-        let rest: Vec<String> = args[..at].iter().chain(&args[at + 1..]).cloned().collect();
-        perf_gate(&rest);
-        return;
-    }
-    if let Some(at) = args.iter().position(|a| a == "generate-trace") {
-        let rest: Vec<String> = args[..at].iter().chain(&args[at + 1..]).cloned().collect();
-        generate_trace(&rest);
-        return;
-    }
+}
+
+/// `reproduce [experiment] [--full]`: runs one paper table or figure, or all
+/// of them.
+fn run_experiments(args: &[String]) {
     let full = args.iter().any(|a| a == "--full");
     let which = args
         .iter()
@@ -163,10 +144,11 @@ fn main() {
     let known =
         |name: &str| name == "all" || experiments.iter().any(|(names, _)| names.contains(&name));
     if !known(&which) {
-        let mut names: Vec<&str> = vec!["all", "at-scale", "perf-gate", "generate-trace"];
+        let mut names: Vec<&str> = vec!["all"];
         names.extend(experiments.iter().flat_map(|(n, _)| n.iter().copied()));
         eprintln!(
-            "unknown experiment '{which}'; expected one of: {}",
+            "unknown experiment '{which}'; expected one of: {}; or, as the first \
+             argument, the subcommand at-scale or generate-trace",
             names.join(", ")
         );
         std::process::exit(2);
@@ -541,8 +523,8 @@ fn at_scale(args: &[String]) {
                     }
                     // The large preset's restricted grid at smaller sizes:
                     // `large-smoke` lets CI exercise the preset without the
-                    // 10⁷ trace, `large-quick` is the single-cell speedup
-                    // measurement the perf artifact tracks.
+                    // 10⁷ trace, `large-quick` is the single-cell
+                    // rack-parallel speedup measurement CI prints.
                     "large-smoke" => {
                         options.scale = SweepScale::Smoke;
                         large_preset = true;
@@ -837,9 +819,9 @@ fn at_scale(args: &[String]) {
         jobs,
         if jobs == 1 { "" } else { "s" }
     );
-    // Ship the throughput-annotated variant: the perf gate reads the
-    // measured events_per_sec; byte-for-byte comparisons strip those keys or
-    // use to_json().
+    // Ship the throughput-annotated variant: CI's rack-parallel speedup step
+    // reads the measured events_per_sec; byte-for-byte comparisons strip
+    // those keys or use to_json().
     let json = report.to_json_with_throughput();
     match std::fs::write(&out_path, &json) {
         Ok(()) => println!("wrote {} cells to {out_path}", report.cells.len()),
@@ -970,109 +952,4 @@ fn generate_trace(args: &[String]) {
             std::process::exit(1);
         }
     }
-}
-
-/// `reproduce perf-gate BASELINE.json CURRENT.json [--threshold PCT]`: the CI
-/// perf-regression gate. Exits 1 when the current report cannot be read or
-/// parsed, or when any sweep cell's mean or p99 latency regressed beyond the
-/// threshold relative to the baseline report; a missing baseline file
-/// passes vacuously once the current report has parsed (the first gated run
-/// has no history).
-fn perf_gate(args: &[String]) {
-    let mut threshold = 10.0f64;
-    let mut paths: Vec<&String> = Vec::new();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--threshold" => {
-                let value = iter.next().and_then(|v| v.parse::<f64>().ok());
-                match value {
-                    Some(v) if v.is_finite() && v > 0.0 => threshold = v,
-                    _ => {
-                        eprintln!("--threshold needs a positive percentage");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            other if !other.starts_with("--") => paths.push(arg),
-            other => {
-                eprintln!("unknown perf-gate option '{other}'");
-                eprintln!(
-                    "usage: reproduce perf-gate BASELINE.json CURRENT.json [--threshold PCT]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-    let [baseline_path, current_path] = paths.as_slice() else {
-        eprintln!("usage: reproduce perf-gate BASELINE.json CURRENT.json [--threshold PCT]");
-        std::process::exit(2);
-    };
-
-    header(&format!("Perf gate ({threshold}% threshold)"));
-    let current = match std::fs::read_to_string(current_path) {
-        Ok(text) => text,
-        Err(err) => {
-            eprintln!("failed to read current report {current_path}: {err}");
-            std::process::exit(1);
-        }
-    };
-    let baseline = match std::fs::read_to_string(baseline_path) {
-        Ok(text) => text,
-        Err(err) => {
-            // Comparing the current report with itself checks that it
-            // parses and carries its cells before the gate passes.
-            if let Err(err) = compare_reports(&current, &current, threshold) {
-                eprintln!("perf gate could not read the current report: {err}");
-                std::process::exit(1);
-            }
-            println!("no baseline at {baseline_path} ({err}); passing vacuously");
-            return;
-        }
-    };
-    let outcome = match compare_reports(&baseline, &current, threshold) {
-        Ok(outcome) => outcome,
-        Err(err) => {
-            eprintln!("perf gate could not compare reports: {err}");
-            std::process::exit(1);
-        }
-    };
-    if let Some(note) = &outcome.schema_note {
-        println!("schema change detected: {note}");
-    }
-    println!(
-        "compared {} cells ({} skipped: only on one side or schema change)",
-        outcome.compared, outcome.skipped
-    );
-    if !outcome.throughput_warnings.is_empty() {
-        println!(
-            "WARN: {} engine-throughput drop(s) beyond {threshold}% (warn-only, not gating):",
-            outcome.throughput_warnings.len()
-        );
-        for warning in &outcome.throughput_warnings {
-            println!("  {warning}");
-        }
-    }
-    if !outcome.regret_warnings.is_empty() {
-        println!(
-            "WARN: {} cold-start-regret increase(s) beyond {threshold} point(s) \
-             (warn-only, not gating):",
-            outcome.regret_warnings.len()
-        );
-        for warning in &outcome.regret_warnings {
-            println!("  {warning}");
-        }
-    }
-    if outcome.passed() {
-        println!("OK: no latency regression beyond {threshold}%");
-        return;
-    }
-    eprintln!(
-        "FAIL: {} metric(s) regressed beyond {threshold}%:",
-        outcome.regressions.len()
-    );
-    for regression in &outcome.regressions {
-        eprintln!("  {regression}");
-    }
-    std::process::exit(1);
 }

@@ -20,16 +20,16 @@
 //! cross-rack bytes moved, the fetch latency charged, and (since v4) the
 //! joules those moves cost — the energy axis balancers are compared on.
 //!
-//! Cells are independent, so [`SweepSpec::run`] fans them out across a
-//! vendored `std::thread` pool ([`SweepSpec::jobs`]; `0` means one worker
-//! per available core, `1` keeps the historical sequential path). Workers
-//! pull cells from a shared index and write results into per-cell slots, so
-//! the report always assembles in grid order: the rendered JSON is
+//! Cells are independent, so [`SweepSpec::run`] fans them out across the
+//! [`dscs_simcore::par`] worker pool ([`SweepSpec::jobs`]; `0` means one
+//! worker per available core, `1` keeps the historical sequential path).
+//! Workers pull cells from a shared index and write results into per-cell
+//! slots, so the report always assembles in grid order: the rendered JSON is
 //! byte-identical whatever the worker count. Since v5, every cell also
 //! carries the engine-work counter (`events`) and — in the
 //! [`AtScaleReport::to_json_with_throughput`] variant only — the measured
-//! `events_per_sec` simulator throughput the perf gate tracks. Since v7,
-//! every cell also carries its aggregate cold-start seconds, the
+//! `events_per_sec` simulator throughput. Since v7, every cell also carries
+//! its aggregate cold-start seconds, the
 //! offline-optimal lower bound on them ([`crate::optimal`], computed once
 //! per workload × platform × cold-start-path triple and shared by every
 //! policy cell) and the derived `regret_pct` — how far the cell's policy
@@ -39,11 +39,9 @@
 //! snapshot restore) and [`IpcTransport`] (shm / socket / http), plus the
 //! seconds each charged (`restore_s`, `ipc_overhead_s`), and the optimal
 //! bound is priced under the cell's own path so regret stays path-matched.
-//! CI runs the quick version of the sweep every build, uploads the report as
-//! an artifact (`BENCH_cluster.json`), and diffs it against the previous
-//! run's artifact (the `reproduce perf-gate` command), giving the repo a
-//! tracked, gated performance trajectory. Fixed-seed runs are byte-for-byte
-//! reproducible.
+//! Fixed-seed runs are byte-for-byte reproducible, so CI pins the modelled
+//! bytes of the quick sweep's report (`BENCH_cluster.json`): the sha256 of
+//! the report with its measured keys stripped.
 //!
 //! [`AtScaleOptions`] names only the scale, seed and rack count of the
 //! default grid; axes and worker counts are set on the [`SweepSpec`].
@@ -490,8 +488,9 @@ pub struct SweepCell {
     /// Workload name (`"bursty"`, `"azure"`, `"trace"`).
     pub workload: String,
     /// Where the workload's trace came from (`"synthetic"`,
-    /// `"trace-file:<file>"`). Part of cell identity: the perf gate keys on
-    /// it, so a trace-file cell is never diffed against a synthetic one.
+    /// `"trace-file:<file>"`). Part of cell identity:
+    /// [`AtScaleReport::cross_validation`] matches cells on it, so cells of
+    /// two workloads that share a name (two trace files, say) never pair up.
     pub workload_source: String,
     /// Platform under test.
     pub platform: PlatformKind,
@@ -790,7 +789,7 @@ impl AtScaleReport {
     /// Renders [`AtScaleReport::to_json`] plus the measured throughput
     /// fields: per-cell and aggregate `wall_s` / `events_per_sec`. These are
     /// host measurements and differ run to run — this is the variant
-    /// `BENCH_cluster.json` ships so the perf gate can track engine speed;
+    /// `reproduce at-scale` writes, so a run reports its own engine speed;
     /// byte-comparisons must strip the measured keys or use
     /// [`AtScaleReport::to_json`].
     pub fn to_json_with_throughput(&self) -> String {

@@ -47,8 +47,8 @@
 //!   with modelled provisioning delay, multi-rack sharding, and the reported
 //!   series (queued functions over time, wall-clock latency over time).
 //! * [`at_scale`] — the declarative policy sweep ([`SweepSpec`]) behind
-//!   `reproduce at-scale` and the CI perf artifact (`BENCH_cluster.json`),
-//!   which the `reproduce perf-gate` command diffs across builds.
+//!   `reproduce at-scale`, whose quick-grid report (`BENCH_cluster.json`) CI
+//!   pins by the sha256 of its modelled bytes.
 //!
 //! # Example
 //!

@@ -522,9 +522,9 @@ pub struct RealizedWorkload {
     /// Workload name (`"bursty"`, `"azure"`, `"trace"`, ...).
     pub name: String,
     /// Where the trace came from: `"synthetic"` for the generators,
-    /// `"trace-file:<file>"` for ingested files. Sweep-cell identity (and
-    /// the perf gate's cell key) includes this, so a trace-file cell is
-    /// never diffed against a synthetic one.
+    /// `"trace-file:<file>"` for ingested files. Sweep-cell identity
+    /// includes this, so cross-validation never pairs the cells of two
+    /// workloads that share a name.
     pub source: String,
     /// The request trace, shared across every cell that replays it.
     pub trace: Arc<Vec<TraceRequest>>,

@@ -1,16 +1,16 @@
 //! Minimal deterministic JSON emission.
 //!
 //! The workspace depends on no crate outside the repository, so
-//! machine-readable reports — the at-scale sweep artifact CI uploads, for one —
+//! machine-readable reports — the at-scale sweep report, for one —
 //! are emitted through this small value tree. Rendering is fully
 //! deterministic: object keys keep insertion order and floats use Rust's
 //! shortest-roundtrip formatting, so a fixed-seed report is byte-for-byte
 //! reproducible across runs.
 //!
 //! The module also provides a small recursive-descent [`JsonValue::parse`] so
-//! reports can be read back: the perf-regression gate diffs the previous CI
-//! run's artifact against the current one. Numbers roundtrip losslessly —
-//! floats use shortest-roundtrip formatting on the way out and
+//! JSON can be read back: the repository benchmark reads `BENCHMARK.json`
+//! and its child runs' results, spans included, with it. Numbers roundtrip
+//! losslessly — floats use shortest-roundtrip formatting on the way out and
 //! `str::parse::<f64>` on the way back in, both of which are exact — but the
 //! *variant* is not preserved for whole-valued floats: `Float(12.0)` renders
 //! as `12` (JSON has one number type) and parses back as `UInt(12)`. Compare
