@@ -73,6 +73,7 @@
 //! ```
 
 use std::env;
+use std::io::{self, Write};
 
 use dscs_cluster::at_scale::{AtScaleOptions, SweepScale, SweepSpec};
 use dscs_cluster::coldpath::{ColdStartPath, IpcTransport};
@@ -95,6 +96,40 @@ use dscs_platforms::PlatformKind;
 use dscs_simcore::rng::DeterministicRng;
 use dscs_simcore::stats::geometric_mean;
 
+// Everything `reproduce` prints goes through `emit`: the two macros below
+// shadow std's `print!` and `println!` in this file, so no write can
+// bypass it.
+
+/// Writes to stdout. A reader that closes the pipe early
+/// (`reproduce table1 | head -2`) ends the program quietly with status 0;
+/// any other write error exits 1 with a message.
+fn emit(args: std::fmt::Arguments<'_>) {
+    if let Err(err) = io::stdout().write_fmt(args) {
+        if err.kind() == io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("cannot write to stdout: {err}");
+        std::process::exit(1);
+    }
+}
+
+/// std's `print!`, written through [`emit`].
+macro_rules! print {
+    ($($arg:tt)*) => {
+        emit(format_args!($($arg)*))
+    };
+}
+
+/// std's `println!`, written through [`emit`].
+macro_rules! println {
+    () => {
+        emit(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        emit(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 /// One CLI experiment entry: the names that select it, and its runner (the
 /// bool carries the `--full` flag).
 type ExperimentEntry = (&'static [&'static str], fn(bool));
@@ -113,13 +148,27 @@ fn main() {
 /// `reproduce [experiment] [--full]`: runs one paper table or figure, or all
 /// of them.
 fn run_experiments(args: &[String]) {
-    let full = args.iter().any(|a| a == "--full");
-    let which = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .map(String::as_str)
-        .unwrap_or("all")
-        .to_string();
+    let usage = "usage: reproduce [experiment] [--full] | reproduce at-scale [options] \
+                 | reproduce generate-trace [options]";
+    let mut full = false;
+    let mut which: Option<&str> = None;
+    for arg in args {
+        match (arg.as_str(), which) {
+            ("--full", _) => full = true,
+            (option, _) if option.starts_with('-') => {
+                eprintln!("unknown option '{option}'");
+                eprintln!("{usage}");
+                std::process::exit(2);
+            }
+            (name, None) => which = Some(name),
+            (extra, Some(first)) => {
+                eprintln!("a second experiment '{extra}' after '{first}'; name at most one");
+                eprintln!("{usage}");
+                std::process::exit(2);
+            }
+        }
+    }
+    let which = which.unwrap_or("all");
 
     // One entry per experiment: accepted names (fig7/fig8 share a runner) and
     // the handler. Name validation derives from this table, so adding an
@@ -143,7 +192,7 @@ fn run_experiments(args: &[String]) {
 
     let known =
         |name: &str| name == "all" || experiments.iter().any(|(names, _)| names.contains(&name));
-    if !known(&which) {
+    if !known(which) {
         let mut names: Vec<&str> = vec!["all"];
         names.extend(experiments.iter().flat_map(|(n, _)| n.iter().copied()));
         eprintln!(
@@ -155,7 +204,7 @@ fn run_experiments(args: &[String]) {
     }
 
     for (names, runner) in &experiments {
-        if which == "all" || names.contains(&which.as_str()) {
+        if which == "all" || names.contains(&which) {
             runner(full);
         }
     }

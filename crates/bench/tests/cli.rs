@@ -1,7 +1,8 @@
 //! The `reproduce` binary's command line, run as a child process.
 
+use std::io::{BufRead, BufReader};
 use std::path::Path;
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 /// Only the first argument names a subcommand: an `--out` path that happens
 /// to spell one is still just a path.
@@ -31,4 +32,55 @@ fn a_subcommand_name_after_the_first_argument_is_an_option_value() {
         written == sample,
         "`--sample` regenerates the checked-in sample"
     );
+}
+
+/// A reader that closes the pipe early ends the run quietly: no panic and
+/// no panic status, whichever line the closed pipe interrupts. Each round
+/// reads one line of Table 1 (a few milliseconds of output) and drops the
+/// pipe while the rest may still be on its way, so the rounds together
+/// close it at different points of the output.
+#[test]
+fn a_reader_that_closes_early_ends_the_run_quietly() {
+    for round in 0..20 {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_reproduce"))
+            .arg("table1")
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("the reproduce binary starts");
+        let mut first = String::new();
+        BufReader::new(child.stdout.take().expect("stdout is piped"))
+            .read_line(&mut first)
+            .expect("the first line arrives");
+        let output = child.wait_with_output().expect("the child is reaped");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_ne!(
+            output.status.code(),
+            Some(101),
+            "round {round}: panic status; stderr: {stderr}"
+        );
+        assert!(
+            !stderr.contains("panicked"),
+            "round {round}: stderr: {stderr}"
+        );
+    }
+}
+
+/// `reproduce <experiment>` takes one experiment name and `--full`, and
+/// rejects anything else with status 2 and a usage line before it runs.
+#[test]
+fn unknown_options_and_a_second_experiment_exit_2_before_running() {
+    for args in [&["table1", "--bogus", "table2"][..], &["table1", "table2"]] {
+        let output = Command::new(env!("CARGO_BIN_EXE_reproduce"))
+            .args(args)
+            .output()
+            .expect("the reproduce binary starts");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage: reproduce"), "{args:?}: {stderr}");
+        assert!(
+            output.stdout.is_empty(),
+            "{args:?} ran before rejecting its arguments"
+        );
+    }
 }

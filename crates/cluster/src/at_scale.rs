@@ -246,7 +246,10 @@ impl SweepSpec {
             return Err(ConfigError::ZeroRacks);
         }
         if self.racks > DataLayer::MAX_RACKS {
-            return Err(ConfigError::TooManyRacks { racks: self.racks });
+            return Err(ConfigError::TooManyRacks {
+                racks: self.racks,
+                max: DataLayer::MAX_RACKS,
+            });
         }
         let axes: [(&'static str, bool); 8] = [
             ("workloads", self.workloads.is_empty()),
@@ -1179,7 +1182,10 @@ mod tests {
         assert_eq!(racks(255).check(), Ok(()));
         assert_eq!(
             racks(256).check(),
-            Err(ConfigError::TooManyRacks { racks: 256 })
+            Err(ConfigError::TooManyRacks {
+                racks: 256,
+                max: 255
+            })
         );
     }
 

@@ -77,12 +77,15 @@ pub enum ConfigError {
     EmptyTrace,
     /// The experiment shards over zero racks.
     ZeroRacks,
-    /// A sweep shards over more racks than a [`DataLayer`] spans
-    /// ([`DataLayer::MAX_RACKS`]). Every sweep places its workloads' data,
-    /// so it is bounded; runs without a data layer take any rack count.
+    /// A run or sweep shards over more racks than it can: any run over
+    /// more than [`ClusterSim::MAX_RACKS`] (its event loop names a rack in
+    /// 22 bits), or a sweep over more than the [`DataLayer::MAX_RACKS`] a
+    /// data layer spans (every sweep places its workloads' data).
     TooManyRacks {
         /// The requested rack count.
         racks: u32,
+        /// The most racks allowed.
+        max: u32,
     },
     /// The attached data layer was built for a different rack count than the
     /// experiment shards over.
@@ -181,11 +184,9 @@ impl fmt::Display for ConfigError {
         match self {
             ConfigError::EmptyTrace => write!(f, "experiment trace must not be empty"),
             ConfigError::ZeroRacks => write!(f, "experiment needs at least one rack"),
-            ConfigError::TooManyRacks { racks } => write!(
-                f,
-                "{racks} racks exceed the {} a data layer spans",
-                DataLayer::MAX_RACKS
-            ),
+            ConfigError::TooManyRacks { racks, max } => {
+                write!(f, "{racks} racks exceed the limit of {max}")
+            }
             ConfigError::DataLayerRackMismatch { layer_racks, racks } => write!(
                 f,
                 "data layer covers {layer_racks} rack(s) but the experiment shards over {racks}"
@@ -283,6 +284,12 @@ fn validate_run(
     }
     if racks == 0 {
         return Err(ConfigError::ZeroRacks);
+    }
+    if racks > ClusterSim::MAX_RACKS {
+        return Err(ConfigError::TooManyRacks {
+            racks,
+            max: ClusterSim::MAX_RACKS,
+        });
     }
     if let Some(data) = data {
         if data.rack_count() != racks {
@@ -612,7 +619,8 @@ mod tests {
             .build()
             .expect_err("zero racks");
         assert_eq!(err, ConfigError::ZeroRacks);
-        // Only a data layer bounds the rack count (`DataLayer::MAX_RACKS`).
+        // Without a data layer, the rack count is bounded only by the event
+        // loop's `ClusterSim::MAX_RACKS`, far above a data layer's.
         assert!(Experiment::builder(PlatformKind::DscsDsa)
             .trace(short_trace(2))
             .racks(DataLayer::MAX_RACKS + 1)
@@ -742,7 +750,10 @@ mod tests {
         let errors: Vec<ConfigError> = vec![
             ConfigError::EmptyTrace,
             ConfigError::ZeroRacks,
-            ConfigError::TooManyRacks { racks: 256 },
+            ConfigError::TooManyRacks {
+                racks: 256,
+                max: 255,
+            },
             ConfigError::DataLayerRackMismatch {
                 layer_racks: 4,
                 racks: 2,

@@ -103,8 +103,8 @@ pub use experiment::{ConfigError, Experiment, ExperimentBuilder, Outcome};
 pub use ingest::{DaySummary, IngestError, MemoryPercentile, TraceFileWorkload};
 pub use optimal::{optimal_coldstart_seconds, optimal_coldstart_seconds_with, regret_pct};
 pub use policy::{
-    KeepalivePolicy, KeepaliveState, KeepaliveStats, LoadBalancer, ScalingPolicy, SchedQueue,
-    SchedulerPolicy, HYBRID_TAIL,
+    KeepalivePolicy, KeepaliveState, KeepaliveStats, LoadBalancer, ScalingPolicy, SchedulerPolicy,
+    HYBRID_TAIL,
 };
 pub use sim::{ClusterConfig, ClusterReport, ClusterSim, EngineSelection, RackSummary};
 pub use trace::{RateProfile, TraceRequest};

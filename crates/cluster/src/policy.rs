@@ -20,13 +20,13 @@
 //!   (round-robin, least-loaded, data-locality-aware with a spill
 //!   threshold).
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 use dscs_core::benchmarks::Benchmark;
 use dscs_simcore::time::{SimDuration, SimTime};
 
 use crate::experiment::ConfigError;
+use crate::sim::BENCHMARKS;
 
 /// Which queued request is started next when capacity frees up.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -351,88 +351,110 @@ impl ScalingPolicy {
 
 /// A policy-driven scheduler queue over request indices into a trace.
 ///
-/// All disciplines are deterministic: ties (equal service times, the
-/// round-robin cursor) resolve by submission order.
+/// Every discipline is a set of FIFO queues, one per request *class*, plus a
+/// rule for which class pops next. A request's class comes from its
+/// benchmark, through a table built once per rack from the run's
+/// per-benchmark service times:
 ///
-/// `len`/`is_empty` are derived from the underlying per-policy structures
-/// rather than a separately maintained counter. An earlier revision cached
-/// the count and decremented it on pop, which under the fair round-robin
-/// policy left the cached value trusting that no per-benchmark subqueue went
-/// stale between a drain and the next audit; deriving the count makes the
-/// accessors structurally consistent with the subqueues by construction.
+/// * FCFS puts every benchmark in class 0.
+/// * Shortest-job-first ranks each benchmark's service time among the
+///   run's distinct service times. Benchmarks with equal service times
+///   share a class, so ties pop in submission order.
+/// * Fair gives each benchmark its own class.
+///
+/// FCFS and shortest-job-first pop from the lowest occupied class. Fair
+/// pops from the first occupied class at or after its cursor, wrapping
+/// around, and moves the cursor past that class, so one hot benchmark
+/// cannot starve the others. A bitmask of occupied classes finds either
+/// class in O(1), and the length is a counter. Every discipline is
+/// deterministic.
 #[derive(Debug)]
-pub struct SchedQueue {
-    policy: SchedulerPolicy,
-    fcfs: VecDeque<usize>,
-    // SJF: min-heap on (service nanos, submission seq), so equal service
-    // times pop in FIFO order.
-    sjf: BinaryHeap<Reverse<(u64, u64, usize)>>,
-    seq: u64,
-    per_bench: Vec<VecDeque<usize>>,
-    cursor: usize,
+pub(crate) struct SchedQueue {
+    /// Each benchmark's class, indexed by `Benchmark as usize`.
+    class_of: [u8; BENCHMARKS],
+    /// One FIFO of trace indices per class.
+    classes: [VecDeque<usize>; BENCHMARKS],
+    /// Bit `c` is set while class `c` holds a request.
+    occupied: u32,
+    /// Whether pops round-robin over the classes (fair) rather than take
+    /// the lowest occupied one.
+    round_robin: bool,
+    /// The class the next pop searches from; stays 0 unless `round_robin`.
+    cursor: u32,
+    len: usize,
 }
 
+// The occupancy mask holds one bit per class, and the fair cursor may sit
+// one past the last class.
+const _: () = assert!(BENCHMARKS < u32::BITS as usize);
+
 impl SchedQueue {
-    /// Creates an empty queue under `policy`.
-    pub fn new(policy: SchedulerPolicy) -> Self {
+    /// An empty queue under `policy`, classing requests by
+    /// `service_times` (the run's per-benchmark service times, indexed by
+    /// `Benchmark as usize`).
+    pub(crate) fn new(policy: SchedulerPolicy, service_times: &[SimDuration; BENCHMARKS]) -> Self {
+        let class_of = match policy {
+            SchedulerPolicy::Fcfs => [0; BENCHMARKS],
+            SchedulerPolicy::ShortestJobFirst => {
+                let mut distinct = service_times.to_vec();
+                distinct.sort_unstable();
+                distinct.dedup();
+                service_times.map(|t| distinct.partition_point(|&d| d < t) as u8)
+            }
+            SchedulerPolicy::FairPerBenchmark => std::array::from_fn(|b| b as u8),
+        };
         SchedQueue {
-            policy,
-            fcfs: VecDeque::new(),
-            sjf: BinaryHeap::new(),
-            seq: 0,
-            per_bench: (0..Benchmark::ALL.len()).map(|_| VecDeque::new()).collect(),
+            class_of,
+            classes: std::array::from_fn(|_| VecDeque::new()),
+            occupied: 0,
+            round_robin: policy == SchedulerPolicy::FairPerBenchmark,
             cursor: 0,
+            len: 0,
         }
     }
 
-    /// Number of queued requests, counted from the live per-policy structures.
-    pub fn len(&self) -> usize {
-        match self.policy {
-            SchedulerPolicy::Fcfs => self.fcfs.len(),
-            SchedulerPolicy::ShortestJobFirst => self.sjf.len(),
-            SchedulerPolicy::FairPerBenchmark => self.per_bench.iter().map(VecDeque::len).sum(),
-        }
+    /// Number of queued requests.
+    pub(crate) fn len(&self) -> usize {
+        self.len
     }
 
     /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    pub(crate) fn is_empty(&self) -> bool {
+        self.len == 0
     }
 
-    /// Enqueues trace index `idx` for `benchmark` with modelled service time
-    /// `service` (used by shortest-job-first ordering).
-    pub fn push(&mut self, idx: usize, benchmark: Benchmark, service: SimDuration) {
-        match self.policy {
-            SchedulerPolicy::Fcfs => self.fcfs.push_back(idx),
-            SchedulerPolicy::ShortestJobFirst => {
-                self.sjf.push(Reverse((service.as_nanos(), self.seq, idx)));
-                self.seq += 1;
-            }
-            SchedulerPolicy::FairPerBenchmark => {
-                self.per_bench[benchmark as usize].push_back(idx);
-            }
-        }
+    /// Enqueues trace index `idx`, a request for `benchmark`.
+    pub(crate) fn push(&mut self, idx: usize, benchmark: Benchmark) {
+        let class = self.class_of[benchmark as usize];
+        self.classes[usize::from(class)].push_back(idx);
+        self.occupied |= 1 << class;
+        self.len += 1;
     }
 
     /// Removes and returns the next request to start, per the policy.
-    pub fn pop(&mut self) -> Option<usize> {
-        match self.policy {
-            SchedulerPolicy::Fcfs => self.fcfs.pop_front(),
-            SchedulerPolicy::ShortestJobFirst => self.sjf.pop().map(|Reverse((_, _, idx))| idx),
-            SchedulerPolicy::FairPerBenchmark => {
-                let n = self.per_bench.len();
-                let mut found = None;
-                for step in 0..n {
-                    let b = (self.cursor + step) % n;
-                    if let Some(idx) = self.per_bench[b].pop_front() {
-                        self.cursor = (b + 1) % n;
-                        found = Some(idx);
-                        break;
-                    }
-                }
-                found
-            }
+    pub(crate) fn pop(&mut self) -> Option<usize> {
+        if self.occupied == 0 {
+            return None;
         }
+        let from_cursor = self.occupied & (u32::MAX << self.cursor);
+        let class = if from_cursor != 0 {
+            from_cursor
+        } else {
+            self.occupied
+        }
+        .trailing_zeros();
+        let queue = &mut self.classes[class as usize];
+        let idx = queue
+            .pop_front()
+            .expect("an occupied class holds a request");
+        if queue.is_empty() {
+            self.occupied &= !(1 << class);
+        }
+        if self.round_robin {
+            self.cursor = class + 1;
+        }
+        self.len -= 1;
+        Some(idx)
     }
 }
 
@@ -1098,6 +1120,9 @@ fn grow_to<T: Default>(table: &mut Vec<T>, slot: u32) -> &mut T {
 
 #[cfg(test)]
 mod tests {
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
     use super::*;
     use dscs_simcore::rng::DeterministicRng;
 
@@ -1426,15 +1451,16 @@ mod tests {
         assert_eq!(state.gaps.len(), 1);
     }
 
+    /// A per-benchmark service table from milliseconds.
+    fn millis(table: [u64; BENCHMARKS]) -> [SimDuration; BENCHMARKS] {
+        table.map(SimDuration::from_millis)
+    }
+
     #[test]
     fn fcfs_pops_in_submission_order() {
-        let mut q = SchedQueue::new(SchedulerPolicy::Fcfs);
+        let mut q = SchedQueue::new(SchedulerPolicy::Fcfs, &millis([5, 4, 3, 2, 1, 1, 1, 1]));
         for i in 0..5 {
-            q.push(
-                i,
-                Benchmark::ALL[i % 8],
-                SimDuration::from_millis(5 - i as u64),
-            );
+            q.push(i, Benchmark::ALL[i % 8]);
         }
         let order: Vec<usize> = std::iter::from_fn(|| q.pop()).collect();
         assert_eq!(order, vec![0, 1, 2, 3, 4]);
@@ -1442,27 +1468,165 @@ mod tests {
 
     #[test]
     fn sjf_pops_cheapest_first_with_fifo_ties() {
-        let mut q = SchedQueue::new(SchedulerPolicy::ShortestJobFirst);
-        q.push(0, Benchmark::ALL[0], SimDuration::from_millis(30));
-        q.push(1, Benchmark::ALL[1], SimDuration::from_millis(10));
-        q.push(2, Benchmark::ALL[2], SimDuration::from_millis(10));
-        q.push(3, Benchmark::ALL[3], SimDuration::from_millis(20));
+        let mut q = SchedQueue::new(
+            SchedulerPolicy::ShortestJobFirst,
+            &millis([30, 10, 10, 20, 40, 40, 40, 40]),
+        );
+        q.push(0, Benchmark::ALL[0]);
+        q.push(1, Benchmark::ALL[1]);
+        q.push(2, Benchmark::ALL[2]);
+        q.push(3, Benchmark::ALL[3]);
         let order: Vec<usize> = std::iter::from_fn(|| q.pop()).collect();
         assert_eq!(order, vec![1, 2, 3, 0]);
     }
 
     #[test]
     fn fair_round_robins_across_benchmarks() {
-        let mut q = SchedQueue::new(SchedulerPolicy::FairPerBenchmark);
+        let mut q = SchedQueue::new(SchedulerPolicy::FairPerBenchmark, &millis([1; BENCHMARKS]));
         // Three requests of benchmark 0, one of benchmark 1.
-        q.push(10, Benchmark::ALL[0], SimDuration::from_millis(1));
-        q.push(11, Benchmark::ALL[0], SimDuration::from_millis(1));
-        q.push(12, Benchmark::ALL[0], SimDuration::from_millis(1));
-        q.push(20, Benchmark::ALL[1], SimDuration::from_millis(1));
+        q.push(10, Benchmark::ALL[0]);
+        q.push(11, Benchmark::ALL[0]);
+        q.push(12, Benchmark::ALL[0]);
+        q.push(20, Benchmark::ALL[1]);
         let order: Vec<usize> = std::iter::from_fn(|| q.pop()).collect();
         // The lone benchmark-1 request is served second, not last.
         assert_eq!(order, vec![10, 20, 11, 12]);
         assert!(q.is_empty());
+    }
+
+    /// The three disciplines the class queues replaced, kept as an
+    /// independent reference: one FIFO deque, a min-heap on
+    /// `(service, submission seq)`, and a cursor scan over per-benchmark
+    /// deques, with the length summed from the live structures.
+    struct ReferenceSchedQueue {
+        policy: SchedulerPolicy,
+        fcfs: VecDeque<usize>,
+        sjf: BinaryHeap<Reverse<(u64, u64, usize)>>,
+        seq: u64,
+        per_bench: Vec<VecDeque<usize>>,
+        cursor: usize,
+    }
+
+    impl ReferenceSchedQueue {
+        fn new(policy: SchedulerPolicy) -> Self {
+            ReferenceSchedQueue {
+                policy,
+                fcfs: VecDeque::new(),
+                sjf: BinaryHeap::new(),
+                seq: 0,
+                per_bench: (0..BENCHMARKS).map(|_| VecDeque::new()).collect(),
+                cursor: 0,
+            }
+        }
+
+        fn len(&self) -> usize {
+            match self.policy {
+                SchedulerPolicy::Fcfs => self.fcfs.len(),
+                SchedulerPolicy::ShortestJobFirst => self.sjf.len(),
+                SchedulerPolicy::FairPerBenchmark => self.per_bench.iter().map(VecDeque::len).sum(),
+            }
+        }
+
+        fn push(&mut self, idx: usize, benchmark: Benchmark, service: SimDuration) {
+            match self.policy {
+                SchedulerPolicy::Fcfs => self.fcfs.push_back(idx),
+                SchedulerPolicy::ShortestJobFirst => {
+                    self.sjf.push(Reverse((service.as_nanos(), self.seq, idx)));
+                    self.seq += 1;
+                }
+                SchedulerPolicy::FairPerBenchmark => {
+                    self.per_bench[benchmark as usize].push_back(idx);
+                }
+            }
+        }
+
+        fn pop(&mut self) -> Option<usize> {
+            match self.policy {
+                SchedulerPolicy::Fcfs => self.fcfs.pop_front(),
+                SchedulerPolicy::ShortestJobFirst => self.sjf.pop().map(|Reverse((_, _, idx))| idx),
+                SchedulerPolicy::FairPerBenchmark => {
+                    let n = self.per_bench.len();
+                    for step in 0..n {
+                        let b = (self.cursor + step) % n;
+                        if let Some(idx) = self.per_bench[b].pop_front() {
+                            self.cursor = (b + 1) % n;
+                            return Some(idx);
+                        }
+                    }
+                    None
+                }
+            }
+        }
+    }
+
+    /// Seeded property test: under every policy, random push and pop
+    /// sequences pop the same requests from the class queues as from the
+    /// reference, and the lengths agree after every operation. Service
+    /// tables draw from at most three values, so benchmarks tie; some cases
+    /// favour one hot benchmark. The coverage counters at the end check that
+    /// queues both grew deep and drained empty mid-run.
+    #[test]
+    fn class_queues_match_the_reference_disciplines() {
+        const CASES: u64 = 96;
+        let (mut deep, mut drained) = (0, 0);
+        for case in 0..CASES {
+            let mut rng =
+                DeterministicRng::seeded(0x5C4E ^ case.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            let values: Vec<u64> = (0..3).map(|_| 1 + rng.next_index(4) as u64).collect();
+            let times: [SimDuration; BENCHMARKS] =
+                std::array::from_fn(|_| SimDuration::from_micros(*rng.choose(&values)));
+            let push_share = rng.uniform(0.3, 0.8);
+            let hot = rng.bernoulli(0.5).then(|| rng.next_index(BENCHMARKS));
+            for policy in SchedulerPolicy::ALL {
+                let mut queue = SchedQueue::new(policy, &times);
+                let mut reference = ReferenceSchedQueue::new(policy);
+                let mut depth = 0;
+                for step in 0..400 {
+                    if rng.bernoulli(push_share) {
+                        let b = match hot {
+                            Some(b) if rng.bernoulli(0.6) => b,
+                            _ => rng.next_index(BENCHMARKS),
+                        };
+                        queue.push(step, Benchmark::ALL[b]);
+                        reference.push(step, Benchmark::ALL[b], times[b]);
+                    } else {
+                        assert_eq!(
+                            queue.pop(),
+                            reference.pop(),
+                            "case {case}, {policy:?}, step {step}: popped request"
+                        );
+                        if depth > 0 && reference.len() == 0 {
+                            drained += 1;
+                        }
+                    }
+                    depth = reference.len();
+                    if depth >= 32 {
+                        deep += 1;
+                    }
+                    assert_eq!(
+                        queue.len(),
+                        depth,
+                        "case {case}, {policy:?}, step {step}: length"
+                    );
+                    assert_eq!(queue.is_empty(), depth == 0);
+                }
+                while depth > 0 {
+                    assert_eq!(
+                        queue.pop(),
+                        reference.pop(),
+                        "case {case}, {policy:?}: drain"
+                    );
+                    depth -= 1;
+                    assert_eq!(queue.len(), depth);
+                }
+                assert_eq!(queue.pop(), None);
+                assert!(queue.is_empty());
+            }
+        }
+        assert!(
+            deep > 0 && drained > 0,
+            "coverage: {deep} deep steps, {drained} mid-run drains"
+        );
     }
 
     #[test]
@@ -1554,22 +1718,21 @@ mod tests {
         assert!(s.is_warm(0, secs(50)), "long-running instance keeps warm");
     }
 
-    /// Satellite regression test: `len`/`is_empty` stay consistent with the
-    /// fair round-robin subqueues across interleaved pushes, pops and full
-    /// drains — including pops on an already-empty queue, which previously
-    /// relied on a separately maintained counter.
+    /// `len`/`is_empty` stay consistent with the fair round-robin
+    /// subqueues across interleaved pushes, pops and full drains, including
+    /// pops on an already-empty queue.
     #[test]
     fn fair_queue_len_stays_consistent_through_drains() {
-        let mut q = SchedQueue::new(SchedulerPolicy::FairPerBenchmark);
+        let mut q = SchedQueue::new(SchedulerPolicy::FairPerBenchmark, &millis([1; BENCHMARKS]));
         assert!(q.is_empty());
         assert_eq!(q.pop(), None, "pop on empty returns None");
         assert_eq!(q.len(), 0, "pop on empty must not desync len");
 
         // Uneven load: three requests on benchmark 0, one on benchmark 3.
-        q.push(0, Benchmark::ALL[0], SimDuration::from_millis(1));
-        q.push(1, Benchmark::ALL[0], SimDuration::from_millis(1));
-        q.push(2, Benchmark::ALL[3], SimDuration::from_millis(1));
-        q.push(3, Benchmark::ALL[0], SimDuration::from_millis(1));
+        q.push(0, Benchmark::ALL[0]);
+        q.push(1, Benchmark::ALL[0]);
+        q.push(2, Benchmark::ALL[3]);
+        q.push(3, Benchmark::ALL[0]);
         assert_eq!(q.len(), 4);
 
         let mut remaining = 4;
@@ -1587,7 +1750,7 @@ mod tests {
         assert_eq!(q.len(), 0);
 
         // The queue keeps working after the drain.
-        q.push(9, Benchmark::ALL[5], SimDuration::from_millis(1));
+        q.push(9, Benchmark::ALL[5]);
         assert_eq!(q.len(), 1);
         assert_eq!(q.pop(), Some(9));
         assert!(q.is_empty());

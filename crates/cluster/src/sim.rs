@@ -25,11 +25,13 @@
 //! (hits, wasted warm-seconds) and per-rack summaries for the at-scale policy
 //! sweeps.
 
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
+
 use dscs_core::benchmarks::Benchmark;
 use dscs_core::endtoend::{EvalOptions, SystemModel};
 use dscs_faas::coldstart::{ColdStartModel, ImageSource};
 use dscs_platforms::{PlatformKind, PlatformLocation};
-use dscs_simcore::events::EventQueue;
 use dscs_simcore::par;
 use dscs_simcore::quantity::Bytes;
 use dscs_simcore::rng::DeterministicRng;
@@ -354,9 +356,10 @@ impl EngineSelection {
 
 /// Heap events of the event loop, each naming its rack by position in the
 /// loop's own rack slice. Arrivals are not heap events: the trace is sorted
-/// by arrival, so arrivals stream into the loop from a cursor and the heap
-/// only holds the O(pending) future events.
-#[derive(Debug, Clone, Copy)]
+/// by arrival, so arrivals stream into the loop from a cursor, and the
+/// [`EventHeap`] holds only the O(pending) future events, packed into
+/// 16-byte keys.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum HeapEvent {
     Completion {
         rack: usize,
@@ -372,10 +375,104 @@ enum HeapEvent {
     },
 }
 
+/// Bits of an event key's low word that hold the rack.
+const RACK_BITS: u32 = 22;
+/// Bits of an event key's low word that hold the event kind.
+const KIND_BITS: u32 = 2;
+/// Bits of an event key's low word that hold the scheduling sequence.
+const SEQ_BITS: u32 = u64::BITS - KIND_BITS - RACK_BITS;
+
+/// The event loop's pending completions, scale ticks and scale commits, in
+/// firing order: by time, then by the order they were scheduled in.
+///
+/// Each event is one `u128` key in a min-heap: the time's nanoseconds in
+/// the high word, then the scheduling sequence (40 bits), the kind (2 bits)
+/// and the rack (22 bits). Sequences are unique, so the kind and rack never
+/// decide an order; they only ride along. A scale commit's size waits in
+/// its rack's FIFO: a rack's commits fire in the order they were scheduled,
+/// because the provisioning delay is a constant.
+#[derive(Debug, Default)]
+struct EventHeap {
+    keys: BinaryHeap<Reverse<u128>>,
+    next_seq: u64,
+    /// Each rack's pending scale-up commits, as (due time, size), in
+    /// schedule order.
+    commits: Vec<VecDeque<(SimTime, u32)>>,
+}
+
+impl EventHeap {
+    /// Schedules `event` to fire at `at`.
+    ///
+    /// # Panics
+    /// Panics, naming the broken invariant, on the 2^40th event a loop
+    /// schedules or on a rack index that does not fit the key's 22 bits.
+    fn schedule(&mut self, at: SimTime, event: HeapEvent) {
+        let seq = self.next_seq;
+        assert!(
+            seq < 1 << SEQ_BITS,
+            "event sequence < 2^40 invariant broken: one loop scheduled 2^40 events"
+        );
+        self.next_seq += 1;
+        let (kind, rack) = match event {
+            HeapEvent::Completion { rack } => (0, rack),
+            HeapEvent::ScaleTick { rack } => (1, rack),
+            HeapEvent::ScaleCommit { rack, add } => {
+                if rack >= self.commits.len() {
+                    self.commits.resize_with(rack + 1, VecDeque::new);
+                }
+                self.commits[rack].push_back((at, add));
+                (2, rack)
+            }
+        };
+        assert!(
+            rack < ClusterSim::MAX_RACKS as usize,
+            "rack < 2^22 invariant broken: rack {rack} does not fit an event key"
+        );
+        let low = seq << (KIND_BITS + RACK_BITS) | kind << RACK_BITS | rack as u64;
+        self.keys
+            .push(Reverse(u128::from(at.as_nanos()) << 64 | u128::from(low)));
+    }
+
+    /// The time of the earliest pending event.
+    fn peek_time(&self) -> Option<SimTime> {
+        self.keys
+            .peek()
+            .map(|&Reverse(key)| SimTime::from_nanos((key >> 64) as u64))
+    }
+
+    /// Removes and returns the earliest pending event with its time.
+    ///
+    /// # Panics
+    /// Panics, naming the broken invariant, if a rack's scale commits were
+    /// scheduled out of time order, which would pair a commit with another
+    /// one's size.
+    fn pop(&mut self) -> Option<(SimTime, HeapEvent)> {
+        let Reverse(key) = self.keys.pop()?;
+        let at = SimTime::from_nanos((key >> 64) as u64);
+        let rack = (key as u64 & ((1 << RACK_BITS) - 1)) as usize;
+        let event = match (key as u64 >> RACK_BITS) & ((1 << KIND_BITS) - 1) {
+            0 => HeapEvent::Completion { rack },
+            1 => HeapEvent::ScaleTick { rack },
+            _ => {
+                let (due, add) = self.commits[rack]
+                    .pop_front()
+                    .expect("a commit key has its size queued");
+                assert_eq!(
+                    due, at,
+                    "commits fire in schedule order invariant broken: \
+                     rack {rack}'s scale-up commits were scheduled out of time order"
+                );
+                HeapEvent::ScaleCommit { rack, add }
+            }
+        };
+        Some((at, event))
+    }
+}
+
 /// Number of benchmarks: the length of the per-benchmark tables, which are
 /// indexed by `Benchmark as usize` (discriminant order is `Benchmark::ALL`
 /// order, asserted where the enum is defined).
-const BENCHMARKS: usize = Benchmark::ALL.len();
+pub(crate) const BENCHMARKS: usize = Benchmark::ALL.len();
 
 /// Precomputed cold-start penalties for one benchmark.
 #[derive(Debug, Clone, Copy)]
@@ -556,6 +653,10 @@ pub struct ClusterSim {
 }
 
 impl ClusterSim {
+    /// The most racks a run shards over: the event loop names a rack in 22
+    /// bits of each pending event's key.
+    pub const MAX_RACKS: u32 = 1 << RACK_BITS;
+
     /// Builds a simulator for `platform`, pre-computing per-benchmark service
     /// times from the end-to-end model (median storage latency; queueing, not
     /// the storage tail, dominates at scale) and cold-start penalties from the
@@ -758,7 +859,7 @@ impl ClusterSim {
         let initial_capacity = self.initial_capacity();
         RackState {
             id,
-            queue: SchedQueue::new(self.config.scheduler),
+            queue: SchedQueue::new(self.config.scheduler, &self.service_times),
             keepalive: KeepaliveState::new(self.config.keepalive),
             cold_started: SlotSet::default(),
             rng,
@@ -837,9 +938,7 @@ impl ClusterSim {
         if rack.queue.len() >= self.config.queue_depth {
             rack.rejected += 1;
         } else {
-            let benchmark = inputs.trace[idx].benchmark;
-            rack.queue
-                .push(idx, benchmark, self.service_times[benchmark as usize]);
+            rack.queue.push(idx, inputs.trace[idx].benchmark);
             rack.peak_queue = rack.peak_queue.max(rack.queue.len());
         }
     }
@@ -915,9 +1014,9 @@ impl ClusterSim {
     /// positions `first, first + stride, …`: a round-robin lane passes its
     /// one rack with `first = r, stride = racks`, coupled balancers pass
     /// every rack with `first = 0, stride = 1`. Arrivals stream from that
-    /// cursor against a heap holding only the O(pending) future completions
-    /// and scaling events, and win ties against heap events, preserving the
-    /// historical event order.
+    /// cursor against an [`EventHeap`] of packed 16-byte keys holding only
+    /// the O(pending) future completions and scaling events, and win ties
+    /// against heap events, preserving the historical event order.
     ///
     /// # Panics
     /// Panics, naming the broken invariant, if the cursor takes an arrival
@@ -939,7 +1038,7 @@ impl ClusterSim {
         let mut offered = TimeSeries::new(BUCKET, horizon);
         let mut queued = TimeSeries::new(BUCKET, horizon);
         let mut latency_series = TimeSeries::new(BUCKET, horizon);
-        let mut heap: EventQueue<HeapEvent> = EventQueue::new();
+        let mut heap = EventHeap::default();
         if let Some(interval) = self.config.scaling.interval() {
             for rack in 0..racks.len() {
                 heap.schedule(SimTime::ZERO + interval, HeapEvent::ScaleTick { rack });
@@ -982,9 +1081,8 @@ impl ClusterSim {
                 self.admit(&mut racks[r], inputs, idx, now);
                 (r, now)
             } else {
-                let event = heap.pop().expect("a peeked event pops");
-                let now = event.at;
-                match event.payload {
+                let (now, event) = heap.pop().expect("a peeked event pops");
+                match event {
                     HeapEvent::Completion { rack } => {
                         racks[rack].release();
                         last_activity = now;
@@ -1707,6 +1805,137 @@ mod tests {
             LoadBalancer::RoundRobin,
             SimDuration::from_secs(120),
         );
+    }
+
+    /// Seeded property test: the packed event heap pops exactly what a
+    /// reference `BinaryHeap` ordered by `(at, seq)` pops — the same times,
+    /// kinds, racks and commit sizes — on random schedules that mimic the
+    /// loop: a clock that only moves to popped times, events due from zero
+    /// to a few nanoseconds out (so many share a timestamp), several racks,
+    /// and commits due a constant delay after they are scheduled.
+    #[test]
+    fn event_heap_pops_in_time_then_schedule_order() {
+        const CASES: u64 = 64;
+        const DELAY: u64 = 2;
+        let mut tied = 0;
+        for case in 0..CASES {
+            let mut rng = DeterministicRng::seeded(0xE7 ^ case.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            let racks = 1 + rng.next_index(5);
+            let mut heap = EventHeap::default();
+            let mut reference = BinaryHeap::new();
+            let mut payloads = Vec::new();
+            let mut now = 0;
+            let mut last: Option<SimTime> = None;
+            for step in 0..600 {
+                if rng.bernoulli(0.55) {
+                    let rack = rng.next_index(racks);
+                    let (at, event) = match rng.next_index(3) {
+                        0 => (
+                            now + rng.next_index(4) as u64,
+                            HeapEvent::Completion { rack },
+                        ),
+                        1 => (
+                            now + rng.next_index(4) as u64,
+                            HeapEvent::ScaleTick { rack },
+                        ),
+                        _ => (
+                            now + DELAY,
+                            HeapEvent::ScaleCommit {
+                                rack,
+                                add: 1 + rng.next_index(16) as u32,
+                            },
+                        ),
+                    };
+                    let at = SimTime::from_nanos(at);
+                    heap.schedule(at, event);
+                    reference.push(Reverse((at, payloads.len())));
+                    payloads.push(event);
+                } else {
+                    let expected = reference
+                        .pop()
+                        .map(|Reverse((at, seq))| (at, payloads[seq]));
+                    let popped = heap.pop();
+                    assert_eq!(popped, expected, "case {case}, step {step}");
+                    if let Some((at, _)) = popped {
+                        tied += usize::from(last == Some(at));
+                        last = Some(at);
+                        now = at.as_nanos();
+                    }
+                }
+                assert_eq!(
+                    heap.peek_time(),
+                    reference.peek().map(|&Reverse((at, _))| at),
+                    "case {case}, step {step}: earliest time"
+                );
+            }
+            while let Some(Reverse((at, seq))) = reference.pop() {
+                assert_eq!(heap.pop(), Some((at, payloads[seq])), "case {case}: drain");
+            }
+            assert_eq!(heap.pop(), None);
+        }
+        assert!(tied > 1000, "coverage: only {tied} pops shared a timestamp");
+    }
+
+    /// The packing keeps the extremes of every field: the latest time a
+    /// `SimTime` holds and the last rack the key's 22 bits name.
+    #[test]
+    fn event_heap_keys_hold_the_extreme_time_and_rack() {
+        let last_rack = ClusterSim::MAX_RACKS as usize - 1;
+        let mut heap = EventHeap::default();
+        let end = SimTime::from_nanos(u64::MAX);
+        heap.schedule(end, HeapEvent::ScaleTick { rack: last_rack });
+        heap.schedule(end, HeapEvent::Completion { rack: 0 });
+        heap.schedule(SimTime::ZERO, HeapEvent::Completion { rack: last_rack });
+        assert_eq!(heap.peek_time(), Some(SimTime::ZERO));
+        assert_eq!(
+            heap.pop(),
+            Some((SimTime::ZERO, HeapEvent::Completion { rack: last_rack }))
+        );
+        assert_eq!(
+            heap.pop(),
+            Some((end, HeapEvent::ScaleTick { rack: last_rack }))
+        );
+        assert_eq!(heap.pop(), Some((end, HeapEvent::Completion { rack: 0 })));
+        assert_eq!(heap.pop(), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "rack < 2^22 invariant broken")]
+    fn a_rack_beyond_the_key_breaks_the_rack_invariant() {
+        let rack = ClusterSim::MAX_RACKS as usize;
+        EventHeap::default().schedule(SimTime::ZERO, HeapEvent::Completion { rack });
+    }
+
+    #[test]
+    #[should_panic(expected = "event sequence < 2^40 invariant broken")]
+    fn the_2_to_the_40th_event_breaks_the_sequence_invariant() {
+        let mut heap = EventHeap {
+            next_seq: (1 << SEQ_BITS) - 1,
+            ..EventHeap::default()
+        };
+        heap.schedule(SimTime::ZERO, HeapEvent::Completion { rack: 0 });
+        assert_eq!(
+            heap.pop(),
+            Some((SimTime::ZERO, HeapEvent::Completion { rack: 0 }))
+        );
+        heap.schedule(SimTime::ZERO, HeapEvent::Completion { rack: 0 });
+    }
+
+    /// A rack's commit sizes queue in schedule order, so a commit due
+    /// before one scheduled earlier would fire with the other's size.
+    #[test]
+    #[should_panic(expected = "commits fire in schedule order invariant broken")]
+    fn a_commit_due_before_an_earlier_one_breaks_the_commit_invariant() {
+        let mut heap = EventHeap::default();
+        heap.schedule(
+            SimTime::from_nanos(5),
+            HeapEvent::ScaleCommit { rack: 1, add: 2 },
+        );
+        heap.schedule(
+            SimTime::from_nanos(3),
+            HeapEvent::ScaleCommit { rack: 1, add: 7 },
+        );
+        let _ = heap.pop();
     }
 
     /// The engine and the offline bound price a repeat cold start through

@@ -18,8 +18,6 @@
 //! * [`pareto`] — Pareto-frontier extraction for the design-space exploration.
 //! * [`fit`] — least-squares polynomial fitting (the paper reports cubic fits of
 //!   its power/area frontiers).
-//! * [`events`] — a time-ordered event queue (FIFO among equal timestamps);
-//!   the at-scale datacenter simulation runs its event loop over it.
 //! * [`series`] — time-bucketed series for "metric over wall-clock time" figures.
 //! * [`json`] — a minimal deterministic JSON emitter for machine-readable
 //!   reports and a depth-capped parser to read them back.
@@ -45,7 +43,6 @@
 
 pub mod csv;
 pub mod dist;
-pub mod events;
 pub mod fit;
 pub mod json;
 pub mod par;
@@ -60,7 +57,6 @@ pub use dist::{
     ConstantDist, Distribution, ExponentialDist, LogNormalDist, PoissonArrivals, ScaledDist,
     UniformDist, ZipfIndex,
 };
-pub use events::{Event, EventQueue};
 pub use fit::{polyfit, Polynomial};
 pub use json::JsonValue;
 pub use pareto::{pareto_frontier, ParetoPoint};
@@ -75,7 +71,6 @@ pub mod prelude {
     pub use crate::dist::{
         ConstantDist, Distribution, ExponentialDist, LogNormalDist, PoissonArrivals, UniformDist,
     };
-    pub use crate::events::{Event, EventQueue};
     pub use crate::fit::{polyfit, Polynomial};
     pub use crate::pareto::{pareto_frontier, ParetoPoint};
     pub use crate::quantity::{AreaMm2, Bandwidth, Bytes, Dollars, Frequency, Joules, Watts};

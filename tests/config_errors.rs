@@ -8,6 +8,7 @@
 use dscs_serverless::cluster::data::DataLayer;
 use dscs_serverless::cluster::experiment::{ConfigError, Experiment};
 use dscs_serverless::cluster::policy::{KeepalivePolicy, ScalingPolicy};
+use dscs_serverless::cluster::sim::ClusterSim;
 use dscs_serverless::cluster::trace::{RateProfile, TraceRequest};
 use dscs_serverless::platforms::PlatformKind;
 use dscs_serverless::simcore::rng::DeterministicRng;
@@ -247,6 +248,37 @@ fn config_errors_display_and_expose_sources() {
         ConfigError::ZeroRacks.source().is_none(),
         "leaf errors have no source"
     );
+}
+
+/// The event loop names a rack in 22 bits of each pending event's key, so a
+/// run over one rack more than `ClusterSim::MAX_RACKS` is a typed error at
+/// `build`, and a run over exactly that many builds.
+#[test]
+fn rack_counts_beyond_the_event_key_are_typed_errors() {
+    let build = |racks| {
+        Experiment::builder(PlatformKind::DscsDsa)
+            .trace(short_trace(12))
+            .racks(racks)
+            .build()
+    };
+    let max = ClusterSim::MAX_RACKS;
+    assert_eq!(max, 1 << 22);
+    assert_eq!(
+        build(max + 1).expect_err("one rack beyond the key"),
+        ConfigError::TooManyRacks {
+            racks: max + 1,
+            max
+        }
+    );
+    assert_eq!(
+        ConfigError::TooManyRacks {
+            racks: max + 1,
+            max
+        }
+        .to_string(),
+        "4194305 racks exceed the limit of 4194304"
+    );
+    assert!(build(max).is_ok(), "the bound itself builds");
 }
 
 /// Every way a declarative `WorkloadSpec` can be rejected maps to its own
