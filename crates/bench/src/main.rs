@@ -12,9 +12,9 @@
 //! --full:     run the full-size sweeps (complete 650+-point DSE, full
 //!             20-minute at-scale trace) instead of the quick versions.
 //!
-//! reproduce at-scale [--quick] [--smoke] [--seed N] [--racks N] [--jobs N]
-//!                    [--rack-jobs N]
-//!                    [--scale smoke|quick|full|large|large-smoke|large-quick]
+//! reproduce at-scale [--quick | --smoke | --full |
+//!                     --scale smoke|quick|full|large|large-smoke|large-quick]
+//!                    [--seed N] [--racks N] [--jobs N] [--rack-jobs N]
 //!                    [--balancer round-robin|least-loaded|locality]
 //!                    [--cold-path fresh|flash|snapshot]...
 //!                    [--ipc shm|socket|http]...
@@ -48,7 +48,8 @@
 //! `socket`; `http`). When the sweep covers both the flash and snapshot
 //! paths, the table closes with a prewarm-vs-restore crossover headline
 //! comparing the best cell of each. --scale picks
-//! the sweep size by name; `large` is the 10⁷-invocation preset (10⁵
+//! the sweep size by name, and takes none of --quick, --smoke and --full,
+//! which pick it too; `large` is the 10⁷-invocation preset (10⁵
 //! functions over two simulated days) on a restricted single-point policy
 //! grid sized for the rack-parallel engine; `large-smoke` and `large-quick`
 //! run that same restricted grid at smoke/quick scale so CI can exercise
@@ -69,7 +70,7 @@
 //! RNG stream the sweep generates with, so the file round-trips the
 //! synthetic run). The second form ingests an existing trace file and
 //! re-emits it — CI uses both forms to pin generate → parse → re-emit
-//! byte-equality.
+//! byte-equality. Each form rejects the other's options.
 //! ```
 
 use std::env;
@@ -520,13 +521,19 @@ fn fig17() {
     sensitivity(&exp::fig17_cold_start_sensitivity(), "cold=1");
 }
 
-/// `reproduce at-scale [--quick] [--smoke] [--seed N] [--racks N] [--jobs N]
-/// [--rack-jobs N] [--scale NAME] [--balancer NAME] [--out PATH]`: the
+/// `reproduce at-scale [--quick | --smoke | --full | --scale NAME] [--seed N]
+/// [--racks N] [--jobs N] [--rack-jobs N] [--balancer NAME] [--out PATH]`: the
 /// scheduler x keepalive x platform x workload policy sweep, fanned across
 /// worker threads (and, per round-robin cell, across rack worker threads)
 /// and written as a machine-readable JSON report with measured engine
 /// throughput.
 fn at_scale(args: &[String]) {
+    let usage = "usage: reproduce at-scale [--quick | --smoke | --full | \
+                 --scale smoke|quick|full|large|large-smoke|large-quick] \
+                 [--seed N] [--racks N] [--jobs N] [--rack-jobs N] \
+                 [--balancer round-robin|least-loaded|locality] \
+                 [--cold-path fresh|flash|snapshot]... [--ipc shm|socket|http]... \
+                 [--workload azure|bursty|trace:<path>[@<day>]]... [--out PATH]";
     let mut options = if args.iter().any(|a| a == "--quick") {
         AtScaleOptions::quick()
     } else if args.iter().any(|a| a == "--smoke") {
@@ -545,8 +552,17 @@ fn at_scale(args: &[String]) {
     // below is sized for a full cartesian product, not 10⁷-invocation
     // traces) and moves the worker budget inside the cell.
     let mut large_preset = false;
+    // The one size option given, if any.
+    let mut size: Option<&str> = None;
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
+        if matches!(arg.as_str(), "--quick" | "--smoke" | "--full" | "--scale") {
+            if let Some(first) = size.replace(arg) {
+                eprintln!("{first} and {arg} are mutually exclusive");
+                eprintln!("{usage}");
+                std::process::exit(2);
+            }
+        }
         let mut value_of = |name: &str| {
             iter.next()
                 .unwrap_or_else(|| {
@@ -556,10 +572,9 @@ fn at_scale(args: &[String]) {
                 .clone()
         };
         match arg.as_str() {
-            "--quick" | "--smoke" => {}
-            // The full-size sweep is the default; accept the flag the other
-            // experiments use for it.
-            "--full" => options.scale = SweepScale::Full,
+            // Picked above. The full-size sweep is the default; `--full` is
+            // the flag the other experiments use for it.
+            "--quick" | "--smoke" | "--full" => {}
             "--scale" => {
                 let name = value_of("--scale");
                 match name.as_str() {
@@ -661,14 +676,7 @@ fn at_scale(args: &[String]) {
             }
             other => {
                 eprintln!("unknown at-scale option '{other}'");
-                eprintln!(
-                    "usage: reproduce at-scale [--quick] [--smoke] [--seed N] [--racks N] \
-                     [--jobs N] [--rack-jobs N] \
-                     [--scale smoke|quick|full|large|large-smoke|large-quick] \
-                     [--balancer round-robin|least-loaded|locality] \
-                     [--cold-path fresh|flash|snapshot]... [--ipc shm|socket|http]... \
-                     [--workload azure|bursty|trace:<path>[@<day>]]... [--out PATH]"
-                );
+                eprintln!("{usage}");
                 std::process::exit(2);
             }
         }
@@ -893,10 +901,10 @@ fn generate_trace(args: &[String]) {
                  [--seed N] [--out PATH] | --from CSV [--day N] [--out PATH]";
     let mut sample = false;
     let mut scale: Option<SweepScale> = None;
-    let mut seed = 42u64;
+    let mut seed: Option<u64> = None;
     let mut out_path = String::from("azure_trace.csv");
     let mut from: Option<String> = None;
-    let mut day = 1u32;
+    let mut day: Option<u32> = None;
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         let mut value_of = |name: &str| {
@@ -923,22 +931,20 @@ fn generate_trace(args: &[String]) {
                 });
             }
             "--seed" => {
-                seed = value_of("--seed").parse().unwrap_or_else(|_| {
+                seed = Some(value_of("--seed").parse().unwrap_or_else(|_| {
                     eprintln!("--seed must be an integer");
                     std::process::exit(2);
-                });
+                }));
             }
             "--out" => out_path = value_of("--out"),
             "--from" => from = Some(value_of("--from")),
             "--day" => {
-                day = value_of("--day").parse().unwrap_or_else(|_| {
-                    eprintln!("--day must be a positive integer");
-                    std::process::exit(2);
-                });
-                if day == 0 {
+                let parsed = value_of("--day").parse().unwrap_or(0);
+                if parsed == 0 {
                     eprintln!("--day must be a positive integer");
                     std::process::exit(2);
                 }
+                day = Some(parsed);
             }
             other => {
                 eprintln!("unknown generate-trace option '{other}'");
@@ -947,15 +953,33 @@ fn generate_trace(args: &[String]) {
             }
         }
     }
-    if sample && scale.is_some() {
-        eprintln!("--sample and --scale are mutually exclusive");
+    // Each form takes only its own options.
+    let conflict = if from.is_some() {
+        [
+            ("--sample", sample),
+            ("--scale", scale.is_some()),
+            ("--seed", seed.is_some()),
+        ]
+        .into_iter()
+        .find(|&(_, given)| given)
+        .map(|(flag, _)| format!("--from does not take {flag}"))
+    } else if day.is_some() {
+        Some("--day needs --from".to_string())
+    } else if sample && scale.is_some() {
+        Some("--sample and --scale are mutually exclusive".to_string())
+    } else {
+        None
+    };
+    if let Some(conflict) = conflict {
+        eprintln!("{conflict}");
         eprintln!("{usage}");
         std::process::exit(2);
     }
+    let seed = seed.unwrap_or(42);
 
     header("Generate Azure-schema invocation trace");
     let trace_file = if let Some(path) = &from {
-        match TraceFileWorkload::from_csv_path(path, day) {
+        match TraceFileWorkload::from_csv_path(path, day.unwrap_or(1)) {
             Ok(parsed) => {
                 println!(
                     "ingested {path}: {} functions x {} minute columns, {} invocations",

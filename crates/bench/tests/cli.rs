@@ -84,3 +84,41 @@ fn unknown_options_and_a_second_experiment_exit_2_before_running() {
         );
     }
 }
+
+/// Each form of `generate-trace` takes only its own options, and `at-scale`
+/// takes one size option at most: a flag the chosen form would ignore exits
+/// 2 with the usage line before anything runs or is written.
+#[test]
+fn options_the_chosen_form_would_ignore_exit_2_before_running() {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli_ignored_options");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("the test's working directory can be created");
+    let sample = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../data/azure_trace_sample.csv");
+    let sample = sample.to_str().expect("the sample's path is UTF-8");
+    let cases: [&[&str]; 8] = [
+        &["generate-trace", "--sample", "--day", "3"],
+        &["generate-trace", "--from", sample, "--seed", "9"],
+        &["generate-trace", "--from", sample, "--scale", "large"],
+        &["generate-trace", "--from", sample, "--sample"],
+        &["at-scale", "--quick", "--smoke"],
+        &["at-scale", "--smoke", "--full"],
+        &["at-scale", "--full", "--scale", "smoke"],
+        &["at-scale", "--scale", "smoke", "--quick"],
+    ];
+    for args in cases {
+        let output = Command::new(env!("CARGO_BIN_EXE_reproduce"))
+            .args(args)
+            .args(["--out", "out"])
+            .current_dir(&dir)
+            .output()
+            .expect("the reproduce binary starts");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("usage: reproduce {}", args[0])),
+            "{args:?}: {stderr}"
+        );
+        assert!(output.stdout.is_empty(), "{args:?} ran before rejecting");
+        assert!(!dir.join("out").exists(), "{args:?} wrote its output");
+    }
+}

@@ -56,7 +56,6 @@ use std::fmt;
 use std::sync::Arc;
 
 use dscs_platforms::PlatformKind;
-use dscs_simcore::time::SimDuration;
 
 use crate::coldpath::{ColdStartPath, IpcTransport};
 use crate::data::DataLayer;
@@ -118,52 +117,6 @@ pub enum ConfigError {
         /// The configured maximum.
         max: u32,
     },
-    /// A scaling policy with a zero decision interval (the simulation would
-    /// tick forever without advancing).
-    ZeroScalingInterval {
-        /// The policy's report name (`"reactive"` or `"predictive"`).
-        policy: &'static str,
-    },
-    /// A reactive scaling policy with a zero step.
-    ZeroReactiveStep,
-    /// Reactive thresholds that overlap: a queue depth satisfying both would
-    /// make scale-down unreachable.
-    OverlappingReactiveThresholds {
-        /// Queue depth at or above which the rack scales up.
-        scale_up_queue: usize,
-        /// Queue depth at or below which the rack scales down.
-        scale_down_queue: usize,
-    },
-    /// A non-finite or sub-unit predictive headroom.
-    InvalidPredictiveHeadroom {
-        /// The offending multiplier.
-        headroom: f64,
-    },
-    /// A hybrid-histogram keepalive whose prewarm head percentile is not
-    /// strictly below the tail percentile the eviction window uses: the
-    /// container would be proactively re-warmed at or after its own
-    /// eviction, so the prewarm could never land.
-    PrewarmHeadAboveTail {
-        /// The configured prewarm head percentile.
-        head: f64,
-        /// The tail percentile the eviction window is sized from.
-        tail: f64,
-    },
-    /// A hybrid-histogram keepalive with a zero bin width.
-    ZeroHistogramBin,
-    /// A hybrid-histogram keepalive whose range is shorter than one bin.
-    HistogramRangeBelowBin {
-        /// The configured range.
-        range: SimDuration,
-        /// The configured bin width.
-        bin: SimDuration,
-    },
-    /// A hybrid-histogram prewarm head percentile that is negative or NaN
-    /// (one at or above the tail is [`ConfigError::PrewarmHeadAboveTail`]).
-    PrewarmHeadOutOfRange {
-        /// The configured prewarm head percentile.
-        head: f64,
-    },
     /// A sweep axis with no values to sweep.
     EmptySweepAxis {
         /// The axis name (`"platforms"`, `"schedulers"`, ...).
@@ -207,37 +160,6 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::MinAboveMax { min, max } => {
                 write!(f, "min_instances {min} must not exceed max_instances {max}")
-            }
-            ConfigError::ZeroScalingInterval { policy } => {
-                write!(f, "{policy} scaling interval must be non-zero")
-            }
-            ConfigError::ZeroReactiveStep => {
-                write!(f, "reactive scaling step must be at least one instance")
-            }
-            ConfigError::OverlappingReactiveThresholds {
-                scale_up_queue,
-                scale_down_queue,
-            } => write!(
-                f,
-                "reactive thresholds overlap: scale-down at {scale_down_queue} must stay below \
-                 scale-up at {scale_up_queue}"
-            ),
-            ConfigError::InvalidPredictiveHeadroom { headroom } => {
-                write!(f, "predictive headroom {headroom} must be finite and >= 1")
-            }
-            ConfigError::PrewarmHeadAboveTail { head, tail } => write!(
-                f,
-                "prewarm head percentile {head} must stay below the tail percentile {tail}"
-            ),
-            ConfigError::ZeroHistogramBin => {
-                write!(f, "hybrid-histogram bin width must be non-zero")
-            }
-            ConfigError::HistogramRangeBelowBin { range, bin } => write!(
-                f,
-                "hybrid-histogram range {range} must cover at least one bin of {bin}"
-            ),
-            ConfigError::PrewarmHeadOutOfRange { head } => {
-                write!(f, "prewarm head percentile {head} must be in [0, 1)")
             }
             ConfigError::EmptySweepAxis { axis } => {
                 write!(f, "sweep axis {axis} has no values to sweep")
@@ -528,8 +450,7 @@ impl ExperimentBuilder {
 
     /// Validates the whole specification and returns the run-ready
     /// [`Experiment`], or the first [`ConfigError`] found (in check order:
-    /// trace, racks, data layer racks, data layer trace, scaling and
-    /// keepalive parameters, instance bounds). Arrival order and function
+    /// trace, racks, data layer racks, data layer trace, instance bounds). Arrival order and function
     /// slots are not checked here; see the [module docs](crate::experiment).
     pub fn build(self) -> Result<Experiment, ConfigError> {
         let trace = self.trace.unwrap_or_default();
@@ -574,6 +495,7 @@ mod tests {
     use super::*;
     use crate::trace::RateProfile;
     use dscs_simcore::rng::DeterministicRng;
+    use dscs_simcore::time::SimDuration;
 
     fn short_trace(seed: u64) -> Vec<TraceRequest> {
         let profile = RateProfile {
@@ -666,34 +588,6 @@ mod tests {
     }
 
     #[test]
-    fn a_prewarm_head_at_or_above_the_tail_is_a_typed_error() {
-        use crate::policy::{KeepalivePolicy, HYBRID_TAIL};
-        let bad = KeepalivePolicy::HybridHistogram {
-            range: SimDuration::from_secs(600),
-            bin: SimDuration::from_secs(10),
-            head: HYBRID_TAIL,
-        };
-        let err = Experiment::builder(PlatformKind::DscsDsa)
-            .trace(short_trace(5))
-            .keepalive(bad)
-            .build()
-            .expect_err("head == tail must be rejected");
-        assert_eq!(
-            err,
-            ConfigError::PrewarmHeadAboveTail {
-                head: HYBRID_TAIL,
-                tail: HYBRID_TAIL,
-            }
-        );
-        // The default prewarm head stays valid.
-        assert!(Experiment::builder(PlatformKind::DscsDsa)
-            .trace(short_trace(5))
-            .keepalive(KeepalivePolicy::prewarm_default())
-            .build()
-            .is_ok());
-    }
-
-    #[test]
     fn outcomes_carry_the_optimal_coldstart_bound() {
         let trace = short_trace(12);
         let base = ClusterSim::new(PlatformKind::DscsDsa, ClusterConfig::default());
@@ -765,17 +659,6 @@ mod tests {
             ConfigError::ZeroMaxInstances,
             ConfigError::ZeroMinInstances,
             ConfigError::MinAboveMax { min: 9, max: 3 },
-            ConfigError::ZeroScalingInterval { policy: "reactive" },
-            ConfigError::ZeroReactiveStep,
-            ConfigError::OverlappingReactiveThresholds {
-                scale_up_queue: 4,
-                scale_down_queue: 8,
-            },
-            ConfigError::InvalidPredictiveHeadroom { headroom: 0.5 },
-            ConfigError::PrewarmHeadAboveTail {
-                head: 0.99,
-                tail: 0.99,
-            },
             ConfigError::EmptySweepAxis { axis: "platforms" },
             ConfigError::WorkloadSpec(WorkloadSpecError::UnknownKind {
                 kind: "tide".into(),

@@ -58,6 +58,25 @@ const BUCKET: SimDuration = SimDuration::from_secs(60);
 /// online (scale-downs release immediately).
 const PROVISIONING_DELAY: SimDuration = SimDuration::from_secs(2);
 
+/// How often an elastic rack takes a scaling decision: the elastic
+/// policies' reaction lag.
+const SCALING_INTERVAL: SimDuration = SimDuration::from_secs(5);
+/// Queue depth at or above which a reactive rack requests more instances.
+const SCALE_UP_QUEUE: usize = 32;
+/// Queue depth at or below which a reactive rack releases instances.
+const SCALE_DOWN_QUEUE: usize = 2;
+/// Instances a reactive decision adds or removes.
+const SCALE_STEP: u32 = 32;
+// A queue depth that met both thresholds would make scale-down unreachable.
+const _: () = assert!(SCALE_DOWN_QUEUE < SCALE_UP_QUEUE);
+/// Predictive capacity multiplier on the predicted demand (above 1, so the
+/// pool keeps slack).
+const PREDICTIVE_HEADROOM: f64 = 1.25;
+
+/// Queue depth at a replica rack above which the locality balancer spills
+/// the request to the least-loaded rack.
+const SPILL_THRESHOLD: usize = 64;
+
 /// Per-rack cluster configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClusterConfig {
@@ -103,16 +122,13 @@ impl Default for ClusterConfig {
 }
 
 impl ClusterConfig {
-    /// Checks the configuration, returning the first violation found: an
-    /// invalid scaling policy ([`ScalingPolicy::check`]) or keepalive policy
-    /// ([`KeepalivePolicy::check`]), `max_instances` of zero under any
-    /// scaling policy, or — for elastic policies — `min_instances` of zero
-    /// or above `max_instances` (in each case the rack could never start
-    /// work). [`crate::experiment::ExperimentBuilder::build`] runs it on
-    /// every experiment.
+    /// Checks the instance bounds, returning the first violation found:
+    /// `max_instances` of zero under any scaling policy, or — for elastic
+    /// policies — `min_instances` of zero or above `max_instances` (in each
+    /// case the rack could never start work).
+    /// [`crate::experiment::ExperimentBuilder::build`] runs it on every
+    /// experiment.
     pub fn check(&self) -> Result<(), ConfigError> {
-        self.scaling.check()?;
-        self.keepalive.check()?;
         if self.max_instances == 0 {
             return Err(ConfigError::ZeroMaxInstances);
         }
@@ -152,10 +168,10 @@ pub struct ClusterReport {
     pub rejected: u64,
     /// Number of requests that paid a cold start.
     pub cold_starts: u64,
-    /// Total cold-start seconds charged onto invocations (the sum of every
-    /// cold-start penalty, before this PR folded into latency only). This is
-    /// the quantity the offline-optimal bound in [`crate::optimal`] lower
-    /// bounds, so `coldstart_s - bound` is the policy's regret.
+    /// Total cold-start seconds charged onto invocations: the sum of every
+    /// cold-start penalty, which latency also includes. This is the quantity
+    /// the offline-optimal bound in [`crate::optimal`] lower bounds, so
+    /// `coldstart_s - bound` is the policy's regret.
     pub coldstart_s: f64,
     /// The subset of [`ClusterReport::coldstart_s`] paid as snapshot
     /// restores (zero unless the run's [`ColdStartPath`] is
@@ -165,8 +181,8 @@ pub struct ClusterReport {
     /// invocations, in seconds (zero under the default
     /// [`IpcTransport::SharedMem`]).
     pub ipc_overhead_s: f64,
-    /// Invocations that found a proactively prewarmed instance (hybrid
-    /// keepalive with a non-zero head percentile).
+    /// Invocations that found a proactively prewarmed instance (under
+    /// [`KeepalivePolicy::HybridPrewarm`]).
     pub prewarm_hits: u64,
     /// Container-idle seconds the keepalive policy held memory warm, summed
     /// over racks.
@@ -487,36 +503,11 @@ struct ColdCosts {
     snapshot: SimDuration,
 }
 
-/// A set of function slots, one bit each.
-#[derive(Debug, Default)]
-struct SlotSet {
-    words: Vec<u64>,
-}
-
-impl SlotSet {
-    fn contains(&self, slot: u32) -> bool {
-        self.words
-            .get(slot as usize / 64)
-            .is_some_and(|word| word & (1 << (slot % 64)) != 0)
-    }
-
-    fn insert(&mut self, slot: u32) {
-        let word = slot as usize / 64;
-        if word >= self.words.len() {
-            self.words.resize(word + 1, 0);
-        }
-        self.words[word] |= 1 << (slot % 64);
-    }
-}
-
 struct RackState {
     /// The rack's index in the cluster (what a data layer's home rack names).
     id: u32,
     queue: SchedQueue,
     keepalive: KeepaliveState,
-    /// Function slots that have paid a cold start on this rack, so their
-    /// next cold start is a repeat ([`ClusterSim::repeat_cold_start_cost`]).
-    cold_started: SlotSet,
     rng: DeterministicRng,
     busy: u32,
     /// Instances currently provisioned and able to run requests.
@@ -782,7 +773,7 @@ impl ClusterSim {
     ///
     /// Under [`ScalingPolicy::Fixed`] every rack runs `max_instances` for the
     /// whole trace. Elastic racks start at `min_instances` and are
-    /// re-evaluated on their policy's interval; scale-ups come online
+    /// re-evaluated every [`SCALING_INTERVAL`]; scale-ups come online
     /// [`PROVISIONING_DELAY`] later.
     ///
     /// The balancer decides how the event loop runs (see
@@ -825,7 +816,7 @@ impl ClusterSim {
                     EngineSelection::RackParallel { workers },
                 )
             }
-            LoadBalancer::LeastLoaded | LoadBalancer::LocalityAware { .. } => {
+            LoadBalancer::LeastLoaded | LoadBalancer::LocalityAware => {
                 let reason = if balancer == LoadBalancer::LeastLoaded {
                     "least-loaded dispatch reads every rack's load"
                 } else {
@@ -861,7 +852,6 @@ impl ClusterSim {
             id,
             queue: SchedQueue::new(self.config.scheduler, &self.service_times),
             keepalive: KeepaliveState::new(self.config.keepalive),
-            cold_started: SlotSet::default(),
             rng,
             busy: 0,
             capacity: initial_capacity,
@@ -910,7 +900,7 @@ impl ClusterSim {
         match balancer {
             LoadBalancer::RoundRobin => 0,
             LoadBalancer::LeastLoaded => least_loaded(),
-            LoadBalancer::LocalityAware { spill_threshold } => {
+            LoadBalancer::LocalityAware => {
                 // Prefer the least-loaded rack holding a replica of the
                 // request's object; once its queue exceeds the spill
                 // threshold — or is full, which would reject the request
@@ -918,7 +908,7 @@ impl ClusterSim {
                 // back to least-loaded. Without a data layer there is no
                 // placement to honour.
                 let local = inputs.data.map(|d| d.home_rack(idx) as usize);
-                let saturated = spill_threshold.min(self.config.queue_depth.saturating_sub(1));
+                let saturated = SPILL_THRESHOLD.min(self.config.queue_depth.saturating_sub(1));
                 match local {
                     Some(r) if racks[r].queue.len() <= saturated => r,
                     _ => least_loaded(),
@@ -930,7 +920,7 @@ impl ClusterSim {
     /// Admits the arrival at trace position `idx` to `rack`'s scheduler
     /// queue, rejecting it when the queue is full.
     fn admit(&self, rack: &mut RackState, inputs: RunInputs<'_>, idx: usize, now: SimTime) {
-        if matches!(self.config.scaling, ScalingPolicy::Predictive { .. }) {
+        if self.config.scaling == ScalingPolicy::Predictive {
             // Predictive scaling estimates demand from offered load, not the
             // (capacity-throttled) start rate.
             rack.keepalive.note_arrival(inputs.trace[idx].function, now);
@@ -965,7 +955,9 @@ impl ClusterSim {
             if !rack.keepalive.is_warm(function, now) {
                 // A repeat cold start reuses whatever the first one left
                 // behind on this rack, priced as the offline bound prices it.
-                let repeat = rack.cold_started.contains(function);
+                // A function's first start on a rack is always cold, so one
+                // that ran here before has paid a cold start here.
+                let repeat = rack.keepalive.has_run(function);
                 let penalty = if repeat {
                     self.repeat_cold_start_cost(request.benchmark)
                 } else {
@@ -977,7 +969,6 @@ impl ClusterSim {
                 service += penalty;
                 rack.cold_starts += 1;
                 rack.coldstart += penalty;
-                rack.cold_started.insert(function);
             }
             // Every started invocation — warm and cold — pays the gateway's
             // IPC transport (zero for the default shared-memory path).
@@ -1039,9 +1030,12 @@ impl ClusterSim {
         let mut queued = TimeSeries::new(BUCKET, horizon);
         let mut latency_series = TimeSeries::new(BUCKET, horizon);
         let mut heap = EventHeap::default();
-        if let Some(interval) = self.config.scaling.interval() {
+        if self.config.scaling != ScalingPolicy::Fixed {
             for rack in 0..racks.len() {
-                heap.schedule(SimTime::ZERO + interval, HeapEvent::ScaleTick { rack });
+                heap.schedule(
+                    SimTime::ZERO + SCALING_INTERVAL,
+                    HeapEvent::ScaleTick { rack },
+                );
             }
         }
         let mut next_arrival = first;
@@ -1097,12 +1091,7 @@ impl ClusterSim {
                         });
                         let r = &racks[rack];
                         if next_arrival < trace.len() || r.busy > 0 || !r.queue.is_empty() {
-                            let interval = self
-                                .config
-                                .scaling
-                                .interval()
-                                .expect("ticks only run for elastic policies");
-                            heap.schedule(now + interval, HeapEvent::ScaleTick { rack });
+                            heap.schedule(now + SCALING_INTERVAL, HeapEvent::ScaleTick { rack });
                         }
                         continue;
                     }
@@ -1273,35 +1262,30 @@ impl ClusterSim {
         let (min, max) = (self.config.min_instances, self.config.max_instances);
         match self.config.scaling {
             ScalingPolicy::Fixed => unreachable!("fixed racks never tick"),
-            ScalingPolicy::Reactive {
-                scale_up_queue,
-                scale_down_queue,
-                step,
-                ..
-            } => {
+            ScalingPolicy::Reactive => {
                 let provisioned = rack.capacity + rack.pending;
                 let depth = rack.queue.len();
-                if depth >= scale_up_queue && provisioned < max {
-                    let add = step.min(max - provisioned);
+                if depth >= SCALE_UP_QUEUE && provisioned < max {
+                    let add = SCALE_STEP.min(max - provisioned);
                     rack.pending += add;
                     rack.scale_ups += 1;
                     schedule_commit(add);
-                } else if depth <= scale_down_queue && rack.capacity > min {
-                    let drop = step.min(rack.capacity - min);
+                } else if depth <= SCALE_DOWN_QUEUE && rack.capacity > min {
+                    let drop = SCALE_STEP.min(rack.capacity - min);
                     rack.capacity -= drop;
                     rack.scale_downs += 1;
                     rack.low_instances = rack.low_instances.min(rack.capacity);
                 }
             }
-            ScalingPolicy::Predictive { interval, headroom } => {
+            ScalingPolicy::Predictive => {
                 // Steady-state demand from the learned arrival rate, plus a
                 // backlog term sized to drain the current queue within one
                 // decision interval — cold-start pileups would otherwise sit
                 // behind a pool sized only for warm steady state.
                 let rate = rack.keepalive.arrival_rate_estimate(now);
-                let steady = rate * self.mean_service_s * headroom;
+                let steady = rate * self.mean_service_s * PREDICTIVE_HEADROOM;
                 let backlog =
-                    rack.queue.len() as f64 * self.mean_service_s / interval.as_secs_f64();
+                    rack.queue.len() as f64 * self.mean_service_s / SCALING_INTERVAL.as_secs_f64();
                 // Saturation escape hatch: warm service times underprice a
                 // pool stuck in multi-second cold starts, so a fully busy
                 // pool with work still queued doubles instead of trusting
@@ -2064,6 +2048,59 @@ mod tests {
             report.fetch_energy_j > 0.0,
             "cross-rack fetches carry an energy charge"
         );
+    }
+
+    /// The locality balancer's spill boundary, on racks with chosen queue
+    /// lengths: a replica rack keeps the request while it holds at most
+    /// [`SPILL_THRESHOLD`] queued requests and spills it to the least-loaded
+    /// rack above that. A queue one short of full counts as saturated too,
+    /// so with a queue depth of 10 the spill point is 9.
+    #[test]
+    fn locality_dispatch_spills_above_the_threshold() {
+        use crate::data::DataLayer;
+
+        let benchmark = Benchmark::ALL[0];
+        let trace = vec![TraceRequest {
+            arrival: SimTime::ZERO,
+            benchmark,
+            function: 0,
+            object: 0,
+            object_size_log2: 18,
+        }];
+        let data = DataLayer::for_trace(&trace, 3, 5);
+        let home = data.home_rack(0) as usize;
+        // The two other racks, the second one less loaded than the first.
+        let (busier, idler) = ((home + 1) % 3, (home + 2) % 3);
+        let inputs = RunInputs {
+            trace: &trace,
+            data: Some(&data),
+        };
+        let default_depth = ClusterConfig::default().queue_depth;
+        for (queue_depth, keeps) in [(default_depth, SPILL_THRESHOLD), (10, 9)] {
+            let sim = ClusterSim::new(
+                PlatformKind::DscsDsa,
+                ClusterConfig {
+                    queue_depth,
+                    ..ClusterConfig::default()
+                },
+            );
+            for queued in [keeps, keeps + 1] {
+                let mut racks: Vec<RackState> = (0..3)
+                    .map(|r| sim.new_rack_state(r, DeterministicRng::seeded(1)))
+                    .collect();
+                for (rack, depth) in [(home, queued), (busier, 3), (idler, 1)] {
+                    for idx in 0..depth {
+                        racks[rack].queue.push(idx, benchmark);
+                    }
+                }
+                let expected = if queued <= keeps { home } else { idler };
+                assert_eq!(
+                    sim.dispatch(&racks, LoadBalancer::LocalityAware, inputs, 0),
+                    expected,
+                    "queue depth {queue_depth}, {queued} queued at the replica rack"
+                );
+            }
+        }
     }
 
     #[test]

@@ -28,68 +28,6 @@ pub trait Distribution {
     }
 }
 
-/// A distribution that always returns the same value. Useful to disable
-/// variability in sensitivity studies ("no tail" configurations).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ConstantDist {
-    value: f64,
-}
-
-impl ConstantDist {
-    /// Creates a constant distribution.
-    ///
-    /// # Panics
-    /// Panics if `value` is negative or not finite.
-    pub fn new(value: f64) -> Self {
-        assert!(
-            value.is_finite() && value >= 0.0,
-            "constant must be non-negative and finite"
-        );
-        ConstantDist { value }
-    }
-}
-
-impl Distribution for ConstantDist {
-    fn sample(&self, _rng: &mut DeterministicRng) -> f64 {
-        self.value
-    }
-
-    fn mean(&self) -> f64 {
-        self.value
-    }
-}
-
-/// Uniform distribution over `[lo, hi)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct UniformDist {
-    lo: f64,
-    hi: f64,
-}
-
-impl UniformDist {
-    /// Creates a uniform distribution over `[lo, hi)`.
-    ///
-    /// # Panics
-    /// Panics if the range is empty or contains negative values.
-    pub fn new(lo: f64, hi: f64) -> Self {
-        assert!(
-            lo >= 0.0 && hi > lo,
-            "uniform range must be non-empty and non-negative"
-        );
-        UniformDist { lo, hi }
-    }
-}
-
-impl Distribution for UniformDist {
-    fn sample(&self, rng: &mut DeterministicRng) -> f64 {
-        rng.uniform(self.lo, self.hi)
-    }
-
-    fn mean(&self) -> f64 {
-        0.5 * (self.lo + self.hi)
-    }
-}
-
 /// Exponential distribution with a given mean. Used for inter-arrival times in
 /// Poisson processes and for memoryless service-time components.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -220,39 +158,6 @@ impl Distribution for LogNormalDist {
 
     fn mean(&self) -> f64 {
         (self.mu + 0.5 * self.sigma * self.sigma).exp()
-    }
-}
-
-/// Wraps another distribution and multiplies every sample by a constant.
-/// Useful to reuse one calibrated latency shape across payloads of different
-/// sizes.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ScaledDist<D> {
-    inner: D,
-    factor: f64,
-}
-
-impl<D: Distribution> ScaledDist<D> {
-    /// Wraps `inner`, scaling each sample by `factor`.
-    ///
-    /// # Panics
-    /// Panics if `factor` is negative or not finite.
-    pub fn new(inner: D, factor: f64) -> Self {
-        assert!(
-            factor.is_finite() && factor >= 0.0,
-            "scale factor must be non-negative and finite"
-        );
-        ScaledDist { inner, factor }
-    }
-}
-
-impl<D: Distribution> Distribution for ScaledDist<D> {
-    fn sample(&self, rng: &mut DeterministicRng) -> f64 {
-        self.inner.sample(rng) * self.factor
-    }
-
-    fn mean(&self) -> f64 {
-        self.inner.mean() * self.factor
     }
 }
 
@@ -534,13 +439,6 @@ mod tests {
     }
 
     #[test]
-    fn constant_is_constant() {
-        let d = ConstantDist::new(0.5);
-        assert!(samples(&d, 100, 1).iter().all(|&x| x == 0.5));
-        assert_eq!(d.mean(), 0.5);
-    }
-
-    #[test]
     fn exponential_mean_converges() {
         let d = ExponentialDist::from_mean(2.0);
         let s = samples(&d, 50_000, 2);
@@ -584,15 +482,6 @@ mod tests {
         let d = LogNormalDist::from_median_p99(0.01, 0.03);
         let tight = d.with_tail_scaled(0.0);
         assert!((tight.quantile(0.99) - tight.quantile(0.5)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn scaled_dist_scales_mean() {
-        let base = ConstantDist::new(2.0);
-        let scaled = ScaledDist::new(base, 3.0);
-        assert_eq!(scaled.mean(), 6.0);
-        let mut rng = DeterministicRng::seeded(4);
-        assert_eq!(scaled.sample(&mut rng), 6.0);
     }
 
     #[test]

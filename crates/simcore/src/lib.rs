@@ -11,10 +11,10 @@
 //!   [`Joules`], [`Bandwidth`], [`AreaMm2`], [`Dollars`], [`Frequency`]).
 //! * [`rng`] — deterministic, seedable random number generation helpers.
 //! * [`dist`] — latency/arrival distributions (lognormal with calibrated tails,
-//!   exponential, Poisson, deterministic) used to model remote storage, network
-//!   RPCs and request arrivals.
-//! * [`stats`] — percentile summaries, histograms and empirical CDFs used to
-//!   report p50/p95/p99 latencies and figure series.
+//!   exponential, Poisson, Zipf) used to model remote storage, network RPCs,
+//!   request arrivals and object popularity.
+//! * [`stats`] — percentile summaries, quantile sketches and empirical CDFs
+//!   used to report p50/p95/p99 latencies and figure series.
 //! * [`pareto`] — Pareto-frontier extraction for the design-space exploration.
 //! * [`fit`] — least-squares polynomial fitting (the paper reports cubic fits of
 //!   its power/area frontiers).
@@ -53,29 +53,24 @@ pub mod series;
 pub mod stats;
 pub mod time;
 
-pub use dist::{
-    ConstantDist, Distribution, ExponentialDist, LogNormalDist, PoissonArrivals, ScaledDist,
-    UniformDist, ZipfIndex,
-};
+pub use dist::{Distribution, ExponentialDist, LogNormalDist, PoissonArrivals, ZipfIndex};
 pub use fit::{polyfit, Polynomial};
 pub use json::JsonValue;
 pub use pareto::{pareto_frontier, ParetoPoint};
 pub use quantity::{AreaMm2, Bandwidth, Bytes, Dollars, Frequency, Joules, Watts};
 pub use rng::DeterministicRng;
 pub use series::{SeriesMergeError, TimeSeries};
-pub use stats::{Cdf, Histogram, Summary};
+pub use stats::{Cdf, Summary};
 pub use time::{SimDuration, SimTime};
 
 /// Convenience re-exports for downstream crates.
 pub mod prelude {
-    pub use crate::dist::{
-        ConstantDist, Distribution, ExponentialDist, LogNormalDist, PoissonArrivals, UniformDist,
-    };
+    pub use crate::dist::{Distribution, ExponentialDist, LogNormalDist, PoissonArrivals};
     pub use crate::fit::{polyfit, Polynomial};
     pub use crate::pareto::{pareto_frontier, ParetoPoint};
     pub use crate::quantity::{AreaMm2, Bandwidth, Bytes, Dollars, Frequency, Joules, Watts};
     pub use crate::rng::DeterministicRng;
     pub use crate::series::TimeSeries;
-    pub use crate::stats::{Cdf, Histogram, Summary};
+    pub use crate::stats::{Cdf, Summary};
     pub use crate::time::{SimDuration, SimTime};
 }

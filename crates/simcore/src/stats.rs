@@ -1,4 +1,4 @@
-//! Percentile summaries, histograms and empirical CDFs.
+//! Percentile summaries, quantile sketches and empirical CDFs.
 //!
 //! The paper reports p95 latencies for all end-to-end results, p50/p99 for the
 //! tail-latency study, and full CDFs of S3 read latency (Figure 3). This module
@@ -178,76 +178,6 @@ impl Cdf {
     /// Number of underlying samples.
     pub fn count(&self) -> usize {
         self.sorted.len()
-    }
-}
-
-/// A fixed-width histogram over non-negative samples.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    bucket_width: f64,
-    counts: Vec<u64>,
-    total: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `buckets` buckets of `bucket_width` each.
-    /// Samples beyond the last bucket are clamped into it.
-    ///
-    /// # Panics
-    /// Panics if `bucket_width <= 0` or `buckets == 0`.
-    pub fn new(bucket_width: f64, buckets: usize) -> Self {
-        assert!(
-            bucket_width > 0.0 && bucket_width.is_finite(),
-            "bucket width must be positive"
-        );
-        assert!(buckets > 0, "need at least one bucket");
-        Histogram {
-            bucket_width,
-            counts: vec![0; buckets],
-            total: 0,
-        }
-    }
-
-    /// Records a sample.
-    ///
-    /// # Panics
-    /// Panics if the sample is negative or not finite.
-    pub fn record(&mut self, value: f64) {
-        assert!(
-            value.is_finite() && value >= 0.0,
-            "histogram samples must be non-negative and finite"
-        );
-        let idx = ((value / self.bucket_width) as usize).min(self.counts.len() - 1);
-        self.counts[idx] += 1;
-        self.total += 1;
-    }
-
-    /// Total number of recorded samples.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Raw bucket counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Approximate quantile from bucket midpoints.
-    ///
-    /// # Panics
-    /// Panics if the histogram is empty or `q` is outside `[0, 1]`.
-    pub fn quantile(&self, q: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&q), "quantile must be in [0, 1]");
-        assert!(self.total > 0, "histogram is empty");
-        let target = (q * self.total as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return (i as f64 + 0.5) * self.bucket_width;
-            }
-        }
-        (self.counts.len() as f64 - 0.5) * self.bucket_width
     }
 }
 
@@ -607,24 +537,6 @@ mod tests {
         assert_eq!(curve.len(), 10);
         assert!(curve.windows(2).all(|w| w[0].1 <= w[1].1));
         assert_eq!(curve.last().expect("non-empty").1, 1.0);
-    }
-
-    #[test]
-    fn histogram_quantile_approximates() {
-        let mut h = Histogram::new(1.0, 100);
-        for i in 0..100 {
-            h.record(i as f64);
-        }
-        assert_eq!(h.total(), 100);
-        let p50 = h.quantile(0.5);
-        assert!((p50 - 49.5).abs() <= 1.0, "p50 {p50}");
-    }
-
-    #[test]
-    fn histogram_clamps_overflow() {
-        let mut h = Histogram::new(1.0, 4);
-        h.record(100.0);
-        assert_eq!(h.counts()[3], 1);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use dscs_serverless::cluster::data::DataLayer;
 use dscs_serverless::cluster::experiment::{ConfigError, Experiment};
-use dscs_serverless::cluster::policy::{KeepalivePolicy, ScalingPolicy};
+use dscs_serverless::cluster::policy::ScalingPolicy;
 use dscs_serverless::cluster::sim::ClusterSim;
 use dscs_serverless::cluster::trace::{RateProfile, TraceRequest};
 use dscs_serverless::platforms::PlatformKind;
@@ -125,104 +125,6 @@ fn every_formerly_panicking_input_yields_the_matching_typed_error() {
             .expect_err("min above max"),
         ConfigError::MinAboveMax { min: 128, max: 16 }
     );
-
-    // 8. Hybrid-histogram keepalive with a degenerate geometry or head:
-    // formerly accepted by the builder and then a panic in
-    // `KeepaliveState::new` at run time.
-    let hybrid = |range, bin, head| KeepalivePolicy::HybridHistogram { range, bin, head };
-    let s = SimDuration::from_secs;
-    for (policy, expected) in [
-        (
-            hybrid(s(600), SimDuration::ZERO, 0.0),
-            ConfigError::ZeroHistogramBin,
-        ),
-        (
-            hybrid(s(5), s(10), 0.05),
-            ConfigError::HistogramRangeBelowBin {
-                range: s(5),
-                bin: s(10),
-            },
-        ),
-        (
-            hybrid(s(600), s(10), -0.05),
-            ConfigError::PrewarmHeadOutOfRange { head: -0.05 },
-        ),
-    ] {
-        let err = Experiment::builder(PlatformKind::DscsDsa)
-            .trace(short_trace(13))
-            .keepalive(policy)
-            .build()
-            .expect_err("bad hybrid keepalive");
-        assert_eq!(err, expected, "{policy:?}");
-        assert!(!err.to_string().is_empty());
-    }
-}
-
-/// Scaling-parameter violations surface as typed errors, both from
-/// `check()` and through the builder.
-#[test]
-fn scaling_parameter_violations_are_typed_errors() {
-    let zero_reactive = ScalingPolicy::Reactive {
-        scale_up_queue: 8,
-        scale_down_queue: 2,
-        step: 4,
-        interval: SimDuration::ZERO,
-    };
-    assert_eq!(
-        zero_reactive.check().expect_err("zero interval"),
-        ConfigError::ZeroScalingInterval { policy: "reactive" }
-    );
-    let zero_predictive = ScalingPolicy::Predictive {
-        interval: SimDuration::ZERO,
-        headroom: 1.5,
-    };
-    assert_eq!(
-        zero_predictive.check().expect_err("zero interval"),
-        ConfigError::ZeroScalingInterval {
-            policy: "predictive"
-        }
-    );
-    let zero_step = ScalingPolicy::Reactive {
-        scale_up_queue: 8,
-        scale_down_queue: 2,
-        step: 0,
-        interval: SimDuration::from_secs(5),
-    };
-    assert_eq!(
-        zero_step.check().expect_err("zero step"),
-        ConfigError::ZeroReactiveStep
-    );
-    let overlapping = ScalingPolicy::Reactive {
-        scale_up_queue: 4,
-        scale_down_queue: 4,
-        step: 4,
-        interval: SimDuration::from_secs(5),
-    };
-    assert_eq!(
-        overlapping.check().expect_err("overlap"),
-        ConfigError::OverlappingReactiveThresholds {
-            scale_up_queue: 4,
-            scale_down_queue: 4
-        }
-    );
-    for headroom in [0.99, f64::NAN, f64::INFINITY] {
-        let policy = ScalingPolicy::Predictive {
-            interval: SimDuration::from_secs(5),
-            headroom,
-        };
-        assert!(matches!(
-            policy.check().expect_err("bad headroom"),
-            ConfigError::InvalidPredictiveHeadroom { .. }
-        ));
-        // The same violation through the builder (scaling checked before the
-        // elastic bounds).
-        let err = Experiment::builder(PlatformKind::DscsDsa)
-            .trace(short_trace(5))
-            .scaling(policy)
-            .build()
-            .expect_err("builder relays the scaling error");
-        assert!(matches!(err, ConfigError::InvalidPredictiveHeadroom { .. }));
-    }
 }
 
 /// `ConfigError` is a real `std::error::Error`: displayable, and the

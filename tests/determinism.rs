@@ -145,10 +145,9 @@ fn same_seed_produces_bit_identical_autoscaled_runs() {
     }
 }
 
-/// Satellite regression test: sharded runs under the data-locality-aware
-/// balancer — replica-rack dispatch, spill decisions and cross-rack fetch
-/// charges (latency and joules) included — are bit-identical across repeated
-/// runs.
+/// Sharded runs under the data-locality-aware balancer — replica-rack
+/// dispatch, spill decisions and cross-rack fetch charges (latency and
+/// joules) included — are bit-identical across repeated runs.
 #[test]
 fn same_seed_produces_bit_identical_locality_aware_runs() {
     use dscs_serverless::cluster::data::DataLayer;
@@ -159,46 +158,35 @@ fn same_seed_produces_bit_identical_locality_aware_runs() {
     let racks = 3;
     let data = Arc::new(DataLayer::for_trace(&trace, racks, 61));
     let sim = ClusterSim::new(PlatformKind::DscsDsa, ClusterConfig::default());
-    for balancer in [
-        LoadBalancer::locality_default(),
-        LoadBalancer::LocalityAware { spill_threshold: 0 },
-        LoadBalancer::LocalityAware {
-            spill_threshold: usize::MAX,
-        },
-    ] {
-        let run = |data: Arc<DataLayer>| {
-            Experiment::builder(PlatformKind::DscsDsa)
-                .trace(trace.clone())
-                .racks(racks)
-                .balancer(balancer)
-                .data_layer(data)
-                .seed(33)
-                .build()
-                .expect("valid experiment")
-                .run_on(&sim)
-        };
-        let a = run(data.clone());
-        let b = run(data.clone());
-        assert_eq!(a.report, b.report, "{balancer:?} aggregate report");
-        assert_eq!(a.racks, b.racks, "{balancer:?} per-rack summaries");
-        assert_eq!(
-            a.report.fetch_latency_s.to_bits(),
-            b.report.fetch_latency_s.to_bits(),
-            "{balancer:?} fetch charges accumulate in a fixed order"
-        );
-        assert_eq!(
-            a.report.fetch_energy_j.to_bits(),
-            b.report.fetch_energy_j.to_bits(),
-            "{balancer:?} fetch energy accumulates in a fixed order"
-        );
-        // A freshly rebuilt data layer must not perturb the run either.
-        let rebuilt = Arc::new(DataLayer::for_trace(&trace, racks, 61));
-        let c = run(rebuilt);
-        assert_eq!(
-            a.report, c.report,
-            "{balancer:?} placement is a pure function of seed"
-        );
-    }
+    let run = |data: Arc<DataLayer>| {
+        Experiment::builder(PlatformKind::DscsDsa)
+            .trace(trace.clone())
+            .racks(racks)
+            .balancer(LoadBalancer::locality_default())
+            .data_layer(data)
+            .seed(33)
+            .build()
+            .expect("valid experiment")
+            .run_on(&sim)
+    };
+    let a = run(data.clone());
+    let b = run(data.clone());
+    assert_eq!(a.report, b.report, "aggregate report");
+    assert_eq!(a.racks, b.racks, "per-rack summaries");
+    assert_eq!(
+        a.report.fetch_latency_s.to_bits(),
+        b.report.fetch_latency_s.to_bits(),
+        "fetch charges accumulate in a fixed order"
+    );
+    assert_eq!(
+        a.report.fetch_energy_j.to_bits(),
+        b.report.fetch_energy_j.to_bits(),
+        "fetch energy accumulates in a fixed order"
+    );
+    // A freshly rebuilt data layer must not perturb the run either.
+    let rebuilt = Arc::new(DataLayer::for_trace(&trace, racks, 61));
+    let c = run(rebuilt);
+    assert_eq!(a.report, c.report, "placement is a pure function of seed");
 }
 
 /// The full sweep — which now includes the scaling axes, the prewarm
