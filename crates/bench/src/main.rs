@@ -12,8 +12,7 @@
 //! --full:     run the full-size sweeps (complete 650+-point DSE, full
 //!             20-minute at-scale trace) instead of the quick versions.
 //!
-//! reproduce at-scale [--quick | --smoke | --full |
-//!                     --scale smoke|quick|full|large|large-smoke|large-quick]
+//! reproduce at-scale [--scale smoke|quick|full|large|large-smoke|large-quick]
 //!                    [--seed N] [--racks N] [--jobs N] [--rack-jobs N]
 //!                    [--balancer round-robin|least-loaded|locality]
 //!                    [--cold-path fresh|flash|snapshot]...
@@ -47,13 +46,15 @@
 //! transport charged on every started invocation (`shm`, the free default;
 //! `socket`; `http`). When the sweep covers both the flash and snapshot
 //! paths, the table closes with a prewarm-vs-restore crossover headline
-//! comparing the best cell of each. --scale picks
-//! the sweep size by name, and takes none of --quick, --smoke and --full,
-//! which pick it too; `large` is the 10⁷-invocation preset (10⁵
-//! functions over two simulated days) on a restricted single-point policy
-//! grid sized for the rack-parallel engine; `large-smoke` and `large-quick`
-//! run that same restricted grid at smoke/quick scale so CI can exercise
-//! the preset cheaply and measure single-cell rack-parallel speedup.
+//! comparing the best cell of each. --scale (at most once) picks the sweep
+//! size by name and with it the rack count: `smoke` and `quick` shard over
+//! 2 racks, and `full` (the default) and the large names over 4; --racks
+//! and --seed override the scale's values. `large` is the 10⁷-invocation
+//! preset (10⁵ functions over two simulated days) on a restricted
+//! single-point policy grid sized for the rack-parallel engine;
+//! `large-smoke` and `large-quick` run that same restricted grid at
+//! smoke/quick scale so CI can exercise the preset cheaply and measure
+//! single-cell rack-parallel speedup.
 //! The table's `regret %` column shows each cell's cold-start
 //! regret against the offline-optimal bound, priced under the cell's own
 //! cold-start path; the JSON carries the regret fields too, plus the v8
@@ -521,26 +522,24 @@ fn fig17() {
     sensitivity(&exp::fig17_cold_start_sensitivity(), "cold=1");
 }
 
-/// `reproduce at-scale [--quick | --smoke | --full | --scale NAME] [--seed N]
-/// [--racks N] [--jobs N] [--rack-jobs N] [--balancer NAME] [--out PATH]`: the
-/// scheduler x keepalive x platform x workload policy sweep, fanned across
-/// worker threads (and, per round-robin cell, across rack worker threads)
-/// and written as a machine-readable JSON report with measured engine
+/// `reproduce at-scale [--scale NAME] [--seed N] [--racks N] [--jobs N]
+/// [--rack-jobs N] [--balancer NAME] [--out PATH]`: the scheduler x
+/// keepalive x platform x workload policy sweep, fanned across worker
+/// threads (and, per round-robin cell, across rack worker threads) and
+/// written as a machine-readable JSON report with measured engine
 /// throughput.
 fn at_scale(args: &[String]) {
-    let usage = "usage: reproduce at-scale [--quick | --smoke | --full | \
-                 --scale smoke|quick|full|large|large-smoke|large-quick] \
+    let usage = "usage: reproduce at-scale \
+                 [--scale smoke|quick|full|large|large-smoke|large-quick] \
                  [--seed N] [--racks N] [--jobs N] [--rack-jobs N] \
                  [--balancer round-robin|least-loaded|locality] \
                  [--cold-path fresh|flash|snapshot]... [--ipc shm|socket|http]... \
                  [--workload azure|bursty|trace:<path>[@<day>]]... [--out PATH]";
-    let mut options = if args.iter().any(|a| a == "--quick") {
-        AtScaleOptions::quick()
-    } else if args.iter().any(|a| a == "--smoke") {
-        AtScaleOptions::smoke()
-    } else {
-        AtScaleOptions::full()
-    };
+    // The scale picks the size and the rack count; --seed and --racks
+    // override them wherever they sit.
+    let mut preset: Option<(AtScaleOptions, bool)> = None;
+    let mut seed: Option<u64> = None;
+    let mut racks: Option<u32> = None;
     let mut out_path = String::from("BENCH_cluster.json");
     let mut workload_args: Vec<String> = Vec::new();
     let mut cold_path_args: Vec<ColdStartPath> = Vec::new();
@@ -548,21 +547,8 @@ fn at_scale(args: &[String]) {
     let mut balancer: Option<LoadBalancer> = None;
     let mut jobs: Option<usize> = None;
     let mut rack_jobs: Option<usize> = None;
-    // The large preset restricts the policy grid to one point (the sweep
-    // below is sized for a full cartesian product, not 10⁷-invocation
-    // traces) and moves the worker budget inside the cell.
-    let mut large_preset = false;
-    // The one size option given, if any.
-    let mut size: Option<&str> = None;
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
-        if matches!(arg.as_str(), "--quick" | "--smoke" | "--full" | "--scale") {
-            if let Some(first) = size.replace(arg) {
-                eprintln!("{first} and {arg} are mutually exclusive");
-                eprintln!("{usage}");
-                std::process::exit(2);
-            }
-        }
         let mut value_of = |name: &str| {
             iter.next()
                 .unwrap_or_else(|| {
@@ -572,31 +558,26 @@ fn at_scale(args: &[String]) {
                 .clone()
         };
         match arg.as_str() {
-            // Picked above. The full-size sweep is the default; `--full` is
-            // the flag the other experiments use for it.
-            "--quick" | "--smoke" | "--full" => {}
             "--scale" => {
                 let name = value_of("--scale");
-                match name.as_str() {
-                    "smoke" => options.scale = SweepScale::Smoke,
-                    "quick" => options.scale = SweepScale::Quick,
-                    "full" => options.scale = SweepScale::Full,
-                    "large" => {
-                        options.scale = SweepScale::Large;
-                        large_preset = true;
-                    }
-                    // The large preset's restricted grid at smaller sizes:
-                    // `large-smoke` lets CI exercise the preset without the
-                    // 10⁷ trace, `large-quick` is the single-cell
-                    // rack-parallel speedup measurement CI prints.
-                    "large-smoke" => {
-                        options.scale = SweepScale::Smoke;
-                        large_preset = true;
-                    }
-                    "large-quick" => {
-                        options.scale = SweepScale::Quick;
-                        large_preset = true;
-                    }
+                // The bool marks the large preset, which restricts the
+                // policy grid to one point (the sweep below is sized for a
+                // full cartesian product, not 10⁷-invocation traces) and
+                // moves the worker budget inside the cell. `large-smoke`
+                // lets CI exercise that grid without the 10⁷ trace, and
+                // `large-quick` is the single-cell rack-parallel speedup
+                // measurement CI prints.
+                let large = |scale| AtScaleOptions {
+                    scale,
+                    ..AtScaleOptions::full()
+                };
+                let named = match name.as_str() {
+                    "smoke" => (AtScaleOptions::smoke(), false),
+                    "quick" => (AtScaleOptions::quick(), false),
+                    "full" => (AtScaleOptions::full(), false),
+                    "large" => (large(SweepScale::Large), true),
+                    "large-smoke" => (large(SweepScale::Smoke), true),
+                    "large-quick" => (large(SweepScale::Quick), true),
                     _ => {
                         eprintln!(
                             "--scale must be smoke, quick, full, large, \
@@ -604,6 +585,11 @@ fn at_scale(args: &[String]) {
                         );
                         std::process::exit(2);
                     }
+                };
+                if preset.replace(named).is_some() {
+                    eprintln!("--scale given twice; name one scale");
+                    eprintln!("{usage}");
+                    std::process::exit(2);
                 }
             }
             "--jobs" => {
@@ -622,20 +608,19 @@ fn at_scale(args: &[String]) {
                 }));
             }
             "--seed" => {
-                options.seed = value_of("--seed").parse().unwrap_or_else(|_| {
+                seed = Some(value_of("--seed").parse().unwrap_or_else(|_| {
                     eprintln!("--seed must be an integer");
                     std::process::exit(2);
-                });
+                }));
             }
             "--racks" => {
-                options.racks = value_of("--racks").parse().unwrap_or_else(|_| {
-                    eprintln!("--racks must be a positive integer");
-                    std::process::exit(2);
-                });
-                if options.racks == 0 {
-                    eprintln!("--racks must be a positive integer");
-                    std::process::exit(2);
-                }
+                racks = match value_of("--racks").parse() {
+                    Ok(0) | Err(_) => {
+                        eprintln!("--racks must be a positive integer");
+                        std::process::exit(2);
+                    }
+                    Ok(n) => Some(n),
+                };
             }
             "--out" => out_path = value_of("--out"),
             "--workload" => workload_args.push(value_of("--workload")),
@@ -682,6 +667,10 @@ fn at_scale(args: &[String]) {
         }
     }
 
+    // The full-size sweep is the default.
+    let (mut options, large_preset) = preset.unwrap_or((AtScaleOptions::full(), false));
+    options.seed = seed.unwrap_or(options.seed);
+    options.racks = racks.unwrap_or(options.racks);
     let mut spec = SweepSpec::from(options);
     if large_preset {
         // One policy point over the azure workload: the preset exists to
@@ -756,7 +745,7 @@ fn at_scale(args: &[String]) {
         if rack_jobs == 1 { "" } else { "s" }
     ));
     if options.scale == SweepScale::Full {
-        println!("running the full 20-minute traces; pass --quick for a fast run");
+        println!("running the full 20-minute traces; pass --scale quick for a fast run");
     }
     if options.scale == SweepScale::Large {
         println!("running the 10⁷-invocation large preset; this takes a while");

@@ -1,20 +1,17 @@
 //! Trace-file workload ingestion: the Azure Functions 2019 dataset schema
 //! behind the [`Workload`] trait.
 //!
-//! The *Serverless in the Wild* release publishes invocations-per-function
-//! CSV files: a header row, then one row per function carrying the owner /
-//! app / function hashes, the trigger type, and 1440 per-minute invocation
-//! counts (one file per day; the trailing days of the 14-day release lack
-//! the memory percentiles that accompany them, so per-day files must stand
-//! alone). Files that do carry the accompanying memory percentiles declare
-//! them as trailing `AverageAllocatedMb_pctNN` header columns after the
-//! minute columns; those parse into per-function allocated-memory figures
-//! instead of being dropped on the floor, and [`DaySummary`] quotes the
-//! fleet-wide peak at the highest declared percentile.
-//! [`TraceFileWorkload`] parses that schema streamingly — line by
-//! line, tolerant of ragged rows — and expands the selected day's counts
-//! into timestamped [`TraceRequest`]s: every invocation lands in its minute
-//! at a deterministic within-minute jitter drawn from the caller's seeded
+//! The *Serverless in the Wild* release publishes one invocations-per-function
+//! CSV file per day: a `HashOwner,HashApp,HashFunction,Trigger,1,..,1440`
+//! header, then one row per function carrying the owner / app / function
+//! hashes, the trigger type and 1440 per-minute invocation counts. That is
+//! the one layout [`TraceFileWorkload`] reads: four metadata columns, then
+//! minute counts. (The release ships memory and duration percentiles in
+//! separate per-app and per-function files, which this module does not
+//! read.) The parser streams the file line by line, tolerant of ragged
+//! rows, and expands the selected day's counts into timestamped
+//! [`TraceRequest`]s: every invocation lands in its minute at a
+//! deterministic within-minute jitter drawn from the caller's seeded
 //! xoshiro RNG, and object identities are assigned hash-stably from the
 //! row's function hash, so the same file and seed always reproduce the same
 //! arrival stream. Each request names its function by slot: the rank of that
@@ -45,18 +42,17 @@ pub const MINUTES_PER_DAY: u32 = 1440;
 /// The dataset's leading metadata columns (owner, app, function, trigger).
 const META_COLUMNS: usize = 4;
 
-/// Header-name prefix of the dataset's allocated-memory percentile columns
-/// (`AverageAllocatedMb_pct50`, `AverageAllocatedMb_pct99`, ...).
-pub const MEMORY_COLUMN_PREFIX: &str = "AverageAllocatedMb_pct";
-
 /// Errors produced while ingesting a trace file.
 #[derive(Debug, Clone, PartialEq)]
 pub enum IngestError {
-    /// The file could not be read.
+    /// The file could not be opened, or a line of it could not be read (a
+    /// byte that is not UTF-8, say).
     Io {
-        /// The path that failed.
+        /// The path that failed to open, or the source label of the file a
+        /// line failed in.
         path: String,
-        /// The OS error message.
+        /// The OS error message, after the failing line's number when a
+        /// line failed.
         message: String,
     },
     /// A record failed CSV tokenization.
@@ -77,36 +73,18 @@ pub enum IngestError {
         /// The offending field text.
         value: String,
     },
-    /// A memory-percentile column holds something other than whole
-    /// megabytes.
-    MalformedMemory {
-        /// 1-based line of the offending row.
-        line: usize,
-        /// The percentile the column was declared at (the `NN` of the
-        /// `AverageAllocatedMb_pctNN` header column).
-        percentile: u32,
-        /// The offending field text.
-        value: String,
-    },
-    /// A header column is neither a minute label nor a recognized
-    /// `AverageAllocatedMb_pctNN` memory-percentile column (memory columns
-    /// must also trail the minute columns, mirroring the dataset layout).
+    /// A header column after the metadata is not a numeric minute label.
     UnknownHeaderColumn {
         /// 1-based column (after the metadata columns).
         column: usize,
         /// The offending header text.
         name: String,
     },
-    /// A data row is wider than the header-declared minute + memory-column
-    /// layout. Only checked when memory percentiles are declared — they pin
-    /// the table width, so surplus fields cannot be minute counts.
-    RowTooWide {
-        /// 1-based line of the offending row.
+    /// A `HashOwner` header record comes after the file's first record, as
+    /// it does when two day files are concatenated.
+    MisplacedHeader {
+        /// 1-based line of the second header.
         line: usize,
-        /// Data fields the row actually has.
-        found: usize,
-        /// Data fields the header declares.
-        expected: usize,
     },
     /// The file has no data rows.
     EmptyFile,
@@ -143,28 +121,13 @@ impl fmt::Display for IngestError {
                 f,
                 "line {line}, minute column {column}: '{value}' is not an invocation count"
             ),
-            IngestError::MalformedMemory {
-                line,
-                percentile,
-                value,
-            } => write!(
+            IngestError::UnknownHeaderColumn { column, name } => {
+                write!(f, "header column {column}: '{name}' is not a minute label")
+            }
+            IngestError::MisplacedHeader { line } => write!(
                 f,
-                "line {line}, memory column {MEMORY_COLUMN_PREFIX}{percentile}: \
-                 '{value}' is not an allocated-memory figure in MB"
-            ),
-            IngestError::UnknownHeaderColumn { column, name } => write!(
-                f,
-                "header column {column}: '{name}' is neither a minute label nor a \
-                 trailing {MEMORY_COLUMN_PREFIX}NN memory-percentile column"
-            ),
-            IngestError::RowTooWide {
-                line,
-                found,
-                expected,
-            } => write!(
-                f,
-                "line {line}: {found} data field(s) exceed the {expected} the header \
-                 declares (minute columns plus memory percentiles)"
+                "line {line}: a HashOwner header after the first record \
+                 (a trace file holds one day file, with at most one header)"
             ),
             IngestError::EmptyFile => write!(f, "trace file has no data rows"),
             IngestError::DayZero => write!(
@@ -210,11 +173,6 @@ pub struct TraceFunction {
     pub trigger: String,
     /// Invocations per minute.
     pub counts: Vec<u32>,
-    /// Allocated memory in MB at each percentile the file's header declares
-    /// (one entry per [`TraceFileWorkload::memory_percentiles`] level,
-    /// zero-padded when the row omits trailing fields). Empty when the file
-    /// carries no memory columns — the dataset's trailing-day shape.
-    pub memory_mb: Vec<u32>,
 }
 
 impl TraceFunction {
@@ -261,88 +219,56 @@ pub struct TraceFileWorkload {
     /// The 1-based day window the expansion covers (day `d` is minute
     /// columns `(d-1)*1440 .. d*1440`, clipped to the file).
     pub day: u32,
-    /// The memory-percentile levels the file's header declares, in column
-    /// order (the `NN` of each `AverageAllocatedMb_pctNN` column). Empty for
-    /// headerless files and files without memory columns; indexes
-    /// [`TraceFunction::memory_mb`].
-    pub memory_percentiles: Vec<u32>,
-}
-
-/// The header-declared column layout: how many minute columns precede how
-/// many memory-percentile columns.
-struct HeaderLayout {
-    /// Numeric minute-label columns.
-    minutes: u32,
-    /// Declared memory-percentile levels, in column order.
-    percentiles: Vec<u32>,
-}
-
-/// Parses the `HashOwner,...` header row into its column layout: metadata,
-/// then numeric minute labels, then optional trailing
-/// [`MEMORY_COLUMN_PREFIX`]`NN` memory columns. Anything else is an
-/// [`IngestError::UnknownHeaderColumn`].
-fn parse_header(fields: &[String]) -> Result<HeaderLayout, IngestError> {
-    let mut minutes = 0u32;
-    let mut percentiles = Vec::new();
-    for (offset, name) in fields.iter().skip(META_COLUMNS).enumerate() {
-        let unknown = || IngestError::UnknownHeaderColumn {
-            column: offset + 1,
-            name: name.clone(),
-        };
-        if let Some(level) = name.strip_prefix(MEMORY_COLUMN_PREFIX) {
-            match level.parse::<u32>() {
-                Ok(level) if (1..=100).contains(&level) => percentiles.push(level),
-                _ => return Err(unknown()),
-            }
-        } else if !percentiles.is_empty() {
-            // A minute label after a memory column breaks the dataset's
-            // counts-then-percentiles layout.
-            return Err(unknown());
-        } else if name.parse::<u32>().is_ok() {
-            minutes += 1;
-        } else {
-            return Err(unknown());
-        }
-    }
-    Ok(HeaderLayout {
-        minutes,
-        percentiles,
-    })
 }
 
 impl TraceFileWorkload {
     /// Parses an Azure-schema CSV from `reader`, streaming line by line.
     ///
-    /// Schema tolerance: an optional `HashOwner,...` header row declares the
-    /// column layout (numeric minute labels, then optional trailing
-    /// `AverageAllocatedMb_pctNN` memory-percentile columns); blank lines
-    /// are ignored; rows shorter than the declared width (the dataset's
-    /// trailing-day rows are ragged once the accompanying memory
-    /// percentiles disappear) are zero-padded; empty count and memory
-    /// fields read as zero. Anything else — too few metadata columns, a
-    /// non-numeric count or memory figure, an unrecognized header column, a
-    /// row wider than a memory-declaring header, no data rows at all, or a
-    /// `day` beyond the file — is a typed [`IngestError`], never a panic.
+    /// Schema tolerance: a leading UTF-8 byte-order mark and blank lines are
+    /// ignored; the first record may be a `HashOwner,...` header, whose
+    /// columns after the metadata must be numeric minute labels; rows of
+    /// different widths are zero-padded to the widest (the dataset's
+    /// trailing-day rows are ragged); empty count fields read as zero.
+    /// Anything else — a line that cannot be read, too few metadata columns,
+    /// a non-numeric count, a header column that is not a minute label, a
+    /// header after the first record, no data rows at all, or a `day` beyond
+    /// the file — is a typed [`IngestError`], never a panic. A read error
+    /// names `source` and the line.
     pub fn from_reader(
         reader: impl BufRead,
         source: impl Into<String>,
         day: u32,
     ) -> Result<Self, IngestError> {
+        let source = source.into();
         let mut functions: Vec<TraceFunction> = Vec::new();
         let mut minutes = 0u32;
-        let mut header: Option<HeaderLayout> = None;
+        let mut records = 0usize;
         for (index, line) in reader.lines().enumerate() {
             let line_no = index + 1;
             let line = line.map_err(|err| IngestError::Io {
-                path: "<reader>".into(),
-                message: err.to_string(),
+                path: source.clone(),
+                message: format!("line {line_no}: {err}"),
             })?;
-            if line.trim().is_empty() {
+            let text = match index {
+                0 => line.strip_prefix('\u{feff}').unwrap_or(&line),
+                _ => &line,
+            };
+            if text.trim().is_empty() {
                 continue;
             }
-            let fields = split_record(&line, line_no)?;
-            if line_no == 1 && fields.first().map(String::as_str) == Some("HashOwner") {
-                header = Some(parse_header(&fields)?);
+            let fields = split_record(text, line_no)?;
+            records += 1;
+            if fields.first().map(String::as_str) == Some("HashOwner") {
+                if records > 1 {
+                    return Err(IngestError::MisplacedHeader { line: line_no });
+                }
+                let labels = fields.get(META_COLUMNS..).unwrap_or_default();
+                if let Some(offset) = labels.iter().position(|name| name.parse::<u32>().is_err()) {
+                    return Err(IngestError::UnknownHeaderColumn {
+                        column: offset + 1,
+                        name: labels[offset].clone(),
+                    });
+                }
                 continue;
             }
             if fields.len() < META_COLUMNS {
@@ -351,60 +277,18 @@ impl TraceFileWorkload {
                     found: fields.len(),
                 });
             }
-            // When the header declares memory percentiles it pins the table
-            // width: the first `minutes` data fields are counts, the rest
-            // are memory figures. Otherwise every data field is a count (the
-            // trailing-day shape) and the widest row sets the width.
-            let layout = header.as_ref().filter(|h| !h.percentiles.is_empty());
-            let data = &fields[META_COLUMNS..];
-            if let Some(layout) = layout {
-                let expected = layout.minutes as usize + layout.percentiles.len();
-                if data.len() > expected {
-                    return Err(IngestError::RowTooWide {
-                        line: line_no,
-                        found: data.len(),
-                        expected,
-                    });
-                }
-            }
-            let count_columns = layout
-                .map(|h| h.minutes as usize)
-                .unwrap_or(data.len())
-                .min(data.len());
-            let mut counts = Vec::with_capacity(count_columns);
-            for (offset, field) in data[..count_columns].iter().enumerate() {
-                if field.is_empty() {
-                    counts.push(0);
-                    continue;
-                }
-                let count = field
-                    .parse::<u32>()
-                    .map_err(|_| IngestError::MalformedCount {
+            let counts = fields[META_COLUMNS..]
+                .iter()
+                .enumerate()
+                .map(|(offset, field)| match field.as_str() {
+                    "" => Ok(0),
+                    text => text.parse().map_err(|_| IngestError::MalformedCount {
                         line: line_no,
                         column: offset + 1,
                         value: field.clone(),
-                    })?;
-                counts.push(count);
-            }
-            let mut memory_mb = Vec::new();
-            if let Some(layout) = layout {
-                memory_mb.reserve(layout.percentiles.len());
-                for (offset, field) in data[count_columns..].iter().enumerate() {
-                    if field.is_empty() {
-                        memory_mb.push(0);
-                        continue;
-                    }
-                    let mb = field
-                        .parse::<u32>()
-                        .map_err(|_| IngestError::MalformedMemory {
-                            line: line_no,
-                            percentile: layout.percentiles[offset],
-                            value: field.clone(),
-                        })?;
-                    memory_mb.push(mb);
-                }
-                memory_mb.resize(layout.percentiles.len(), 0);
-            }
+                    }),
+                })
+                .collect::<Result<Vec<u32>, _>>()?;
             minutes = minutes.max(counts.len() as u32);
             let mut fields = fields.into_iter();
             functions.push(TraceFunction {
@@ -413,21 +297,11 @@ impl TraceFileWorkload {
                 function: fields.next().expect("checked above"),
                 trigger: fields.next().expect("checked above"),
                 counts,
-                memory_mb,
             });
         }
         if functions.is_empty() {
             return Err(IngestError::EmptyFile);
         }
-        let memory_percentiles = match header {
-            // A memory-declaring header fixes the minute width even when
-            // every data row is ragged short of it.
-            Some(layout) if !layout.percentiles.is_empty() => {
-                minutes = layout.minutes;
-                layout.percentiles
-            }
-            _ => Vec::new(),
-        };
         if day == 0 {
             return Err(IngestError::DayZero);
         }
@@ -442,11 +316,10 @@ impl TraceFileWorkload {
             function.counts.resize(minutes as usize, 0);
         }
         Ok(TraceFileWorkload {
-            source: source.into(),
+            source,
             functions,
             minutes,
             day,
-            memory_percentiles,
         })
     }
 
@@ -495,7 +368,6 @@ impl TraceFileWorkload {
                 function: synthetic_hash(FUNCTION_HASH_SALT, u64::from(f)),
                 trigger: "storage".into(),
                 counts: vec![0; minutes as usize],
-                memory_mb: Vec::new(),
             })
             .collect();
         for request in &trace {
@@ -508,7 +380,6 @@ impl TraceFileWorkload {
             functions,
             minutes,
             day: 1,
-            memory_percentiles: Vec::new(),
         })
     }
 
@@ -524,11 +395,6 @@ impl TraceFileWorkload {
             out.push(',');
             out.push_str(&minute.to_string());
         }
-        for percentile in &self.memory_percentiles {
-            out.push(',');
-            out.push_str(MEMORY_COLUMN_PREFIX);
-            out.push_str(&percentile.to_string());
-        }
         out.push('\n');
         for function in &self.functions {
             let mut fields: Vec<String> = vec![
@@ -538,7 +404,6 @@ impl TraceFileWorkload {
                 function.trigger.clone(),
             ];
             fields.extend(function.counts.iter().map(u32::to_string));
-            fields.extend(function.memory_mb.iter().map(u32::to_string));
             out.push_str(&render_record(&fields));
             out.push('\n');
         }
@@ -582,96 +447,6 @@ impl TraceFileWorkload {
         ids.sort_unstable();
         ids.dedup();
         ids
-    }
-
-    /// Coverage accounting for the selected day window. A file's last day is
-    /// often partial (the dataset's trailing-day files are ragged), so this
-    /// makes the zero-padding explicit: the day nominally spans
-    /// [`MINUTES_PER_DAY`] minute columns, `covered_minutes` of them exist
-    /// in the file, and the remaining `zero_padded_minutes` carry zero
-    /// invocations by construction — the expansion's horizon covers only the
-    /// covered span rather than silently pretending a full day ran.
-    pub fn day_summary(&self) -> DaySummary {
-        let (start, end) = self.window();
-        let covered = (end - start) as u32;
-        DaySummary {
-            day: self.day,
-            covered_minutes: covered,
-            zero_padded_minutes: MINUTES_PER_DAY - covered,
-            invocations: self.invocations(),
-            peak_memory: self.peak_memory(),
-        }
-    }
-
-    /// The fleet-wide peak allocated memory at the highest percentile the
-    /// file declares: the max over functions of that column. `None` when the
-    /// file carries no memory-percentile columns (the dataset's trailing-day
-    /// shape).
-    pub fn peak_memory(&self) -> Option<MemoryPercentile> {
-        let (index, &percentile) = self
-            .memory_percentiles
-            .iter()
-            .enumerate()
-            .max_by_key(|&(_, &level)| level)?;
-        let mb = self
-            .functions
-            .iter()
-            .map(|f| f.memory_mb.get(index).copied().unwrap_or(0))
-            .max()
-            .unwrap_or(0);
-        Some(MemoryPercentile { percentile, mb })
-    }
-}
-
-/// An allocated-memory figure quoted at a dataset percentile level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MemoryPercentile {
-    /// The percentile level (the `NN` of `AverageAllocatedMb_pctNN`).
-    pub percentile: u32,
-    /// Allocated memory in MB at that percentile.
-    pub mb: u32,
-}
-
-/// Coverage of one selected day window — see
-/// [`TraceFileWorkload::day_summary`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DaySummary {
-    /// The 1-based day.
-    pub day: u32,
-    /// Minute columns of the day the file actually covers.
-    pub covered_minutes: u32,
-    /// Minute columns of the nominal 1440-minute day beyond the file's end:
-    /// implicitly zero invocations, excluded from the expansion horizon.
-    pub zero_padded_minutes: u32,
-    /// Total invocations in the covered window.
-    pub invocations: u64,
-    /// Fleet-wide peak allocated memory at the highest declared percentile;
-    /// `None` when the file carries no memory columns.
-    pub peak_memory: Option<MemoryPercentile>,
-}
-
-impl fmt::Display for DaySummary {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "day {}: {} invocation(s) over {} covered minute(s)",
-            self.day, self.invocations, self.covered_minutes
-        )?;
-        if self.zero_padded_minutes > 0 {
-            write!(
-                f,
-                " ({} trailing minute(s) beyond the file, zero-padded)",
-                self.zero_padded_minutes
-            )?;
-        }
-        if let Some(memory) = self.peak_memory {
-            write!(
-                f,
-                ", peak memory {} MB at p{}",
-                memory.mb, memory.percentile
-            )?;
-        }
-        Ok(())
     }
 }
 
@@ -819,6 +594,11 @@ o2,a2,f3,storage,1,3,0
         assert_eq!(parsed.functions[2].trigger, "storage");
         assert_eq!(parsed.horizon(), SimDuration::from_secs(180));
         assert_eq!(parsed.validate(), Ok(()));
+        // A full day's 1440 columns span a 24-hour day-1 horizon.
+        let full_day = format!("o1,a1,f1,http{}\n", ",1".repeat(MINUTES_PER_DAY as usize));
+        let full = TraceFileWorkload::from_csv_str(&full_day, "full", 1).expect("valid");
+        assert_eq!(full.horizon(), SimDuration::from_secs(86_400));
+        assert_eq!(full.invocations(), u64::from(MINUTES_PER_DAY));
     }
 
     #[test]
@@ -882,157 +662,44 @@ o2,a2,f3,storage,1,3,0
             .expect_err("missing file");
         assert!(matches!(missing, IngestError::Io { .. }));
         assert!(missing.to_string().contains("/nonexistent/trace.csv"));
-    }
-
-    /// Satellite regression test: a partially-covered day window accounts
-    /// for its zero-padding explicitly instead of silently clipping.
-    #[test]
-    fn day_summary_makes_partial_coverage_explicit() {
-        let parsed = TraceFileWorkload::from_csv_str(TINY, "tiny", 1).expect("valid");
-        let summary = parsed.day_summary();
-        assert_eq!(
-            summary,
-            DaySummary {
-                day: 1,
-                covered_minutes: 3,
-                zero_padded_minutes: MINUTES_PER_DAY - 3,
-                invocations: 7,
-                peak_memory: None,
-            }
-        );
-        assert!(summary.to_string().contains("zero-padded"));
-        // A fully-covered day reports no padding (and says nothing about it).
-        let full_width = {
-            let mut row = String::from("o1,a1,f1,http");
-            for _ in 0..MINUTES_PER_DAY {
-                row.push_str(",1");
-            }
-            row.push('\n');
-            row
-        };
-        let full = TraceFileWorkload::from_csv_str(&full_width, "full", 1).expect("valid");
-        let summary = full.day_summary();
-        assert_eq!(summary.covered_minutes, MINUTES_PER_DAY);
-        assert_eq!(summary.zero_padded_minutes, 0);
-        assert_eq!(summary.invocations, u64::from(MINUTES_PER_DAY));
-        assert!(!summary.to_string().contains("zero-padded"));
-    }
-
-    const WITH_MEMORY: &str = "\
-HashOwner,HashApp,HashFunction,Trigger,1,2,3,AverageAllocatedMb_pct50,AverageAllocatedMb_pct99
-o1,a1,f1,http,2,0,1,128,512
-o1,a1,f2,timer,0,0,0,96,200
-o2,a2,f3,storage,1,3,0,,
-";
-
-    /// Satellite regression test: the dataset's trailing
-    /// `AverageAllocatedMb_pctNN` columns parse into per-function memory
-    /// figures instead of being dropped (or worse, read as minute counts),
-    /// surface as the day summary's peak, and survive the CSV round trip.
-    #[test]
-    fn memory_percentile_columns_parse_and_round_trip() {
-        let parsed = TraceFileWorkload::from_csv_str(WITH_MEMORY, "mem", 1).expect("valid");
-        assert_eq!(parsed.memory_percentiles, vec![50, 99]);
-        assert_eq!(parsed.minutes, 3, "memory columns are not minute columns");
-        assert_eq!(parsed.invocations(), 7);
-        assert_eq!(parsed.functions[0].memory_mb, vec![128, 512]);
-        assert_eq!(parsed.functions[1].memory_mb, vec![96, 200]);
-        assert_eq!(parsed.functions[2].memory_mb, vec![0, 0], "empty reads 0");
-        assert_eq!(
-            parsed.peak_memory(),
-            Some(MemoryPercentile {
-                percentile: 99,
-                mb: 512
-            })
-        );
-        let summary = parsed.day_summary();
-        assert_eq!(
-            summary.peak_memory,
-            Some(MemoryPercentile {
-                percentile: 99,
-                mb: 512
-            })
-        );
-        assert!(summary.to_string().contains("peak memory 512 MB at p99"));
-        // Round trip: re-emission carries the memory columns and re-parses
-        // to the same workload, byte-identically on the second emission.
-        let csv = parsed.to_csv();
-        assert!(csv.starts_with(
-            "HashOwner,HashApp,HashFunction,Trigger,1,2,3,\
-             AverageAllocatedMb_pct50,AverageAllocatedMb_pct99"
-        ));
-        let reparsed = TraceFileWorkload::from_csv_str(&csv, "mem", 1).expect("own output parses");
-        assert_eq!(reparsed, parsed);
-        assert_eq!(reparsed.to_csv(), csv);
-        // A ragged row missing its memory fields zero-pads them, and the
-        // header stays authoritative for the minute width.
-        let ragged = "\
-HashOwner,HashApp,HashFunction,Trigger,1,2,3,AverageAllocatedMb_pct50
-o1,a1,f1,http,1
-";
-        let parsed = TraceFileWorkload::from_csv_str(ragged, "ragged", 1).expect("valid");
-        assert_eq!(parsed.minutes, 3);
-        assert_eq!(parsed.functions[0].counts, vec![1, 0, 0]);
-        assert_eq!(parsed.functions[0].memory_mb, vec![0]);
-    }
-
-    /// Satellite regression test: malformed memory figures and layout
-    /// violations are typed errors, never silently misread as counts.
-    #[test]
-    fn malformed_memory_columns_are_typed_errors() {
-        let bad_value = "\
-HashOwner,HashApp,HashFunction,Trigger,1,AverageAllocatedMb_pct99
-o1,a1,f1,http,2,lots
-";
-        let err = TraceFileWorkload::from_csv_str(bad_value, "bad", 1).expect_err("bad memory");
-        assert_eq!(
-            err,
-            IngestError::MalformedMemory {
-                line: 2,
-                percentile: 99,
-                value: "lots".into()
-            }
-        );
-        assert!(err.to_string().contains("AverageAllocatedMb_pct99"));
-        // An unrecognizable header column (neither minute label nor memory
-        // percentile) is rejected, as is a minute label after a memory
-        // column and an out-of-range percentile level.
-        for (header, column, name) in [
-            ("HashOwner,HashApp,HashFunction,Trigger,1,Bogus", 2, "Bogus"),
+        // Every header column after the metadata is a minute label, so a
+        // memory-percentile column is as unknown as any other word.
+        for (header, name) in [
+            ("HashOwner,HashApp,HashFunction,Trigger,1,Bogus", "Bogus"),
             (
-                "HashOwner,HashApp,HashFunction,Trigger,1,AverageAllocatedMb_pct50,2",
-                3,
-                "2",
-            ),
-            (
-                "HashOwner,HashApp,HashFunction,Trigger,1,AverageAllocatedMb_pct0",
-                2,
-                "AverageAllocatedMb_pct0",
+                "HashOwner,HashApp,HashFunction,Trigger,1,AverageAllocatedMb_pct99",
+                "AverageAllocatedMb_pct99",
             ),
         ] {
             let text = format!("{header}\no1,a1,f1,http,1\n");
             assert_eq!(
                 TraceFileWorkload::from_csv_str(&text, "hdr", 1).expect_err("bad header"),
                 IngestError::UnknownHeaderColumn {
-                    column,
+                    column: 2,
                     name: name.into()
                 },
                 "{header}"
             );
         }
-        // A memory-declaring header pins the width: surplus fields cannot be
-        // minute counts.
-        let wide = "\
-HashOwner,HashApp,HashFunction,Trigger,1,AverageAllocatedMb_pct50
-o1,a1,f1,http,1,128,7
-";
+        // Only the first record may be a header: two concatenated files put
+        // a second one mid-file, and a headerless file cannot gain one late.
+        let twice = format!("{TINY}{TINY}");
+        let err = TraceFileWorkload::from_csv_str(&twice, "twice", 1).expect_err("second header");
+        assert_eq!(err, IngestError::MisplacedHeader { line: 5 });
+        assert!(err.to_string().contains("line 5"), "{err}");
         assert_eq!(
-            TraceFileWorkload::from_csv_str(wide, "wide", 1).expect_err("row too wide"),
-            IngestError::RowTooWide {
-                line: 2,
-                found: 3,
-                expected: 2
-            }
+            TraceFileWorkload::from_csv_str(&format!("o1,a1,f1,http,1\n\n{TINY}"), "late", 1)
+                .expect_err("late header"),
+            IngestError::MisplacedHeader { line: 3 }
+        );
+        // A line that is not UTF-8 names the source label and its line.
+        let bytes: &[u8] = b"o1,a1,f1,http,1\no2,a2,f2,http,\xff\n";
+        let err = TraceFileWorkload::from_reader(bytes, "bytes.csv", 1).expect_err("not UTF-8");
+        assert!(matches!(err, IngestError::Io { ref path, .. } if path == "bytes.csv"));
+        assert!(
+            err.to_string()
+                .starts_with("cannot read trace file bytes.csv: line 2: "),
+            "{err}"
         );
     }
 

@@ -100,7 +100,7 @@ pub use at_scale::{
 pub use coldpath::{ColdStartPath, IpcTransport};
 pub use data::DataLayer;
 pub use experiment::{ConfigError, Experiment, ExperimentBuilder, Outcome};
-pub use ingest::{DaySummary, IngestError, MemoryPercentile, TraceFileWorkload};
+pub use ingest::{IngestError, TraceFileWorkload};
 pub use optimal::{optimal_coldstart_seconds, optimal_coldstart_seconds_with, regret_pct};
 pub use policy::{
     KeepalivePolicy, KeepaliveState, KeepaliveStats, LoadBalancer, ScalingPolicy, SchedulerPolicy,

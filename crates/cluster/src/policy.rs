@@ -742,11 +742,6 @@ impl KeepaliveState {
         }
     }
 
-    /// The policy this state enforces.
-    pub fn policy(&self) -> KeepalivePolicy {
-        self.policy
-    }
-
     /// The accumulated prewarm/warm-memory counters.
     pub fn stats(&self) -> KeepaliveStats {
         self.stats

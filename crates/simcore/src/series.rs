@@ -87,11 +87,6 @@ impl TimeSeries {
         self.sums.is_empty()
     }
 
-    /// Bucket width.
-    pub fn bucket_width(&self) -> SimDuration {
-        self.bucket
-    }
-
     /// Records `value` at time `at`. Samples past the horizon are clamped into
     /// the final bucket so late completions are not silently dropped.
     ///

@@ -1386,3 +1386,80 @@ fn spreading_function_slots_leaves_every_outcome_bit_identical() {
         }
     });
 }
+
+/// Mutated copies of the checked-in sample trace (truncated, bit-flipped,
+/// cut, or with a number, quote, separator, line break or non-UTF-8 byte
+/// spliced in) ingest to a workload or a typed `IngestError`, never a
+/// panic, and every workload that comes back expands and re-emits. A
+/// byte-order mark, blank lines around the records and CRLF line ends
+/// change nothing: the sample parses to the same workload.
+#[test]
+fn mutated_trace_files_ingest_to_a_workload_or_a_typed_error() {
+    use dscs_serverless::cluster::ingest::TraceFileWorkload;
+    use dscs_serverless::cluster::workload::Workload;
+
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/data/azure_trace_sample.csv");
+    let sample = std::fs::read(path).expect("the sample trace is checked in");
+    let ingest = |bytes: &[u8]| TraceFileWorkload::from_reader(bytes, "sample", 1);
+    let plain = ingest(&sample).expect("the sample parses");
+    let text = std::str::from_utf8(&sample).expect("the sample is UTF-8");
+    for (what, variant) in [
+        ("a byte-order mark", format!("\u{feff}{text}")),
+        ("a blank line after a BOM", format!("\u{feff}\n{text}")),
+        ("leading blank lines", format!("\n \n{text}")),
+        ("trailing blank lines", format!("{text}\n\r\n\n")),
+        ("CRLF line ends", text.replace('\n', "\r\n")),
+    ] {
+        assert_eq!(ingest(variant.as_bytes()).as_ref(), Ok(&plain), "{what}");
+    }
+
+    let splices: [&[u8]; 11] = [
+        b"NaN",
+        b"-1",
+        b"18446744073709551616",
+        b"4294967296",
+        b"\"",
+        b",",
+        b"\r",
+        b"\n",
+        b"\r\n",
+        b"\xff",
+        b"\xc3",
+    ];
+    check(0xB9, |case, rng| {
+        let mut bytes = sample.clone();
+        for _ in 0..int_in(rng, 1, 4) {
+            let at = rng.next_index(bytes.len() + 1);
+            match rng.next_index(4) {
+                0 => bytes.truncate(at),
+                1 if at < bytes.len() => bytes[at] ^= 1 << rng.next_index(8),
+                2 => {
+                    let end = (at + 1 + rng.next_index(64)).min(bytes.len());
+                    bytes.drain(at..end);
+                }
+                _ => {
+                    let splice = splices[rng.next_index(splices.len())];
+                    bytes.splice(at..at, splice.iter().copied());
+                }
+            }
+        }
+        let Ok(workload) = ingest(&bytes) else {
+            return;
+        };
+        // Cuts can merge neighbouring counts into one larger count. A
+        // workload of more than 2^22 requests is only re-emitted, since its
+        // expansion would take more memory than a test should.
+        if workload.invocations() <= 1 << 22 {
+            let trace = workload
+                .generate(&mut DeterministicRng::seeded(case))
+                .unwrap_or_else(|err| panic!("case {case}: parsed workload rejected: {err}"));
+            assert_eq!(trace.len() as u64, workload.invocations(), "case {case}");
+        }
+        let csv = workload.to_csv();
+        assert_eq!(
+            TraceFileWorkload::from_csv_str(&csv, "sample", 1).as_ref(),
+            Ok(&workload),
+            "case {case}: re-emission parses back"
+        );
+    });
+}
