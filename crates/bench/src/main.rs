@@ -60,18 +60,19 @@
 //! cold-start path; the JSON carries the regret fields too, plus the v8
 //! per-cell `cold_path`, `ipc`, `restore_s` and `ipc_overhead_s` columns.
 //!
-//! reproduce generate-trace [--sample | --scale smoke|quick|full|large]
-//!                          [--seed N] [--out PATH]
+//! reproduce generate-trace [--scale smoke|quick|full|large] [--seed N]
+//!                          [--out PATH]
 //! reproduce generate-trace --from CSV [--day N] [--out PATH]
 //!
 //! Emits an Azure-Functions-2019-schema invocations-per-function CSV. The
-//! first form buckets a synthetic `AzureWorkload` trace (the checked-in
-//! ~200-function `data/azure_trace_sample.csv` is `--sample --seed 42`;
-//! `--scale` buckets the sweep's azure workload instead, from exactly the
-//! RNG stream the sweep generates with, so the file round-trips the
-//! synthetic run). The second form ingests an existing trace file and
-//! re-emits it — CI uses both forms to pin generate → parse → re-emit
-//! byte-equality. Each form rejects the other's options.
+//! first form buckets a synthetic `AzureWorkload` trace: by default the
+//! configuration of the checked-in ~200-function
+//! `data/azure_trace_sample.csv`, which `--seed 42` regenerates; with
+//! `--scale`, the sweep's azure workload, from exactly the RNG stream the
+//! sweep generates with, so the file round-trips the synthetic run. The
+//! second form ingests an existing trace file and re-emits it — CI uses both
+//! forms to pin generate → parse → re-emit byte-equality. Each form rejects
+//! the other's options.
 //! ```
 
 use std::env;
@@ -878,17 +879,16 @@ fn at_scale(args: &[String]) {
     }
 }
 
-/// `reproduce generate-trace [--sample | --scale smoke|quick|full] [--seed N]
+/// `reproduce generate-trace [--scale smoke|quick|full|large] [--seed N]
 /// [--out PATH]` or `reproduce generate-trace --from CSV [--day N] [--out
 /// PATH]`: emit an Azure-Functions-2019-schema invocation CSV. The first form
-/// buckets a synthetic `AzureWorkload` trace (`--sample` is the checked-in
-/// sample's ~200-function configuration, and the default); the second ingests
-/// an existing trace file and re-emits it, which CI uses to pin the
+/// buckets a synthetic `AzureWorkload` trace (the checked-in sample's
+/// ~200-function configuration unless `--scale` names a sweep's); the second
+/// ingests an existing trace file and re-emits it, which CI uses to pin the
 /// generate → parse → re-emit byte round trip.
 fn generate_trace(args: &[String]) {
-    let usage = "usage: reproduce generate-trace [--sample | --scale smoke|quick|full|large] \
-                 [--seed N] [--out PATH] | --from CSV [--day N] [--out PATH]";
-    let mut sample = false;
+    let usage = "usage: reproduce generate-trace [--scale smoke|quick|full|large] [--seed N] \
+                 [--out PATH] | --from CSV [--day N] [--out PATH]";
     let mut scale: Option<SweepScale> = None;
     let mut seed: Option<u64> = None;
     let mut out_path = String::from("azure_trace.csv");
@@ -905,7 +905,6 @@ fn generate_trace(args: &[String]) {
                 .clone()
         };
         match arg.as_str() {
-            "--sample" => sample = true,
             "--scale" => {
                 let name = value_of("--scale");
                 scale = Some(match name.as_str() {
@@ -944,18 +943,12 @@ fn generate_trace(args: &[String]) {
     }
     // Each form takes only its own options.
     let conflict = if from.is_some() {
-        [
-            ("--sample", sample),
-            ("--scale", scale.is_some()),
-            ("--seed", seed.is_some()),
-        ]
-        .into_iter()
-        .find(|&(_, given)| given)
-        .map(|(flag, _)| format!("--from does not take {flag}"))
+        [("--scale", scale.is_some()), ("--seed", seed.is_some())]
+            .into_iter()
+            .find(|&(_, given)| given)
+            .map(|(flag, _)| format!("--from does not take {flag}"))
     } else if day.is_some() {
         Some("--day needs --from".to_string())
-    } else if sample && scale.is_some() {
-        Some("--sample and --scale are mutually exclusive".to_string())
     } else {
         None
     };

@@ -14,7 +14,7 @@ fn a_subcommand_name_after_the_first_argument_is_an_option_value() {
     std::fs::create_dir_all(&dir).expect("the test's working directory can be created");
 
     let output = Command::new(env!("CARGO_BIN_EXE_reproduce"))
-        .args(["generate-trace", "--sample", "--out", "at-scale"])
+        .args(["generate-trace", "--out", "at-scale"])
         .current_dir(&dir)
         .output()
         .expect("the reproduce binary starts");
@@ -30,7 +30,7 @@ fn a_subcommand_name_after_the_first_argument_is_an_option_value() {
     let sample = std::fs::read(sample).expect("the checked-in sample trace is readable");
     assert!(
         written == sample,
-        "`--sample` regenerates the checked-in sample"
+        "`generate-trace` regenerates the checked-in sample"
     );
 }
 
@@ -96,8 +96,9 @@ fn options_the_chosen_form_would_ignore_exit_2_before_running() {
     std::fs::create_dir_all(&dir).expect("the test's working directory can be created");
     let sample = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../data/azure_trace_sample.csv");
     let sample = sample.to_str().expect("the sample's path is UTF-8");
-    let cases: [&[&str]; 9] = [
-        &["generate-trace", "--sample", "--day", "3"],
+    let cases: [&[&str]; 10] = [
+        &["generate-trace", "--sample"],
+        &["generate-trace", "--day", "3"],
         &["generate-trace", "--from", sample, "--seed", "9"],
         &["generate-trace", "--from", sample, "--scale", "large"],
         &["generate-trace", "--from", sample, "--sample"],
@@ -156,9 +157,10 @@ fn smoke_and_quick_scales_sweep_two_racks() {
 
 /// A trace file that is not one day file's layout exits 1 naming the file,
 /// with no panic and no output written: a second header (two concatenated
-/// day files), a memory-percentile header column, and a byte that is not
-/// UTF-8. The same sample behind a byte-order mark and a blank line
-/// re-emits the sample's own bytes.
+/// day files), a memory-percentile header column, a byte that is not UTF-8,
+/// and a signed count or minute label, whose sign a re-emit would drop. The
+/// same sample behind a byte-order mark and a blank line re-emits the
+/// sample's own bytes.
 #[test]
 fn generate_trace_from_names_the_file_it_cannot_ingest() {
     let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli_bad_trace_files");
@@ -184,6 +186,11 @@ fn generate_trace_from_names_the_file_it_cannot_ingest() {
         ("twice.csv", [&sample[..], &sample[..]].concat()),
         ("memory.csv", memory_column.to_vec()),
         ("bytes.csv", not_utf8.to_vec()),
+        ("count.csv", b"o1,a1,f1,http,+5,1\n".to_vec()),
+        (
+            "label.csv",
+            b"HashOwner,HashApp,HashFunction,Trigger,+1\no1,a1,f1,http,1\n".to_vec(),
+        ),
     ] {
         let (output, written) = ingest(name, &bytes);
         let stderr = String::from_utf8_lossy(&output.stderr);

@@ -230,10 +230,10 @@ impl TraceFileWorkload {
     /// different widths are zero-padded to the widest (the dataset's
     /// trailing-day rows are ragged); empty count fields read as zero.
     /// Anything else — a line that cannot be read, too few metadata columns,
-    /// a non-numeric count, a header column that is not a minute label, a
-    /// header after the first record, no data rows at all, or a `day` beyond
-    /// the file — is a typed [`IngestError`], never a panic. A read error
-    /// names `source` and the line.
+    /// a count that is not ASCII digits (a sign included), a header column
+    /// that is not a minute label, a header after the first record, no data
+    /// rows at all, or a `day` beyond the file — is a typed [`IngestError`],
+    /// never a panic. A read error names `source` and the line.
     pub fn from_reader(
         reader: impl BufRead,
         source: impl Into<String>,
@@ -263,7 +263,7 @@ impl TraceFileWorkload {
                     return Err(IngestError::MisplacedHeader { line: line_no });
                 }
                 let labels = fields.get(META_COLUMNS..).unwrap_or_default();
-                if let Some(offset) = labels.iter().position(|name| name.parse::<u32>().is_err()) {
+                if let Some(offset) = labels.iter().position(|name| parse_digits(name).is_none()) {
                     return Err(IngestError::UnknownHeaderColumn {
                         column: offset + 1,
                         name: labels[offset].clone(),
@@ -282,7 +282,7 @@ impl TraceFileWorkload {
                 .enumerate()
                 .map(|(offset, field)| match field.as_str() {
                     "" => Ok(0),
-                    text => text.parse().map_err(|_| IngestError::MalformedCount {
+                    text => parse_digits(text).ok_or_else(|| IngestError::MalformedCount {
                         line: line_no,
                         column: offset + 1,
                         value: field.clone(),
@@ -424,11 +424,14 @@ impl TraceFileWorkload {
             .sum()
     }
 
-    /// The selected day's minute-column range, clipped to the file.
+    /// The selected day's minute-column range, clipped to the file: empty
+    /// for day 0 or a day that starts beyond the file. In `u64`, so no
+    /// `day` can overflow it.
     fn window(&self) -> (usize, usize) {
-        let start = ((self.day - 1) * MINUTES_PER_DAY) as usize;
-        let end = (self.day * MINUTES_PER_DAY).min(self.minutes) as usize;
-        (start, end)
+        let day = u64::from(self.day);
+        let end = (day * u64::from(MINUTES_PER_DAY)).min(u64::from(self.minutes));
+        let start = (day.saturating_sub(1) * u64::from(MINUTES_PER_DAY)).min(end);
+        (start as usize, end as usize)
     }
 
     /// The 32-bit id ([`TraceFunction::id`]) behind each function slot the
@@ -448,6 +451,13 @@ impl TraceFileWorkload {
         ids.dedup();
         ids
     }
+}
+
+/// Parses a count or minute label: ASCII digits only, so a sign, which
+/// `str::parse` would accept, makes the field malformed.
+fn parse_digits(text: &str) -> Option<u32> {
+    let digits = text.bytes().all(|b| b.is_ascii_digit());
+    digits.then(|| text.parse().ok()).flatten()
 }
 
 /// Renders a synthetic 32-hex-character dataset hash.
@@ -476,9 +486,8 @@ impl Workload for TraceFileWorkload {
         if self.minutes == 0 {
             return Err(WorkloadError::ZeroDuration { segment: 0 });
         }
-        if self.day == 0
-            || u64::from(self.day - 1) * u64::from(MINUTES_PER_DAY) >= u64::from(self.minutes)
-        {
+        let (start, end) = self.window();
+        if start == end {
             return Err(WorkloadError::InvalidParameter {
                 name: "day",
                 value: f64::from(self.day),
@@ -558,7 +567,7 @@ impl Workload for TraceFileWorkload {
 /// The configuration behind the checked-in `data/azure_trace_sample.csv`:
 /// ~200 functions at 20 req/s over one hour (60 minute columns), Zipf
 /// popularity, a 20-minute diurnal cycle and burst episodes. Regenerate the
-/// sample with `reproduce generate-trace --sample --seed 42` — CI asserts
+/// sample with `reproduce generate-trace --seed 42` — CI asserts
 /// the regenerated bytes match the checked-in file, so the sample's
 /// provenance is pinned, not folklore.
 pub fn sample_workload() -> AzureWorkload {
@@ -692,6 +701,29 @@ o2,a2,f3,storage,1,3,0
                 .expect_err("late header"),
             IngestError::MisplacedHeader { line: 3 }
         );
+        // Counts and minute labels are ASCII digits: the sign `str::parse`
+        // accepts would be lost on re-emission.
+        assert_eq!(
+            TraceFileWorkload::from_csv_str("o,a,f,http,+5,1\n", "signed", 1)
+                .expect_err("signed count"),
+            IngestError::MalformedCount {
+                line: 1,
+                column: 1,
+                value: "+5".into()
+            }
+        );
+        assert_eq!(
+            TraceFileWorkload::from_csv_str(
+                "HashOwner,HashApp,HashFunction,Trigger,+1\no,a,f,http,1\n",
+                "signed",
+                1
+            )
+            .expect_err("signed minute label"),
+            IngestError::UnknownHeaderColumn {
+                column: 1,
+                name: "+1".into()
+            }
+        );
         // A line that is not UTF-8 names the source label and its line.
         let bytes: &[u8] = b"o1,a1,f1,http,1\no2,a2,f2,http,\xff\n";
         let err = TraceFileWorkload::from_reader(bytes, "bytes.csv", 1).expect_err("not UTF-8");
@@ -815,6 +847,31 @@ o2,a2,f3,storage,1,3,0
                 in_place,
                 staged_expansion(&w, &mut DeterministicRng::seeded(seed)),
                 "case {case}"
+            );
+        }
+    }
+
+    /// `day` is a public field, so it can name any day after parsing. Day 0
+    /// or a day past the file is an empty window: no invocations, a zero
+    /// horizon, and a typed error from `generate`, never a panic or a
+    /// wrapped window.
+    #[test]
+    fn days_outside_the_file_are_empty_windows() {
+        let mut w = TraceFileWorkload::from_csv_str("o,a,f,http,1,2\n", "two", 1).expect("valid");
+        assert_eq!(w.invocations(), 3);
+        assert_eq!(w.horizon(), SimDuration::from_secs(120));
+        for day in [0, 2, 3, u32::MAX] {
+            w.day = day;
+            assert_eq!(w.invocations(), 0, "day {day}");
+            assert_eq!(w.horizon(), SimDuration::ZERO, "day {day}");
+            assert!(w.slot_ids().is_empty(), "day {day}");
+            assert_eq!(
+                w.generate(&mut DeterministicRng::seeded(1)),
+                Err(WorkloadError::InvalidParameter {
+                    name: "day",
+                    value: f64::from(day)
+                }),
+                "day {day}"
             );
         }
     }

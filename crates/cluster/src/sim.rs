@@ -43,7 +43,8 @@ use crate::coldpath::{ColdStartPath, IpcTransport};
 use crate::data::DataLayer;
 use crate::experiment::ConfigError;
 use crate::policy::{
-    KeepalivePolicy, KeepaliveState, LoadBalancer, ScalingPolicy, SchedQueue, SchedulerPolicy,
+    KeepalivePolicy, KeepaliveState, KeepaliveStats, LoadBalancer, ScalingPolicy, SchedQueue,
+    SchedulerPolicy,
 };
 use crate::trace::{assert_function_in_range, TraceRequest};
 
@@ -281,8 +282,10 @@ impl ClusterReport {
     }
 }
 
-/// Per-rack outcome of a sharded run.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Per-rack ledger of a run: the engine writes each rack's counters here as
+/// it runs, and every [`ClusterReport`] counter is the rack-order sum (or,
+/// for `peak_instances`, the maximum) of these.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RackSummary {
     /// Rack index.
     pub rack: u32,
@@ -292,14 +295,15 @@ pub struct RackSummary {
     pub rejected: u64,
     /// Cold starts paid on this rack.
     pub cold_starts: u64,
-    /// Cold-start seconds charged on this rack.
-    pub coldstart_s: f64,
-    /// The subset of `coldstart_s` this rack paid as snapshot restores.
-    pub restore_s: f64,
-    /// Per-request IPC transport seconds this rack charged.
-    pub ipc_overhead_s: f64,
-    /// Prewarm hits on this rack.
-    pub prewarm_hits: u64,
+    /// Cold-start time charged on this rack.
+    pub coldstart: SimDuration,
+    /// The subset of `coldstart` this rack paid as snapshot restores.
+    pub restore: SimDuration,
+    /// Per-request IPC transport time this rack charged.
+    pub ipc_overhead: SimDuration,
+    /// This rack's prewarm hits and warm-memory seconds, closed against the
+    /// cluster's last activity.
+    pub keepalive: KeepaliveStats,
     /// Maximum queue depth this rack reached.
     pub peak_queue: usize,
     /// Largest provisioned instance count this rack reached.
@@ -310,12 +314,16 @@ pub struct RackSummary {
     pub scale_ups: u64,
     /// Scale-down decisions this rack took.
     pub scale_downs: u64,
+    /// Time this rack waited on instance provisioning over its scale-ups.
+    pub scaling_lag: SimDuration,
     /// Requests this rack served with a local replica of their object.
     pub locality_hits: u64,
     /// Requests this rack served by fetching the object from a remote rack.
     pub remote_fetches: u64,
     /// Bytes this rack pulled across the fabric for those fetches.
     pub cross_rack_bytes: u64,
+    /// Fetch latency this rack charged onto those invocations.
+    pub fetch_latency: SimDuration,
     /// Joules this rack's remote fetches spent moving those bytes.
     pub fetch_energy_j: f64,
     /// Mean wall-clock latency of requests completed on this rack, in
@@ -504,8 +512,9 @@ struct ColdCosts {
 }
 
 struct RackState {
-    /// The rack's index in the cluster (what a data layer's home rack names).
-    id: u32,
+    /// The rack's ledger; `summary.rack` is what a data layer's home rack
+    /// names.
+    summary: RackSummary,
     queue: SchedQueue,
     keepalive: KeepaliveState,
     rng: DeterministicRng,
@@ -514,25 +523,6 @@ struct RackState {
     capacity: u32,
     /// Instances requested but still provisioning (in the scale-up pipeline).
     pending: u32,
-    completed: u64,
-    rejected: u64,
-    cold_starts: u64,
-    coldstart: SimDuration,
-    /// The subset of `coldstart` paid as snapshot restores.
-    restore: SimDuration,
-    /// Per-request IPC transport latency charged on started invocations.
-    ipc_overhead: SimDuration,
-    peak_queue: usize,
-    peak_instances: u32,
-    low_instances: u32,
-    scale_ups: u64,
-    scale_downs: u64,
-    scaling_lag: SimDuration,
-    locality_hits: u64,
-    remote_fetches: u64,
-    cross_rack_bytes: u64,
-    fetch_latency: SimDuration,
-    fetch_energy_j: f64,
     /// Streaming sketch of this rack's wall-clock latencies (seconds).
     latency: QuantileSketch,
 }
@@ -557,27 +547,25 @@ impl RackState {
              a scale-up committed more instances than were provisioning",
         );
         self.capacity += add;
-        self.peak_instances = self.peak_instances.max(self.capacity);
-        self.scaling_lag += PROVISIONING_DELAY;
+        self.summary.peak_instances = self.summary.peak_instances.max(self.capacity);
+        self.summary.scaling_lag += PROVISIONING_DELAY;
     }
 
     /// What a drained event loop leaves on every rack: every started request
     /// completed, every scale-up committed, nothing left waiting.
     fn assert_drained(&self) {
+        let rack = self.summary.rack;
         assert_eq!(
             self.busy, 0,
-            "busy == 0 at drain invariant broken: rack {} ended with busy instances",
-            self.id
+            "busy == 0 at drain invariant broken: rack {rack} ended with busy instances"
         );
         assert_eq!(
             self.pending, 0,
-            "pending == 0 at drain invariant broken: rack {} ended with instances provisioning",
-            self.id
+            "pending == 0 at drain invariant broken: rack {rack} ended with instances provisioning"
         );
         assert!(
             self.queue.is_empty(),
-            "empty queue at drain invariant broken: rack {} ended with {} queued request(s)",
-            self.id,
+            "empty queue at drain invariant broken: rack {rack} ended with {} queued request(s)",
             self.queue.len()
         );
     }
@@ -847,32 +835,20 @@ impl ClusterSim {
     }
 
     fn new_rack_state(&self, id: u32, rng: DeterministicRng) -> RackState {
-        let initial_capacity = self.initial_capacity();
+        let capacity = self.initial_capacity();
         RackState {
-            id,
+            summary: RackSummary {
+                rack: id,
+                peak_instances: capacity,
+                low_instances: capacity,
+                ..RackSummary::default()
+            },
             queue: SchedQueue::new(self.config.scheduler, &self.service_times),
             keepalive: KeepaliveState::new(self.config.keepalive),
             rng,
             busy: 0,
-            capacity: initial_capacity,
+            capacity,
             pending: 0,
-            completed: 0,
-            rejected: 0,
-            cold_starts: 0,
-            coldstart: SimDuration::ZERO,
-            restore: SimDuration::ZERO,
-            ipc_overhead: SimDuration::ZERO,
-            peak_queue: 0,
-            peak_instances: initial_capacity,
-            low_instances: initial_capacity,
-            scale_ups: 0,
-            scale_downs: 0,
-            scaling_lag: SimDuration::ZERO,
-            locality_hits: 0,
-            remote_fetches: 0,
-            cross_rack_bytes: 0,
-            fetch_latency: SimDuration::ZERO,
-            fetch_energy_j: 0.0,
             latency: QuantileSketch::new(),
         }
     }
@@ -926,10 +902,10 @@ impl ClusterSim {
             rack.keepalive.note_arrival(inputs.trace[idx].function, now);
         }
         if rack.queue.len() >= self.config.queue_depth {
-            rack.rejected += 1;
+            rack.summary.rejected += 1;
         } else {
             rack.queue.push(idx, inputs.trace[idx].benchmark);
-            rack.peak_queue = rack.peak_queue.max(rack.queue.len());
+            rack.summary.peak_queue = rack.summary.peak_queue.max(rack.queue.len());
         }
     }
 
@@ -964,29 +940,29 @@ impl ClusterSim {
                     self.cold_start_cost(request.benchmark)
                 };
                 if repeat && self.config.cold_path == ColdStartPath::SnapshotRestore {
-                    rack.restore += penalty;
+                    rack.summary.restore += penalty;
                 }
                 service += penalty;
-                rack.cold_starts += 1;
-                rack.coldstart += penalty;
+                rack.summary.cold_starts += 1;
+                rack.summary.coldstart += penalty;
             }
             // Every started invocation — warm and cold — pays the gateway's
             // IPC transport (zero for the default shared-memory path).
             let ipc_cost = self.config.ipc.per_request_cost();
             service += ipc_cost;
-            rack.ipc_overhead += ipc_cost;
+            rack.summary.ipc_overhead += ipc_cost;
             if let Some(data) = inputs.data {
-                if data.home_rack(idx) == rack.id {
-                    rack.locality_hits += 1;
+                if data.home_rack(idx) == rack.summary.rack {
+                    rack.summary.locality_hits += 1;
                 } else {
                     // The object lives elsewhere: the invocation carries
                     // the cross-rack fetch before it can execute.
                     let fetch = data.fetch_cost(request.object_size_log2);
                     service += fetch.latency;
-                    rack.remote_fetches += 1;
-                    rack.cross_rack_bytes += request.object_bytes().as_u64();
-                    rack.fetch_latency += fetch.latency;
-                    rack.fetch_energy_j += fetch.energy_j;
+                    rack.summary.remote_fetches += 1;
+                    rack.summary.cross_rack_bytes += request.object_bytes().as_u64();
+                    rack.summary.fetch_latency += fetch.latency;
+                    rack.summary.fetch_energy_j += fetch.energy_j;
                 }
             }
             rack.keepalive
@@ -995,7 +971,7 @@ impl ClusterSim {
             let wall = wait + service;
             rack.latency.record(wall.as_secs_f64());
             latency_series.record(request.arrival, wall.as_millis_f64());
-            rack.completed += 1;
+            rack.summary.completed += 1;
             rack.busy += 1;
             schedule_completion(service);
         }
@@ -1109,7 +1085,10 @@ impl ClusterSim {
         for rack in &racks {
             rack.assert_drained();
         }
-        let settled: u64 = racks.iter().map(|r| r.completed + r.rejected).sum();
+        let settled: u64 = racks
+            .iter()
+            .map(|r| r.summary.completed + r.summary.rejected)
+            .sum();
         assert_eq!(
             settled, arrivals,
             "arrivals = completed + rejected invariant broken: \
@@ -1125,9 +1104,12 @@ impl ClusterSim {
         }
     }
 
-    /// Merges a finished run into the aggregate report and
-    /// per-rack summaries, closing the warm-memory ledgers against the
-    /// cluster-wide last activity first.
+    /// Closes each rack's ledger and sums the ledgers into the aggregate
+    /// report. Closing fills in what only the end of the run knows: the
+    /// keepalive stats, with containers still warm at the cluster-wide last
+    /// activity charged their remaining window as wasted, and the rack's
+    /// latency mean and p99. Every report counter is then a rack-order fold
+    /// of the closed ledgers.
     ///
     /// # Panics
     /// Panics, naming the broken invariant, if a closed ledger is not finite
@@ -1138,63 +1120,32 @@ impl ClusterSim {
         wall_clock: std::time::Instant,
     ) -> (ClusterReport, Vec<RackSummary>) {
         let ClusterRun {
-            mut rack_states,
+            rack_states,
             offered,
             queued: queued_series,
             latency_series,
             last_activity,
             events,
         } = run;
-        // Close the warm-memory ledger: containers still warm at the end of
-        // the run held their remaining window without a reuse.
-        let makespan = last_activity - SimTime::ZERO;
-        for rack in &mut rack_states {
-            rack.keepalive.finish_accounting(last_activity);
-            rack.keepalive.stats().assert_closed();
-        }
-
-        let summaries: Vec<RackSummary> = rack_states
-            .iter()
-            .map(|rack| RackSummary {
-                rack: rack.id,
-                completed: rack.completed,
-                rejected: rack.rejected,
-                cold_starts: rack.cold_starts,
-                coldstart_s: rack.coldstart.as_secs_f64(),
-                restore_s: rack.restore.as_secs_f64(),
-                ipc_overhead_s: rack.ipc_overhead.as_secs_f64(),
-                prewarm_hits: rack.keepalive.stats().prewarm_hits,
-                peak_queue: rack.peak_queue,
-                peak_instances: rack.peak_instances,
-                low_instances: rack.low_instances,
-                scale_ups: rack.scale_ups,
-                scale_downs: rack.scale_downs,
-                locality_hits: rack.locality_hits,
-                remote_fetches: rack.remote_fetches,
-                cross_rack_bytes: rack.cross_rack_bytes,
-                fetch_energy_j: rack.fetch_energy_j,
-                mean_latency_ms: if rack.latency.is_empty() {
-                    0.0
-                } else {
-                    rack.latency.mean() * 1e3
-                },
-                p99_latency_ms: if rack.latency.is_empty() {
-                    0.0
-                } else {
-                    rack.latency.p99() * 1e3
-                },
-            })
-            .collect();
         // Cluster-level latency: merge the per-rack sketches in rack order.
         // Merging is the correct aggregation — averaging per-rack p99s would
         // understate the cluster tail whenever one rack runs hotter than the
         // rest (the merged p99 tracks the slow rack, the average dilutes it).
-        let merged_latency = rack_states
-            .iter()
-            .fold(QuantileSketch::new(), |mut acc, r| {
-                acc.merge(&r.latency);
-                acc
-            });
+        let mut merged_latency = QuantileSketch::new();
+        let summaries: Vec<RackSummary> = rack_states
+            .into_iter()
+            .map(|mut rack| {
+                rack.keepalive.finish_accounting(last_activity);
+                rack.summary.keepalive = rack.keepalive.stats();
+                rack.summary.keepalive.assert_closed();
+                if !rack.latency.is_empty() {
+                    rack.summary.mean_latency_ms = rack.latency.mean() * 1e3;
+                    rack.summary.p99_latency_ms = rack.latency.p99() * 1e3;
+                }
+                merged_latency.merge(&rack.latency);
+                rack.summary
+            })
+            .collect();
         let report = ClusterReport {
             platform: self.platform,
             offered_rps: offered.rates_per_sec(),
@@ -1203,24 +1154,18 @@ impl ClusterSim {
             completed: summaries.iter().map(|r| r.completed).sum(),
             rejected: summaries.iter().map(|r| r.rejected).sum(),
             cold_starts: summaries.iter().map(|r| r.cold_starts).sum(),
-            coldstart_s: summaries.iter().map(|r| r.coldstart_s).sum(),
-            restore_s: summaries.iter().map(|r| r.restore_s).sum(),
-            ipc_overhead_s: summaries.iter().map(|r| r.ipc_overhead_s).sum(),
-            prewarm_hits: summaries.iter().map(|r| r.prewarm_hits).sum(),
-            warm_seconds: rack_states
+            coldstart_s: summaries.iter().map(|r| r.coldstart.as_secs_f64()).sum(),
+            restore_s: summaries.iter().map(|r| r.restore.as_secs_f64()).sum(),
+            ipc_overhead_s: summaries.iter().map(|r| r.ipc_overhead.as_secs_f64()).sum(),
+            prewarm_hits: summaries.iter().map(|r| r.keepalive.prewarm_hits).sum(),
+            warm_seconds: summaries.iter().map(|r| r.keepalive.warm_seconds).sum(),
+            wasted_warm_seconds: summaries
                 .iter()
-                .map(|r| r.keepalive.stats().warm_seconds)
-                .sum(),
-            wasted_warm_seconds: rack_states
-                .iter()
-                .map(|r| r.keepalive.stats().wasted_warm_seconds)
+                .map(|r| r.keepalive.wasted_warm_seconds)
                 .sum(),
             scale_ups: summaries.iter().map(|r| r.scale_ups).sum(),
             scale_downs: summaries.iter().map(|r| r.scale_downs).sum(),
-            scaling_lag_s: rack_states
-                .iter()
-                .map(|r| r.scaling_lag.as_secs_f64())
-                .sum(),
+            scaling_lag_s: summaries.iter().map(|r| r.scaling_lag.as_secs_f64()).sum(),
             peak_instances: summaries
                 .iter()
                 .map(|r| r.peak_instances)
@@ -1229,7 +1174,7 @@ impl ClusterSim {
             locality_hits: summaries.iter().map(|r| r.locality_hits).sum(),
             remote_fetches: summaries.iter().map(|r| r.remote_fetches).sum(),
             cross_rack_bytes: summaries.iter().map(|r| r.cross_rack_bytes).sum(),
-            fetch_latency_s: rack_states
+            fetch_latency_s: summaries
                 .iter()
                 .map(|r| r.fetch_latency.as_secs_f64())
                 .sum(),
@@ -1239,20 +1184,21 @@ impl ClusterSim {
             } else {
                 Some(merged_latency)
             },
-            makespan,
+            makespan: last_activity - SimTime::ZERO,
             events,
             wall_s: Measured(wall_clock.elapsed().as_secs_f64()),
         };
         (report, summaries)
     }
 
-    /// One autoscaling evaluation on `rack`: reactive policies watch the
-    /// queue depth, predictive policies size the pool to the learned
-    /// arrival-rate estimate. Scale-ups enter the provisioning pipeline —
-    /// `schedule_commit(add)` schedules the commit [`PROVISIONING_DELAY`] out
-    /// on the event loop's heap; scale-downs release
-    /// immediately (running requests finish, the freed instances just stop
-    /// accepting new work).
+    /// One autoscaling evaluation on `rack`: reactive policies step the pool
+    /// by the queue depth, predictive policies size it to the learned
+    /// arrival-rate estimate. Either way the policy names a target pool
+    /// within the instance bounds. Growing to it enters the provisioning
+    /// pipeline — `schedule_commit(add)` schedules the commit
+    /// [`PROVISIONING_DELAY`] out on the event loop's heap; shrinking to it
+    /// releases immediately (running requests finish, the freed instances
+    /// just stop accepting new work).
     fn scale_decision(
         &self,
         rack: &mut RackState,
@@ -1260,23 +1206,16 @@ impl ClusterSim {
         schedule_commit: impl FnOnce(u32),
     ) {
         let (min, max) = (self.config.min_instances, self.config.max_instances);
-        match self.config.scaling {
+        let provisioned = rack.capacity + rack.pending;
+        let demand = match self.config.scaling {
             ScalingPolicy::Fixed => unreachable!("fixed racks never tick"),
-            ScalingPolicy::Reactive => {
-                let provisioned = rack.capacity + rack.pending;
-                let depth = rack.queue.len();
-                if depth >= SCALE_UP_QUEUE && provisioned < max {
-                    let add = SCALE_STEP.min(max - provisioned);
-                    rack.pending += add;
-                    rack.scale_ups += 1;
-                    schedule_commit(add);
-                } else if depth <= SCALE_DOWN_QUEUE && rack.capacity > min {
-                    let drop = SCALE_STEP.min(rack.capacity - min);
-                    rack.capacity -= drop;
-                    rack.scale_downs += 1;
-                    rack.low_instances = rack.low_instances.min(rack.capacity);
+            ScalingPolicy::Reactive => match rack.queue.len() {
+                depth if depth >= SCALE_UP_QUEUE => u64::from(provisioned) + u64::from(SCALE_STEP),
+                depth if depth <= SCALE_DOWN_QUEUE => {
+                    u64::from(rack.capacity.saturating_sub(SCALE_STEP))
                 }
-            }
+                _ => u64::from(provisioned),
+            },
             ScalingPolicy::Predictive => {
                 // Steady-state demand from the learned arrival rate, plus a
                 // backlog term sized to drain the current queue within one
@@ -1290,26 +1229,24 @@ impl ClusterSim {
                 // pool stuck in multi-second cold starts, so a fully busy
                 // pool with work still queued doubles instead of trusting
                 // the model.
-                let provisioned = u64::from(rack.capacity) + u64::from(rack.pending);
                 let pressured = if rack.busy >= rack.capacity && !rack.queue.is_empty() {
-                    provisioned * 2
+                    u64::from(provisioned) * 2
                 } else {
                     0
                 };
-                let demand = (steady.max(backlog).ceil() as u64).max(pressured);
-                let target = demand.clamp(u64::from(min), u64::from(max)) as u32;
-                let provisioned = rack.capacity + rack.pending;
-                if target > provisioned {
-                    let add = target - provisioned;
-                    rack.pending += add;
-                    rack.scale_ups += 1;
-                    schedule_commit(add);
-                } else if target < rack.capacity {
-                    rack.capacity = target;
-                    rack.scale_downs += 1;
-                    rack.low_instances = rack.low_instances.min(rack.capacity);
-                }
+                (steady.max(backlog).ceil() as u64).max(pressured)
             }
+        };
+        let target = demand.clamp(u64::from(min), u64::from(max)) as u32;
+        if target > provisioned {
+            let add = target - provisioned;
+            rack.pending += add;
+            rack.summary.scale_ups += 1;
+            schedule_commit(add);
+        } else if target < rack.capacity {
+            rack.capacity = target;
+            rack.summary.scale_downs += 1;
+            rack.summary.low_instances = rack.summary.low_instances.min(target);
         }
     }
 }

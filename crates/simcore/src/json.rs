@@ -79,14 +79,14 @@ impl JsonValue {
     /// rejected with an error.
     pub fn parse(input: &str) -> Result<JsonValue, JsonParseError> {
         let mut parser = Parser {
-            bytes: input.as_bytes(),
+            input,
             pos: 0,
             depth: 0,
         };
         parser.skip_whitespace();
         let value = parser.value()?;
         parser.skip_whitespace();
-        if parser.pos != parser.bytes.len() {
+        if parser.pos != input.len() {
             return Err(parser.error("trailing characters after document"));
         }
         Ok(value)
@@ -202,8 +202,10 @@ impl std::error::Error for JsonParseError {}
 /// nests 4 levels.
 const MAX_DEPTH: usize = 128;
 
+/// A recursive-descent reader over `input`. `pos` only ever advances over
+/// whole characters, so it always sits on a character boundary.
 struct Parser<'a> {
-    bytes: &'a [u8],
+    input: &'a str,
     pos: usize,
     /// Arrays and objects currently open around `pos`.
     depth: usize,
@@ -218,13 +220,13 @@ impl Parser<'_> {
     }
 
     fn skip_whitespace(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.input.as_bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, byte: u8) -> Result<(), JsonParseError> {
@@ -237,7 +239,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, JsonParseError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.input[self.pos..].starts_with(word) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -347,9 +349,8 @@ impl Parser<'_> {
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .input
                                 .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
                                 .ok_or_else(|| self.error("truncated \\u escape"))?;
                             let code = u32::from_str_radix(hex, 16)
                                 .map_err(|_| self.error("invalid \\u escape"))?;
@@ -365,13 +366,12 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (input is a &str, so the
-                    // byte stream is valid UTF-8 by construction).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.error("invalid UTF-8"))?;
-                    let c = rest.chars().next().expect("peeked a byte");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run of characters up to the next quote or
+                    // escape in one step.
+                    let rest = &self.input[self.pos..];
+                    let run = rest.find(['"', '\\']).unwrap_or(rest.len());
+                    out.push_str(&rest[..run]);
+                    self.pos += run;
                 }
             }
         }
@@ -403,7 +403,7 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII digits");
+        let text = &self.input[start..self.pos];
         if integral {
             if let Ok(u) = text.parse::<u64>() {
                 return Ok(JsonValue::UInt(u));
@@ -600,6 +600,22 @@ mod tests {
         let parsed = JsonValue::parse(&obj.render()).expect("rendered JSON parses");
         assert_eq!(parsed, obj);
         assert_eq!(parsed.render(), obj.render());
+    }
+
+    /// Strings parse in time linear in their length: a 1 MiB literal of
+    /// ASCII, multi-byte characters and escapes parses back to its exact
+    /// text well inside a second.
+    #[test]
+    fn a_one_mib_string_literal_parses_in_linear_time() {
+        let unit = "plain ASCII, an \"escaped\" quote, caf\u{e9} and \u{1F600}\n";
+        let text = unit.repeat((1 << 20) / unit.len() + 1);
+        assert!(text.len() >= 1 << 20);
+        let document = JsonValue::Str(text.clone()).render();
+        let start = std::time::Instant::now();
+        let parsed = JsonValue::parse(&document).expect("a rendered string parses");
+        let elapsed = start.elapsed();
+        assert_eq!(parsed.as_str(), Some(text.as_str()));
+        assert!(elapsed.as_secs_f64() < 1.0, "parsing took {elapsed:?}");
     }
 
     #[test]

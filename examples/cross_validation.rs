@@ -23,8 +23,8 @@ use dscs_serverless::cluster::workload::{azure_generation_rng, Workload, Workloa
 use dscs_serverless::platforms::PlatformKind;
 
 fn main() {
-    // The synthetic side: exactly the trace `generate-trace --sample --seed
-    // 42` bucketed into data/azure_trace_sample.csv, replayed inline.
+    // The synthetic side: exactly the trace `generate-trace --seed 42`
+    // bucketed into data/azure_trace_sample.csv, replayed inline.
     let synthetic = sample_workload();
     let requests = synthetic
         .generate(&mut azure_generation_rng(42))

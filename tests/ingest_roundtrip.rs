@@ -18,7 +18,7 @@ use dscs_serverless::simcore::rng::DeterministicRng;
 
 const SAMPLE_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/data/azure_trace_sample.csv");
 
-/// The checked-in sample is exactly `generate-trace --sample --seed 42`:
+/// The checked-in sample is exactly `generate-trace --seed 42`:
 /// regenerating from the synthetic workload reproduces the file bytes, and
 /// parsing the file back yields the identical in-memory workload — so
 /// generate → parse → generate-again is a fixed point.
@@ -34,7 +34,7 @@ fn checked_in_sample_is_a_generate_parse_fixed_point() {
     assert_eq!(
         regenerated.to_csv(),
         on_disk,
-        "data/azure_trace_sample.csv drifted from `generate-trace --sample --seed 42`; \
+        "data/azure_trace_sample.csv drifted from `generate-trace --seed 42`; \
          regenerate it with the CLI"
     );
 

@@ -1044,6 +1044,178 @@ fn one_rack_runs_agree_across_lane_and_coupled_balancers() {
     });
 }
 
+/// The report is the rack ledgers summed. For random traces under every
+/// balancer, scaling policy, keepalive policy, cold path and IPC transport,
+/// with and without a data layer, on queues shallow enough to reject, every
+/// `ClusterReport` counter is the rack-order fold of the run's
+/// `RackSummary` list: integer counters sum exactly, the time, energy and
+/// warm-second counters equal bit for bit a fold from `0.0` of the per-rack
+/// values, and `peak_instances` is the racks' maximum. The coverage counters
+/// at the end check that some cases rejected, fetched remotely, scaled up,
+/// restored snapshots and hit prewarms.
+#[test]
+fn report_counters_are_rack_order_folds_of_the_rack_ledgers() {
+    use std::sync::Arc;
+
+    use dscs_serverless::cluster::coldpath::{ColdStartPath, IpcTransport};
+    use dscs_serverless::cluster::data::DataLayer;
+    use dscs_serverless::cluster::experiment::Experiment;
+    use dscs_serverless::cluster::policy::{KeepalivePolicy, LoadBalancer, ScalingPolicy};
+    use dscs_serverless::cluster::sim::{ClusterConfig, ClusterSim, RackSummary};
+    use dscs_serverless::cluster::trace::RateProfile;
+    use dscs_serverless::platforms::PlatformKind;
+
+    let base = ClusterSim::new(PlatformKind::DscsDsa, ClusterConfig::default());
+    let (mut rejected, mut fetched, mut scaled_up, mut restored, mut prewarmed) = (0, 0, 0, 0, 0);
+    check(0xB9, |case, rng| {
+        let balancer = LoadBalancer::ALL[rng.next_index(3)];
+        let scaling = ScalingPolicy::all_default()[rng.next_index(3)];
+        let keepalive = KeepalivePolicy::all_default()[rng.next_index(4)];
+        let cold_path = ColdStartPath::ALL[rng.next_index(3)];
+        let ipc = IpcTransport::ALL[rng.next_index(3)];
+        let profile = RateProfile {
+            segments: vec![(
+                SimDuration::from_secs(int_in(rng, 2, 12)),
+                rng.uniform(20.0, 600.0),
+            )],
+        };
+        let trace = Arc::new(profile.generate(&mut DeterministicRng::seeded(int_in(rng, 0, 1000))));
+        if trace.is_empty() {
+            return;
+        }
+        let racks = 1 + int_in(rng, 0, 4) as u32;
+        let min = int_in(rng, 1, 8) as u32;
+        let max = min + int_in(rng, 0, 64) as u32;
+        let seed = int_in(rng, 0, 1000);
+        let builder = Experiment::builder(PlatformKind::DscsDsa)
+            .trace(trace.clone())
+            .racks(racks)
+            .balancer(balancer)
+            .scaling(scaling)
+            .keepalive(keepalive)
+            .cold_path(cold_path)
+            .ipc(ipc)
+            .instances(min, max)
+            .queue_depth(int_in(rng, 1, 128) as usize)
+            .seed(seed);
+        let builder = if rng.bernoulli(0.5) {
+            builder.data_layer(DataLayer::for_trace(&trace, racks, seed))
+        } else {
+            builder
+        };
+        let outcome = builder
+            .build()
+            .unwrap_or_else(|err| panic!("case {case}: valid config rejected: {err}"))
+            .run_on(&base);
+        let (report, ledgers) = (&outcome.report, &outcome.racks);
+        assert!(
+            ledgers.iter().map(|r| r.rack).eq(0..racks),
+            "case {case}: one ledger per rack, in rack order"
+        );
+        let sum = |count: fn(&RackSummary) -> u64| ledgers.iter().map(count).sum::<u64>();
+        let fold =
+            |value: fn(&RackSummary) -> f64| ledgers.iter().fold(0.0, |acc, r| acc + value(r));
+        let peak = ledgers.iter().map(|r| r.peak_instances).max();
+        assert_eq!(
+            Some(report.peak_instances),
+            peak,
+            "case {case}: peak_instances"
+        );
+        for (name, reported, folded) in [
+            ("completed", report.completed, sum(|r| r.completed)),
+            ("rejected", report.rejected, sum(|r| r.rejected)),
+            ("cold_starts", report.cold_starts, sum(|r| r.cold_starts)),
+            (
+                "prewarm_hits",
+                report.prewarm_hits,
+                sum(|r| r.keepalive.prewarm_hits),
+            ),
+            ("scale_ups", report.scale_ups, sum(|r| r.scale_ups)),
+            ("scale_downs", report.scale_downs, sum(|r| r.scale_downs)),
+            (
+                "locality_hits",
+                report.locality_hits,
+                sum(|r| r.locality_hits),
+            ),
+            (
+                "remote_fetches",
+                report.remote_fetches,
+                sum(|r| r.remote_fetches),
+            ),
+            (
+                "cross_rack_bytes",
+                report.cross_rack_bytes,
+                sum(|r| r.cross_rack_bytes),
+            ),
+        ] {
+            assert_eq!(reported, folded, "case {case}: {name}");
+        }
+        for (name, reported, folded) in [
+            (
+                "coldstart_s",
+                report.coldstart_s,
+                fold(|r| r.coldstart.as_secs_f64()),
+            ),
+            (
+                "restore_s",
+                report.restore_s,
+                fold(|r| r.restore.as_secs_f64()),
+            ),
+            (
+                "ipc_overhead_s",
+                report.ipc_overhead_s,
+                fold(|r| r.ipc_overhead.as_secs_f64()),
+            ),
+            (
+                "scaling_lag_s",
+                report.scaling_lag_s,
+                fold(|r| r.scaling_lag.as_secs_f64()),
+            ),
+            (
+                "fetch_latency_s",
+                report.fetch_latency_s,
+                fold(|r| r.fetch_latency.as_secs_f64()),
+            ),
+            (
+                "fetch_energy_j",
+                report.fetch_energy_j,
+                fold(|r| r.fetch_energy_j),
+            ),
+            (
+                "warm_seconds",
+                report.warm_seconds,
+                fold(|r| r.keepalive.warm_seconds),
+            ),
+            (
+                "wasted_warm_seconds",
+                report.wasted_warm_seconds,
+                fold(|r| r.keepalive.wasted_warm_seconds),
+            ),
+        ] {
+            assert_eq!(
+                reported.to_bits(),
+                folded.to_bits(),
+                "case {case}: {name} reads {reported}, the ledgers fold to {folded}"
+            );
+        }
+        assert_eq!(
+            report.completed + report.rejected,
+            trace.len() as u64,
+            "case {case}: every request accounted for"
+        );
+        rejected += usize::from(report.rejected > 0);
+        fetched += usize::from(report.remote_fetches > 0);
+        scaled_up += usize::from(report.scale_ups > 0);
+        restored += usize::from(report.restore_s > 0.0);
+        prewarmed += usize::from(report.prewarm_hits > 0);
+    });
+    assert!(
+        rejected > 0 && fetched > 0 && scaled_up > 0 && restored > 0 && prewarmed > 0,
+        "coverage: of {CASES} cases {rejected} rejected, {fetched} fetched remotely, \
+         {scaled_up} scaled up, {restored} restored snapshots and {prewarmed} hit prewarms"
+    );
+}
+
 /// Snapshot-restore latency is monotone in snapshot size for any valid
 /// configuration: more pages always cost more to stream back and fault in,
 /// the warmup tail never exceeds the restore it is part of, and a zero-size
