@@ -412,11 +412,10 @@ impl TraceFileWorkload {
 
     /// Total invocations in the selected day window.
     pub fn invocations(&self) -> u64 {
-        let (start, end) = self.window();
         self.functions
             .iter()
             .map(|f| {
-                f.counts[start..end]
+                self.window_counts(f)
                     .iter()
                     .map(|&c| u64::from(c))
                     .sum::<u64>()
@@ -434,17 +433,25 @@ impl TraceFileWorkload {
         (start as usize, end as usize)
     }
 
+    /// `function`'s counts in the selected day window, clipped to its row:
+    /// `from_reader` pads rows to `minutes`, but a caller-built row may be
+    /// shorter, and the minutes it lacks read as zero.
+    fn window_counts<'a>(&self, function: &'a TraceFunction) -> &'a [u32] {
+        let (start, end) = self.window();
+        let end = end.min(function.counts.len());
+        function.counts.get(start..end).unwrap_or_default()
+    }
+
     /// The 32-bit id ([`TraceFunction::id`]) behind each function slot the
     /// expansion stamps ([`TraceRequest::function`]): the distinct ids of
     /// the rows invoked in the day window, ascending, so a slot is its id's
     /// rank. Each slot has a request, so every slot is below the trace's
     /// length.
     pub(crate) fn slot_ids(&self) -> Vec<u32> {
-        let (start, end) = self.window();
         let mut ids: Vec<u32> = self
             .functions
             .iter()
-            .filter(|f| f.counts[start..end].iter().any(|&count| count > 0))
+            .filter(|f| self.window_counts(f).iter().any(|&count| count > 0))
             .map(TraceFunction::id)
             .collect();
         ids.sort_unstable();
@@ -521,21 +528,22 @@ impl Workload for TraceFileWorkload {
             .and_then(|len| trace.try_reserve_exact(len).ok())
             .ok_or(WorkloadError::TraceTooLarge { requests })?;
         let slot_ids = self.slot_ids();
-        // Each row's id and slot. A row the window never invokes pushes
-        // nothing, so its slot is never read.
-        let rows: Vec<(u32, u32)> = self
+        // Each row's id, slot and window counts. A row the window never
+        // invokes pushes nothing, so its slot is never read.
+        let rows: Vec<(u32, u32, &[u32])> = self
             .functions
             .iter()
             .map(|f| {
                 let id = f.id();
-                (id, slot_ids.binary_search(&id).unwrap_or(0) as u32)
+                let slot = slot_ids.binary_search(&id).unwrap_or(0) as u32;
+                (id, slot, self.window_counts(f))
             })
             .collect();
-        for minute in start..end {
-            let minute_start = 60.0 * (minute - start) as f64;
-            for (function, &(id, slot)) in self.functions.iter().zip(&rows) {
+        for minute in 0..end - start {
+            let minute_start = 60.0 * minute as f64;
+            for &(id, slot, counts) in &rows {
                 let benchmark = AzureWorkload::benchmark_of(id);
-                for _ in 0..function.counts[minute] {
+                for _ in 0..counts.get(minute).copied().unwrap_or(0) {
                     let jitter = rng.uniform(0.0, 60.0);
                     trace.push(TraceRequest {
                         arrival: SimTime::ZERO + SimDuration::from_secs_f64(minute_start + jitter),
@@ -874,6 +882,24 @@ o2,a2,f3,storage,1,3,0
                 "day {day}"
             );
         }
+    }
+
+    /// A caller-built row shorter than `minutes` reads its missing minutes
+    /// as zero, exactly as the row `from_reader` pads would.
+    #[test]
+    fn short_rows_read_missing_minutes_as_zero() {
+        let padded =
+            TraceFileWorkload::from_csv_str("o,a,f,http,1,0,0,0,0\n", "padded", 1).expect("valid");
+        let mut short = padded.clone();
+        short.functions[0].counts = vec![1];
+        assert_eq!(short.minutes, 5);
+        assert_eq!(short.invocations(), 1);
+        assert_eq!(short.slot_ids(), vec![function_id("f")]);
+        let trace = short
+            .generate(&mut DeterministicRng::seeded(1))
+            .expect("valid");
+        assert_eq!(trace.len(), 1);
+        assert_eq!(Ok(trace), padded.generate(&mut DeterministicRng::seeded(1)));
     }
 
     /// A day whose requests the host will not allocate is a typed error,

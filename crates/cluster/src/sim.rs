@@ -26,7 +26,7 @@
 //! sweeps.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 use dscs_core::benchmarks::Benchmark;
 use dscs_core::endtoend::{EvalOptions, SystemModel};
@@ -62,6 +62,9 @@ const PROVISIONING_DELAY: SimDuration = SimDuration::from_secs(2);
 /// How often an elastic rack takes a scaling decision: the elastic
 /// policies' reaction lag.
 const SCALING_INTERVAL: SimDuration = SimDuration::from_secs(5);
+// A rack requests scale-ups only at its ticks, so a commit landing before
+// the rack's next tick keeps at most one scale-up in flight per rack.
+const _: () = assert!(PROVISIONING_DELAY.as_nanos() < SCALING_INTERVAL.as_nanos());
 /// Queue depth at or above which a reactive rack requests more instances.
 const SCALE_UP_QUEUE: usize = 32;
 /// Queue depth at or below which a reactive rack releases instances.
@@ -392,10 +395,10 @@ enum HeapEvent {
     ScaleTick {
         rack: usize,
     },
-    /// `add` provisioned instances come online on one rack.
+    /// The rack's one scale-up in flight comes online: everything
+    /// provisioning joins the pool.
     ScaleCommit {
         rack: usize,
-        add: u32,
     },
 }
 
@@ -412,16 +415,14 @@ const SEQ_BITS: u32 = u64::BITS - KIND_BITS - RACK_BITS;
 /// Each event is one `u128` key in a min-heap: the time's nanoseconds in
 /// the high word, then the scheduling sequence (40 bits), the kind (2 bits)
 /// and the rack (22 bits). Sequences are unique, so the kind and rack never
-/// decide an order; they only ride along. A scale commit's size waits in
-/// its rack's FIFO: a rack's commits fire in the order they were scheduled,
-/// because the provisioning delay is a constant.
+/// decide an order; they only ride along. A scale commit needs no size: a
+/// rack has at most one scale-up in flight (the provisioning delay is
+/// shorter than the scaling interval), and its commit takes all of the
+/// rack's `pending`.
 #[derive(Debug, Default)]
 struct EventHeap {
     keys: BinaryHeap<Reverse<u128>>,
     next_seq: u64,
-    /// Each rack's pending scale-up commits, as (due time, size), in
-    /// schedule order.
-    commits: Vec<VecDeque<(SimTime, u32)>>,
 }
 
 impl EventHeap {
@@ -440,13 +441,7 @@ impl EventHeap {
         let (kind, rack) = match event {
             HeapEvent::Completion { rack } => (0, rack),
             HeapEvent::ScaleTick { rack } => (1, rack),
-            HeapEvent::ScaleCommit { rack, add } => {
-                if rack >= self.commits.len() {
-                    self.commits.resize_with(rack + 1, VecDeque::new);
-                }
-                self.commits[rack].push_back((at, add));
-                (2, rack)
-            }
+            HeapEvent::ScaleCommit { rack } => (2, rack),
         };
         assert!(
             rack < ClusterSim::MAX_RACKS as usize,
@@ -465,11 +460,6 @@ impl EventHeap {
     }
 
     /// Removes and returns the earliest pending event with its time.
-    ///
-    /// # Panics
-    /// Panics, naming the broken invariant, if a rack's scale commits were
-    /// scheduled out of time order, which would pair a commit with another
-    /// one's size.
     fn pop(&mut self) -> Option<(SimTime, HeapEvent)> {
         let Reverse(key) = self.keys.pop()?;
         let at = SimTime::from_nanos((key >> 64) as u64);
@@ -477,17 +467,7 @@ impl EventHeap {
         let event = match (key as u64 >> RACK_BITS) & ((1 << KIND_BITS) - 1) {
             0 => HeapEvent::Completion { rack },
             1 => HeapEvent::ScaleTick { rack },
-            _ => {
-                let (due, add) = self.commits[rack]
-                    .pop_front()
-                    .expect("a commit key has its size queued");
-                assert_eq!(
-                    due, at,
-                    "commits fire in schedule order invariant broken: \
-                     rack {rack}'s scale-up commits were scheduled out of time order"
-                );
-                HeapEvent::ScaleCommit { rack, add }
-            }
+            _ => HeapEvent::ScaleCommit { rack },
         };
         Some((at, event))
     }
@@ -540,13 +520,14 @@ impl RackState {
             .expect("busy <= capacity invariant broken: a completion found no busy instance");
     }
 
-    /// `add` provisioned instances come online after [`PROVISIONING_DELAY`].
-    fn commit_scale_up(&mut self, add: u32) {
-        self.pending = self.pending.checked_sub(add).expect(
-            "pending <= max - capacity invariant broken: \
-             a scale-up committed more instances than were provisioning",
+    /// The rack's one scale-up in flight comes online after
+    /// [`PROVISIONING_DELAY`]: everything provisioning joins the pool.
+    fn commit_scale_up(&mut self) {
+        assert!(
+            self.pending > 0,
+            "pending > 0 at a commit invariant broken: nothing was provisioning"
         );
-        self.capacity += add;
+        self.capacity += std::mem::take(&mut self.pending);
         self.summary.peak_instances = self.summary.peak_instances.max(self.capacity);
         self.summary.scaling_lag += PROVISIONING_DELAY;
     }
@@ -604,8 +585,7 @@ fn merge_lanes(lanes: Vec<ClusterRun>) -> ClusterRun {
             (&mut run.queued, &lane.queued),
             (&mut run.latency_series, &lane.latency_series),
         ] {
-            acc.merge(series)
-                .expect("rack lanes share bucket width and horizon");
+            acc.merge(series);
         }
         run.last_activity = run.last_activity.max(lane.last_activity);
         run.events += lane.events;
@@ -1059,20 +1039,20 @@ impl ClusterSim {
                         (rack, now)
                     }
                     HeapEvent::ScaleTick { rack } => {
-                        self.scale_decision(&mut racks[rack], now, |add| {
+                        if self.scale_decision(&mut racks[rack], now) {
                             heap.schedule(
                                 now + PROVISIONING_DELAY,
-                                HeapEvent::ScaleCommit { rack, add },
+                                HeapEvent::ScaleCommit { rack },
                             );
-                        });
+                        }
                         let r = &racks[rack];
                         if next_arrival < trace.len() || r.busy > 0 || !r.queue.is_empty() {
                             heap.schedule(now + SCALING_INTERVAL, HeapEvent::ScaleTick { rack });
                         }
                         continue;
                     }
-                    HeapEvent::ScaleCommit { rack, add } => {
-                        racks[rack].commit_scale_up(add);
+                    HeapEvent::ScaleCommit { rack } => {
+                        racks[rack].commit_scale_up();
                         (rack, now)
                     }
                 }
@@ -1195,16 +1175,12 @@ impl ClusterSim {
     /// by the queue depth, predictive policies size it to the learned
     /// arrival-rate estimate. Either way the policy names a target pool
     /// within the instance bounds. Growing to it enters the provisioning
-    /// pipeline — `schedule_commit(add)` schedules the commit
-    /// [`PROVISIONING_DELAY`] out on the event loop's heap; shrinking to it
-    /// releases immediately (running requests finish, the freed instances
-    /// just stop accepting new work).
-    fn scale_decision(
-        &self,
-        rack: &mut RackState,
-        now: SimTime,
-        schedule_commit: impl FnOnce(u32),
-    ) {
+    /// pipeline and returns `true`: the caller schedules the commit
+    /// [`PROVISIONING_DELAY`] out, before the rack's next tick, so this is
+    /// its only scale-up in flight. Shrinking to it releases immediately
+    /// (running requests finish, the freed instances just stop accepting
+    /// new work).
+    fn scale_decision(&self, rack: &mut RackState, now: SimTime) -> bool {
         let (min, max) = (self.config.min_instances, self.config.max_instances);
         let provisioned = rack.capacity + rack.pending;
         let demand = match self.config.scaling {
@@ -1238,16 +1214,16 @@ impl ClusterSim {
             }
         };
         let target = demand.clamp(u64::from(min), u64::from(max)) as u32;
-        if target > provisioned {
-            let add = target - provisioned;
-            rack.pending += add;
+        let grow = target > provisioned;
+        if grow {
+            rack.pending += target - provisioned;
             rack.summary.scale_ups += 1;
-            schedule_commit(add);
         } else if target < rack.capacity {
             rack.capacity = target;
             rack.summary.scale_downs += 1;
             rack.summary.low_instances = rack.summary.low_instances.min(target);
         }
+        grow
     }
 }
 
@@ -1682,10 +1658,10 @@ mod tests {
         rack.release();
     }
 
-    /// A scale-up commit larger than the instances still provisioning names
-    /// the broken invariant; a consistent commit passes.
+    /// A scale-up commit with nothing provisioning names the broken
+    /// invariant; a commit of a requested scale-up passes.
     #[test]
-    #[should_panic(expected = "pending <= max - capacity invariant broken")]
+    #[should_panic(expected = "pending > 0 at a commit invariant broken")]
     fn committing_unrequested_instances_breaks_the_pending_invariant() {
         let config = ClusterConfig {
             scaling: ScalingPolicy::reactive_default(),
@@ -1694,9 +1670,9 @@ mod tests {
         let sim = ClusterSim::new(PlatformKind::DscsDsa, config);
         let mut rack = sim.new_rack_state(0, DeterministicRng::seeded(1));
         rack.pending = 4;
-        rack.commit_scale_up(4);
+        rack.commit_scale_up();
         assert_eq!((rack.pending, rack.capacity), (0, config.min_instances + 4));
-        rack.commit_scale_up(1);
+        rack.commit_scale_up();
     }
 
     /// A rack that can never start work — the zero-instance pool the builder
@@ -1730,14 +1706,12 @@ mod tests {
 
     /// Seeded property test: the packed event heap pops exactly what a
     /// reference `BinaryHeap` ordered by `(at, seq)` pops — the same times,
-    /// kinds, racks and commit sizes — on random schedules that mimic the
-    /// loop: a clock that only moves to popped times, events due from zero
-    /// to a few nanoseconds out (so many share a timestamp), several racks,
-    /// and commits due a constant delay after they are scheduled.
+    /// kinds and racks — on random schedules that mimic the loop: a clock
+    /// that only moves to popped times, events due from zero to a few
+    /// nanoseconds out (so many share a timestamp) and several racks.
     #[test]
     fn event_heap_pops_in_time_then_schedule_order() {
         const CASES: u64 = 64;
-        const DELAY: u64 = 2;
         let mut tied = 0;
         for case in 0..CASES {
             let mut rng = DeterministicRng::seeded(0xE7 ^ case.wrapping_mul(0x9E37_79B9_7F4A_7C15));
@@ -1750,24 +1724,12 @@ mod tests {
             for step in 0..600 {
                 if rng.bernoulli(0.55) {
                     let rack = rng.next_index(racks);
-                    let (at, event) = match rng.next_index(3) {
-                        0 => (
-                            now + rng.next_index(4) as u64,
-                            HeapEvent::Completion { rack },
-                        ),
-                        1 => (
-                            now + rng.next_index(4) as u64,
-                            HeapEvent::ScaleTick { rack },
-                        ),
-                        _ => (
-                            now + DELAY,
-                            HeapEvent::ScaleCommit {
-                                rack,
-                                add: 1 + rng.next_index(16) as u32,
-                            },
-                        ),
+                    let event = match rng.next_index(3) {
+                        0 => HeapEvent::Completion { rack },
+                        1 => HeapEvent::ScaleTick { rack },
+                        _ => HeapEvent::ScaleCommit { rack },
                     };
-                    let at = SimTime::from_nanos(at);
+                    let at = SimTime::from_nanos(now + rng.next_index(4) as u64);
                     heap.schedule(at, event);
                     reference.push(Reverse((at, payloads.len())));
                     payloads.push(event);
@@ -1840,23 +1802,6 @@ mod tests {
             Some((SimTime::ZERO, HeapEvent::Completion { rack: 0 }))
         );
         heap.schedule(SimTime::ZERO, HeapEvent::Completion { rack: 0 });
-    }
-
-    /// A rack's commit sizes queue in schedule order, so a commit due
-    /// before one scheduled earlier would fire with the other's size.
-    #[test]
-    #[should_panic(expected = "commits fire in schedule order invariant broken")]
-    fn a_commit_due_before_an_earlier_one_breaks_the_commit_invariant() {
-        let mut heap = EventHeap::default();
-        heap.schedule(
-            SimTime::from_nanos(5),
-            HeapEvent::ScaleCommit { rack: 1, add: 2 },
-        );
-        heap.schedule(
-            SimTime::from_nanos(3),
-            HeapEvent::ScaleCommit { rack: 1, add: 7 },
-        );
-        let _ = heap.pop();
     }
 
     /// The engine and the offline bound price a repeat cold start through

@@ -43,9 +43,6 @@ pub struct ColdStartModel {
     pub unpack_bandwidth: Bandwidth,
     /// Runtime initialisation + health check time.
     pub startup_check: SimDuration,
-    /// How long an idle container (or a function held in DSA memory) stays
-    /// warm before eviction.
-    pub keep_warm: SimDuration,
     /// Pricing of the snapshot-restore path (restore bandwidth, fixed setup
     /// and the page-fault warmup tail).
     pub snapshot: SnapshotConfig,
@@ -58,7 +55,6 @@ impl Default for ColdStartModel {
             flash_bandwidth: Bandwidth::from_gbps(3.0),
             unpack_bandwidth: Bandwidth::from_mbps(400.0),
             startup_check: SimDuration::from_millis(350),
-            keep_warm: SimDuration::from_secs(600),
             snapshot: SnapshotConfig::criu_local_nvme(),
         }
     }
@@ -100,65 +96,6 @@ impl ColdStartModel {
     ) -> SimDuration {
         device_bandwidth.transfer_time(weight_bytes)
     }
-
-    /// Whether a container invoked `idle_for` after its previous request is
-    /// still warm.
-    pub fn is_warm(&self, idle_for: SimDuration) -> bool {
-        idle_for <= self.keep_warm
-    }
-}
-
-/// Tracks the warm/cold state of one function's container on one node.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ContainerState {
-    last_invocation: Option<SimDuration>,
-    /// Whether the image has been cached to the drive's flash (so the next
-    /// cold start may use [`ImageSource::LocalFlash`]).
-    image_cached_on_flash: bool,
-}
-
-impl Default for ContainerState {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ContainerState {
-    /// A never-invoked (cold, uncached) container.
-    pub fn new() -> Self {
-        ContainerState {
-            last_invocation: None,
-            image_cached_on_flash: false,
-        }
-    }
-
-    /// Records an invocation at `now` (time since simulation start).
-    pub fn record_invocation(&mut self, now: SimDuration) {
-        self.last_invocation = Some(now);
-    }
-
-    /// Marks the image as offloaded to the drive's flash (DSCS's eviction path).
-    pub fn cache_image_on_flash(&mut self) {
-        self.image_cached_on_flash = true;
-    }
-
-    /// Whether the function is warm at `now` under `model`.
-    pub fn is_warm(&self, now: SimDuration, model: &ColdStartModel) -> bool {
-        match self.last_invocation {
-            Some(last) if now >= last => model.is_warm(now - last),
-            Some(_) => true,
-            None => false,
-        }
-    }
-
-    /// The image source a cold start at this point would use.
-    pub fn cold_image_source(&self) -> ImageSource {
-        if self.image_cached_on_flash {
-            ImageSource::LocalFlash
-        } else {
-            ImageSource::RemoteRegistry
-        }
-    }
 }
 
 #[cfg(test)]
@@ -190,24 +127,6 @@ mod tests {
             (1.0..10.0).contains(&latency.as_secs_f64()),
             "latency {latency}"
         );
-    }
-
-    #[test]
-    fn warm_window_honoured() {
-        let m = ColdStartModel::default();
-        let mut c = ContainerState::new();
-        assert!(!c.is_warm(SimDuration::from_secs(1), &m));
-        c.record_invocation(SimDuration::from_secs(10));
-        assert!(c.is_warm(SimDuration::from_secs(300), &m));
-        assert!(!c.is_warm(SimDuration::from_secs(10 + 601), &m));
-    }
-
-    #[test]
-    fn flash_caching_changes_cold_source() {
-        let mut c = ContainerState::new();
-        assert_eq!(c.cold_image_source(), ImageSource::RemoteRegistry);
-        c.cache_image_on_flash();
-        assert_eq!(c.cold_image_source(), ImageSource::LocalFlash);
     }
 
     #[test]

@@ -159,38 +159,6 @@ impl AppPipeline {
             .take_while(|f| f.acceleratable)
             .count()
     }
-
-    /// Appends `extra` duplicates of the inference function, used by the
-    /// "number of accelerated functions" sensitivity study (Figure 16).
-    ///
-    /// # Panics
-    /// Panics if the pipeline has no inference function.
-    pub fn with_extra_inference_functions(&self, extra: usize) -> AppPipeline {
-        let template = self
-            .functions
-            .iter()
-            .find(|f| f.role == FunctionRole::Inference)
-            .expect("pipeline has an inference function")
-            .clone();
-        let mut functions: Vec<FunctionSpec> = self
-            .functions
-            .iter()
-            .filter(|f| f.role != FunctionRole::Notification)
-            .cloned()
-            .collect();
-        for i in 0..extra {
-            let mut dup = template.clone();
-            dup.name = format!("{}-dup{}", template.name, i + 1);
-            functions.push(dup);
-        }
-        functions.extend(
-            self.functions
-                .iter()
-                .filter(|f| f.role == FunctionRole::Notification)
-                .cloned(),
-        );
-        AppPipeline::new(format!("{}+{}", self.name, extra), functions)
-    }
 }
 
 #[cfg(test)]
@@ -212,19 +180,6 @@ mod tests {
     fn notification_is_never_acceleratable_in_standard_pipeline() {
         let p = AppPipeline::standard_three_stage("x", Bytes::from_mib(100));
         assert!(!p.functions[2].acceleratable);
-    }
-
-    #[test]
-    fn extra_inference_functions_extend_the_chain() {
-        let p = AppPipeline::standard_three_stage("x", Bytes::from_mib(100));
-        let p3 = p.with_extra_inference_functions(3);
-        assert_eq!(p3.len(), 6);
-        assert_eq!(p3.acceleratable_prefix_len(), 5);
-        // Notification still comes last.
-        assert_eq!(
-            p3.functions.last().expect("non-empty").role,
-            FunctionRole::Notification
-        );
     }
 
     #[test]

@@ -3,80 +3,20 @@
 //! The paper's end-to-end measurements are dominated by remote-storage access
 //! times with a heavy tail (the p99 read latency is ~2.1x the median, Figure 3)
 //! and by bursty Poisson request arrivals (Figure 13a). This module provides
-//! the distributions used to model both, behind a common [`Distribution`] trait
-//! so components can be configured with any of them.
+//! the distributions used to model both.
 
 use crate::rng::DeterministicRng;
 use crate::time::SimDuration;
 
 /// Quantile of the standard normal at p = 0.99 (used to calibrate lognormal tails).
 const Z_99: f64 = 2.326_347_874_040_841;
-/// Quantile of the standard normal at p = 0.95.
-const Z_95: f64 = 1.644_853_626_951_472;
-
-/// A univariate distribution over non-negative values (seconds, counts, ...).
-pub trait Distribution {
-    /// Draws one sample.
-    fn sample(&self, rng: &mut DeterministicRng) -> f64;
-
-    /// The distribution mean, if defined in closed form.
-    fn mean(&self) -> f64;
-
-    /// Draws one sample and interprets it as a duration in seconds.
-    fn sample_duration(&self, rng: &mut DeterministicRng) -> SimDuration {
-        SimDuration::from_secs_f64(self.sample(rng))
-    }
-}
-
-/// Exponential distribution with a given mean. Used for inter-arrival times in
-/// Poisson processes and for memoryless service-time components.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ExponentialDist {
-    mean: f64,
-}
-
-impl ExponentialDist {
-    /// Creates an exponential distribution from its mean.
-    ///
-    /// # Panics
-    /// Panics if `mean` is not strictly positive.
-    pub fn from_mean(mean: f64) -> Self {
-        assert!(
-            mean > 0.0 && mean.is_finite(),
-            "mean must be positive and finite"
-        );
-        ExponentialDist { mean }
-    }
-
-    /// Creates an exponential distribution from its rate (events per unit time).
-    pub fn from_rate(rate: f64) -> Self {
-        assert!(
-            rate > 0.0 && rate.is_finite(),
-            "rate must be positive and finite"
-        );
-        ExponentialDist { mean: 1.0 / rate }
-    }
-}
-
-impl Distribution for ExponentialDist {
-    fn sample(&self, rng: &mut DeterministicRng) -> f64 {
-        // Inverse-CDF sampling; guard against ln(0).
-        let u = 1.0 - rng.next_f64();
-        -self.mean * u.ln()
-    }
-
-    fn mean(&self) -> f64 {
-        self.mean
-    }
-}
 
 /// Lognormal distribution parameterised directly by observable latency
 /// statistics (median and a tail percentile), which is how the paper reports
 /// its storage measurements.
 ///
 /// ```
-/// use dscs_simcore::dist::{Distribution, LogNormalDist};
-/// use dscs_simcore::rng::DeterministicRng;
+/// use dscs_simcore::dist::LogNormalDist;
 /// // Median 28 ms, p99 59 ms — roughly AWS S3 small-object reads.
 /// let d = LogNormalDist::from_median_p99(0.028, 0.059);
 /// assert!((d.median() - 0.028).abs() < 1e-12);
@@ -114,18 +54,6 @@ impl LogNormalDist {
         LogNormalDist { mu, sigma }
     }
 
-    /// Calibrates the distribution so that the median and 95th percentile match
-    /// the given values.
-    ///
-    /// # Panics
-    /// Panics unless `0 < median <= p95`.
-    pub fn from_median_p95(median: f64, p95: f64) -> Self {
-        assert!(median > 0.0 && p95 >= median, "need 0 < median <= p95");
-        let mu = median.ln();
-        let sigma = (p95.ln() - mu) / Z_95;
-        LogNormalDist { mu, sigma }
-    }
-
     /// The distribution median.
     pub fn median(&self) -> f64 {
         self.mu.exp()
@@ -149,15 +77,10 @@ impl LogNormalDist {
             sigma: self.sigma * factor,
         }
     }
-}
 
-impl Distribution for LogNormalDist {
-    fn sample(&self, rng: &mut DeterministicRng) -> f64 {
+    /// Draws one sample.
+    pub fn sample(&self, rng: &mut DeterministicRng) -> f64 {
         (self.mu + self.sigma * rng.standard_normal()).exp()
-    }
-
-    fn mean(&self) -> f64 {
-        (self.mu + 0.5 * self.sigma * self.sigma).exp()
     }
 }
 
@@ -183,38 +106,13 @@ impl PoissonArrivals {
         PoissonArrivals { rate_per_sec }
     }
 
-    /// The configured rate in events per second.
-    pub fn rate_per_sec(&self) -> f64 {
-        self.rate_per_sec
-    }
-
-    /// Samples the next inter-arrival gap.
-    pub fn next_gap(&self, rng: &mut DeterministicRng) -> SimDuration {
-        ExponentialDist::from_rate(self.rate_per_sec).sample_duration(rng)
-    }
-
-    /// Samples a Poisson-distributed count of arrivals within `window`.
-    ///
-    /// Uses Knuth's algorithm for small expectations and a normal approximation
-    /// for large ones, which is plenty for trace generation.
-    pub fn count_in(&self, window: SimDuration, rng: &mut DeterministicRng) -> u64 {
-        let lambda = self.rate_per_sec * window.as_secs_f64();
-        if lambda <= 0.0 {
-            return 0;
-        }
-        if lambda < 30.0 {
-            let limit = (-lambda).exp();
-            let mut product = rng.next_f64();
-            let mut count = 0u64;
-            while product > limit {
-                count += 1;
-                product *= rng.next_f64();
-            }
-            count
-        } else {
-            let sample = lambda + lambda.sqrt() * rng.standard_normal();
-            sample.round().max(0.0) as u64
-        }
+    /// Samples the next inter-arrival gap: an exponential draw with mean
+    /// `1 / rate` by inverse-CDF sampling, where `1 - u` keeps `ln` away
+    /// from zero.
+    fn next_gap(&self, rng: &mut DeterministicRng) -> SimDuration {
+        let mean = 1.0 / self.rate_per_sec;
+        let u = 1.0 - rng.next_f64();
+        SimDuration::from_secs_f64(-mean * u.ln())
     }
 
     /// Generates arrival timestamps over `[0, horizon)`.
@@ -378,7 +276,7 @@ fn guide_table(cdf: &[f64]) -> Vec<u32> {
 /// Inverse CDF of the standard normal distribution (Acklam's rational
 /// approximation, max relative error ~1.15e-9). Sufficient for calibrating
 /// latency quantiles.
-pub fn inverse_normal_cdf(p: f64) -> f64 {
+fn inverse_normal_cdf(p: f64) -> f64 {
     assert!(p > 0.0 && p < 1.0, "probability must be in (0, 1)");
     const A: [f64; 6] = [
         -3.969683028665376e+01,
@@ -433,22 +331,9 @@ mod tests {
     use super::*;
     use crate::stats::Summary;
 
-    fn samples<D: Distribution>(d: &D, n: usize, seed: u64) -> Vec<f64> {
+    fn samples(d: &LogNormalDist, n: usize, seed: u64) -> Vec<f64> {
         let mut rng = DeterministicRng::seeded(seed);
         (0..n).map(|_| d.sample(&mut rng)).collect()
-    }
-
-    #[test]
-    fn exponential_mean_converges() {
-        let d = ExponentialDist::from_mean(2.0);
-        let s = samples(&d, 50_000, 2);
-        let mean = s.iter().sum::<f64>() / s.len() as f64;
-        assert!((mean - 2.0).abs() < 0.05, "mean {mean}");
-    }
-
-    #[test]
-    fn exponential_from_rate_matches_mean() {
-        assert!((ExponentialDist::from_rate(4.0).mean() - 0.25).abs() < 1e-12);
     }
 
     #[test]
@@ -470,11 +355,11 @@ mod tests {
 
     #[test]
     fn lognormal_quantile_is_monotone() {
-        let d = LogNormalDist::from_median_p95(0.01, 0.02);
+        let d = LogNormalDist::from_median_p99(0.01, 0.02);
         assert!(d.quantile(0.5) < d.quantile(0.9));
         assert!(d.quantile(0.9) < d.quantile(0.99));
         assert!((d.quantile(0.5) - 0.01).abs() < 1e-9);
-        assert!((d.quantile(0.95) - 0.02).abs() < 1e-9);
+        assert!((d.quantile(0.99) - 0.02).abs() < 1e-9);
     }
 
     #[test]
@@ -488,8 +373,8 @@ mod tests {
     fn poisson_count_matches_rate() {
         let p = PoissonArrivals::new(100.0);
         let mut rng = DeterministicRng::seeded(5);
-        let total: u64 = (0..200)
-            .map(|_| p.count_in(SimDuration::from_secs(1), &mut rng))
+        let total: usize = (0..200)
+            .map(|_| p.arrivals_until(SimDuration::from_secs(1), &mut rng).len())
             .sum();
         let mean = total as f64 / 200.0;
         assert!((mean - 100.0).abs() < 5.0, "mean {mean}");

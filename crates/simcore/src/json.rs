@@ -352,8 +352,13 @@ impl Parser<'_> {
                                 .input
                                 .get(self.pos + 1..self.pos + 5)
                                 .ok_or_else(|| self.error("truncated \\u escape"))?;
+                            // Exactly four hex digits: `from_str_radix`
+                            // alone would also take a leading `+`.
+                            if !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
+                                return Err(self.error("invalid \\u escape"));
+                            }
                             let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.error("invalid \\u escape"))?;
+                                .expect("four hex digits parse as a u32");
                             // Reports only emit BMP scalars; surrogate pairs
                             // are out of scope for this reader.
                             let c = char::from_u32(code)
@@ -572,6 +577,9 @@ mod tests {
         }
         let err = JsonValue::parse("[1,]").expect_err("dangling comma");
         assert!(!err.to_string().is_empty());
+        let err = JsonValue::parse(r#""\u+041""#).expect_err("a sign is not a hex digit");
+        assert_eq!(err.message, "invalid \\u escape");
+        assert_eq!(JsonValue::parse(r#""\u0041""#), Ok(JsonValue::from("A")));
     }
 
     #[test]

@@ -11,14 +11,15 @@
 //!   [`Joules`], [`Bandwidth`], [`AreaMm2`], [`Dollars`], [`Frequency`]).
 //! * [`rng`] — deterministic, seedable random number generation helpers.
 //! * [`dist`] — latency/arrival distributions (lognormal with calibrated tails,
-//!   exponential, Poisson, Zipf) used to model remote storage, network RPCs,
-//!   request arrivals and object popularity.
+//!   Poisson, Zipf) used to model remote storage, network RPCs, request
+//!   arrivals and object popularity.
 //! * [`stats`] — percentile summaries, quantile sketches and empirical CDFs
 //!   used to report p50/p95/p99 latencies and figure series.
 //! * [`pareto`] — Pareto-frontier extraction for the design-space exploration.
 //! * [`fit`] — least-squares polynomial fitting (the paper reports cubic fits of
 //!   its power/area frontiers).
-//! * [`series`] — time-bucketed series for "metric over wall-clock time" figures.
+//! * [`series`] — time-bucketed means and rates for "metric over wall-clock
+//!   time" figures.
 //! * [`json`] — a minimal deterministic JSON emitter for machine-readable
 //!   reports and a depth-capped parser to read them back.
 //! * [`csv`] — a minimal CSV record tokenizer/renderer for ingesting the
@@ -53,19 +54,19 @@ pub mod series;
 pub mod stats;
 pub mod time;
 
-pub use dist::{Distribution, ExponentialDist, LogNormalDist, PoissonArrivals, ZipfIndex};
+pub use dist::{LogNormalDist, PoissonArrivals, ZipfIndex};
 pub use fit::{polyfit, Polynomial};
 pub use json::JsonValue;
 pub use pareto::{pareto_frontier, ParetoPoint};
 pub use quantity::{AreaMm2, Bandwidth, Bytes, Dollars, Frequency, Joules, Watts};
 pub use rng::DeterministicRng;
-pub use series::{SeriesMergeError, TimeSeries};
+pub use series::TimeSeries;
 pub use stats::{Cdf, Summary};
 pub use time::{SimDuration, SimTime};
 
 /// Convenience re-exports for downstream crates.
 pub mod prelude {
-    pub use crate::dist::{Distribution, ExponentialDist, LogNormalDist, PoissonArrivals};
+    pub use crate::dist::{LogNormalDist, PoissonArrivals};
     pub use crate::fit::{polyfit, Polynomial};
     pub use crate::pareto::{pareto_frontier, ParetoPoint};
     pub use crate::quantity::{AreaMm2, Bandwidth, Bytes, Dollars, Frequency, Joules, Watts};

@@ -265,11 +265,6 @@ impl Joules {
     pub fn as_f64(self) -> f64 {
         self.0
     }
-
-    /// Energy in kilowatt-hours (used by the OPEX model).
-    pub fn as_kwh(self) -> f64 {
-        self.0 / 3.6e6
-    }
 }
 
 impl Add for Joules {
@@ -330,11 +325,6 @@ impl Frequency {
         Self::from_hz(mhz * 1e6)
     }
 
-    /// Creates a frequency from gigahertz.
-    pub fn from_ghz(ghz: f64) -> Self {
-        Self::from_hz(ghz * 1e9)
-    }
-
     /// The value in hertz.
     pub fn as_hz(self) -> f64 {
         self.0
@@ -343,16 +333,6 @@ impl Frequency {
     /// The value in gigahertz.
     pub fn as_ghz(self) -> f64 {
         self.0 / 1e9
-    }
-
-    /// Wall-clock time for `cycles` clock cycles at this frequency.
-    pub fn cycles_to_time(self, cycles: u64) -> SimDuration {
-        SimDuration::from_secs_f64(cycles as f64 / self.0)
-    }
-
-    /// Number of whole cycles elapsed in `dur` (rounded up).
-    pub fn time_to_cycles(self, dur: SimDuration) -> u64 {
-        (dur.as_secs_f64() * self.0).ceil() as u64
     }
 }
 
@@ -504,14 +484,6 @@ mod tests {
         let p = Watts::new(25.0);
         let e = p.over(SimDuration::from_secs(4));
         assert!((e.as_f64() - 100.0).abs() < 1e-9);
-        assert!((Joules::new(3.6e6).as_kwh() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn frequency_cycle_conversions() {
-        let f = Frequency::from_ghz(1.0);
-        assert_eq!(f.cycles_to_time(1_000_000).as_micros_f64(), 1000.0);
-        assert_eq!(f.time_to_cycles(SimDuration::from_micros(1)), 1000);
     }
 
     #[test]

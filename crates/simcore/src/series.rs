@@ -2,61 +2,15 @@
 //!
 //! Figures 13(a)–(d) plot requests/second, queue depth and latency against
 //! wall-clock minutes. [`TimeSeries`] accumulates samples into fixed-width
-//! buckets and reports per-bucket means, maxima and counts.
-
-use std::error::Error;
-use std::fmt;
+//! buckets and reports per-bucket means and rates.
 
 use crate::time::{SimDuration, SimTime};
-
-/// Why two [`TimeSeries`] could not be merged.
-///
-/// Merging is only defined for series built with the same bucket width over
-/// the same horizon — i.e. series recorded against the same clock — so the
-/// mismatch is reported as a typed error rather than silently resampled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SeriesMergeError {
-    /// The two series use different bucket widths.
-    BucketMismatch {
-        /// Bucket width of the series being merged into.
-        ours: SimDuration,
-        /// Bucket width of the other series.
-        theirs: SimDuration,
-    },
-    /// The two series cover a different number of buckets (different horizons).
-    LengthMismatch {
-        /// Bucket count of the series being merged into.
-        ours: usize,
-        /// Bucket count of the other series.
-        theirs: usize,
-    },
-}
-
-impl fmt::Display for SeriesMergeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SeriesMergeError::BucketMismatch { ours, theirs } => write!(
-                f,
-                "cannot merge series with different bucket widths ({} ns vs {} ns)",
-                ours.as_nanos(),
-                theirs.as_nanos()
-            ),
-            SeriesMergeError::LengthMismatch { ours, theirs } => write!(
-                f,
-                "cannot merge series with different horizons ({ours} vs {theirs} buckets)"
-            ),
-        }
-    }
-}
-
-impl Error for SeriesMergeError {}
 
 /// A metric accumulated into fixed-width time buckets.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TimeSeries {
     bucket: SimDuration,
     sums: Vec<f64>,
-    maxima: Vec<f64>,
     counts: Vec<u64>,
 }
 
@@ -72,19 +26,8 @@ impl TimeSeries {
         TimeSeries {
             bucket,
             sums: vec![0.0; n],
-            maxima: vec![0.0; n],
             counts: vec![0; n],
         }
-    }
-
-    /// Number of buckets.
-    pub fn len(&self) -> usize {
-        self.sums.len()
-    }
-
-    /// Whether the series has no buckets (never true for a constructed series).
-    pub fn is_empty(&self) -> bool {
-        self.sums.is_empty()
     }
 
     /// Records `value` at time `at`. Samples past the horizon are clamped into
@@ -97,9 +40,6 @@ impl TimeSeries {
         let idx = ((at.as_nanos() / self.bucket.as_nanos()) as usize).min(self.sums.len() - 1);
         self.sums[idx] += value;
         self.counts[idx] += 1;
-        if value > self.maxima[idx] {
-            self.maxima[idx] = value;
-        }
     }
 
     /// Records an occurrence (count of one) at time `at`.
@@ -107,49 +47,37 @@ impl TimeSeries {
         self.record(at, 1.0);
     }
 
-    /// Merges `other` into `self` bucket-wise: sums and counts add, maxima
-    /// take the pairwise maximum. Both series must share the same bucket
-    /// width and bucket count (i.e. the same horizon); a mismatch returns a
-    /// [`SeriesMergeError`] and leaves `self` untouched.
+    /// Merges `other` into `self` bucket-wise: sums and counts add.
     ///
     /// Merging partitioned series recorded against the same clock is exact
-    /// for counts, rates and maxima; per-bucket means recompute from the
-    /// merged sums, so they equal the means a single combined series would
-    /// have reported (up to floating-point addition order).
-    pub fn merge(&mut self, other: &TimeSeries) -> Result<(), SeriesMergeError> {
-        if self.bucket != other.bucket {
-            return Err(SeriesMergeError::BucketMismatch {
-                ours: self.bucket,
-                theirs: other.bucket,
-            });
-        }
-        if self.sums.len() != other.sums.len() {
-            return Err(SeriesMergeError::LengthMismatch {
-                ours: self.sums.len(),
-                theirs: other.sums.len(),
-            });
-        }
+    /// for counts and rates; per-bucket means recompute from the merged
+    /// sums, so they equal the means a single combined series would have
+    /// reported (up to floating-point addition order).
+    ///
+    /// # Panics
+    /// Panics unless both series share the same bucket width and bucket
+    /// count (i.e. the same horizon): only series recorded against the
+    /// same clock merge.
+    pub fn merge(&mut self, other: &TimeSeries) {
+        assert_eq!(
+            self.bucket, other.bucket,
+            "cannot merge series with different bucket widths"
+        );
+        assert_eq!(
+            self.sums.len(),
+            other.sums.len(),
+            "cannot merge series with different horizons (bucket counts)"
+        );
         for (ours, theirs) in self.sums.iter_mut().zip(&other.sums) {
             *ours += theirs;
         }
         for (ours, theirs) in self.counts.iter_mut().zip(&other.counts) {
             *ours += theirs;
         }
-        for (ours, &theirs) in self.maxima.iter_mut().zip(&other.maxima) {
-            if theirs > *ours {
-                *ours = theirs;
-            }
-        }
-        Ok(())
-    }
-
-    /// Per-bucket sample counts (e.g. requests per bucket).
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
     }
 
     /// Per-bucket mean of recorded values; `None` for empty buckets.
-    pub fn means(&self) -> Vec<Option<f64>> {
+    fn means(&self) -> Vec<Option<f64>> {
         self.sums
             .iter()
             .zip(&self.counts)
@@ -166,7 +94,7 @@ impl TimeSeries {
     /// Per-bucket mean with empty buckets filled by the previous non-empty
     /// bucket (or 0.0 at the start). This is what gets plotted.
     pub fn means_filled(&self) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.len());
+        let mut out = Vec::with_capacity(self.sums.len());
         let mut last = 0.0;
         for mean in self.means() {
             if let Some(m) = mean {
@@ -177,24 +105,10 @@ impl TimeSeries {
         out
     }
 
-    /// Per-bucket maximum of recorded values.
-    pub fn maxima(&self) -> &[f64] {
-        &self.maxima
-    }
-
     /// Per-bucket event rate in events per second.
     pub fn rates_per_sec(&self) -> Vec<f64> {
         let w = self.bucket.as_secs_f64();
         self.counts.iter().map(|&c| c as f64 / w).collect()
-    }
-
-    /// `(bucket start seconds, mean)` pairs for plotting, skipping empty buckets.
-    pub fn curve(&self) -> Vec<(f64, f64)> {
-        self.means()
-            .iter()
-            .enumerate()
-            .filter_map(|(i, mean)| mean.map(|m| (i as f64 * self.bucket.as_secs_f64(), m)))
-            .collect()
     }
 }
 
@@ -209,7 +123,7 @@ mod tests {
     #[test]
     fn buckets_cover_horizon() {
         let ts = TimeSeries::new(SimDuration::from_secs(60), SimDuration::from_secs(20 * 60));
-        assert_eq!(ts.len(), 20);
+        assert_eq!((ts.sums.len(), ts.counts.len()), (20, 20));
     }
 
     #[test]
@@ -218,10 +132,9 @@ mod tests {
         ts.record(secs(0), 2.0);
         ts.record(secs(3), 4.0);
         ts.record(secs(3), 6.0);
-        assert_eq!(ts.counts()[0], 1);
-        assert_eq!(ts.counts()[3], 2);
+        assert_eq!(ts.counts[0], 1);
+        assert_eq!(ts.counts[3], 2);
         assert_eq!(ts.means()[3], Some(5.0));
-        assert_eq!(ts.maxima()[3], 6.0);
         assert_eq!(ts.means()[1], None);
     }
 
@@ -229,7 +142,7 @@ mod tests {
     fn late_samples_clamp_to_last_bucket() {
         let mut ts = TimeSeries::new(SimDuration::from_secs(1), SimDuration::from_secs(5));
         ts.record(secs(100), 1.0);
-        assert_eq!(ts.counts()[4], 1);
+        assert_eq!(ts.counts[4], 1);
     }
 
     #[test]
@@ -250,20 +163,13 @@ mod tests {
     }
 
     #[test]
-    fn curve_skips_empty_buckets() {
-        let mut ts = TimeSeries::new(SimDuration::from_secs(1), SimDuration::from_secs(3));
-        ts.record(secs(2), 7.0);
-        assert_eq!(ts.curve(), vec![(2.0, 7.0)]);
-    }
-
-    #[test]
     #[should_panic(expected = "non-zero")]
     fn zero_bucket_rejected() {
         let _ = TimeSeries::new(SimDuration::ZERO, SimDuration::from_secs(1));
     }
 
     #[test]
-    fn merge_sums_counts_and_takes_maxima() {
+    fn merge_adds_sums_and_counts() {
         let mut a = TimeSeries::new(SimDuration::from_secs(1), SimDuration::from_secs(4));
         let mut b = TimeSeries::new(SimDuration::from_secs(1), SimDuration::from_secs(4));
         a.record(secs(0), 2.0);
@@ -271,10 +177,10 @@ mod tests {
         b.record(secs(0), 4.0);
         b.record(secs(0), 6.0);
         b.record(secs(3), 1.0);
-        a.merge(&b).expect("compatible series");
-        assert_eq!(a.counts(), &[3, 0, 1, 1]);
+        a.merge(&b);
+        assert_eq!(a.counts, [3, 0, 1, 1]);
+        assert_eq!(a.sums, [12.0, 0.0, 10.0, 1.0]);
         assert_eq!(a.means()[0], Some(4.0));
-        assert_eq!(a.maxima(), &[6.0, 0.0, 10.0, 1.0]);
         assert_eq!(a.means()[1], None);
     }
 
@@ -294,35 +200,24 @@ mod tests {
                 right.record(at, value);
             }
         }
-        left.merge(&right).expect("compatible series");
-        assert_eq!(left.counts(), whole.counts());
-        assert_eq!(left.maxima(), whole.maxima());
+        left.merge(&right);
+        assert_eq!(left.counts, whole.counts);
         assert_eq!(left.rates_per_sec(), whole.rates_per_sec());
     }
 
     #[test]
+    #[should_panic(expected = "cannot merge series with different bucket widths")]
     fn merge_rejects_mismatched_buckets() {
         let mut a = TimeSeries::new(SimDuration::from_secs(1), SimDuration::from_secs(4));
         let b = TimeSeries::new(SimDuration::from_secs(2), SimDuration::from_secs(4));
-        let before = a.clone();
-        let err = a.merge(&b).expect_err("bucket widths differ");
-        assert_eq!(
-            err,
-            SeriesMergeError::BucketMismatch {
-                ours: SimDuration::from_secs(1),
-                theirs: SimDuration::from_secs(2),
-            }
-        );
-        assert!(err.to_string().contains("bucket widths"));
-        assert_eq!(a, before, "failed merge must leave the series untouched");
+        a.merge(&b);
     }
 
     #[test]
+    #[should_panic(expected = "cannot merge series with different horizons")]
     fn merge_rejects_mismatched_horizons() {
         let mut a = TimeSeries::new(SimDuration::from_secs(1), SimDuration::from_secs(4));
         let b = TimeSeries::new(SimDuration::from_secs(1), SimDuration::from_secs(6));
-        let err = a.merge(&b).expect_err("horizons differ");
-        assert_eq!(err, SeriesMergeError::LengthMismatch { ours: 4, theirs: 6 });
-        assert!(err.to_string().contains("horizons"));
+        a.merge(&b);
     }
 }

@@ -58,17 +58,6 @@ impl Summary {
         *self.sorted.last().expect("non-empty by construction")
     }
 
-    /// Standard deviation (population).
-    pub fn std_dev(&self) -> f64 {
-        let var = self
-            .sorted
-            .iter()
-            .map(|x| (x - self.mean).powi(2))
-            .sum::<f64>()
-            / self.sorted.len() as f64;
-        var.sqrt()
-    }
-
     /// Value at quantile `q` in `[0, 1]`, with linear interpolation between
     /// order statistics.
     ///
@@ -513,10 +502,9 @@ mod tests {
     }
 
     #[test]
-    fn summary_mean_and_std() {
+    fn summary_mean() {
         let s = Summary::from_samples(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
         assert_eq!(s.mean(), 5.0);
-        assert_eq!(s.std_dev(), 2.0);
     }
 
     #[test]

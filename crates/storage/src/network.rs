@@ -10,7 +10,7 @@
 //! a p99 roughly 2.1x the median) and the >55 % communication share of
 //! Figure 4.
 
-use dscs_simcore::dist::{Distribution, LogNormalDist};
+use dscs_simcore::dist::LogNormalDist;
 use dscs_simcore::quantity::{Bandwidth, Bytes};
 use dscs_simcore::rng::DeterministicRng;
 use dscs_simcore::time::SimDuration;

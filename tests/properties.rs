@@ -10,7 +10,7 @@ use dscs_serverless::dsa::config::{DsaConfig, MemoryKind, TechnologyNode};
 use dscs_serverless::dsa::engine::MpuModel;
 use dscs_serverless::nn::op::Operator;
 use dscs_serverless::nn::tensor::DType;
-use dscs_serverless::simcore::dist::{Distribution, LogNormalDist};
+use dscs_serverless::simcore::dist::LogNormalDist;
 use dscs_serverless::simcore::fit::polyfit;
 use dscs_serverless::simcore::pareto::{pareto_frontier, ParetoPoint};
 use dscs_serverless::simcore::quantity::Bytes;
