@@ -89,7 +89,7 @@ use dscs_core::benchmarks::Benchmark;
 use dscs_core::endtoend::{EvalOptions, SystemModel};
 use dscs_core::experiments as exp;
 use dscs_dsa::config::TechnologyNode;
-use dscs_dse::cost::CostParameters;
+use dscs_dse::cost::cost_efficiency;
 use dscs_dse::explore::{
     area_performance_frontier, frontier_fit, power_performance_frontier, select_optimal, sweep,
     DRIVE_POWER_BUDGET_WATTS,
@@ -413,7 +413,6 @@ fn fig11() {
 
 fn fig12() {
     header("Figure 12: cost efficiency normalized to the baseline CPU");
-    let params = CostParameters::default();
     let system = SystemModel::new();
     // Every deployment also pays for its share of the surrounding
     // infrastructure (server chassis, networking, storage capacity) and that
@@ -431,7 +430,7 @@ fn fig12() {
             })
             .collect();
         let throughput = geometric_mean(&throughputs);
-        params.cost_efficiency(
+        cost_efficiency(
             throughput,
             spec.active_power + infra_power,
             spec.capex + infra_capex,

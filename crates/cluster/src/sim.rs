@@ -13,7 +13,7 @@
 //! cross-rack fetch (latency and joules).
 //! Per-request service times come from the end-to-end model for the platform
 //! under test, and cold starts — priced by
-//! [`dscs_faas::coldstart::ColdStartModel`] and governed by the configured
+//! [`dscs_faas::coldstart::cold_start_latency`] and governed by the configured
 //! [`KeepalivePolicy`] (including its prewarm window) — are charged onto the
 //! request that finds its function's container cold. DSCS-Serverless
 //! platforms cache evicted images on the drive's flash, so their repeat cold
@@ -30,7 +30,7 @@ use std::collections::BinaryHeap;
 
 use dscs_core::benchmarks::Benchmark;
 use dscs_core::endtoend::{EvalOptions, SystemModel};
-use dscs_faas::coldstart::{ColdStartModel, ImageSource};
+use dscs_faas::coldstart::{cold_start_latency, ImageSource};
 use dscs_platforms::{PlatformKind, PlatformLocation};
 use dscs_simcore::par;
 use dscs_simcore::quantity::Bytes;
@@ -629,7 +629,6 @@ impl ClusterSim {
         let service_times =
             Benchmark::ALL.map(|b| system.evaluate(b, platform, options).total_latency());
 
-        let cold_model = ColdStartModel::default();
         let spec = platform.spec();
         let cold_costs = Benchmark::ALL.map(|b| {
             let bench = b.spec();
@@ -640,13 +639,11 @@ impl ClusterSim {
                 .map(|f| f.image_size)
                 .sum();
             let weights = bench.model(1).weight_bytes();
-            let weight_load = cold_model.weight_load_latency(weights, spec.memory_bandwidth);
+            let weight_load = spec.memory_bandwidth.transfer_time(weights);
             ColdCosts {
-                remote: cold_model.cold_start_latency(image, ImageSource::RemoteRegistry)
-                    + weight_load,
-                local: cold_model.cold_start_latency(image, ImageSource::LocalFlash) + weight_load,
-                snapshot: cold_model.cold_start_latency(image, ImageSource::SnapshotRestore)
-                    + weight_load,
+                remote: cold_start_latency(image, ImageSource::RemoteRegistry) + weight_load,
+                local: cold_start_latency(image, ImageSource::LocalFlash) + weight_load,
+                snapshot: cold_start_latency(image, ImageSource::SnapshotRestore) + weight_load,
             }
         });
 

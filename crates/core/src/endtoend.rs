@@ -10,13 +10,13 @@
 //! routing and launch), the notification function that always runs on a host
 //! CPU, and (optionally) cold-start costs — and the corresponding energies.
 
-use dscs_faas::coldstart::{ColdStartModel, ImageSource};
+use dscs_faas::coldstart::{cold_start_latency, ImageSource};
 use dscs_nn::graph::Graph;
 use dscs_platforms::{device_copy_latency, ComputeEngine, PlatformKind, PlatformLocation};
 use dscs_simcore::quantity::{Bytes, Joules, Watts};
 use dscs_simcore::time::SimDuration;
 use dscs_storage::drive::DscsDrive;
-use dscs_storage::network::{NetworkConfig, NetworkModel};
+use dscs_storage::network::NetworkModel;
 
 use crate::benchmarks::Benchmark;
 
@@ -155,7 +155,6 @@ pub struct SystemModel {
     engine: ComputeEngine,
     network: NetworkModel,
     drive: DscsDrive,
-    cold_start: ColdStartModel,
     /// Per-function serverless framework overhead (gateway + Kubernetes + runtime).
     framework_overhead: SimDuration,
     /// Host-CPU power drawn while moving data / running the stack and function 3.
@@ -174,9 +173,8 @@ impl SystemModel {
     pub fn new() -> Self {
         SystemModel {
             engine: ComputeEngine::new(),
-            network: NetworkModel::new(NetworkConfig::disaggregated_datacenter()),
+            network: NetworkModel::default(),
             drive: DscsDrive::smartssd_class(),
-            cold_start: ColdStartModel::default(),
             framework_overhead: SimDuration::from_millis(7),
             host_active_power: Watts::new(60.0),
         }
@@ -316,13 +314,9 @@ impl SystemModel {
         // --- Cold start ------------------------------------------------------
         if options.cold_start {
             let image = spec.pipeline().functions[1].image_size;
-            let mut cold = self
-                .cold_start
-                .cold_start_latency(image, ImageSource::RemoteRegistry);
+            let mut cold = cold_start_latency(image, ImageSource::RemoteRegistry);
             // Loading the model weights into the accelerator's memory.
-            cold += self
-                .cold_start
-                .weight_load_latency(model.weight_bytes(), pspec.memory_bandwidth);
+            cold += pspec.memory_bandwidth.transfer_time(model.weight_bytes());
             latency.cold_start = cold;
         }
 

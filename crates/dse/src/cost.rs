@@ -14,101 +14,67 @@
 
 use dscs_simcore::quantity::{AreaMm2, Dollars, Watts};
 
-/// Ownership-period parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CostParameters {
-    /// Ownership period in years.
-    pub years: f64,
-    /// Average utilisation over the period.
-    pub utilization: f64,
-    /// Electricity price in dollars per kWh.
-    pub dollars_per_kwh: f64,
-    /// Power usage effectiveness (cooling and distribution overhead).
-    pub pue: f64,
+/// Ownership period in years.
+pub const YEARS: f64 = 3.0;
+/// Average utilisation over the period.
+pub const UTILIZATION: f64 = 0.30;
+/// Electricity price in dollars per kWh.
+const DOLLARS_PER_KWH: f64 = 0.0975;
+/// Power usage effectiveness (cooling and distribution overhead).
+const PUE: f64 = 1.5;
+
+/// Total active-operation seconds over the ownership period.
+fn active_seconds() -> f64 {
+    YEARS * 365.25 * 24.0 * 3600.0 * UTILIZATION
 }
 
-impl Default for CostParameters {
-    fn default() -> Self {
-        CostParameters {
-            years: 3.0,
-            utilization: 0.30,
-            dollars_per_kwh: 0.0975,
-            pue: 1.5,
-        }
-    }
+/// Electricity cost of drawing `power` whenever active over the period.
+fn opex(power: Watts) -> Dollars {
+    let kwh = power.as_f64() * PUE * active_seconds() / 3600.0 / 1000.0;
+    Dollars::new(kwh * DOLLARS_PER_KWH)
 }
 
-impl CostParameters {
-    /// Total active-operation seconds over the ownership period.
-    pub fn active_seconds(&self) -> f64 {
-        self.years * 365.25 * 24.0 * 3600.0 * self.utilization
-    }
-
-    /// Electricity cost of drawing `power` whenever active over the period.
-    pub fn opex(&self, power: Watts) -> Dollars {
-        let kwh = power.as_f64() * self.pue * self.active_seconds() / 3600.0 / 1000.0;
-        Dollars::new(kwh * self.dollars_per_kwh)
-    }
-
-    /// Cost efficiency: total requests served over the period divided by the
-    /// total cost of ownership.
-    ///
-    /// # Panics
-    /// Panics if throughput is not positive and finite.
-    pub fn cost_efficiency(&self, throughput_rps: f64, power: Watts, capex: Dollars) -> f64 {
-        assert!(
-            throughput_rps > 0.0 && throughput_rps.is_finite(),
-            "throughput must be positive"
-        );
-        let total_requests = throughput_rps * self.active_seconds();
-        let total_cost = capex + self.opex(power);
-        total_requests / total_cost.as_f64()
-    }
+/// Cost efficiency: total requests served over the period divided by the
+/// total cost of ownership.
+///
+/// # Panics
+/// Panics if throughput is not positive and finite.
+pub fn cost_efficiency(throughput_rps: f64, power: Watts, capex: Dollars) -> f64 {
+    assert!(
+        throughput_rps > 0.0 && throughput_rps.is_finite(),
+        "throughput must be positive"
+    );
+    let total_requests = throughput_rps * active_seconds();
+    let total_cost = capex + opex(power);
+    total_requests / total_cost.as_f64()
 }
 
-/// ASIC fabrication cost estimate in the style of ASIC Clouds: wafer cost
-/// amortised over dies (with yield) plus packaging/test, plus an NRE share.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AsicCostModel {
-    /// Cost of one processed 300 mm wafer in dollars.
-    pub wafer_cost: Dollars,
-    /// Usable wafer area in mm².
-    pub wafer_area_mm2: f64,
-    /// Die yield (fraction of good dies).
-    pub yield_fraction: f64,
-    /// Packaging, test and margin per good die.
-    pub package_and_test: Dollars,
-    /// Non-recurring engineering cost amortised over the production volume.
-    pub nre: Dollars,
-    /// Production volume the NRE is spread over.
-    pub volume: f64,
-}
+// The die-cost estimate follows ASIC Clouds: wafer cost amortised over dies
+// (with yield) plus packaging/test, plus an NRE share.
 
-impl Default for AsicCostModel {
-    fn default() -> Self {
-        AsicCostModel {
-            wafer_cost: Dollars::new(4_000.0),
-            wafer_area_mm2: 70_000.0,
-            yield_fraction: 0.85,
-            package_and_test: Dollars::new(18.0),
-            nre: Dollars::new(6_000_000.0),
-            volume: 100_000.0,
-        }
-    }
-}
+/// Cost of one processed 300 mm wafer.
+const WAFER_COST: Dollars = Dollars::new(4_000.0);
+/// Usable wafer area in mm².
+const WAFER_AREA_MM2: f64 = 70_000.0;
+/// Die yield (fraction of good dies).
+const YIELD_FRACTION: f64 = 0.85;
+/// Packaging, test and margin per good die.
+const PACKAGE_AND_TEST: Dollars = Dollars::new(18.0);
+/// Non-recurring engineering cost amortised over the production volume.
+const NRE: Dollars = Dollars::new(6_000_000.0);
+/// Production volume the NRE is spread over.
+const VOLUME: f64 = 100_000.0;
 
-impl AsicCostModel {
-    /// Estimated unit cost of a die of the given area.
-    ///
-    /// # Panics
-    /// Panics if the area is zero.
-    pub fn die_cost(&self, area: AreaMm2) -> Dollars {
-        assert!(area.as_f64() > 0.0, "die area must be positive");
-        let dies_per_wafer = (self.wafer_area_mm2 / area.as_f64()).floor().max(1.0);
-        let silicon = self.wafer_cost.as_f64() / (dies_per_wafer * self.yield_fraction);
-        let nre_share = self.nre.as_f64() / self.volume;
-        Dollars::new(silicon) + self.package_and_test + Dollars::new(nre_share)
-    }
+/// Estimated unit cost of an ASIC die of the given area.
+///
+/// # Panics
+/// Panics if the area is zero.
+pub fn die_cost(area: AreaMm2) -> Dollars {
+    assert!(area.as_f64() > 0.0, "die area must be positive");
+    let dies_per_wafer = (WAFER_AREA_MM2 / area.as_f64()).floor().max(1.0);
+    let silicon = WAFER_COST.as_f64() / (dies_per_wafer * YIELD_FRACTION);
+    let nre_share = NRE.as_f64() / VOLUME;
+    Dollars::new(silicon) + PACKAGE_AND_TEST + Dollars::new(nre_share)
 }
 
 #[cfg(test)]
@@ -117,46 +83,37 @@ mod tests {
 
     #[test]
     fn active_seconds_reflect_utilisation() {
-        let p = CostParameters::default();
         let expected = 3.0 * 365.25 * 24.0 * 3600.0 * 0.30;
-        assert!((p.active_seconds() - expected).abs() < 1.0);
+        assert!((active_seconds() - expected).abs() < 1.0);
     }
 
     #[test]
     fn opex_matches_hand_calculation() {
-        let p = CostParameters {
-            years: 1.0,
-            utilization: 1.0,
-            dollars_per_kwh: 0.10,
-            pue: 1.0,
-        };
-        // 1 kW for one year = 8766 kWh (365.25 days) -> $876.6.
-        let opex = p.opex(Watts::new(1000.0));
-        assert!((opex.as_f64() - 876.6).abs() < 1.0, "opex {opex}");
+        // 1 kW x 1.5 PUE for 30 % of three years (7,889.4 h) = 11,834.1 kWh
+        // -> $1,153.8 at $0.0975/kWh.
+        let cost = opex(Watts::new(1000.0));
+        assert!((cost.as_f64() - 1153.8).abs() < 1.0, "opex {cost}");
     }
 
     #[test]
     fn low_power_improves_cost_efficiency_over_time() {
-        let p = CostParameters::default();
         // Same throughput and CAPEX, different power.
-        let efficient = p.cost_efficiency(10.0, Watts::new(10.0), Dollars::new(1000.0));
-        let hungry = p.cost_efficiency(10.0, Watts::new(250.0), Dollars::new(1000.0));
+        let efficient = cost_efficiency(10.0, Watts::new(10.0), Dollars::new(1000.0));
+        let hungry = cost_efficiency(10.0, Watts::new(250.0), Dollars::new(1000.0));
         assert!(efficient > hungry);
     }
 
     #[test]
     fn cost_efficiency_scales_with_throughput() {
-        let p = CostParameters::default();
-        let slow = p.cost_efficiency(1.0, Watts::new(50.0), Dollars::new(2000.0));
-        let fast = p.cost_efficiency(4.0, Watts::new(50.0), Dollars::new(2000.0));
+        let slow = cost_efficiency(1.0, Watts::new(50.0), Dollars::new(2000.0));
+        let fast = cost_efficiency(4.0, Watts::new(50.0), Dollars::new(2000.0));
         assert!((fast / slow - 4.0).abs() < 1e-9);
     }
 
     #[test]
     fn asic_die_cost_grows_with_area_and_stays_storage_class() {
-        let model = AsicCostModel::default();
-        let small = model.die_cost(AreaMm2::new(30.0));
-        let large = model.die_cost(AreaMm2::new(600.0));
+        let small = die_cost(AreaMm2::new(30.0));
+        let large = die_cost(AreaMm2::new(600.0));
         assert!(large.as_f64() > small.as_f64());
         // A ~30 mm^2 14 nm DSA die should cost tens of dollars, not thousands.
         assert!(small.as_f64() < 150.0, "die cost {small}");
@@ -165,6 +122,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "positive")]
     fn zero_throughput_rejected() {
-        let _ = CostParameters::default().cost_efficiency(0.0, Watts::new(1.0), Dollars::new(1.0));
+        let _ = cost_efficiency(0.0, Watts::new(1.0), Dollars::new(1.0));
     }
 }

@@ -30,7 +30,6 @@ pub mod cost;
 pub mod explore;
 pub mod space;
 
-pub use cost::{AsicCostModel, CostParameters};
 pub use explore::{
     area_performance_frontier, evaluate_config, frontier_fit, power_performance_frontier,
     select_optimal, sweep, DesignPoint, DRIVE_POWER_BUDGET_WATTS,

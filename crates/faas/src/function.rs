@@ -145,11 +145,6 @@ impl AppPipeline {
         self.functions.is_empty()
     }
 
-    /// Functions marked acceleratable.
-    pub fn acceleratable_functions(&self) -> impl Iterator<Item = &FunctionSpec> {
-        self.functions.iter().filter(|f| f.acceleratable)
-    }
-
     /// Whether the chain of acceleratable functions is contiguous from the
     /// start — the condition under which DSCS-Serverless maps the chained
     /// functions onto the same DSCS-Drive (Section 5.3, "Function chaining").
@@ -173,7 +168,6 @@ mod tests {
         assert_eq!(p.functions[1].role, FunctionRole::Inference);
         assert_eq!(p.functions[2].role, FunctionRole::Notification);
         assert_eq!(p.acceleratable_prefix_len(), 2);
-        assert_eq!(p.acceleratable_functions().count(), 2);
     }
 
     #[test]

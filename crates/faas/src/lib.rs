@@ -38,7 +38,7 @@ pub mod registry;
 pub mod scheduler;
 pub mod telemetry;
 
-pub use coldstart::{ColdStartModel, ImageSource};
+pub use coldstart::ImageSource;
 pub use config::{parse_deployment, ConfigParseError};
 pub use function::{AppPipeline, FunctionRole, FunctionSpec};
 pub use registry::{FunctionRegistry, RegistryError};

@@ -7,8 +7,6 @@
 
 use std::collections::HashMap;
 
-use dscs_simcore::quantity::Bytes;
-
 use crate::function::{AppPipeline, FunctionSpec};
 
 /// Errors returned by the registry.
@@ -62,13 +60,6 @@ impl FunctionRegistry {
         Ok(())
     }
 
-    /// Removes an application, returning its pipeline.
-    pub fn undeploy(&mut self, app: &str) -> Result<AppPipeline, RegistryError> {
-        self.apps
-            .remove(app)
-            .ok_or_else(|| RegistryError::UnknownApp(app.to_string()))
-    }
-
     /// Looks up a deployed application.
     pub fn app(&self, app: &str) -> Result<&AppPipeline, RegistryError> {
         self.apps
@@ -100,16 +91,12 @@ impl FunctionRegistry {
         names.sort_unstable();
         names
     }
-
-    /// Total container-image bytes a node would have to pull to host every
-    /// function of an application (the cold-start working set).
-    pub fn total_image_size(&self, app: &str) -> Result<Bytes, RegistryError> {
-        Ok(self.app(app)?.functions.iter().map(|f| f.image_size).sum())
-    }
 }
 
 #[cfg(test)]
 mod tests {
+    use dscs_simcore::quantity::Bytes;
+
     use super::*;
     use crate::function::AppPipeline;
 
@@ -148,26 +135,6 @@ mod tests {
             r.function("remote-sensing", "nope"),
             Err(RegistryError::UnknownFunction { .. })
         ));
-    }
-
-    #[test]
-    fn undeploy_removes_the_app() {
-        let mut r = FunctionRegistry::new();
-        r.deploy(sample()).expect("deploy");
-        r.undeploy("remote-sensing").expect("undeploy");
-        assert_eq!(r.app_count(), 0);
-        assert!(r.undeploy("remote-sensing").is_err());
-    }
-
-    #[test]
-    fn image_totals_sum_all_functions() {
-        let mut r = FunctionRegistry::new();
-        r.deploy(sample()).expect("deploy");
-        let total = r.total_image_size("remote-sensing").expect("total");
-        assert_eq!(
-            total,
-            Bytes::from_mib(180) + Bytes::from_mib(420) + Bytes::from_mib(60)
-        );
     }
 
     #[test]

@@ -122,11 +122,6 @@ impl Scheduler {
         &self.telemetry
     }
 
-    /// Number of requests waiting in the queue.
-    pub fn queued(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Enqueues a request; it will be placed by [`Scheduler::dispatch`] in FCFS
     /// order as nodes free up.
     pub fn submit(&mut self, request: PendingRequest) -> Result<(), ScheduleError> {
@@ -305,10 +300,17 @@ mod tests {
         let placed = s.dispatch();
         assert_eq!(placed.len(), 1);
         assert_eq!(placed[0].0.id, 0);
-        assert_eq!(s.queued(), 2);
+        assert!(s.dispatch().is_empty(), "the node is still busy");
         s.release(NodeId(0));
         let placed = s.dispatch();
+        assert_eq!(placed.len(), 1);
         assert_eq!(placed[0].0.id, 1, "FCFS order respected");
+        s.release(NodeId(0));
+        let placed = s.dispatch();
+        assert_eq!(placed.len(), 1);
+        assert_eq!(placed[0].0.id, 2, "the last queued request comes out last");
+        s.release(NodeId(0));
+        assert!(s.dispatch().is_empty(), "the queue is drained");
     }
 
     #[test]

@@ -89,20 +89,6 @@ impl Telemetry {
             .push(value);
     }
 
-    /// Number of observations recorded under `name`.
-    pub fn observation_count(&self, name: &str) -> usize {
-        self.observations.read().get(name).map_or(0, Vec::len)
-    }
-
-    /// Snapshot of the observations recorded under `name`.
-    pub fn observations(&self, name: &str) -> Vec<f64> {
-        self.observations
-            .read()
-            .get(name)
-            .cloned()
-            .unwrap_or_default()
-    }
-
     /// Renders all metrics in the Prometheus text exposition format.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -163,8 +149,9 @@ mod tests {
         let t = Telemetry::new();
         t.observe("lat", 0.1);
         t.observe("lat", 0.3);
-        assert_eq!(t.observation_count("lat"), 2);
-        assert_eq!(t.observations("lat"), vec![0.1, 0.3]);
+        let text = t.render();
+        assert!(text.contains("lat_count 2\n"), "{text}");
+        assert!(text.contains("lat_sum 0.4\n"), "{text}");
     }
 
     #[test]

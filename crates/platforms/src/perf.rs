@@ -65,11 +65,6 @@ impl ComputeEngine {
         }
     }
 
-    /// The DSA configuration used for the `DscsDsa` platform.
-    pub fn dsa_config(&self) -> &DsaConfig {
-        &self.dsa_config
-    }
-
     /// Latency and energy of executing `graph` (built at `batch`) on `kind`.
     pub fn execute(&self, kind: PlatformKind, graph: &Graph, batch: u64) -> InferenceResult {
         match kind {
@@ -113,30 +108,20 @@ fn activation_traffic(graph: &Graph) -> Bytes {
     graph.nodes().iter().map(|n| n.op.output_bytes()).sum()
 }
 
+/// Fixed per-copy latency of the x16 Gen3 PCIe link a discrete GPU or FPGA
+/// card sits behind.
+const DEVICE_COPY_SETUP: SimDuration = SimDuration::from_micros(10);
+/// Effective bytes per second of that link.
+const DEVICE_COPY_BYTES_PER_SEC: f64 = 14.2e9;
+
 /// PCIe copy latency for platforms that require staging inputs on a discrete
 /// card before compute (GPU / FPGA). Exposed here so the end-to-end model can
 /// charge it only for the platforms whose spec sets `device_copy_required`.
 pub fn device_copy_latency(payload: Bytes) -> SimDuration {
-    dscs_storage_free_link().transfer_latency(payload)
-}
-
-// A x16 Gen3 link, the common accelerator attach point. Kept as a function so
-// the constant lives in one place without adding a storage dependency cycle.
-fn dscs_storage_free_link() -> Pcie16 {
-    Pcie16
-}
-
-/// Minimal x16 PCIe Gen3 model for host-to-device staging copies.
-struct Pcie16;
-
-impl Pcie16 {
-    fn transfer_latency(&self, payload: Bytes) -> SimDuration {
-        if payload.as_u64() == 0 {
-            return SimDuration::ZERO;
-        }
-        let bandwidth = 14.2e9; // ~x16 Gen3 effective bytes/sec
-        SimDuration::from_micros(10) + SimDuration::from_secs_f64(payload.as_f64() / bandwidth)
+    if payload.as_u64() == 0 {
+        return SimDuration::ZERO;
     }
+    DEVICE_COPY_SETUP + SimDuration::from_secs_f64(payload.as_f64() / DEVICE_COPY_BYTES_PER_SEC)
 }
 
 #[cfg(test)]

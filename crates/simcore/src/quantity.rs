@@ -123,7 +123,7 @@ pub struct Bandwidth(f64);
 
 impl Bandwidth {
     /// Creates a bandwidth from bytes per second.
-    pub fn from_bytes_per_sec(bps: f64) -> Self {
+    pub const fn from_bytes_per_sec(bps: f64) -> Self {
         assert!(
             bps >= 0.0 && bps.is_finite(),
             "bandwidth must be non-negative and finite"
@@ -132,22 +132,22 @@ impl Bandwidth {
     }
 
     /// Creates a bandwidth from gigabytes (decimal) per second.
-    pub fn from_gbps(gbps: f64) -> Self {
+    pub const fn from_gbps(gbps: f64) -> Self {
         Self::from_bytes_per_sec(gbps * 1e9)
     }
 
     /// Creates a bandwidth from megabytes (decimal) per second.
-    pub fn from_mbps(mbps: f64) -> Self {
+    pub const fn from_mbps(mbps: f64) -> Self {
         Self::from_bytes_per_sec(mbps * 1e6)
     }
 
     /// Creates a bandwidth from gigabits per second (e.g. network links).
-    pub fn from_gbits_per_sec(gbits: f64) -> Self {
+    pub const fn from_gbits_per_sec(gbits: f64) -> Self {
         Self::from_bytes_per_sec(gbits * 1e9 / 8.0)
     }
 
     /// Bytes per second.
-    pub fn bytes_per_sec(self) -> f64 {
+    pub const fn bytes_per_sec(self) -> f64 {
         self.0
     }
 
@@ -406,7 +406,7 @@ impl Dollars {
     pub const ZERO: Dollars = Dollars(0.0);
 
     /// Creates a dollar amount.
-    pub fn new(usd: f64) -> Self {
+    pub const fn new(usd: f64) -> Self {
         assert!(
             usd >= 0.0 && usd.is_finite(),
             "cost must be non-negative and finite"

@@ -9,69 +9,32 @@
 use dscs_simcore::quantity::Bytes;
 use dscs_simcore::time::SimDuration;
 
-use crate::flash::{FlashArray, FlashConfig};
+use crate::flash;
 use crate::pcie::PcieLink;
 
-/// Host-software costs on the storage node for a conventional (non-P2P) access:
-/// the request crosses the kernel block stack and the object-service process.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HostSoftwareCosts {
-    /// System-call plus block-layer overhead per I/O.
-    pub syscall: SimDuration,
-    /// Object-service (key lookup, request handling) overhead per request.
-    pub object_service: SimDuration,
-}
-
-impl Default for HostSoftwareCosts {
-    fn default() -> Self {
-        HostSoftwareCosts {
-            syscall: SimDuration::from_micros(18),
-            object_service: SimDuration::from_micros(120),
-        }
-    }
-}
-
-/// P2P driver costs inside the DSCS-Drive: a single `ioctl`-style call sets up
-/// the transfer and the OpenCL runtime performs access-control checks, but no
-/// per-byte host work happens.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct P2pDriverCosts {
-    /// One-time driver/system-call cost to initiate a P2P transfer.
-    pub setup: SimDuration,
-    /// OpenCL runtime dispatch cost to launch work on the DSA.
-    pub dispatch: SimDuration,
-}
-
-impl Default for P2pDriverCosts {
-    fn default() -> Self {
-        P2pDriverCosts {
-            setup: SimDuration::from_micros(25),
-            dispatch: SimDuration::from_micros(120),
-        }
-    }
-}
+/// Host-software cost on the storage node of a conventional (non-P2P)
+/// access, which crosses the kernel block stack: system-call plus
+/// block-layer overhead per I/O.
+const SYSCALL: SimDuration = SimDuration::from_micros(18);
+/// Object-service (key lookup, request handling) overhead per host-path
+/// request.
+const OBJECT_SERVICE: SimDuration = SimDuration::from_micros(120);
+/// The one driver call (an `ioctl`) that initiates a P2P transfer inside the
+/// DSCS-Drive; no per-byte host work follows it.
+const P2P_SETUP: SimDuration = SimDuration::from_micros(25);
 
 /// A conventional NVMe drive: flash behind a host PCIe link.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SsdDrive {
-    flash: FlashArray,
     host_link: PcieLink,
-    host_costs: HostSoftwareCosts,
 }
 
 impl SsdDrive {
     /// Creates a drive with datacenter-NVMe characteristics.
     pub fn datacenter_nvme() -> Self {
         SsdDrive {
-            flash: FlashArray::new(FlashConfig::datacenter_nvme()),
             host_link: PcieLink::nvme_drive(),
-            host_costs: HostSoftwareCosts::default(),
         }
-    }
-
-    /// The flash array.
-    pub fn flash(&self) -> &FlashArray {
-        &self.flash
     }
 
     /// Latency for the storage node's CPU to read `size` bytes from this drive
@@ -80,10 +43,7 @@ impl SsdDrive {
         if size.as_u64() == 0 {
             return SimDuration::ZERO;
         }
-        self.host_costs.syscall
-            + self.host_costs.object_service
-            + self.flash.read_latency(size)
-            + self.host_link.transfer_latency(size)
+        SYSCALL + OBJECT_SERVICE + flash::read_latency(size) + self.host_link.transfer_latency(size)
     }
 
     /// Latency for the storage node's CPU to write `size` bytes.
@@ -91,20 +51,15 @@ impl SsdDrive {
         if size.as_u64() == 0 {
             return SimDuration::ZERO;
         }
-        self.host_costs.syscall
-            + self.host_costs.object_service
-            + self.flash.write_latency(size)
+        SYSCALL
+            + OBJECT_SERVICE
+            + flash::write_latency(size)
             + self.host_link.transfer_latency(size)
     }
 
     /// Energy of one host-path access.
     pub fn access_energy_joules(&self, size: Bytes) -> f64 {
-        self.flash.access_energy_joules(size) + self.host_link.transfer_energy_joules(size)
-    }
-
-    /// Idle power of the drive.
-    pub fn idle_power_watts(&self) -> f64 {
-        self.flash.config().idle_power_watts
+        flash::access_energy_joules(size) + self.host_link.transfer_energy_joules(size)
     }
 }
 
@@ -113,9 +68,6 @@ impl SsdDrive {
 pub struct DscsDrive {
     base: SsdDrive,
     p2p_link: PcieLink,
-    driver: P2pDriverCosts,
-    /// DRAM staging-buffer bandwidth inside the drive (DDR4 on the SmartSSD).
-    staging_bandwidth_gbps: f64,
 }
 
 impl DscsDrive {
@@ -124,8 +76,6 @@ impl DscsDrive {
         DscsDrive {
             base: SsdDrive::datacenter_nvme(),
             p2p_link: PcieLink::p2p_internal(),
-            driver: P2pDriverCosts::default(),
-            staging_bandwidth_gbps: 19.2,
         }
     }
 
@@ -143,9 +93,9 @@ impl DscsDrive {
         if size.as_u64() == 0 {
             return SimDuration::ZERO;
         }
-        let flash = self.base.flash.read_latency(size);
+        let flash = flash::read_latency(size);
         let link = self.p2p_link.transfer_latency(size);
-        self.driver.setup + flash.max(link)
+        P2P_SETUP + flash.max(link)
     }
 
     /// Latency to write `size` bytes of results from the DSA's staging buffer
@@ -154,25 +104,14 @@ impl DscsDrive {
         if size.as_u64() == 0 {
             return SimDuration::ZERO;
         }
-        let flash = self.base.flash.write_latency(size);
+        let flash = flash::write_latency(size);
         let link = self.p2p_link.transfer_latency(size);
-        self.driver.setup + flash.max(link)
-    }
-
-    /// OpenCL-style dispatch overhead to launch a kernel/program on the DSA.
-    pub fn dispatch_latency(&self) -> SimDuration {
-        self.driver.dispatch
+        P2P_SETUP + flash.max(link)
     }
 
     /// Energy of one P2P access (flash + internal link only; no host CPU work).
     pub fn p2p_energy_joules(&self, size: Bytes) -> f64 {
-        self.base.flash.access_energy_joules(size) + self.p2p_link.transfer_energy_joules(size)
-    }
-
-    /// Idle power of the drive (flash + controller; the DSA's own power is
-    /// accounted by the DSA power model).
-    pub fn idle_power_watts(&self) -> f64 {
-        self.base.idle_power_watts()
+        flash::access_energy_joules(size) + self.p2p_link.transfer_energy_joules(size)
     }
 }
 
@@ -195,7 +134,7 @@ mod tests {
     fn p2p_pipeline_hides_faster_stage() {
         let drive = DscsDrive::smartssd_class();
         let size = Bytes::from_mib(8);
-        let flash_only = drive.as_ssd().flash().read_latency(size);
+        let flash_only = flash::read_latency(size);
         let p2p = drive.p2p_read_latency(size);
         // The P2P path should cost roughly the slower stage plus setup, not the
         // sum of both stages.
@@ -232,11 +171,5 @@ mod tests {
             drive.as_ssd().host_write_latency(Bytes::ZERO),
             SimDuration::ZERO
         );
-    }
-
-    #[test]
-    fn dispatch_cost_is_sub_millisecond() {
-        let drive = DscsDrive::smartssd_class();
-        assert!(drive.dispatch_latency().as_millis_f64() < 1.0);
     }
 }

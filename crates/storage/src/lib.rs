@@ -6,8 +6,8 @@
 //!
 //! * [`flash`] — the NAND flash array inside a drive (channels, page latency,
 //!   aggregate bandwidth, access energy).
-//! * [`pcie`] — PCIe links: host↔drive, host↔accelerator card, and the
-//!   dedicated peer-to-peer path inside the DSCS-Drive.
+//! * [`pcie`] — PCIe links: host↔drive and the dedicated peer-to-peer path
+//!   inside the DSCS-Drive.
 //! * [`drive`] — drive compositions: conventional NVMe SSD (host software path)
 //!   and the DSCS-Drive (P2P path from flash to the in-storage DSA).
 //! * [`network`] — the datacenter network / RPC model with heavy-tailed base
@@ -24,10 +24,10 @@
 //! ```
 //! use dscs_simcore::quantity::Bytes;
 //! use dscs_storage::drive::DscsDrive;
-//! use dscs_storage::network::{NetworkConfig, NetworkModel};
+//! use dscs_storage::network::NetworkModel;
 //!
 //! let size = Bytes::from_mib(2);
-//! let remote = NetworkModel::new(NetworkConfig::disaggregated_datacenter());
+//! let remote = NetworkModel::default();
 //! let drive = DscsDrive::smartssd_class();
 //!
 //! let remote_read = remote.access_latency_at_quantile(size, 0.5)
@@ -46,21 +46,19 @@ pub mod object_store;
 pub mod pcie;
 pub mod snapshot;
 
-pub use drive::{DscsDrive, HostSoftwareCosts, P2pDriverCosts, SsdDrive};
-pub use flash::{FlashArray, FlashConfig};
-pub use network::{NetworkConfig, NetworkModel};
+pub use drive::{DscsDrive, SsdDrive};
+pub use network::NetworkModel;
 pub use object_store::{
     DriveClass, ObjectMeta, ObjectStore, RemoteFetchModel, StorageNodeId, StoreError,
 };
-pub use pcie::{PcieGeneration, PcieLink};
-pub use snapshot::{SnapshotConfig, SnapshotStore};
+pub use pcie::PcieLink;
 
 #[cfg(test)]
 mod tests {
     use dscs_simcore::quantity::Bytes;
 
     use crate::drive::DscsDrive;
-    use crate::network::{NetworkConfig, NetworkModel};
+    use crate::network::NetworkModel;
 
     #[test]
     fn remote_access_dwarfs_in_storage_access() {
@@ -68,7 +66,7 @@ mod tests {
         // payloads the remote-storage round trip is orders of magnitude slower
         // than touching the data inside the drive.
         let size = Bytes::from_mib(1);
-        let remote = NetworkModel::new(NetworkConfig::disaggregated_datacenter());
+        let remote = NetworkModel::default();
         let drive = DscsDrive::smartssd_class();
         let remote_read =
             remote.access_latency_at_quantile(size, 0.5) + drive.as_ssd().host_read_latency(size);

@@ -5,107 +5,71 @@
 //! access is: an RPC over the datacenter network (with a heavy-tailed latency),
 //! protobuf serialization/deserialization on both sides, system-call and
 //! storage-software overhead on the storage node, and the payload transfer at
-//! the network bandwidth. The model's constants are calibrated so that the
-//! resulting S3-style read latencies match Figure 3 (tens of milliseconds with
-//! a p99 roughly 2.1x the median) and the >55 % communication share of
-//! Figure 4.
+//! the network bandwidth. The constants describe a 100 Gb/s fabric fronting
+//! an S3-style object store, calibrated so that the resulting read latencies
+//! match Figure 3 (tens of milliseconds with a p99 roughly 2.1x the median)
+//! and the >55 % communication share of Figure 4.
 
 use dscs_simcore::dist::LogNormalDist;
 use dscs_simcore::quantity::{Bandwidth, Bytes};
 use dscs_simcore::rng::DeterministicRng;
 use dscs_simcore::time::SimDuration;
 
-/// Configuration of the network + RPC stack between compute and storage nodes.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NetworkConfig {
-    /// Sustained per-flow network bandwidth.
-    pub bandwidth: Bandwidth,
-    /// Median base RPC latency (request + response network time, queueing,
-    /// storage-service software) for a small object.
-    pub rpc_median: SimDuration,
-    /// 99th-percentile base RPC latency.
-    pub rpc_p99: SimDuration,
-    /// Protobuf (de)serialization throughput on the CPUs at each end.
-    pub serialization_bandwidth: Bandwidth,
-    /// Per-RPC fixed CPU overhead (system calls, connection handling).
-    pub per_rpc_cpu: SimDuration,
-    /// Network interface + switch energy per byte, in picojoules.
-    pub energy_pj_per_byte: f64,
-}
+/// Sustained per-flow network bandwidth.
+const BANDWIDTH: Bandwidth = Bandwidth::from_gbits_per_sec(100.0);
+/// Median base RPC latency (request + response network time, queueing,
+/// storage-service software) for a small object.
+const RPC_MEDIAN: SimDuration = SimDuration::from_millis(18);
+/// 99th-percentile base RPC latency.
+const RPC_P99: SimDuration = SimDuration::from_micros(38_000);
+/// Protobuf (de)serialization throughput on the CPUs at each end.
+const SERIALIZATION_BANDWIDTH: Bandwidth = Bandwidth::from_gbps(2.0);
+/// Per-RPC fixed CPU overhead (system calls, connection handling).
+const PER_RPC_CPU: SimDuration = SimDuration::from_micros(250);
+/// Network interface + switch energy per byte, in picojoules.
+const ENERGY_PJ_PER_BYTE: f64 = 60.0;
 
-impl NetworkConfig {
-    /// A 100 Gb/s datacenter fabric fronting an S3-style object store, with the
-    /// base RPC latency calibrated to the paper's measured S3 read
-    /// distribution (median in the tens of milliseconds, p99/p50 ~ 2.1).
-    pub fn disaggregated_datacenter() -> Self {
-        NetworkConfig {
-            bandwidth: Bandwidth::from_gbits_per_sec(100.0),
-            rpc_median: SimDuration::from_millis(18),
-            rpc_p99: SimDuration::from_micros(38_000),
-            serialization_bandwidth: Bandwidth::from_gbps(2.0),
-            per_rpc_cpu: SimDuration::from_micros(250),
-            energy_pj_per_byte: 60.0,
-        }
-    }
-
-    /// The base-latency distribution implied by the configuration.
-    pub fn rpc_distribution(&self) -> LogNormalDist {
-        LogNormalDist::from_median_p99(self.rpc_median.as_secs_f64(), self.rpc_p99.as_secs_f64())
-    }
+/// The base-latency distribution implied by the calibration.
+fn rpc_distribution() -> LogNormalDist {
+    LogNormalDist::from_median_p99(RPC_MEDIAN.as_secs_f64(), RPC_P99.as_secs_f64())
 }
 
 /// The network/RPC model used by remote reads and writes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkModel {
-    config: NetworkConfig,
     /// Multiplier applied to the base-latency spread (1.0 = calibrated tail,
     /// 0.0 = deterministic). Used by the tail-latency sensitivity study.
     tail_scale: f64,
 }
 
+impl Default for NetworkModel {
+    /// The calibrated model, at its measured tail.
+    fn default() -> Self {
+        NetworkModel { tail_scale: 1.0 }
+    }
+}
+
 impl NetworkModel {
-    /// Creates a model from a configuration.
-    pub fn new(config: NetworkConfig) -> Self {
-        NetworkModel {
-            config,
-            tail_scale: 1.0,
-        }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &NetworkConfig {
-        &self.config
-    }
-
     /// Returns a copy with the latency tail scaled by `factor`.
     pub fn with_tail_scale(&self, factor: f64) -> Self {
         assert!(
             factor >= 0.0 && factor.is_finite(),
             "tail factor must be non-negative"
         );
-        NetworkModel {
-            config: self.config,
-            tail_scale: factor,
-        }
+        NetworkModel { tail_scale: factor }
     }
 
     /// Deterministic (no sampling) latency of one remote object access of
     /// `size` bytes at quantile `q` of the base-latency distribution.
     pub fn access_latency_at_quantile(&self, size: Bytes, q: f64) -> SimDuration {
-        let dist = self
-            .config
-            .rpc_distribution()
-            .with_tail_scaled(self.tail_scale);
+        let dist = rpc_distribution().with_tail_scaled(self.tail_scale);
         let base = SimDuration::from_secs_f64(dist.quantile(q));
         base + self.payload_latency(size)
     }
 
     /// Samples the latency of one remote object access (RPC + payload).
     pub fn sample_access_latency(&self, size: Bytes, rng: &mut DeterministicRng) -> SimDuration {
-        let dist = self
-            .config
-            .rpc_distribution()
-            .with_tail_scaled(self.tail_scale);
+        let dist = rpc_distribution().with_tail_scaled(self.tail_scale);
         let base = SimDuration::from_secs_f64(dist.sample(rng));
         base + self.payload_latency(size)
     }
@@ -113,15 +77,15 @@ impl NetworkModel {
     /// The size-dependent part of an access: serialization at both ends plus
     /// wire transfer plus fixed per-RPC CPU cost.
     pub fn payload_latency(&self, size: Bytes) -> SimDuration {
-        let wire = self.config.bandwidth.transfer_time(size);
-        let serialization = self.config.serialization_bandwidth.transfer_time(size) * 2u64;
-        wire + serialization + self.config.per_rpc_cpu
+        let wire = BANDWIDTH.transfer_time(size);
+        let serialization = SERIALIZATION_BANDWIDTH.transfer_time(size) * 2u64;
+        wire + serialization + PER_RPC_CPU
     }
 
     /// Energy attributable to moving `size` bytes over the fabric (NICs and
     /// switches at both ends).
     pub fn transfer_energy_joules(&self, size: Bytes) -> f64 {
-        size.as_f64() * self.config.energy_pj_per_byte * 1e-12
+        size.as_f64() * ENERGY_PJ_PER_BYTE * 1e-12
     }
 }
 
@@ -132,7 +96,7 @@ mod tests {
 
     #[test]
     fn median_and_tail_match_calibration() {
-        let net = NetworkModel::new(NetworkConfig::disaggregated_datacenter());
+        let net = NetworkModel::default();
         let mut rng = DeterministicRng::seeded(42);
         let size = Bytes::from_kib(64);
         let samples: Vec<f64> = (0..20_000)
@@ -148,7 +112,7 @@ mod tests {
 
     #[test]
     fn larger_objects_take_longer() {
-        let net = NetworkModel::new(NetworkConfig::disaggregated_datacenter());
+        let net = NetworkModel::default();
         let small = net.access_latency_at_quantile(Bytes::from_kib(16), 0.5);
         let large = net.access_latency_at_quantile(Bytes::from_mib(16), 0.5);
         assert!(large > small);
@@ -156,7 +120,7 @@ mod tests {
 
     #[test]
     fn quantiles_are_monotone() {
-        let net = NetworkModel::new(NetworkConfig::disaggregated_datacenter());
+        let net = NetworkModel::default();
         let size = Bytes::from_mib(1);
         let p50 = net.access_latency_at_quantile(size, 0.5);
         let p95 = net.access_latency_at_quantile(size, 0.95);
@@ -166,7 +130,7 @@ mod tests {
 
     #[test]
     fn zero_tail_scale_makes_access_deterministic() {
-        let net = NetworkModel::new(NetworkConfig::disaggregated_datacenter()).with_tail_scale(0.0);
+        let net = NetworkModel::default().with_tail_scale(0.0);
         let size = Bytes::from_kib(64);
         assert_eq!(
             net.access_latency_at_quantile(size, 0.5),
@@ -176,15 +140,15 @@ mod tests {
 
     #[test]
     fn serialization_is_part_of_payload_cost() {
-        let net = NetworkModel::new(NetworkConfig::disaggregated_datacenter());
+        let net = NetworkModel::default();
         let size = Bytes::from_mib(8);
-        let wire_only = net.config().bandwidth.transfer_time(size);
+        let wire_only = BANDWIDTH.transfer_time(size);
         assert!(net.payload_latency(size) > wire_only * 2u64);
     }
 
     #[test]
     fn energy_scales_with_bytes() {
-        let net = NetworkModel::new(NetworkConfig::disaggregated_datacenter());
+        let net = NetworkModel::default();
         let e1 = net.transfer_energy_joules(Bytes::from_mib(1));
         let e2 = net.transfer_energy_joules(Bytes::from_mib(2));
         assert!((e2 / e1 - 2.0).abs() < 1e-9);

@@ -22,7 +22,7 @@ use dscs_simcore::quantity::Bytes;
 use dscs_simcore::rng::DeterministicRng;
 use dscs_simcore::time::SimDuration;
 
-use crate::network::{NetworkConfig, NetworkModel};
+use crate::network::NetworkModel;
 use crate::pcie::PcieLink;
 
 /// Identifier of a storage node in the cluster.
@@ -86,8 +86,6 @@ pub struct ObjectStore {
     rack_spread: u32,
     objects: HashMap<String, ObjectMeta>,
     replication: usize,
-    /// Chunk size used to split very large objects across drives.
-    chunk_size: Bytes,
     /// The DSCS-Drive nodes, sorted: the candidates for an acceleratable
     /// object's primary replica.
     dscs_nodes: Vec<StorageNodeId>,
@@ -198,7 +196,6 @@ impl ObjectStore {
             rack_spread,
             objects: HashMap::new(),
             replication,
-            chunk_size: Bytes::from_mib(64),
             dscs_nodes,
             dscs_racks,
             spread_nodes,
@@ -314,13 +311,6 @@ impl ObjectStore {
             .ok_or_else(|| StoreError::NotFound(key.to_string()))
     }
 
-    /// Removes an object, returning its metadata.
-    pub fn delete(&mut self, key: &str) -> Result<ObjectMeta, StoreError> {
-        self.objects
-            .remove(key)
-            .ok_or_else(|| StoreError::NotFound(key.to_string()))
-    }
-
     /// Returns the replica (if any) that lives on a DSCS-Drive, which is where
     /// an acceleratable function would be scheduled.
     pub fn dscs_replica(&self, key: &str) -> Result<Option<StorageNodeId>, StoreError> {
@@ -331,15 +321,12 @@ impl ObjectStore {
             .copied()
             .find(|n| self.node_class(*n) == Some(DriveClass::Dscs)))
     }
-
-    /// Number of chunks an object is split into (objects under the chunk size —
-    /// the common case for serverless payloads, which AWS caps at ~20 MB — stay
-    /// on one drive).
-    pub fn chunk_count(&self, key: &str) -> Result<u64, StoreError> {
-        let meta = self.get(key)?;
-        Ok(meta.size.as_u64().div_ceil(self.chunk_size.as_u64()).max(1))
-    }
 }
+
+/// Quantile of the network's base-latency distribution a fetch is priced at:
+/// the median, since queueing, not the storage tail, dominates at cluster
+/// scale.
+const FETCH_QUANTILE: f64 = 0.5;
 
 /// Prices the object fetch a request pays when it is scheduled onto a rack
 /// that holds no replica of its input: one RPC over the datacenter fabric to
@@ -351,10 +338,6 @@ impl ObjectStore {
 pub struct RemoteFetchModel {
     network: NetworkModel,
     drive_link: PcieLink,
-    /// Quantile of the network's base-latency distribution used for the
-    /// deterministic per-fetch cost (queueing, not the storage tail,
-    /// dominates at cluster scale).
-    quantile: f64,
 }
 
 impl RemoteFetchModel {
@@ -362,28 +345,15 @@ impl RemoteFetchModel {
     /// network/RPC stack at its median base latency, over an NVMe drive link.
     pub fn datacenter_default() -> Self {
         RemoteFetchModel {
-            network: NetworkModel::new(NetworkConfig::disaggregated_datacenter()),
+            network: NetworkModel::default(),
             drive_link: PcieLink::nvme_drive(),
-            quantile: 0.5,
-        }
-    }
-
-    /// A copy evaluating the network base latency at quantile `q` (the
-    /// tail-sensitivity knob).
-    ///
-    /// # Panics
-    /// Panics if `q` is not in `(0, 1)`.
-    pub fn at_quantile(&self, q: f64) -> Self {
-        assert!(q > 0.0 && q < 1.0, "quantile must be in (0, 1)");
-        RemoteFetchModel {
-            quantile: q,
-            ..*self
         }
     }
 
     /// Deterministic latency of fetching `size` bytes from a remote rack.
     pub fn fetch_latency(&self, size: Bytes) -> SimDuration {
-        self.network.access_latency_at_quantile(size, self.quantile)
+        self.network
+            .access_latency_at_quantile(size, FETCH_QUANTILE)
             + self.drive_link.transfer_latency(size)
     }
 
@@ -441,28 +411,14 @@ mod tests {
     }
 
     #[test]
-    fn get_and_delete_round_trip() {
+    fn get_finds_stored_objects_only() {
         let mut s = store();
         let mut rng = DeterministicRng::seeded(4);
         s.put("a", Bytes::from_kib(1), false, &mut rng)
             .expect("put");
         assert_eq!(s.get("a").expect("get").size.as_u64(), 1024);
         assert_eq!(s.object_count(), 1);
-        s.delete("a").expect("delete");
-        assert!(matches!(s.get("a"), Err(StoreError::NotFound(_))));
-        assert_eq!(s.object_count(), 0);
-    }
-
-    #[test]
-    fn serverless_payloads_fit_one_chunk() {
-        let mut s = store();
-        let mut rng = DeterministicRng::seeded(5);
-        s.put("small", Bytes::from_mib(18), false, &mut rng)
-            .expect("put");
-        s.put("huge", Bytes::from_gib(1), false, &mut rng)
-            .expect("put");
-        assert_eq!(s.chunk_count("small").expect("small"), 1);
-        assert!(s.chunk_count("huge").expect("huge") > 1);
+        assert!(matches!(s.get("b"), Err(StoreError::NotFound(_))));
     }
 
     #[test]
@@ -595,7 +551,7 @@ mod tests {
     }
 
     #[test]
-    fn remote_fetch_costs_scale_with_size_and_quantile() {
+    fn remote_fetch_costs_scale_with_size() {
         let fetch = RemoteFetchModel::datacenter_default();
         let small = fetch.fetch_latency(Bytes::from_kib(64));
         let large = fetch.fetch_latency(Bytes::from_mib(8));
@@ -603,8 +559,6 @@ mod tests {
         // Median base latency is tens of milliseconds (Figure 3): a remote
         // fetch is never free.
         assert!(small > SimDuration::from_millis(10), "small fetch {small}");
-        let tail = fetch.at_quantile(0.99).fetch_latency(Bytes::from_kib(64));
-        assert!(tail > small, "tail fetch {tail} vs median {small}");
         let e = fetch.fetch_energy_joules(Bytes::from_mib(1));
         assert!(e > 0.0);
     }

@@ -25,19 +25,18 @@ use dscs_serverless::cluster::policy::{
 };
 use dscs_serverless::platforms::PlatformKind;
 use dscs_serverless::simcore::quantity::Bytes;
-use dscs_serverless::storage::snapshot::{SnapshotConfig, SnapshotStore};
+use dscs_serverless::storage::snapshot::{restore_latency, warmup_tail};
 
 fn main() {
     // The cost model behind the `snapshot` axis value, queried directly:
     // restore latency = setup + sequential page stream + demand-fault tail.
-    let store = SnapshotStore::new(SnapshotConfig::criu_local_nvme());
     println!("snapshot-restore time-to-ready (CRIU from local NVMe):");
     for mib in [32, 128, 512] {
         let size = Bytes::from_mib(mib);
         println!(
             "  {mib:>4} MiB: {} ({} of it the page-fault warmup tail)",
-            store.restore_latency(size),
-            store.warmup_tail(size)
+            restore_latency(size),
+            warmup_tail(size)
         );
     }
 

@@ -6,7 +6,7 @@
 //! Run with: `cargo run --example design_space_exploration`
 
 use dscs_serverless::dsa::config::TechnologyNode;
-use dscs_serverless::dse::cost::{AsicCostModel, CostParameters};
+use dscs_serverless::dse::cost::{cost_efficiency, die_cost, UTILIZATION, YEARS};
 use dscs_serverless::dse::explore::{
     power_performance_frontier, select_optimal, sweep, DRIVE_POWER_BUDGET_WATTS,
 };
@@ -51,13 +51,12 @@ fn main() {
     println!("\nselected configuration: {}", best.config);
 
     // The ASIC-Clouds-style die cost feeds the CAPEX side of the cost model.
-    let die_cost = AsicCostModel::default().die_cost(AreaMm2::new(best.area_mm2));
-    let params = CostParameters::default();
+    let die_cost = die_cost(AreaMm2::new(best.area_mm2));
     println!("estimated DSA die cost: {die_cost}");
     println!(
         "cost efficiency of the selected design (requests per dollar over {} years at {:.0}% utilisation): {:.0}",
-        params.years,
-        params.utilization * 100.0,
-        params.cost_efficiency(best.throughput_ips, dscs_serverless::simcore::quantity::Watts::new(best.power_watts), die_cost)
+        YEARS,
+        UTILIZATION * 100.0,
+        cost_efficiency(best.throughput_ips, dscs_serverless::simcore::quantity::Watts::new(best.power_watts), die_cost)
     );
 }

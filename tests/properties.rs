@@ -1216,41 +1216,33 @@ fn report_counters_are_rack_order_folds_of_the_rack_ledgers() {
     );
 }
 
-/// Snapshot-restore latency is monotone in snapshot size for any valid
-/// configuration: more pages always cost more to stream back and fault in,
-/// the warmup tail never exceeds the restore it is part of, and a zero-size
-/// snapshot is free.
+/// Snapshot-restore latency is monotone in snapshot size: more pages always
+/// cost more to stream back and fault in, the warmup tail never exceeds the
+/// restore it is part of, and a zero-size snapshot is free.
 #[test]
 fn snapshot_restore_latency_is_monotone_in_snapshot_size() {
-    use dscs_serverless::simcore::quantity::Bandwidth;
-    use dscs_serverless::storage::snapshot::{SnapshotConfig, SnapshotStore};
+    use dscs_serverless::storage::snapshot::{restore_latency, warmup_tail};
 
     check(0xB7, |case, rng| {
-        let store = SnapshotStore::new(SnapshotConfig {
-            restore_bandwidth: Bandwidth::from_mbps(rng.uniform(100.0, 5000.0)),
-            restore_setup: SimDuration::from_millis(int_in(rng, 0, 200)),
-            warmup_fault_fraction: rng.uniform(0.0, 1.0),
-            fault_bandwidth: Bandwidth::from_mbps(rng.uniform(10.0, 1000.0)),
-        });
         let mut sizes: Vec<u64> = (0..12).map(|_| int_in(rng, 0, 4_000_000_000)).collect();
         sizes.sort_unstable();
         let mut previous = SimDuration::ZERO;
         let mut previous_size = 0u64;
         for &size in &sizes {
-            let latency = store.restore_latency(Bytes::new(size));
+            let latency = restore_latency(Bytes::new(size));
             assert!(
                 latency >= previous,
                 "case {case}: {size} B restores faster than {previous_size} B"
             );
             assert!(
-                store.warmup_tail(Bytes::new(size)) <= latency,
+                warmup_tail(Bytes::new(size)) <= latency,
                 "case {case}: tail exceeds the restore it is part of"
             );
             previous = latency;
             previous_size = size;
         }
         assert_eq!(
-            store.restore_latency(Bytes::ZERO),
+            restore_latency(Bytes::ZERO),
             SimDuration::ZERO,
             "case {case}: zero-size snapshots are free"
         );
@@ -1559,6 +1551,26 @@ fn spreading_function_slots_leaves_every_outcome_bit_identical() {
     });
 }
 
+/// Applies one to three random mutations to `bytes`: a truncation, a bit
+/// flip, a cut of up to 64 bytes, or a splice of one of `splices`.
+fn mutate(rng: &mut DeterministicRng, bytes: &mut Vec<u8>, splices: &[&[u8]]) {
+    for _ in 0..int_in(rng, 1, 4) {
+        let at = rng.next_index(bytes.len() + 1);
+        match rng.next_index(4) {
+            0 => bytes.truncate(at),
+            1 if at < bytes.len() => bytes[at] ^= 1 << rng.next_index(8),
+            2 => {
+                let end = (at + 1 + rng.next_index(64)).min(bytes.len());
+                bytes.drain(at..end);
+            }
+            _ => {
+                let splice = splices[rng.next_index(splices.len())];
+                bytes.splice(at..at, splice.iter().copied());
+            }
+        }
+    }
+}
+
 /// Mutated copies of the checked-in sample trace (truncated, bit-flipped,
 /// cut, or with a number, quote, separator, line break or non-UTF-8 byte
 /// spliced in) ingest to a workload or a typed `IngestError`, never a
@@ -1600,21 +1612,7 @@ fn mutated_trace_files_ingest_to_a_workload_or_a_typed_error() {
     ];
     check(0xB9, |case, rng| {
         let mut bytes = sample.clone();
-        for _ in 0..int_in(rng, 1, 4) {
-            let at = rng.next_index(bytes.len() + 1);
-            match rng.next_index(4) {
-                0 => bytes.truncate(at),
-                1 if at < bytes.len() => bytes[at] ^= 1 << rng.next_index(8),
-                2 => {
-                    let end = (at + 1 + rng.next_index(64)).min(bytes.len());
-                    bytes.drain(at..end);
-                }
-                _ => {
-                    let splice = splices[rng.next_index(splices.len())];
-                    bytes.splice(at..at, splice.iter().copied());
-                }
-            }
-        }
+        mutate(rng, &mut bytes, &splices);
         let Ok(workload) = ingest(&bytes) else {
             return;
         };
@@ -1634,4 +1632,92 @@ fn mutated_trace_files_ingest_to_a_workload_or_a_typed_error() {
             "case {case}: re-emission parses back"
         );
     });
+}
+
+/// What the parser fuzz tests splice into their seeds: numbers JSON rejects
+/// or overflows, a sign, quotes, escapes (a lone surrogate among them),
+/// openers, a separator and line breaks.
+const PARSER_SPLICES: [&[u8]; 12] = [
+    b"NaN", b"-", b"1e999", b"\"", b"\\", b"\\u", b"\\ud800", b"{", b"[", b",", b"\r", b"\n",
+];
+
+/// Mutants per case in the parser fuzz tests: 8 x 64 cases = 512 mutants.
+const MUTANTS_PER_CASE: usize = 8;
+
+/// Mutated CSV records (trace lines and a record with quoted fields) split
+/// into fields or a typed `CsvError`, never a panic, and every record that
+/// splits renders back to text that splits to the same fields.
+#[test]
+fn mutated_csv_records_split_or_fail_typed_and_round_trip() {
+    use dscs_serverless::simcore::csv::{render_record, split_record};
+
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/data/azure_trace_sample.csv");
+    let sample = std::fs::read_to_string(path).expect("the sample trace is checked in");
+    let mut seeds: Vec<&str> = sample.lines().take(3).collect();
+    seeds.push(r#""owner, inc.","say ""hi""",,http,1,2"#);
+    let (mut split, mut rejected) = (0, 0);
+    check(0xBA, |case, rng| {
+        for _ in 0..MUTANTS_PER_CASE {
+            let mut bytes = seeds[rng.next_index(seeds.len())].as_bytes().to_vec();
+            mutate(rng, &mut bytes, &PARSER_SPLICES);
+            let record = String::from_utf8_lossy(&bytes);
+            let result = std::panic::catch_unwind(|| split_record(&record, 1))
+                .unwrap_or_else(|_| panic!("case {case}: split_record panicked on {record:?}"));
+            let Ok(fields) = result else {
+                rejected += 1;
+                continue;
+            };
+            split += 1;
+            assert_eq!(
+                split_record(&render_record(&fields), 1),
+                Ok(fields),
+                "case {case}: {record:?} does not round-trip"
+            );
+        }
+    });
+    assert!(
+        split > 0 && rejected > 0,
+        "{split} split, {rejected} rejected"
+    );
+}
+
+/// Mutated JSON documents parse to a value or a typed `JsonParseError`,
+/// never a panic, and every value that parses renders to text that parses
+/// and renders to the same bytes. The values themselves are not compared: a
+/// whole-valued float such as `-3e2` renders as `-300`, which parses back as
+/// an integer.
+#[test]
+fn mutated_json_documents_parse_or_fail_typed_and_render_stably() {
+    use dscs_serverless::simcore::json::JsonValue;
+
+    let seed = concat!(
+        r#"{"schema":"dscs-at-scale-v8","wall_s":0.512,"cells":[{"platform":"dscs","#,
+        r#""events":18446744073709551615,"delta":-3,"rate":1.5e-7,"ok":true,"#,
+        r#""note":"a \"quoted\" \\ \u00e9 line\n","none":null}],"nested":[[],{},[1,[2]]]}"#
+    );
+    JsonValue::parse(seed).expect("the seed document parses");
+    let (mut parsed, mut rejected) = (0, 0);
+    check(0xBB, |case, rng| {
+        for _ in 0..MUTANTS_PER_CASE {
+            let mut bytes = seed.as_bytes().to_vec();
+            mutate(rng, &mut bytes, &PARSER_SPLICES);
+            let text = String::from_utf8_lossy(&bytes);
+            let result = std::panic::catch_unwind(|| JsonValue::parse(&text))
+                .unwrap_or_else(|_| panic!("case {case}: parse panicked on {text:?}"));
+            let Ok(value) = result else {
+                rejected += 1;
+                continue;
+            };
+            parsed += 1;
+            let rendered = value.render();
+            let again = JsonValue::parse(&rendered).unwrap_or_else(|err| {
+                panic!("case {case}: {rendered:?} from {text:?} does not parse: {err}")
+            });
+            assert_eq!(again.render(), rendered, "case {case}: from {text:?}");
+        }
+    });
+    assert!(
+        parsed > 0 && rejected > 0,
+        "{parsed} parsed, {rejected} rejected"
+    );
 }
