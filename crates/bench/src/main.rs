@@ -681,8 +681,8 @@ fn at_scale(args: &[String]) {
             seed: options.seed,
         }];
         spec.schedulers = vec![SchedulerPolicy::Fcfs];
-        spec.keepalives = vec![KeepalivePolicy::hybrid_default()];
-        spec.scalings = vec![ScalingPolicy::reactive_default()];
+        spec.keepalives = vec![KeepalivePolicy::HybridHistogram];
+        spec.scalings = vec![ScalingPolicy::Reactive];
         spec.balancers = vec![LoadBalancer::RoundRobin];
         // With so few cells the parallelism belongs inside each cell: one
         // sweep worker, rack workers across the whole core budget.

@@ -199,8 +199,8 @@ impl SweepSpec {
             workloads: Self::default_workloads(scale, 42),
             platforms: SWEEP_PLATFORMS.to_vec(),
             schedulers: SchedulerPolicy::ALL.to_vec(),
-            keepalives: KeepalivePolicy::all_default().to_vec(),
-            scalings: ScalingPolicy::all_default().to_vec(),
+            keepalives: KeepalivePolicy::ALL.to_vec(),
+            scalings: ScalingPolicy::ALL.to_vec(),
             balancers: LoadBalancer::ALL.to_vec(),
             cold_paths: vec![ColdStartPath::default()],
             ipcs: vec![IpcTransport::default()],
@@ -649,39 +649,6 @@ pub struct AtScaleReport {
 }
 
 impl AtScaleReport {
-    /// The cells for one (workload, platform) pair.
-    pub fn cells_for(&self, workload: &str, platform: PlatformKind) -> Vec<&SweepCell> {
-        self.cells
-            .iter()
-            .filter(|c| c.workload == workload && c.platform == platform)
-            .collect()
-    }
-
-    /// The single cell at one full policy point, if the sweep covered it.
-    /// Policies are matched by their report names (`"fcfs"`,
-    /// `"hybrid-prewarm"`, `"reactive"`, `"locality"`, ...). When the sweep
-    /// covered several cold-start paths or IPC transports, this returns the
-    /// first match in grid order; disambiguate by filtering
-    /// [`AtScaleReport::cells`] on `cold_path` / `ipc` directly.
-    pub fn cell(
-        &self,
-        workload: &str,
-        platform: PlatformKind,
-        scheduler: &str,
-        keepalive: &str,
-        scaling: &str,
-        balancer: &str,
-    ) -> Option<&SweepCell> {
-        self.cells.iter().find(|c| {
-            c.workload == workload
-                && c.platform == platform
-                && c.scheduler.name() == scheduler
-                && c.keepalive.name() == keepalive
-                && c.scaling.name() == scaling
-                && c.balancer.name() == balancer
-        })
-    }
-
     /// Total discrete events the simulator processed across every cell — the
     /// deterministic engine-work measure for the whole sweep.
     pub fn total_events(&self) -> u64 {
@@ -1060,7 +1027,7 @@ mod tests {
         let spec = SweepSpec {
             platforms: vec![PlatformKind::DscsDsa],
             schedulers: vec![SchedulerPolicy::Fcfs],
-            keepalives: vec![KeepalivePolicy::paper_default()],
+            keepalives: vec![KeepalivePolicy::FixedWindow],
             jobs: 1,
             ..SweepSpec::default_grid(SweepScale::Smoke)
         };
@@ -1081,7 +1048,7 @@ mod tests {
         let spec = SweepSpec {
             platforms: vec![PlatformKind::DscsDsa],
             schedulers: vec![SchedulerPolicy::Fcfs],
-            keepalives: vec![KeepalivePolicy::paper_default()],
+            keepalives: vec![KeepalivePolicy::FixedWindow],
             jobs: 1,
             rack_jobs: 1,
             ..SweepSpec::default_grid(SweepScale::Smoke)
@@ -1128,16 +1095,16 @@ mod tests {
     fn dscs_outperforms_the_baseline_across_the_grid() {
         let report = smoke_report();
         for workload in ["bursty", "azure"] {
-            let base: f64 = report
-                .cells_for(workload, PlatformKind::BaselineCpu)
-                .iter()
-                .map(|c| c.mean_latency_ms)
-                .sum();
-            let dscs: f64 = report
-                .cells_for(workload, PlatformKind::DscsDsa)
-                .iter()
-                .map(|c| c.mean_latency_ms)
-                .sum();
+            let total = |platform| -> f64 {
+                report
+                    .cells
+                    .iter()
+                    .filter(|c| c.workload == workload && c.platform == platform)
+                    .map(|c| c.mean_latency_ms)
+                    .sum()
+            };
+            let base = total(PlatformKind::BaselineCpu);
+            let dscs = total(PlatformKind::DscsDsa);
             assert!(dscs < base, "{workload}: dscs {dscs} vs baseline {base}");
         }
     }
@@ -1218,9 +1185,9 @@ mod tests {
             workloads: vec![azure, relabeled],
             platforms: vec![PlatformKind::DscsDsa],
             schedulers: vec![SchedulerPolicy::Fcfs],
-            keepalives: vec![KeepalivePolicy::paper_default()],
+            keepalives: vec![KeepalivePolicy::FixedWindow],
             scalings: vec![ScalingPolicy::Fixed],
-            balancers: vec![LoadBalancer::locality_default()],
+            balancers: vec![LoadBalancer::LocalityAware],
             ..SweepSpec::default_grid(SweepScale::Smoke)
         };
         let report = spec.run().expect("valid spec");
@@ -1250,7 +1217,7 @@ mod tests {
         let spec = SweepSpec {
             platforms: vec![PlatformKind::DscsDsa],
             schedulers: vec![SchedulerPolicy::Fcfs],
-            keepalives: vec![KeepalivePolicy::paper_default()],
+            keepalives: vec![KeepalivePolicy::FixedWindow],
             scalings: vec![ScalingPolicy::Fixed],
             ..SweepSpec::default_grid(SweepScale::Smoke)
         };
@@ -1278,9 +1245,9 @@ mod tests {
         let spec = SweepSpec {
             platforms: vec![PlatformKind::DscsDsa],
             schedulers: vec![SchedulerPolicy::Fcfs],
-            keepalives: vec![KeepalivePolicy::paper_default()],
-            scalings: vec![ScalingPolicy::Fixed, ScalingPolicy::reactive_default()],
-            balancers: vec![LoadBalancer::locality_default()],
+            keepalives: vec![KeepalivePolicy::FixedWindow],
+            scalings: vec![ScalingPolicy::Fixed, ScalingPolicy::Reactive],
+            balancers: vec![LoadBalancer::LocalityAware],
             ..SweepSpec::default_grid(SweepScale::Smoke)
         };
         let report = spec.run().expect("valid spec");

@@ -164,7 +164,7 @@ mod tests {
         let http = IpcTransport::Http.per_request_cost();
         assert!(shm < socket && socket < http);
         // Micro-scale costs: per request, never milliseconds.
-        assert!(http.as_micros_f64() < 1000.0);
-        assert!(socket.as_micros_f64() >= 10.0);
+        assert!(http < SimDuration::from_micros(1000));
+        assert!(socket >= SimDuration::from_micros(10));
     }
 }

@@ -95,7 +95,6 @@ pub struct DataLayer {
     request_homes: Vec<u8>,
     /// The trace position of each function's first request, ascending.
     first_requests: Vec<usize>,
-    fetch: RemoteFetchModel,
     /// The fetch cost of each object size exponent, priced once, so the
     /// hot path never re-prices a fetch.
     fetch_costs: [FetchCost; OBJECT_SIZE_EXPONENTS as usize],
@@ -140,7 +139,6 @@ impl DataLayer {
             RACK_SPREAD,
         );
         let mut rng = DeterministicRng::seeded(seed);
-        let fetch = RemoteFetchModel::datacenter_default();
         // Per function slot, the home rack of each of its objects, UNPLACED
         // until the object's first read.
         let mut homes: Vec<u8> = Vec::new();
@@ -190,8 +188,7 @@ impl DataLayer {
             objects,
             request_homes,
             first_requests,
-            fetch_costs: FetchCost::by_size_log2(&fetch),
-            fetch,
+            fetch_costs: FetchCost::by_size_log2(&RemoteFetchModel::datacenter_default()),
         }
     }
 
@@ -240,18 +237,6 @@ impl DataLayer {
     /// Panics if `size_log2` is 32 or more.
     pub(crate) fn fetch_cost(&self, size_log2: u8) -> FetchCost {
         self.fetch_costs[usize::from(size_log2)]
-    }
-
-    /// The deterministic latency a rack without a replica pays to fetch
-    /// `size` bytes from a remote rack.
-    pub fn fetch_latency(&self, size: Bytes) -> SimDuration {
-        self.fetch.fetch_latency(size)
-    }
-
-    /// The joules the fabric and the remote drive's PCIe hop spend moving
-    /// `size` bytes across racks (the energy side of [`DataLayer::fetch_latency`]).
-    pub fn fetch_energy_joules(&self, size: Bytes) -> f64 {
-        self.fetch.fetch_energy_joules(size)
     }
 }
 
@@ -354,37 +339,29 @@ mod tests {
     }
 
     #[test]
-    fn fetch_latency_is_positive_and_monotone_in_size() {
-        let trace = short_trace(4);
-        let data = DataLayer::for_trace(&trace, 2, 13);
-        let small = data.fetch_latency(Bytes::from_kib(256));
-        let large = data.fetch_latency(Bytes::from_mib(8));
-        assert!(small > SimDuration::ZERO);
-        assert!(large > small);
-    }
-
-    #[test]
-    fn fetch_energy_is_positive_and_monotone_in_size() {
-        let trace = short_trace(5);
-        let data = DataLayer::for_trace(&trace, 2, 17);
-        let small = data.fetch_energy_joules(Bytes::from_kib(256));
-        let large = data.fetch_energy_joules(Bytes::from_mib(8));
-        assert!(small > 0.0);
-        assert!(large > small);
+    fn fetch_cost_is_positive_and_monotone_in_size() {
+        let data = DataLayer::for_trace(&short_trace(4), 2, 13);
+        // 256 KiB and 8 MiB objects.
+        let (small, large) = (data.fetch_cost(18), data.fetch_cost(23));
+        assert!(small.latency > SimDuration::ZERO);
+        assert!(large.latency > small.latency);
+        assert!(small.energy_j > 0.0);
+        assert!(large.energy_j > small.energy_j);
     }
 
     /// The hot path's table prices every size exponent to the bit as the
-    /// public model-backed prices do.
+    /// storage model does.
     #[test]
     fn the_fetch_table_prices_every_exponent_as_the_model_does() {
         let data = DataLayer::for_trace(&short_trace(8), 2, 19);
+        let model = RemoteFetchModel::datacenter_default();
         for log2 in 0..OBJECT_SIZE_EXPONENTS {
             let size = Bytes::new(1 << log2);
             let cost = data.fetch_cost(log2);
-            assert_eq!(cost.latency, data.fetch_latency(size), "2^{log2} B");
+            assert_eq!(cost.latency, model.fetch_latency(size), "2^{log2} B");
             assert_eq!(
                 cost.energy_j.to_bits(),
-                data.fetch_energy_joules(size).to_bits(),
+                model.fetch_energy_joules(size).to_bits(),
                 "2^{log2} B"
             );
         }

@@ -573,14 +573,14 @@ mod tests {
     fn elastic_bound_violations_are_typed_errors() {
         let zero_min = Experiment::builder(PlatformKind::DscsDsa)
             .trace(short_trace(5))
-            .scaling(ScalingPolicy::reactive_default())
+            .scaling(ScalingPolicy::Reactive)
             .instances(0, 100)
             .build()
             .expect_err("zero min");
         assert_eq!(zero_min, ConfigError::ZeroMinInstances);
         let inverted = Experiment::builder(PlatformKind::DscsDsa)
             .trace(short_trace(5))
-            .scaling(ScalingPolicy::predictive_default())
+            .scaling(ScalingPolicy::Predictive)
             .instances(64, 8)
             .build()
             .expect_err("min above max");

@@ -337,15 +337,6 @@ impl TraceFileWorkload {
         Self::from_reader(std::io::BufReader::new(file), source, day)
     }
 
-    /// Parses an Azure-schema CSV held in memory.
-    pub fn from_csv_str(
-        text: &str,
-        source: impl Into<String>,
-        day: u32,
-    ) -> Result<Self, IngestError> {
-        Self::from_reader(text.as_bytes(), source, day)
-    }
-
     /// Buckets a synthetic [`AzureWorkload`] trace (generated with `rng`)
     /// into the dataset schema: one row per function — including functions
     /// the trace never invoked, so zero rows exercise the parser's
@@ -384,7 +375,7 @@ impl TraceFileWorkload {
     }
 
     /// Renders the workload back into the dataset's CSV schema: the header
-    /// row, then one full-width row per function. [`Self::from_csv_str`] of the
+    /// row, then one full-width row per function. [`Self::from_reader`] of the
     /// output reproduces `self` (with `source` replaced by the caller's),
     /// and re-emitting that parse is byte-identical — the round trip CI
     /// pins.
@@ -593,6 +584,10 @@ mod tests {
     use super::*;
     use crate::workload::azure_generation_rng;
 
+    fn parse(text: &str, source: &str, day: u32) -> Result<TraceFileWorkload, IngestError> {
+        TraceFileWorkload::from_reader(text.as_bytes(), source, day)
+    }
+
     const TINY: &str = "\
 HashOwner,HashApp,HashFunction,Trigger,1,2,3
 o1,a1,f1,http,2,0,1
@@ -602,7 +597,7 @@ o2,a2,f3,storage,1,3,0
 
     #[test]
     fn parses_the_schema_with_header_and_zero_rows() {
-        let parsed = TraceFileWorkload::from_csv_str(TINY, "tiny", 1).expect("valid");
+        let parsed = parse(TINY, "tiny", 1).expect("valid");
         assert_eq!(parsed.functions.len(), 3);
         assert_eq!(parsed.minutes, 3);
         assert_eq!(parsed.invocations(), 7);
@@ -613,7 +608,7 @@ o2,a2,f3,storage,1,3,0
         assert_eq!(parsed.validate(), Ok(()));
         // A full day's 1440 columns span a 24-hour day-1 horizon.
         let full_day = format!("o1,a1,f1,http{}\n", ",1".repeat(MINUTES_PER_DAY as usize));
-        let full = TraceFileWorkload::from_csv_str(&full_day, "full", 1).expect("valid");
+        let full = parse(&full_day, "full", 1).expect("valid");
         assert_eq!(full.horizon(), SimDuration::from_secs(86_400));
         assert_eq!(full.invocations(), u64::from(MINUTES_PER_DAY));
     }
@@ -623,7 +618,7 @@ o2,a2,f3,storage,1,3,0
         // No header; the second row is missing its trailing columns (the
         // dataset's trailing-day shape) and one count field is empty.
         let text = "o1,a1,f1,http,1,2,3\no2,a2,f2,timer,4\no3,a3,f3,http,,1,2\n";
-        let parsed = TraceFileWorkload::from_csv_str(text, "ragged", 1).expect("valid");
+        let parsed = parse(text, "ragged", 1).expect("valid");
         assert_eq!(parsed.minutes, 3);
         assert_eq!(parsed.functions[1].counts, vec![4, 0, 0], "zero-padded");
         assert_eq!(parsed.functions[2].counts, vec![0, 1, 2], "empty reads 0");
@@ -632,36 +627,33 @@ o2,a2,f3,storage,1,3,0
     #[test]
     fn malformed_inputs_are_typed_errors() {
         assert_eq!(
-            TraceFileWorkload::from_csv_str("", "empty", 1).expect_err("empty"),
+            parse("", "empty", 1).expect_err("empty"),
             IngestError::EmptyFile
         );
         assert_eq!(
-            TraceFileWorkload::from_csv_str("HashOwner,HashApp,HashFunction,Trigger,1\n", "h", 1)
-                .expect_err("header only"),
+            parse("HashOwner,HashApp,HashFunction,Trigger,1\n", "h", 1).expect_err("header only"),
             IngestError::EmptyFile
         );
         assert_eq!(
-            TraceFileWorkload::from_csv_str("o1,a1,f1\n", "short", 1).expect_err("short row"),
+            parse("o1,a1,f1\n", "short", 1).expect_err("short row"),
             IngestError::MissingColumns { line: 1, found: 3 }
         );
         assert_eq!(
-            TraceFileWorkload::from_csv_str("o1,a1,f1,http,1,x,3\n", "bad", 1)
-                .expect_err("bad count"),
+            parse("o1,a1,f1,http,1,x,3\n", "bad", 1).expect_err("bad count"),
             IngestError::MalformedCount {
                 line: 1,
                 column: 2,
                 value: "x".into()
             }
         );
-        let err = TraceFileWorkload::from_csv_str("o1,a1,f1,http,\"1\n", "quote", 1)
-            .expect_err("unterminated quote");
+        let err = parse("o1,a1,f1,http,\"1\n", "quote", 1).expect_err("unterminated quote");
         assert!(matches!(err, IngestError::Csv(_)));
         assert!(err.to_string().contains("line 1"));
         assert_eq!(
-            TraceFileWorkload::from_csv_str(TINY, "tiny", 2).expect_err("day 2 of a 3-minute file"),
+            parse(TINY, "tiny", 2).expect_err("day 2 of a 3-minute file"),
             IngestError::DayOutOfRange { day: 2, minutes: 3 }
         );
-        let day_zero = TraceFileWorkload::from_csv_str(TINY, "tiny", 0).expect_err("day 0");
+        let day_zero = parse(TINY, "tiny", 0).expect_err("day 0");
         assert_eq!(day_zero, IngestError::DayZero);
         assert!(
             day_zero.to_string().contains("1-based"),
@@ -669,7 +661,7 @@ o2,a2,f3,storage,1,3,0
         );
         // A huge day is out of range, not a u32 multiply overflow.
         assert_eq!(
-            TraceFileWorkload::from_csv_str(TINY, "tiny", u32::MAX).expect_err("huge day"),
+            parse(TINY, "tiny", u32::MAX).expect_err("huge day"),
             IngestError::DayOutOfRange {
                 day: u32::MAX,
                 minutes: 3
@@ -690,7 +682,7 @@ o2,a2,f3,storage,1,3,0
         ] {
             let text = format!("{header}\no1,a1,f1,http,1\n");
             assert_eq!(
-                TraceFileWorkload::from_csv_str(&text, "hdr", 1).expect_err("bad header"),
+                parse(&text, "hdr", 1).expect_err("bad header"),
                 IngestError::UnknownHeaderColumn {
                     column: 2,
                     name: name.into()
@@ -701,19 +693,17 @@ o2,a2,f3,storage,1,3,0
         // Only the first record may be a header: two concatenated files put
         // a second one mid-file, and a headerless file cannot gain one late.
         let twice = format!("{TINY}{TINY}");
-        let err = TraceFileWorkload::from_csv_str(&twice, "twice", 1).expect_err("second header");
+        let err = parse(&twice, "twice", 1).expect_err("second header");
         assert_eq!(err, IngestError::MisplacedHeader { line: 5 });
         assert!(err.to_string().contains("line 5"), "{err}");
         assert_eq!(
-            TraceFileWorkload::from_csv_str(&format!("o1,a1,f1,http,1\n\n{TINY}"), "late", 1)
-                .expect_err("late header"),
+            parse(&format!("o1,a1,f1,http,1\n\n{TINY}"), "late", 1).expect_err("late header"),
             IngestError::MisplacedHeader { line: 3 }
         );
         // Counts and minute labels are ASCII digits: the sign `str::parse`
         // accepts would be lost on re-emission.
         assert_eq!(
-            TraceFileWorkload::from_csv_str("o,a,f,http,+5,1\n", "signed", 1)
-                .expect_err("signed count"),
+            parse("o,a,f,http,+5,1\n", "signed", 1).expect_err("signed count"),
             IngestError::MalformedCount {
                 line: 1,
                 column: 1,
@@ -721,7 +711,7 @@ o2,a2,f3,storage,1,3,0
             }
         );
         assert_eq!(
-            TraceFileWorkload::from_csv_str(
+            parse(
                 "HashOwner,HashApp,HashFunction,Trigger,+1\no,a,f,http,1\n",
                 "signed",
                 1
@@ -745,7 +735,7 @@ o2,a2,f3,storage,1,3,0
 
     #[test]
     fn expansion_is_deterministic_sorted_and_count_exact() {
-        let parsed = TraceFileWorkload::from_csv_str(TINY, "tiny", 1).expect("valid");
+        let parsed = parse(TINY, "tiny", 1).expect("valid");
         let a = parsed
             .generate(&mut DeterministicRng::seeded(9))
             .expect("valid");
@@ -845,7 +835,7 @@ o2,a2,f3,storage,1,3,0
             let minutes = text.lines().map(|l| l.split(',').count() - 4).max();
             let days = minutes.expect("rows").div_ceil(MINUTES_PER_DAY as usize);
             let day = 1 + rng.next_index(days) as u32;
-            let w = TraceFileWorkload::from_csv_str(&text, "random", day).expect("valid");
+            let w = parse(&text, "random", day).expect("valid");
             let seed = rng.next_u64();
             let in_place = w
                 .generate(&mut DeterministicRng::seeded(seed))
@@ -865,7 +855,7 @@ o2,a2,f3,storage,1,3,0
     /// wrapped window.
     #[test]
     fn days_outside_the_file_are_empty_windows() {
-        let mut w = TraceFileWorkload::from_csv_str("o,a,f,http,1,2\n", "two", 1).expect("valid");
+        let mut w = parse("o,a,f,http,1,2\n", "two", 1).expect("valid");
         assert_eq!(w.invocations(), 3);
         assert_eq!(w.horizon(), SimDuration::from_secs(120));
         for day in [0, 2, 3, u32::MAX] {
@@ -888,8 +878,7 @@ o2,a2,f3,storage,1,3,0
     /// as zero, exactly as the row `from_reader` pads would.
     #[test]
     fn short_rows_read_missing_minutes_as_zero() {
-        let padded =
-            TraceFileWorkload::from_csv_str("o,a,f,http,1,0,0,0,0\n", "padded", 1).expect("valid");
+        let padded = parse("o,a,f,http,1,0,0,0,0\n", "padded", 1).expect("valid");
         let mut short = padded.clone();
         short.functions[0].counts = vec![1];
         assert_eq!(short.minutes, 5);
@@ -910,7 +899,7 @@ o2,a2,f3,storage,1,3,0
     fn a_day_too_large_to_hold_is_a_typed_error() {
         let row = |function: &str| format!("o,a,{function},http{}\n", ",4294967295".repeat(1440));
         let text = row("f1") + &row("f2");
-        let w = TraceFileWorkload::from_csv_str(&text, "huge", 1).expect("valid");
+        let w = parse(&text, "huge", 1).expect("valid");
         let requests = 2 * 1440 * u64::from(u32::MAX);
         assert_eq!(w.invocations(), requests);
         let err = w
@@ -928,8 +917,8 @@ o2,a2,f3,storage,1,3,0
 o1,a1,f1,http,2,0,1
 o1,a1,f2,timer,0,0,0
 ";
-        let a = TraceFileWorkload::from_csv_str(TINY, "tiny", 1).expect("valid");
-        let b = TraceFileWorkload::from_csv_str(reordered, "tiny", 1).expect("valid");
+        let a = parse(TINY, "tiny", 1).expect("valid");
+        let b = parse(reordered, "tiny", 1).expect("valid");
         let ids = |w: &TraceFileWorkload| {
             let mut ids: Vec<u32> = w.functions.iter().map(TraceFunction::id).collect();
             ids.sort_unstable();
@@ -970,8 +959,7 @@ o1,a1,f2,timer,0,0,0
         assert_eq!(bucketed.minutes, 3);
         assert_eq!(bucketed.functions.len(), 8);
         let csv = bucketed.to_csv();
-        let parsed =
-            TraceFileWorkload::from_csv_str(&csv, "roundtrip.csv", 1).expect("own output parses");
+        let parsed = parse(&csv, "roundtrip.csv", 1).expect("own output parses");
         assert_eq!(parsed, bucketed, "parse(to_csv(w)) == w");
         assert_eq!(parsed.to_csv(), csv, "re-emission is byte-identical");
         // And the expansions agree bit for bit.

@@ -70,7 +70,7 @@
 //!     .trace(trace.clone())
 //!     .racks(2)
 //!     .balancer(LoadBalancer::LeastLoaded)
-//!     .keepalive(KeepalivePolicy::prewarm_default())
+//!     .keepalive(KeepalivePolicy::HybridPrewarm)
 //!     .data_layer(data)
 //!     .seed(2)
 //!     .build()

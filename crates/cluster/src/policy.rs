@@ -83,29 +83,18 @@ pub enum KeepalivePolicy {
 }
 
 impl KeepalivePolicy {
-    /// The paper's fixed 10-minute keepalive.
-    pub fn paper_default() -> Self {
-        KeepalivePolicy::FixedWindow
-    }
+    /// Every keepalive policy.
+    pub const ALL: [KeepalivePolicy; 4] = [
+        KeepalivePolicy::NoKeepalive,
+        KeepalivePolicy::FixedWindow,
+        KeepalivePolicy::HybridHistogram,
+        KeepalivePolicy::HybridPrewarm,
+    ];
 
-    /// The hybrid histogram without prewarming.
+    /// The hybrid histogram without prewarming. Kept for `benchmark/sweep.rs`,
+    /// which calls it; other code names the variant.
     pub fn hybrid_default() -> Self {
         KeepalivePolicy::HybridHistogram
-    }
-
-    /// The hybrid histogram with its prewarm window.
-    pub fn prewarm_default() -> Self {
-        KeepalivePolicy::HybridPrewarm
-    }
-
-    /// Every keepalive policy.
-    pub fn all_default() -> [KeepalivePolicy; 4] {
-        [
-            KeepalivePolicy::NoKeepalive,
-            KeepalivePolicy::FixedWindow,
-            KeepalivePolicy::HybridHistogram,
-            KeepalivePolicy::HybridPrewarm,
-        ]
     }
 
     /// Machine-readable name used in reports.
@@ -152,7 +141,8 @@ impl LoadBalancer {
         LoadBalancer::LocalityAware,
     ];
 
-    /// The locality-aware balancer.
+    /// The locality-aware balancer. Kept for `benchmark/sweep.rs`, which
+    /// calls it; other code names the variant.
     pub fn locality_default() -> Self {
         LoadBalancer::LocalityAware
     }
@@ -190,23 +180,17 @@ pub enum ScalingPolicy {
 }
 
 impl ScalingPolicy {
-    /// Reactive queue-depth scaling.
+    /// Every scaling policy.
+    pub const ALL: [ScalingPolicy; 3] = [
+        ScalingPolicy::Fixed,
+        ScalingPolicy::Reactive,
+        ScalingPolicy::Predictive,
+    ];
+
+    /// Reactive queue-depth scaling. Kept for `benchmark/sweep.rs`, which
+    /// calls it; other code names the variant.
     pub fn reactive_default() -> Self {
         ScalingPolicy::Reactive
-    }
-
-    /// Predictive scaling.
-    pub fn predictive_default() -> Self {
-        ScalingPolicy::Predictive
-    }
-
-    /// Every scaling policy.
-    pub fn all_default() -> [ScalingPolicy; 3] {
-        [
-            ScalingPolicy::Fixed,
-            ScalingPolicy::Reactive,
-            ScalingPolicy::Predictive,
-        ]
     }
 
     /// Machine-readable name used in reports.
@@ -1207,7 +1191,7 @@ mod tests {
                 .collect();
             let end = now + SimDuration::from_secs(30);
 
-            for policy in KeepalivePolicy::all_default() {
+            for policy in KeepalivePolicy::ALL {
                 let mut state = KeepaliveState::new(policy);
                 let mut reference = ReferenceKeepalive::new(policy);
                 for (step, &(function, now, finish)) in stream.iter().enumerate() {
@@ -1266,7 +1250,7 @@ mod tests {
     /// histogram held. Gaps beyond the range do not count towards the ten.
     #[test]
     fn dense_bins_appear_with_the_tenth_in_bounds_gap() {
-        let policy = KeepalivePolicy::prewarm_default();
+        let policy = KeepalivePolicy::HybridPrewarm;
         let mut state = KeepaliveState::new(policy);
         let mut reference = ReferenceKeepalive::new(policy);
         let mut now = secs(0);
@@ -1579,10 +1563,10 @@ mod tests {
     #[test]
     fn scaling_policy_names_and_defaults() {
         assert_eq!(ScalingPolicy::Fixed.name(), "fixed");
-        assert_eq!(ScalingPolicy::reactive_default().name(), "reactive");
-        assert_eq!(ScalingPolicy::predictive_default().name(), "predictive");
+        assert_eq!(ScalingPolicy::Reactive.name(), "reactive");
+        assert_eq!(ScalingPolicy::Predictive.name(), "predictive");
         assert_eq!(
-            ScalingPolicy::all_default(),
+            ScalingPolicy::ALL,
             [
                 ScalingPolicy::Fixed,
                 ScalingPolicy::Reactive,
@@ -1593,7 +1577,7 @@ mod tests {
 
     #[test]
     fn prewarm_window_is_zero_until_the_pattern_is_learned() {
-        let mut s = KeepaliveState::new(KeepalivePolicy::prewarm_default());
+        let mut s = KeepaliveState::new(KeepalivePolicy::HybridPrewarm);
         assert_eq!(s.prewarm_window(0), SimDuration::ZERO);
         // Reliable 45 s gaps: the head percentile floor lands at the 40 s bin
         // edge once learned, and stays below the eviction window.
@@ -1609,7 +1593,7 @@ mod tests {
 
     #[test]
     fn prewarm_releases_the_container_before_its_window() {
-        let mut s = KeepaliveState::new(KeepalivePolicy::prewarm_default());
+        let mut s = KeepaliveState::new(KeepalivePolicy::HybridPrewarm);
         let mut t = 0u64;
         for _ in 0..40 {
             s.record_invocation(7, secs(t), secs(t + 1));
@@ -1630,7 +1614,7 @@ mod tests {
 
     #[test]
     fn prewarm_hits_and_warm_seconds_accumulate() {
-        let mut s = KeepaliveState::new(KeepalivePolicy::prewarm_default());
+        let mut s = KeepaliveState::new(KeepalivePolicy::HybridPrewarm);
         let mut t = 0u64;
         for _ in 0..40 {
             s.record_invocation(3, secs(t), secs(t + 1));
@@ -1640,7 +1624,7 @@ mod tests {
         assert!(stats.prewarm_hits > 0, "learned arrivals count as hits");
         assert!(stats.warm_seconds > 0.0);
         // Without prewarming the same history holds strictly more memory.
-        let mut baseline = KeepaliveState::new(KeepalivePolicy::hybrid_default());
+        let mut baseline = KeepaliveState::new(KeepalivePolicy::HybridHistogram);
         let mut t = 0u64;
         for _ in 0..40 {
             baseline.record_invocation(3, secs(t), secs(t + 1));
@@ -1700,7 +1684,7 @@ mod tests {
     #[test]
     fn arrival_rate_estimate_tracks_noted_arrivals() {
         // One arrival every 20 s => 0.05 req/s, under any keepalive policy.
-        let mut s = KeepaliveState::new(KeepalivePolicy::paper_default());
+        let mut s = KeepaliveState::new(KeepalivePolicy::FixedWindow);
         assert_eq!(s.arrival_rate_estimate(secs(0)), 0.0, "no observations yet");
         for i in 0..30u64 {
             s.note_arrival(0, secs(i * 20));
@@ -1712,7 +1696,7 @@ mod tests {
         );
         // Two functions sum their rates; sub-second inter-arrivals resolve
         // exactly (a binned estimator could not see past its bin width).
-        let mut s = KeepaliveState::new(KeepalivePolicy::paper_default());
+        let mut s = KeepaliveState::new(KeepalivePolicy::FixedWindow);
         for i in 0..30u64 {
             s.note_arrival(0, secs(i * 20));
         }
@@ -1731,7 +1715,7 @@ mod tests {
     /// whole-history mean it replaced — the lag the ROADMAP called out.
     #[test]
     fn decayed_estimate_tracks_a_rate_step_faster_than_whole_history() {
-        let mut s = KeepaliveState::new(KeepalivePolicy::paper_default());
+        let mut s = KeepaliveState::new(KeepalivePolicy::FixedWindow);
         // Phase 1: 600 s at 0.1 req/s (one arrival every 10 s).
         let mut count = 0u64;
         for i in 0..60u64 {
@@ -1762,7 +1746,7 @@ mod tests {
     /// whole-history mean cannot.
     #[test]
     fn decayed_estimate_fades_when_arrivals_stop() {
-        let mut s = KeepaliveState::new(KeepalivePolicy::paper_default());
+        let mut s = KeepaliveState::new(KeepalivePolicy::FixedWindow);
         for i in 0..120u64 {
             s.note_arrival(0, secs(i));
         }

@@ -117,7 +117,7 @@ impl Default for ClusterConfig {
             min_instances: 8,
             queue_depth: 10_000,
             scheduler: SchedulerPolicy::Fcfs,
-            keepalive: KeepalivePolicy::paper_default(),
+            keepalive: KeepalivePolicy::FixedWindow,
             scaling: ScalingPolicy::Fixed,
             cold_path: ColdStartPath::default(),
             ipc: IpcTransport::default(),
@@ -248,17 +248,6 @@ impl ClusterReport {
         self.latency_summary.as_ref().map_or(0.0, |s| s.p99() * 1e3)
     }
 
-    /// Simulator throughput: events processed per host wall-clock second.
-    /// A measurement (varies run to run); zero if the run took no measurable
-    /// time.
-    pub fn events_per_sec(&self) -> f64 {
-        if self.wall_s.get() > 0.0 {
-            self.events as f64 / self.wall_s.get()
-        } else {
-            0.0
-        }
-    }
-
     /// Peak queue depth observed (per-bucket mean maximum).
     pub fn peak_queue(&self) -> f64 {
         self.queued.iter().copied().fold(0.0, f64::max)
@@ -370,14 +359,6 @@ impl EngineSelection {
     /// Whether the run used the partitioned per-rack engine.
     pub fn is_rack_parallel(&self) -> bool {
         matches!(self, EngineSelection::RackParallel { .. })
-    }
-
-    /// The sequential-fallback reason, if the run could not be partitioned.
-    pub fn fallback_reason(&self) -> Option<&'static str> {
-        match self {
-            EngineSelection::RackParallel { .. } => None,
-            EngineSelection::Sequential { reason } => Some(reason),
-        }
     }
 }
 
@@ -680,11 +661,6 @@ impl ClusterSim {
         self.platform
     }
 
-    /// The service time used for one benchmark.
-    pub fn service_time(&self, benchmark: Benchmark) -> SimDuration {
-        self.service_times[benchmark as usize]
-    }
-
     /// The cold-start penalty a first (registry) cold start of `benchmark`
     /// pays on this platform. Identical under every [`ColdStartPath`]: the
     /// first cold start of a function always pays the full registry spawn —
@@ -718,12 +694,6 @@ impl ClusterSim {
             }
             ColdStartPath::SnapshotRestore => costs.snapshot,
         }
-    }
-
-    /// Whether this platform caches evicted images on the drive's flash
-    /// (making repeat cold starts cheaper than the first one).
-    pub fn caches_images_on_flash(&self) -> bool {
-        self.flash_cache
     }
 
     /// The discrete-event core behind every run. Callers must have validated
@@ -1265,8 +1235,12 @@ mod tests {
     /// of the two rack p99s dilutes it to ~50 ms — off by 2x.
     #[test]
     fn cluster_p99_comes_from_merged_rack_sketches_not_averaged_p99s() {
-        let fast = QuantileSketch::from_samples(&vec![0.001; 100]);
-        let slow = QuantileSketch::from_samples(&vec![0.1; 100]);
+        let rack = |latency| {
+            let mut sketch = QuantileSketch::new();
+            (0..100).for_each(|_| sketch.record(latency));
+            sketch
+        };
+        let (fast, slow) = (rack(0.001), rack(0.1));
         let averaged_p99_ms = (fast.p99() + slow.p99()) / 2.0 * 1e3;
         let mut merged = fast.clone();
         merged.merge(&slow);
@@ -1328,7 +1302,6 @@ mod tests {
         );
         // Every completed request contributes an arrival and a completion.
         assert!(report.events >= 2 * report.completed);
-        assert!(report.events_per_sec() > 0.0);
     }
 
     #[test]
@@ -1373,8 +1346,8 @@ mod tests {
     #[test]
     fn service_times_come_from_the_end_to_end_model() {
         let sim = ClusterSim::new(PlatformKind::DscsDsa, ClusterConfig::default());
-        let light = sim.service_time(Benchmark::CreditRiskAssessment);
-        let heavy = sim.service_time(Benchmark::ConversationalChatbot);
+        let light = sim.service_times[Benchmark::CreditRiskAssessment as usize];
+        let heavy = sim.service_times[Benchmark::ConversationalChatbot as usize];
         assert!(heavy > light);
     }
 
@@ -1491,7 +1464,7 @@ mod tests {
         let trace = short_trace(1500.0, 60, 21);
         let outcome = Experiment::builder(PlatformKind::BaselineCpu)
             .trace(trace)
-            .scaling(ScalingPolicy::reactive_default())
+            .scaling(ScalingPolicy::Reactive)
             .racks(2)
             .seed(22)
             .build()
@@ -1521,7 +1494,7 @@ mod tests {
         let trace = profile.generate(&mut DeterministicRng::seeded(23));
         let outcome = Experiment::builder(PlatformKind::BaselineCpu)
             .trace(trace)
-            .scaling(ScalingPolicy::reactive_default())
+            .scaling(ScalingPolicy::Reactive)
             .seed(24)
             .build()
             .expect("valid experiment")
@@ -1540,7 +1513,7 @@ mod tests {
         let requests = trace.len() as u64;
         let report = Experiment::builder(PlatformKind::BaselineCpu)
             .trace(trace)
-            .scaling(ScalingPolicy::predictive_default())
+            .scaling(ScalingPolicy::Predictive)
             .racks(2)
             .seed(26)
             .build()
@@ -1575,7 +1548,7 @@ mod tests {
                 .run_on(&base)
         };
         let fixed = experiment(ScalingPolicy::Fixed, 8);
-        let pinned = experiment(ScalingPolicy::reactive_default(), 200);
+        let pinned = experiment(ScalingPolicy::Reactive, 200);
         // The pinned pool still runs its scale ticks — extra engine events
         // that never change a decision — so the engine-work counter is the
         // one field allowed to differ.
@@ -1600,8 +1573,8 @@ mod tests {
                 .run_on(&base)
                 .report
         };
-        let plain = run(KeepalivePolicy::hybrid_default());
-        let warmed = run(KeepalivePolicy::prewarm_default());
+        let plain = run(KeepalivePolicy::HybridHistogram);
+        let warmed = run(KeepalivePolicy::HybridPrewarm);
         assert_eq!(plain.prewarm_hits, 0, "no head percentile, no hits");
         assert!(warmed.prewarm_hits > 0, "prewarmed instances get found");
         assert!(warmed.prewarm_hit_rate() > 0.0);
@@ -1634,7 +1607,7 @@ mod tests {
                 .report
         };
         let none = run(KeepalivePolicy::NoKeepalive);
-        let fixed = run(KeepalivePolicy::paper_default());
+        let fixed = run(KeepalivePolicy::FixedWindow);
         assert_eq!(none.warm_seconds, 0.0);
         assert!(fixed.warm_seconds > 0.0);
         assert!(fixed.wasted_warm_seconds > 0.0, "final windows are wasted");
@@ -1661,7 +1634,7 @@ mod tests {
     #[should_panic(expected = "pending > 0 at a commit invariant broken")]
     fn committing_unrequested_instances_breaks_the_pending_invariant() {
         let config = ClusterConfig {
-            scaling: ScalingPolicy::reactive_default(),
+            scaling: ScalingPolicy::Reactive,
             ..ClusterConfig::default()
         };
         let sim = ClusterSim::new(PlatformKind::DscsDsa, config);
@@ -1903,7 +1876,7 @@ mod tests {
             .trace(trace)
             .racks(racks)
             .queue_depth(10)
-            .balancer(LoadBalancer::locality_default())
+            .balancer(LoadBalancer::LocalityAware)
             .data_layer(data)
             .seed(6)
             .build()

@@ -43,7 +43,7 @@ pub struct TraceRequest {
     /// this invocation reads. Locality-aware placement dispatches on where
     /// this object's replicas live.
     pub object: u8,
-    /// Base-2 exponent of that object's size ([`ObjectCatalog::size_of`],
+    /// Base-2 exponent of that object's size (drawn by [`ObjectCatalog`],
     /// 256 KiB to 8 MiB, exponents 18–23): the payload a non-local rack must
     /// fetch across the datacenter fabric. Exponents stay below 32, so every
     /// object is under 4 GiB; [`crate::workload::WorkloadSpec::realize`]

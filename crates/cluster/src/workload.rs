@@ -26,7 +26,6 @@ use std::sync::Arc;
 
 use dscs_core::benchmarks::Benchmark;
 use dscs_simcore::dist::{PoissonArrivals, ZipfIndex};
-use dscs_simcore::quantity::Bytes;
 use dscs_simcore::rng::DeterministicRng;
 use dscs_simcore::time::{SimDuration, SimTime};
 
@@ -154,12 +153,7 @@ impl ObjectCatalog {
         self.zipf.rank_of(u) as u8
     }
 
-    /// The deterministic size of `(function, object)`.
-    pub fn size_of(&self, function: u32, object: u8) -> Bytes {
-        Bytes::new(1 << self.size_log2_of(function, object))
-    }
-
-    /// The base-2 exponent of [`ObjectCatalog::size_of`].
+    /// The base-2 exponent of the deterministic size of `(function, object)`.
     fn size_log2_of(&self, function: u32, object: u8) -> u8 {
         let h = mix64(SIZE_SALT ^ (u64::from(function) << 32) ^ u64::from(object));
         OBJECT_BASE_SIZE_LOG2 + (h % u64::from(OBJECT_SIZE_DOUBLINGS + 1)) as u8
@@ -842,14 +836,13 @@ mod tests {
     #[test]
     fn object_catalog_is_deterministic_and_in_range() {
         let catalog = ObjectCatalog::default();
-        let smallest = Bytes::new(1 << OBJECT_BASE_SIZE_LOG2);
-        let largest = Bytes::new(1 << (OBJECT_BASE_SIZE_LOG2 + OBJECT_SIZE_DOUBLINGS));
+        let sizes_log2 = OBJECT_BASE_SIZE_LOG2..=OBJECT_BASE_SIZE_LOG2 + OBJECT_SIZE_DOUBLINGS;
         for id in 0..2000u64 {
             let object = catalog.object_for(3, id);
             assert!(object < OBJECTS_PER_FUNCTION);
             assert_eq!(object, catalog.object_for(3, id), "pure function of id");
-            let size = catalog.size_of(3, object);
-            assert!(size >= smallest && size <= largest, "{size}");
+            let size_log2 = catalog.size_log2_of(3, object);
+            assert!(sizes_log2.contains(&size_log2), "2^{size_log2} B");
         }
         // Zipf skew: the hottest object dominates a uniform share.
         let hot = (0..4000u64)
@@ -909,7 +902,7 @@ mod tests {
                     .as_ref()
                     .map_or(r.function, |ids| ids[r.function as usize]);
                 assert_eq!(r.object, catalog.object_for(id, position as u64));
-                assert_eq!(r.object_bytes(), catalog.size_of(id, r.object));
+                assert_eq!(r.object_size_log2, catalog.size_log2_of(id, r.object));
             }
         }
     }
@@ -979,7 +972,7 @@ mod tests {
                 let placed = Experiment::builder(PlatformKind::DscsDsa)
                     .trace(trace.clone())
                     .racks(2)
-                    .balancer(LoadBalancer::locality_default())
+                    .balancer(LoadBalancer::LocalityAware)
                     .data_layer(data)
                     .build()
                     .expect("valid")

@@ -20,28 +20,6 @@ pub struct FusionGroup {
     pub nodes: Vec<NodeId>,
 }
 
-impl FusionGroup {
-    /// The node whose output leaves the group (the last node).
-    pub fn output(&self) -> NodeId {
-        *self.nodes.last().expect("fusion groups are never empty")
-    }
-
-    /// The node the group starts with.
-    pub fn anchor(&self) -> NodeId {
-        self.nodes[0]
-    }
-
-    /// Number of operators in the group.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Whether the group is empty (never true for groups built by [`fuse`]).
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-}
-
 /// Fusion policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FusionPolicy {
@@ -108,16 +86,6 @@ pub fn fuse(graph: &Graph, policy: FusionPolicy) -> Vec<FusionGroup> {
     groups
 }
 
-/// Bytes of intermediate activations that fusion keeps on-chip for a set of
-/// groups: the outputs of every non-final node in each group.
-pub fn saved_intermediate_bytes(graph: &Graph, groups: &[FusionGroup]) -> u64 {
-    groups
-        .iter()
-        .flat_map(|g| g.nodes.iter().take(g.nodes.len().saturating_sub(1)))
-        .map(|&id| graph.node(id).op.output_bytes().as_u64())
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,7 +95,7 @@ mod tests {
     use dscs_nn::zoo::{Model, ModelKind};
 
     fn sample_graph() -> Graph {
-        let mut b = GraphBuilder::new("t");
+        let mut b = GraphBuilder::default();
         b.add_seq(
             "fc1",
             Operator::MatMul {
@@ -170,18 +138,16 @@ mod tests {
         let g = sample_graph();
         let groups = fuse(&g, FusionPolicy::Enabled);
         assert_eq!(groups.len(), 2);
-        assert_eq!(groups[0].len(), 2);
-        assert_eq!(groups[1].len(), 2);
-        assert_eq!(groups[0].anchor(), NodeId(0));
-        assert_eq!(groups[0].output(), NodeId(1));
+        assert_eq!(groups[0].nodes, [NodeId(0), NodeId(1)]);
+        assert_eq!(groups[1].nodes.len(), 2);
     }
 
     #[test]
     fn disabled_policy_keeps_every_node_separate() {
         let g = sample_graph();
         let groups = fuse(&g, FusionPolicy::Disabled);
-        assert_eq!(groups.len(), g.len());
-        assert!(groups.iter().all(|g| g.len() == 1));
+        assert_eq!(groups.len(), g.nodes().len());
+        assert!(groups.iter().all(|g| g.nodes.len() == 1));
     }
 
     #[test]
@@ -193,7 +159,7 @@ mod tests {
             .flat_map(|g| g.nodes.iter().map(|n| n.0))
             .collect();
         covered.sort_unstable();
-        let expected: Vec<usize> = (0..model.graph().len()).collect();
+        let expected: Vec<usize> = (0..model.graph().nodes().len()).collect();
         assert_eq!(covered, expected);
     }
 
@@ -212,17 +178,8 @@ mod tests {
     }
 
     #[test]
-    fn saved_bytes_positive_when_fusing() {
-        let g = sample_graph();
-        let groups = fuse(&g, FusionPolicy::Enabled);
-        assert!(saved_intermediate_bytes(&g, &groups) > 0);
-        let single = fuse(&g, FusionPolicy::Disabled);
-        assert_eq!(saved_intermediate_bytes(&g, &single), 0);
-    }
-
-    #[test]
     fn empty_graph_yields_no_groups() {
-        let g = GraphBuilder::new("empty").build();
+        let g = GraphBuilder::default().build();
         assert!(fuse(&g, FusionPolicy::Enabled).is_empty());
     }
 }

@@ -16,14 +16,14 @@
 //! # Example
 //!
 //! ```
-//! use dscs_compiler::compile_model;
+//! use dscs_compiler::{compile, CompileOptions};
 //! use dscs_dsa::config::DsaConfig;
 //! use dscs_dsa::executor::Executor;
 //! use dscs_nn::zoo::{Model, ModelKind};
 //!
 //! let model = Model::build(ModelKind::ResNet50);
 //! let config = DsaConfig::paper_optimal();
-//! let program = compile_model(&model, &config);
+//! let program = compile(model.graph(), &config, CompileOptions::default());
 //! let report = Executor::new(config).run(&program);
 //! assert!(report.latency().as_millis_f64() > 0.0);
 //! ```
@@ -38,28 +38,3 @@ pub mod tiling;
 pub use codegen::{compile, gemm_dims, CompileOptions, GemmDims};
 pub use fusion::{fuse, FusionGroup, FusionPolicy};
 pub use tiling::{select_tiling, Tiling};
-
-use dscs_dsa::config::DsaConfig;
-use dscs_dsa::isa::Program;
-use dscs_nn::zoo::Model;
-
-/// Compiles a zoo model with default options (fusion enabled).
-pub fn compile_model(model: &Model, config: &DsaConfig) -> Program {
-    compile(model.graph(), config, CompileOptions::default())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use dscs_nn::zoo::ModelKind;
-
-    #[test]
-    fn compile_model_is_equivalent_to_compile_graph() {
-        let model = Model::build(ModelKind::LogisticRegression);
-        let cfg = DsaConfig::paper_optimal();
-        let a = compile_model(&model, &cfg);
-        let b = compile(model.graph(), &cfg, CompileOptions::default());
-        assert_eq!(a.total_ops(), b.total_ops());
-        assert_eq!(a.len(), b.len());
-    }
-}

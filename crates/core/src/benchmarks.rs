@@ -243,8 +243,9 @@ mod tests {
             assert_eq!(spec.benchmark, b);
             assert!(spec.input_size.as_u64() > 0);
             let pipeline = spec.pipeline();
-            assert_eq!(pipeline.len(), 3);
-            assert_eq!(pipeline.acceleratable_prefix_len(), 2);
+            let acceleratable: Vec<bool> =
+                pipeline.functions.iter().map(|f| f.acceleratable).collect();
+            assert_eq!(acceleratable, [true, true, false]);
         }
     }
 

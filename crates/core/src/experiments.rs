@@ -14,7 +14,7 @@ use dscs_simcore::rng::DeterministicRng;
 use dscs_simcore::stats::{geometric_mean, Summary};
 
 use crate::benchmarks::Benchmark;
-use crate::endtoend::{EndToEndReport, EvalOptions, LatencyBreakdown, SystemModel};
+use crate::endtoend::{EvalOptions, LatencyBreakdown, SystemModel};
 
 /// One CDF series for Figure 3: per-benchmark S3-style read latency.
 #[derive(Debug, Clone, PartialEq)]
@@ -132,14 +132,6 @@ pub struct RatioMatrix {
 }
 
 impl RatioMatrix {
-    /// The geometric-mean ratio for one platform.
-    pub fn mean_for(&self, platform: PlatformKind) -> Option<f64> {
-        self.means
-            .iter()
-            .find(|(p, _)| *p == platform)
-            .map(|(_, m)| *m)
-    }
-
     /// The ratio for one (benchmark, platform) pair.
     pub fn cell(&self, benchmark: Benchmark, platform: PlatformKind) -> Option<f64> {
         self.cells
@@ -404,22 +396,14 @@ pub fn table2_platforms() -> Vec<Table2Row> {
         .collect()
 }
 
-/// Convenience: the full matrix of end-to-end reports (used by Figure 12's cost
-/// model and by integration tests).
-pub fn all_reports() -> Vec<EndToEndReport> {
-    let sys = SystemModel::new();
-    let mut reports = Vec::new();
-    for &platform in &PlatformKind::ALL {
-        for &benchmark in &Benchmark::ALL {
-            reports.push(sys.evaluate(benchmark, platform, EvalOptions::default()));
-        }
-    }
-    reports
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn dscs_mean(m: &RatioMatrix) -> f64 {
+        let dscs = m.means.iter().find(|(p, _)| *p == PlatformKind::DscsDsa);
+        dscs.expect("DSCS has a mean").1
+    }
 
     #[test]
     fn fig3_produces_one_series_per_benchmark_with_heavier_tails() {
@@ -447,7 +431,7 @@ mod tests {
     fn fig9_matrix_is_complete_and_dscs_leads() {
         let m = fig9_speedup();
         assert_eq!(m.cells.len(), 8 * 6);
-        let dscs = m.mean_for(PlatformKind::DscsDsa).expect("present");
+        let dscs = dscs_mean(&m);
         for (p, mean) in &m.means {
             assert!(dscs >= *mean, "DSCS {dscs} vs {p} {mean}");
         }
@@ -467,7 +451,7 @@ mod tests {
     #[test]
     fn fig11_energy_reductions_positive() {
         let m = fig11_energy_reduction();
-        let dscs = m.mean_for(PlatformKind::DscsDsa).expect("present");
+        let dscs = dscs_mean(&m);
         assert!(dscs > 1.5, "DSCS energy reduction {dscs}");
     }
 
@@ -534,6 +518,5 @@ mod tests {
     fn tables_have_expected_shapes() {
         assert_eq!(table1_benchmarks().len(), 8);
         assert_eq!(table2_platforms().len(), 7);
-        assert_eq!(all_reports().len(), 56);
     }
 }

@@ -127,9 +127,9 @@ impl DsaConfig {
         }
     }
 
-    /// The same design point evaluated at the 45 nm synthesis node (used by the
-    /// design-space figures).
-    pub fn paper_optimal_45nm() -> Self {
+    /// The same design point evaluated at the 45 nm synthesis node.
+    #[cfg(test)]
+    pub(crate) fn paper_optimal_45nm() -> Self {
         DsaConfig {
             node: TechnologyNode::Nm45,
             ..Self::paper_optimal()
@@ -161,11 +161,6 @@ impl DsaConfig {
     /// Clock frequency.
     pub fn frequency(&self) -> Frequency {
         Frequency::from_mhz(self.clock_mhz as f64)
-    }
-
-    /// On-chip buffer capacity.
-    pub fn buffer(&self) -> Bytes {
-        Bytes::new(self.buffer_bytes)
     }
 
     /// Off-chip memory bandwidth.
@@ -274,7 +269,7 @@ mod tests {
         let c = DsaConfig::paper_optimal();
         assert_eq!(c.array_rows, 128);
         assert_eq!(c.array_cols, 128);
-        assert_eq!(c.buffer().as_u64(), 4 * 1024 * 1024);
+        assert_eq!(c.buffer_bytes, 4 * 1024 * 1024);
         assert_eq!(c.memory, MemoryKind::Ddr5);
         assert_eq!(c.label(), "Dim128-4MB-DDR5");
         assert!(c.validate().is_ok());

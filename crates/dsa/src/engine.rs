@@ -55,15 +55,6 @@ impl MpuModel {
         let preload = self.rows / 2;
         k_tiles * n_tiles * (m + fill_drain + preload)
     }
-
-    /// Utilisation of the MAC array for a tile: useful MACs over provisioned
-    /// MAC-cycles. Small or skinny tiles underutilise a large array, which is
-    /// exactly why the 1024x1024 configuration loses to 128x128 at batch 1.
-    pub fn utilization(&self, m: u64, k: u64, n: u64) -> f64 {
-        let useful = (m * k * n) as f64;
-        let provisioned = (self.gemm_cycles(m, k, n) * self.rows * self.cols) as f64;
-        (useful / provisioned).min(1.0)
-    }
 }
 
 /// SIMD vector-unit cycle model.
@@ -143,15 +134,6 @@ mod tests {
         let one = mpu.gemm_cycles(128, 128, 128);
         let four = mpu.gemm_cycles(128, 256, 256);
         assert_eq!(four, 4 * one);
-    }
-
-    #[test]
-    fn small_gemm_underutilises_big_array() {
-        let small_array = MpuModel::new(&cfg(128));
-        let big_array = MpuModel::new(&cfg(1024));
-        let util_small = small_array.utilization(1, 512, 512);
-        let util_big = big_array.utilization(1, 512, 512);
-        assert!(util_small > util_big, "{util_small} vs {util_big}");
     }
 
     #[test]

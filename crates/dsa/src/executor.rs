@@ -50,32 +50,6 @@ impl ExecutionReport {
     pub fn total_energy(&self) -> Joules {
         self.energy.total()
     }
-
-    /// Average power over the execution.
-    pub fn average_power_watts(&self) -> f64 {
-        let secs = self.latency().as_secs_f64();
-        if secs == 0.0 {
-            return 0.0;
-        }
-        self.total_energy().as_f64() / secs
-    }
-
-    /// Fraction of cycles where compute was stalled on memory.
-    pub fn stall_fraction(&self) -> f64 {
-        if self.total_cycles == 0 {
-            return 0.0;
-        }
-        self.stall_cycles as f64 / self.total_cycles as f64
-    }
-
-    /// Achieved operations per second.
-    pub fn ops_per_sec(&self) -> f64 {
-        let secs = self.latency().as_secs_f64();
-        if secs == 0.0 {
-            return 0.0;
-        }
-        self.total_ops as f64 / secs
-    }
 }
 
 /// Execution policy for the memory/compute overlap.
@@ -116,11 +90,6 @@ impl Executor {
             power: PowerModel::new(config),
             policy,
         }
-    }
-
-    /// The configuration this executor models.
-    pub fn config(&self) -> &DsaConfig {
-        &self.config
     }
 
     /// Executes `program` and returns the cycle/energy report.
@@ -226,7 +195,7 @@ mod tests {
     use crate::isa::Instruction;
 
     fn tiled_program(tiles: usize, load_bytes: u64, m: u64, k: u64, n: u64) -> Program {
-        let mut p = Program::new("tiles");
+        let mut p = Program::default();
         for _ in 0..tiles {
             p.push(Instruction::load_tile(load_bytes));
             p.push(Instruction::gemm_tile(m, k, n));
@@ -237,10 +206,9 @@ mod tests {
 
     #[test]
     fn empty_program_is_free() {
-        let report = Executor::new(DsaConfig::paper_optimal()).run(&Program::new("empty"));
+        let report = Executor::new(DsaConfig::paper_optimal()).run(&Program::default());
         assert_eq!(report.total_cycles, 0);
         assert_eq!(report.total_ops, 0);
-        assert_eq!(report.average_power_watts(), 0.0);
     }
 
     #[test]
@@ -249,11 +217,8 @@ mod tests {
         let p = tiled_program(16, 4 * 1024, 256, 512, 512);
         let report = Executor::new(DsaConfig::paper_optimal()).run(&p);
         assert!(report.total_cycles < report.compute_cycles + report.memory_cycles);
-        assert!(
-            report.stall_fraction() < 0.2,
-            "stalls {}",
-            report.stall_fraction()
-        );
+        let stalls = report.stall_cycles as f64 / report.total_cycles as f64;
+        assert!(stalls < 0.2, "stalls {stalls}");
     }
 
     #[test]
@@ -265,11 +230,8 @@ mod tests {
         };
         let p = tiled_program(16, 4 * 1024 * 1024, 8, 128, 128);
         let report = Executor::new(cfg).run(&p);
-        assert!(
-            report.stall_fraction() > 0.5,
-            "stalls {}",
-            report.stall_fraction()
-        );
+        let stalls = report.stall_cycles as f64 / report.total_cycles as f64;
+        assert!(stalls > 0.5, "stalls {stalls}");
     }
 
     #[test]
@@ -283,11 +245,11 @@ mod tests {
 
     #[test]
     fn sync_serialises_streams() {
-        let mut with_sync = Program::new("sync");
+        let mut with_sync = Program::default();
         with_sync.push(Instruction::load_tile(1 << 20));
         with_sync.push(Instruction::Sync);
         with_sync.push(Instruction::gemm_tile(128, 128, 128));
-        let mut without_sync = Program::new("nosync");
+        let mut without_sync = Program::default();
         without_sync.push(Instruction::load_tile(1 << 20));
         without_sync.push(Instruction::gemm_tile(128, 128, 128));
         let cfg = DsaConfig::paper_optimal();
@@ -300,7 +262,7 @@ mod tests {
 
     #[test]
     fn latency_respects_clock() {
-        let mut p = Program::new("t");
+        let mut p = Program::default();
         p.push(Instruction::gemm_tile(128, 128, 128));
         let report = Executor::new(DsaConfig::paper_optimal()).run(&p);
         let expected = report.total_cycles as f64 / 1e9;
@@ -324,7 +286,7 @@ mod tests {
         // DSA), far below the 25 W drive budget.
         let p = tiled_program(64, 256 * 1024, 256, 1024, 1024);
         let report = Executor::new(DsaConfig::paper_optimal()).run(&p);
-        let watts = report.average_power_watts();
+        let watts = report.total_energy().as_f64() / report.latency().as_secs_f64();
         assert!((1.0..15.0).contains(&watts), "power {watts} W");
     }
 
@@ -332,7 +294,8 @@ mod tests {
     fn ops_accounting_matches_program() {
         let p = tiled_program(4, 1024, 64, 64, 64);
         let report = Executor::new(DsaConfig::paper_optimal()).run(&p);
-        assert_eq!(report.total_ops, p.total_ops());
+        let ops: u64 = p.instructions().iter().map(Instruction::ops).sum();
+        assert_eq!(report.total_ops, ops);
         assert_eq!(report.dma_bytes, p.total_dma_bytes().as_u64());
     }
 }

@@ -105,26 +105,12 @@ impl fmt::Display for Instruction {
 }
 
 /// A compiled program: an ordered instruction stream plus bookkeeping totals.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Program {
-    name: String,
     instructions: Vec<Instruction>,
 }
 
 impl Program {
-    /// Creates an empty program.
-    pub fn new(name: impl Into<String>) -> Self {
-        Program {
-            name: name.into(),
-            instructions: Vec::new(),
-        }
-    }
-
-    /// The program name (usually the model name).
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Appends an instruction.
     pub fn push(&mut self, instruction: Instruction) {
         self.instructions.push(instruction);
@@ -135,32 +121,9 @@ impl Program {
         &self.instructions
     }
 
-    /// Number of instructions.
-    pub fn len(&self) -> usize {
-        self.instructions.len()
-    }
-
-    /// Whether the program is empty.
-    pub fn is_empty(&self) -> bool {
-        self.instructions.is_empty()
-    }
-
     /// Total DMA traffic between drive DRAM and the scratchpad.
     pub fn total_dma_bytes(&self) -> Bytes {
         Bytes::new(self.instructions.iter().map(Instruction::dma_bytes).sum())
-    }
-
-    /// Total arithmetic operations.
-    pub fn total_ops(&self) -> u64 {
-        self.instructions.iter().map(Instruction::ops).sum()
-    }
-
-    /// Number of GEMM tiles (useful to sanity-check tiling decisions).
-    pub fn gemm_tile_count(&self) -> usize {
-        self.instructions
-            .iter()
-            .filter(|i| matches!(i, Instruction::GemmTile { .. }))
-            .count()
     }
 }
 
@@ -186,22 +149,20 @@ mod tests {
 
     #[test]
     fn program_totals() {
-        let mut p = Program::new("t");
+        let mut p = Program::default();
         p.push(Instruction::load_tile(128));
         p.push(Instruction::gemm_tile(4, 4, 4));
         p.push(Instruction::vector_tile(16, 1));
         p.push(Instruction::store_tile(64));
         assert_eq!(p.total_dma_bytes().as_u64(), 192);
-        assert_eq!(p.total_ops(), 2 * 64 + 16);
-        assert_eq!(p.gemm_tile_count(), 1);
-        assert_eq!(p.len(), 4);
+        assert_eq!(p.instructions().len(), 4);
     }
 
     #[test]
     fn program_extend_appends() {
-        let mut p = Program::new("t");
+        let mut p = Program::default();
         p.extend([Instruction::Sync, Instruction::Sync]);
-        assert_eq!(p.len(), 2);
+        assert_eq!(p.instructions().len(), 2);
     }
 
     #[test]

@@ -33,7 +33,7 @@
 //! use dscs_dsa::executor::Executor;
 //!
 //! let config = DsaConfig::paper_optimal();
-//! let mut program = Program::new("demo");
+//! let mut program = Program::default();
 //! program.push(Instruction::load_tile(256 * 1024));
 //! program.push(Instruction::gemm_tile(128, 128, 128));
 //! program.push(Instruction::store_tile(64 * 1024));

@@ -98,15 +98,6 @@ impl PowerModel {
             (pe + sram + UNCORE_LEAKAGE_W_45NM) * scaling + self.config.memory.static_power_watts(),
         )
     }
-
-    /// Average power when `energy` is dissipated over `seconds`.
-    ///
-    /// # Panics
-    /// Panics if `seconds` is not strictly positive.
-    pub fn average_power(&self, energy: Joules, seconds: f64) -> Watts {
-        assert!(seconds > 0.0, "interval must be positive");
-        Watts::new(energy.as_f64() / seconds)
-    }
 }
 
 /// Area model for one DSA configuration.
@@ -238,19 +229,5 @@ mod tests {
             "chosen {} mm2",
             chosen.total()
         );
-    }
-
-    #[test]
-    fn average_power_divides_energy_by_time() {
-        let p = PowerModel::new(DsaConfig::paper_optimal());
-        let w = p.average_power(Joules::new(2.0), 4.0);
-        assert!((w.as_f64() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_interval_power_panics() {
-        let p = PowerModel::new(DsaConfig::paper_optimal());
-        let _ = p.average_power(Joules::new(1.0), 0.0);
     }
 }

@@ -79,8 +79,8 @@ impl std::error::Error for ConfigParseError {}
 /// "#;
 /// let pipeline = parse_deployment(yaml).expect("valid config");
 /// assert_eq!(pipeline.name, "remote-sensing");
-/// assert_eq!(pipeline.len(), 3);
-/// assert_eq!(pipeline.acceleratable_prefix_len(), 2);
+/// let acceleratable: Vec<bool> = pipeline.functions.iter().map(|f| f.acceleratable).collect();
+/// assert_eq!(acceleratable, [true, true, false]);
 /// ```
 pub fn parse_deployment(text: &str) -> Result<AppPipeline, ConfigParseError> {
     let mut app_name: Option<String> = None;
@@ -249,7 +249,7 @@ functions:
     fn parses_full_pipeline() {
         let p = parse_deployment(SAMPLE).expect("valid");
         assert_eq!(p.name, "content-moderation");
-        assert_eq!(p.len(), 3);
+        assert_eq!(p.functions.len(), 3);
         assert_eq!(p.functions[1].timeout, SimDuration::from_secs(45));
         assert_eq!(p.functions[1].memory_limit, Bytes::from_mib(2048));
         assert!(p.functions[0].acceleratable);
@@ -290,7 +290,7 @@ functions:
     fn unknown_keys_are_ignored() {
         let text = "app: x\nregion: us-west-2\nfunctions:\n  - name: a\n    role: inference\n    handler: main.py\n";
         let p = parse_deployment(text).expect("valid");
-        assert_eq!(p.len(), 1);
+        assert_eq!(p.functions.len(), 1);
         assert!(!p.functions[0].acceleratable);
     }
 

@@ -134,26 +134,6 @@ impl AppPipeline {
             ],
         )
     }
-
-    /// Number of functions.
-    pub fn len(&self) -> usize {
-        self.functions.len()
-    }
-
-    /// Whether the pipeline has no functions (never true after construction).
-    pub fn is_empty(&self) -> bool {
-        self.functions.is_empty()
-    }
-
-    /// Whether the chain of acceleratable functions is contiguous from the
-    /// start — the condition under which DSCS-Serverless maps the chained
-    /// functions onto the same DSCS-Drive (Section 5.3, "Function chaining").
-    pub fn acceleratable_prefix_len(&self) -> usize {
-        self.functions
-            .iter()
-            .take_while(|f| f.acceleratable)
-            .count()
-    }
 }
 
 #[cfg(test)]
@@ -163,11 +143,11 @@ mod tests {
     #[test]
     fn standard_pipeline_has_three_stages() {
         let p = AppPipeline::standard_three_stage("ppe-detection", Bytes::from_mib(300));
-        assert_eq!(p.len(), 3);
+        assert_eq!(p.functions.len(), 3);
         assert_eq!(p.functions[0].role, FunctionRole::Preprocess);
         assert_eq!(p.functions[1].role, FunctionRole::Inference);
         assert_eq!(p.functions[2].role, FunctionRole::Notification);
-        assert_eq!(p.acceleratable_prefix_len(), 2);
+        assert!(p.functions[0].acceleratable && p.functions[1].acceleratable);
     }
 
     #[test]

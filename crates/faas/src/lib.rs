@@ -12,8 +12,7 @@
 //! * [`coldstart`] — container/cold-start model, including DSCS's path that
 //!   caches evicted images on the drive's flash and reloads them over P2P.
 //! * [`scheduler`] — the FCFS, DSCS-aware scheduler with fail-over to
-//!   conventional compute nodes, driven by Prometheus-style telemetry.
-//! * [`telemetry`] — the Prometheus-style metrics registry.
+//!   conventional compute nodes.
 //!
 //! # Example
 //!
@@ -25,7 +24,7 @@
 //! let pipeline = parse_deployment(yaml).expect("valid deployment");
 //! let mut registry = FunctionRegistry::new();
 //! registry.deploy(pipeline).expect("deployed");
-//! assert_eq!(registry.app_count(), 1);
+//! assert_eq!(registry.app_names(), ["ppe"]);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -36,11 +35,9 @@ pub mod config;
 pub mod function;
 pub mod registry;
 pub mod scheduler;
-pub mod telemetry;
 
 pub use coldstart::ImageSource;
 pub use config::{parse_deployment, ConfigParseError};
 pub use function::{AppPipeline, FunctionRole, FunctionSpec};
 pub use registry::{FunctionRegistry, RegistryError};
 pub use scheduler::{NodeCapability, NodeId, PendingRequest, Placement, ScheduleError, Scheduler};
-pub use telemetry::Telemetry;

@@ -6,9 +6,7 @@
 //! nodes when the DSA is busy or absent (Section 5.3). Requests are served
 //! First-Come-First-Serve and functions run to completion without preemption.
 
-use std::collections::{HashMap, VecDeque};
-
-use crate::telemetry::Telemetry;
+use std::collections::{BTreeMap, VecDeque};
 
 /// Identifier of a schedulable node (compute node or DSCS-capable storage node).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -53,11 +51,6 @@ impl Placement {
             Placement::InStorage(n) | Placement::OnCompute(n) => n,
         }
     }
-
-    /// Whether the placement uses the in-storage accelerator.
-    pub fn uses_dsa(&self) -> bool {
-        matches!(self, Placement::InStorage(_))
-    }
 }
 
 /// Errors returned by the scheduler.
@@ -84,11 +77,11 @@ impl std::error::Error for ScheduleError {}
 /// FCFS scheduler with DSCS-aware placement and fail-over.
 #[derive(Debug)]
 pub struct Scheduler {
-    capabilities: HashMap<NodeId, NodeCapability>,
-    busy: HashMap<NodeId, bool>,
+    /// Each node's capability and whether it is busy, in id order, so the
+    /// first free node of a class is the lowest-numbered one.
+    nodes: BTreeMap<NodeId, (NodeCapability, bool)>,
     queue: VecDeque<PendingRequest>,
     queue_depth: usize,
-    telemetry: Telemetry,
 }
 
 impl Scheduler {
@@ -100,33 +93,24 @@ impl Scheduler {
         nodes: impl IntoIterator<Item = (NodeId, NodeCapability)>,
         queue_depth: usize,
     ) -> Self {
-        let capabilities: HashMap<_, _> = nodes.into_iter().collect();
-        assert!(
-            !capabilities.is_empty(),
-            "scheduler needs at least one node"
-        );
+        let nodes: BTreeMap<_, _> = nodes
+            .into_iter()
+            .map(|(id, capability)| (id, (capability, false)))
+            .collect();
+        assert!(!nodes.is_empty(), "scheduler needs at least one node");
         assert!(queue_depth > 0, "queue depth must be positive");
-        let busy = capabilities.keys().map(|&n| (n, false)).collect();
         Scheduler {
-            capabilities,
-            busy,
+            nodes,
             queue: VecDeque::new(),
             queue_depth,
-            telemetry: Telemetry::new(),
         }
-    }
-
-    /// The telemetry registry (counters: `scheduled_total`, `queued_total`,
-    /// `fallback_total`; gauge: `queue_depth`).
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
     }
 
     /// Enqueues a request; it will be placed by [`Scheduler::dispatch`] in FCFS
     /// order as nodes free up.
     pub fn submit(&mut self, request: PendingRequest) -> Result<(), ScheduleError> {
         if let Some(node) = request.data_node {
-            if !self.capabilities.contains_key(&node) {
+            if !self.nodes.contains_key(&node) {
                 return Err(ScheduleError::UnknownNode(node));
             }
         }
@@ -134,9 +118,6 @@ impl Scheduler {
             return Err(ScheduleError::QueueFull);
         }
         self.queue.push_back(request);
-        self.telemetry.inc_counter("queued_total");
-        self.telemetry
-            .set_gauge("queue_depth", self.queue.len() as f64);
         Ok(())
     }
 
@@ -146,33 +127,15 @@ impl Scheduler {
     /// compute node otherwise (the paper's fail-over path).
     pub fn dispatch(&mut self) -> Vec<(PendingRequest, Placement)> {
         let mut placed = Vec::new();
-        let mut remaining = VecDeque::new();
-        while let Some(request) = self.queue.pop_front() {
-            match self.place(&request) {
-                Some(placement) => {
-                    *self.busy.get_mut(&placement.node()).expect("node exists") = true;
-                    self.telemetry.inc_counter("scheduled_total");
-                    if !placement.uses_dsa() && request.acceleratable {
-                        self.telemetry.inc_counter("fallback_total");
-                    }
-                    placed.push((request, placement));
-                }
-                None => {
-                    // FCFS: do not let later requests jump ahead of one that
-                    // cannot be placed yet.
-                    remaining.push_back(request);
-                    break;
-                }
-            }
+        // FCFS: a request that cannot be placed yet blocks every later one.
+        while let Some(placement) = self.queue.front().and_then(|r| self.place(r)) {
+            self.nodes
+                .get_mut(&placement.node())
+                .expect("node exists")
+                .1 = true;
+            let request = self.queue.pop_front().expect("the head was just placed");
+            placed.push((request, placement));
         }
-        while let Some(r) = self.queue.pop_front() {
-            remaining.push_back(r);
-        }
-        // Preserve FCFS order: the unplaceable head (if any) stays first.
-        let placed_head = remaining.clone();
-        self.queue = placed_head;
-        self.telemetry
-            .set_gauge("queue_depth", self.queue.len() as f64);
         placed
     }
 
@@ -181,21 +144,16 @@ impl Scheduler {
     /// # Panics
     /// Panics if the node is unknown.
     pub fn release(&mut self, node: NodeId) {
-        let slot = self.busy.get_mut(&node).expect("release of unknown node");
-        *slot = false;
-    }
-
-    /// Whether a node is currently busy.
-    pub fn is_busy(&self, node: NodeId) -> bool {
-        self.busy.get(&node).copied().unwrap_or(false)
+        self.nodes
+            .get_mut(&node)
+            .expect("release of unknown node")
+            .1 = false;
     }
 
     fn place(&self, request: &PendingRequest) -> Option<Placement> {
         if request.acceleratable {
             if let Some(data_node) = request.data_node {
-                if self.capabilities.get(&data_node) == Some(&NodeCapability::DscsStorage)
-                    && !self.is_busy(data_node)
-                {
+                if self.nodes.get(&data_node) == Some(&(NodeCapability::DscsStorage, false)) {
                     return Some(Placement::InStorage(data_node));
                 }
             }
@@ -210,14 +168,10 @@ impl Scheduler {
     }
 
     fn free_node_of(&self, capability: NodeCapability) -> Option<NodeId> {
-        let mut candidates: Vec<NodeId> = self
-            .capabilities
+        self.nodes
             .iter()
-            .filter(|(id, cap)| **cap == capability && !self.is_busy(**id))
-            .map(|(id, _)| *id)
-            .collect();
-        candidates.sort_unstable();
-        candidates.first().copied()
+            .find(|(_, &node)| node == (capability, false))
+            .map(|(&id, _)| id)
     }
 }
 
@@ -253,7 +207,7 @@ mod tests {
         let placed = s.dispatch();
         assert_eq!(placed.len(), 1);
         assert_eq!(placed[0].1, Placement::InStorage(NodeId(10)));
-        assert!(s.is_busy(NodeId(10)));
+        assert!(s.nodes[&NodeId(10)].1, "the data node is busy");
     }
 
     #[test]
@@ -273,9 +227,12 @@ mod tests {
             .expect("submit");
         let placed = s.dispatch();
         assert_eq!(placed.len(), 2);
-        assert!(placed[0].1.uses_dsa());
-        assert!(!placed[1].1.uses_dsa(), "second request must fall back");
-        assert_eq!(s.telemetry().counter("fallback_total"), 1);
+        assert_eq!(placed[0].1, Placement::InStorage(NodeId(10)));
+        assert_eq!(
+            placed[1].1,
+            Placement::OnCompute(NodeId(0)),
+            "second request must fall back"
+        );
     }
 
     #[test]
@@ -288,7 +245,7 @@ mod tests {
         s.submit(request(2, true, Some(NodeId(10))))
             .expect("submit");
         let placed = s.dispatch();
-        assert!(placed[0].1.uses_dsa());
+        assert_eq!(placed[0].1, Placement::InStorage(NodeId(10)));
     }
 
     #[test]
@@ -334,11 +291,26 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_tracks_queue_depth() {
-        let mut s = scheduler();
-        s.submit(request(1, false, None)).expect("ok");
-        assert_eq!(s.telemetry().gauge("queue_depth"), Some(1.0));
-        s.dispatch();
-        assert_eq!(s.telemetry().gauge("queue_depth"), Some(0.0));
+    fn a_blocked_queue_dispatches_without_walking_it() {
+        let mut s = Scheduler::new(vec![(NodeId(0), NodeCapability::Compute)], 10_001);
+        for id in 0..=10_000 {
+            s.submit(request(id, false, None)).expect("submit");
+        }
+        assert_eq!(
+            s.dispatch().len(),
+            1,
+            "the first request takes the only node"
+        );
+        let start = std::time::Instant::now();
+        for _ in 0..10_000 {
+            assert!(s.dispatch().is_empty(), "the node is still busy");
+        }
+        let elapsed = start.elapsed();
+        assert!(
+            elapsed < std::time::Duration::from_secs(1),
+            "10,000 dispatches behind a blocked head took {elapsed:?}"
+        );
+        s.release(NodeId(0));
+        assert_eq!(s.dispatch()[0].0.id, 1, "the queue kept its order");
     }
 }

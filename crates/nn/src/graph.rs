@@ -10,7 +10,7 @@ use std::fmt;
 
 use dscs_simcore::quantity::Bytes;
 
-use crate::op::{Operator, OperatorClass};
+use crate::op::Operator;
 
 /// Identifier of a node within one graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -38,24 +38,13 @@ pub struct Node {
 /// An operator graph in topological order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Graph {
-    name: String,
     nodes: Vec<Node>,
 }
 
 impl Graph {
-    /// The model name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Nodes in topological order.
     pub fn nodes(&self) -> &[Node] {
         &self.nodes
-    }
-
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
     }
 
     /// Whether the graph has no nodes.
@@ -84,25 +73,6 @@ impl Graph {
     /// Total parameter count.
     pub fn parameter_count(&self) -> u64 {
         self.nodes.iter().map(|n| n.op.parameter_count()).sum()
-    }
-
-    /// FLOPs broken down by operator class.
-    pub fn flops_by_class(&self) -> [(OperatorClass, u64); 3] {
-        let mut gemm = 0;
-        let mut vector = 0;
-        let mut data = 0;
-        for n in &self.nodes {
-            match n.op.class() {
-                OperatorClass::Gemm => gemm += n.op.flops(),
-                OperatorClass::Vector => vector += n.op.flops(),
-                OperatorClass::DataMovement => data += n.op.flops(),
-            }
-        }
-        [
-            (OperatorClass::Gemm, gemm),
-            (OperatorClass::Vector, vector),
-            (OperatorClass::DataMovement, data),
-        ]
     }
 
     /// Consumers of each node (inverse edges), indexed by node id.
@@ -198,28 +168,19 @@ impl std::error::Error for GraphError {}
 /// use dscs_nn::op::Operator;
 /// use dscs_nn::tensor::DType;
 ///
-/// let mut b = GraphBuilder::new("tiny");
+/// let mut b = GraphBuilder::default();
 /// let a = b.add("fc1", Operator::MatMul { m: 1, k: 4, n: 8, dtype: DType::Int8 }, &[]);
 /// let _ = b.add("fc2", Operator::MatMul { m: 1, k: 8, n: 2, dtype: DType::Int8 }, &[a]);
 /// let g = b.build();
-/// assert_eq!(g.len(), 2);
+/// assert_eq!(g.nodes().len(), 2);
 /// assert!(g.validate().is_ok());
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct GraphBuilder {
-    name: String,
     nodes: Vec<Node>,
 }
 
 impl GraphBuilder {
-    /// Creates an empty builder for a model with the given name.
-    pub fn new(name: impl Into<String>) -> Self {
-        GraphBuilder {
-            name: name.into(),
-            nodes: Vec::new(),
-        }
-    }
-
     /// Appends an operator fed by `inputs` and returns its id.
     ///
     /// # Panics
@@ -260,11 +221,6 @@ impl GraphBuilder {
         NodeId(self.nodes.len().checked_sub(1).expect("builder is empty"))
     }
 
-    /// Number of nodes added so far.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Whether no nodes have been added.
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
@@ -272,10 +228,7 @@ impl GraphBuilder {
 
     /// Finalises the graph.
     pub fn build(self) -> Graph {
-        let graph = Graph {
-            name: self.name,
-            nodes: self.nodes,
-        };
+        let graph = Graph { nodes: self.nodes };
         debug_assert!(graph.validate().is_ok());
         graph
     }
@@ -298,7 +251,7 @@ mod tests {
 
     #[test]
     fn builder_assigns_dense_ids() {
-        let mut b = GraphBuilder::new("t");
+        let mut b = GraphBuilder::default();
         let a = b.add("a", mm(1, 2, 3), &[]);
         let c = b.add("c", mm(1, 3, 4), &[a]);
         assert_eq!(a, NodeId(0));
@@ -310,7 +263,7 @@ mod tests {
 
     #[test]
     fn sequential_builder_links_previous() {
-        let mut b = GraphBuilder::new("seq");
+        let mut b = GraphBuilder::default();
         b.add_seq("a", mm(1, 2, 3));
         b.add_seq(
             "act",
@@ -326,7 +279,7 @@ mod tests {
 
     #[test]
     fn totals_sum_over_nodes() {
-        let mut b = GraphBuilder::new("t");
+        let mut b = GraphBuilder::default();
         b.add_seq("a", mm(2, 4, 8));
         b.add_seq("b", mm(2, 8, 16));
         let g = b.build();
@@ -336,27 +289,8 @@ mod tests {
     }
 
     #[test]
-    fn flops_by_class_partitions_total() {
-        let mut b = GraphBuilder::new("t");
-        b.add_seq("mm", mm(16, 16, 16));
-        b.add_seq(
-            "act",
-            Operator::Activation {
-                kind: ActivationKind::Relu,
-                elements: 256,
-                dtype: DType::Int8,
-            },
-        );
-        let g = b.build();
-        let by_class = g.flops_by_class();
-        let sum: u64 = by_class.iter().map(|(_, f)| f).sum();
-        assert_eq!(sum, g.total_flops());
-        assert!(by_class[0].1 > by_class[1].1);
-    }
-
-    #[test]
     fn consumers_invert_edges() {
-        let mut b = GraphBuilder::new("t");
+        let mut b = GraphBuilder::default();
         let a = b.add("a", mm(1, 2, 3), &[]);
         let c = b.add("c", mm(1, 3, 4), &[a]);
         let d = b.add("d", mm(1, 3, 4), &[a]);
@@ -369,7 +303,6 @@ mod tests {
     #[test]
     fn validate_catches_forward_edges() {
         let g = Graph {
-            name: "bad".into(),
             nodes: vec![Node {
                 id: NodeId(0),
                 name: "a".into(),
@@ -383,7 +316,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "must be added before")]
     fn builder_rejects_unknown_inputs() {
-        let mut b = GraphBuilder::new("t");
+        let mut b = GraphBuilder::default();
         b.add("a", mm(1, 1, 1), &[NodeId(5)]);
     }
 }

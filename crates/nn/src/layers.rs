@@ -425,7 +425,7 @@ mod tests {
 
     #[test]
     fn conv_block_tracks_spatial_dims() {
-        let mut b = GraphBuilder::new("t");
+        let mut b = GraphBuilder::default();
         let input = FeatureMap {
             batch: 1,
             channels: 3,
@@ -435,12 +435,12 @@ mod tests {
         let out = conv_bn_relu(&mut b, "stem", input, 64, 7, 2, DType::Int8);
         assert_eq!(out.channels, 64);
         assert_eq!(out.h, 112);
-        assert_eq!(b.len(), 3);
+        assert_eq!(b.build().nodes().len(), 3);
     }
 
     #[test]
     fn bottleneck_emits_projection_on_shape_change() {
-        let mut b = GraphBuilder::new("t");
+        let mut b = GraphBuilder::default();
         let input = FeatureMap {
             batch: 1,
             channels: 64,
@@ -448,10 +448,11 @@ mod tests {
             w: 56,
         };
         conv_bn_relu(&mut b, "stem", input, 64, 3, 1, DType::Int8);
-        let before = b.len();
+        let before = b.last().0 + 1;
         resnet_bottleneck(&mut b, "block", input, 64, 256, 1, DType::Int8);
-        let names: Vec<String> = (before..b.len())
-            .map(|i| b.clone().build().nodes()[i].name.clone())
+        let names: Vec<String> = b.build().nodes()[before..]
+            .iter()
+            .map(|n| n.name.clone())
             .collect();
         assert!(names.iter().any(|n| n.contains("proj")));
         assert!(names.iter().any(|n| n.contains("add")));
@@ -460,7 +461,7 @@ mod tests {
     #[test]
     fn attention_flops_scale_quadratically_with_tokens() {
         let flops_for = |tokens: u64| {
-            let mut b = GraphBuilder::new("t");
+            let mut b = GraphBuilder::default();
             attention_block(&mut b, "a", tokens, tokens, 768, 12, DType::Int8);
             b.build().total_flops()
         };
@@ -473,7 +474,7 @@ mod tests {
 
     #[test]
     fn encoder_block_has_attention_and_ffn() {
-        let mut b = GraphBuilder::new("t");
+        let mut b = GraphBuilder::default();
         transformer_encoder_block(&mut b, "enc0", 128, 768, 3072, 12, DType::Int8);
         let g = b.build();
         assert!(g.nodes().iter().any(|n| n.name.contains("attn")));
@@ -483,7 +484,7 @@ mod tests {
 
     #[test]
     fn decoder_block_has_cross_attention() {
-        let mut b = GraphBuilder::new("t");
+        let mut b = GraphBuilder::default();
         transformer_decoder_block(&mut b, "dec0", 64, 128, 512, 2048, 8, DType::Int8);
         let g = b.build();
         assert!(g.nodes().iter().any(|n| n.name.contains("cross_attn")));
@@ -491,7 +492,7 @@ mod tests {
 
     #[test]
     fn depthwise_separable_produces_pointwise_output_channels() {
-        let mut b = GraphBuilder::new("t");
+        let mut b = GraphBuilder::default();
         let input = FeatureMap {
             batch: 1,
             channels: 32,
@@ -505,7 +506,7 @@ mod tests {
 
     #[test]
     fn classifier_head_ends_with_softmax() {
-        let mut b = GraphBuilder::new("t");
+        let mut b = GraphBuilder::default();
         let input = FeatureMap {
             batch: 1,
             channels: 2048,

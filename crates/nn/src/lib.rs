@@ -8,7 +8,7 @@
 //! analysis, logistic regression, neural machine translation, conversational AI
 //! and generative AI. This crate provides:
 //!
-//! * [`tensor`] — tensor shapes and element types with byte accounting.
+//! * [`tensor`] — element types and their sizes.
 //! * [`op`] — the operator vocabulary the paper's DSA supports (GEMM-class
 //!   operators executed on the Matrix Processing Unit, and vector-class
 //!   operators executed on the Vector Processing Unit).
@@ -50,5 +50,5 @@ pub mod zoo;
 pub use graph::{Graph, GraphBuilder, Node, NodeId};
 pub use op::{ActivationKind, ElementwiseKind, Operator, OperatorClass};
 pub use preprocess::{PostprocessSpec, PreprocessKind, PreprocessSpec};
-pub use tensor::{DType, Shape, TensorSpec};
+pub use tensor::DType;
 pub use zoo::{Model, ModelKind};

@@ -18,12 +18,8 @@ use crate::tensor::DType;
 pub enum ActivationKind {
     /// Rectified linear unit.
     Relu,
-    /// Leaky rectified linear unit.
-    LeakyRelu,
     /// Gaussian error linear unit (transformers).
     Gelu,
-    /// Hyperbolic tangent.
-    Tanh,
     /// Logistic sigmoid.
     Sigmoid,
 }
@@ -33,9 +29,8 @@ impl ActivationKind {
     pub const fn ops_per_element(self) -> u64 {
         match self {
             ActivationKind::Relu => 1,
-            ActivationKind::LeakyRelu => 2,
             ActivationKind::Gelu => 8,
-            ActivationKind::Tanh | ActivationKind::Sigmoid => 4,
+            ActivationKind::Sigmoid => 4,
         }
     }
 }
@@ -45,8 +40,6 @@ impl ActivationKind {
 pub enum ElementwiseKind {
     /// Element-wise addition (residual connections, bias add).
     Add,
-    /// Element-wise subtraction.
-    Sub,
     /// Element-wise multiplication (gating, scaling).
     Mul,
     /// Element-wise division.
@@ -425,21 +418,6 @@ impl Operator {
             _ => 0,
         }
     }
-
-    /// Total bytes moved (weights + inputs + outputs); the operator's memory
-    /// traffic assuming no on-chip reuse. Cycle models apply reuse on top.
-    pub fn total_bytes(&self) -> Bytes {
-        self.weight_bytes() + self.input_bytes() + self.output_bytes()
-    }
-
-    /// Arithmetic intensity in FLOPs per byte of traffic.
-    pub fn arithmetic_intensity(&self) -> f64 {
-        let bytes = self.total_bytes().as_f64();
-        if bytes == 0.0 {
-            return 0.0;
-        }
-        self.flops() as f64 / bytes
-    }
 }
 
 impl fmt::Display for Operator {
@@ -567,22 +545,6 @@ mod tests {
         };
         assert_eq!(cast.input_bytes().as_u64(), 400);
         assert_eq!(cast.output_bytes().as_u64(), 200);
-    }
-
-    #[test]
-    fn arithmetic_intensity_orders_gemm_above_vector() {
-        let gemm = Operator::MatMul {
-            m: 256,
-            k: 1024,
-            n: 1024,
-            dtype: DType::Int8,
-        };
-        let add = Operator::Elementwise {
-            kind: ElementwiseKind::Add,
-            elements: 1024,
-            dtype: DType::Fp16,
-        };
-        assert!(gemm.arithmetic_intensity() > add.arithmetic_intensity());
     }
 
     #[test]

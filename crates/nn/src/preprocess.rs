@@ -52,7 +52,7 @@ impl PreprocessSpec {
     /// Builds the operator graph for the pre-processing work at the given batch size.
     pub fn graph(&self, batch: u64) -> Graph {
         assert!(batch > 0, "batch must be positive");
-        let mut b = GraphBuilder::new("preprocess");
+        let mut b = GraphBuilder::default();
         match self.kind {
             PreprocessKind::ImageDecodeResize {
                 target_h,
@@ -139,19 +139,6 @@ impl PreprocessSpec {
         }
         b.build()
     }
-
-    /// Size of the pre-processed tensor handed to the inference function.
-    pub fn output_size(&self, batch: u64) -> Bytes {
-        match self.kind {
-            PreprocessKind::ImageDecodeResize {
-                target_h,
-                target_w,
-                channels,
-            } => Bytes::new(batch * channels * target_h * target_w),
-            PreprocessKind::Tokenize { tokens } => Bytes::new(batch * tokens * 4),
-            PreprocessKind::TabularFeaturize { features } => Bytes::new(batch * features),
-        }
-    }
 }
 
 /// Specification of the post-inference output handed to the notification
@@ -190,9 +177,8 @@ mod tests {
             raw_input: Bytes::from_mib(2),
         };
         let g = spec.graph(1);
-        assert_eq!(g.len(), 4);
+        assert_eq!(g.nodes().len(), 4);
         assert!(g.total_flops() > 0);
-        assert_eq!(spec.output_size(1).as_u64(), 3 * 224 * 224);
     }
 
     #[test]
@@ -207,12 +193,11 @@ mod tests {
     }
 
     #[test]
-    fn tabular_output_is_compact() {
+    fn tabular_preprocess_does_work() {
         let spec = PreprocessSpec {
             kind: PreprocessKind::TabularFeaturize { features: 64 },
             raw_input: Bytes::from_kib(16),
         };
-        assert_eq!(spec.output_size(4).as_u64(), 256);
         assert!(spec.graph(4).total_flops() > 0);
     }
 

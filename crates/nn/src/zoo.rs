@@ -52,18 +52,6 @@ pub enum ModelKind {
 }
 
 impl ModelKind {
-    /// All model kinds, in the paper's benchmark order.
-    pub const ALL: [ModelKind; 8] = [
-        ModelKind::LogisticRegression,
-        ModelKind::SsdMobileNet,
-        ModelKind::ResNet50,
-        ModelKind::Gpt2Chatbot,
-        ModelKind::TransformerNmt,
-        ModelKind::InceptionV3,
-        ModelKind::BertBase,
-        ModelKind::VitBase,
-    ];
-
     /// Short display name.
     pub fn name(&self) -> &'static str {
         match self {
@@ -85,11 +73,9 @@ impl fmt::Display for ModelKind {
     }
 }
 
-/// A built model: its operator graph plus descriptive metadata.
+/// A built model: its operator graph.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Model {
-    kind: ModelKind,
-    batch: u64,
     graph: Graph,
 }
 
@@ -115,17 +101,7 @@ impl Model {
             ModelKind::BertBase => bert_base(batch),
             ModelKind::VitBase => vit_base(batch),
         };
-        Model { kind, batch, graph }
-    }
-
-    /// Which network this is.
-    pub fn kind(&self) -> ModelKind {
-        self.kind
-    }
-
-    /// Batch size the graph was built for.
-    pub fn batch(&self) -> u64 {
-        self.batch
+        Model { graph }
     }
 
     /// The operator graph.
@@ -143,11 +119,6 @@ impl Model {
     pub fn weight_bytes(&self) -> Bytes {
         self.graph.total_weight_bytes()
     }
-
-    /// Total FLOPs of one forward pass at the built batch size.
-    pub fn flops(&self) -> u64 {
-        self.graph.total_flops()
-    }
 }
 
 const DT: DType = DType::Int8;
@@ -155,7 +126,7 @@ const DT: DType = DType::Int8;
 /// Logistic regression over 64 engineered features with a small hidden
 /// expansion, matching the IBM credit-risk workflow the paper cites.
 fn logistic_regression(batch: u64) -> Graph {
-    let mut b = GraphBuilder::new("logistic-regression");
+    let mut b = GraphBuilder::default();
     b.add_seq(
         "linear",
         Operator::MatMul {
@@ -178,7 +149,7 @@ fn logistic_regression(batch: u64) -> Graph {
 
 /// ResNet-50 (bottleneck v1) at 224x224.
 fn resnet50(batch: u64) -> Graph {
-    let mut b = GraphBuilder::new("resnet50");
+    let mut b = GraphBuilder::default();
     let mut fm = FeatureMap {
         batch,
         channels: 3,
@@ -230,7 +201,7 @@ fn resnet50(batch: u64) -> Graph {
 
 /// SSD object detector on a MobileNetV1 backbone at 300x300.
 fn ssd_mobilenet(batch: u64) -> Graph {
-    let mut b = GraphBuilder::new("ssd-mobilenet");
+    let mut b = GraphBuilder::default();
     let mut fm = FeatureMap {
         batch,
         channels: 3,
@@ -294,7 +265,7 @@ fn ssd_mobilenet(batch: u64) -> Graph {
 /// Inception-v3 at 299x299, approximated as its published stem plus inception
 /// stages with equivalent channel widths.
 fn inception_v3(batch: u64) -> Graph {
-    let mut b = GraphBuilder::new("inception-v3");
+    let mut b = GraphBuilder::default();
     let mut fm = FeatureMap {
         batch,
         channels: 3,
@@ -385,7 +356,7 @@ fn inception_v3(batch: u64) -> Graph {
 /// binary classification head (content moderation).
 fn bert_base(batch: u64) -> Graph {
     let tokens = 128 * batch;
-    let mut b = GraphBuilder::new("bert-base");
+    let mut b = GraphBuilder::default();
     b.add_seq(
         "embeddings",
         Operator::Embedding {
@@ -448,7 +419,7 @@ fn gpt2(batch: u64) -> Graph {
     let prompt = 96u64;
     let generated = 32u64;
     let total_tokens = (prompt + generated) * batch;
-    let mut b = GraphBuilder::new("gpt2-chatbot");
+    let mut b = GraphBuilder::default();
     b.add_seq(
         "wte",
         Operator::Embedding {
@@ -496,7 +467,7 @@ fn gpt2(batch: u64) -> Graph {
 fn transformer_nmt(batch: u64) -> Graph {
     let src = 64 * batch;
     let tgt = 64 * batch;
-    let mut b = GraphBuilder::new("transformer-nmt");
+    let mut b = GraphBuilder::default();
     b.add_seq(
         "src_embed",
         Operator::Embedding {
@@ -553,7 +524,7 @@ fn transformer_nmt(batch: u64) -> Graph {
 /// ViT-Base/16 at 224x224 (196 patch tokens + class token, 12 layers).
 fn vit_base(batch: u64) -> Graph {
     let tokens = 197 * batch;
-    let mut b = GraphBuilder::new("vit-base");
+    let mut b = GraphBuilder::default();
     // Patch embedding: a 16x16 stride-16 convolution.
     b.add_seq(
         "patch_embed",
@@ -612,19 +583,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn all_models_build_and_validate() {
-        for kind in ModelKind::ALL {
-            let m = Model::build(kind);
-            assert!(m.graph().validate().is_ok(), "{kind} graph invalid");
-            assert!(!m.graph().is_empty());
-            assert!(m.flops() > 0, "{kind} has zero FLOPs");
-        }
-    }
-
-    #[test]
     fn resnet50_flops_and_params_in_range() {
         let m = Model::build(ModelKind::ResNet50);
-        let gflops = m.flops() as f64 / 1e9;
+        let gflops = m.graph().total_flops() as f64 / 1e9;
         assert!((6.0..12.0).contains(&gflops), "ResNet-50 GFLOPs {gflops}");
         let params = m.parameter_count() as f64 / 1e6;
         assert!((20.0..35.0).contains(&params), "ResNet-50 Mparams {params}");
@@ -641,7 +602,7 @@ mod tests {
     fn vit_flops_exceed_resnet() {
         let vit = Model::build(ModelKind::VitBase);
         let resnet = Model::build(ModelKind::ResNet50);
-        assert!(vit.flops() > resnet.flops());
+        assert!(vit.graph().total_flops() > resnet.graph().total_flops());
     }
 
     #[test]
@@ -650,20 +611,24 @@ mod tests {
         let params = m.parameter_count() as f64 / 1e6;
         assert!((100.0..200.0).contains(&params), "GPT-2 Mparams {params}");
         // Generation should dominate a single BERT pass.
-        assert!(m.flops() > Model::build(ModelKind::BertBase).flops());
+        assert!(m.graph().total_flops() > Model::build(ModelKind::BertBase).graph().total_flops());
     }
 
     #[test]
     fn logistic_regression_is_tiny() {
         let m = Model::build(ModelKind::LogisticRegression);
-        assert!(m.flops() < 1_000);
+        assert!(m.graph().total_flops() < 1_000);
         assert!(m.parameter_count() < 1_000);
     }
 
     #[test]
     fn batching_scales_gemm_flops_linearly_for_cnns() {
-        let b1 = Model::build_with_batch(ModelKind::ResNet50, 1).flops();
-        let b8 = Model::build_with_batch(ModelKind::ResNet50, 8).flops();
+        let b1 = Model::build_with_batch(ModelKind::ResNet50, 1)
+            .graph()
+            .total_flops();
+        let b8 = Model::build_with_batch(ModelKind::ResNet50, 8)
+            .graph()
+            .total_flops();
         let ratio = b8 as f64 / b1 as f64;
         assert!((7.5..8.5).contains(&ratio), "ratio {ratio}");
     }
@@ -680,13 +645,12 @@ mod tests {
     fn ssd_mobilenet_cheaper_than_resnet() {
         let ssd = Model::build(ModelKind::SsdMobileNet);
         let resnet = Model::build(ModelKind::ResNet50);
-        assert!(ssd.flops() < resnet.flops());
+        assert!(ssd.graph().total_flops() < resnet.graph().total_flops());
     }
 
     #[test]
     fn display_names_are_stable() {
         assert_eq!(ModelKind::ResNet50.to_string(), "ResNet-50");
-        assert_eq!(ModelKind::ALL.len(), 8);
     }
 
     #[test]

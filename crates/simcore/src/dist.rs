@@ -19,7 +19,7 @@ const Z_99: f64 = 2.326_347_874_040_841;
 /// use dscs_simcore::dist::LogNormalDist;
 /// // Median 28 ms, p99 59 ms — roughly AWS S3 small-object reads.
 /// let d = LogNormalDist::from_median_p99(0.028, 0.059);
-/// assert!((d.median() - 0.028).abs() < 1e-12);
+/// assert!((d.quantile(0.5) - 0.028).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LogNormalDist {
@@ -30,18 +30,6 @@ pub struct LogNormalDist {
 }
 
 impl LogNormalDist {
-    /// Creates a lognormal from log-space parameters.
-    ///
-    /// # Panics
-    /// Panics if `sigma` is negative or either parameter is not finite.
-    pub fn new(mu: f64, sigma: f64) -> Self {
-        assert!(
-            mu.is_finite() && sigma.is_finite() && sigma >= 0.0,
-            "invalid lognormal parameters"
-        );
-        LogNormalDist { mu, sigma }
-    }
-
     /// Calibrates the distribution so that the median and 99th percentile match
     /// the given values.
     ///
@@ -52,11 +40,6 @@ impl LogNormalDist {
         let mu = median.ln();
         let sigma = (p99.ln() - mu) / Z_99;
         LogNormalDist { mu, sigma }
-    }
-
-    /// The distribution median.
-    pub fn median(&self) -> f64 {
-        self.mu.exp()
     }
 
     /// The value at quantile `q` in `(0, 1)`, from the closed-form inverse CDF.
@@ -203,24 +186,7 @@ impl ZipfIndex {
         ZipfIndex { cdf, guide }
     }
 
-    /// Number of ranks.
-    pub fn len(&self) -> usize {
-        self.cdf.len()
-    }
-
-    /// Whether the sampler has no ranks (never true for a constructed sampler).
-    pub fn is_empty(&self) -> bool {
-        self.cdf.is_empty()
-    }
-
-    /// The probability mass of rank `k`.
-    pub fn probability(&self, k: usize) -> f64 {
-        let hi = self.cdf[k];
-        let lo = if k == 0 { 0.0 } else { self.cdf[k - 1] };
-        hi - lo
-    }
-
-    /// Draws one rank in `0..len()`.
+    /// Draws one rank in `0..n`.
     pub fn sample(&self, rng: &mut DeterministicRng) -> usize {
         self.rank_of(rng.next_f64())
     }
@@ -418,16 +384,9 @@ mod tests {
     #[test]
     fn zipf_zero_skew_is_uniform() {
         let zipf = ZipfIndex::new(4, 0.0);
-        for k in 0..4 {
-            assert!((zipf.probability(k) - 0.25).abs() < 1e-12);
+        for (k, &c) in zipf.cdf.iter().enumerate() {
+            assert!((c - 0.25 * (k + 1) as f64).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn zipf_probabilities_sum_to_one() {
-        let zipf = ZipfIndex::new(100, 0.9);
-        let total: f64 = (0..100).map(|k| zipf.probability(k)).sum();
-        assert!((total - 1.0).abs() < 1e-9);
     }
 
     #[test]

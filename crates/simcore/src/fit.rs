@@ -31,16 +31,6 @@ impl Polynomial {
         Polynomial { coeffs }
     }
 
-    /// Coefficients in ascending degree order.
-    pub fn coefficients(&self) -> &[f64] {
-        &self.coeffs
-    }
-
-    /// Polynomial degree.
-    pub fn degree(&self) -> usize {
-        self.coeffs.len() - 1
-    }
-
     /// Evaluates the polynomial at `x` (Horner's method).
     pub fn eval(&self, x: f64) -> f64 {
         self.coeffs.iter().rev().fold(0.0, |acc, &c| acc * x + c)
@@ -88,7 +78,7 @@ impl fmt::Display for Polynomial {
 /// use dscs_simcore::fit::polyfit;
 /// let pts: Vec<(f64, f64)> = (0..10).map(|i| (i as f64, 3.0 + 2.0 * i as f64)).collect();
 /// let poly = polyfit(&pts, 1);
-/// assert!((poly.coefficients()[1] - 2.0).abs() < 1e-9);
+/// assert!((poly.eval(1.0) - poly.eval(0.0) - 2.0).abs() < 1e-9);
 /// ```
 pub fn polyfit(points: &[(f64, f64)], degree: usize) -> Polynomial {
     let n = degree + 1;
@@ -168,8 +158,8 @@ mod tests {
     fn fits_exact_line() {
         let pts: Vec<(f64, f64)> = (0..20).map(|i| (i as f64, 5.0 - 0.5 * i as f64)).collect();
         let p = polyfit(&pts, 1);
-        assert!((p.coefficients()[0] - 5.0).abs() < 1e-9);
-        assert!((p.coefficients()[1] + 0.5).abs() < 1e-9);
+        assert!((p.eval(0.0) - 5.0).abs() < 1e-9);
+        assert!((p.eval(1.0) - p.eval(0.0) + 0.5).abs() < 1e-9);
         assert!(p.r_squared(&pts) > 0.999_999);
     }
 
@@ -178,8 +168,8 @@ mod tests {
         let f = |x: f64| 1.0 - 2.0 * x + 0.3 * x * x + 0.01 * x * x * x;
         let pts: Vec<(f64, f64)> = (0..30).map(|i| (i as f64, f(i as f64))).collect();
         let p = polyfit(&pts, 3);
-        for (i, expect) in [1.0, -2.0, 0.3, 0.01].iter().enumerate() {
-            assert!((p.coefficients()[i] - expect).abs() < 1e-6, "coef {i}");
+        for (x, _) in pts {
+            assert!((p.eval(x) - f(x)).abs() < 1e-6, "x {x}");
         }
     }
 
@@ -187,7 +177,6 @@ mod tests {
     fn eval_uses_horner_correctly() {
         let p = Polynomial::new(vec![1.0, 2.0, 3.0]);
         assert_eq!(p.eval(2.0), 1.0 + 4.0 + 12.0);
-        assert_eq!(p.degree(), 2);
     }
 
     #[test]
@@ -209,7 +198,7 @@ mod tests {
             })
             .collect();
         let p = polyfit(&pts, 1);
-        assert!((p.coefficients()[1] - 2.0).abs() < 0.05);
+        assert!((p.eval(1.0) - p.eval(0.0) - 2.0).abs() < 0.05);
     }
 
     #[test]

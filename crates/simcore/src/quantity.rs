@@ -54,11 +54,6 @@ impl Bytes {
         self.0 as f64
     }
 
-    /// Saturating subtraction.
-    pub fn saturating_sub(self, rhs: Bytes) -> Bytes {
-        Bytes(self.0.saturating_sub(rhs.0))
-    }
-
     /// Scales the size by a floating point factor (e.g. a compression ratio).
     pub fn scale(self, factor: f64) -> Bytes {
         Bytes((self.0 as f64 * factor).round().max(0.0) as u64)
@@ -166,15 +161,6 @@ impl Bandwidth {
         }
         assert!(self.0 > 0.0, "cannot transfer over a zero-bandwidth link");
         SimDuration::from_secs_f64(size.as_f64() / self.0)
-    }
-
-    /// Derates the bandwidth by an efficiency in `(0, 1]`.
-    pub fn derate(self, efficiency: f64) -> Bandwidth {
-        assert!(
-            efficiency > 0.0 && efficiency <= 1.0,
-            "efficiency must be in (0, 1]"
-        );
-        Bandwidth(self.0 * efficiency)
     }
 }
 

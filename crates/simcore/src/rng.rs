@@ -20,7 +20,6 @@
 #[derive(Debug, Clone)]
 pub struct DeterministicRng {
     state: [u64; 4],
-    seed: u64,
 }
 
 impl DeterministicRng {
@@ -38,13 +37,7 @@ impl DeterministicRng {
         };
         DeterministicRng {
             state: [next_sm(), next_sm(), next_sm(), next_sm()],
-            seed,
         }
-    }
-
-    /// The seed this generator was created with.
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// Derives an independent child generator; useful to give each simulated

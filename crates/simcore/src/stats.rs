@@ -12,7 +12,7 @@ use std::fmt;
 /// use dscs_simcore::stats::Summary;
 /// let s = Summary::from_samples(&[1.0, 2.0, 3.0, 4.0]);
 /// assert_eq!(s.count(), 4);
-/// assert_eq!(s.min(), 1.0);
+/// assert_eq!(s.quantile(0.0), 1.0);
 /// assert_eq!(s.max(), 4.0);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -46,11 +46,6 @@ impl Summary {
     /// Arithmetic mean.
     pub fn mean(&self) -> f64 {
         self.mean
-    }
-
-    /// Smallest sample.
-    pub fn min(&self) -> f64 {
-        self.sorted[0]
     }
 
     /// Largest sample.
@@ -122,14 +117,6 @@ pub struct Cdf {
 }
 
 impl Cdf {
-    /// Builds a CDF from unsorted samples.
-    ///
-    /// # Panics
-    /// Panics if `samples` is empty or contains non-finite values.
-    pub fn from_samples(samples: &[f64]) -> Self {
-        Summary::from_samples(samples).cdf()
-    }
-
     fn from_sorted(sorted: Vec<f64>) -> Self {
         Cdf { sorted }
     }
@@ -162,11 +149,6 @@ impl Cdf {
                 (x, self.probability_at(x))
             })
             .collect()
-    }
-
-    /// Number of underlying samples.
-    pub fn count(&self) -> usize {
-        self.sorted.len()
     }
 }
 
@@ -246,21 +228,6 @@ impl QuantileSketch {
         }
     }
 
-    /// Builds a sketch from raw samples.
-    ///
-    /// # Panics
-    /// Panics if `samples` is empty or contains negative or non-finite
-    /// values — the same contract as [`Summary::from_samples`] (plus
-    /// non-negativity: the sketch buckets by logarithm).
-    pub fn from_samples(samples: &[f64]) -> Self {
-        assert!(!samples.is_empty(), "cannot summarise an empty sample set");
-        let mut sketch = QuantileSketch::new();
-        for &v in samples {
-            sketch.record(v);
-        }
-        sketch
-    }
-
     /// Records one sample.
     ///
     /// # Panics
@@ -317,15 +284,6 @@ impl QuantileSketch {
         self.sum / self.count as f64
     }
 
-    /// Smallest recorded sample — exact.
-    ///
-    /// # Panics
-    /// Panics if the sketch is empty.
-    pub fn min(&self) -> f64 {
-        assert!(self.count > 0, "cannot summarise an empty sketch");
-        self.min
-    }
-
     /// Largest recorded sample — exact.
     ///
     /// # Panics
@@ -333,11 +291,6 @@ impl QuantileSketch {
     pub fn max(&self) -> f64 {
         assert!(self.count > 0, "cannot summarise an empty sketch");
         self.max
-    }
-
-    /// Sum of all recorded samples — exact.
-    pub fn sum(&self) -> f64 {
-        self.sum
     }
 
     /// Value at quantile `q` in `[0, 1]`: the representative of the bucket
@@ -491,6 +444,12 @@ pub fn arithmetic_mean(values: &[f64]) -> f64 {
 mod tests {
     use super::*;
 
+    fn sketch_of(samples: &[f64]) -> QuantileSketch {
+        let mut sketch = QuantileSketch::new();
+        samples.iter().for_each(|&v| sketch.record(v));
+        sketch
+    }
+
     #[test]
     fn summary_quantiles_interpolate() {
         let s = Summary::from_samples(&[1.0, 2.0, 3.0, 4.0, 5.0]);
@@ -512,12 +471,12 @@ mod tests {
         let s = Summary::from_samples(&[3.5]);
         assert_eq!(s.p50(), 3.5);
         assert_eq!(s.p99(), 3.5);
-        assert_eq!(s.min(), s.max());
+        assert_eq!(s.quantile(0.0), s.max());
     }
 
     #[test]
     fn cdf_probabilities_monotone() {
-        let cdf = Cdf::from_samples(&[1.0, 2.0, 2.0, 3.0, 10.0]);
+        let cdf = Summary::from_samples(&[1.0, 2.0, 2.0, 3.0, 10.0]).cdf();
         assert_eq!(cdf.probability_at(0.5), 0.0);
         assert_eq!(cdf.probability_at(2.0), 0.6);
         assert_eq!(cdf.probability_at(10.0), 1.0);
@@ -549,19 +508,18 @@ mod tests {
     #[test]
     fn sketch_tracks_exact_count_sum_min_max() {
         let samples = [0.004, 0.120, 0.0, 3.5, 0.004];
-        let sketch = QuantileSketch::from_samples(&samples);
+        let sketch = sketch_of(&samples);
         assert_eq!(sketch.count(), 5);
-        assert_eq!(sketch.min(), 0.0);
+        assert_eq!(sketch.quantile(0.0), 0.0);
         assert_eq!(sketch.max(), 3.5);
         let exact: f64 = samples.iter().sum();
-        assert_eq!(sketch.sum().to_bits(), exact.to_bits());
-        assert!((sketch.mean() - exact / 5.0).abs() < 1e-15);
+        assert_eq!(sketch.mean().to_bits(), (exact / 5.0).to_bits());
     }
 
     #[test]
     fn sketch_quantiles_stay_within_the_relative_bound() {
         let samples: Vec<f64> = (1..=1000).map(|i| i as f64 * 0.001).collect();
-        let sketch = QuantileSketch::from_samples(&samples);
+        let sketch = sketch_of(&samples);
         for q in [0.0, 0.25, 0.5, 0.9, 0.95, 0.99, 1.0] {
             let rank = ((q * samples.len() as f64).ceil() as usize).max(1);
             let exact = samples[rank - 1];
@@ -577,12 +535,15 @@ mod tests {
     fn sketch_merge_equals_recording_the_union() {
         let a: Vec<f64> = (1..=500).map(|i| i as f64 * 0.002).collect();
         let b: Vec<f64> = (1..=300).map(|i| (i * i) as f64 * 1e-5).collect();
-        let mut merged = QuantileSketch::from_samples(&a);
-        merged.merge(&QuantileSketch::from_samples(&b));
+        let mut merged = sketch_of(&a);
+        merged.merge(&sketch_of(&b));
         let union: Vec<f64> = a.iter().chain(&b).copied().collect();
-        let direct = QuantileSketch::from_samples(&union);
+        let direct = sketch_of(&union);
         assert_eq!(merged.count(), direct.count());
-        assert_eq!(merged.min().to_bits(), direct.min().to_bits());
+        assert_eq!(
+            merged.quantile(0.0).to_bits(),
+            direct.quantile(0.0).to_bits()
+        );
         assert_eq!(merged.max().to_bits(), direct.max().to_bits());
         for q in [0.1, 0.5, 0.9, 0.99] {
             assert_eq!(
@@ -605,7 +566,7 @@ mod tests {
         assert_eq!(sketch.quantile(0.5), 0.0);
         assert!(sketch.quantile(1.0) <= 1e12);
         assert_eq!(sketch.max(), 1e12);
-        assert_eq!(sketch.min(), 0.0);
+        assert_eq!(sketch.quantile(0.0), 0.0);
     }
 
     /// Satellite regression test: the rank formula ⌈q·n⌉ degenerates at the
@@ -616,11 +577,11 @@ mod tests {
     #[test]
     fn sketch_boundary_quantiles_are_the_exact_extremes() {
         let samples: Vec<f64> = (1..=257).map(|i| i as f64 * 0.013).collect();
-        let sketch = QuantileSketch::from_samples(&samples);
-        assert_eq!(sketch.quantile(0.0).to_bits(), sketch.min().to_bits());
+        let sketch = sketch_of(&samples);
+        assert_eq!(sketch.quantile(0.0).to_bits(), samples[0].to_bits());
         assert_eq!(sketch.quantile(1.0).to_bits(), sketch.max().to_bits());
         let mut merged = sketch.clone();
-        merged.merge(&QuantileSketch::from_samples(&[1e4, 1e-6]));
+        merged.merge(&sketch_of(&[1e4, 1e-6]));
         assert_eq!(merged.quantile(0.0), 1e-6);
         assert_eq!(merged.quantile(1.0), 1e4);
     }
@@ -628,18 +589,18 @@ mod tests {
     #[test]
     #[should_panic(expected = "[0, 1]")]
     fn sketch_rejects_out_of_range_quantiles() {
-        let _ = QuantileSketch::from_samples(&[1.0]).quantile(1.5);
+        let _ = sketch_of(&[1.0]).quantile(1.5);
     }
 
     #[test]
     #[should_panic(expected = "quantile")]
     fn sketch_rejects_non_finite_quantiles() {
-        let _ = QuantileSketch::from_samples(&[1.0]).quantile(f64::NAN);
+        let _ = sketch_of(&[1.0]).quantile(f64::NAN);
     }
 
     #[test]
     fn single_sample_sketch_answers_that_sample() {
-        let sketch = QuantileSketch::from_samples(&[0.0375]);
+        let sketch = sketch_of(&[0.0375]);
         for q in [0.0, 0.5, 1.0] {
             let got = sketch.quantile(q);
             assert!(
@@ -649,12 +610,6 @@ mod tests {
         }
         // min/max clamping pins the answer to the exact sample.
         assert_eq!(sketch.quantile(0.5), 0.0375);
-    }
-
-    #[test]
-    #[should_panic(expected = "empty")]
-    fn empty_sketch_from_samples_panics() {
-        let _ = QuantileSketch::from_samples(&[]);
     }
 
     #[test]

@@ -39,18 +39,6 @@ impl SimTime {
         SimTime(ns)
     }
 
-    /// Creates an instant from seconds since simulation start.
-    ///
-    /// # Panics
-    /// Panics if `secs` is negative or not finite.
-    pub fn from_secs_f64(secs: f64) -> Self {
-        assert!(
-            secs.is_finite() && secs >= 0.0,
-            "time must be finite and non-negative"
-        );
-        SimTime((secs * 1e9).round() as u64)
-    }
-
     /// Nanoseconds since simulation start.
     pub const fn as_nanos(self) -> u64 {
         self.0
@@ -70,11 +58,6 @@ impl SimTime {
 impl SimDuration {
     /// A zero-length span.
     pub const ZERO: SimDuration = SimDuration(0);
-
-    /// Creates a span from nanoseconds.
-    pub const fn from_nanos(ns: u64) -> Self {
-        SimDuration(ns)
-    }
 
     /// Creates a span from microseconds.
     pub const fn from_micros(us: u64) -> Self {
@@ -108,11 +91,6 @@ impl SimDuration {
         self.0
     }
 
-    /// The span in microseconds (floating point).
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 / 1e3
-    }
-
     /// The span in milliseconds (floating point).
     pub fn as_millis_f64(self) -> f64 {
         self.0 as f64 / 1e6
@@ -131,24 +109,6 @@ impl SimDuration {
     /// Saturating subtraction.
     pub fn saturating_sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(rhs.0))
-    }
-
-    /// The larger of two spans.
-    pub fn max(self, other: SimDuration) -> SimDuration {
-        if self.0 >= other.0 {
-            self
-        } else {
-            other
-        }
-    }
-
-    /// The smaller of two spans.
-    pub fn min(self, other: SimDuration) -> SimDuration {
-        if self.0 <= other.0 {
-            self
-        } else {
-            other
-        }
     }
 }
 
@@ -273,7 +233,7 @@ mod tests {
     fn duration_constructors_agree() {
         assert_eq!(SimDuration::from_secs(1), SimDuration::from_millis(1000));
         assert_eq!(SimDuration::from_millis(1), SimDuration::from_micros(1000));
-        assert_eq!(SimDuration::from_micros(1), SimDuration::from_nanos(1000));
+        assert_eq!(SimDuration::from_micros(1).as_nanos(), 1000);
         assert_eq!(SimDuration::from_secs_f64(0.25).as_nanos(), 250_000_000);
     }
 
@@ -295,18 +255,16 @@ mod tests {
     }
 
     #[test]
-    fn min_max_and_sum() {
+    fn durations_sum() {
         let a = SimDuration::from_micros(3);
         let b = SimDuration::from_micros(7);
-        assert_eq!(a.max(b), b);
-        assert_eq!(a.min(b), a);
         let total: SimDuration = [a, b, a].into_iter().sum();
-        assert_eq!(total.as_micros_f64(), 13.0);
+        assert_eq!(total, SimDuration::from_micros(13));
     }
 
     #[test]
     fn display_picks_sensible_units() {
-        assert_eq!(format!("{}", SimDuration::from_nanos(12)), "12ns");
+        assert_eq!(format!("{}", SimDuration::from_secs_f64(12e-9)), "12ns");
         assert_eq!(format!("{}", SimDuration::from_micros(12)), "12.000us");
         assert_eq!(format!("{}", SimDuration::from_millis(12)), "12.000ms");
         assert_eq!(format!("{}", SimDuration::from_secs(2)), "2.000s");
@@ -315,7 +273,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "underflow")]
     fn duration_sub_underflow_panics() {
-        let _ = SimDuration::from_nanos(1) - SimDuration::from_nanos(2);
+        let _ = SimDuration::from_micros(1) - SimDuration::from_micros(2);
     }
 
     #[test]

@@ -146,7 +146,7 @@ mod tests {
         let drive = SsdDrive::datacenter_nvme();
         let small = drive.host_read_latency(Bytes::from_kib(4));
         // flash (~70us) + syscall (18us) + object service (120us) + PCIe (~10us).
-        assert!(small.as_micros_f64() > 200.0, "latency {small}");
+        assert!(small > SimDuration::from_micros(200), "latency {small}");
     }
 
     #[test]

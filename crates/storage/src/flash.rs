@@ -59,8 +59,8 @@ mod tests {
     #[test]
     fn small_reads_dominated_by_latency() {
         let small = read_latency(Bytes::from_kib(4));
-        assert!(small.as_micros_f64() >= 70.0);
-        assert!(small.as_micros_f64() < 80.0);
+        assert!(small >= SimDuration::from_micros(70));
+        assert!(small < SimDuration::from_micros(80));
     }
 
     #[test]

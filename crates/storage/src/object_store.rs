@@ -8,10 +8,10 @@
 //! Storage nodes live in *racks*: [`ObjectStore::with_rack_layout`] maps node
 //! ids onto rack indices, placement keeps an object's replicas within a
 //! bounded number of racks (data gravity), and [`ObjectStore::racks_holding`]
-//! answers the question the cluster's locality-aware load balancer asks on
-//! every dispatch. A request scheduled onto a rack without a replica pays the
-//! cross-rack fetch priced by [`RemoteFetchModel`] — the network/RPC stack
-//! plus the drive's PCIe hop — instead of assuming the data is local.
+//! lists the racks that hold an object's replicas. A request scheduled onto a
+//! rack without a replica pays the cross-rack fetch priced by
+//! [`RemoteFetchModel`] — the network/RPC stack plus the drive's PCIe hop —
+//! instead of assuming the data is local.
 //!
 //! The store tracks object metadata only (sizes and placement); latency always
 //! comes from the drive/network models.
@@ -207,18 +207,12 @@ impl ObjectStore {
         self.nodes.len()
     }
 
-    /// Number of racks the store's nodes span.
-    pub fn rack_count(&self) -> u32 {
-        self.racks
-    }
-
     /// Rack index of a node.
-    pub fn rack_of(&self, node: StorageNodeId) -> Option<u32> {
+    fn rack_of(&self, node: StorageNodeId) -> Option<u32> {
         self.node_racks.get(&node).copied()
     }
 
-    /// The racks holding a replica of `key`, sorted and deduplicated — the
-    /// placement answer a locality-aware load balancer dispatches on.
+    /// The racks holding a replica of `key`, sorted and deduplicated.
     pub fn racks_holding(&self, key: &str) -> Result<Vec<u32>, StoreError> {
         let meta = self.get(key)?;
         let mut racks: Vec<u32> = meta
@@ -229,11 +223,6 @@ impl ObjectStore {
         racks.sort_unstable();
         racks.dedup();
         Ok(racks)
-    }
-
-    /// Number of stored objects.
-    pub fn object_count(&self) -> usize {
-        self.objects.len()
     }
 
     /// Drive class of a node.
@@ -417,7 +406,6 @@ mod tests {
         s.put("a", Bytes::from_kib(1), false, &mut rng)
             .expect("put");
         assert_eq!(s.get("a").expect("get").size.as_u64(), 1024);
-        assert_eq!(s.object_count(), 1);
         assert!(matches!(s.get("b"), Err(StoreError::NotFound(_))));
     }
 
@@ -445,7 +433,6 @@ mod tests {
     #[test]
     fn single_rack_constructors_map_everything_to_rack_zero() {
         let s = store();
-        assert_eq!(s.rack_count(), 1);
         assert_eq!(s.rack_of(StorageNodeId(0)), Some(0));
         assert_eq!(s.rack_of(StorageNodeId(99)), None);
     }
@@ -453,8 +440,8 @@ mod tests {
     #[test]
     fn rack_layout_assigns_nodes_rack_major() {
         let s = ObjectStore::with_rack_layout(3, 2, 1, 2, 1);
-        assert_eq!(s.rack_count(), 3);
         assert_eq!(s.node_count(), 9);
+        assert_eq!(s.rack_of(StorageNodeId(8)), Some(2));
         // Rack 1 holds nodes 3..6; the last node per rack is the DSCS drive.
         assert_eq!(s.rack_of(StorageNodeId(3)), Some(1));
         assert_eq!(

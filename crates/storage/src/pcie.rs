@@ -73,8 +73,8 @@ mod tests {
     fn small_transfers_pay_transaction_latency() {
         let link = PcieLink::nvme_drive();
         let t = link.transfer_latency(Bytes::from_kib(4));
-        assert!(t.as_micros_f64() >= 10.0);
-        assert!(t.as_micros_f64() < 13.0);
+        assert!(t >= SimDuration::from_micros(10));
+        assert!(t < SimDuration::from_micros(13));
     }
 
     #[test]

@@ -98,7 +98,7 @@ fn main() {
     );
 
     let dscs = ClusterSim::new(PlatformKind::DscsDsa, ClusterConfig::default());
-    for keepalive in KeepalivePolicy::all_default() {
+    for keepalive in KeepalivePolicy::ALL {
         let outcome = Experiment::builder(PlatformKind::DscsDsa)
             .trace(azure_trace.clone())
             .racks(4)
@@ -137,12 +137,12 @@ fn main() {
     // and predictive policies grow from 8 on demand, paying provisioning lag
     // on bursts but releasing the pool when traffic fades.
     println!("\nautoscaling on the azure trace (DSCS x 4 racks, prewarm keepalive):");
-    for scaling in ScalingPolicy::all_default() {
+    for scaling in ScalingPolicy::ALL {
         let outcome = Experiment::builder(PlatformKind::DscsDsa)
             .trace(azure_trace.clone())
             .racks(4)
             .balancer(LoadBalancer::LeastLoaded)
-            .keepalive(KeepalivePolicy::prewarm_default())
+            .keepalive(KeepalivePolicy::HybridPrewarm)
             .scaling(scaling)
             .seed(17)
             .build()
@@ -215,9 +215,9 @@ fn main() {
     let grid = SweepSpec {
         platforms: vec![PlatformKind::BaselineCpu, PlatformKind::DscsDsa],
         schedulers: vec![SchedulerPolicy::Fcfs],
-        keepalives: vec![KeepalivePolicy::paper_default()],
+        keepalives: vec![KeepalivePolicy::FixedWindow],
         scalings: vec![ScalingPolicy::Fixed],
-        balancers: vec![LoadBalancer::locality_default()],
+        balancers: vec![LoadBalancer::LocalityAware],
         jobs: 0, // 0 = one worker per available core
         ..SweepSpec::default_grid(SweepScale::Smoke)
     };

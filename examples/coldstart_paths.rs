@@ -47,10 +47,7 @@ fn main() {
     let report = SweepSpec {
         platforms: vec![PlatformKind::DscsDsa],
         schedulers: vec![SchedulerPolicy::Fcfs],
-        keepalives: vec![
-            KeepalivePolicy::NoKeepalive,
-            KeepalivePolicy::prewarm_default(),
-        ],
+        keepalives: vec![KeepalivePolicy::NoKeepalive, KeepalivePolicy::HybridPrewarm],
         scalings: vec![ScalingPolicy::Fixed],
         balancers: vec![LoadBalancer::RoundRobin],
         cold_paths: ColdStartPath::ALL.to_vec(),

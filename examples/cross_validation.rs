@@ -54,9 +54,9 @@ fn main() {
     let grid = SweepSpec {
         platforms: vec![PlatformKind::DscsDsa],
         schedulers: vec![SchedulerPolicy::Fcfs],
-        keepalives: vec![KeepalivePolicy::paper_default()],
+        keepalives: vec![KeepalivePolicy::FixedWindow],
         scalings: vec![ScalingPolicy::Fixed],
-        balancers: vec![LoadBalancer::locality_default()],
+        balancers: vec![LoadBalancer::LocalityAware],
         workloads: vec![inline, trace_file],
         ..SweepSpec::default_grid(SweepScale::Smoke)
     };

@@ -4,7 +4,7 @@
 
 use std::sync::{Arc, OnceLock};
 
-use dscs_serverless::cluster::at_scale::{AtScaleOptions, AtScaleReport, SweepSpec};
+use dscs_serverless::cluster::at_scale::{AtScaleOptions, AtScaleReport, SweepCell, SweepSpec};
 use dscs_serverless::cluster::experiment::Experiment;
 use dscs_serverless::cluster::policy::{
     KeepalivePolicy, LoadBalancer, ScalingPolicy, SchedulerPolicy,
@@ -33,6 +33,29 @@ fn sweep(options: AtScaleOptions) -> AtScaleReport {
     SweepSpec::from(options).run().expect("valid options")
 }
 
+/// The FCFS cell of `report` at one policy point, matched by report names.
+fn fcfs_cell<'a>(
+    report: &'a AtScaleReport,
+    workload: &str,
+    platform: PlatformKind,
+    keepalive: &str,
+    scaling: &str,
+    balancer: &str,
+) -> &'a SweepCell {
+    report
+        .cells
+        .iter()
+        .find(|c| {
+            c.workload == workload
+                && c.platform == platform
+                && c.scheduler == SchedulerPolicy::Fcfs
+                && c.keepalive.name() == keepalive
+                && c.scaling.name() == scaling
+                && c.balancer.name() == balancer
+        })
+        .expect("cell swept")
+}
+
 #[test]
 fn fixed_seed_sweep_report_is_byte_for_byte_reproducible() {
     let options = AtScaleOptions::smoke();
@@ -53,12 +76,15 @@ fn sweep_covers_both_platforms_all_policies_and_both_workloads() {
     let report = smoke_report();
     for platform in [PlatformKind::BaselineCpu, PlatformKind::DscsDsa] {
         for workload in ["bursty", "azure"] {
-            let cells = report.cells_for(workload, platform);
+            let cells = report
+                .cells
+                .iter()
+                .filter(|c| c.workload == workload && c.platform == platform);
             assert_eq!(
-                cells.len(),
+                cells.count(),
                 SchedulerPolicy::ALL.len()
-                    * KeepalivePolicy::all_default().len()
-                    * ScalingPolicy::all_default().len()
+                    * KeepalivePolicy::ALL.len()
+                    * ScalingPolicy::ALL.len()
                     * LoadBalancer::ALL.len(),
                 "{workload}/{platform:?}"
             );
@@ -214,26 +240,22 @@ fn prewarming_hits_without_extra_cold_starts_on_azure() {
     let report = smoke_report();
     for platform in [PlatformKind::BaselineCpu, PlatformKind::DscsDsa] {
         for scaling in ["fixed", "reactive", "predictive"] {
-            let prewarm = report
-                .cell(
-                    "azure",
-                    platform,
-                    "fcfs",
-                    "hybrid-prewarm",
-                    scaling,
-                    "round-robin",
-                )
-                .expect("prewarm cell swept");
-            let baseline = report
-                .cell(
-                    "azure",
-                    platform,
-                    "fcfs",
-                    "hybrid-histogram",
-                    scaling,
-                    "round-robin",
-                )
-                .expect("no-prewarm cell swept");
+            let prewarm = fcfs_cell(
+                report,
+                "azure",
+                platform,
+                "hybrid-prewarm",
+                scaling,
+                "round-robin",
+            );
+            let baseline = fcfs_cell(
+                report,
+                "azure",
+                platform,
+                "hybrid-histogram",
+                scaling,
+                "round-robin",
+            );
             assert!(
                 prewarm.prewarm_hit_rate > 0.0,
                 "{platform:?}/{scaling}: prewarm hit rate must be non-zero"
@@ -258,16 +280,14 @@ fn prewarming_hits_without_extra_cold_starts_on_azure() {
 fn elastic_azure_cells_report_scaling_lag() {
     let report = smoke_report();
     for scaling in ["reactive", "predictive"] {
-        let cell = report
-            .cell(
-                "azure",
-                PlatformKind::BaselineCpu,
-                "fcfs",
-                "hybrid-prewarm",
-                scaling,
-                "round-robin",
-            )
-            .expect("elastic cell swept");
+        let cell = fcfs_cell(
+            report,
+            "azure",
+            PlatformKind::BaselineCpu,
+            "hybrid-prewarm",
+            scaling,
+            "round-robin",
+        );
         assert!(cell.scale_ups > 0, "{scaling}: must scale up");
         assert!(cell.scaling_lag_s > 0.0, "{scaling}: lag metric populated");
         assert!(cell.peak_instances > 8 && cell.peak_instances <= 200);
@@ -283,11 +303,8 @@ fn elastic_azure_cells_report_scaling_lag() {
 fn locality_aware_balancing_beats_round_robin_on_azure_cells() {
     let report = smoke_report();
     for platform in [PlatformKind::BaselineCpu, PlatformKind::DscsDsa] {
-        let cell = |balancer: &str| {
-            report
-                .cell("azure", platform, "fcfs", "fixed-window", "fixed", balancer)
-                .expect("cell swept")
-        };
+        let cell =
+            |balancer| fcfs_cell(report, "azure", platform, "fixed-window", "fixed", balancer);
         let rr = cell("round-robin");
         let local = cell("locality");
         assert!(
@@ -374,8 +391,8 @@ fn keepalive_policies_order_cold_start_counts() {
             .report
     };
     let none = run(KeepalivePolicy::NoKeepalive);
-    let fixed = run(KeepalivePolicy::paper_default());
-    let hybrid = run(KeepalivePolicy::hybrid_default());
+    let fixed = run(KeepalivePolicy::FixedWindow);
+    let hybrid = run(KeepalivePolicy::HybridHistogram);
     assert!(
         none.cold_starts > fixed.cold_starts,
         "none {} vs fixed {}",

@@ -88,7 +88,7 @@ fn every_formerly_panicking_input_yields_the_matching_typed_error() {
     assert_eq!(
         Experiment::builder(PlatformKind::DscsDsa)
             .trace(short_trace(3))
-            .scaling(ScalingPolicy::reactive_default())
+            .scaling(ScalingPolicy::Reactive)
             .instances(0, 200)
             .build()
             .expect_err("zero min"),
@@ -99,7 +99,7 @@ fn every_formerly_panicking_input_yields_the_matching_typed_error() {
     // would fill and never drain, so its requests would vanish from the
     // report (neither completed nor rejected).
     let requests = short_trace(15);
-    for scaling in ScalingPolicy::all_default() {
+    for scaling in ScalingPolicy::ALL {
         for min in [0, 4] {
             assert_eq!(
                 Experiment::builder(PlatformKind::DscsDsa)
@@ -119,7 +119,7 @@ fn every_formerly_panicking_input_yields_the_matching_typed_error() {
     assert_eq!(
         Experiment::builder(PlatformKind::DscsDsa)
             .trace(short_trace(4))
-            .scaling(ScalingPolicy::predictive_default())
+            .scaling(ScalingPolicy::Predictive)
             .instances(128, 16)
             .build()
             .expect_err("min above max"),

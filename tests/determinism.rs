@@ -112,15 +112,12 @@ fn same_seed_produces_bit_identical_autoscaled_runs() {
     use dscs_serverless::cluster::policy::{KeepalivePolicy, LoadBalancer, ScalingPolicy};
 
     let trace = Arc::new(one_minute_trace(11));
-    for scaling in [
-        ScalingPolicy::reactive_default(),
-        ScalingPolicy::predictive_default(),
-    ] {
+    for scaling in [ScalingPolicy::Reactive, ScalingPolicy::Predictive] {
         let run = || {
             Experiment::builder(PlatformKind::DscsDsa)
                 .trace(trace.clone())
                 .scaling(scaling)
-                .keepalive(KeepalivePolicy::prewarm_default())
+                .keepalive(KeepalivePolicy::HybridPrewarm)
                 .racks(3)
                 .balancer(LoadBalancer::LeastLoaded)
                 .seed(55)
@@ -162,7 +159,7 @@ fn same_seed_produces_bit_identical_locality_aware_runs() {
         Experiment::builder(PlatformKind::DscsDsa)
             .trace(trace.clone())
             .racks(racks)
-            .balancer(LoadBalancer::locality_default())
+            .balancer(LoadBalancer::LocalityAware)
             .data_layer(data)
             .seed(33)
             .build()

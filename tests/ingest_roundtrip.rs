@@ -76,7 +76,7 @@ fn trace_file_and_inline_sweeps_write_identical_json() {
     let grid = |workload: WorkloadSpec| SweepSpec {
         platforms: vec![PlatformKind::DscsDsa],
         schedulers: vec![SchedulerPolicy::Fcfs],
-        keepalives: vec![KeepalivePolicy::paper_default()],
+        keepalives: vec![KeepalivePolicy::FixedWindow],
         scalings: vec![ScalingPolicy::Fixed],
         balancers: vec![LoadBalancer::RoundRobin],
         workloads: vec![workload],

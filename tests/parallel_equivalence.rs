@@ -18,6 +18,7 @@ use dscs_serverless::cluster::experiment::{Experiment, Outcome};
 use dscs_serverless::cluster::policy::{
     KeepalivePolicy, LoadBalancer, ScalingPolicy, SchedulerPolicy,
 };
+use dscs_serverless::cluster::sim::EngineSelection;
 use dscs_serverless::cluster::trace::RateProfile;
 use dscs_serverless::platforms::PlatformKind;
 use dscs_serverless::simcore::rng::DeterministicRng;
@@ -31,12 +32,9 @@ fn small_grid(seed: u64, jobs: usize) -> SweepSpec {
         jobs,
         platforms: vec![PlatformKind::DscsDsa],
         schedulers: vec![SchedulerPolicy::Fcfs],
-        keepalives: vec![
-            KeepalivePolicy::paper_default(),
-            KeepalivePolicy::prewarm_default(),
-        ],
-        scalings: vec![ScalingPolicy::Fixed, ScalingPolicy::reactive_default()],
-        balancers: vec![LoadBalancer::RoundRobin, LoadBalancer::locality_default()],
+        keepalives: vec![KeepalivePolicy::FixedWindow, KeepalivePolicy::HybridPrewarm],
+        scalings: vec![ScalingPolicy::Fixed, ScalingPolicy::Reactive],
+        balancers: vec![LoadBalancer::RoundRobin, LoadBalancer::LocalityAware],
         ..SweepSpec::default_grid(SweepScale::Smoke)
     }
 }
@@ -107,7 +105,7 @@ fn parallel_sweeps_match_sequential_across_axis_subsets() {
         },
         SweepSpec {
             platforms: vec![PlatformKind::BaselineCpu, PlatformKind::DscsDsa],
-            scalings: vec![ScalingPolicy::predictive_default()],
+            scalings: vec![ScalingPolicy::Predictive],
             ..base.clone()
         },
         SweepSpec {
@@ -134,9 +132,9 @@ fn parallel_sweeps_match_sequential_at_quick_scale() {
     let spec = SweepSpec {
         platforms: vec![PlatformKind::DscsDsa],
         schedulers: vec![SchedulerPolicy::Fcfs],
-        keepalives: vec![KeepalivePolicy::paper_default()],
+        keepalives: vec![KeepalivePolicy::FixedWindow],
         scalings: vec![ScalingPolicy::Fixed],
-        balancers: vec![LoadBalancer::locality_default()],
+        balancers: vec![LoadBalancer::LocalityAware],
         jobs: 1,
         ..SweepSpec::default_grid(SweepScale::Quick)
     };
@@ -175,11 +173,11 @@ fn rack_grid(seed: u64, rack_jobs: usize) -> SweepSpec {
         racks: 3,
         platforms: vec![PlatformKind::DscsDsa],
         schedulers: vec![SchedulerPolicy::Fcfs],
-        keepalives: vec![KeepalivePolicy::prewarm_default()],
+        keepalives: vec![KeepalivePolicy::HybridPrewarm],
         scalings: vec![
             ScalingPolicy::Fixed,
-            ScalingPolicy::reactive_default(),
-            ScalingPolicy::predictive_default(),
+            ScalingPolicy::Reactive,
+            ScalingPolicy::Predictive,
         ],
         balancers: vec![LoadBalancer::RoundRobin],
         ..SweepSpec::default_grid(SweepScale::Smoke)
@@ -266,19 +264,17 @@ fn coupled_balancers_report_the_sequential_fallback_reason() {
     // and say why.
     let round_robin = outcome_for(LoadBalancer::RoundRobin, 3);
     assert!(round_robin.engine.is_rack_parallel());
-    assert_eq!(round_robin.engine.fallback_reason(), None);
 
-    for balancer in [LoadBalancer::LeastLoaded, LoadBalancer::locality_default()] {
+    for balancer in [LoadBalancer::LeastLoaded, LoadBalancer::LocalityAware] {
         let outcome = outcome_for(balancer, 3);
         assert!(
             !outcome.engine.is_rack_parallel(),
             "{}: coupled dispatch cannot shard racks",
             balancer.name()
         );
-        let reason = outcome
-            .engine
-            .fallback_reason()
-            .expect("coupled balancers must explain the sequential fallback");
+        let EngineSelection::Sequential { reason } = outcome.engine else {
+            panic!("coupled balancers must explain the sequential fallback");
+        };
         assert!(
             reason.contains("every rack"),
             "{}: reason should name the cross-rack coupling, got '{reason}'",
@@ -303,7 +299,7 @@ fn cold_path_and_ipc_axes_preserve_both_parallelism_equivalences() {
         racks: 3,
         platforms: vec![PlatformKind::DscsDsa],
         schedulers: vec![SchedulerPolicy::Fcfs],
-        keepalives: vec![KeepalivePolicy::prewarm_default()],
+        keepalives: vec![KeepalivePolicy::HybridPrewarm],
         scalings: vec![ScalingPolicy::Fixed],
         balancers: vec![LoadBalancer::RoundRobin],
         cold_paths: ColdStartPath::ALL.to_vec(),
@@ -347,7 +343,7 @@ fn more_workers_than_cells_is_harmless() {
     let spec = SweepSpec {
         platforms: vec![PlatformKind::DscsDsa],
         schedulers: vec![SchedulerPolicy::Fcfs],
-        keepalives: vec![KeepalivePolicy::paper_default()],
+        keepalives: vec![KeepalivePolicy::FixedWindow],
         scalings: vec![ScalingPolicy::Fixed],
         balancers: vec![LoadBalancer::RoundRobin],
         jobs: 64, // grid has 2 cells

@@ -151,7 +151,8 @@ fn summary_quantiles_are_monotone() {
         let len = int_in(rng, 1, 200) as usize;
         let values: Vec<f64> = (0..len).map(|_| rng.uniform(0.0, 1e6)).collect();
         let summary = Summary::from_samples(&values);
-        let mut previous = summary.min();
+        let min = values.iter().copied().fold(f64::INFINITY, f64::min);
+        let mut previous = min;
         for i in 0..=20 {
             let q = i as f64 / 20.0;
             let v = summary.quantile(q);
@@ -160,7 +161,7 @@ fn summary_quantiles_are_monotone() {
                 "case {case}: quantiles must not decrease"
             );
             assert!(
-                v >= summary.min() - 1e-9 && v <= summary.max() + 1e-9,
+                v >= min - 1e-9 && v <= summary.max() + 1e-9,
                 "case {case}: quantile out of bounds"
             );
             previous = v;
@@ -766,6 +767,13 @@ fn sketch_sample(rng: &mut DeterministicRng, family: u64) -> f64 {
     }
 }
 
+/// A sketch that recorded `samples` in order.
+fn sketch_of(samples: &[f64]) -> QuantileSketch {
+    let mut sketch = QuantileSketch::new();
+    samples.iter().for_each(|&v| sketch.record(v));
+    sketch
+}
+
 /// Merging sketches of disjoint sample sets is lossless: for any random
 /// split of any sample stream, `merge(sketch(a), sketch(b))` agrees with
 /// `sketch(a ∪ b)` bit-for-bit on count, min, max and every quantile.
@@ -776,13 +784,13 @@ fn sketch_merge_equals_the_union_sketch() {
         let len = int_in(rng, 2, 400) as usize;
         let samples: Vec<f64> = (0..len).map(|_| sketch_sample(rng, family)).collect();
         let split = int_in(rng, 1, len as u64) as usize;
-        let union = QuantileSketch::from_samples(&samples);
-        let mut merged = QuantileSketch::from_samples(&samples[..split]);
-        merged.merge(&QuantileSketch::from_samples(&samples[split..]));
+        let union = sketch_of(&samples);
+        let mut merged = sketch_of(&samples[..split]);
+        merged.merge(&sketch_of(&samples[split..]));
         assert_eq!(union.count(), merged.count(), "case {case}");
         assert_eq!(
-            union.min().to_bits(),
-            merged.min().to_bits(),
+            union.quantile(0.0).to_bits(),
+            merged.quantile(0.0).to_bits(),
             "case {case}: min is tracked exactly"
         );
         assert_eq!(
@@ -820,15 +828,15 @@ fn sketch_quantiles_track_exact_order_statistics() {
         let family = int_in(rng, 0, 3);
         let len = int_in(rng, 1, 300) as usize;
         let samples: Vec<f64> = (0..len).map(|_| sketch_sample(rng, family)).collect();
-        let sketch = QuantileSketch::from_samples(&samples);
+        let sketch = sketch_of(&samples);
         let summary = Summary::from_samples(&samples);
 
         // Exact statistics agree with the buffering summary bit-for-bit
         // (count/min/max) or to round-off (mean: different summation order).
         assert_eq!(sketch.count(), summary.count() as u64, "case {case}");
         assert_eq!(
-            sketch.min().to_bits(),
-            summary.min().to_bits(),
+            sketch.quantile(0.0).to_bits(),
+            summary.quantile(0.0).to_bits(),
             "case {case}"
         );
         assert_eq!(
@@ -869,14 +877,15 @@ fn sketch_quantiles_are_monotone_and_bounded() {
         let family = int_in(rng, 0, 3);
         let len = int_in(rng, 1, 300) as usize;
         let samples: Vec<f64> = (0..len).map(|_| sketch_sample(rng, family)).collect();
-        let sketch = QuantileSketch::from_samples(&samples);
-        let mut previous = sketch.min();
+        let sketch = sketch_of(&samples);
+        let min = samples.iter().copied().fold(f64::INFINITY, f64::min);
+        let mut previous = min;
         for i in 0..=40 {
             let q = i as f64 / 40.0;
             let v = sketch.quantile(q);
             assert!(v + 1e-12 >= previous, "case {case}: q={q} decreased");
             assert!(
-                v >= sketch.min() && v <= sketch.max(),
+                v >= min && v <= sketch.max(),
                 "case {case}: q={q} out of [min, max]"
             );
             previous = v;
@@ -884,15 +893,8 @@ fn sketch_quantiles_are_monotone_and_bounded() {
     });
 }
 
-/// The sketch rejects the same malformed inputs as [`Summary`]: an empty
-/// sample set and non-finite values, plus negatives (it buckets by
-/// logarithm).
-#[test]
-#[should_panic(expected = "cannot summarise an empty sample set")]
-fn sketch_rejects_an_empty_sample_set() {
-    let _ = QuantileSketch::from_samples(&[]);
-}
-
+/// The sketch rejects the same malformed samples as [`Summary`], non-finite
+/// values, plus negatives (it buckets by logarithm).
 #[test]
 #[should_panic(expected = "sketch samples must be non-negative and finite")]
 fn sketch_rejects_nan_samples() {
@@ -994,8 +996,8 @@ fn one_rack_runs_agree_across_lane_and_coupled_balancers() {
     let base = ClusterSim::new(PlatformKind::DscsDsa, ClusterConfig::default());
     check(0xB5, |case, rng| {
         let combo = case as usize % 24;
-        let scaling = ScalingPolicy::all_default()[combo % 3];
-        let keepalive = KeepalivePolicy::all_default()[combo / 3 % 4];
+        let scaling = ScalingPolicy::ALL[combo % 3];
+        let keepalive = KeepalivePolicy::ALL[combo / 3 % 4];
         let with_data = combo >= 12;
         let profile = RateProfile {
             segments: vec![(
@@ -1032,7 +1034,7 @@ fn one_rack_runs_agree_across_lane_and_coupled_balancers() {
         };
         let lane = run(LoadBalancer::RoundRobin);
         assert!(lane.engine.is_rack_parallel(), "case {case}");
-        for balancer in [LoadBalancer::LeastLoaded, LoadBalancer::locality_default()] {
+        for balancer in [LoadBalancer::LeastLoaded, LoadBalancer::LocalityAware] {
             let coupled = run(balancer);
             assert!(!coupled.engine.is_rack_parallel(), "case {case}");
             assert_eq!(
@@ -1069,8 +1071,8 @@ fn report_counters_are_rack_order_folds_of_the_rack_ledgers() {
     let (mut rejected, mut fetched, mut scaled_up, mut restored, mut prewarmed) = (0, 0, 0, 0, 0);
     check(0xB9, |case, rng| {
         let balancer = LoadBalancer::ALL[rng.next_index(3)];
-        let scaling = ScalingPolicy::all_default()[rng.next_index(3)];
-        let keepalive = KeepalivePolicy::all_default()[rng.next_index(4)];
+        let scaling = ScalingPolicy::ALL[rng.next_index(3)];
+        let keepalive = KeepalivePolicy::ALL[rng.next_index(4)];
         let cold_path = ColdStartPath::ALL[rng.next_index(3)];
         let ipc = IpcTransport::ALL[rng.next_index(3)];
         let profile = RateProfile {
@@ -1291,8 +1293,8 @@ fn offline_optimal_bound_floors_every_policys_cold_start_seconds() {
         }
         let base = &bases[int_in(rng, 0, 2) as usize];
         let scheduler = SchedulerPolicy::ALL[int_in(rng, 0, 3) as usize];
-        let keepalive = KeepalivePolicy::all_default()[int_in(rng, 0, 4) as usize];
-        let scaling = ScalingPolicy::all_default()[int_in(rng, 0, 3) as usize];
+        let keepalive = KeepalivePolicy::ALL[int_in(rng, 0, 4) as usize];
+        let scaling = ScalingPolicy::ALL[int_in(rng, 0, 3) as usize];
         let balancer = LoadBalancer::ALL[int_in(rng, 0, 3) as usize];
         let cold_path = ColdStartPath::ALL[int_in(rng, 0, 3) as usize];
         let ipc = IpcTransport::ALL[int_in(rng, 0, 3) as usize];
@@ -1499,8 +1501,8 @@ fn spreading_function_slots_leaves_every_outcome_bit_identical() {
     let base = ClusterSim::new(PlatformKind::DscsDsa, ClusterConfig::default());
     check(0xB8, |case, rng| {
         let combo = case as usize % 12;
-        let keepalive = KeepalivePolicy::all_default()[combo % 4];
-        let scaling = ScalingPolicy::all_default()[combo / 4];
+        let keepalive = KeepalivePolicy::ALL[combo % 4];
+        let scaling = ScalingPolicy::ALL[combo / 4];
         let requests = int_in(rng, 1, 200);
         let functions = int_in(rng, 1, requests.min(24) + 1);
         let mut arrival = 0;
@@ -1627,7 +1629,7 @@ fn mutated_trace_files_ingest_to_a_workload_or_a_typed_error() {
         }
         let csv = workload.to_csv();
         assert_eq!(
-            TraceFileWorkload::from_csv_str(&csv, "sample", 1).as_ref(),
+            TraceFileWorkload::from_reader(csv.as_bytes(), "sample", 1).as_ref(),
             Ok(&workload),
             "case {case}: re-emission parses back"
         );
