@@ -95,7 +95,7 @@ use dscs_dse::explore::{
     DRIVE_POWER_BUDGET_WATTS,
 };
 use dscs_dse::space::{enumerate, enumerate_small};
-use dscs_platforms::PlatformKind;
+use dscs_platforms::spec::PlatformKind;
 use dscs_simcore::rng::DeterministicRng;
 use dscs_simcore::stats::geometric_mean;
 
@@ -737,7 +737,7 @@ fn at_scale(args: &[String]) {
         options.scale.name(),
         if large_preset { ", large preset" } else { "" },
         options.racks,
-        balancer.map_or("all", |b| b.name()),
+        spec.balancer_label(),
         options.seed,
         jobs,
         if jobs == 1 { "" } else { "s" },

@@ -126,33 +126,49 @@ fn options_the_chosen_form_would_ignore_exit_2_before_running() {
     }
 }
 
+/// Starts `reproduce at-scale` with `args` in `dir`, reads the sweep's
+/// header and stops the run: the header prints before any cell runs.
+fn sweep_header(dir: &Path, args: &[&str]) -> String {
+    std::fs::create_dir_all(dir).expect("the test's working directory can be created");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_reproduce"))
+        .arg("at-scale")
+        .args(args)
+        .args(["--out", "out.json"])
+        .current_dir(dir)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("the reproduce binary starts");
+    let header = BufReader::new(child.stdout.take().expect("stdout is piped"))
+        .lines()
+        .map(|line| line.expect("stdout is UTF-8"))
+        .find(|line| line.contains("At-scale policy sweep"));
+    let _ = child.kill();
+    child.wait().expect("the child is reaped");
+    header.expect("the sweep prints its header")
+}
+
 /// `--scale smoke` and `--scale quick` shard over 2 racks, as the quick and
-/// modality pins assume. The header prints before any cell runs, so each
-/// run is stopped once it has been read.
+/// modality pins assume.
 #[test]
 fn smoke_and_quick_scales_sweep_two_racks() {
     let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli_scale_racks");
-    std::fs::create_dir_all(&dir).expect("the test's working directory can be created");
     for scale in ["smoke", "quick"] {
-        let mut child = Command::new(env!("CARGO_BIN_EXE_reproduce"))
-            .args(["at-scale", "--scale", scale, "--out", "out.json"])
-            .current_dir(&dir)
-            .stdout(Stdio::piped())
-            .stderr(Stdio::null())
-            .spawn()
-            .expect("the reproduce binary starts");
-        let header = BufReader::new(child.stdout.take().expect("stdout is piped"))
-            .lines()
-            .map(|line| line.expect("stdout is UTF-8"))
-            .find(|line| line.contains("At-scale policy sweep"));
-        let _ = child.kill();
-        child.wait().expect("the child is reaped");
-        let header = header.expect("the sweep prints its header");
+        let header = sweep_header(&dir, &["--scale", scale]);
         assert!(
             header.contains(&format!("({scale}, 2 racks,")),
             "--scale {scale}: {header}"
         );
     }
+}
+
+/// The header names the balancer axis the sweep runs, as the report's
+/// `"balancer"` key does: the large preset restricts it to round-robin.
+#[test]
+fn the_large_preset_header_names_its_round_robin_axis() {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli_large_balancer");
+    let header = sweep_header(&dir, &["--scale", "large-smoke", "--racks", "4"]);
+    assert!(header.contains(", round-robin balancer,"), "{header}");
 }
 
 /// A trace file that is not one day file's layout exits 1 naming the file,

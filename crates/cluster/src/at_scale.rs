@@ -8,47 +8,46 @@
 //! machine-readable JSON report (schema `dscs-at-scale-v8`). The grid is
 //! *declarative*: a [`SweepSpec`] lists the values to sweep per axis, and
 //! [`SweepSpec::run`] iterates the cartesian product generically, building
-//! one [`crate::experiment::Experiment`] per cell — adding an axis means
-//! adding its policy enum and one list here, not rewriting the sweep. Since
-//! v6 the workload axis is declarative too: a list of [`WorkloadSpec`]s, so
-//! ingested Azure trace files and the synthetic generators ride the same
-//! axis, every cell carries its workload's source label, and the report
-//! closes with a `cross_validation` section comparing each synthetic
-//! workload against each trace file cell for cell. Every
-//! cell runs against a [`DataLayer`] built for its workload's trace, so
-//! dispatch is data-aware: reports carry each cell's locality hit rate,
-//! cross-rack bytes moved, the fetch latency charged, and (since v4) the
-//! joules those moves cost — the energy axis balancers are compared on.
+//! one [`crate::experiment::Experiment`] per cell. The workload axis is a
+//! list of [`WorkloadSpec`]s, so ingested Azure trace files and the
+//! synthetic generators ride the same axis: every cell carries its
+//! workload's source label, and the report closes with a `cross_validation`
+//! section comparing each synthetic workload against each trace file cell
+//! for cell.
+//!
+//! Each cell reports:
+//! * its counters and latencies, including the engine-work counter
+//!   (`events`);
+//! * the data layer's view: every cell runs against a [`DataLayer`] built
+//!   for its workload's trace, so dispatch is data-aware, and the cell
+//!   carries its locality hit rate, the cross-rack bytes moved, the fetch
+//!   latency charged and the joules those moves cost;
+//! * its aggregate cold-start seconds next to the offline-optimal lower
+//!   bound on them ([`crate::optimal`], computed once per workload ×
+//!   platform × cold-start-path triple and shared by every policy cell) and
+//!   the derived `regret_pct`;
+//! * its [`ColdStartPath`] (fresh spawn / flash reload / snapshot restore)
+//!   and [`IpcTransport`] (shm / socket / http), with the seconds each
+//!   charged (`restore_s`, `ipc_overhead_s`); the bound is priced under the
+//!   cell's own path.
 //!
 //! Cells are independent, so [`SweepSpec::run`] fans them out across the
 //! [`dscs_simcore::par`] worker pool ([`SweepSpec::jobs`]; `0` means one
-//! worker per available core, `1` keeps the historical sequential path).
-//! Workers pull cells from a shared index and write results into per-cell
-//! slots, so the report always assembles in grid order: the rendered JSON is
-//! byte-identical whatever the worker count. Since v5, every cell also
-//! carries the engine-work counter (`events`) and — in the
-//! [`AtScaleReport::to_json_with_throughput`] variant only — the measured
-//! `events_per_sec` simulator throughput. Since v7, every cell also carries
-//! its aggregate cold-start seconds, the
-//! offline-optimal lower bound on them ([`crate::optimal`], computed once
-//! per workload × platform × cold-start-path triple and shared by every
-//! policy cell) and the derived `regret_pct` — how far the cell's policy
-//! combination sits above what an omniscient policy could have paid on the
-//! same trace. Since v8 the cold-start *modality* is an axis too: every
-//! cell carries its [`ColdStartPath`] (fresh spawn / flash reload /
-//! snapshot restore) and [`IpcTransport`] (shm / socket / http), plus the
-//! seconds each charged (`restore_s`, `ipc_overhead_s`), and the optimal
-//! bound is priced under the cell's own path so regret stays path-matched.
-//! Fixed-seed runs are byte-for-byte reproducible, so CI pins the modelled
-//! bytes of the quick sweep's report (`BENCH_cluster.json`): the sha256 of
-//! the report with its measured keys stripped.
+//! worker per available core, `1` runs every cell on the caller's thread).
+//! The report always assembles in grid order, so the rendered JSON is
+//! byte-identical whatever the worker count; only the
+//! [`AtScaleReport::to_json_with_throughput`] variant adds the measured
+//! `wall_s` and `events_per_sec` and the worker counts. Fixed-seed runs are byte-for-byte
+//! reproducible, so CI pins the modelled bytes of the quick sweep's report
+//! (`BENCH_cluster.json`): the sha256 of the report with its measured keys
+//! stripped.
 //!
 //! [`AtScaleOptions`] names only the scale, seed and rack count of the
 //! default grid; axes and worker counts are set on the [`SweepSpec`].
 
 use std::sync::Arc;
 
-use dscs_platforms::PlatformKind;
+use dscs_platforms::spec::PlatformKind;
 use dscs_simcore::json::JsonValue;
 use dscs_simcore::par;
 use dscs_simcore::stats::Measured;
@@ -235,6 +234,25 @@ impl SweepSpec {
             (par::resolve_workers(0) / cell_jobs.max(1)).max(1)
         } else {
             self.rack_jobs
+        }
+    }
+
+    /// The balancer axis label the report and the CLI header print: the one
+    /// balancer's name, "all" for the full axis, or the joined names of a
+    /// subset.
+    pub fn balancer_label(&self) -> String {
+        match self.balancers.as_slice() {
+            [only] => only.name().to_string(),
+            list if list.len() == LoadBalancer::ALL.len()
+                && LoadBalancer::ALL.iter().all(|b| list.contains(b)) =>
+            {
+                "all".to_string()
+            }
+            list => list
+                .iter()
+                .map(LoadBalancer::name)
+                .collect::<Vec<_>>()
+                .join("+"),
         }
     }
 
@@ -772,22 +790,7 @@ impl AtScaleReport {
         root.push("scale", self.spec.scale.name());
         root.push("seed", self.spec.seed);
         root.push("racks", self.spec.racks);
-        // The balancer axis label: one name, the historical "all" for the
-        // full axis, or the joined names of a genuine subset.
-        let balancer_label = match self.spec.balancers.as_slice() {
-            [only] => only.name().to_string(),
-            list if list.len() == LoadBalancer::ALL.len()
-                && LoadBalancer::ALL.iter().all(|b| list.contains(b)) =>
-            {
-                "all".to_string()
-            }
-            list => list
-                .iter()
-                .map(LoadBalancer::name)
-                .collect::<Vec<_>>()
-                .join("+"),
-        };
-        root.push("balancer", balancer_label);
+        root.push("balancer", self.spec.balancer_label());
         root.push("total_events", self.total_events());
         if with_throughput {
             root.push("wall_s", self.wall_s.get());

@@ -33,7 +33,7 @@
 //! use dscs_cluster::experiment::Experiment;
 //! use dscs_cluster::policy::LoadBalancer;
 //! use dscs_cluster::trace::RateProfile;
-//! use dscs_platforms::PlatformKind;
+//! use dscs_platforms::spec::PlatformKind;
 //! use dscs_simcore::rng::DeterministicRng;
 //! use dscs_simcore::time::SimDuration;
 //!
@@ -55,7 +55,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use dscs_platforms::PlatformKind;
+use dscs_platforms::spec::PlatformKind;
 
 use crate::coldpath::{ColdStartPath, IpcTransport};
 use crate::data::DataLayer;

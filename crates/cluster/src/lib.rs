@@ -11,34 +11,38 @@
 //! [`experiment::Outcome`]. Sweeps over whole policy grids are declared with
 //! [`at_scale::SweepSpec`].
 //!
-//! * [`trace`] — the bursty Figure-13a request trace ([`RateProfile`]).
-//! * [`workload`] — the [`Workload`] trait, the Azure-functions-style
-//!   synthetic generator ([`AzureWorkload`]: Zipf popularity skew, diurnal
-//!   cycles, burst episodes), the [`ObjectCatalog`] that stamps each request
-//!   with the object it reads, and the declarative [`WorkloadSpec`]
-//!   selection surface (`Azure`/`Bursty`/`TraceFile`/`Inline`) the sweep and
-//!   the CLI realize workloads through.
+//! * [`trace`] — the bursty Figure-13a request trace ([`trace::RateProfile`]).
+//! * [`workload`] — the [`workload::Workload`] trait, the
+//!   Azure-functions-style synthetic generator ([`workload::AzureWorkload`]:
+//!   Zipf popularity skew, diurnal cycles, burst episodes), the
+//!   [`workload::ObjectCatalog`] that stamps each request with the object it
+//!   reads, and the declarative [`workload::WorkloadSpec`] selection surface
+//!   (`Azure`/`Bursty`/`TraceFile`/`Inline`) the sweep and the CLI realize
+//!   workloads through.
 //! * [`ingest`] — trace-file ingestion: a streaming parser for the Azure
 //!   Functions 2019 invocations-per-function CSV schema behind
-//!   [`TraceFileWorkload`], plus the bucketing emitter the `generate-trace`
-//!   CLI uses to close the generate → parse → simulate round trip.
+//!   [`ingest::TraceFileWorkload`], plus the bucketing emitter the
+//!   `generate-trace` CLI uses to close the generate → parse → simulate round
+//!   trip.
 //! * [`policy`] — scheduler policies (FCFS, shortest-job-first, per-benchmark
 //!   fair), keepalive policies (none, fixed window, hybrid histogram with an
 //!   optional prewarm head percentile), instance-pool scaling policies
 //!   (fixed cap, reactive, predictive) and front-end load balancers
 //!   (round-robin, least-loaded, data-locality-aware with spill).
 //! * [`coldpath`] — the cold-start path and IPC transport axes:
-//!   [`ColdStartPath`] (fresh spawn / flash reload / snapshot restore) picks
-//!   which modality cold starts pay, and [`IpcTransport`] (shm / socket /
-//!   http) charges a per-request marshalling + syscall latency on every
-//!   started invocation.
-//! * [`data`] — the data-placement layer: a rack-aware
-//!   `dscs-storage` object store pre-populated with every object a trace
-//!   reads, plus the cross-rack fetch costs (latency *and* joules) charged
-//!   to non-local dispatch.
-//! * [`experiment`] — [`Experiment`], [`ExperimentBuilder`], [`Outcome`] and
-//!   [`ConfigError`]: the typed run specification every entry point builds
-//!   on.
+//!   [`coldpath::ColdStartPath`] (fresh spawn / flash reload / snapshot
+//!   restore) picks which modality cold starts pay, and
+//!   [`coldpath::IpcTransport`] (shm / socket / http) charges a per-request
+//!   marshalling + syscall latency on every started invocation.
+//! * [`data`] — the data-placement layer: each object a trace reads is placed
+//!   once over a rack-aware `dscs-storage` layout, and the layer keeps only
+//!   the home rack of each request's object (one byte per request) plus the
+//!   cross-rack fetch costs (latency *and* joules) charged to non-local
+//!   dispatch.
+//! * [`experiment`] — [`experiment::Experiment`],
+//!   [`experiment::ExperimentBuilder`], [`experiment::Outcome`] and
+//!   [`experiment::ConfigError`]: the typed run specification every entry
+//!   point builds on.
 //! * [`optimal`] — the offline-optimal lower bound on aggregate cold-start
 //!   cost for a fixed trace (the per-gap segment bound), behind the sweep's
 //!   per-cell `regret_pct` column.
@@ -46,9 +50,9 @@
 //!   `dscs-faas`'s container-lifecycle model, elastic per-rack instance pools
 //!   with modelled provisioning delay, multi-rack sharding, and the reported
 //!   series (queued functions over time, wall-clock latency over time).
-//! * [`at_scale`] — the declarative policy sweep ([`SweepSpec`]) behind
-//!   `reproduce at-scale`, whose quick-grid report (`BENCH_cluster.json`) CI
-//!   pins by the sha256 of its modelled bytes.
+//! * [`at_scale`] — the declarative policy sweep ([`at_scale::SweepSpec`])
+//!   behind `reproduce at-scale`, whose quick-grid report
+//!   (`BENCH_cluster.json`) CI pins by the sha256 of its modelled bytes.
 //!
 //! # Example
 //!
@@ -57,7 +61,7 @@
 //! use dscs_cluster::experiment::Experiment;
 //! use dscs_cluster::policy::{KeepalivePolicy, LoadBalancer};
 //! use dscs_cluster::trace::RateProfile;
-//! use dscs_platforms::PlatformKind;
+//! use dscs_platforms::spec::PlatformKind;
 //! use dscs_simcore::rng::DeterministicRng;
 //! use dscs_simcore::time::SimDuration;
 //!
@@ -93,21 +97,3 @@ pub mod policy;
 pub mod sim;
 pub mod trace;
 pub mod workload;
-
-pub use at_scale::{
-    AtScaleOptions, AtScaleReport, CrossValidation, SweepCell, SweepScale, SweepSpec,
-};
-pub use coldpath::{ColdStartPath, IpcTransport};
-pub use data::DataLayer;
-pub use experiment::{ConfigError, Experiment, ExperimentBuilder, Outcome};
-pub use ingest::{IngestError, TraceFileWorkload};
-pub use optimal::{optimal_coldstart_seconds, optimal_coldstart_seconds_with, regret_pct};
-pub use policy::{
-    KeepalivePolicy, KeepaliveState, KeepaliveStats, LoadBalancer, ScalingPolicy, SchedulerPolicy,
-};
-pub use sim::{ClusterConfig, ClusterReport, ClusterSim, EngineSelection, RackSummary};
-pub use trace::{RateProfile, TraceRequest};
-pub use workload::{
-    AzureWorkload, ObjectCatalog, RealizedWorkload, Workload, WorkloadError, WorkloadSpec,
-    WorkloadSpecError,
-};

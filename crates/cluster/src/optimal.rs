@@ -165,7 +165,7 @@ mod tests {
     use std::sync::Arc;
 
     use dscs_core::benchmarks::Benchmark;
-    use dscs_platforms::PlatformKind;
+    use dscs_platforms::spec::PlatformKind;
     use dscs_simcore::rng::DeterministicRng;
     use dscs_simcore::time::SimDuration;
 

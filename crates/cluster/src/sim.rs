@@ -31,7 +31,7 @@ use std::collections::BinaryHeap;
 use dscs_core::benchmarks::Benchmark;
 use dscs_core::endtoend::{EvalOptions, SystemModel};
 use dscs_faas::coldstart::{cold_start_latency, ImageSource};
-use dscs_platforms::{PlatformKind, PlatformLocation};
+use dscs_platforms::spec::{PlatformKind, PlatformLocation};
 use dscs_simcore::par;
 use dscs_simcore::quantity::Bytes;
 use dscs_simcore::rng::DeterministicRng;

@@ -455,7 +455,10 @@ impl fmt::Display for WorkloadSpecError {
                 "unknown workload spec '{kind}' (expected azure, bursty or trace:<path>[@<day>])"
             ),
             WorkloadSpecError::InvalidDay { value } => {
-                write!(f, "'{value}' is not a valid trace day (expected 1..=14)")
+                write!(
+                    f,
+                    "'{value}' is not a valid trace day (expected a positive integer)"
+                )
             }
             WorkloadSpecError::Ingest(err) => write!(f, "{err}"),
             WorkloadSpecError::Workload(err) => write!(f, "{err}"),
@@ -912,7 +915,7 @@ mod tests {
     /// run with and without a data layer and the offline bound take it.
     #[test]
     fn short_synthetic_traces_are_renumbered_into_range() {
-        use dscs_platforms::PlatformKind;
+        use dscs_platforms::spec::PlatformKind;
 
         use crate::data::DataLayer;
         use crate::experiment::Experiment;

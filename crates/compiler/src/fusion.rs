@@ -49,10 +49,10 @@ pub fn fuse(graph: &Graph, policy: FusionPolicy) -> Vec<FusionGroup> {
         return Vec::new();
     }
     if policy == FusionPolicy::Disabled {
-        return graph
-            .nodes()
-            .iter()
-            .map(|n| FusionGroup { nodes: vec![n.id] })
+        return (0..graph.nodes().len())
+            .map(|id| FusionGroup {
+                nodes: vec![NodeId(id)],
+            })
             .collect();
     }
 
@@ -60,7 +60,8 @@ pub fn fuse(graph: &Graph, policy: FusionPolicy) -> Vec<FusionGroup> {
     let mut groups: Vec<FusionGroup> = Vec::new();
     let mut current: Vec<NodeId> = Vec::new();
 
-    for node in graph.nodes() {
+    for (id, node) in graph.nodes().iter().enumerate() {
+        let id = NodeId(id);
         let class = node.op.class();
         let extends_current = !current.is_empty()
             && class != OperatorClass::Gemm
@@ -70,14 +71,14 @@ pub fn fuse(graph: &Graph, policy: FusionPolicy) -> Vec<FusionGroup> {
             && consumers[current.last().expect("non-empty").0].len() == 1;
 
         if extends_current {
-            current.push(node.id);
+            current.push(id);
         } else {
             if !current.is_empty() {
                 groups.push(FusionGroup {
                     nodes: std::mem::take(&mut current),
                 });
             }
-            current.push(node.id);
+            current.push(id);
         }
     }
     if !current.is_empty() {
@@ -96,40 +97,28 @@ mod tests {
 
     fn sample_graph() -> Graph {
         let mut b = GraphBuilder::default();
-        b.add_seq(
-            "fc1",
-            Operator::MatMul {
-                m: 8,
-                k: 16,
-                n: 32,
-                dtype: DType::Int8,
-            },
-        );
-        b.add_seq(
-            "relu",
-            Operator::Activation {
-                kind: ActivationKind::Relu,
-                elements: 256,
-                dtype: DType::Int8,
-            },
-        );
-        b.add_seq(
-            "fc2",
-            Operator::MatMul {
-                m: 8,
-                k: 32,
-                n: 4,
-                dtype: DType::Int8,
-            },
-        );
-        b.add_seq(
-            "bias",
-            Operator::Elementwise {
-                kind: ElementwiseKind::Add,
-                elements: 32,
-                dtype: DType::Int8,
-            },
-        );
+        b.add_seq(Operator::MatMul {
+            m: 8,
+            k: 16,
+            n: 32,
+            dtype: DType::Int8,
+        });
+        b.add_seq(Operator::Activation {
+            kind: ActivationKind::Relu,
+            elements: 256,
+            dtype: DType::Int8,
+        });
+        b.add_seq(Operator::MatMul {
+            m: 8,
+            k: 32,
+            n: 4,
+            dtype: DType::Int8,
+        });
+        b.add_seq(Operator::Elementwise {
+            kind: ElementwiseKind::Add,
+            elements: 32,
+            dtype: DType::Int8,
+        });
         b.build()
     }
 

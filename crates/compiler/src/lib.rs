@@ -16,7 +16,7 @@
 //! # Example
 //!
 //! ```
-//! use dscs_compiler::{compile, CompileOptions};
+//! use dscs_compiler::codegen::{compile, CompileOptions};
 //! use dscs_dsa::config::DsaConfig;
 //! use dscs_dsa::executor::Executor;
 //! use dscs_nn::zoo::{Model, ModelKind};
@@ -34,7 +34,3 @@
 pub mod codegen;
 pub mod fusion;
 pub mod tiling;
-
-pub use codegen::{compile, gemm_dims, CompileOptions, GemmDims};
-pub use fusion::{fuse, FusionGroup, FusionPolicy};
-pub use tiling::{select_tiling, Tiling};

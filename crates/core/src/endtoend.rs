@@ -12,7 +12,8 @@
 
 use dscs_faas::coldstart::{cold_start_latency, ImageSource};
 use dscs_nn::graph::Graph;
-use dscs_platforms::{device_copy_latency, ComputeEngine, PlatformKind, PlatformLocation};
+use dscs_platforms::perf::{device_copy_latency, ComputeEngine};
+use dscs_platforms::spec::{PlatformKind, PlatformLocation};
 use dscs_simcore::quantity::{Bytes, Joules, Watts};
 use dscs_simcore::time::SimDuration;
 use dscs_storage::drive::DscsDrive;

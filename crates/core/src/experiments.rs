@@ -1,36 +1,35 @@
 //! Experiment runners: one function per paper table/figure in this crate's
 //! scope.
 //!
-//! Each runner returns plain data (rows or series) so the benchmark harness and
-//! the `reproduce` binary can print, compare and regress them. Figures that
-//! need the design-space exploration (7, 8, 12) or the at-scale cluster
-//! simulation (13) live in `dscs-dse` and `dscs-cluster` respectively; the
-//! at-scale policy sweep (scheduler x keepalive x platform x workload, the
-//! `reproduce at-scale` subcommand) is `dscs_cluster::at_scale`, kept there
-//! because `dscs-cluster` sits above this crate in the dependency graph.
+//! Each runner returns plain data (rows or points) for the `reproduce` binary
+//! to print. The rest of the figures are computed elsewhere: the design-space
+//! exploration (Figures 7 and 8) in `dscs-dse`, Figure 12's cost efficiency by
+//! the `reproduce` binary from this crate's [`SystemModel`] and `dscs-dse`'s
+//! cost model, and the at-scale trace (Figure 13) and policy sweep (the
+//! `reproduce at-scale` subcommand) in `dscs-cluster`, which sits above this
+//! crate in the dependency graph.
 
-use dscs_platforms::PlatformKind;
+use dscs_platforms::spec::PlatformKind;
 use dscs_simcore::rng::DeterministicRng;
 use dscs_simcore::stats::{geometric_mean, Summary};
 
 use crate::benchmarks::Benchmark;
 use crate::endtoend::{EvalOptions, LatencyBreakdown, SystemModel};
 
-/// One CDF series for Figure 3: per-benchmark S3-style read latency.
+/// One benchmark's S3-style read-latency distribution for Figure 3, as the
+/// median and tail the `reproduce` binary prints.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CdfSeries {
     /// The benchmark whose input object is read.
     pub benchmark: Benchmark,
-    /// `(latency seconds, cumulative probability)` points.
-    pub points: Vec<(f64, f64)>,
     /// Median read latency.
     pub p50: f64,
     /// 99th percentile read latency.
     pub p99: f64,
 }
 
-/// Figure 3: cumulative distribution of remote-storage read latency for each
-/// benchmark's input object, from `samples` simulated reads each.
+/// Figure 3: the remote-storage read-latency distribution of each benchmark's
+/// input object, from `samples` simulated reads each.
 pub fn fig3_s3_read_cdf(samples: usize, seed: u64) -> Vec<CdfSeries> {
     assert!(samples >= 100, "need a meaningful number of samples");
     let sys = SystemModel::new();
@@ -50,7 +49,6 @@ pub fn fig3_s3_read_cdf(samples: usize, seed: u64) -> Vec<CdfSeries> {
             let summary = Summary::from_samples(&latencies);
             CdfSeries {
                 benchmark,
-                points: summary.cdf().curve(50),
                 p50: summary.p50(),
                 p99: summary.p99(),
             }
@@ -95,20 +93,29 @@ impl BreakdownRow {
     }
 }
 
+/// The runtime breakdown of every benchmark on each of `platforms`,
+/// platform-major.
+fn breakdown_rows(platforms: &[PlatformKind]) -> Vec<BreakdownRow> {
+    let sys = SystemModel::new();
+    let mut rows = Vec::new();
+    for &platform in platforms {
+        for &benchmark in &Benchmark::ALL {
+            rows.push(BreakdownRow {
+                benchmark,
+                platform,
+                breakdown: sys
+                    .evaluate(benchmark, platform, EvalOptions::default())
+                    .latency,
+            });
+        }
+    }
+    rows
+}
+
 /// Figure 4: runtime breakdown of every benchmark on the baseline CPU with
 /// remote storage.
 pub fn fig4_runtime_breakdown_baseline() -> Vec<BreakdownRow> {
-    let sys = SystemModel::new();
-    Benchmark::ALL
-        .iter()
-        .map(|&benchmark| BreakdownRow {
-            benchmark,
-            platform: PlatformKind::BaselineCpu,
-            breakdown: sys
-                .evaluate(benchmark, PlatformKind::BaselineCpu, EvalOptions::default())
-                .latency,
-        })
-        .collect()
+    breakdown_rows(&[PlatformKind::BaselineCpu])
 }
 
 /// One speedup cell of Figure 9 / 11 style figures.
@@ -180,20 +187,7 @@ pub fn fig9_speedup() -> RatioMatrix {
 
 /// Figure 10: runtime breakdown of every benchmark on every platform.
 pub fn fig10_runtime_breakdown() -> Vec<BreakdownRow> {
-    let sys = SystemModel::new();
-    let mut rows = Vec::new();
-    for &platform in &PlatformKind::ALL {
-        for &benchmark in &Benchmark::ALL {
-            rows.push(BreakdownRow {
-                benchmark,
-                platform,
-                breakdown: sys
-                    .evaluate(benchmark, platform, EvalOptions::default())
-                    .latency,
-            });
-        }
-    }
-    rows
+    breakdown_rows(&PlatformKind::ALL)
 }
 
 /// Figure 11: end-to-end system-energy reduction of every platform over the
@@ -222,95 +216,13 @@ pub struct SensitivityPoint {
     pub speedup: f64,
 }
 
-/// Figure 14: batch-size sensitivity. Speedup of DSCS over the baseline CPU at
-/// batch sizes 1..=64 (both systems use the same batch).
-pub fn fig14_batch_sensitivity() -> Vec<SensitivityPoint> {
+/// The speedup of DSCS over the baseline CPU for every benchmark at each
+/// `(parameter, options)` pair of a sweep, parameter-major.
+fn sensitivity(sweep: impl IntoIterator<Item = (f64, EvalOptions)>) -> Vec<SensitivityPoint> {
     let sys = SystemModel::new();
     let mut points = Vec::new();
-    for &batch in &[1u64, 4, 16, 64] {
+    for (parameter, options) in sweep {
         for &benchmark in &Benchmark::ALL {
-            let options = EvalOptions {
-                batch,
-                ..EvalOptions::default()
-            };
-            points.push(SensitivityPoint {
-                benchmark,
-                parameter: batch as f64,
-                speedup: sys.speedup_over(
-                    benchmark,
-                    PlatformKind::DscsDsa,
-                    PlatformKind::BaselineCpu,
-                    options,
-                ),
-            });
-        }
-    }
-    points
-}
-
-/// Figure 15: tail-latency sensitivity. Speedup of DSCS over the baseline at
-/// the 50th, 95th and 99th percentile of the storage/network distribution.
-pub fn fig15_tail_sensitivity() -> Vec<SensitivityPoint> {
-    let sys = SystemModel::new();
-    let mut points = Vec::new();
-    for &quantile in &[0.50, 0.95, 0.99] {
-        for &benchmark in &Benchmark::ALL {
-            let options = EvalOptions {
-                quantile,
-                ..EvalOptions::default()
-            };
-            points.push(SensitivityPoint {
-                benchmark,
-                parameter: quantile,
-                speedup: sys.speedup_over(
-                    benchmark,
-                    PlatformKind::DscsDsa,
-                    PlatformKind::BaselineCpu,
-                    options,
-                ),
-            });
-        }
-    }
-    points
-}
-
-/// Figure 16: sensitivity to the number of accelerated functions (0 to 3 extra
-/// duplicated inference functions).
-pub fn fig16_function_count_sensitivity() -> Vec<SensitivityPoint> {
-    let sys = SystemModel::new();
-    let mut points = Vec::new();
-    for extra in 0..=3usize {
-        for &benchmark in &Benchmark::ALL {
-            let options = EvalOptions {
-                extra_inference_functions: extra,
-                ..EvalOptions::default()
-            };
-            points.push(SensitivityPoint {
-                benchmark,
-                parameter: extra as f64,
-                speedup: sys.speedup_over(
-                    benchmark,
-                    PlatformKind::DscsDsa,
-                    PlatformKind::BaselineCpu,
-                    options,
-                ),
-            });
-        }
-    }
-    points
-}
-
-/// Figure 17: cold vs warm containers. Per-benchmark speedup of DSCS over the
-/// baseline for warm (parameter 0.0) and cold (parameter 1.0) invocations.
-pub fn fig17_cold_start_sensitivity() -> Vec<SensitivityPoint> {
-    let sys = SystemModel::new();
-    let mut points = Vec::new();
-    for (parameter, cold) in [(0.0f64, false), (1.0, true)] {
-        for &benchmark in &Benchmark::ALL {
-            let options = EvalOptions {
-                cold_start: cold,
-                ..EvalOptions::default()
-            };
             points.push(SensitivityPoint {
                 benchmark,
                 parameter,
@@ -324,6 +236,54 @@ pub fn fig17_cold_start_sensitivity() -> Vec<SensitivityPoint> {
         }
     }
     points
+}
+
+/// Figure 14: batch-size sensitivity. Speedup of DSCS over the baseline CPU at
+/// batch sizes 1..=64 (both systems use the same batch).
+pub fn fig14_batch_sensitivity() -> Vec<SensitivityPoint> {
+    sensitivity([1u64, 4, 16, 64].map(|batch| {
+        let options = EvalOptions {
+            batch,
+            ..EvalOptions::default()
+        };
+        (batch as f64, options)
+    }))
+}
+
+/// Figure 15: tail-latency sensitivity. Speedup of DSCS over the baseline at
+/// the 50th, 95th and 99th percentile of the storage/network distribution.
+pub fn fig15_tail_sensitivity() -> Vec<SensitivityPoint> {
+    sensitivity([0.50, 0.95, 0.99].map(|quantile| {
+        let options = EvalOptions {
+            quantile,
+            ..EvalOptions::default()
+        };
+        (quantile, options)
+    }))
+}
+
+/// Figure 16: sensitivity to the number of accelerated functions (0 to 3 extra
+/// duplicated inference functions).
+pub fn fig16_function_count_sensitivity() -> Vec<SensitivityPoint> {
+    sensitivity((0..=3usize).map(|extra| {
+        let options = EvalOptions {
+            extra_inference_functions: extra,
+            ..EvalOptions::default()
+        };
+        (extra as f64, options)
+    }))
+}
+
+/// Figure 17: cold vs warm containers. Per-benchmark speedup of DSCS over the
+/// baseline for warm (parameter 0.0) and cold (parameter 1.0) invocations.
+pub fn fig17_cold_start_sensitivity() -> Vec<SensitivityPoint> {
+    sensitivity([(0.0, false), (1.0, true)].map(|(parameter, cold_start)| {
+        let options = EvalOptions {
+            cold_start,
+            ..EvalOptions::default()
+        };
+        (parameter, options)
+    }))
 }
 
 /// One row of Table 1.
@@ -411,8 +371,6 @@ mod tests {
         assert_eq!(series.len(), 8);
         for s in &series {
             assert!(s.p99 > s.p50, "{}", s.benchmark);
-            assert!(s.points.windows(2).all(|w| w[0].1 <= w[1].1));
-            assert_eq!(s.points.last().expect("non-empty").1, 1.0);
         }
     }
 

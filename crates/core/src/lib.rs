@@ -19,7 +19,7 @@
 //! ```
 //! use dscs_core::benchmarks::Benchmark;
 //! use dscs_core::endtoend::{EvalOptions, SystemModel};
-//! use dscs_platforms::PlatformKind;
+//! use dscs_platforms::spec::PlatformKind;
 //!
 //! let system = SystemModel::new();
 //! let report = system.evaluate(Benchmark::PpeDetection, PlatformKind::DscsDsa, EvalOptions::default());
@@ -33,6 +33,3 @@
 pub mod benchmarks;
 pub mod endtoend;
 pub mod experiments;
-
-pub use benchmarks::{Benchmark, BenchmarkSpec};
-pub use endtoend::{EndToEndReport, EnergyBreakdown, EvalOptions, LatencyBreakdown, SystemModel};

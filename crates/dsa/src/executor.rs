@@ -122,12 +122,9 @@ impl Executor {
                 Instruction::StoreTile { bytes } => {
                     let cycles = self.dma.transfer_cycles(bytes);
                     memory_cycles += cycles;
-                    // A store can only begin once the producing compute finished.
-                    let start = match self.policy {
-                        OverlapPolicy::DoubleBuffered => dma_free.max(compute_free),
-                        OverlapPolicy::Sequential => dma_free.max(compute_free),
-                    };
-                    dma_free = start + cycles;
+                    // A store can only begin once the producing compute
+                    // finished, under either overlap policy.
+                    dma_free = dma_free.max(compute_free) + cycles;
                 }
                 Instruction::GemmTile { m, k, n } => {
                     let cycles = self.mpu.gemm_cycles(m, k, n);

@@ -50,9 +50,3 @@ pub mod executor;
 pub mod isa;
 pub mod power;
 pub mod scaling;
-
-pub use config::{DsaConfig, MemoryKind, TechnologyNode};
-pub use executor::{ExecutionReport, Executor};
-pub use isa::{Instruction, Program};
-pub use power::{AreaModel, EnergyBreakdown, PowerModel};
-pub use scaling::ScalingFactors;

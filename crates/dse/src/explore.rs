@@ -6,7 +6,7 @@
 //! model's average power and the area model's die area — exactly the axes of
 //! the paper's power–performance and area–performance frontiers at 45 nm.
 
-use dscs_compiler::{compile, CompileOptions};
+use dscs_compiler::codegen::{compile, CompileOptions};
 use dscs_dsa::config::DsaConfig;
 use dscs_dsa::executor::Executor;
 use dscs_dsa::power::{AreaModel, PowerModel};

@@ -29,9 +29,3 @@
 pub mod cost;
 pub mod explore;
 pub mod space;
-
-pub use explore::{
-    area_performance_frontier, evaluate_config, frontier_fit, power_performance_frontier,
-    select_optimal, sweep, DesignPoint, DRIVE_POWER_BUDGET_WATTS,
-};
-pub use space::{enumerate, enumerate_small, ARRAY_DIMS, BUFFER_CAP};

@@ -35,9 +35,3 @@ pub mod config;
 pub mod function;
 pub mod registry;
 pub mod scheduler;
-
-pub use coldstart::ImageSource;
-pub use config::{parse_deployment, ConfigParseError};
-pub use function::{AppPipeline, FunctionRole, FunctionSpec};
-pub use registry::{FunctionRegistry, RegistryError};
-pub use scheduler::{NodeCapability, NodeId, PendingRequest, Placement, ScheduleError, Scheduler};

@@ -12,8 +12,9 @@
 //! * [`op`] — the operator vocabulary the paper's DSA supports (GEMM-class
 //!   operators executed on the Matrix Processing Unit, and vector-class
 //!   operators executed on the Vector Processing Unit).
-//! * [`graph`] — operator graphs (layers in topological order) with aggregate
-//!   FLOP, weight and activation accounting.
+//! * [`graph`] — operator graphs: each node is an operator and the earlier
+//!   nodes that feed it, in topological order, with aggregate FLOP, weight and
+//!   parameter accounting.
 //! * [`layers`] — reusable building blocks (conv blocks, attention blocks,
 //!   feed-forward blocks) used by the model zoo.
 //! * [`zoo`] — structural models of the eight benchmark applications' networks
@@ -23,9 +24,10 @@
 //! * [`preprocess`] — the data pre/post-processing functions that accompany the
 //!   inference function in each serverless pipeline.
 //!
-//! The IR is *structural*: it records shapes, FLOPs and bytes, not weight
-//! values, because every downstream consumer (the DSA cycle model, the platform
-//! roofline models, the compiler) only needs operation counts and data volumes.
+//! The IR is *structural*: it records shapes, FLOPs, bytes and producer edges,
+//! not weight values or layer names, because every downstream consumer (the DSA
+//! cycle model, the platform roofline models, the compiler) only needs
+//! operation counts, data volumes and which operator feeds which.
 //!
 //! # Example
 //!
@@ -46,9 +48,3 @@ pub mod op;
 pub mod preprocess;
 pub mod tensor;
 pub mod zoo;
-
-pub use graph::{Graph, GraphBuilder, Node, NodeId};
-pub use op::{ActivationKind, ElementwiseKind, Operator, OperatorClass};
-pub use preprocess::{PostprocessSpec, PreprocessKind, PreprocessSpec};
-pub use tensor::DType;
-pub use zoo::{Model, ModelKind};

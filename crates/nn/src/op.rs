@@ -7,8 +7,6 @@
 //! operators map to the Matrix Processing Unit; everything else maps to the
 //! Vector Processing Unit.
 
-use std::fmt;
-
 use dscs_simcore::quantity::Bytes;
 
 use crate::tensor::DType;
@@ -420,36 +418,6 @@ impl Operator {
     }
 }
 
-impl fmt::Display for Operator {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Operator::MatMul { m, k, n, .. } => write!(f, "MatMul({m}x{k}x{n})"),
-            Operator::Conv2d {
-                out_channels,
-                kernel,
-                stride,
-                ..
-            } => write!(f, "Conv2d(oc={out_channels},k={kernel},s={stride})"),
-            Operator::DepthwiseConv2d {
-                channels, kernel, ..
-            } => write!(f, "DwConv2d(c={channels},k={kernel})"),
-            Operator::Elementwise { kind, elements, .. } => {
-                write!(f, "Elementwise({kind:?},{elements})")
-            }
-            Operator::Activation { kind, elements, .. } => {
-                write!(f, "Activation({kind:?},{elements})")
-            }
-            Operator::Softmax { rows, cols, .. } => write!(f, "Softmax({rows}x{cols})"),
-            Operator::LayerNorm { rows, cols, .. } => write!(f, "LayerNorm({rows}x{cols})"),
-            Operator::BatchNorm { elements, .. } => write!(f, "BatchNorm({elements})"),
-            Operator::Pool { window, .. } => write!(f, "Pool(w={window})"),
-            Operator::Embedding { tokens, dim, .. } => write!(f, "Embedding({tokens}x{dim})"),
-            Operator::Layout { elements, .. } => write!(f, "Layout({elements})"),
-            Operator::Cast { elements, from, to } => write!(f, "Cast({elements},{from}->{to})"),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -557,15 +525,5 @@ mod tests {
         };
         assert!(emb.weight_bytes().as_u64() > emb.output_bytes().as_u64());
         assert_eq!(emb.parameter_count(), 30522 * 768);
-    }
-
-    #[test]
-    fn display_is_compact() {
-        let op = Operator::Softmax {
-            rows: 12,
-            cols: 64,
-            dtype: DType::Fp16,
-        };
-        assert_eq!(format!("{op}"), "Softmax(12x64)");
     }
 }

@@ -61,80 +61,56 @@ impl PreprocessSpec {
             } => {
                 // Decode: roughly ~40 ops per output pixel for entropy decode + IDCT.
                 let decoded = batch * channels * target_h * target_w * 4; // decode at 2x resolution
-                b.add_seq(
-                    "decode",
-                    Operator::Elementwise {
-                        kind: ElementwiseKind::Mul,
-                        elements: decoded * 40,
-                        dtype: DType::Int8,
-                    },
-                );
+                b.add_seq(Operator::Elementwise {
+                    kind: ElementwiseKind::Mul,
+                    elements: decoded * 40,
+                    dtype: DType::Int8,
+                });
                 // Resize: bilinear interpolation, ~8 ops/output pixel.
                 let out_elems = batch * channels * target_h * target_w;
-                b.add_seq(
-                    "resize",
-                    Operator::Elementwise {
-                        kind: ElementwiseKind::Mul,
-                        elements: out_elems * 8,
-                        dtype: DType::Fp16,
-                    },
-                );
+                b.add_seq(Operator::Elementwise {
+                    kind: ElementwiseKind::Mul,
+                    elements: out_elems * 8,
+                    dtype: DType::Fp16,
+                });
                 // Normalise: subtract mean, divide by std.
-                b.add_seq(
-                    "normalize",
-                    Operator::Elementwise {
-                        kind: ElementwiseKind::Div,
-                        elements: out_elems * 2,
-                        dtype: DType::Fp16,
-                    },
-                );
+                b.add_seq(Operator::Elementwise {
+                    kind: ElementwiseKind::Div,
+                    elements: out_elems * 2,
+                    dtype: DType::Fp16,
+                });
                 // Quantise to int8 for the DSA.
-                b.add_seq(
-                    "quantize",
-                    Operator::Cast {
-                        elements: out_elems,
-                        from: DType::Fp16,
-                        to: DType::Int8,
-                    },
-                );
+                b.add_seq(Operator::Cast {
+                    elements: out_elems,
+                    from: DType::Fp16,
+                    to: DType::Int8,
+                });
             }
             PreprocessKind::Tokenize { tokens } => {
                 // Byte-pair tokenisation: ~200 ops per produced token (vocab scan,
                 // merges), plus layout of the id tensor.
-                b.add_seq(
-                    "tokenize",
-                    Operator::Elementwise {
-                        kind: ElementwiseKind::Add,
-                        elements: batch * tokens * 200,
-                        dtype: DType::Int32,
-                    },
-                );
-                b.add_seq(
-                    "pack_ids",
-                    Operator::Layout {
-                        elements: batch * tokens,
-                        dtype: DType::Int32,
-                    },
-                );
+                b.add_seq(Operator::Elementwise {
+                    kind: ElementwiseKind::Add,
+                    elements: batch * tokens * 200,
+                    dtype: DType::Int32,
+                });
+                b.add_seq(Operator::Layout {
+                    elements: batch * tokens,
+                    dtype: DType::Int32,
+                });
             }
             PreprocessKind::TabularFeaturize { features } => {
                 // Parse + scale + one-hot: ~30 ops per feature.
-                b.add_seq(
-                    "featurize",
-                    Operator::Elementwise {
-                        kind: ElementwiseKind::Mul,
-                        elements: batch * features * 30,
-                        dtype: DType::Fp32,
-                    },
-                );
-                b.add_seq(
-                    "cast",
-                    Operator::Cast {
-                        elements: batch * features,
-                        from: DType::Fp32,
-                        to: DType::Int8,
-                    },
-                );
+                b.add_seq(Operator::Elementwise {
+                    kind: ElementwiseKind::Mul,
+                    elements: batch * features * 30,
+                    dtype: DType::Fp32,
+                });
+                b.add_seq(Operator::Cast {
+                    elements: batch * features,
+                    from: DType::Fp32,
+                    to: DType::Int8,
+                });
             }
         }
         b.build()

@@ -1,7 +1,5 @@
 //! Tensor element types.
 
-use std::fmt;
-
 /// Element data type. The DSA executes GEMMs in 8-bit integer arithmetic with
 /// 32-bit accumulation (as in the paper's PE microarchitecture) and supports
 /// fp16/fp32 for vector operations and type-casting layers.
@@ -28,18 +26,6 @@ impl DType {
     }
 }
 
-impl fmt::Display for DType {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            DType::Int8 => "int8",
-            DType::Fp16 => "fp16",
-            DType::Fp32 => "fp32",
-            DType::Int32 => "int32",
-        };
-        f.write_str(s)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -50,11 +36,5 @@ mod tests {
         assert_eq!(DType::Fp16.size_bytes(), 2);
         assert_eq!(DType::Fp32.size_bytes(), 4);
         assert_eq!(DType::Int32.size_bytes(), 4);
-    }
-
-    #[test]
-    fn display_names_the_type() {
-        assert_eq!(DType::Int8.to_string(), "int8");
-        assert_eq!(DType::Fp16.to_string(), "fp16");
     }
 }

@@ -25,10 +25,9 @@ use dscs_simcore::quantity::Bytes;
 use crate::graph::{Graph, GraphBuilder};
 use crate::layers::{
     classifier_head, conv_bn_relu, depthwise_separable, resnet_bottleneck,
-    transformer_decoder_block, transformer_encoder_block, FeatureMap,
+    transformer_decoder_block, transformer_encoder_block, FeatureMap, DT,
 };
 use crate::op::{ActivationKind, Operator};
-use crate::tensor::DType;
 
 /// The networks used by the benchmark suite.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -121,29 +120,21 @@ impl Model {
     }
 }
 
-const DT: DType = DType::Int8;
-
 /// Logistic regression over 64 engineered features with a small hidden
 /// expansion, matching the IBM credit-risk workflow the paper cites.
 fn logistic_regression(batch: u64) -> Graph {
     let mut b = GraphBuilder::default();
-    b.add_seq(
-        "linear",
-        Operator::MatMul {
-            m: batch,
-            k: 64,
-            n: 2,
-            dtype: DT,
-        },
-    );
-    b.add_seq(
-        "sigmoid",
-        Operator::Activation {
-            kind: ActivationKind::Sigmoid,
-            elements: batch * 2,
-            dtype: DT,
-        },
-    );
+    b.add_seq(Operator::MatMul {
+        m: batch,
+        k: 64,
+        n: 2,
+        dtype: DT,
+    });
+    b.add_seq(Operator::Activation {
+        kind: ActivationKind::Sigmoid,
+        elements: batch * 2,
+        dtype: DT,
+    });
     b.build()
 }
 
@@ -156,18 +147,15 @@ fn resnet50(batch: u64) -> Graph {
         h: 224,
         w: 224,
     };
-    let _ = conv_bn_relu(&mut b, "stem", fm, 64, 7, 2, DT);
-    b.add_seq(
-        "stem.maxpool",
-        Operator::Pool {
-            batch,
-            channels: 64,
-            out_h: 56,
-            out_w: 56,
-            window: 3,
-            dtype: DT,
-        },
-    );
+    let _ = conv_bn_relu(&mut b, fm, 64, 7, 2);
+    b.add_seq(Operator::Pool {
+        batch,
+        channels: 64,
+        out_h: 56,
+        out_w: 56,
+        window: 3,
+        dtype: DT,
+    });
     fm = FeatureMap {
         batch,
         channels: 64,
@@ -181,21 +169,13 @@ fn resnet50(batch: u64) -> Graph {
         (256, 1024, 6, 2),
         (512, 2048, 3, 2),
     ];
-    for (s, &(mid, out, blocks, first_stride)) in stages.iter().enumerate() {
+    for &(mid, out, blocks, first_stride) in &stages {
         for blk in 0..blocks {
             let stride = if blk == 0 { first_stride } else { 1 };
-            fm = resnet_bottleneck(
-                &mut b,
-                &format!("layer{}.{blk}", s + 1),
-                fm,
-                mid,
-                out,
-                stride,
-                DT,
-            );
+            fm = resnet_bottleneck(&mut b, fm, mid, out, stride);
         }
     }
-    classifier_head(&mut b, "head", fm, 1000, DT);
+    classifier_head(&mut b, fm, 1000);
     b.build()
 }
 
@@ -208,7 +188,7 @@ fn ssd_mobilenet(batch: u64) -> Graph {
         h: 300,
         w: 300,
     };
-    fm = conv_bn_relu(&mut b, "stem", fm, 32, 3, 2, DT);
+    fm = conv_bn_relu(&mut b, fm, 32, 3, 2);
     let blocks: [(u64, u64); 13] = [
         (64, 1),
         (128, 2),
@@ -224,41 +204,32 @@ fn ssd_mobilenet(batch: u64) -> Graph {
         (1024, 2),
         (1024, 1),
     ];
-    for (i, &(out, stride)) in blocks.iter().enumerate() {
-        fm = depthwise_separable(&mut b, &format!("ds{i}"), fm, out, stride, DT);
+    for &(out, stride) in &blocks {
+        fm = depthwise_separable(&mut b, fm, out, stride);
     }
     // SSD extra feature layers + per-location box/class heads.
     let mut extra = fm;
-    for (i, out) in [512u64, 256, 256, 128].iter().enumerate() {
-        extra = conv_bn_relu(&mut b, &format!("extra{i}"), extra, *out, 3, 2, DT);
+    for out in [512u64, 256, 256, 128] {
+        extra = conv_bn_relu(&mut b, extra, out, 3, 2);
     }
     // Detection heads over ~1917 anchors x (4 box + 91 classes).
-    b.add_seq(
-        "head.box",
-        Operator::MatMul {
-            m: batch * 1917,
-            k: 256,
-            n: 4,
-            dtype: DT,
-        },
-    );
-    b.add_seq(
-        "head.cls",
-        Operator::MatMul {
-            m: batch * 1917,
-            k: 256,
-            n: 91,
-            dtype: DT,
-        },
-    );
-    b.add_seq(
-        "head.softmax",
-        Operator::Softmax {
-            rows: batch * 1917,
-            cols: 91,
-            dtype: DT,
-        },
-    );
+    b.add_seq(Operator::MatMul {
+        m: batch * 1917,
+        k: 256,
+        n: 4,
+        dtype: DT,
+    });
+    b.add_seq(Operator::MatMul {
+        m: batch * 1917,
+        k: 256,
+        n: 91,
+        dtype: DT,
+    });
+    b.add_seq(Operator::Softmax {
+        rows: batch * 1917,
+        cols: 91,
+        dtype: DT,
+    });
     b.build()
 }
 
@@ -272,74 +243,46 @@ fn inception_v3(batch: u64) -> Graph {
         h: 299,
         w: 299,
     };
-    fm = conv_bn_relu(&mut b, "stem.conv1", fm, 32, 3, 2, DT);
-    fm = conv_bn_relu(&mut b, "stem.conv2", fm, 32, 3, 1, DT);
-    let _ = conv_bn_relu(&mut b, "stem.conv3", fm, 64, 3, 1, DT);
-    b.add_seq(
-        "stem.pool",
-        Operator::Pool {
-            batch,
-            channels: 64,
-            out_h: 73,
-            out_w: 73,
-            window: 3,
-            dtype: DT,
-        },
-    );
+    fm = conv_bn_relu(&mut b, fm, 32, 3, 2);
+    fm = conv_bn_relu(&mut b, fm, 32, 3, 1);
+    let _ = conv_bn_relu(&mut b, fm, 64, 3, 1);
+    b.add_seq(Operator::Pool {
+        batch,
+        channels: 64,
+        out_h: 73,
+        out_w: 73,
+        window: 3,
+        dtype: DT,
+    });
     fm = FeatureMap {
         batch,
         channels: 64,
         h: 73,
         w: 73,
     };
-    fm = conv_bn_relu(&mut b, "stem.conv4", fm, 80, 1, 1, DT);
-    fm = conv_bn_relu(&mut b, "stem.conv5", fm, 192, 3, 2, DT);
+    fm = conv_bn_relu(&mut b, fm, 80, 1, 1);
+    fm = conv_bn_relu(&mut b, fm, 192, 3, 2);
     // Inception blocks approximated as mixed 1x1/3x3/5x5 towers with the
     // published output widths per stage.
     let stages: [(u64, u64, usize); 3] = [(288, 35, 3), (768, 17, 5), (2048, 8, 3)];
-    for (si, &(channels, size, reps)) in stages.iter().enumerate() {
-        for r in 0..reps {
-            let prefix = format!("mixed{si}.{r}");
+    for &(channels, size, reps) in &stages {
+        for _ in 0..reps {
             let tower_in = FeatureMap {
                 batch,
                 channels: fm.channels,
                 h: size,
                 w: size,
             };
-            conv_bn_relu(
-                &mut b,
-                &format!("{prefix}.t1"),
-                tower_in,
-                channels / 4,
-                1,
-                1,
-                DT,
-            );
-            conv_bn_relu(
-                &mut b,
-                &format!("{prefix}.t3"),
-                tower_in,
-                channels / 2,
-                3,
-                1,
-                DT,
-            );
-            conv_bn_relu(
-                &mut b,
-                &format!("{prefix}.t5a"),
-                tower_in,
-                channels / 8,
-                1,
-                1,
-                DT,
-            );
+            conv_bn_relu(&mut b, tower_in, channels / 4, 1, 1);
+            conv_bn_relu(&mut b, tower_in, channels / 2, 3, 1);
+            conv_bn_relu(&mut b, tower_in, channels / 8, 1, 1);
             let t5 = FeatureMap {
                 batch,
                 channels: channels / 8,
                 h: size,
                 w: size,
             };
-            conv_bn_relu(&mut b, &format!("{prefix}.t5b"), t5, channels / 4, 5, 1, DT);
+            conv_bn_relu(&mut b, t5, channels / 4, 5, 1);
             fm = FeatureMap {
                 batch,
                 channels,
@@ -348,7 +291,7 @@ fn inception_v3(batch: u64) -> Graph {
             };
         }
     }
-    classifier_head(&mut b, "head", fm, 1000, DT);
+    classifier_head(&mut b, fm, 1000);
     b.build()
 }
 
@@ -357,52 +300,32 @@ fn inception_v3(batch: u64) -> Graph {
 fn bert_base(batch: u64) -> Graph {
     let tokens = 128 * batch;
     let mut b = GraphBuilder::default();
-    b.add_seq(
-        "embeddings",
-        Operator::Embedding {
-            tokens,
-            dim: 768,
-            vocab: 30_522,
-            dtype: DT,
-        },
-    );
-    b.add_seq(
-        "embeddings.ln",
-        Operator::LayerNorm {
-            rows: tokens,
-            cols: 768,
-            dtype: DT,
-        },
-    );
-    for layer in 0..12 {
-        transformer_encoder_block(
-            &mut b,
-            &format!("encoder.{layer}"),
-            tokens,
-            768,
-            3072,
-            12,
-            DT,
-        );
+    b.add_seq(Operator::Embedding {
+        tokens,
+        dim: 768,
+        vocab: 30_522,
+        dtype: DT,
+    });
+    b.add_seq(Operator::LayerNorm {
+        rows: tokens,
+        cols: 768,
+        dtype: DT,
+    });
+    for _ in 0..12 {
+        transformer_encoder_block(&mut b, tokens, 768, 3072, 12);
     }
-    b.add_seq(
-        "pooler",
-        Operator::MatMul {
-            m: batch,
-            k: 768,
-            n: 768,
-            dtype: DT,
-        },
-    );
-    b.add_seq(
-        "classifier",
-        Operator::MatMul {
-            m: batch,
-            k: 768,
-            n: 2,
-            dtype: DT,
-        },
-    );
+    b.add_seq(Operator::MatMul {
+        m: batch,
+        k: 768,
+        n: 768,
+        dtype: DT,
+    });
+    b.add_seq(Operator::MatMul {
+        m: batch,
+        k: 768,
+        n: 2,
+        dtype: DT,
+    });
     b.build()
 }
 
@@ -420,45 +343,28 @@ fn gpt2(batch: u64) -> Graph {
     let generated = 32u64;
     let total_tokens = (prompt + generated) * batch;
     let mut b = GraphBuilder::default();
-    b.add_seq(
-        "wte",
-        Operator::Embedding {
-            tokens: total_tokens,
-            dim: 768,
-            vocab: 50_257,
-            dtype: DT,
-        },
-    );
-    for layer in 0..12 {
-        transformer_encoder_block(
-            &mut b,
-            &format!("block.{layer}"),
-            total_tokens,
-            768,
-            3072,
-            12,
-            DT,
-        );
+    b.add_seq(Operator::Embedding {
+        tokens: total_tokens,
+        dim: 768,
+        vocab: 50_257,
+        dtype: DT,
+    });
+    for _ in 0..12 {
+        transformer_encoder_block(&mut b, total_tokens, 768, 3072, 12);
     }
-    b.add_seq(
-        "ln_f",
-        Operator::LayerNorm {
-            rows: total_tokens,
-            cols: 768,
-            dtype: DT,
-        },
-    );
+    b.add_seq(Operator::LayerNorm {
+        rows: total_tokens,
+        cols: 768,
+        dtype: DT,
+    });
     // One vocabulary projection per generated token (weights tied with `wte`,
     // so this MatMul is the only place the 768 x 50257 projection is counted).
-    b.add_seq(
-        "lm_head",
-        Operator::MatMul {
-            m: generated * batch,
-            k: 768,
-            n: 50_257,
-            dtype: DT,
-        },
-    );
+    b.add_seq(Operator::MatMul {
+        m: generated * batch,
+        k: 768,
+        n: 50_257,
+        dtype: DT,
+    });
     b.build()
 }
 
@@ -468,56 +374,35 @@ fn transformer_nmt(batch: u64) -> Graph {
     let src = 64 * batch;
     let tgt = 64 * batch;
     let mut b = GraphBuilder::default();
-    b.add_seq(
-        "src_embed",
-        Operator::Embedding {
-            tokens: src,
-            dim: 512,
-            vocab: 32_000,
-            dtype: DT,
-        },
-    );
-    for layer in 0..6 {
-        transformer_encoder_block(&mut b, &format!("encoder.{layer}"), src, 512, 2048, 8, DT);
+    b.add_seq(Operator::Embedding {
+        tokens: src,
+        dim: 512,
+        vocab: 32_000,
+        dtype: DT,
+    });
+    for _ in 0..6 {
+        transformer_encoder_block(&mut b, src, 512, 2048, 8);
     }
-    b.add_seq(
-        "tgt_embed",
-        Operator::Embedding {
-            tokens: tgt,
-            dim: 512,
-            vocab: 32_000,
-            dtype: DT,
-        },
-    );
-    for layer in 0..6 {
-        transformer_decoder_block(
-            &mut b,
-            &format!("decoder.{layer}"),
-            tgt,
-            src,
-            512,
-            2048,
-            8,
-            DT,
-        );
+    b.add_seq(Operator::Embedding {
+        tokens: tgt,
+        dim: 512,
+        vocab: 32_000,
+        dtype: DT,
+    });
+    for _ in 0..6 {
+        transformer_decoder_block(&mut b, tgt, src, 512, 2048, 8);
     }
-    b.add_seq(
-        "generator",
-        Operator::MatMul {
-            m: tgt,
-            k: 512,
-            n: 32_000,
-            dtype: DT,
-        },
-    );
-    b.add_seq(
-        "generator.softmax",
-        Operator::Softmax {
-            rows: tgt,
-            cols: 32_000,
-            dtype: DT,
-        },
-    );
+    b.add_seq(Operator::MatMul {
+        m: tgt,
+        k: 512,
+        n: 32_000,
+        dtype: DT,
+    });
+    b.add_seq(Operator::Softmax {
+        rows: tgt,
+        cols: 32_000,
+        dtype: DT,
+    });
     b.build()
 }
 
@@ -526,55 +411,35 @@ fn vit_base(batch: u64) -> Graph {
     let tokens = 197 * batch;
     let mut b = GraphBuilder::default();
     // Patch embedding: a 16x16 stride-16 convolution.
-    b.add_seq(
-        "patch_embed",
-        Operator::Conv2d {
-            batch,
-            in_channels: 3,
-            out_channels: 768,
-            in_h: 224,
-            in_w: 224,
-            kernel: 16,
-            stride: 16,
-            dtype: DT,
-        },
-    );
-    b.add_seq(
-        "pos_embed.add",
-        Operator::Elementwise {
-            kind: crate::op::ElementwiseKind::Add,
-            elements: tokens * 768,
-            dtype: DT,
-        },
-    );
-    for layer in 0..12 {
-        transformer_encoder_block(
-            &mut b,
-            &format!("encoder.{layer}"),
-            tokens,
-            768,
-            3072,
-            12,
-            DT,
-        );
+    b.add_seq(Operator::Conv2d {
+        batch,
+        in_channels: 3,
+        out_channels: 768,
+        in_h: 224,
+        in_w: 224,
+        kernel: 16,
+        stride: 16,
+        dtype: DT,
+    });
+    b.add_seq(Operator::Elementwise {
+        kind: crate::op::ElementwiseKind::Add,
+        elements: tokens * 768,
+        dtype: DT,
+    });
+    for _ in 0..12 {
+        transformer_encoder_block(&mut b, tokens, 768, 3072, 12);
     }
-    b.add_seq(
-        "head.ln",
-        Operator::LayerNorm {
-            rows: tokens,
-            cols: 768,
-            dtype: DT,
-        },
-    );
-    b.add_seq(
-        "head.fc",
-        Operator::MatMul {
-            m: batch,
-            k: 768,
-            n: 1000,
-            dtype: DT,
-        },
-    );
+    b.add_seq(Operator::LayerNorm {
+        rows: tokens,
+        cols: 768,
+        dtype: DT,
+    });
+    b.add_seq(Operator::MatMul {
+        m: batch,
+        k: 768,
+        n: 1000,
+        dtype: DT,
+    });
     b.build()
 }
 

@@ -14,7 +14,8 @@
 //!
 //! ```
 //! use dscs_nn::zoo::{Model, ModelKind};
-//! use dscs_platforms::{ComputeEngine, PlatformKind};
+//! use dscs_platforms::perf::ComputeEngine;
+//! use dscs_platforms::spec::PlatformKind;
 //!
 //! let engine = ComputeEngine::new();
 //! let model = Model::build(ModelKind::ResNet50);
@@ -30,6 +31,3 @@
 
 pub mod perf;
 pub mod spec;
-
-pub use perf::{device_copy_latency, ComputeEngine, InferenceResult};
-pub use spec::{PlatformKind, PlatformLocation, PlatformSpec};

@@ -12,7 +12,7 @@
 //! Both paths produce an [`InferenceResult`] with latency and energy so the
 //! end-to-end model can treat every platform uniformly.
 
-use dscs_compiler::{compile, CompileOptions};
+use dscs_compiler::codegen::{compile, CompileOptions};
 use dscs_dsa::config::DsaConfig;
 use dscs_dsa::executor::Executor;
 use dscs_nn::graph::Graph;

@@ -6,15 +6,18 @@
 //! The crate provides the vocabulary types and numeric tools that the rest of
 //! the system is built on:
 //!
-//! * [`time`] — nanosecond-resolution simulated time ([`SimTime`], [`SimDuration`]).
-//! * [`quantity`] — physical quantities with newtype safety ([`Bytes`], [`Watts`],
-//!   [`Joules`], [`Bandwidth`], [`AreaMm2`], [`Dollars`], [`Frequency`]).
+//! * [`time`] — nanosecond-resolution simulated time ([`time::SimTime`],
+//!   [`time::SimDuration`]).
+//! * [`quantity`] — physical quantities with newtype safety
+//!   ([`quantity::Bytes`], [`quantity::Watts`], [`quantity::Joules`],
+//!   [`quantity::Bandwidth`], [`quantity::AreaMm2`], [`quantity::Dollars`],
+//!   [`quantity::Frequency`]).
 //! * [`rng`] — deterministic, seedable random number generation helpers.
 //! * [`dist`] — latency/arrival distributions (lognormal with calibrated tails,
 //!   Poisson, Zipf) used to model remote storage, network RPCs, request
 //!   arrivals and object popularity.
-//! * [`stats`] — percentile summaries, quantile sketches and empirical CDFs
-//!   used to report p50/p95/p99 latencies and figure series.
+//! * [`stats`] — percentile summaries and quantile sketches used to report
+//!   p50/p95/p99 latencies.
 //! * [`pareto`] — Pareto-frontier extraction for the design-space exploration.
 //! * [`fit`] — least-squares polynomial fitting (the paper reports cubic fits of
 //!   its power/area frontiers).
@@ -29,7 +32,9 @@
 //! # Example
 //!
 //! ```
-//! use dscs_simcore::prelude::*;
+//! use dscs_simcore::dist::LogNormalDist;
+//! use dscs_simcore::rng::DeterministicRng;
+//! use dscs_simcore::stats::Summary;
 //!
 //! // Model a remote-storage read with a heavy tail: median 28 ms, p99 ~2.1x median.
 //! let dist = LogNormalDist::from_median_p99(0.028, 0.059);
@@ -54,24 +59,7 @@ pub mod series;
 pub mod stats;
 pub mod time;
 
-pub use dist::{LogNormalDist, PoissonArrivals, ZipfIndex};
-pub use fit::{polyfit, Polynomial};
-pub use json::JsonValue;
-pub use pareto::{pareto_frontier, ParetoPoint};
-pub use quantity::{AreaMm2, Bandwidth, Bytes, Dollars, Frequency, Joules, Watts};
-pub use rng::DeterministicRng;
-pub use series::TimeSeries;
-pub use stats::{Cdf, Summary};
-pub use time::{SimDuration, SimTime};
-
-/// Convenience re-exports for downstream crates.
-pub mod prelude {
-    pub use crate::dist::{LogNormalDist, PoissonArrivals};
-    pub use crate::fit::{polyfit, Polynomial};
-    pub use crate::pareto::{pareto_frontier, ParetoPoint};
-    pub use crate::quantity::{AreaMm2, Bandwidth, Bytes, Dollars, Frequency, Joules, Watts};
-    pub use crate::rng::DeterministicRng;
-    pub use crate::series::TimeSeries;
-    pub use crate::stats::{Cdf, Summary};
-    pub use crate::time::{SimDuration, SimTime};
-}
+// `benchmark/sweep.rs` imports `dscs_simcore::SimDuration`, and that file
+// changes only with the benchmark, so this one item keeps a root path until
+// such a change switches the import to `dscs_simcore::time::SimDuration`.
+pub use time::SimDuration;

@@ -1,8 +1,8 @@
-//! Percentile summaries, quantile sketches and empirical CDFs.
+//! Percentile summaries and quantile sketches.
 //!
 //! The paper reports p95 latencies for all end-to-end results, p50/p99 for the
-//! tail-latency study, and full CDFs of S3 read latency (Figure 3). This module
-//! provides the corresponding reductions over sample sets.
+//! tail-latency study and the S3 read-latency distributions (Figure 3). This
+//! module provides the corresponding reductions over sample sets.
 
 use std::fmt;
 
@@ -88,11 +88,6 @@ impl Summary {
     pub fn p99(&self) -> f64 {
         self.quantile(0.99)
     }
-
-    /// Builds the empirical CDF of the samples.
-    pub fn cdf(&self) -> Cdf {
-        Cdf::from_sorted(self.sorted.clone())
-    }
 }
 
 impl fmt::Display for Summary {
@@ -107,48 +102,6 @@ impl fmt::Display for Summary {
             self.p99(),
             self.max()
         )
-    }
-}
-
-/// An empirical cumulative distribution function.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Cdf {
-    sorted: Vec<f64>,
-}
-
-impl Cdf {
-    fn from_sorted(sorted: Vec<f64>) -> Self {
-        Cdf { sorted }
-    }
-
-    /// Fraction of samples `<= x`.
-    pub fn probability_at(&self, x: f64) -> f64 {
-        let idx = self.sorted.partition_point(|&v| v <= x);
-        idx as f64 / self.sorted.len() as f64
-    }
-
-    /// Evaluates the CDF on `points` equally spaced values between the sample
-    /// min and max, returning `(value, probability)` pairs — the series plotted
-    /// in Figure 3.
-    ///
-    /// # Panics
-    /// Panics if `points < 2`.
-    pub fn curve(&self, points: usize) -> Vec<(f64, f64)> {
-        assert!(points >= 2, "need at least two curve points");
-        let lo = self.sorted[0];
-        let hi = *self.sorted.last().expect("non-empty");
-        (0..points)
-            .map(|i| {
-                // The final point is exactly the sample maximum so the curve
-                // always ends at probability 1.0 despite rounding.
-                let x = if i + 1 == points {
-                    hi
-                } else {
-                    lo + (hi - lo) * i as f64 / (points - 1) as f64
-                };
-                (x, self.probability_at(x))
-            })
-            .collect()
     }
 }
 
@@ -472,18 +425,6 @@ mod tests {
         assert_eq!(s.p50(), 3.5);
         assert_eq!(s.p99(), 3.5);
         assert_eq!(s.quantile(0.0), s.max());
-    }
-
-    #[test]
-    fn cdf_probabilities_monotone() {
-        let cdf = Summary::from_samples(&[1.0, 2.0, 2.0, 3.0, 10.0]).cdf();
-        assert_eq!(cdf.probability_at(0.5), 0.0);
-        assert_eq!(cdf.probability_at(2.0), 0.6);
-        assert_eq!(cdf.probability_at(10.0), 1.0);
-        let curve = cdf.curve(10);
-        assert_eq!(curve.len(), 10);
-        assert!(curve.windows(2).all(|w| w[0].1 <= w[1].1));
-        assert_eq!(curve.last().expect("non-empty").1, 1.0);
     }
 
     #[test]

@@ -46,13 +46,6 @@ pub mod object_store;
 pub mod pcie;
 pub mod snapshot;
 
-pub use drive::{DscsDrive, SsdDrive};
-pub use network::NetworkModel;
-pub use object_store::{
-    DriveClass, ObjectMeta, ObjectStore, RemoteFetchModel, StorageNodeId, StoreError,
-};
-pub use pcie::PcieLink;
-
 #[cfg(test)]
 mod tests {
     use dscs_simcore::quantity::Bytes;

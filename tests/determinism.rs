@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use dscs_serverless::cluster::experiment::Experiment;
 use dscs_serverless::cluster::trace::RateProfile;
-use dscs_serverless::platforms::PlatformKind;
+use dscs_serverless::platforms::spec::PlatformKind;
 use dscs_serverless::simcore::rng::DeterministicRng;
 use dscs_serverless::simcore::time::SimDuration;
 

@@ -4,7 +4,7 @@
 
 use dscs_serverless::cluster::experiment::Experiment;
 use dscs_serverless::cluster::trace::RateProfile;
-use dscs_serverless::compiler::{compile, CompileOptions};
+use dscs_serverless::compiler::codegen::{compile, CompileOptions};
 use dscs_serverless::core::benchmarks::Benchmark;
 use dscs_serverless::core::endtoend::{EvalOptions, SystemModel};
 use dscs_serverless::core::experiments;
@@ -17,7 +17,7 @@ use dscs_serverless::faas::scheduler::{
     NodeCapability, NodeId, PendingRequest, Placement, Scheduler,
 };
 use dscs_serverless::nn::zoo::{Model, ModelKind};
-use dscs_serverless::platforms::PlatformKind;
+use dscs_serverless::platforms::spec::PlatformKind;
 use dscs_serverless::simcore::rng::DeterministicRng;
 use dscs_serverless::simcore::stats::geometric_mean;
 use dscs_serverless::simcore::time::SimDuration;
@@ -168,7 +168,6 @@ fn dsa_compile_and_execute_for_every_benchmark_model() {
     for benchmark in Benchmark::ALL {
         let kind = benchmark.spec().model;
         let model = Model::build(kind);
-        assert!(model.graph().validate().is_ok(), "{kind} graph invalid");
         assert!(model.graph().total_flops() > 0, "{kind} has zero FLOPs");
         let program = compile(model.graph(), &config, CompileOptions::default());
         let report = Executor::new(config).run(&program);

@@ -13,7 +13,7 @@ use dscs_serverless::cluster::policy::{
     KeepalivePolicy, LoadBalancer, ScalingPolicy, SchedulerPolicy,
 };
 use dscs_serverless::cluster::workload::{azure_generation_rng, Workload, WorkloadSpec};
-use dscs_serverless::platforms::PlatformKind;
+use dscs_serverless::platforms::spec::PlatformKind;
 use dscs_serverless::simcore::rng::DeterministicRng;
 
 const SAMPLE_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/data/azure_trace_sample.csv");

@@ -20,7 +20,7 @@ use dscs_serverless::cluster::policy::{
 };
 use dscs_serverless::cluster::sim::EngineSelection;
 use dscs_serverless::cluster::trace::RateProfile;
-use dscs_serverless::platforms::PlatformKind;
+use dscs_serverless::platforms::spec::PlatformKind;
 use dscs_serverless::simcore::rng::DeterministicRng;
 
 /// A small smoke-scale grid (2 workloads x 1 platform x 1 scheduler x

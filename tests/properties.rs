@@ -5,7 +5,8 @@
 //! randomized cases drawn from a [`DeterministicRng`], with the failing case's
 //! seed index reported on assertion failure so it can be replayed exactly.
 
-use dscs_serverless::compiler::{gemm_dims, select_tiling};
+use dscs_serverless::compiler::codegen::gemm_dims;
+use dscs_serverless::compiler::tiling::select_tiling;
 use dscs_serverless::dsa::config::{DsaConfig, MemoryKind, TechnologyNode};
 use dscs_serverless::dsa::engine::MpuModel;
 use dscs_serverless::nn::op::Operator;
@@ -516,7 +517,7 @@ fn autoscaler_respects_its_instance_bounds() {
     use dscs_serverless::cluster::policy::ScalingPolicy;
     use dscs_serverless::cluster::sim::{ClusterConfig, ClusterSim};
     use dscs_serverless::cluster::trace::RateProfile;
-    use dscs_serverless::platforms::PlatformKind;
+    use dscs_serverless::platforms::spec::PlatformKind;
 
     // Evaluating the end-to-end model dominates the property's cost; the
     // per-case work is just the (tiny) trace replay, so share one base
@@ -606,7 +607,7 @@ fn locality_aware_balancing_never_fetches_when_replica_racks_are_unsaturated() {
     use dscs_serverless::cluster::policy::LoadBalancer;
     use dscs_serverless::cluster::sim::{ClusterConfig, ClusterSim};
     use dscs_serverless::cluster::trace::RateProfile;
-    use dscs_serverless::platforms::PlatformKind;
+    use dscs_serverless::platforms::spec::PlatformKind;
 
     /// Queue depth at a replica rack above which the locality balancer
     /// spills.
@@ -927,7 +928,7 @@ fn fixed_scaling_is_bit_identical_to_a_pinned_pool() {
     use dscs_serverless::cluster::policy::ScalingPolicy;
     use dscs_serverless::cluster::sim::{ClusterConfig, ClusterSim};
     use dscs_serverless::cluster::trace::RateProfile;
-    use dscs_serverless::platforms::PlatformKind;
+    use dscs_serverless::platforms::spec::PlatformKind;
 
     let fixed_sim = ClusterSim::new(PlatformKind::DscsDsa, ClusterConfig::default());
     check(0xB0, |case, rng| {
@@ -991,7 +992,7 @@ fn one_rack_runs_agree_across_lane_and_coupled_balancers() {
     use dscs_serverless::cluster::policy::{KeepalivePolicy, LoadBalancer, ScalingPolicy};
     use dscs_serverless::cluster::sim::{ClusterConfig, ClusterSim};
     use dscs_serverless::cluster::trace::RateProfile;
-    use dscs_serverless::platforms::PlatformKind;
+    use dscs_serverless::platforms::spec::PlatformKind;
 
     let base = ClusterSim::new(PlatformKind::DscsDsa, ClusterConfig::default());
     check(0xB5, |case, rng| {
@@ -1065,7 +1066,7 @@ fn report_counters_are_rack_order_folds_of_the_rack_ledgers() {
     use dscs_serverless::cluster::policy::{KeepalivePolicy, LoadBalancer, ScalingPolicy};
     use dscs_serverless::cluster::sim::{ClusterConfig, ClusterSim, RackSummary};
     use dscs_serverless::cluster::trace::RateProfile;
-    use dscs_serverless::platforms::PlatformKind;
+    use dscs_serverless::platforms::spec::PlatformKind;
 
     let base = ClusterSim::new(PlatformKind::DscsDsa, ClusterConfig::default());
     let (mut rejected, mut fetched, mut scaled_up, mut restored, mut prewarmed) = (0, 0, 0, 0, 0);
@@ -1266,7 +1267,7 @@ fn offline_optimal_bound_floors_every_policys_cold_start_seconds() {
     };
     use dscs_serverless::cluster::sim::{ClusterConfig, ClusterSim};
     use dscs_serverless::cluster::trace::RateProfile;
-    use dscs_serverless::platforms::PlatformKind;
+    use dscs_serverless::platforms::spec::PlatformKind;
 
     // Model evaluation dominates; share one base simulator per platform and
     // replay the (tiny) random traces against it.
@@ -1408,7 +1409,7 @@ fn slot_based_offline_bound_equals_the_public_wrappers() {
     use dscs_serverless::cluster::sim::{ClusterConfig, ClusterSim};
     use dscs_serverless::cluster::trace::{RateProfile, TraceRequest};
     use dscs_serverless::cluster::workload::WorkloadSpec;
-    use dscs_serverless::platforms::PlatformKind;
+    use dscs_serverless::platforms::spec::PlatformKind;
 
     let sample = WorkloadSpec::TraceFile {
         path: concat!(env!("CARGO_MANIFEST_DIR"), "/data/azure_trace_sample.csv").into(),
@@ -1495,7 +1496,7 @@ fn spreading_function_slots_leaves_every_outcome_bit_identical() {
     use dscs_serverless::cluster::sim::{ClusterConfig, ClusterSim};
     use dscs_serverless::cluster::trace::TraceRequest;
     use dscs_serverless::core::benchmarks::Benchmark;
-    use dscs_serverless::platforms::PlatformKind;
+    use dscs_serverless::platforms::spec::PlatformKind;
     use dscs_serverless::simcore::time::SimTime;
 
     let base = ClusterSim::new(PlatformKind::DscsDsa, ClusterConfig::default());
