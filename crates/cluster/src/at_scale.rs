@@ -56,7 +56,7 @@ use crate::coldpath::{ColdStartPath, IpcTransport};
 use crate::data::DataLayer;
 use crate::experiment::{ConfigError, Experiment};
 use crate::policy::{KeepalivePolicy, LoadBalancer, ScalingPolicy, SchedulerPolicy};
-use crate::sim::{ClusterConfig, ClusterSim};
+use crate::sim::{ClusterConfig, ClusterSim, RackStreams};
 use crate::workload::{RealizedWorkload, WorkloadSpec};
 
 /// How much of the full-size experiment to run.
@@ -394,11 +394,16 @@ impl SweepSpec {
         // Resolved against the sweep worker count so the two levels split
         // one core budget (the outcome is byte-identical regardless).
         let rack_jobs = self.effective_rack_jobs(jobs);
+        // Every cell runs with this seed over the same racks, so every cell
+        // replays the same per-rack jitter streams: share one memo of their
+        // leading draws instead of computing them again in each cell.
+        let cell_seed = self.seed ^ 0x5EED;
+        let rack_streams = Arc::new(RackStreams::new(cell_seed, self.racks));
         let run_cell = |point: &CellPoint| -> Result<SweepCell, ConfigError> {
             let workload = &workloads[point.workload];
             let cold_path = self.cold_paths[point.cold_path];
             let bound = optimal_bounds[point.workload][point.platform][point.cold_path];
-            let outcome = Experiment::builder(self.platforms[point.platform])
+            let mut experiment = Experiment::builder(self.platforms[point.platform])
                 .trace(workload.trace.clone())
                 .racks(self.racks)
                 .balancer(point.balancer)
@@ -408,11 +413,12 @@ impl SweepSpec {
                 .cold_path(cold_path)
                 .ipc(point.ipc)
                 .data_layer(data_layers[point.workload].clone())
-                .seed(self.seed ^ 0x5EED)
+                .seed(cell_seed)
                 .optimal_coldstart(bound)
                 .rack_jobs(rack_jobs)
-                .build()?
-                .run_on(&base_sims[point.platform]);
+                .build()?;
+            experiment.rack_streams = Some(Arc::clone(&rack_streams));
+            let outcome = experiment.run_on(&base_sims[point.platform]);
             let report = &outcome.report;
             Ok(SweepCell {
                 workload: workload.name.clone(),

@@ -56,11 +56,14 @@ use std::fmt;
 use std::sync::Arc;
 
 use dscs_platforms::spec::PlatformKind;
+use dscs_simcore::time::{SimDuration, SimTime};
 
 use crate::coldpath::{ColdStartPath, IpcTransport};
 use crate::data::DataLayer;
 use crate::policy::{KeepalivePolicy, LoadBalancer, ScalingPolicy, SchedulerPolicy};
-use crate::sim::{ClusterConfig, ClusterReport, ClusterSim, EngineSelection, RackSummary};
+use crate::sim::{
+    ClusterConfig, ClusterReport, ClusterSim, EngineSelection, RackStreams, RackSummary,
+};
 use crate::trace::TraceRequest;
 use crate::workload::{WorkloadError, WorkloadSpecError};
 
@@ -74,6 +77,14 @@ pub enum ConfigError {
     /// The experiment has no trace (none supplied, or the supplied trace is
     /// empty): there is nothing to simulate.
     EmptyTrace,
+    /// The trace's last request arrives later than
+    /// [`ClusterSim::MAX_TRACE_SPAN`] after the simulation starts.
+    TraceTooLong {
+        /// When the trace's last request arrives, after the start.
+        last_arrival: SimDuration,
+        /// The latest arrival a run takes.
+        max: SimDuration,
+    },
     /// The experiment shards over zero racks.
     ZeroRacks,
     /// A run or sweep shards over more racks than it can: any run over
@@ -136,6 +147,10 @@ impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ConfigError::EmptyTrace => write!(f, "experiment trace must not be empty"),
+            ConfigError::TraceTooLong { last_arrival, max } => write!(
+                f,
+                "the trace's last request arrives at {last_arrival}, past the {max} a run spans"
+            ),
             ConfigError::ZeroRacks => write!(f, "experiment needs at least one rack"),
             ConfigError::TooManyRacks { racks, max } => {
                 write!(f, "{racks} racks exceed the limit of {max}")
@@ -194,15 +209,23 @@ impl From<WorkloadSpecError> for ConfigError {
 
 /// The run validator behind [`ExperimentBuilder::build`]: every
 /// precondition of a run as a typed error, checked in a fixed order — the
-/// trace, the rack count, the data layer, then [`ClusterConfig::check`].
+/// trace and its span, the rack count, the data layer, then
+/// [`ClusterConfig::check`].
 fn validate_run(
     trace: &[TraceRequest],
     racks: u32,
     config: &ClusterConfig,
     data: Option<&DataLayer>,
 ) -> Result<(), ConfigError> {
-    if trace.is_empty() {
+    let Some(last) = trace.last() else {
         return Err(ConfigError::EmptyTrace);
+    };
+    let last_arrival = last.arrival - SimTime::ZERO;
+    if last_arrival > ClusterSim::MAX_TRACE_SPAN {
+        return Err(ConfigError::TraceTooLong {
+            last_arrival,
+            max: ClusterSim::MAX_TRACE_SPAN,
+        });
     }
     if racks == 0 {
         return Err(ConfigError::ZeroRacks);
@@ -249,6 +272,10 @@ pub struct Experiment {
     seed: u64,
     rack_jobs: usize,
     optimal_bound: Option<f64>,
+    /// The jitter streams a sweep shares among its cells, all built from
+    /// this seed and rack count; `None` for a standalone run, which forks
+    /// its own.
+    pub(crate) rack_streams: Option<Arc<RackStreams>>,
 }
 
 impl Experiment {
@@ -295,10 +322,21 @@ impl Experiment {
     }
 
     fn outcome(&self, sim: &ClusterSim) -> Outcome {
+        let own;
+        let streams = match &self.rack_streams {
+            Some(shared) => shared.as_ref(),
+            None => {
+                own = RackStreams::new(self.seed, self.racks);
+                &own
+            }
+        };
+        assert!(
+            streams.serve(self.seed, self.racks),
+            "shared jitter streams serve the run's seed and racks invariant broken"
+        );
         let (report, racks, engine) = sim.run_validated(
             &self.trace,
-            self.seed,
-            self.racks,
+            streams,
             self.balancer,
             self.data.as_deref(),
             self.rack_jobs,
@@ -419,7 +457,13 @@ impl ExperimentBuilder {
         self
     }
 
-    /// Master seed for the run (trace replay jitter, per-rack RNG streams).
+    /// Master seed for the run: each rack's service-time jitter stream is
+    /// forked from it, in rack order. The streams depend only on the seed
+    /// and the rack count, so a sweep, whose cells all share both, shares
+    /// them too: its cells read each rack's leading draws from one memo
+    /// ([`crate::at_scale::SweepSpec::run`]). Every draw is the value the
+    /// rack's own generator yields at that position, so sharing moves no
+    /// byte of any report.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
@@ -450,8 +494,9 @@ impl ExperimentBuilder {
 
     /// Validates the whole specification and returns the run-ready
     /// [`Experiment`], or the first [`ConfigError`] found (in check order:
-    /// trace, racks, data layer racks, data layer trace, instance bounds). Arrival order and function
-    /// slots are not checked here; see the [module docs](crate::experiment).
+    /// trace, its last arrival, racks, data layer racks, data layer trace,
+    /// instance bounds). Arrival order and function slots are not checked
+    /// here; see the [module docs](crate::experiment).
     pub fn build(self) -> Result<Experiment, ConfigError> {
         let trace = self.trace.unwrap_or_default();
         validate_run(&trace, self.racks, &self.config, self.data.as_deref())?;
@@ -465,6 +510,7 @@ impl ExperimentBuilder {
             seed: self.seed,
             rack_jobs: self.rack_jobs,
             optimal_bound: self.optimal_bound,
+            rack_streams: None,
         })
     }
 }
@@ -643,6 +689,10 @@ mod tests {
     fn config_error_display_is_informative() {
         let errors: Vec<ConfigError> = vec![
             ConfigError::EmptyTrace,
+            ConfigError::TraceTooLong {
+                last_arrival: ClusterSim::MAX_TRACE_SPAN + SimDuration::from_secs(1),
+                max: ClusterSim::MAX_TRACE_SPAN,
+            },
             ConfigError::ZeroRacks,
             ConfigError::TooManyRacks {
                 racks: 256,

@@ -27,6 +27,8 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::fmt;
+use std::sync::OnceLock;
 
 use dscs_core::benchmarks::Benchmark;
 use dscs_core::endtoend::{EvalOptions, SystemModel};
@@ -51,6 +53,14 @@ use crate::trace::{assert_function_in_range, TraceRequest};
 /// Per-request service-time jitter: the sigma of a multiplicative
 /// lognormal.
 const SERVICE_JITTER_SIGMA: f64 = 0.15;
+
+/// Jitter draws in one memoised chunk of a rack's stream ([`RackStreams`]).
+const JITTER_CHUNK: usize = 1024;
+
+/// Bytes of jitter draws one [`RackStreams`] memoises over all its racks:
+/// 32,768 draws, so 16 chunks per rack at 2 racks, 8 at 4 and none above
+/// 32 racks.
+const JITTER_MEMO_BYTES: usize = 256 * 1024;
 
 /// Bucket width of the reported time series.
 const BUCKET: SimDuration = SimDuration::from_secs(60);
@@ -472,13 +482,146 @@ struct ColdCosts {
     snapshot: SimDuration,
 }
 
-struct RackState {
+/// One service-time jitter draw: the lognormal factor `exp(σ·z)` a started
+/// request's base service time is scaled by.
+fn draw_jitter(rng: &mut DeterministicRng) -> f64 {
+    (SERVICE_JITTER_SIGMA * rng.standard_normal()).exp()
+}
+
+/// The service-time jitter streams of a run's racks, one per rack, forked
+/// from the run's seed in rack order.
+///
+/// A rack's stream feeds nothing but its started requests' jitter, so every
+/// run with the same seed and rack count draws the same per-rack sequences;
+/// a sweep gives all its cells one seed and shares one `RackStreams`. Each
+/// stream keeps its leading draws in [`JITTER_CHUNK`]-draw chunks, filled on
+/// first read by whichever run gets there first, each continuing from the
+/// generator state the chunk before it ended in. All racks together keep at
+/// most [`JITTER_MEMO_BYTES`] of draws, so the memo does not grow with the
+/// trace. Past its chunks a rack's run draws directly, from the last
+/// chunk's end state. Every draw is the value the rack's own generator
+/// yields at that position, so sharing moves no byte of any report.
+pub(crate) struct RackStreams {
+    /// The seed the racks' generators were forked from.
+    seed: u64,
+    racks: Vec<RackStream>,
+}
+
+/// One rack's jitter stream.
+struct RackStream {
+    /// The rack's generator before its first draw.
+    origin: DeterministicRng,
+    /// The stream's leading draws, chunk by chunk.
+    chunks: Box<[OnceLock<JitterChunk>]>,
+}
+
+/// [`JITTER_CHUNK`] consecutive draws of one rack's stream.
+struct JitterChunk {
+    draws: Box<[f64]>,
+    /// The generator state after the chunk's last draw.
+    end: DeterministicRng,
+}
+
+impl RackStreams {
+    /// Forks one generator per rack from `seed`, in rack order. No draw is
+    /// taken until a run reads it.
+    pub(crate) fn new(seed: u64, racks: u32) -> Self {
+        let chunk_bytes = JITTER_CHUNK * std::mem::size_of::<f64>();
+        let chunks = JITTER_MEMO_BYTES / (chunk_bytes * racks.max(1) as usize);
+        let mut master = DeterministicRng::seeded(seed);
+        RackStreams {
+            seed,
+            racks: (0..racks)
+                .map(|r| RackStream {
+                    origin: master.fork(u64::from(r)),
+                    chunks: (0..chunks).map(|_| OnceLock::new()).collect(),
+                })
+                .collect(),
+        }
+    }
+
+    /// Whether these are the streams of a run seeded with `seed` over
+    /// `racks` racks.
+    pub(crate) fn serve(&self, seed: u64, racks: u32) -> bool {
+        self.seed == seed && self.racks.len() == racks as usize
+    }
+
+    /// A reader of rack `rack`'s stream from its first draw.
+    fn cursor(&self, rack: usize) -> JitterCursor<'_> {
+        let stream = &self.racks[rack];
+        JitterCursor {
+            stream,
+            unread: &[],
+            next_chunk: 0,
+            rng: stream.origin.clone(),
+        }
+    }
+}
+
+impl fmt::Debug for RackStreams {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("RackStreams")
+            .field("seed", &self.seed)
+            .field("racks", &self.racks.len())
+            .finish_non_exhaustive()
+    }
+}
+
+impl RackStream {
+    /// Chunk `k` of the stream, filled on first read, or `None` past the
+    /// memo.
+    fn chunk(&self, k: usize) -> Option<&JitterChunk> {
+        let cell = self.chunks.get(k)?;
+        Some(cell.get_or_init(|| {
+            let mut rng = match k.checked_sub(1) {
+                None => self.origin.clone(),
+                Some(previous) => self.chunk(previous).expect("earlier chunk").end.clone(),
+            };
+            let draws = (0..JITTER_CHUNK).map(|_| draw_jitter(&mut rng)).collect();
+            JitterChunk { draws, end: rng }
+        }))
+    }
+}
+
+/// A run's position in one rack's [`RackStreams`] stream.
+struct JitterCursor<'s> {
+    stream: &'s RackStream,
+    /// The draws left in the chunk read last.
+    unread: &'s [f64],
+    /// The chunk to read once `unread` runs out.
+    next_chunk: usize,
+    /// Where draws past the memo continue: the rack's generator, or the end
+    /// state of the last chunk read.
+    rng: DeterministicRng,
+}
+
+impl JitterCursor<'_> {
+    /// The rack's next jitter draw.
+    fn next(&mut self) -> f64 {
+        if let Some((&draw, rest)) = self.unread.split_first() {
+            self.unread = rest;
+            return draw;
+        }
+        match self.stream.chunk(self.next_chunk) {
+            Some(chunk) => {
+                self.next_chunk += 1;
+                self.rng = chunk.end.clone();
+                self.unread = &chunk.draws[1..];
+                chunk.draws[0]
+            }
+            None => draw_jitter(&mut self.rng),
+        }
+    }
+}
+
+struct RackState<'s> {
     /// The rack's ledger; `summary.rack` is what a data layer's home rack
     /// names.
     summary: RackSummary,
     queue: SchedQueue,
     keepalive: KeepaliveState,
-    rng: DeterministicRng,
+    /// The rack's service-time jitter stream.
+    jitter: JitterCursor<'s>,
     busy: u32,
     /// Instances currently provisioned and able to run requests.
     capacity: u32,
@@ -488,7 +631,7 @@ struct RackState {
     latency: QuantileSketch,
 }
 
-impl RackState {
+impl RackState<'_> {
     fn load(&self) -> usize {
         self.busy as usize + self.queue.len()
     }
@@ -543,8 +686,8 @@ struct RunInputs<'a> {
 
 /// A finished event loop — one round-robin lane or the whole cluster —
 /// before summaries and the final report.
-struct ClusterRun {
-    rack_states: Vec<RackState>,
+struct ClusterRun<'s> {
+    rack_states: Vec<RackState<'s>>,
     offered: TimeSeries,
     queued: TimeSeries,
     latency_series: TimeSeries,
@@ -557,7 +700,7 @@ struct ClusterRun {
 /// lane clock, the event counter as the lane sum. Lane order — not execution
 /// order — fixes every floating-point accumulation, so the merge is
 /// byte-stable across worker counts.
-fn merge_lanes(lanes: Vec<ClusterRun>) -> ClusterRun {
+fn merge_lanes(lanes: Vec<ClusterRun<'_>>) -> ClusterRun<'_> {
     let mut lanes = lanes.into_iter();
     let mut run = lanes.next().expect("at least one rack");
     for lane in lanes {
@@ -596,6 +739,13 @@ impl ClusterSim {
     /// The most racks a run shards over: the event loop names a rack in 22
     /// bits of each pending event's key.
     pub const MAX_RACKS: u32 = 1 << RACK_BITS;
+
+    /// The latest arrival a run takes: one year (365 days) after the
+    /// simulation starts. A run's series span its last arrival plus 120 s in
+    /// one-minute buckets, so this caps each at 525,602 buckets, and it leaves
+    /// the nanosecond clock over 580 years to drain the queues in, so no
+    /// event time wraps.
+    pub const MAX_TRACE_SPAN: SimDuration = SimDuration::from_secs(365 * 24 * 3600);
 
     /// Builds a simulator for `platform`, pre-computing per-benchmark service
     /// times from the end-to-end model (median storage latency; queueing, not
@@ -717,11 +867,13 @@ impl ClusterSim {
     /// — while coupled balancers run one loop over every rack. Lane results
     /// are merged in rack order, so the report is byte-identical across
     /// every `rack_jobs` value.
+    ///
+    /// The run shards over one rack per stream in `streams`; each rack draws
+    /// its service-time jitter from its own stream.
     pub(crate) fn run_validated(
         &self,
         trace: &[TraceRequest],
-        seed: u64,
-        racks: u32,
+        streams: &RackStreams,
         balancer: LoadBalancer,
         data: Option<&DataLayer>,
         rack_jobs: usize,
@@ -729,21 +881,15 @@ impl ClusterSim {
         let horizon =
             trace.last().expect("non-empty").arrival - SimTime::ZERO + SimDuration::from_secs(120);
         let wall_clock = std::time::Instant::now();
-        // Forking consumes the master stream, so take every rack's RNG here,
-        // in rack order — lane execution order can then never change which
-        // stream a rack gets.
-        let mut master = DeterministicRng::seeded(seed);
-        let rack_rngs: Vec<DeterministicRng> =
-            (0..racks).map(|r| master.fork(u64::from(r))).collect();
+        let racks = streams.racks.len();
         let inputs = RunInputs { trace, data };
         let (run, engine) = match balancer {
             LoadBalancer::RoundRobin => {
                 // Each rack is a lane of its own: one rack over the stride
                 // `r, r + racks, …` of the trace.
-                let racks = rack_rngs.len();
                 let workers = par::resolve_workers(rack_jobs).min(racks);
                 let lanes = par::map_ordered(racks, workers, |r| {
-                    let rack = self.new_rack_state(r as u32, rack_rngs[r].clone());
+                    let rack = self.new_rack_state(streams, r);
                     self.run_loop(inputs, vec![rack], r, racks, balancer, horizon)
                 });
                 (
@@ -757,10 +903,8 @@ impl ClusterSim {
                 } else {
                     "locality spill decisions read every rack's load"
                 };
-                let racks = rack_rngs
-                    .into_iter()
-                    .zip(0..)
-                    .map(|(rng, r)| self.new_rack_state(r, rng))
+                let racks = (0..racks)
+                    .map(|r| self.new_rack_state(streams, r))
                     .collect();
                 (
                     self.run_loop(inputs, racks, 0, 1, balancer, horizon),
@@ -781,18 +925,20 @@ impl ClusterSim {
         }
     }
 
-    fn new_rack_state(&self, id: u32, rng: DeterministicRng) -> RackState {
+    /// Rack `rack` before the run's first event, reading its jitter from
+    /// `streams`.
+    fn new_rack_state<'s>(&self, streams: &'s RackStreams, rack: usize) -> RackState<'s> {
         let capacity = self.initial_capacity();
         RackState {
             summary: RackSummary {
-                rack: id,
+                rack: rack as u32,
                 peak_instances: capacity,
                 low_instances: capacity,
                 ..RackSummary::default()
             },
             queue: SchedQueue::new(self.config.scheduler, &self.service_times),
             keepalive: KeepaliveState::new(self.config.keepalive),
-            rng,
+            jitter: streams.cursor(rack),
             busy: 0,
             capacity,
             pending: 0,
@@ -807,7 +953,7 @@ impl ClusterSim {
     /// cluster, where a slot is a rack id.
     fn dispatch(
         &self,
-        racks: &[RackState],
+        racks: &[RackState<'_>],
         balancer: LoadBalancer,
         inputs: RunInputs<'_>,
         idx: usize,
@@ -842,7 +988,7 @@ impl ClusterSim {
 
     /// Admits the arrival at trace position `idx` to `rack`'s scheduler
     /// queue, rejecting it when the queue is full.
-    fn admit(&self, rack: &mut RackState, inputs: RunInputs<'_>, idx: usize, now: SimTime) {
+    fn admit(&self, rack: &mut RackState<'_>, inputs: RunInputs<'_>, idx: usize, now: SimTime) {
         if self.config.scaling == ScalingPolicy::Predictive {
             // Predictive scaling estimates demand from offered load, not the
             // (capacity-throttled) start rate.
@@ -862,7 +1008,7 @@ impl ClusterSim {
     /// the service time of every started request.
     fn start_queued(
         &self,
-        rack: &mut RackState,
+        rack: &mut RackState<'_>,
         now: SimTime,
         inputs: RunInputs<'_>,
         latency_series: &mut TimeSeries,
@@ -873,7 +1019,7 @@ impl ClusterSim {
             let request = &inputs.trace[idx];
             let function = request.function;
             let base = self.service_times[request.benchmark as usize];
-            let jitter = (SERVICE_JITTER_SIGMA * rack.rng.standard_normal()).exp();
+            let jitter = rack.jitter.next();
             let mut service = base * jitter;
             if !rack.keepalive.is_warm(function, now) {
                 // A repeat cold start reuses whatever the first one left
@@ -939,15 +1085,15 @@ impl ClusterSim {
     /// ([`TraceRequest::function`]), if the drained loop leaves a rack with
     /// busy or provisioning instances or queued requests, or if the racks did
     /// not complete or reject exactly the arrivals the cursor took.
-    fn run_loop(
+    fn run_loop<'s>(
         &self,
         inputs: RunInputs<'_>,
-        mut racks: Vec<RackState>,
+        mut racks: Vec<RackState<'s>>,
         first: usize,
         stride: usize,
         balancer: LoadBalancer,
         horizon: SimDuration,
-    ) -> ClusterRun {
+    ) -> ClusterRun<'s> {
         let trace = inputs.trace;
         let mut offered = TimeSeries::new(BUCKET, horizon);
         let mut queued = TimeSeries::new(BUCKET, horizon);
@@ -1063,7 +1209,7 @@ impl ClusterSim {
     /// or does not satisfy `0 <= wasted <= warm` seconds.
     fn finalize(
         &self,
-        run: ClusterRun,
+        run: ClusterRun<'_>,
         wall_clock: std::time::Instant,
     ) -> (ClusterReport, Vec<RackSummary>) {
         let ClusterRun {
@@ -1147,7 +1293,7 @@ impl ClusterSim {
     /// its only scale-up in flight. Shrinking to it releases immediately
     /// (running requests finish, the freed instances just stop accepting
     /// new work).
-    fn scale_decision(&self, rack: &mut RackState, now: SimTime) -> bool {
+    fn scale_decision(&self, rack: &mut RackState<'_>, now: SimTime) -> bool {
         let (min, max) = (self.config.min_instances, self.config.max_instances);
         let provisioned = rack.capacity + rack.pending;
         let demand = match self.config.scaling {
@@ -1621,7 +1767,8 @@ mod tests {
     #[should_panic(expected = "busy <= capacity invariant broken")]
     fn a_completion_with_nothing_busy_breaks_the_busy_invariant() {
         let sim = ClusterSim::new(PlatformKind::DscsDsa, ClusterConfig::default());
-        let mut rack = sim.new_rack_state(0, DeterministicRng::seeded(1));
+        let streams = RackStreams::new(1, 1);
+        let mut rack = sim.new_rack_state(&streams, 0);
         rack.busy = 1;
         rack.release();
         assert_eq!(rack.busy, 0);
@@ -1638,7 +1785,8 @@ mod tests {
             ..ClusterConfig::default()
         };
         let sim = ClusterSim::new(PlatformKind::DscsDsa, config);
-        let mut rack = sim.new_rack_state(0, DeterministicRng::seeded(1));
+        let streams = RackStreams::new(1, 1);
+        let mut rack = sim.new_rack_state(&streams, 0);
         rack.pending = 4;
         rack.commit_scale_up();
         assert_eq!((rack.pending, rack.capacity), (0, config.min_instances + 4));
@@ -1663,7 +1811,8 @@ mod tests {
             trace: &trace,
             data: None,
         };
-        let rack = sim.new_rack_state(0, DeterministicRng::seeded(34));
+        let streams = RackStreams::new(34, 1);
+        let rack = sim.new_rack_state(&streams, 0);
         let _ = sim.run_loop(
             inputs,
             vec![rack],
@@ -1936,10 +2085,10 @@ mod tests {
                     ..ClusterConfig::default()
                 },
             );
+            let streams = RackStreams::new(1, 3);
             for queued in [keeps, keeps + 1] {
-                let mut racks: Vec<RackState> = (0..3)
-                    .map(|r| sim.new_rack_state(r, DeterministicRng::seeded(1)))
-                    .collect();
+                let mut racks: Vec<RackState> =
+                    (0..3).map(|r| sim.new_rack_state(&streams, r)).collect();
                 for (rack, depth) in [(home, queued), (busier, 3), (idler, 1)] {
                     for idx in 0..depth {
                         racks[rack].queue.push(idx, benchmark);
@@ -1952,6 +2101,89 @@ mod tests {
                     "queue depth {queue_depth}, {queued} queued at the replica rack"
                 );
             }
+        }
+    }
+
+    /// Bytes of draws `streams` holds in filled chunks.
+    fn memo_bytes(streams: &RackStreams) -> usize {
+        streams
+            .racks
+            .iter()
+            .flat_map(|rack| rack.chunks.iter().filter_map(OnceLock::get))
+            .map(|chunk| std::mem::size_of_val(&*chunk.draws))
+            .sum()
+    }
+
+    /// Two threads read every rack of one `RackStreams` at once, in opposite
+    /// rack orders, so they fill and read the same chunks concurrently. Each
+    /// cursor yields exactly the jitter its rack's own forked generator
+    /// draws directly, through the memo and three chunks past it; 33 racks
+    /// leave no room for a chunk, so they draw directly from the start.
+    #[test]
+    fn rack_stream_cursors_yield_each_racks_direct_draws_across_threads() {
+        for (racks, chunks) in [(1, 32), (2, 16), (4, 8), (33, 0)] {
+            let seed = 0x5EED ^ racks;
+            let mut master = DeterministicRng::seeded(seed);
+            let draws = (chunks + 3) * JITTER_CHUNK;
+            let expected: Vec<Vec<u64>> = (0..racks)
+                .map(|r| {
+                    let mut rng = master.fork(r);
+                    (0..draws)
+                        .map(|_| (0.15 * rng.standard_normal()).exp().to_bits())
+                        .collect()
+                })
+                .collect();
+            let streams = RackStreams::new(seed, racks as u32);
+            assert!(streams.racks.iter().all(|r| r.chunks.len() == chunks));
+            let start = std::sync::Barrier::new(2);
+            std::thread::scope(|scope| {
+                for reverse in [false, true] {
+                    let (streams, expected, start) = (&streams, &expected, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        let order: Vec<usize> = if reverse {
+                            (0..racks as usize).rev().collect()
+                        } else {
+                            (0..racks as usize).collect()
+                        };
+                        for r in order {
+                            let mut cursor = streams.cursor(r);
+                            for (i, &bits) in expected[r].iter().enumerate() {
+                                assert_eq!(
+                                    cursor.next().to_bits(),
+                                    bits,
+                                    "{racks} racks: rack {r}, draw {i}"
+                                );
+                            }
+                        }
+                    });
+                }
+            });
+            assert_eq!(
+                memo_bytes(&streams),
+                chunks * JITTER_CHUNK * 8 * racks as usize
+            );
+        }
+    }
+
+    /// Reading every rack's stream past its memo fills each rack's chunks
+    /// and nothing more: at any rack count the memo holds at most 256 KiB
+    /// of draws, however long the run reads on.
+    #[test]
+    fn the_jitter_memo_holds_at_most_256_kib_at_any_rack_count() {
+        for racks in 1..=40_u32 {
+            let streams = RackStreams::new(7, racks);
+            let memo = streams.racks[0].chunks.len() * JITTER_CHUNK;
+            for r in 0..racks as usize {
+                let mut cursor = streams.cursor(r);
+                for _ in 0..memo + 2 * JITTER_CHUNK {
+                    cursor.next();
+                }
+            }
+            let held = memo_bytes(&streams);
+            assert!(held <= 256 * 1024, "{racks} racks hold {held} bytes");
+            assert_eq!(held, memo * 8 * racks as usize, "{racks} racks");
+            assert_eq!(memo == 0, racks > 32, "{racks} racks");
         }
     }
 

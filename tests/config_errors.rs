@@ -183,6 +183,89 @@ fn rack_counts_beyond_the_event_key_are_typed_errors() {
     assert!(build(max).is_ok(), "the bound itself builds");
 }
 
+/// A run's series span its last arrival plus 120 s, and its events are
+/// nanosecond `u64` times, so a trace whose last request arrives more than
+/// `ClusterSim::MAX_TRACE_SPAN` (one year) after the start is a typed error
+/// at `build` and in a sweep, instead of a run on a wrapped clock. A trace
+/// ending exactly at the limit builds and runs on a year of one-minute
+/// buckets.
+#[test]
+fn traces_past_the_maximum_span_are_typed_errors() {
+    use dscs_serverless::cluster::at_scale::{SweepScale, SweepSpec};
+    use dscs_serverless::cluster::workload::WorkloadSpec;
+    use dscs_serverless::core::benchmarks::Benchmark;
+    use dscs_serverless::simcore::time::SimTime;
+    use std::sync::Arc;
+
+    let max = ClusterSim::MAX_TRACE_SPAN;
+    assert_eq!(max, SimDuration::from_secs(365 * 24 * 3600));
+    // The trace shifted so that its last request arrives at `last`.
+    let ending_at = |last: u64| {
+        let mut trace = short_trace(13);
+        let shift = last - trace.last().expect("non-empty").arrival.as_nanos();
+        for request in &mut trace {
+            request.arrival = SimTime::from_nanos(request.arrival.as_nanos() + shift);
+        }
+        trace
+    };
+    let build = |trace: Vec<TraceRequest>| {
+        Experiment::builder(PlatformKind::DscsDsa)
+            .trace(trace)
+            .build()
+    };
+    let past = |last: u64| ConfigError::TraceTooLong {
+        last_arrival: SimTime::from_nanos(last) - SimTime::ZERO,
+        max,
+    };
+    let at_limit = ending_at(max.as_nanos());
+    let requests = at_limit.len() as u64;
+    let report = build(at_limit)
+        .expect("the limit itself builds")
+        .run()
+        .report;
+    assert_eq!(report.completed + report.rejected, requests);
+    assert!(report.makespan >= max, "{}", report.makespan);
+    assert_eq!(
+        report.latency_ms.len(),
+        525_602,
+        "a year and 120 s of minutes"
+    );
+    let one_past = max.as_nanos() + 1;
+    assert_eq!(
+        build(ending_at(one_past)).expect_err("one nanosecond past the limit"),
+        past(one_past)
+    );
+    // Four requests a second short of the clock's end once ran on a wrapped
+    // horizon and reported a 2.12 s makespan in a release build.
+    let near_end = u64::MAX - 1_000_000_000;
+    let wrapping: Vec<TraceRequest> = (0..4)
+        .map(|i| TraceRequest {
+            arrival: SimTime::from_nanos(near_end + i),
+            benchmark: Benchmark::ALL[0],
+            function: i as u32,
+            object: 0,
+            object_size_log2: 16,
+        })
+        .collect();
+    assert_eq!(
+        build(wrapping.clone()).expect_err("a second short of the clock's end"),
+        past(near_end + 3)
+    );
+    let err = SweepSpec {
+        workloads: vec![WorkloadSpec::Inline {
+            name: "wrapping".into(),
+            source: "synthetic".into(),
+            horizon_s: SimTime::from_nanos(u64::MAX).as_secs_f64(),
+            trace: Arc::new(wrapping),
+        }],
+        ..SweepSpec::default_grid(SweepScale::Smoke)
+    }
+    .run()
+    .expect_err("a sweep builds every cell");
+    assert_eq!(err, past(near_end + 3));
+    assert!(err.to_string().contains("past the"), "{err}");
+}
+
 /// Every way a declarative `WorkloadSpec` can be rejected maps to its own
 /// typed `WorkloadSpecError`, and the ones a sweep meets when it realizes
 /// its workload axis fold into `ConfigError::WorkloadSpec` with the source

@@ -338,6 +338,132 @@ fn cold_path_and_ipc_axes_preserve_both_parallelism_equivalences() {
     }
 }
 
+/// A sweep's cells share one memo of each rack's leading jitter draws. On a
+/// trace that sends every round-robin rack more starts than its memo holds
+/// (4 racks keep 8,192 draws each), cells fill the memo, read it and draw
+/// past it, concurrently under `jobs = 4` and `rack_jobs = 2`. Each cell
+/// equals, field for field, the standalone `Experiment` run of its point,
+/// which forks and draws its racks' streams on its own, and every worker
+/// combination renders the same JSON.
+#[test]
+fn cells_sharing_jitter_streams_equal_standalone_runs_past_the_memo() {
+    use dscs_serverless::cluster::at_scale::SweepCell;
+    use dscs_serverless::cluster::data::DataLayer;
+    use dscs_serverless::cluster::optimal::regret_pct;
+    use dscs_serverless::cluster::workload::WorkloadSpec;
+    use dscs_serverless::simcore::time::SimDuration;
+
+    let profile = RateProfile {
+        segments: vec![(SimDuration::from_secs(30), 1500.0)],
+    };
+    let trace = Arc::new(profile.generate(&mut DeterministicRng::seeded(3)));
+    let (seed, racks) = (42, 4);
+    let grid = |jobs: usize, rack_jobs: usize| SweepSpec {
+        seed,
+        racks,
+        jobs,
+        rack_jobs,
+        workloads: vec![WorkloadSpec::Inline {
+            name: "steady".into(),
+            source: "synthetic".into(),
+            horizon_s: 30.0,
+            trace: trace.clone(),
+        }],
+        platforms: vec![PlatformKind::DscsDsa],
+        schedulers: vec![SchedulerPolicy::Fcfs],
+        keepalives: vec![KeepalivePolicy::FixedWindow],
+        scalings: vec![ScalingPolicy::Fixed, ScalingPolicy::Reactive],
+        balancers: vec![LoadBalancer::RoundRobin, LoadBalancer::LocalityAware],
+        ..SweepSpec::default_grid(SweepScale::Smoke)
+    };
+    let sequential = grid(1, 1).run().expect("valid spec");
+    assert_eq!(sequential.cells.len(), 4);
+    for cell in &sequential.cells {
+        // A rack draws once per started request.
+        let past_memo = cell.rack_completed.iter().filter(|&&c| c > 8192).count();
+        let everyone = cell.balancer == LoadBalancer::RoundRobin;
+        assert!(
+            past_memo == 4 || (!everyone && past_memo > 0),
+            "{:?}",
+            cell.rack_completed
+        );
+    }
+    for (jobs, rack_jobs) in [(4, 1), (1, 2), (4, 2)] {
+        let parallel = grid(jobs, rack_jobs).run().expect("valid spec");
+        assert_eq!(
+            sequential.to_json(),
+            parallel.to_json(),
+            "jobs={jobs} rack_jobs={rack_jobs}"
+        );
+        assert_eq!(sequential.cells, parallel.cells);
+    }
+    // `SweepSpec::run` places data with `seed ^ 0xDA7A` and runs every cell
+    // with `seed ^ 0x5EED`.
+    let data = Arc::new(DataLayer::for_trace(&trace, racks, seed ^ 0xDA7A));
+    for cell in &sequential.cells {
+        let outcome = Experiment::builder(cell.platform)
+            .trace(trace.clone())
+            .racks(racks)
+            .balancer(cell.balancer)
+            .scheduler(cell.scheduler)
+            .keepalive(cell.keepalive)
+            .scaling(cell.scaling)
+            .cold_path(cell.cold_path)
+            .ipc(cell.ipc)
+            .data_layer(data.clone())
+            .seed(seed ^ 0x5EED)
+            .build()
+            .expect("valid experiment")
+            .run();
+        let report = &outcome.report;
+        let standalone = SweepCell {
+            workload: "steady".into(),
+            workload_source: "synthetic".into(),
+            platform: cell.platform,
+            scheduler: cell.scheduler,
+            keepalive: cell.keepalive,
+            scaling: cell.scaling,
+            balancer: cell.balancer,
+            cold_path: cell.cold_path,
+            ipc: cell.ipc,
+            requests: trace.len() as u64,
+            completed: report.completed,
+            rejected: report.rejected,
+            cold_starts: report.cold_starts,
+            coldstart_s: report.coldstart_s,
+            optimal_coldstart_s: outcome.optimal_coldstart_s,
+            regret_pct: regret_pct(report.coldstart_s, outcome.optimal_coldstart_s),
+            restore_s: report.restore_s,
+            ipc_overhead_s: report.ipc_overhead_s,
+            prewarm_hits: report.prewarm_hits,
+            prewarm_hit_rate: report.prewarm_hit_rate(),
+            wasted_warm_s: report.wasted_warm_seconds,
+            scale_ups: report.scale_ups,
+            scale_downs: report.scale_downs,
+            scaling_lag_s: report.scaling_lag_s,
+            peak_instances: report.peak_instances,
+            locality_hit_rate: report.locality_hit_rate(),
+            cross_rack_bytes: report.cross_rack_bytes,
+            fetch_latency_s: report.fetch_latency_s,
+            fetch_energy_j: report.fetch_energy_j,
+            mean_latency_ms: report.mean_latency_ms(),
+            p99_latency_ms: report.p99_latency_ms(),
+            peak_queue: report.peak_queue(),
+            makespan_s: report.makespan.as_secs_f64(),
+            events: report.events,
+            wall_s: report.wall_s,
+            rack_completed: outcome.racks.iter().map(|r| r.completed).collect(),
+        };
+        assert_eq!(
+            cell,
+            &standalone,
+            "{} / {}",
+            cell.scaling.name(),
+            cell.balancer.name()
+        );
+    }
+}
+
 #[test]
 fn more_workers_than_cells_is_harmless() {
     let spec = SweepSpec {
